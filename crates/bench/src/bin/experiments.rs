@@ -8,7 +8,6 @@
 //! experiments bench-pr5 [--scale N] [--sites K] [--smoke] [--out PATH]
 //! experiments bench-pr6 [--scale N] [--sites K] [--smoke] [--out PATH]
 //! experiments bench-pr7 [--scale N] [--sites K] [--smoke] [--out PATH]
-//! experiments bench-pr8 [--scale N] [--sites K] [--smoke] [--out PATH]
 //! experiments bench-pr9 [--scale N] [--sites K] [--smoke] [--out PATH]
 //! experiments bench-pr10 [--scale N] [--sites K] [--smoke] [--out PATH]
 //! ```
@@ -23,8 +22,8 @@
 //! configuration.
 
 use gstored_bench::{
-    bench_pr10, bench_pr3, bench_pr4, bench_pr5, bench_pr6, bench_pr7, bench_pr8, bench_pr9,
-    datasets, experiments, format::Table,
+    bench_pr10, bench_pr3, bench_pr4, bench_pr5, bench_pr6, bench_pr7, bench_pr9, datasets,
+    experiments, format::Table,
 };
 
 struct Args {
@@ -198,29 +197,6 @@ fn run_bench_pr7(args: &Args) {
     eprintln!("# bench-pr7: wrote {} bytes, schema OK", json.len());
 }
 
-fn run_bench_pr8(args: &Args) {
-    let mut config = if args.smoke {
-        bench_pr8::BenchPr8Config::smoke()
-    } else {
-        bench_pr8::BenchPr8Config::default()
-    };
-    if let Some(scale) = args.scale {
-        config.chain_links = scale;
-    }
-    if let Some(sites) = args.sites {
-        config.sites = sites;
-    }
-    let path = args.out.as_deref().unwrap_or("BENCH_PR8.json");
-    eprintln!("# bench-pr8: {config:?} -> {path}");
-    let json = bench_pr8::run(&config);
-    if let Err(e) = bench_pr8::validate(&json) {
-        eprintln!("bench-pr8: generated JSON failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("# bench-pr8: wrote {} bytes, schema OK", json.len());
-}
-
 fn run_bench_pr9(args: &Args) {
     let mut config = if args.smoke {
         bench_pr9::BenchPr9Config::smoke()
@@ -275,7 +251,6 @@ fn main() {
         ("bench-pr5", run_bench_pr5 as fn(&Args)),
         ("bench-pr6", run_bench_pr6 as fn(&Args)),
         ("bench-pr7", run_bench_pr7 as fn(&Args)),
-        ("bench-pr8", run_bench_pr8 as fn(&Args)),
         ("bench-pr9", run_bench_pr9 as fn(&Args)),
         ("bench-pr10", run_bench_pr10 as fn(&Args)),
     ] {

@@ -27,11 +27,9 @@
 //! (`BENCH_PR7.json`: time-to-first-row for `stream()` vs `execute()`'s
 //! full materialization, the `LIMIT` short-circuit's wall-time fraction,
 //! and the coordinator's peak buffered join states, with sorted-row
-//! equality in every cell). [`bench_pr8`] emits the reactor-transport /
-//! stage-overlap leg (`BENCH_PR8.json`: the overlapped driver's speedup
-//! over the barriered driver on a straggler-skewed paced network, and
-//! the O(1) coordinator I/O-thread count as a reactor-driven TCP fleet
-//! grows, again with sorted-row equality everywhere). [`bench_pr9`]
+//! equality in every cell). (`BENCH_PR8.json` — barriered vs overlapped
+//! driver under a straggler — stays as history; its generator went with
+//! the barriered driver it measured.) [`bench_pr9`]
 //! emits the robustness leg (`BENCH_PR9.json`: availability under a
 //! kill-and-restart of a TCP worker driven by a closed-loop client —
 //! bounded walls, typed errors, self-healing back to the fault-free
@@ -48,7 +46,6 @@ pub mod bench_pr4;
 pub mod bench_pr5;
 pub mod bench_pr6;
 pub mod bench_pr7;
-pub mod bench_pr8;
 pub mod bench_pr9;
 pub mod datasets;
 pub mod experiments;

@@ -1,7 +1,9 @@
 //! Assembling variables' internal candidates (Section VI, Algorithm 4).
 //!
 //! Each site compresses, per query variable `v`, its internal candidate
-//! set `C(Q, v)` into a fixed-length bit vector `B_v` (one hash). The
+//! set `C(Q, v)` into a fixed-length bit vector `B_v` (one hash; on the
+//! wire the fixed length is the upper bound — a vector with few set bits
+//! ships as their positions, see `docs/protocol.md`). The
 //! coordinator ORs the per-site vectors and broadcasts the result; sites
 //! then refuse to bind an *extended* vertex to `v` unless its bit is set.
 //! Soundness: a vertex appearing in any complete match is an internal
@@ -34,9 +36,9 @@ pub(crate) fn var_vertices(q: &EncodedQuery) -> Vec<usize> {
 }
 
 /// Union per-site `BitVectors` replies into one vector per variable
-/// (Algorithm 4 lines 2–6). Shared by the barriered exchange below and
-/// the engine's overlapped driver, which collects the same replies
-/// through per-site stage cursors instead of a fleet gather.
+/// (Algorithm 4 lines 2–6). Shared by the step-by-step exchange below
+/// and the engine, which collects the same replies from its
+/// `[InstallQuery, ComputeCandidates]` chains.
 pub(crate) fn union_bit_vectors(
     bodies: &[ResponseBody],
     var_count: usize,
@@ -72,10 +74,13 @@ pub(crate) fn union_bit_vectors(
     Ok(acc)
 }
 
-/// Run Algorithm 4 over the pool's workers (the query must already be
-/// installed on every site). The workers adopt the unioned filter for
-/// their upcoming LPM enumeration; the same filter is also returned for
-/// inspection, plus the stage metrics covering every exchanged frame.
+/// Run Algorithm 4 over the pool's workers, one broadcast per step (the
+/// query must already be installed on every site). The workers adopt the
+/// unioned filter for their upcoming LPM enumeration; the same filter is
+/// also returned for inspection, plus the stage metrics covering every
+/// exchanged frame. The engine folds these steps into its per-phase
+/// chains instead; this standalone form serves harnesses that measure
+/// the exchange on its own.
 pub fn exchange_candidates(
     pool: &WorkerPool<'_>,
     q: &EncodedQuery,
@@ -179,18 +184,22 @@ mod tests {
     }
 
     #[test]
-    fn shipment_is_fixed_length_per_site() {
+    fn shipment_is_bounded_by_the_fixed_length_per_site() {
         let (dist, q) = setup();
         let bits = 2048;
         let (_, stage) = exchange(&dist, &q, bits);
         // 3 request frames, 3 BitVectors replies (2 vectors each), 3
         // filter broadcasts (2 vectors each), 3 acks: 12 frames carrying
-        // 12 fixed-length vector payloads in total.
+        // 12 vector payloads in total.
         assert_eq!(stage.messages, 12);
-        assert!(stage.bytes_shipped >= 12 * (bits as u64 / 8));
-        // Envelope overhead (tags, elapsed stamps, counts) stays within
-        // a few dozen bytes per frame.
+        // Section VI's fixed length is the upper bound per vector; the
+        // envelopes (tags, elapsed stamps, counts) stay within a few
+        // dozen bytes per frame.
         assert!(stage.bytes_shipped <= 12 * (bits as u64 / 8) + 12 * 64);
+        // 30 candidates per variable across 3 sites set at most 30 bits
+        // per unioned vector, so the sparse form ships: well under a
+        // quarter of the dense size.
+        assert!(stage.bytes_shipped < 3 * (bits as u64 / 8));
     }
 
     #[test]

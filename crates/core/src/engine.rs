@@ -2,7 +2,7 @@
 //!
 //! Execution for a general (non-star) query, as messages to persistent
 //! site workers (every frame serialized through [`crate::protocol`] and
-//! charged to the stage it belongs to):
+//! charged to the stage it belongs to). The steps of Fig. 4:
 //!
 //! 0. **Query distribution** — `InstallQuery` ships the encoded query to
 //!    every site.
@@ -14,14 +14,32 @@
 //!    **stay at the site**.
 //! 3. *(LO/Full)* **LEC optimization** — `ComputeLecFeatures` ships only
 //!    the features (Algorithm 1); the coordinator prunes (Algorithm 2)
-//!    and broadcasts the surviving feature ids via `DropPruned`.
+//!    and tells the sites the surviving feature ids via `DropPruned`.
 //! 4. **Assembly** — `ShipSurvivors` moves the surviving LPMs to the
 //!    coordinator, which joins them: Algorithm 3 for LA/LO/Full, the
 //!    \[18\] partition join for Basic.
 //!
+//! Only two of those steps need another site's data — the candidate
+//! union and the pruning verdict — so the steps travel as **one
+//! [`Request::Chain`] frame per site per phase**, three phases around the
+//! two barriers (variants omit the steps they do not use):
+//!
+//! ```text
+//! A  [InstallQuery, ComputeCandidates]                  → union barrier
+//! B  [SetCandidateFilter, PartialEval, ComputeLecFeatures] → prune barrier
+//! C  [DropPruned, ShipSurvivors, ReleaseQuery]
+//! ```
+//!
+//! A site runs its chain without waiting for the coordinator, so a
+//! straggler delays a phase's one collection point, not every step. The
+//! streaming pipeline ([`Engine::start_stream`]) shares phases A and B
+//! and then pulls lazily: `[DropPruned, ShipSurvivorsChunk]` on a site's
+//! first pull, bare chunks after, one closing `ReleaseQuery` broadcast.
+//!
 //! Star queries short-circuit per Section VIII-B: every match lives in
-//! the fragment where the star's center is internal, so `StarMatches`
-//! lets the sites answer locally and only the result bindings ship.
+//! the fragment where the star's center is internal, so the whole
+//! evaluation is the single chain `[InstallQuery, StarMatches,
+//! ReleaseQuery]` and only the result bindings ship.
 //!
 //! The workers are reached through a pluggable [`Transport`]: the
 //! [`Backend::InProcess`] default runs them as scoped threads behind
@@ -30,7 +48,7 @@
 //! results *and* shipment metrics are independent of the backend.
 //!
 //! Every per-query frame carries a [`QueryId`], and a pipeline ends with
-//! a `ReleaseQuery` broadcast dropping the sites' per-query state — so
+//! a `ReleaseQuery` dropping each site's per-query state — so
 //! **many queries can run their pipelines concurrently over one shared
 //! fleet**, their stage messages interleaved on the same connections and
 //! demultiplexed by the [`ReplyRouter`]. [`Engine::execute_routed`] is
@@ -52,13 +70,13 @@ use gstored_sparql::QueryGraph;
 use gstored_store::{EncodedQuery, LocalPartialMatch};
 
 use crate::assembly::{assemble_basic, assemble_lec, IncrementalJoin};
-use crate::candidates::{exchange_candidates, union_bit_vectors, var_vertices};
+use crate::candidates::{union_bit_vectors, var_vertices};
 use crate::error::EngineError;
 use crate::planner::{plan_query, PlannerDecision};
 use crate::prepared::PreparedPlan;
 use crate::protocol::{self, QueryId, Request, ResponseBody};
 use crate::prune::prune_features;
-use crate::runtime::{expect_acks, worker_failure, ReplyRouter, WorkerPool};
+use crate::runtime::{expect_acks, Chain, ReplyRouter, Stage, WorkerPool};
 use crate::worker::with_in_process_workers;
 
 /// Query ids for executions that bypass a session's `QueryExecutor`
@@ -187,16 +205,6 @@ pub struct EngineConfig {
     /// deliver. Off by default (tests and interactive use want raw
     /// speed); the closed-loop throughput benchmarks turn it on.
     pub pace_network: bool,
-    /// Overlap pipeline stages per site where the data dependencies
-    /// allow it (default): a site that has acked `InstallQuery` already
-    /// has its next stage frame queued behind it, so a straggler delays
-    /// only itself on dependency-free edges. Genuinely global steps —
-    /// candidate-vector union, LEC pruning — keep their barriers.
-    /// `false` restores the classic broadcast-then-gather driver; both
-    /// drivers exchange byte-identical frames with identical per-stage
-    /// charges (pinned by the overlap-equivalence proptests), only wall
-    /// clock differs.
-    pub overlap_stages: bool,
     /// Drive [`Backend::Tcp`] fleets through the epoll-multiplexed
     /// [`ReactorTransport`] — one coordinator I/O thread for the whole
     /// fleet regardless of site count (default). `false` falls back to
@@ -229,7 +237,6 @@ impl Default for EngineConfig {
             backend: Backend::InProcess,
             max_concurrent_queries: 8,
             pace_network: false,
-            overlap_stages: true,
             reactor_io: true,
             query_deadline: Some(Duration::from_secs(30)),
             chaos: None,
@@ -487,19 +494,7 @@ impl Engine {
         plan: &PreparedPlan,
         query: QueryId,
     ) -> Result<QueryOutput, EngineError> {
-        if plan.dict_uid() != dist.dict().uid() {
-            return Err(EngineError::PlanGraphMismatch {
-                plan_dict: plan.dict_uid(),
-                graph_dict: dist.dict().uid(),
-            });
-        }
-        if transport.sites() != dist.fragment_count() {
-            return Err(EngineError::Transport(format!(
-                "transport has {} sites but the graph has {} fragments",
-                transport.sites(),
-                dist.fragment_count()
-            )));
-        }
+        self.check_fleet(transport, dist, plan)?;
         // `Auto` resolves here, after validation and before any frame is
         // sent: price the variants against the cached partition stats,
         // then delegate to an engine configured with the winner. Every
@@ -523,32 +518,60 @@ impl Engine {
             return Ok(self.finish(query_graph, q, Vec::new(), metrics));
         }
 
-        let pool = WorkerPool::new(transport, router, self.config.network.clone(), query)
-            .with_pacing(self.config.pace_network)
-            .with_deadline(self.config.query_deadline.map(|d| Instant::now() + d));
-
+        let pool = self.pool(transport, router, query);
         match self.run_stages(&pool, plan, &mut metrics) {
             Ok(bindings) => Ok(self.finish(query_graph, q, bindings, metrics)),
             Err(e) => {
-                // Best-effort cleanup so an aborted pipeline does not
-                // strand state in the workers' tables (uncharged: the
-                // failed execution has no metrics consumer). Straggler
-                // replies that would otherwise park forever under this
-                // retired query id are dropped at the router.
-                let mut scratch = gstored_net::StageMetrics::default();
-                pool.release_quietly(&mut scratch);
-                router.forget(query);
+                abandon(&pool, router);
                 Err(e)
             }
         }
     }
 
+    /// The plan must have been prepared against `dist`'s dictionary, and
+    /// the transport must reach one worker per fragment.
+    fn check_fleet(
+        &self,
+        transport: &dyn Transport,
+        dist: &DistributedGraph,
+        plan: &PreparedPlan,
+    ) -> Result<(), EngineError> {
+        if plan.dict_uid() != dist.dict().uid() {
+            return Err(EngineError::PlanGraphMismatch {
+                plan_dict: plan.dict_uid(),
+                graph_dict: dist.dict().uid(),
+            });
+        }
+        if transport.sites() != dist.fragment_count() {
+            return Err(EngineError::Transport(format!(
+                "transport has {} sites but the graph has {} fragments",
+                transport.sites(),
+                dist.fragment_count()
+            )));
+        }
+        Ok(())
+    }
+
+    /// `query`'s handle on the fleet: paced per the config, with the
+    /// deadline budget starting now.
+    fn pool<'t>(
+        &self,
+        transport: &'t dyn Transport,
+        router: &'t ReplyRouter,
+        query: QueryId,
+    ) -> WorkerPool<'t> {
+        WorkerPool::new(transport, router, self.config.network.clone(), query)
+            .with_pacing(self.config.pace_network)
+            .with_deadline(self.config.query_deadline.map(|d| Instant::now() + d))
+    }
+
     /// Start a **streaming** evaluation of a prepared plan as one of many
     /// concurrent queries on a shared fleet.
     ///
-    /// Runs the pipeline's front half eagerly — stages 0–3 for general
-    /// queries (so pruning has spoken and every site holds its surviving
-    /// LPMs), or just `InstallQuery` for the star fast path — and returns
+    /// Runs the pipeline's front half eagerly — phases A and B for general
+    /// queries (so pruning has spoken and every site holds its LPMs; the
+    /// verdict reaches a site with its first pull), nothing at all for the
+    /// star fast path — and returns
     /// a [`StreamState`] that pulls the rest on demand: survivors arrive
     /// in bounded [`Request::ShipSurvivorsChunk`] batches (at most
     /// `chunk` LPMs per reply, clamped to ≥ 1; pass `usize::MAX` for
@@ -572,19 +595,7 @@ impl Engine {
         query: QueryId,
         chunk: usize,
     ) -> Result<StreamState, EngineError> {
-        if plan.dict_uid() != dist.dict().uid() {
-            return Err(EngineError::PlanGraphMismatch {
-                plan_dict: plan.dict_uid(),
-                graph_dict: dist.dict().uid(),
-            });
-        }
-        if transport.sites() != dist.fragment_count() {
-            return Err(EngineError::Transport(format!(
-                "transport has {} sites but the graph has {} fragments",
-                transport.sites(),
-                dist.fragment_count()
-            )));
-        }
+        self.check_fleet(transport, dist, plan)?;
         // Mirror `execute_routed`: resolve `Auto` before any frame moves
         // and stash the decision on the stream state.
         if self.config.variant.is_auto() {
@@ -599,15 +610,15 @@ impl Engine {
         }
         let q = plan.encoded();
         let sites = transport.sites();
-        let chunk = chunk.max(1);
+        let shape = plan.shape();
         let mut state = StreamState {
             query,
             network: self.config.network.clone(),
             paced: self.config.pace_network,
-            chunk,
+            chunk: chunk.max(1),
             vertex_count: q.vertex_count(),
             edge_count: q.edge_count(),
-            mode: StreamMode::General,
+            mode: StreamMode::General { drop_pruned: None },
             site_done: vec![false; sites],
             site_seq: vec![0; sites],
             next_site: 0,
@@ -625,46 +636,32 @@ impl Engine {
             // Nothing was installed anywhere; the stream is born drained.
             state.finished = true;
             state.released = true;
-            return Ok(state);
-        }
-
-        let pool = WorkerPool::new(transport, router, self.config.network.clone(), query)
-            .with_pacing(self.config.pace_network)
-            .with_deadline(self.config.query_deadline.map(|d| Instant::now() + d));
-        let shape = plan.shape();
-        let star = self.config.star_fast_path && shape.is_star();
-        let setup = (|| -> Result<(), EngineError> {
-            if star {
-                let center = shape.star_center.expect("stars have centers");
-                pool.set_stage("star");
-                expect_acks(pool.broadcast_frame(
-                    protocol::encode_install_query(query, q),
-                    &mut state.metrics.partial_evaluation,
-                )?)?;
-                state.mode = StreamMode::Star { center };
-            } else {
-                let complete = self.prepare_survivors(&pool, plan, &mut state.metrics)?;
-                state.pending.extend(complete);
-                state.joiner = Some(IncrementalJoin::new(q.vertex_count(), q.edge_count()));
-            }
-            Ok(())
-        })();
-        match setup {
-            Ok(()) => Ok(state),
-            Err(e) => {
-                // Mirror `execute_routed`: a failed setup releases the
-                // sites before surfacing (uncharged — no metrics consumer).
-                let mut scratch = gstored_net::StageMetrics::default();
-                pool.release_quietly(&mut scratch);
-                router.forget(query);
-                Err(e)
+        } else if self.config.star_fast_path && shape.is_star() {
+            // Nothing moves until the first pull.
+            let center = shape.star_center.expect("stars have centers");
+            state.mode = StreamMode::Star {
+                chain: star_chain(query, q, center),
+            };
+        } else {
+            let pool = self.pool(transport, router, query);
+            match self.prepare_survivors(&pool, plan, &mut state.metrics) {
+                Ok((complete, drop_pruned)) => {
+                    state.pending.extend(complete);
+                    state.mode = StreamMode::General { drop_pruned };
+                    state.joiner = Some(IncrementalJoin::new(q.vertex_count(), q.edge_count()));
+                }
+                Err(e) => {
+                    abandon(&pool, router);
+                    return Err(e);
+                }
             }
         }
+        Ok(state)
     }
 
-    /// The message-driven pipeline body: every stage of Fig. 4, all
-    /// frames stamped with the pool's query id, ending with the
-    /// `ReleaseQuery` broadcast that drops the sites' per-query state.
+    /// The batch pipeline: one chain per site per phase (module docs),
+    /// every frame stamped with the pool's query id, each site's last
+    /// chain ending in the `ReleaseQuery` that drops its per-query state.
     fn run_stages(
         &self,
         pool: &WorkerPool<'_>,
@@ -674,519 +671,56 @@ impl Engine {
         let q = plan.encoded();
         let query = pool.query();
 
-        // --- Star fast path (Section VIII-B) ---
+        // --- Star fast path (Section VIII-B): a star match never needs
+        // another site's data, so the whole evaluation is one chain ---
         let shape = plan.shape();
         if self.config.star_fast_path && shape.is_star() {
             let center = shape.star_center.expect("stars have centers");
             pool.set_stage("star");
-            if self.config.overlap_stages {
-                return self.run_star_overlapped(pool, q, center, metrics);
-            }
-            expect_acks(pool.broadcast_frame(
-                protocol::encode_install_query(query, q),
-                &mut metrics.partial_evaluation,
-            )?)?;
-            let bodies = pool.broadcast(
-                &Request::StarMatches { query, center },
-                &mut metrics.partial_evaluation,
-            )?;
+            let chain = star_chain(query, q, center);
             let mut all = Vec::new();
-            for body in bodies {
-                let ResponseBody::Bindings(ms) = body else {
-                    return Err(unexpected("Bindings", "StarMatches", &body));
-                };
-                for row in &ms {
-                    check_binding_row(row, q)?;
-                }
-                all.extend(ms);
+            for bodies in pool.run_phase(&every_site(pool, &chain), metrics)? {
+                all.extend(star_matches(bodies, q.vertex_count())?);
             }
             metrics.local_matches = all.len() as u64;
-            expect_acks(pool.broadcast(
-                &Request::ReleaseQuery { query },
-                &mut metrics.partial_evaluation,
-            )?)?;
             return Ok(all);
         }
 
-        let complete = self.prepare_survivors(pool, plan, metrics)?;
+        let (mut complete, drop_pruned) = self.prepare_survivors(pool, plan, metrics)?;
+
+        // --- Phase C: the verdict, the survivors, the release ---
+        pool.set_stage("assembly");
+        let pruned = drop_pruned.is_some();
+        let mut steps = Vec::with_capacity(3);
+        steps.extend(drop_pruned.map(|frame| (frame, Stage::LecOptimization)));
+        for request in [
+            Request::ShipSurvivors { query },
+            Request::ReleaseQuery { query },
+        ] {
+            steps.push((protocol::encode_request(&request), Stage::Assembly));
+        }
+        let chain = Chain::new(query, &steps);
+        let mut all_lpms: Vec<LocalPartialMatch> = Vec::new();
+        for bodies in pool.run_phase(&every_site(pool, &chain), metrics)? {
+            let mut replies = bodies.into_iter();
+            if pruned {
+                expect_ack(replies.next(), "DropPruned")?;
+            }
+            match replies.next() {
+                Some(ResponseBody::Survivors(lpms)) => {
+                    for lpm in &lpms {
+                        check_lpm(lpm, q.vertex_count(), q.edge_count())?;
+                    }
+                    all_lpms.extend(lpms);
+                }
+                other => return Err(unexpected("Survivors", "ShipSurvivors", other)),
+            }
+            expect_ack(replies.next(), "ReleaseQuery")?;
+        }
+        metrics.surviving_partial_matches = all_lpms.len() as u64;
 
         // --- Stage 4: assembly at the coordinator ---
-        self.assemble_gathered(pool, plan, complete, metrics)
-    }
-
-    /// The overlapped star fast path: every site gets its whole chain —
-    /// `InstallQuery; StarMatches; ReleaseQuery` — queued at once (each
-    /// edge is per-site: a star match never needs another site's data),
-    /// and the coordinator drains the three replies per site. Same
-    /// frames and `partial_evaluation` charges as the barriered path.
-    fn run_star_overlapped(
-        &self,
-        pool: &WorkerPool<'_>,
-        q: &EncodedQuery,
-        center: usize,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Vec<VertexId>>, EngineError> {
-        let query = pool.query();
-        let star = protocol::encode_request(&Request::StarMatches { query, center });
-        let release = protocol::encode_request(&Request::ReleaseQuery { query });
-        let install = protocol::encode_install_query(query, q);
-        for site in 0..pool.sites() {
-            pool.send_frame_to(site, install.clone(), &mut metrics.partial_evaluation)?;
-            pool.send_frame_to(site, star.clone(), &mut metrics.partial_evaluation)?;
-            pool.send_frame_to(site, release.clone(), &mut metrics.partial_evaluation)?;
-        }
-        let mut all = Vec::new();
-        let mut first_error: Option<EngineError> = None;
-        // One max per logical stage, mirroring the three gathers of the
-        // barriered driver (each adds its slowest site to the wall).
-        let mut slowest = [0u64; 3];
-        for site in 0..pool.sites() {
-            for (step, slow) in slowest.iter_mut().enumerate() {
-                let body = pool.recv_tracked(site, &mut metrics.partial_evaluation, slow)?;
-                if let Some(e) = worker_failure(site, &body) {
-                    first_error.get_or_insert(e);
-                    continue;
-                }
-                match (step, body) {
-                    (0, ResponseBody::Ack) | (2, ResponseBody::Ack) => {}
-                    (1, ResponseBody::Bindings(ms)) => {
-                        for row in &ms {
-                            check_binding_row(row, q)?;
-                        }
-                        all.extend(ms);
-                    }
-                    (_, other) => {
-                        let (want, req) = match step {
-                            1 => ("Bindings", "StarMatches"),
-                            _ => ("Ack", "InstallQuery/ReleaseQuery"),
-                        };
-                        first_error.get_or_insert(unexpected(want, req, &other));
-                    }
-                }
-            }
-        }
-        for nanos in slowest {
-            metrics.partial_evaluation.wall += std::time::Duration::from_nanos(nanos);
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        metrics.local_matches = all.len() as u64;
-        Ok(all)
-    }
-
-    /// Stages 0–3 of the general pipeline: query distribution, candidate
-    /// exchange (Full), partial evaluation, and LEC pruning (LO/Full).
-    /// Returns the local complete matches; afterwards every site holds
-    /// its surviving LPMs ready to ship (in one gather for the batch
-    /// path, in bounded chunks for the streaming path).
-    ///
-    /// Two drivers, selected by [`EngineConfig::overlap_stages`],
-    /// exchange byte-identical frames with identical per-stage charges;
-    /// only the dispatch order — and therefore the wall clock under
-    /// skewed links — differs.
-    fn prepare_survivors(
-        &self,
-        pool: &WorkerPool<'_>,
-        plan: &PreparedPlan,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Vec<VertexId>>, EngineError> {
-        if self.config.overlap_stages {
-            self.prepare_survivors_overlapped(pool, plan, metrics)
-        } else {
-            self.prepare_survivors_barriered(pool, plan, metrics)
-        }
-    }
-
-    /// The classic driver: every stage is a full-fleet broadcast followed
-    /// by a full-fleet gather, so each collection point waits for the
-    /// slowest site before any site gets its next frame.
-    fn prepare_survivors_barriered(
-        &self,
-        pool: &WorkerPool<'_>,
-        plan: &PreparedPlan,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Vec<VertexId>>, EngineError> {
-        let q = plan.encoded();
-        let query = pool.query();
-
-        // --- Stage 0: distribute the query to every site ---
-        pool.set_stage("install");
-        {
-            let stage = if self.config.variant.uses_candidate_exchange() {
-                &mut metrics.candidates
-            } else {
-                &mut metrics.partial_evaluation
-            };
-            expect_acks(pool.broadcast_frame(protocol::encode_install_query(query, q), stage)?)?;
-        }
-
-        // --- Stage 1 (Full only): assemble variables' candidates ---
-        if self.config.variant.uses_candidate_exchange() {
-            pool.set_stage("candidates");
-            let (_filter, stage) = exchange_candidates(pool, q, self.config.candidate_bits)?;
-            metrics.candidates.absorb(&stage);
-        }
-
-        // --- Stage 2: partial evaluation at every site ---
-        // Local complete matches ship back immediately (they are final);
-        // the LPMs stay at their sites until pruning has spoken.
-        pool.set_stage("partial_evaluation");
-        let bodies = pool.broadcast(
-            &Request::PartialEval { query },
-            &mut metrics.partial_evaluation,
-        )?;
-        let mut complete: Vec<Vec<VertexId>> = Vec::new();
-        let mut lpm_counts: Vec<u64> = Vec::with_capacity(bodies.len());
-        for body in bodies {
-            let ResponseBody::PartialEval { locals, lpm_count } = body else {
-                return Err(unexpected("PartialEval", "PartialEval", &body));
-            };
-            for row in &locals {
-                check_binding_row(row, q)?;
-            }
-            metrics.local_matches += locals.len() as u64;
-            complete.extend(locals);
-            lpm_counts.push(lpm_count);
-        }
-        metrics.local_partial_matches = lpm_counts.iter().sum();
-
-        // --- Stage 3 (LO/Full): LEC feature optimization ---
-        if self.config.variant.uses_lec_pruning() {
-            pool.set_stage("lec_optimization");
-            // Sites compute features in parallel (Algorithm 1) and ship
-            // them — only them — to the coordinator, under statically
-            // pre-assigned disjoint feature-id ranges (same ids as the
-            // overlapped driver, so the frames match byte for byte).
-            let bodies = pool.broadcast_with(
-                |site| Request::ComputeLecFeatures {
-                    query,
-                    first_id: lec_first_id(site, pool.sites()),
-                },
-                &mut metrics.lec_optimization,
-            )?;
-            let mut all_features = Vec::new();
-            for body in bodies {
-                let ResponseBody::Features(features) = body else {
-                    return Err(unexpected("Features", "ComputeLecFeatures", &body));
-                };
-                for feature in &features {
-                    check_feature(feature, q)?;
-                }
-                all_features.extend(features);
-            }
-            self.prune_and_drop(pool, q, all_features, metrics)?;
-        }
-
-        Ok(complete)
-    }
-
-    /// The readiness-driven driver: each site's dependency-free chain is
-    /// queued in one go and drained as replies arrive, so a straggler
-    /// delays only the phase's single collection point instead of every
-    /// stage boundary.
-    ///
-    /// Phases (Full variant; earlier variants skip the missing steps):
-    ///
-    /// 1. **Phase A**, per site pipelined: `InstallQuery;
-    ///    ComputeCandidates` — a site computes its candidate vectors the
-    ///    moment its own install lands.
-    /// 2. **Union barrier** (genuine): the candidate filter is the OR
-    ///    over *all* sites' vectors, so every reply must be in.
-    /// 3. **Phase B**, per site pipelined: `SetCandidateFilter;
-    ///    PartialEval; ComputeLecFeatures` — feature ids are assigned
-    ///    statically ([`lec_first_id`]), which is what frees the feature
-    ///    request from waiting on any other site's LPM count.
-    /// 4. **Prune barrier** (genuine): Algorithm 2 ranks features
-    ///    across the whole fleet; `DropPruned` broadcasts the verdict.
-    fn prepare_survivors_overlapped(
-        &self,
-        pool: &WorkerPool<'_>,
-        plan: &PreparedPlan,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Vec<VertexId>>, EngineError> {
-        let q = plan.encoded();
-        let query = pool.query();
-        let sites = pool.sites();
-        let variant = self.config.variant;
-        let install = protocol::encode_install_query(query, q);
-
-        // --- Phase A (Full only): install + candidate vectors, per-site ---
-        let filter_frame: Option<Bytes> = if variant.uses_candidate_exchange() {
-            pool.set_stage("install+candidates");
-            let vars = var_vertices(q);
-            for site in 0..sites {
-                pool.send_frame_to(site, install.clone(), &mut metrics.candidates)?;
-                pool.send_to(
-                    site,
-                    &Request::ComputeCandidates {
-                        query,
-                        bits: self.config.candidate_bits,
-                    },
-                    &mut metrics.candidates,
-                )?;
-            }
-            let mut vector_bodies = Vec::with_capacity(sites);
-            let mut first_error: Option<EngineError> = None;
-            let mut slowest = [0u64; 2];
-            for site in 0..sites {
-                for (step, slow) in slowest.iter_mut().enumerate() {
-                    let body = pool.recv_tracked(site, &mut metrics.candidates, slow)?;
-                    if let Some(e) = worker_failure(site, &body) {
-                        first_error.get_or_insert(e);
-                        continue;
-                    }
-                    match (step, body) {
-                        (0, ResponseBody::Ack) => {}
-                        (1, body @ ResponseBody::BitVectors(_)) => vector_bodies.push(body),
-                        (0, other) => {
-                            first_error.get_or_insert(unexpected("Ack", "InstallQuery", &other));
-                        }
-                        (_, other) => {
-                            first_error.get_or_insert(unexpected(
-                                "BitVectors",
-                                "ComputeCandidates",
-                                &other,
-                            ));
-                        }
-                    }
-                }
-            }
-            for nanos in slowest {
-                metrics.candidates.wall += std::time::Duration::from_nanos(nanos);
-            }
-            if let Some(e) = first_error {
-                return Err(e);
-            }
-            // Union barrier: Algorithm 4 lines 2–6 need every site's
-            // vectors before any site may adopt the filter.
-            let unioned = metrics.candidates.time(|| {
-                union_bit_vectors(&vector_bodies, vars.len(), self.config.candidate_bits)
-            })?;
-            let vectors: Vec<_> = vars.iter().copied().zip(unioned).collect();
-            Some(protocol::encode_request(&Request::SetCandidateFilter {
-                query,
-                vectors,
-            }))
-        } else {
-            None
-        };
-
-        // --- Phase B: the per-site pipelined chain up to the features ---
-        pool.set_stage("partial_evaluation");
-        let pruning = variant.uses_lec_pruning();
-        let pe_frame = protocol::encode_request(&Request::PartialEval { query });
-        for site in 0..sites {
-            if filter_frame.is_none() {
-                pool.send_frame_to(site, install.clone(), &mut metrics.partial_evaluation)?;
-            }
-            if let Some(frame) = &filter_frame {
-                pool.send_frame_to(site, frame.clone(), &mut metrics.candidates)?;
-            }
-            pool.send_frame_to(site, pe_frame.clone(), &mut metrics.partial_evaluation)?;
-            if pruning {
-                pool.send_to(
-                    site,
-                    &Request::ComputeLecFeatures {
-                        query,
-                        first_id: lec_first_id(site, sites),
-                    },
-                    &mut metrics.lec_optimization,
-                )?;
-            }
-        }
-
-        let mut complete: Vec<Vec<VertexId>> = Vec::new();
-        let mut all_features = Vec::new();
-        let mut lpm_total = 0u64;
-        let mut first_error: Option<EngineError> = None;
-        // Per-logical-stage maxes: the head ack (install or filter), the
-        // partial evaluation, and the feature computation.
-        let (mut slow_head, mut slow_pe, mut slow_clf) = (0u64, 0u64, 0u64);
-        for site in 0..sites {
-            let head_stage = if filter_frame.is_some() {
-                &mut metrics.candidates
-            } else {
-                &mut metrics.partial_evaluation
-            };
-            let body = pool.recv_tracked(site, head_stage, &mut slow_head)?;
-            if let Some(e) = worker_failure(site, &body) {
-                first_error.get_or_insert(e);
-            } else if !matches!(body, ResponseBody::Ack) {
-                first_error.get_or_insert(unexpected(
-                    "Ack",
-                    "InstallQuery/SetCandidateFilter",
-                    &body,
-                ));
-            }
-
-            let body = pool.recv_tracked(site, &mut metrics.partial_evaluation, &mut slow_pe)?;
-            if let Some(e) = worker_failure(site, &body) {
-                first_error.get_or_insert(e);
-            } else if let ResponseBody::PartialEval { locals, lpm_count } = body {
-                for row in &locals {
-                    check_binding_row(row, q)?;
-                }
-                metrics.local_matches += locals.len() as u64;
-                complete.extend(locals);
-                lpm_total += lpm_count;
-            } else {
-                first_error.get_or_insert(unexpected("PartialEval", "PartialEval", &body));
-            }
-
-            if pruning {
-                let body = pool.recv_tracked(site, &mut metrics.lec_optimization, &mut slow_clf)?;
-                if let Some(e) = worker_failure(site, &body) {
-                    first_error.get_or_insert(e);
-                } else if let ResponseBody::Features(features) = body {
-                    for feature in &features {
-                        check_feature(feature, q)?;
-                    }
-                    all_features.extend(features);
-                } else {
-                    first_error.get_or_insert(unexpected("Features", "ComputeLecFeatures", &body));
-                }
-            }
-        }
-        if filter_frame.is_some() {
-            metrics.candidates.wall += std::time::Duration::from_nanos(slow_head);
-        } else {
-            metrics.partial_evaluation.wall += std::time::Duration::from_nanos(slow_head);
-        }
-        metrics.partial_evaluation.wall += std::time::Duration::from_nanos(slow_pe);
-        metrics.lec_optimization.wall += std::time::Duration::from_nanos(slow_clf);
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        metrics.local_partial_matches = lpm_total;
-
-        // --- Prune barrier (LO/Full): genuinely global ---
-        if pruning {
-            self.prune_and_drop(pool, q, all_features, metrics)?;
-        }
-
-        Ok(complete)
-    }
-
-    /// The shared tail of stage 3: rank the gathered features across the
-    /// fleet (Algorithm 2) and broadcast the survivors' ids. A genuine
-    /// barrier in both drivers — pruning is a whole-fleet computation.
-    fn prune_and_drop(
-        &self,
-        pool: &WorkerPool<'_>,
-        q: &EncodedQuery,
-        all_features: Vec<crate::lec::LecFeature>,
-        metrics: &mut QueryMetrics,
-    ) -> Result<(), EngineError> {
-        pool.set_stage("lec_optimization");
-        let query = pool.query();
         let query_edges: Vec<(usize, usize)> = q.edges().iter().map(|e| (e.from, e.to)).collect();
-        metrics.lec_features = all_features.len() as u64;
-
-        // Coordinator prunes (Algorithm 2)...
-        let useful: FxHashSet<u32> = metrics
-            .lec_optimization
-            .time(|| prune_features(&all_features, q.vertex_count(), &query_edges));
-
-        // ...and broadcasts the surviving ids back; sites drop the
-        // LPMs whose features lost.
-        let useful_ids: Vec<u32> = {
-            let mut v: Vec<u32> = useful.iter().copied().collect();
-            v.sort_unstable();
-            v
-        };
-        expect_acks(pool.broadcast(
-            &Request::DropPruned {
-                query,
-                useful: useful_ids,
-            },
-            &mut metrics.lec_optimization,
-        )?)?;
-        Ok(())
-    }
-
-    /// Stage 4 of the batch path: gather every site's survivors, release
-    /// the sites, and join at the coordinator.
-    ///
-    /// Overlapped, each site's `ShipSurvivors; ReleaseQuery` pair is
-    /// queued together (releasing a site needs nothing from any other
-    /// site), so a finished site frees its per-query state while a
-    /// straggler is still shipping. Barriered, `ReleaseQuery` broadcasts
-    /// only after the whole fleet has shipped. Same frames, same
-    /// `assembly` charges either way.
-    fn assemble_gathered(
-        &self,
-        pool: &WorkerPool<'_>,
-        plan: &PreparedPlan,
-        mut complete: Vec<Vec<VertexId>>,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Vec<VertexId>>, EngineError> {
-        pool.set_stage("assembly");
-        let q = plan.encoded();
-        let query = pool.query();
-        let query_edges: Vec<(usize, usize)> = q.edges().iter().map(|e| (e.from, e.to)).collect();
-        let mut all_lpms: Vec<LocalPartialMatch> = Vec::new();
-        if self.config.overlap_stages {
-            let ship = protocol::encode_request(&Request::ShipSurvivors { query });
-            let release = protocol::encode_request(&Request::ReleaseQuery { query });
-            for site in 0..pool.sites() {
-                pool.send_frame_to(site, ship.clone(), &mut metrics.assembly)?;
-                pool.send_frame_to(site, release.clone(), &mut metrics.assembly)?;
-            }
-            let mut first_error: Option<EngineError> = None;
-            let mut slowest = [0u64; 2];
-            for site in 0..pool.sites() {
-                for (step, slow) in slowest.iter_mut().enumerate() {
-                    let body = pool.recv_tracked(site, &mut metrics.assembly, slow)?;
-                    if let Some(e) = worker_failure(site, &body) {
-                        first_error.get_or_insert(e);
-                        continue;
-                    }
-                    match (step, body) {
-                        (0, ResponseBody::Survivors(lpms)) => {
-                            for lpm in &lpms {
-                                check_lpm(lpm, q)?;
-                            }
-                            all_lpms.extend(lpms);
-                        }
-                        (1, ResponseBody::Ack) => {}
-                        (0, other) => {
-                            first_error.get_or_insert(unexpected(
-                                "Survivors",
-                                "ShipSurvivors",
-                                &other,
-                            ));
-                        }
-                        (_, other) => {
-                            first_error.get_or_insert(unexpected("Ack", "ReleaseQuery", &other));
-                        }
-                    }
-                }
-            }
-            for nanos in slowest {
-                metrics.assembly.wall += std::time::Duration::from_nanos(nanos);
-            }
-            if let Some(e) = first_error {
-                return Err(e);
-            }
-            metrics.surviving_partial_matches = all_lpms.len() as u64;
-        } else {
-            let bodies =
-                pool.broadcast(&Request::ShipSurvivors { query }, &mut metrics.assembly)?;
-            for body in bodies {
-                let ResponseBody::Survivors(lpms) = body else {
-                    return Err(unexpected("Survivors", "ShipSurvivors", &body));
-                };
-                for lpm in &lpms {
-                    check_lpm(lpm, q)?;
-                }
-                all_lpms.extend(lpms);
-            }
-            metrics.surviving_partial_matches = all_lpms.len() as u64;
-            // The sites' part is done — drop their state before the
-            // coordinator-side join so worker memory frees while we compute.
-            expect_acks(pool.broadcast(&Request::ReleaseQuery { query }, &mut metrics.assembly)?)?;
-        }
         let crossing = metrics.assembly.time(|| {
             if self.config.variant.uses_lec_assembly() {
                 assemble_lec(&all_lpms, q.vertex_count(), &query_edges)
@@ -1196,8 +730,143 @@ impl Engine {
         });
         metrics.crossing_matches = crossing.len() as u64;
         complete.extend(crossing);
-
         Ok(complete)
+    }
+
+    /// Stages 0–3 of the general pipeline, shared by [`Engine::execute`]
+    /// and [`Engine::start_stream`]: query distribution, candidate exchange
+    /// (Full), partial evaluation and LEC pruning (LO/Full), in two
+    /// phases around the two genuinely global steps:
+    ///
+    /// 1. **Phase A** (Full): `[InstallQuery, ComputeCandidates]`.
+    /// 2. **Union barrier**: the candidate filter is the OR over *all*
+    ///    sites' vectors (Algorithm 4 lines 2–6).
+    /// 3. **Phase B**: `[SetCandidateFilter | InstallQuery, PartialEval,
+    ///    ComputeLecFeatures]` — feature ids are assigned statically
+    ///    ([`lec_first_id`]), so the feature request waits on no other
+    ///    site's LPM count.
+    /// 4. **Prune barrier** (LO/Full): Algorithm 2 ranks features across
+    ///    the whole fleet.
+    ///
+    /// Returns the local complete matches and, when pruning ran, the
+    /// encoded `DropPruned` verdict — *not yet sent*: it heads whatever
+    /// chain next goes to each site (the batch phase C, or a stream's
+    /// first pull of that site). Afterwards every site holds its LPMs.
+    fn prepare_survivors(
+        &self,
+        pool: &WorkerPool<'_>,
+        plan: &PreparedPlan,
+        metrics: &mut QueryMetrics,
+    ) -> Result<(Vec<Vec<VertexId>>, Option<Bytes>), EngineError> {
+        let q = plan.encoded();
+        let query = pool.query();
+        let sites = pool.sites();
+        let variant = self.config.variant;
+        let install = protocol::encode_install_query(query, q);
+
+        // --- Phase A + union barrier (Full only) ---
+        let filter_frame: Option<Bytes> = if variant.uses_candidate_exchange() {
+            pool.set_stage("install+candidates");
+            let vars = var_vertices(q);
+            let bits = self.config.candidate_bits;
+            if !protocol::candidate_vectors_fit(bits, vars.len()) {
+                let vectors = vars.len();
+                return Err(EngineError::CandidateVectorsTooLarge { bits, vectors });
+            }
+            let compute = protocol::encode_request(&Request::ComputeCandidates { query, bits });
+            let chain = Chain::new(
+                query,
+                &[
+                    (install.clone(), Stage::Candidates),
+                    (compute, Stage::Candidates),
+                ],
+            );
+            let mut vector_bodies = Vec::with_capacity(sites);
+            for bodies in pool.run_phase(&every_site(pool, &chain), metrics)? {
+                let mut replies = bodies.into_iter();
+                expect_ack(replies.next(), "InstallQuery")?;
+                vector_bodies.extend(replies.next());
+            }
+            let unioned = metrics
+                .candidates
+                .time(|| union_bit_vectors(&vector_bodies, vars.len(), bits))?;
+            let vectors: Vec<_> = vars.iter().copied().zip(unioned).collect();
+            Some(protocol::encode_request(&Request::SetCandidateFilter {
+                query,
+                vectors,
+            }))
+        } else {
+            None
+        };
+
+        // --- Phase B: up to the features ---
+        pool.set_stage("partial_evaluation");
+        let pruning = variant.uses_lec_pruning();
+        let head = match filter_frame {
+            Some(frame) => (frame, Stage::Candidates),
+            None => (install, Stage::PartialEvaluation),
+        };
+        let partial_eval = protocol::encode_request(&Request::PartialEval { query });
+        let chains: Vec<(usize, Chain)> = (0..sites)
+            .map(|site| {
+                let mut steps = vec![
+                    head.clone(),
+                    (partial_eval.clone(), Stage::PartialEvaluation),
+                ];
+                if pruning {
+                    let first_id = lec_first_id(site, sites);
+                    steps.push((
+                        protocol::encode_request(&Request::ComputeLecFeatures { query, first_id }),
+                        Stage::LecOptimization,
+                    ));
+                }
+                (site, Chain::new(query, &steps))
+            })
+            .collect();
+        let mut complete: Vec<Vec<VertexId>> = Vec::new();
+        let mut all_features = Vec::new();
+        for (site, bodies) in pool.run_phase(&chains, metrics)?.into_iter().enumerate() {
+            let mut replies = bodies.into_iter();
+            expect_ack(replies.next(), "InstallQuery/SetCandidateFilter")?;
+            match replies.next() {
+                Some(ResponseBody::PartialEval { locals, lpm_count }) => {
+                    for row in &locals {
+                        check_binding_row(row, q.vertex_count())?;
+                    }
+                    metrics.local_matches += locals.len() as u64;
+                    metrics.local_partial_matches += lpm_count;
+                    complete.extend(locals);
+                }
+                other => return Err(unexpected("PartialEval", "PartialEval", other)),
+            }
+            if pruning {
+                match replies.next() {
+                    Some(ResponseBody::Features(features)) => {
+                        for feature in &features {
+                            check_feature(feature, q, site, sites)?;
+                        }
+                        all_features.extend(features);
+                    }
+                    other => return Err(unexpected("Features", "ComputeLecFeatures", other)),
+                }
+            }
+        }
+        if !pruning {
+            return Ok((complete, None));
+        }
+
+        // --- Prune barrier: the coordinator ranks the features of the
+        // whole fleet (Algorithm 2); sites will drop the LPMs whose
+        // features lost ---
+        metrics.lec_features = all_features.len() as u64;
+        let query_edges: Vec<(usize, usize)> = q.edges().iter().map(|e| (e.from, e.to)).collect();
+        let useful: FxHashSet<u32> = metrics
+            .lec_optimization
+            .time(|| prune_features(&all_features, q.vertex_count(), &query_edges));
+        let mut useful: Vec<u32> = useful.into_iter().collect();
+        useful.sort_unstable();
+        let drop_pruned = protocol::encode_request(&Request::DropPruned { query, useful });
+        Ok((complete, Some(drop_pruned)))
     }
 
     /// Apply projection / DISTINCT / LIMIT and package the output.
@@ -1231,16 +900,22 @@ impl Engine {
 }
 
 /// Which half of the pipeline a [`StreamState`] is pulling from.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 enum StreamMode {
-    /// Section VIII-B stars: one lazy `StarMatches` pull per site.
+    /// Section VIII-B stars: a site is sent its whole chain —
+    /// `[InstallQuery, StarMatches, ReleaseQuery]` — when it is pulled,
+    /// so no site holds state between pulls.
     Star {
-        /// The star's center vertex (query-vertex index).
-        center: usize,
+        /// The chain, identical for every site.
+        chain: Chain,
     },
     /// General queries: bounded `ShipSurvivorsChunk` pulls, round-robin
     /// across sites, pushed through an [`IncrementalJoin`].
-    General,
+    General {
+        /// The pruning verdict (LO/Full), sent to each site at the head
+        /// of its first pull.
+        drop_pruned: Option<Bytes>,
+    },
 }
 
 /// The coordinator side of an in-flight streaming query: the pull-based
@@ -1251,14 +926,15 @@ enum StreamMode {
 /// iterator that also owns (a handle to) the fleet. The obligations:
 ///
 /// - Pump [`StreamState::next_binding`] until it returns `Ok(None)`
-///   (the stream then has sent `ReleaseQuery` itself), **or** call
-///   [`StreamState::cancel`] to stop early — otherwise every site keeps
-///   the query's state table entry until fleet teardown.
+///   (every site has then been sent its `ReleaseQuery`), **or** call
+///   [`StreamState::cancel`] to stop early — otherwise every site of a
+///   general query keeps its state table entry until fleet teardown.
 /// - After an `Err`, the state has already cancelled the fleet and is
 ///   fused: further pumps return `Ok(None)`.
 ///
 /// Shipment charging: star pulls are charged to `partial_evaluation`
-/// (they *are* the evaluation), survivor chunks and the closing
+/// (they *are* the evaluation), the verdict heading a first pull to
+/// `lec_optimization`, survivor chunks and the closing
 /// `ReleaseQuery`/`CancelQuery` frames to `assembly`, matching the batch
 /// path's stage accounting.
 #[derive(Debug)]
@@ -1324,6 +1000,13 @@ impl StreamState {
         }
     }
 
+    /// This query's handle on the fleet, deadline-armed afresh.
+    fn pool<'t>(&self, transport: &'t dyn Transport, router: &'t ReplyRouter) -> WorkerPool<'t> {
+        WorkerPool::new(transport, router, self.network.clone(), self.query)
+            .with_pacing(self.paced)
+            .with_deadline(self.deadline_budget.map(|d| Instant::now() + d))
+    }
+
     /// One round of progress: pull one star site or one survivor chunk,
     /// or — once every site is drained — release the fleet.
     fn advance(
@@ -1331,42 +1014,26 @@ impl StreamState {
         transport: &dyn Transport,
         router: &ReplyRouter,
     ) -> Result<(), EngineError> {
-        let pool = WorkerPool::new(transport, router, self.network.clone(), self.query)
-            .with_pacing(self.paced)
-            .with_deadline(self.deadline_budget.map(|d| Instant::now() + d));
+        let pool = self.pool(transport, router);
         pool.set_stage("stream pull");
-        match self.mode {
-            StreamMode::Star { center } => {
+        let sites = self.site_done.len();
+        match &self.mode {
+            StreamMode::Star { chain } => {
                 let Some(site) = self.site_done.iter().position(|done| !done) else {
-                    expect_acks(pool.broadcast(
-                        &Request::ReleaseQuery { query: self.query },
-                        &mut self.metrics.partial_evaluation,
-                    )?)?;
+                    // Every site released itself at the end of its chain.
                     self.released = true;
                     self.finished = true;
                     return Ok(());
                 };
-                pool.send_to(
-                    site,
-                    &Request::StarMatches {
-                        query: self.query,
-                        center,
-                    },
-                    &mut self.metrics.partial_evaluation,
-                )?;
-                let body = pool.recv_from(site, &mut self.metrics.partial_evaluation)?;
-                let ResponseBody::Bindings(ms) = body else {
-                    return Err(unexpected("Bindings", "StarMatches", &body));
-                };
-                for row in &ms {
-                    self.check_row(row)?;
-                }
+                let bodies = pool
+                    .run_phase(&[(site, chain.clone())], &mut self.metrics)?
+                    .remove(0);
+                let ms = star_matches(bodies, self.vertex_count)?;
                 self.metrics.local_matches += ms.len() as u64;
                 self.site_done[site] = true;
                 self.pending.extend(ms);
             }
-            StreamMode::General => {
-                let sites = self.site_done.len();
+            StreamMode::General { drop_pruned } => {
                 let Some(site) = (0..sites)
                     .map(|i| (self.next_site + i) % sites)
                     .find(|&s| !self.site_done[s])
@@ -1382,33 +1049,43 @@ impl StreamState {
                     }
                     return Ok(());
                 };
-                pool.send_to(
-                    site,
-                    &Request::ShipSurvivorsChunk {
-                        query: self.query,
-                        seq: self.site_seq[site],
-                        max: self.chunk,
-                    },
-                    &mut self.metrics.assembly,
-                )?;
-                let body = pool.recv_from(site, &mut self.metrics.assembly)?;
-                let ResponseBody::SurvivorsChunk { lpms, seq, last } = body else {
-                    return Err(unexpected("SurvivorsChunk", "ShipSurvivorsChunk", &body));
+                let pull = protocol::encode_request(&Request::ShipSurvivorsChunk {
+                    query: self.query,
+                    seq: self.site_seq[site],
+                    max: self.chunk,
+                });
+                // The verdict rides at the head of a site's first pull.
+                let verdict = drop_pruned.as_ref().filter(|_| self.site_seq[site] == 0);
+                let mut steps = Vec::with_capacity(2);
+                steps.extend(verdict.map(|frame| (frame.clone(), Stage::LecOptimization)));
+                steps.push((pull, Stage::Assembly));
+                let bodies = pool
+                    .run_phase(&[(site, Chain::new(self.query, &steps))], &mut self.metrics)?
+                    .remove(0);
+                let mut replies = bodies.into_iter();
+                if verdict.is_some() {
+                    expect_ack(replies.next(), "DropPruned")?;
+                }
+                let (lpms, last) = match replies.next() {
+                    Some(ResponseBody::SurvivorsChunk { lpms, seq, last })
+                        if seq == self.site_seq[site] =>
+                    {
+                        (lpms, last)
+                    }
+                    Some(ResponseBody::SurvivorsChunk { seq, .. }) => {
+                        return Err(EngineError::Protocol(format!(
+                            "site {site} answered survivor chunk seq {seq}, expected {}",
+                            self.site_seq[site]
+                        )))
+                    }
+                    other => return Err(unexpected("SurvivorsChunk", "ShipSurvivorsChunk", other)),
                 };
-                if seq != self.site_seq[site] {
-                    return Err(EngineError::Protocol(format!(
-                        "site {site} answered survivor chunk seq {seq}, expected {}",
-                        self.site_seq[site]
-                    )));
-                }
                 self.site_seq[site] += 1;
-                if last {
-                    self.site_done[site] = true;
-                }
+                self.site_done[site] = last;
                 self.next_site = (site + 1) % sites;
                 self.metrics.surviving_partial_matches += lpms.len() as u64;
                 for lpm in &lpms {
-                    self.check_lpm(lpm)?;
+                    check_lpm(lpm, self.vertex_count, self.edge_count)?;
                 }
                 let joiner = self.joiner.as_mut().expect("general streams have a joiner");
                 for lpm in &lpms {
@@ -1422,31 +1099,29 @@ impl StreamState {
     }
 
     /// Stop the stream early: broadcast `CancelQuery` (idempotent; errors
-    /// swallowed — the fleet may already be gone) unless the sites were
-    /// already released, then fuse the stream. Safe to call repeatedly.
+    /// swallowed — the fleet may already be gone) unless no site holds
+    /// state — already released, or a star stream, whose sites release
+    /// themselves at the end of each pull — then fuse the stream. Safe
+    /// to call repeatedly.
     pub fn cancel(&mut self, transport: &dyn Transport, router: &ReplyRouter) {
-        if !self.released {
+        if !self.released && matches!(self.mode, StreamMode::General { .. }) {
             // Deadline-armed like every pull: a site that went silent
             // must not wedge the cancelling thread on the ack gather.
-            let pool = WorkerPool::new(transport, router, self.network.clone(), self.query)
-                .with_pacing(self.paced)
-                .with_deadline(self.deadline_budget.map(|d| Instant::now() + d));
-            pool.cancel_quietly(&mut self.metrics.assembly);
-            self.released = true;
+            self.pool(transport, router)
+                .cancel_quietly(&mut self.metrics.assembly);
         }
+        self.released = true;
         self.finished = true;
         self.pending.clear();
     }
 
-    /// Post-error cleanup: cancel the fleet (uncharged), drop any
-    /// straggler replies parked under the retired query id, and fuse.
+    /// Post-error cleanup: cancel the fleet (uncharged — a failed chain
+    /// may have stopped short of its `ReleaseQuery`), drop any straggler
+    /// replies parked under the retired query id, and fuse.
     fn abort(&mut self, transport: &dyn Transport, router: &ReplyRouter) {
         if !self.released {
-            let pool = WorkerPool::new(transport, router, self.network.clone(), self.query)
-                .with_pacing(self.paced)
-                .with_deadline(self.deadline_budget.map(|d| Instant::now() + d));
             let mut scratch = gstored_net::StageMetrics::default();
-            pool.cancel_quietly(&mut scratch);
+            self.pool(transport, router).cancel_quietly(&mut scratch);
             self.released = true;
         }
         router.forget(self.query);
@@ -1471,58 +1146,90 @@ impl StreamState {
     pub fn peak_resident_states(&self) -> usize {
         self.peak_resident
     }
-
-    fn check_row(&self, row: &[VertexId]) -> Result<(), EngineError> {
-        if row.len() != self.vertex_count {
-            return Err(EngineError::Protocol(format!(
-                "binding row has {} entries for a {}-vertex query",
-                row.len(),
-                self.vertex_count
-            )));
-        }
-        Ok(())
-    }
-
-    fn check_lpm(&self, lpm: &LocalPartialMatch) -> Result<(), EngineError> {
-        if lpm.binding.len() != self.vertex_count {
-            return Err(EngineError::Protocol(format!(
-                "LPM binds {} vertices of a {}-vertex query",
-                lpm.binding.len(),
-                self.vertex_count
-            )));
-        }
-        for &(_, qe) in &lpm.crossing {
-            if qe >= self.edge_count {
-                return Err(EngineError::Protocol(format!(
-                    "LPM crossing entry maps query edge {qe} of {}",
-                    self.edge_count
-                )));
-            }
-        }
-        Ok(())
-    }
 }
 
 /// Statically pre-assigned disjoint LEC feature-id range start for
 /// `site` in a fleet of `sites`. Deliberately independent of any LPM
-/// count: the overlapped driver queues `ComputeLecFeatures` right behind
-/// `PartialEval` *before* any site has reported how many LPMs it found,
-/// and the barriered driver uses the same ids so both drivers' frames
-/// are byte-identical. Each site owns `u32::MAX / sites` ids — orders of
-/// magnitude beyond any realistic per-site feature count.
+/// count: `ComputeLecFeatures` rides in the same chain as `PartialEval`,
+/// *before* any site has reported how many LPMs it found. Each site owns
+/// `u32::MAX / sites` ids — orders of magnitude beyond any realistic
+/// per-site feature count.
 fn lec_first_id(site: usize, sites: usize) -> u32 {
     (u32::MAX / sites as u32) * site as u32
+}
+
+/// The star fast path's whole evaluation at one site, as one chain
+/// (charged to `partial_evaluation`: for a star it *is* the evaluation).
+fn star_chain(query: QueryId, q: &EncodedQuery, center: usize) -> Chain {
+    let stage = Stage::PartialEvaluation;
+    Chain::new(
+        query,
+        &[
+            (protocol::encode_install_query(query, q), stage),
+            (
+                protocol::encode_request(&Request::StarMatches { query, center }),
+                stage,
+            ),
+            (
+                protocol::encode_request(&Request::ReleaseQuery { query }),
+                stage,
+            ),
+        ],
+    )
+}
+
+/// Best-effort cleanup of a pipeline that failed before its sites were
+/// released, so it strands no state in the workers' tables (uncharged:
+/// a failed execution has no metrics consumer). Straggler replies that
+/// would otherwise park forever under the retired query id are dropped
+/// at the router.
+fn abandon(pool: &WorkerPool<'_>, router: &ReplyRouter) {
+    pool.release_quietly(&mut gstored_net::StageMetrics::default());
+    router.forget(pool.query());
+}
+
+/// The same chain for every site of the pool's fleet.
+fn every_site(pool: &WorkerPool<'_>, chain: &Chain) -> Vec<(usize, Chain)> {
+    (0..pool.sites())
+        .map(|site| (site, chain.clone()))
+        .collect()
+}
+
+/// A step that must be answered by a plain acknowledgement.
+fn expect_ack(reply: Option<ResponseBody>, request: &str) -> Result<(), EngineError> {
+    match reply {
+        Some(ResponseBody::Ack) => Ok(()),
+        other => Err(unexpected("Ack", request, other)),
+    }
+}
+
+/// One site's replies to [`star_chain`]: the star matches, every row
+/// checked to fit a `vertex_count`-vertex query.
+fn star_matches(
+    bodies: Vec<ResponseBody>,
+    vertex_count: usize,
+) -> Result<Vec<Vec<VertexId>>, EngineError> {
+    let mut replies = bodies.into_iter();
+    expect_ack(replies.next(), "InstallQuery")?;
+    let rows = match replies.next() {
+        Some(ResponseBody::Bindings(rows)) => rows,
+        other => return Err(unexpected("Bindings", "StarMatches", other)),
+    };
+    for row in &rows {
+        check_binding_row(row, vertex_count)?;
+    }
+    expect_ack(replies.next(), "ReleaseQuery")?;
+    Ok(rows)
 }
 
 /// Reject a wire-supplied binding row that does not fit the query. A
 /// malformed-but-decodable worker reply must surface as a protocol error
 /// at the boundary, never as an out-of-bounds panic in projection.
-fn check_binding_row(row: &[VertexId], q: &EncodedQuery) -> Result<(), EngineError> {
-    if row.len() != q.vertex_count() {
+fn check_binding_row(row: &[VertexId], vertex_count: usize) -> Result<(), EngineError> {
+    if row.len() != vertex_count {
         return Err(EngineError::Protocol(format!(
-            "binding row has {} entries for a {}-vertex query",
+            "binding row has {} entries for a {vertex_count}-vertex query",
             row.len(),
-            q.vertex_count()
         )));
     }
     Ok(())
@@ -1531,28 +1238,37 @@ fn check_binding_row(row: &[VertexId], q: &EncodedQuery) -> Result<(), EngineErr
 /// Reject a wire-supplied LPM whose shape does not fit the query (short
 /// binding vector, or a crossing entry mapped to a nonexistent query
 /// edge) before assembly indexes into it.
-fn check_lpm(lpm: &LocalPartialMatch, q: &EncodedQuery) -> Result<(), EngineError> {
-    if lpm.binding.len() != q.vertex_count() {
+fn check_lpm(
+    lpm: &LocalPartialMatch,
+    vertex_count: usize,
+    edge_count: usize,
+) -> Result<(), EngineError> {
+    if lpm.binding.len() != vertex_count {
         return Err(EngineError::Protocol(format!(
-            "LPM binds {} vertices of a {}-vertex query",
+            "LPM binds {} vertices of a {vertex_count}-vertex query",
             lpm.binding.len(),
-            q.vertex_count()
         )));
     }
     for &(_, qe) in &lpm.crossing {
-        if qe >= q.edge_count() {
+        if qe >= edge_count {
             return Err(EngineError::Protocol(format!(
-                "LPM crossing entry maps query edge {qe} of {}",
-                q.edge_count()
+                "LPM crossing entry maps query edge {qe} of {edge_count}"
             )));
         }
     }
     Ok(())
 }
 
-/// Reject a wire-supplied LEC feature mapping a nonexistent query edge
-/// before pruning indexes the query-edge table with it.
-fn check_feature(feature: &crate::lec::LecFeature, q: &EncodedQuery) -> Result<(), EngineError> {
+/// Reject a wire-supplied LEC feature before pruning uses it: one
+/// mapping a nonexistent query edge would index past the query-edge
+/// table, and one whose source ids leave `site`'s pre-assigned range
+/// ([`lec_first_id`]) would collide with another site's features.
+fn check_feature(
+    feature: &crate::lec::LecFeature,
+    q: &EncodedQuery,
+    site: usize,
+    sites: usize,
+) -> Result<(), EngineError> {
     for &(_, qe) in &feature.mapping {
         if qe >= q.edge_count() {
             return Err(EngineError::Protocol(format!(
@@ -1561,22 +1277,37 @@ fn check_feature(feature: &crate::lec::LecFeature, q: &EncodedQuery) -> Result<(
             )));
         }
     }
+    let first = lec_first_id(site, sites);
+    let width = u32::MAX / sites as u32;
+    if let Some(id) = feature
+        .sources
+        .iter()
+        .find(|&&id| id < first || id - first >= width)
+    {
+        return Err(EngineError::Protocol(format!(
+            "site {site} sent LEC feature id {id} outside its range {first}..{}",
+            first as u64 + width as u64
+        )));
+    }
     Ok(())
 }
 
-/// A reply of the wrong kind is a protocol violation, not a worker error.
-fn unexpected(wanted: &str, request: &str, got: &ResponseBody) -> EngineError {
+/// A reply of the wrong kind (or none where one was due) is a protocol
+/// violation, not a worker error.
+fn unexpected(wanted: &str, request: &str, got: Option<ResponseBody>) -> EngineError {
     let kind = match got {
-        ResponseBody::Ack => "Ack",
-        ResponseBody::Bindings(_) => "Bindings",
-        ResponseBody::BitVectors(_) => "BitVectors",
-        ResponseBody::PartialEval { .. } => "PartialEval",
-        ResponseBody::Features(_) => "Features",
-        ResponseBody::Survivors(_) => "Survivors",
-        ResponseBody::SurvivorsChunk { .. } => "SurvivorsChunk",
-        ResponseBody::Status(_) => "Status",
-        ResponseBody::UnknownQuery(_) => "UnknownQuery",
-        ResponseBody::Error(_) => "Error",
+        None => "nothing",
+        Some(ResponseBody::Ack) => "Ack",
+        Some(ResponseBody::Bindings(_)) => "Bindings",
+        Some(ResponseBody::BitVectors(_)) => "BitVectors",
+        Some(ResponseBody::PartialEval { .. }) => "PartialEval",
+        Some(ResponseBody::Features(_)) => "Features",
+        Some(ResponseBody::Survivors(_)) => "Survivors",
+        Some(ResponseBody::SurvivorsChunk { .. }) => "SurvivorsChunk",
+        Some(ResponseBody::Status(_)) => "Status",
+        Some(ResponseBody::UnknownQuery(_)) => "UnknownQuery",
+        Some(ResponseBody::Error(_)) => "Error",
+        Some(ResponseBody::Chain(_)) => "Chain",
     };
     EngineError::Protocol(format!("expected {wanted} reply to {request}, got {kind}"))
 }
@@ -1926,9 +1657,10 @@ mod tests {
         use gstored_rdf::{EdgeRef, TermId};
         let g = paper_graph();
         let q = EncodedQuery::encode(&paper_query(), g.dict()).unwrap();
+        let (n, m) = (q.vertex_count(), q.edge_count());
         // Binding row of the wrong width cannot reach projection.
-        assert!(check_binding_row(&[TermId(1)], &q).is_err());
-        assert!(check_binding_row(&vec![TermId(1); q.vertex_count()], &q).is_ok());
+        assert!(check_binding_row(&[TermId(1)], n).is_err());
+        assert!(check_binding_row(&vec![TermId(1); n], n).is_ok());
         // An LPM mapping a nonexistent query edge cannot reach assembly.
         let edge = EdgeRef {
             from: TermId(1),
@@ -1937,23 +1669,52 @@ mod tests {
         };
         let mut lpm = LocalPartialMatch {
             fragment: 0,
-            binding: vec![None; q.vertex_count()],
-            crossing: vec![(edge, q.edge_count())],
+            binding: vec![None; n],
+            crossing: vec![(edge, m)],
             internal_mask: 0,
         };
-        assert!(check_lpm(&lpm, &q).is_err());
-        lpm.crossing[0].1 = q.edge_count() - 1;
-        assert!(check_lpm(&lpm, &q).is_ok());
+        assert!(check_lpm(&lpm, n, m).is_err());
+        lpm.crossing[0].1 = m - 1;
+        assert!(check_lpm(&lpm, n, m).is_ok());
         lpm.binding.pop();
-        assert!(check_lpm(&lpm, &q).is_err());
+        assert!(check_lpm(&lpm, n, m).is_err());
         // A feature mapping a nonexistent query edge cannot reach pruning.
-        let feature = crate::lec::LecFeature {
+        let mut feature = crate::lec::LecFeature {
             fragments: 1,
-            mapping: vec![(edge, q.edge_count() + 7)],
+            mapping: vec![(edge, m + 7)],
             sign: 1,
             sources: vec![0],
         };
-        assert!(check_feature(&feature, &q).is_err());
+        assert!(check_feature(&feature, &q, 0, 3).is_err());
+        // Nor can one whose ids stray into another site's range.
+        feature.mapping[0].1 = 0;
+        assert!(check_feature(&feature, &q, 0, 3).is_ok());
+        assert!(check_feature(&feature, &q, 1, 3).is_err());
+        feature.sources = vec![lec_first_id(1, 3), lec_first_id(2, 3) - 1];
+        assert!(check_feature(&feature, &q, 1, 3).is_ok());
+        feature.sources.push(lec_first_id(2, 3));
+        assert!(check_feature(&feature, &q, 1, 3).is_err());
+    }
+
+    #[test]
+    fn oversized_candidate_vectors_are_refused_before_any_frame_moves() {
+        let g = paper_graph();
+        let partitioner = paper_partitioner(&g);
+        let dist = DistributedGraph::build(g, &partitioner);
+        let plan = PreparedPlan::new(paper_query(), dist.dict()).unwrap();
+        let engine = Engine::new(EngineConfig {
+            candidate_bits: protocol::MAX_CANDIDATE_BITS,
+            ..EngineConfig::variant(Variant::Full)
+        });
+        with_in_process_workers(&dist, |transport| {
+            let err = engine.execute_on(transport, &dist, &plan).unwrap_err();
+            assert!(
+                matches!(err, EngineError::CandidateVectorsTooLarge { vectors, .. } if vectors > 1),
+                "{err}"
+            );
+            // Only the error path's best-effort release crossed the wire.
+            assert_eq!(transport.counters().frames(), 2 * transport.sites() as u64);
+        });
     }
 
     #[test]

@@ -11,6 +11,15 @@ pub enum EngineError {
     PredicateOnlyProjection(String),
     /// The query has more vertices than the 64-bit LECSign masks support.
     QueryTooLarge(usize),
+    /// `EngineConfig::candidate_bits` times the query's variable count
+    /// exceeds `protocol::MAX_CANDIDATE_BITS`: the sites would refuse the
+    /// frames, so the engine sends none.
+    CandidateVectorsTooLarge {
+        /// The configured bits per candidate vector.
+        bits: usize,
+        /// The query's variable vertices (one vector each).
+        vectors: usize,
+    },
     /// A prepared plan was executed against a graph whose dictionary does
     /// not match the one it was encoded with. Term ids are
     /// dictionary-local, so executing anyway would bind garbage.
@@ -74,6 +83,10 @@ impl fmt::Display for EngineError {
                     "query has {n} vertices; LECSign masks support at most 64"
                 )
             }
+            EngineError::CandidateVectorsTooLarge { bits, vectors } => write!(
+                f,
+                "{vectors} candidate vectors of {bits} bits exceed MAX_CANDIDATE_BITS"
+            ),
             EngineError::PlanGraphMismatch {
                 plan_dict,
                 graph_dict,

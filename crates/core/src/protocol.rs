@@ -19,6 +19,11 @@
 //! therefore the shipment metrics — never depend on how many queries a
 //! session has already run.
 //!
+//! A [`Request::Chain`] carries several steps of one query in one frame
+//! and is answered by one [`ResponseBody::Chain`] — what the engine sends
+//! each site per pipeline phase; every step also stays valid as a frame
+//! of its own (`docs/protocol.md` has the layouts).
+//!
 //! Envelope round trips are loss-free:
 //!
 //! ```
@@ -149,27 +154,115 @@ fn read_features(r: &mut WireReader) -> Result<Vec<LecFeature>, WireError> {
     Ok(out)
 }
 
+/// The most candidate-vector bits one frame may carry, summed over its
+/// vectors (8 MiB once decoded). The sparse encoding makes a vector's
+/// in-memory size independent of its wire size, so the decoders charge
+/// every vector's declared width against this budget *before*
+/// allocating; `ComputeCandidates { bits }` is held to it too, since the
+/// worker allocates what it names. 1024 variables' worth of the default
+/// 64 Ki-bit vectors — far beyond the 64-vertex query limit.
+pub const MAX_CANDIDATE_BITS: usize = 1 << 26;
+
+/// Whether `count` candidate vectors of `bits` bits each (at least 64,
+/// as [`BitVectorFilter::new`] rounds) fit one frame's budget.
+pub fn candidate_vectors_fit(bits: usize, count: usize) -> bool {
+    bits.max(64).saturating_mul(count) <= MAX_CANDIDATE_BITS
+}
+
+/// Bytes `v` occupies as a LEB128 varint.
+fn varint_len(v: usize) -> usize {
+    (usize::BITS - v.leading_zeros()).max(1).div_ceil(7) as usize
+}
+
+/// The set-bit positions of `bv`, ascending.
+fn set_bits(bv: &BitVectorFilter) -> impl Iterator<Item = usize> + '_ {
+    bv.words().iter().enumerate().flat_map(|(i, &word)| {
+        std::iter::successors((word != 0).then_some(word), |w| {
+            let rest = w & (w - 1);
+            (rest != 0).then_some(rest)
+        })
+        .map(move |w| i * 64 + w.trailing_zeros() as usize)
+    })
+}
+
+/// One candidate bit vector: `n_bits`, a one-byte form tag, then either
+/// the dense fixed-width words (Section VI's fixed length — the upper
+/// bound) or, when strictly smaller, the sparse form: the count of set
+/// bits followed by their ascending positions, delta-encoded as varints.
+/// Selective queries set a handful of bits per 8 KiB vector, so the
+/// sparse form is what usually ships.
 fn write_bit_vector(w: &mut WireWriter, bv: &BitVectorFilter) {
     w.usize(bv.n_bits());
-    for &word in bv.words() {
-        w.u64_fixed(word);
+    let dense_len = bv.wire_size();
+    let ones: usize = bv.words().iter().map(|w| w.count_ones() as usize).sum();
+    let mut sparse_len = varint_len(ones);
+    let mut prev = 0;
+    for pos in set_bits(bv) {
+        if sparse_len >= dense_len {
+            break;
+        }
+        sparse_len += varint_len(pos - prev);
+        prev = pos;
+    }
+    let sparse = sparse_len < dense_len;
+    w.bool(sparse);
+    if sparse {
+        w.usize(ones);
+        let mut prev = 0;
+        for pos in set_bits(bv) {
+            w.usize(pos - prev);
+            prev = pos;
+        }
+    } else {
+        for &word in bv.words() {
+            w.u64_fixed(word);
+        }
     }
 }
 
-fn read_bit_vector(r: &mut WireReader) -> Result<BitVectorFilter, WireError> {
-    let n_bits = r.usize()?;
-    let words = n_bits.max(64).div_ceil(64);
-    if words
-        .checked_mul(8)
-        .is_none_or(|bytes| bytes > r.remaining())
-    {
-        return Err(WireError("element count exceeds frame size"));
+/// Charge `n_bits` candidate bits to `budget`, the frame's remaining
+/// share of [`MAX_CANDIDATE_BITS`].
+fn charge_bits(budget: &mut usize, n_bits: usize) -> Result<(), WireError> {
+    *budget = budget
+        .checked_sub(n_bits.max(64))
+        .ok_or(WireError("candidate vectors exceed MAX_CANDIDATE_BITS"))?;
+    Ok(())
+}
+
+/// Decode one bit vector, charging its declared width to `budget` before
+/// allocating.
+fn read_bit_vector(r: &mut WireReader, budget: &mut usize) -> Result<BitVectorFilter, WireError> {
+    let n_bits = r.usize()?.max(64);
+    charge_bits(budget, n_bits)?;
+    let mut words = vec![0u64; n_bits.div_ceil(64)];
+    if r.bool()? {
+        let ones = read_batch_len(r, 1)?;
+        let mut pos = 0usize;
+        for i in 0..ones {
+            let delta = r.usize()?;
+            if i > 0 && delta == 0 {
+                return Err(WireError("bit positions must ascend"));
+            }
+            pos = pos
+                .checked_add(delta)
+                .filter(|&p| p < n_bits)
+                .ok_or(WireError("bit position beyond the vector"))?;
+            words[pos / 64] |= 1 << (pos % 64);
+        }
+    } else {
+        if words.len() * 8 > r.remaining() {
+            return Err(WireError("element count exceeds frame size"));
+        }
+        for word in &mut words {
+            *word = r.u64_fixed()?;
+        }
+        // Bits past `n_bits` would re-encode as out-of-range positions.
+        let tail = n_bits % 64;
+        if tail != 0 && words[words.len() - 1] >> tail != 0 {
+            return Err(WireError("bit position beyond the vector"));
+        }
     }
-    let mut v = Vec::with_capacity(words);
-    for _ in 0..words {
-        v.push(r.u64_fixed()?);
-    }
-    Ok(BitVectorFilter::from_words(v, n_bits))
+    Ok(BitVectorFilter::from_words(words, n_bits))
 }
 
 fn write_bindings(w: &mut WireWriter, bindings: &[Vec<VertexId>]) {
@@ -438,18 +531,20 @@ pub fn decode_features(bytes: Bytes) -> Result<Vec<LecFeature>, WireError> {
     read_features(&mut WireReader::new(bytes))
 }
 
-/// Encode a candidate bit vector (Algorithm 4). Fixed-width words so the
-/// size is independent of density (Section VI: "the length of a bit
-/// vector is fixed, the communication cost is not too expensive").
+/// Encode a candidate bit vector (Algorithm 4): the smaller of the dense
+/// fixed-width words and the sparse position list, so the size never
+/// exceeds Section VI's fixed length ("the length of a bit vector is
+/// fixed, the communication cost is not too expensive") by more than the
+/// form tag.
 pub fn encode_bit_vector(bv: &BitVectorFilter) -> Bytes {
-    let mut w = WireWriter::with_capacity(bv.wire_size() + 8);
+    let mut w = WireWriter::new();
     write_bit_vector(&mut w, bv);
     w.finish()
 }
 
 /// Decode a candidate bit vector.
 pub fn decode_bit_vector(bytes: Bytes) -> Result<BitVectorFilter, WireError> {
-    read_bit_vector(&mut WireReader::new(bytes))
+    read_bit_vector(&mut WireReader::new(bytes), &mut { MAX_CANDIDATE_BITS })
 }
 
 /// Encode a set of surviving feature ids (coordinator → site broadcast).
@@ -549,11 +644,13 @@ const REQ_RELEASE_QUERY: u64 = 11;
 const REQ_WORKER_STATUS: u64 = 12;
 const REQ_SHIP_SURVIVORS_CHUNK: u64 = 13;
 const REQ_CANCEL_QUERY: u64 = 14;
+const REQ_CHAIN: u64 = 15;
 
 /// A coordinator → worker message: one step of the engine's four-stage
-/// pipeline (or of worker setup). Every variant maps to one frame on the
-/// transport. Per-query variants name the query they belong to, so one
-/// connection can carry many in-flight queries' frames interleaved.
+/// pipeline (or of worker setup), or a [`Request::Chain`] of steps. Every
+/// value maps to one frame on the transport. Per-query variants name the
+/// query they belong to, so one connection can carry many in-flight
+/// queries' frames interleaved.
 #[derive(Debug, Clone)]
 pub enum Request {
     /// Install the worker's graph fragment (deployment-time data loading;
@@ -657,6 +754,19 @@ pub enum Request {
         /// Correlation id for the reply (not a resident query).
         query: QueryId,
     },
+    /// Several steps of one query's pipeline in one frame — what the
+    /// engine sends a site per phase. The worker runs the steps in order
+    /// and stops at the first `Error`/`UnknownQuery` reply (later steps
+    /// do not run, so a failed `InstallQuery` can never let the next step
+    /// touch another query's slot); it answers with one
+    /// [`ResponseBody::Chain`] holding a reply per step that ran.
+    Chain {
+        /// The query every step belongs to.
+        query: QueryId,
+        /// The steps: any per-query request of `query` except another
+        /// `Chain`. At least one.
+        steps: Vec<Request>,
+    },
     /// Stop the worker's serve loop (no reply is sent).
     Shutdown,
 }
@@ -679,7 +789,8 @@ impl Request {
             | Request::ShipSurvivorsChunk { query, .. }
             | Request::CancelQuery { query }
             | Request::ReleaseQuery { query }
-            | Request::WorkerStatus { query } => *query,
+            | Request::WorkerStatus { query }
+            | Request::Chain { query, .. } => *query,
         }
     }
 }
@@ -764,12 +875,29 @@ pub fn encode_request(req: &Request) -> Bytes {
             w.u64(REQ_WORKER_STATUS).u32_fixed(query.0);
             w.finish()
         }
+        Request::Chain { query, steps } => {
+            let frames: Vec<Bytes> = steps.iter().map(encode_request).collect();
+            encode_chain(*query, &frames)
+        }
         Request::Shutdown => {
             let mut w = WireWriter::new();
             w.u64(REQ_SHUTDOWN);
             w.finish()
         }
     }
+}
+
+/// Encode a [`Request::Chain`] frame from its steps' already-encoded
+/// frames, each length-prefixed (the engine encodes a step once and
+/// shares it across every site's chain).
+pub fn encode_chain(query: QueryId, steps: &[Bytes]) -> Bytes {
+    let payload: usize = steps.iter().map(|s| s.len() + 4).sum();
+    let mut w = WireWriter::with_capacity(16 + payload);
+    w.u64(REQ_CHAIN).u32_fixed(query.0).usize(steps.len());
+    for step in steps {
+        w.bytes(step);
+    }
+    w.finish()
 }
 
 /// Encode an [`Request::InstallFragment`] frame straight from a borrowed
@@ -792,13 +920,33 @@ pub fn encode_install_query(id: QueryId, query: &EncodedQuery) -> Bytes {
 
 /// Decode a request envelope.
 pub fn decode_request(bytes: Bytes) -> Result<Request, WireError> {
+    decode_request_in(bytes, None, &mut { MAX_CANDIDATE_BITS })
+}
+
+/// Decode a request that is either a whole frame (`chain` is `None`) or
+/// a step of `chain`'s [`Request::Chain`]. A step must be a per-query
+/// request of that same query and not itself a chain — checked on the
+/// tag, before the payload is touched, so nesting cannot recurse. The
+/// steps of a chain are all held decoded at once, so they draw on the one
+/// frame-wide `budget` of candidate bits.
+fn decode_request_in(
+    bytes: Bytes,
+    chain: Option<QueryId>,
+    budget: &mut usize,
+) -> Result<Request, WireError> {
     let mut r = WireReader::new(bytes);
     let tag = r.u64()?;
+    if chain.is_some() && matches!(tag, REQ_INSTALL_FRAGMENT | REQ_SHUTDOWN | REQ_CHAIN) {
+        return Err(WireError("request cannot be a chain step"));
+    }
     // Every per-query request carries its id right after the tag.
     let qid = match tag {
         REQ_INSTALL_FRAGMENT | REQ_SHUTDOWN => QueryId::CONTROL,
         _ => QueryId(r.u32_fixed()?),
     };
+    if chain.is_some_and(|outer| outer != qid) {
+        return Err(WireError("chain step names another query"));
+    }
     let req = match tag {
         REQ_INSTALL_FRAGMENT => Request::InstallFragment(Box::new(read_fragment(&mut r)?)),
         REQ_INSTALL_QUERY => Request::InstallQuery {
@@ -809,16 +957,17 @@ pub fn decode_request(bytes: Bytes) -> Result<Request, WireError> {
             query: qid,
             center: r.usize()?,
         },
-        REQ_COMPUTE_CANDIDATES => Request::ComputeCandidates {
-            query: qid,
-            bits: r.usize()?,
-        },
+        REQ_COMPUTE_CANDIDATES => {
+            let bits = r.usize()?;
+            charge_bits(budget, bits)?;
+            Request::ComputeCandidates { query: qid, bits }
+        }
         REQ_SET_CANDIDATE_FILTER => {
-            let n = read_batch_len(&mut r, 9)?;
+            let n = read_batch_len(&mut r, 4)?;
             let mut vectors = Vec::with_capacity(n);
             for _ in 0..n {
                 let v = r.usize()?;
-                vectors.push((v, read_bit_vector(&mut r)?));
+                vectors.push((v, read_bit_vector(&mut r, budget)?));
             }
             Request::SetCandidateFilter {
                 query: qid,
@@ -847,6 +996,18 @@ pub fn decode_request(bytes: Bytes) -> Result<Request, WireError> {
         REQ_CANCEL_QUERY => Request::CancelQuery { query: qid },
         REQ_RELEASE_QUERY => Request::ReleaseQuery { query: qid },
         REQ_WORKER_STATUS => Request::WorkerStatus { query: qid },
+        REQ_CHAIN => {
+            // A step is at least its length prefix, tag and query id.
+            let n = read_batch_len(&mut r, 6)?;
+            if n == 0 {
+                return Err(WireError("empty chain"));
+            }
+            let mut steps = Vec::with_capacity(n);
+            for _ in 0..n {
+                steps.push(decode_request_in(r.bytes()?, Some(qid), budget)?);
+            }
+            Request::Chain { query: qid, steps }
+        }
         REQ_SHUTDOWN => Request::Shutdown,
         _ => return Err(WireError("invalid request tag")),
     };
@@ -866,6 +1027,7 @@ const RESP_ERROR: u64 = 7;
 const RESP_STATUS: u64 = 8;
 const RESP_UNKNOWN_QUERY: u64 = 9;
 const RESP_SURVIVORS_CHUNK: u64 = 10;
+const RESP_CHAIN: u64 = 11;
 
 /// The payload of a worker → coordinator reply.
 #[derive(Debug, Clone, PartialEq)]
@@ -909,6 +1071,14 @@ pub enum ResponseBody {
     UnknownQuery(QueryId),
     /// The worker could not serve the request.
     Error(String),
+    /// The answer to a [`Request::Chain`]: one complete response frame
+    /// per step that ran, in step order, each with its own
+    /// `elapsed_nanos`. Fewer frames than steps means the last one is the
+    /// `Error`/`UnknownQuery` that stopped the chain. The frames stay
+    /// encoded ([`decode_response`] opens each) so the coordinator can
+    /// charge every step's bytes to that step's stage without
+    /// re-encoding anything.
+    Chain(Vec<Bytes>),
 }
 
 /// A worker → coordinator reply: the site's compute time for the request,
@@ -990,6 +1160,12 @@ pub fn encode_response(resp: &Response) -> Bytes {
         ResponseBody::Error(msg) => {
             w.u64(RESP_ERROR).str(msg);
         }
+        ResponseBody::Chain(replies) => {
+            w.u64(RESP_CHAIN).usize(replies.len());
+            for reply in replies {
+                w.bytes(reply);
+            }
+        }
     }
     w.finish()
 }
@@ -1003,10 +1179,11 @@ pub fn decode_response(bytes: Bytes) -> Result<Response, WireError> {
         RESP_ACK => ResponseBody::Ack,
         RESP_BINDINGS => ResponseBody::Bindings(read_bindings(&mut r)?),
         RESP_BIT_VECTORS => {
-            let n = read_batch_len(&mut r, 9)?;
+            let n = read_batch_len(&mut r, 3)?;
+            let mut budget = MAX_CANDIDATE_BITS;
             let mut vs = Vec::with_capacity(n);
             for _ in 0..n {
-                vs.push(read_bit_vector(&mut r)?);
+                vs.push(read_bit_vector(&mut r, &mut budget)?);
             }
             ResponseBody::BitVectors(vs)
         }
@@ -1035,6 +1212,15 @@ pub fn decode_response(bytes: Bytes) -> Result<Response, WireError> {
         }),
         RESP_UNKNOWN_QUERY => ResponseBody::UnknownQuery(QueryId(r.u32_fixed()?)),
         RESP_ERROR => ResponseBody::Error(r.str()?),
+        RESP_CHAIN => {
+            // A reply is at least its length prefix and an `Ack` frame.
+            let n = read_batch_len(&mut r, 14)?;
+            let mut replies = Vec::with_capacity(n);
+            for _ in 0..n {
+                replies.push(r.bytes()?);
+            }
+            ResponseBody::Chain(replies)
+        }
         _ => return Err(WireError("invalid response tag")),
     };
     if r.remaining() != 0 {
@@ -1117,15 +1303,27 @@ mod tests {
 
     #[test]
     fn bit_vector_roundtrip_and_fixed_size() {
+        let dense_len = |bits: usize| bits / 8 + 3; // n_bits varint + tag + words
         let mut bv = BitVectorFilter::new(1024);
-        for i in 0..100u64 {
+        let empty = encode_bit_vector(&bv);
+        assert_eq!(empty.len(), 4, "n_bits, tag, zero count");
+        assert_eq!(decode_bit_vector(empty).unwrap(), bv);
+        // A few set bits ship as their positions...
+        for i in 0..20u64 {
             bv.insert(TermId(i * 3));
         }
-        let sparse = encode_bit_vector(&BitVectorFilter::new(1024));
+        let sparse = encode_bit_vector(&bv);
+        assert!(sparse.len() < dense_len(1024) / 2);
+        assert_eq!(decode_bit_vector(sparse).unwrap(), bv);
+        // ...and however dense the vector gets, the fixed length plus
+        // the one-byte tag is the most it costs.
+        for i in 0..4000u64 {
+            bv.insert(TermId(i));
+            assert!(encode_bit_vector(&bv).len() <= dense_len(1024));
+        }
         let dense = encode_bit_vector(&bv);
-        assert_eq!(sparse.len(), dense.len(), "size independent of density");
-        let decoded = decode_bit_vector(dense).unwrap();
-        assert_eq!(decoded, bv);
+        assert_eq!(dense.len(), dense_len(1024));
+        assert_eq!(decode_bit_vector(dense).unwrap(), bv);
     }
 
     #[test]
@@ -1342,6 +1540,18 @@ mod tests {
                 Duration::ZERO,
                 QueryId::CONTROL,
                 ResponseBody::Error("boom".into()),
+            ),
+            Response::new(
+                Duration::from_micros(3),
+                q,
+                ResponseBody::Chain(vec![
+                    encode_response(&Response::new(Duration::ZERO, q, ResponseBody::Ack)),
+                    encode_response(&Response::new(
+                        Duration::from_micros(2),
+                        q,
+                        ResponseBody::UnknownQuery(q),
+                    )),
+                ]),
             ),
         ];
         for resp in responses {

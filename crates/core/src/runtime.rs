@@ -1,5 +1,6 @@
-//! The coordinator-side runtime: a [`WorkerPool`] that broadcasts typed
-//! requests over a [`Transport`] and meters every frame, plus the two
+//! The coordinator-side runtime: a [`WorkerPool`] that sends typed
+//! requests over a [`Transport`] — a [`Chain`] per site per pipeline
+//! phase, or one request broadcast to all — and meters every frame, plus the two
 //! pieces that make the runtime **multi-query concurrent** — the
 //! [`ReplyRouter`] that demultiplexes interleaved replies by query id,
 //! and the [`QueryExecutor`] that allocates query ids and admits up to a
@@ -34,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use fxhash::FxHashMap;
-use gstored_net::{NetworkModel, StageMetrics, Transport};
+use gstored_net::{NetworkModel, QueryMetrics, StageMetrics, Transport};
 
 use crate::error::EngineError;
 use crate::protocol::{self, QueryId, Request, Response, ResponseBody, WorkerStatus};
@@ -51,7 +52,7 @@ struct SiteSlot {
 struct SlotState {
     /// Replies received for queries other than the reader's, keyed by
     /// query id, with the frame length for shipment charging. A *queue*
-    /// per query, not a slot: the overlapped stage driver keeps several
+    /// per query, not a slot: nothing stops a pipeline from having several
     /// requests in flight per (query, site), so a reader may park two or
     /// more of another pipeline's replies back to back — they hand over
     /// in stream order, which per site is that query's request order.
@@ -430,11 +431,6 @@ impl<'t> WorkerPool<'t> {
         self
     }
 
-    /// The pool's receive deadline, if any.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.deadline
-    }
-
     /// Name the pipeline stage now in flight; timeouts raised from this
     /// point on carry it.
     pub fn set_stage(&self, stage: &'static str) {
@@ -476,20 +472,6 @@ impl<'t> WorkerPool<'t> {
         self.broadcast_frame(protocol::encode_request(req), stage)
     }
 
-    /// Send a per-site request (e.g. disjoint id ranges) to every site
-    /// and gather the replies in site order, charging like
-    /// [`WorkerPool::broadcast`].
-    pub fn broadcast_with(
-        &self,
-        make: impl Fn(usize) -> Request,
-        stage: &mut StageMetrics,
-    ) -> Result<Vec<ResponseBody>, EngineError> {
-        for site in 0..self.sites() {
-            self.send_charged(site, protocol::encode_request(&make(site)), stage)?;
-        }
-        self.gather(stage)
-    }
-
     /// Broadcast an already-encoded request frame (avoids cloning bulky
     /// payloads into a [`Request`] value just to encode them again).
     pub fn broadcast_frame(
@@ -503,67 +485,102 @@ impl<'t> WorkerPool<'t> {
         self.gather(stage)
     }
 
-    /// Send one request to one site, charging the frame to `stage`. The
-    /// reply must later be collected with [`WorkerPool::recv_from`] (or a
-    /// gather) — the streaming pipeline uses this pair to pull survivor
-    /// chunks site by site instead of broadcasting to the whole fleet.
-    pub fn send_to(
+    /// Run one **phase** of a pipeline: send every listed site its
+    /// [`Chain`] — one frame each — then collect every site's one reply
+    /// frame, returning the step replies per site in `chains` order.
+    /// Sites run their chains concurrently and never wait for the
+    /// coordinator between steps, so a straggler delays only this
+    /// phase's single collection point.
+    ///
+    /// Charging: each step's request and reply bytes go to that step's
+    /// [`Stage`]; the chain envelopes' bytes and the two messages go to
+    /// the first step's. Each step's slowest site is added to its
+    /// stage's wall (sites overlap; a stage ends when its slowest site
+    /// does). All chains of one phase must have the same step stages.
+    ///
+    /// Every site's reply is drained even after a worker-side failure;
+    /// the first failure (a step's `Error`/`UnknownQuery`, which also
+    /// stopped that site's chain) is then returned as the typed
+    /// [`EngineError`].
+    pub fn run_phase(
         &self,
-        site: usize,
-        req: &Request,
-        stage: &mut StageMetrics,
-    ) -> Result<(), EngineError> {
-        self.send_charged(site, protocol::encode_request(req), stage)
-    }
-
-    /// Send an already-encoded frame to one site, charging it to `stage`.
-    /// The per-frame twin of [`WorkerPool::broadcast_frame`], used by the
-    /// overlapped stage driver to advance one site's cursor without
-    /// touching the rest of the fleet.
-    pub fn send_frame_to(
-        &self,
-        site: usize,
-        frame: Bytes,
-        stage: &mut StageMetrics,
-    ) -> Result<(), EngineError> {
-        self.send_charged(site, frame, stage)
-    }
-
-    /// Receive this query's next reply from `site` for an overlapped
-    /// collection: charges the frame to `stage`, folds the worker's
-    /// compute time into `slowest` (the caller adds the per-stage max to
-    /// the wall once, matching [gather](WorkerPool::broadcast)'s
-    /// max-over-sites accounting), and returns worker-side `Error`/
-    /// `UnknownQuery` replies as *bodies* rather than `Err` so the
-    /// caller can keep draining the remaining sites — use
-    /// [`worker_failure`] to convert them afterwards.
-    pub fn recv_tracked(
-        &self,
-        site: usize,
-        stage: &mut StageMetrics,
-        slowest: &mut u64,
-    ) -> Result<ResponseBody, EngineError> {
-        let (len, response) = self.recv_routed(site)?;
-        self.charge(site, stage, len);
-        *slowest = (*slowest).max(response.elapsed_nanos);
-        Ok(response.body)
-    }
-
-    /// Receive this query's next reply from `site`, charging the frame to
-    /// `stage` and adding the worker's compute time to the stage wall.
-    /// Worker-side `Error` and `UnknownQuery` replies are mapped to the
-    /// same typed [`EngineError`]s a gather produces.
-    pub fn recv_from(
-        &self,
-        site: usize,
-        stage: &mut StageMetrics,
-    ) -> Result<ResponseBody, EngineError> {
-        let (len, response) = self.recv_routed(site)?;
-        self.charge(site, stage, len);
-        stage.wall += Duration::from_nanos(response.elapsed_nanos);
-        match worker_failure(site, &response.body) {
+        chains: &[(usize, Chain)],
+        metrics: &mut QueryMetrics,
+    ) -> Result<Vec<Vec<ResponseBody>>, EngineError> {
+        for (site, chain) in chains {
+            let envelope = chain.frame.len() - chain.steps.iter().map(|s| s.0).sum::<usize>();
+            let mut transfer = self.charge(*site, chain.steps[0].1.of(metrics), 1, envelope);
+            for &(len, stage) in &chain.steps {
+                transfer += self.charge(*site, stage.of(metrics), 0, len);
+            }
+            self.pace(transfer);
+            self.transport.send(*site, chain.frame.clone())?;
+        }
+        let stages: Vec<Stage> = chains
+            .first()
+            .map(|(_, chain)| chain.steps.iter().map(|s| s.1).collect())
+            .unwrap_or_default();
+        debug_assert!(
+            chains.iter().all(|(_, chain)| chain
+                .steps
+                .iter()
+                .map(|s| s.1)
+                .eq(stages.iter().copied())),
+            "the chains of one phase must have the same step stages"
+        );
+        let mut slowest = vec![0u64; stages.len()];
+        let mut first_error: Option<EngineError> = None;
+        let mut replies = Vec::with_capacity(chains.len());
+        for (site, _) in chains {
+            let (len, response) = self.recv_routed(*site)?;
+            // A chain is answered by its step replies' frames; a bare
+            // step — or a frame the worker refused whole — by one reply
+            // that is the entire frame.
+            // An undecodable step reply fails the phase like a worker
+            // failure: the remaining sites are still drained.
+            let steps: Vec<(usize, Response)> = match response.body {
+                ResponseBody::Chain(frames) if stages.len() > 1 => frames
+                    .into_iter()
+                    .map(|frame| Ok((frame.len(), protocol::decode_response(frame)?)))
+                    .collect::<Result<_, EngineError>>()
+                    .unwrap_or_else(|e| {
+                        first_error.get_or_insert(e);
+                        Vec::new()
+                    }),
+                _ => vec![(len, response)],
+            };
+            let envelope = len.saturating_sub(steps.iter().map(|s| s.0).sum());
+            let mut transfer = self.charge(*site, stages[0].of(metrics), 1, envelope);
+            let answered = steps.len();
+            let mut bodies = Vec::with_capacity(answered);
+            for ((len, reply), (slow, stage)) in
+                steps.into_iter().zip(slowest.iter_mut().zip(&stages))
+            {
+                transfer += self.charge(*site, stage.of(metrics), 0, len);
+                *slow = (*slow).max(reply.elapsed_nanos);
+                bodies.push(reply.body);
+            }
+            self.pace(transfer);
+            match bodies.last().and_then(|body| worker_failure(*site, body)) {
+                Some(e) => {
+                    first_error.get_or_insert(e);
+                }
+                None if answered != stages.len() => {
+                    first_error.get_or_insert(EngineError::Protocol(format!(
+                        "site {site} sent {answered} replies to a {}-step chain",
+                        stages.len()
+                    )));
+                }
+                None => {}
+            }
+            replies.push(bodies);
+        }
+        for (nanos, stage) in slowest.into_iter().zip(stages) {
+            stage.of(metrics).wall += Duration::from_nanos(nanos);
+        }
+        match first_error {
             Some(e) => Err(e),
-            None => Ok(response.body),
+            None => Ok(replies),
         }
     }
 
@@ -572,7 +589,7 @@ impl<'t> WorkerPool<'t> {
     /// transport may already be gone. Frames still charge to `stage` so
     /// shipment metrics cover everything that crossed the wire.
     pub fn release_quietly(&self, stage: &mut StageMetrics) {
-        let _ = self.broadcast(&Request::ReleaseQuery { query: self.query }, stage);
+        self.broadcast_quietly(&Request::ReleaseQuery { query: self.query }, stage);
     }
 
     /// Best-effort mid-stream abort: broadcast `CancelQuery` to every
@@ -581,7 +598,26 @@ impl<'t> WorkerPool<'t> {
     /// still charge to `stage` so an aborted stream's shipment is
     /// accounted like any other.
     pub fn cancel_quietly(&self, stage: &mut StageMetrics) {
-        let _ = self.broadcast(&Request::CancelQuery { query: self.query }, stage);
+        self.broadcast_quietly(&Request::CancelQuery { query: self.query }, stage);
+    }
+
+    /// Send `req` to every site that will take it and drain the replies
+    /// of those that did, swallowing errors. Unlike [`broadcast`], a dead
+    /// site does not stop the loop: the live sites after it would keep
+    /// the query's state until eviction.
+    ///
+    /// [`broadcast`]: WorkerPool::broadcast
+    fn broadcast_quietly(&self, req: &Request, stage: &mut StageMetrics) {
+        let frame = protocol::encode_request(req);
+        let sent: Vec<usize> = (0..self.sites())
+            .filter(|&site| self.send_charged(site, frame.clone(), stage).is_ok())
+            .collect();
+        for site in sent {
+            if let Ok((len, _)) = self.recv_routed(site) {
+                let transfer = self.charge(site, stage, 1, len);
+                self.pace(transfer);
+            }
+        }
     }
 
     /// Probe every site's state-table occupancy ([`WorkerStatus`]).
@@ -607,7 +643,8 @@ impl<'t> WorkerPool<'t> {
         frame: Bytes,
         stage: &mut StageMetrics,
     ) -> Result<(), EngineError> {
-        self.charge(site, stage, frame.len());
+        let transfer = self.charge(site, stage, 1, frame.len());
+        self.pace(transfer);
         self.transport.send(site, frame)?;
         Ok(())
     }
@@ -621,18 +658,19 @@ impl<'t> WorkerPool<'t> {
         let mut slowest_nanos = 0u64;
         let mut first_error: Option<EngineError> = None;
         for site in 0..self.sites() {
-            let body = match self.recv_tracked(site, stage, &mut slowest_nanos) {
-                Ok(body) => body,
-                Err(e) => {
-                    // The stream itself is broken; there is nothing left
-                    // to drain from this or later sites reliably.
-                    return Err(first_error.unwrap_or(e));
-                }
+            // A broken stream ends the gather: there is nothing left to
+            // drain from this or later sites reliably.
+            let (len, response) = match self.recv_routed(site) {
+                Ok(reply) => reply,
+                Err(e) => return Err(first_error.unwrap_or(e)),
             };
-            if let Some(e) = worker_failure(site, &body) {
+            let transfer = self.charge(site, stage, 1, len);
+            self.pace(transfer);
+            slowest_nanos = slowest_nanos.max(response.elapsed_nanos);
+            if let Some(e) = worker_failure(site, &response.body) {
                 first_error.get_or_insert(e);
             }
-            bodies.push(body);
+            bodies.push(response.body);
         }
         if let Some(e) = first_error {
             return Err(e);
@@ -641,17 +679,79 @@ impl<'t> WorkerPool<'t> {
         Ok(bodies)
     }
 
-    fn charge(&self, site: usize, stage: &mut StageMetrics, len: usize) {
+    /// Book `messages` messages totalling `len` bytes on `site`'s link to
+    /// `stage`; returns their simulated transfer time for [`pace`].
+    ///
+    /// [`pace`]: WorkerPool::pace
+    fn charge(&self, site: usize, stage: &mut StageMetrics, messages: u64, len: usize) -> Duration {
         stage.bytes_shipped += len as u64;
-        stage.messages += 1;
-        let transfer = self.network.transfer_time_for(site, 1, len as u64);
+        stage.messages += messages;
+        let transfer = self.network.transfer_time_for(site, messages, len as u64);
         stage.network += transfer;
+        transfer
+    }
+
+    /// Emulate the interconnect when pacing is on: actually wait a
+    /// frame's transfer time out. No router or transport locks are held
+    /// here, so concurrent pipelines overlap their network waits — which
+    /// is exactly what the multi-client throughput benchmark measures.
+    fn pace(&self, transfer: Duration) {
         if self.paced && transfer > Duration::ZERO {
-            // Emulate the interconnect: actually wait the transfer out.
-            // No router or transport locks are held here, so concurrent
-            // pipelines overlap their network waits — which is exactly
-            // what the multi-client throughput benchmark measures.
             std::thread::sleep(transfer);
+        }
+    }
+}
+
+/// Which of a query's four stage cells ([`QueryMetrics`]) a chain step's
+/// bytes and compute time are charged to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// Section VI candidate exchange.
+    Candidates,
+    /// Partial evaluation (and the star fast path).
+    PartialEvaluation,
+    /// LEC features and pruning.
+    LecOptimization,
+    /// Survivor shipping and assembly.
+    Assembly,
+}
+
+impl Stage {
+    /// This stage's cell of `metrics`.
+    pub fn of(self, metrics: &mut QueryMetrics) -> &mut StageMetrics {
+        match self {
+            Stage::Candidates => &mut metrics.candidates,
+            Stage::PartialEvaluation => &mut metrics.partial_evaluation,
+            Stage::LecOptimization => &mut metrics.lec_optimization,
+            Stage::Assembly => &mut metrics.assembly,
+        }
+    }
+}
+
+/// What one site is sent in one phase: its steps as a single frame — a
+/// [`Request::Chain`], or the bare step when there is only one — plus
+/// what [`WorkerPool::run_phase`] needs to charge each step to its stage.
+#[derive(Debug, Clone)]
+pub struct Chain {
+    frame: Bytes,
+    /// Per step: its encoded length and the stage it is charged to.
+    steps: Vec<(usize, Stage)>,
+}
+
+impl Chain {
+    /// A chain of `query`'s already-encoded step frames (at least one).
+    pub fn new(query: QueryId, steps: &[(Bytes, Stage)]) -> Chain {
+        assert!(!steps.is_empty(), "a chain has at least one step");
+        let frame = match steps {
+            [(only, _)] => only.clone(),
+            _ => {
+                let frames: Vec<Bytes> = steps.iter().map(|(frame, _)| frame.clone()).collect();
+                protocol::encode_chain(query, &frames)
+            }
+        };
+        Chain {
+            frame,
+            steps: steps.iter().map(|(f, stage)| (f.len(), *stage)).collect(),
         }
     }
 }
@@ -659,7 +759,7 @@ impl<'t> WorkerPool<'t> {
 /// The typed error a worker-side failure reply maps to: `Error` bodies
 /// become [`EngineError::Worker`], `UnknownQuery` the matching typed
 /// variant, anything else `None`. Shared by [gathers](WorkerPool::broadcast)
-/// and the overlapped stage driver so both report identical errors.
+/// and [phases](WorkerPool::run_phase) so both report identical errors.
 pub fn worker_failure(site: usize, body: &ResponseBody) -> Option<EngineError> {
     match body {
         ResponseBody::Error(msg) => Some(EngineError::Worker(format!("site {site}: {msg}"))),
@@ -682,6 +782,7 @@ pub fn expect_acks(bodies: Vec<ResponseBody>) -> Result<(), EngineError> {
 mod tests {
     use super::*;
     use crate::worker::with_in_process_workers;
+    use gstored_net::transport::TransportError;
     use gstored_partition::{DistributedGraph, HashPartitioner};
     use gstored_rdf::{RdfGraph, Term, Triple};
     use gstored_sparql::{parse_query, QueryGraph};
@@ -816,10 +917,10 @@ mod tests {
 
     #[test]
     fn router_queues_multiple_parked_replies_per_query() {
-        // The overlapped stage driver keeps several requests in flight
-        // per (query, site). If another pipeline drains the stream first
-        // it must park ALL of them — a single-slot map would overwrite
-        // the first reply with the second and strand the owner forever.
+        // A pipeline may have several replies in flight per (query,
+        // site). If another pipeline drains the stream first it must
+        // park ALL of them — a single-slot map would overwrite the first
+        // reply with the second and strand the owner forever.
         let (dist, q) = setup();
         with_in_process_workers(&dist, |transport| {
             let router = ReplyRouter::new(transport.sites());
@@ -828,18 +929,16 @@ mod tests {
             let pool_b = WorkerPool::new(transport, &router, NetworkModel::instant(), qb);
             let mut sa = StageMetrics::default();
             let mut sb = StageMetrics::default();
-            // A pipelines a 3-deep chain per site, then B queues its own
+            // A queues three frames per site, then B queues its own
             // install behind them.
             for site in 0..pool_a.sites() {
-                pool_a
-                    .send_charged(site, protocol::encode_install_query(qa, &q), &mut sa)
-                    .unwrap();
-                pool_a
-                    .send_to(site, &Request::PartialEval { query: qa }, &mut sa)
-                    .unwrap();
-                pool_a
-                    .send_to(site, &Request::ReleaseQuery { query: qa }, &mut sa)
-                    .unwrap();
+                for frame in [
+                    protocol::encode_install_query(qa, &q),
+                    protocol::encode_request(&Request::PartialEval { query: qa }),
+                    protocol::encode_request(&Request::ReleaseQuery { query: qa }),
+                ] {
+                    pool_a.send_charged(site, frame, &mut sa).unwrap();
+                }
             }
             for site in 0..pool_b.sites() {
                 pool_b
@@ -849,15 +948,12 @@ mod tests {
             // B reads first: it must park all three of A's replies per
             // site before reaching its own ack.
             expect_acks(pool_b.gather(&mut sb).unwrap()).unwrap();
-            // A's chain hands over from the parked queues, in order.
+            // A's replies hand over from the parked queues, in order.
             for site in 0..pool_a.sites() {
-                let mut slow = 0u64;
-                let ack = pool_a.recv_tracked(site, &mut sa, &mut slow).unwrap();
-                assert!(matches!(ack, ResponseBody::Ack), "install ack first");
-                let pe = pool_a.recv_tracked(site, &mut sa, &mut slow).unwrap();
-                assert!(matches!(pe, ResponseBody::PartialEval { .. }));
-                let rel = pool_a.recv_tracked(site, &mut sa, &mut slow).unwrap();
-                assert!(matches!(rel, ResponseBody::Ack), "release ack last");
+                let next = || pool_a.recv_routed(site).unwrap().1.body;
+                assert!(matches!(next(), ResponseBody::Ack), "install ack first");
+                assert!(matches!(next(), ResponseBody::PartialEval { .. }));
+                assert!(matches!(next(), ResponseBody::Ack), "release ack last");
             }
             pool_b.release_quietly(&mut sb);
             for s in pool_b.worker_status().unwrap() {
@@ -866,39 +962,130 @@ mod tests {
         });
     }
 
+    /// A fleet whose site 0 refuses every send — a dead link.
+    struct DeadLink<'t>(&'t dyn Transport);
+
+    impl Transport for DeadLink<'_> {
+        fn sites(&self) -> usize {
+            self.0.sites()
+        }
+        fn send(&self, site: usize, frame: Bytes) -> Result<(), TransportError> {
+            if site == 0 {
+                return Err(TransportError::Closed { site });
+            }
+            self.0.send(site, frame)
+        }
+        fn recv(&self, site: usize) -> Result<Bytes, TransportError> {
+            self.0.recv(site)
+        }
+    }
+
     #[test]
-    fn per_site_chunk_pull_and_cancel_release_worker_state() {
+    fn a_quiet_release_reaches_the_sites_behind_a_dead_one() {
+        let (dist, q) = setup();
+        with_in_process_workers(&dist, |transport| {
+            let router = ReplyRouter::new(transport.sites());
+            let healthy = WorkerPool::new(transport, &router, NetworkModel::instant(), Q0);
+            let mut stage = StageMetrics::default();
+            expect_acks(
+                healthy
+                    .broadcast_frame(protocol::encode_install_query(Q0, &q), &mut stage)
+                    .unwrap(),
+            )
+            .unwrap();
+            let dead = DeadLink(transport);
+            WorkerPool::new(&dead, &router, NetworkModel::instant(), Q0)
+                .release_quietly(&mut stage);
+            let resident: Vec<u64> = healthy
+                .worker_status()
+                .unwrap()
+                .iter()
+                .map(|s| s.resident_queries)
+                .collect();
+            assert_eq!(resident, [1, 0], "only the unreachable site keeps it");
+            healthy.release_quietly(&mut stage);
+        });
+    }
+
+    /// `[InstallQuery, PartialEval, ShipSurvivors]` for every site, each
+    /// step charged to a different stage.
+    fn three_stage_chains(pool: &WorkerPool<'_>, q: &EncodedQuery) -> Vec<(usize, Chain)> {
+        let query = pool.query();
+        let chain = Chain::new(
+            query,
+            &[
+                (protocol::encode_install_query(query, q), Stage::Candidates),
+                (
+                    protocol::encode_request(&Request::PartialEval { query }),
+                    Stage::PartialEvaluation,
+                ),
+                (
+                    protocol::encode_request(&Request::ShipSurvivors { query }),
+                    Stage::Assembly,
+                ),
+            ],
+        );
+        (0..pool.sites())
+            .map(|site| (site, chain.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn a_phase_is_one_frame_each_way_charged_step_by_step() {
         let (dist, q) = setup();
         with_in_process_workers(&dist, |transport| {
             let router = ReplyRouter::new(transport.sites());
             let pool = WorkerPool::new(transport, &router, NetworkModel::instant(), Q0);
-            let mut stage = StageMetrics::default();
-            expect_acks(
-                pool.broadcast_frame(protocol::encode_install_query(Q0, &q), &mut stage)
-                    .unwrap(),
-            )
-            .unwrap();
-            pool.broadcast(&Request::PartialEval { query: Q0 }, &mut stage)
+            let mut metrics = QueryMetrics::default();
+            let replies = pool
+                .run_phase(&three_stage_chains(&pool, &q), &mut metrics)
                 .unwrap();
-            // Pull one bounded chunk from a single site — strict
-            // request/response, no fleet barrier.
-            pool.send_to(
-                0,
-                &Request::ShipSurvivorsChunk {
-                    query: Q0,
-                    seq: 0,
-                    max: 1,
-                },
-                &mut stage,
-            )
-            .unwrap();
-            let body = pool.recv_from(0, &mut stage).unwrap();
-            assert!(matches!(body, ResponseBody::SurvivorsChunk { seq: 0, .. }));
-            // Abandon the stream: cancel must empty every state table.
-            pool.cancel_quietly(&mut stage);
+            for bodies in &replies {
+                assert!(matches!(
+                    bodies[..],
+                    [
+                        ResponseBody::Ack,
+                        ResponseBody::PartialEval { .. },
+                        ResponseBody::Survivors(_)
+                    ]
+                ));
+            }
+            // One frame out and one back per site, booked on the first
+            // step's stage; the other steps' stages get bytes only.
+            assert_eq!(metrics.candidates.messages, 4);
+            assert_eq!(transport.counters().frames(), 4);
+            for stage in [&metrics.partial_evaluation, &metrics.assembly] {
+                assert_eq!(stage.messages, 0);
+                assert!(stage.bytes_shipped > 0);
+            }
+            assert_eq!(metrics.total_shipped(), transport.counters().bytes());
+            pool.release_quietly(&mut metrics.assembly);
+        });
+    }
+
+    #[test]
+    fn a_failed_step_ends_its_chain_and_the_phase_still_drains() {
+        let (dist, q) = setup();
+        with_in_process_workers(&dist, |transport| {
+            let router = ReplyRouter::new(transport.sites());
+            let pool = WorkerPool::new(transport, &router, NetworkModel::instant(), Q0);
+            let mut metrics = QueryMetrics::default();
+            // The query is already resident on site 1, so that site's
+            // chain fails at its install while site 0's runs through.
+            let resident = Chain::new(
+                Q0,
+                &[(protocol::encode_install_query(Q0, &q), Stage::Candidates)],
+            );
+            pool.run_phase(&[(1, resident)], &mut metrics).unwrap();
+            let err = pool.run_phase(&three_stage_chains(&pool, &q), &mut metrics);
+            assert!(
+                matches!(&err, Err(EngineError::Worker(msg)) if msg.contains("site 1")),
+                "{err:?}"
+            );
+            // Both replies were drained: the next exchange lines up.
+            pool.release_quietly(&mut metrics.assembly);
             for s in pool.worker_status().unwrap() {
-                assert_eq!(s.resident_queries, 0, "cancel drained the tables");
-                assert_eq!(s.resident_lpms, 0);
+                assert_eq!(s.resident_queries, 0);
             }
         });
     }

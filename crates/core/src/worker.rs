@@ -14,7 +14,10 @@
 //! State-slot lifecycle: `InstallQuery` creates a slot (re-installing a
 //! resident id is rejected — a duplicate install must never clobber an
 //! in-flight query's LPMs), the per-query stages operate on it, and
-//! `ReleaseQuery` drops it (idempotently). A capacity cap bounds the
+//! `ReleaseQuery` drops it (idempotently). The engine sends a site the
+//! steps of one phase as a single `Chain` frame; the worker runs them in
+//! order through the same dispatch and stops at the first step that
+//! fails. A capacity cap bounds the
 //! table: installing past it evicts the least recently used slot, so a
 //! crashed coordinator that never releases cannot leak site memory
 //! forever. A frame referencing an unknown or evicted id gets the typed
@@ -286,9 +289,19 @@ impl<'a> SiteWorker<'a> {
                     Err(e) => return e,
                 };
                 let q = &state.query;
-                let cands = internal_candidates(f, q);
-                let vectors = (0..q.vertex_count())
+                let vars: Vec<usize> = (0..q.vertex_count())
                     .filter(|&v| q.vertex(v).is_var())
+                    .collect();
+                // The reply must fit the budget its decoder enforces.
+                if !protocol::candidate_vectors_fit(bits, vars.len()) {
+                    return ResponseBody::Error(format!(
+                        "{} candidate vectors of {bits} bits exceed MAX_CANDIDATE_BITS",
+                        vars.len()
+                    ));
+                }
+                let cands = internal_candidates(f, q);
+                let vectors = vars
+                    .into_iter()
                     .map(|v| {
                         let mut bv = BitVectorFilter::new(bits);
                         for &c in &cands[v] {
@@ -413,6 +426,24 @@ impl<'a> SiteWorker<'a> {
                 ResponseBody::Ack
             }
             Request::WorkerStatus { .. } => ResponseBody::Status(self.status()),
+            Request::Chain { query, steps } => {
+                let mut replies = Vec::with_capacity(steps.len());
+                for step in steps {
+                    let started = Instant::now();
+                    let body = self.dispatch(step);
+                    let failed =
+                        matches!(body, ResponseBody::Error(_) | ResponseBody::UnknownQuery(_));
+                    replies.push(protocol::encode_response(&Response::new(
+                        started.elapsed(),
+                        query,
+                        body,
+                    )));
+                    if failed {
+                        break;
+                    }
+                }
+                ResponseBody::Chain(replies)
+            }
             Request::Shutdown => unreachable!("handled in SiteWorker::handle"),
         }
     }

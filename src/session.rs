@@ -525,7 +525,7 @@ impl GStoreD {
             .fetch_add(1, Ordering::Relaxed);
         Ok(PreparedQuery {
             session: self,
-            plan,
+            plan: Arc::new(plan),
             text: sparql.to_string(),
         })
     }
@@ -605,6 +605,48 @@ impl GStoreD {
                 }
                 Recovery::Failed(repair_err) => return Err(repair_err),
                 Recovery::NotApplicable => return Err(err),
+            }
+        }
+    }
+
+    /// Admit `plan` and start its stream. Until a solution has been
+    /// delivered a stream is idempotent, so a failure gets the same
+    /// recover-and-retry-once loop as `run_plan`; `recovered` says the
+    /// retry is already spent. Returns whether it is spent now.
+    fn start_stream(
+        &self,
+        plan: &PreparedPlan,
+        chunk: usize,
+        mut recovered: bool,
+    ) -> Result<(QueryTicket<'_>, Arc<Fleet>, StreamState, bool), Error> {
+        loop {
+            let ticket = self.executor.admit();
+            let fleet = self.fleet()?;
+            let err = match self.engine.start_stream(
+                fleet.transport(),
+                &fleet.router,
+                &self.dist,
+                plan,
+                ticket.query(),
+                chunk,
+            ) {
+                Ok(stream) => return Ok((ticket, fleet, stream, recovered)),
+                Err(e) => e,
+            };
+            drop(ticket);
+            if recovered {
+                if matches!(err, EngineError::Transport(_) | EngineError::Protocol(_)) {
+                    self.invalidate_fleet(&fleet);
+                }
+                return Err(err.into());
+            }
+            match self.recover(&fleet, &err) {
+                Recovery::Repaired => {
+                    self.robustness.retries.fetch_add(1, Ordering::Relaxed);
+                    recovered = true;
+                }
+                Recovery::Failed(repair_err) => return Err(repair_err.into()),
+                Recovery::NotApplicable => return Err(err.into()),
             }
         }
     }
@@ -942,7 +984,8 @@ impl std::fmt::Debug for GStoreD {
 #[derive(Debug)]
 pub struct PreparedQuery<'s> {
     session: &'s GStoreD,
-    plan: PreparedPlan,
+    /// Shared with the streams started from it, which may restart.
+    plan: Arc<PreparedPlan>,
     text: String,
 }
 
@@ -991,42 +1034,7 @@ impl<'s> PreparedQuery<'s> {
     /// the arrival interleaving.
     pub fn stream_with_chunk(&self, chunk: usize) -> Result<QuerySolutionIter<'s>, Error> {
         let session = self.session;
-        // Startup is idempotent — no solution has been delivered yet —
-        // so it gets the same recover-and-retry-once loop as
-        // `run_plan`. Mid-stream failures (after rows surfaced) still
-        // only repair for the next execution's benefit: replaying a
-        // partially-consumed stream could duplicate rows.
-        let mut recovered = false;
-        let (ticket, fleet, stream) = loop {
-            let ticket = session.executor.admit();
-            let fleet = session.fleet()?;
-            let err = match session.engine.start_stream(
-                fleet.transport(),
-                &fleet.router,
-                &session.dist,
-                &self.plan,
-                ticket.query(),
-                chunk,
-            ) {
-                Ok(stream) => break (ticket, fleet, stream),
-                Err(e) => e,
-            };
-            drop(ticket);
-            if recovered {
-                if matches!(err, EngineError::Transport(_) | EngineError::Protocol(_)) {
-                    session.invalidate_fleet(&fleet);
-                }
-                return Err(err.into());
-            }
-            match session.recover(&fleet, &err) {
-                Recovery::Repaired => {
-                    session.robustness.retries.fetch_add(1, Ordering::Relaxed);
-                    recovered = true;
-                }
-                Recovery::Failed(repair_err) => return Err(repair_err.into()),
-                Recovery::NotApplicable => return Err(err.into()),
-            }
-        };
+        let (ticket, fleet, stream, recovered) = session.start_stream(&self.plan, chunk, false)?;
         session.counters.executions.fetch_add(1, Ordering::Relaxed);
         session.record_planner(stream.planner());
         let query = self.plan.query();
@@ -1035,6 +1043,10 @@ impl<'s> PreparedQuery<'s> {
             fleet,
             ticket: Some(ticket),
             stream,
+            plan: Arc::clone(&self.plan),
+            chunk,
+            recovered,
+            yielded: false,
             variables: self.plan.projection().to_vec().into(),
             proj: self.plan.encoded().projection().to_vec(),
             distinct: query.distinct,
@@ -1119,6 +1131,13 @@ pub struct QuerySolutionIter<'s> {
     /// `Some` while the stream holds its admission slot.
     ticket: Option<QueryTicket<'s>>,
     stream: StreamState,
+    /// What a restart needs: a stream that fails before it has yielded
+    /// anything (a star stream first meets its sites while pulling) is
+    /// repaired and started again, once, like a failed startup.
+    plan: Arc<PreparedPlan>,
+    chunk: usize,
+    recovered: bool,
+    yielded: bool,
     variables: Arc<[String]>,
     /// Projection: indices into the complete binding, in output order.
     proj: Vec<usize>,
@@ -1188,12 +1207,38 @@ impl<'s> Iterator for QuerySolutionIter<'s> {
                 }
                 Err(e) => {
                     // The stream has already cancelled its fleet state.
-                    // Rows may already have been yielded, so a mid-stream
-                    // retry is impossible — but repair the implicated
-                    // site anyway (mirroring `run_plan`) so the *next*
-                    // execution finds a healthy fleet, then fuse.
-                    let _ = self.session.recover(&self.fleet, &e);
                     self.ticket.take();
+                    if !self.yielded && !self.recovered {
+                        // Nothing delivered yet: as good as a failed
+                        // startup, so repair and start over.
+                        let restarted = match self.session.recover(&self.fleet, &e) {
+                            Recovery::Repaired => {
+                                let robustness = &self.session.robustness;
+                                robustness.retries.fetch_add(1, Ordering::Relaxed);
+                                self.session.start_stream(&self.plan, self.chunk, true)
+                            }
+                            Recovery::Failed(repair_err) => Err(repair_err.into()),
+                            Recovery::NotApplicable => Err(e.into()),
+                        };
+                        match restarted {
+                            Ok((ticket, fleet, stream, recovered)) => {
+                                self.ticket = Some(ticket);
+                                self.fleet = fleet;
+                                self.stream = stream;
+                                self.recovered = recovered;
+                                continue;
+                            }
+                            Err(e) => {
+                                self.done = true;
+                                return Some(Err(e));
+                            }
+                        }
+                    }
+                    // Rows have been yielded, so a retry could duplicate
+                    // them — but repair the implicated site anyway
+                    // (mirroring `run_plan`) so the *next* execution
+                    // finds a healthy fleet, then fuse.
+                    let _ = self.session.recover(&self.fleet, &e);
                     self.done = true;
                     return Some(Err(e.into()));
                 }
@@ -1205,6 +1250,7 @@ impl<'s> Iterator for QuerySolutionIter<'s> {
             if let Some(remaining) = &mut self.remaining {
                 *remaining -= 1;
             }
+            self.yielded = true;
             let solution = StreamSolution {
                 variables: Arc::clone(&self.variables),
                 row,

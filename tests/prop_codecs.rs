@@ -163,6 +163,8 @@ proptest! {
         filter_vertices in prop::collection::vec((0usize..8, 0u64..512), 0..4),
         seq in any::<u64>(),
         max in any::<usize>(),
+        chain_from in 0usize..12,
+        chain_to in 0usize..12,
     ) {
         let query = QueryId(qid);
         let requests = vec![
@@ -190,14 +192,143 @@ proptest! {
             Request::WorkerStatus { query },
             Request::Shutdown,
         ];
-        for req in requests {
-            let frame = protocol::encode_request(&req);
+        // ...and any run of the per-query ones as a `Chain`.
+        let steps = &requests[chain_from.min(chain_to)..=chain_from.max(chain_to)];
+        let chain = Request::Chain { query, steps: steps.to_vec() };
+        for req in requests.iter().chain([&chain]) {
+            let frame = protocol::encode_request(req);
             let decoded = protocol::decode_request(frame.clone()).unwrap();
             // Request carries non-PartialEq payloads; canonical
             // re-encoding must be byte-identical.
             prop_assert_eq!(decoded.query_id(), req.query_id());
             prop_assert_eq!(protocol::encode_request(&decoded), frame);
         }
+
+        // What a chain may not carry is a decode error, not a panic: a
+        // step of another query, `Shutdown`, `InstallFragment`, a chain.
+        let frames: Vec<bytes::Bytes> = steps.iter().map(protocol::encode_request).collect();
+        let with = |extra: bytes::Bytes| {
+            let mut frames = frames.clone();
+            frames.insert(chain_to.min(frames.len()), extra);
+            protocol::decode_request(protocol::encode_chain(query, &frames))
+        };
+        prop_assert!(with(frames[0].clone()).is_ok());
+        let stranger = Request::PartialEval { query: QueryId(qid.wrapping_add(1)) };
+        prop_assert!(with(protocol::encode_request(&stranger)).is_err());
+        prop_assert!(with(protocol::encode_request(&Request::Shutdown)).is_err());
+        prop_assert!(with(protocol::encode_request(&chain)).is_err());
+        let mut install_fragment = WireWriter::new();
+        install_fragment.u64(1).usize(0);
+        prop_assert!(with(install_fragment.finish()).is_err());
+        prop_assert!(protocol::decode_request(protocol::encode_chain(query, &[])).is_err());
+        // Chain: tag 15, query, then a step count the frame cannot hold.
+        let mut hostile = WireWriter::new();
+        hostile.u64(15).u32_fixed(qid).u64(u64::MAX >> chain_from);
+        prop_assert!(protocol::decode_request(hostile.finish()).is_err());
+    }
+
+    /// Candidate vectors round-trip through whichever form the encoder
+    /// picks, and never cost more than the fixed length plus the tag.
+    #[test]
+    fn bit_vectors_roundtrip_dense_and_sparse(
+        n_bits in 64usize..5000,
+        members in prop::collection::vec(any::<u64>(), 0..64),
+        fill in 0usize..4,
+    ) {
+        let mut bv = BitVectorFilter::new(n_bits);
+        for &m in &members {
+            bv.insert(TermId(m));
+        }
+        // `fill` thickens the vector past where the sparse form pays.
+        for i in 0..(fill * n_bits / 3) as u64 {
+            bv.insert(TermId(i));
+        }
+        let frame = protocol::encode_bit_vector(&bv);
+        // The fixed-length words behind the width varint and the tag.
+        let dense = bv.wire_size() + if n_bits < 128 { 1 } else { 2 } + 1;
+        prop_assert!(frame.len() <= dense, "{} > {}", frame.len(), dense);
+        if members.len() + fill * n_bits / 3 < n_bits / 16 {
+            prop_assert!(frame.len() < dense / 2, "few bits must ship sparse");
+        }
+        prop_assert_eq!(protocol::decode_bit_vector(frame).unwrap(), bv);
+    }
+
+    /// Hostile vector frames — absurd widths, counts the frame cannot
+    /// hold, positions past `n_bits` — are decode errors: no panic, no
+    /// allocation sized by the claim. In a request, a reply and alone.
+    #[test]
+    fn hostile_bit_vectors_are_decode_errors(
+        qid in any::<u32>(),
+        n_bits in 64usize..4096,
+        huge in (1usize << 27)..(usize::MAX >> 1),
+        count in 1_000_000u64..u64::MAX / 2,
+        beyond in 0usize..1_000_000,
+        bits in any::<usize>(),
+    ) {
+        let vector = |n_bits: usize, body: &[u64]| {
+            let mut w = WireWriter::new();
+            w.usize(n_bits).bool(true);
+            for &v in body {
+                w.u64(v);
+            }
+            w.finish()
+        };
+        // Dense, with a bit set past a ragged width.
+        let mut ragged = WireWriter::new();
+        ragged.usize(70).bool(false).u64_fixed(1).u64_fixed(1 << 6);
+        for payload in [
+            ragged.finish(),
+            vector(huge, &[0]),
+            vector(n_bits, &[count]),
+            vector(n_bits, &[1, (n_bits + beyond) as u64]),
+            vector(n_bits, &[2, 1, (n_bits + beyond) as u64]),
+            vector(n_bits, &[2, 7, 0]),
+        ] {
+            prop_assert!(protocol::decode_bit_vector(payload.clone()).is_err());
+            // SetCandidateFilter: tag 5, query, count, (vertex, vector).
+            let mut w = WireWriter::new();
+            w.u64(5).u32_fixed(qid).usize(1).usize(0);
+            let mut request = w.finish().to_vec();
+            request.extend_from_slice(&payload);
+            prop_assert!(protocol::decode_request(request.into()).is_err());
+            // BitVectors reply: elapsed, query, tag 3, count, vector.
+            let mut w = WireWriter::new();
+            w.u64_fixed(0).u32_fixed(qid).u64(3).usize(1);
+            let mut reply = w.finish().to_vec();
+            reply.extend_from_slice(&payload);
+            prop_assert!(protocol::decode_response(reply.into()).is_err());
+        }
+        // The width budget is per frame: two vectors may not split it.
+        let mut w = WireWriter::new();
+        w.u64(5).u32_fixed(qid).usize(2);
+        for v in 0..2 {
+            w.usize(v).usize(protocol::MAX_CANDIDATE_BITS / 2 + n_bits).bool(true).usize(0);
+        }
+        prop_assert!(protocol::decode_request(w.finish()).is_err());
+        // ...nor may the steps of one chain, which are all held decoded
+        // at once: two max-width empty vectors in two steps are an error,
+        // while one such step decodes.
+        let mut step = WireWriter::new();
+        step.u64(5).u32_fixed(qid).usize(1).usize(0);
+        step.usize(protocol::MAX_CANDIDATE_BITS).bool(true).usize(0);
+        let step = step.finish();
+        for steps in [1usize, 2, 2 + n_bits % 64] {
+            let mut w = WireWriter::new();
+            w.u64(15).u32_fixed(qid).usize(steps);
+            for _ in 0..steps {
+                w.bytes(&step);
+            }
+            prop_assert_eq!(protocol::decode_request(w.finish()).is_ok(), steps == 1);
+        }
+        // ComputeCandidates names the width the worker will allocate.
+        let frame = protocol::encode_request(&Request::ComputeCandidates {
+            query: QueryId(qid),
+            bits,
+        });
+        prop_assert_eq!(
+            protocol::decode_request(frame).is_ok(),
+            bits <= protocol::MAX_CANDIDATE_BITS
+        );
     }
 
     #[test]
@@ -265,7 +396,17 @@ proptest! {
             ResponseBody::UnknownQuery(QueryId(qid.wrapping_add(1))),
             ResponseBody::Error(message),
         ];
-        for body in bodies {
+        // ...and all of them as the step replies of one `Chain`.
+        let chain = ResponseBody::Chain(
+            bodies
+                .iter()
+                .map(|body| {
+                    let step = Response { elapsed_nanos, query: QueryId(qid), body: body.clone() };
+                    protocol::encode_response(&step)
+                })
+                .collect(),
+        );
+        for body in bodies.into_iter().chain([chain]) {
             let resp = Response { elapsed_nanos, query: QueryId(qid), body };
             let frame = protocol::encode_response(&resp);
             let decoded = protocol::decode_response(frame).unwrap();

@@ -31,6 +31,8 @@ fn graph() -> RdfGraph {
 const PATH_QUERY: &str =
     "SELECT * WHERE { ?x <http://x/p> ?y . ?y <http://x/q> ?z . ?z <http://x/p> ?w }";
 
+const STAR_QUERY: &str = "SELECT * WHERE { ?x <http://x/p> ?y . ?y <http://x/q> ?z }";
+
 /// A worker process that is killed when dropped, so a failing test
 /// never leaks orphans.
 struct Worker {
@@ -169,6 +171,35 @@ fn kill_restart_roundtrip(reactor: bool) {
         healed.as_deref(),
         Some(oracle.as_slice()),
         "{label}: session never recovered after worker restart"
+    );
+
+    // A star stream sends a site nothing until it pulls it, so a site
+    // that died (and came back empty) since the last query is first met
+    // inside `next()`. No row has been delivered then: the stream must
+    // repair the site and start over like a failed startup, and the
+    // caller sees every row and no error. Site 0 is pulled first.
+    let star = db.prepare(STAR_QUERY).unwrap();
+    assert!(star.shape().is_star(), "{label}: not a star");
+    let star_oracle = sorted_rows(star.execute().unwrap().vertex_rows());
+    assert_eq!(star_oracle.len(), 12, "{label}: star baseline wrong");
+    workers[0].kill();
+    workers[0] = Worker::spawn(&addrs[0]);
+    let retries = db.robustness_stats().retries;
+    let rows: Vec<Vec<VertexId>> = star
+        .stream()
+        .unwrap()
+        .map(|solution| solution.map(|s| s.into_vertex_row()))
+        .collect::<Result<_, _>>()
+        .unwrap_or_else(|e| panic!("{label}: star stream surfaced {e}"));
+    assert_eq!(
+        sorted_rows(&rows),
+        star_oracle,
+        "{label}: wrong streamed rows"
+    );
+    assert_eq!(
+        db.robustness_stats().retries,
+        retries + 1,
+        "{label}: the star stream was not retried exactly once"
     );
 
     // Recovery left nothing resident in the fleet.
