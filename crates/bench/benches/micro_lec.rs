@@ -2,10 +2,10 @@
 //! compression, Algorithm 2 pruning, Algorithm 3 vs basic assembly), with
 //! the hash-join Algorithm 3 timed against its frozen pre-PR3 pairwise
 //! implementation on both the YAGO workload and the dense-star stress
-//! case of `bench_pr3`.
+//! case of [`gstored_bench::fixtures::dense_star_lpms`].
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gstored_bench::{bench_pr3, datasets, experiments, reference};
+use gstored_bench::{datasets, experiments, fixtures, reference};
 use gstored_core::assembly::{assemble_basic, assemble_lec};
 use gstored_core::lec::compute_lec_features;
 use gstored_core::prune::prune_features;
@@ -57,7 +57,7 @@ fn bench(c: &mut Criterion) {
     group.bench_function("basic_assembly", |b| {
         b.iter(|| criterion::black_box(assemble_basic(&lpms, eq.vertex_count()).len()))
     });
-    let (dense, nv, dense_edges) = bench_pr3::dense_star_lpms(40);
+    let (dense, nv, dense_edges) = fixtures::dense_star_lpms(40);
     group.bench_function("dense_star_lec_assembly", |b| {
         b.iter(|| criterion::black_box(assemble_lec(&dense, nv, &dense_edges).len()))
     });

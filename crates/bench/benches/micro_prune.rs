@@ -2,10 +2,11 @@
 //! `prune_features` and Algorithm 1's `compute_lec_features` timed
 //! against their frozen pre-PR4 implementations, on the engine's own
 //! feature sets (LUBM LQ7 under hashing) and on the crossing-heavy
-//! many-feature stress case of `bench_pr4`.
+//! many-feature stress case of
+//! [`gstored_bench::fixtures::many_feature_features`].
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gstored_bench::{bench_pr4, datasets, experiments, reference};
+use gstored_bench::{datasets, experiments, fixtures, reference};
 use gstored_core::lec::compute_lec_features;
 use gstored_core::prune::prune_features;
 use gstored_store::candidates::CandidateFilter;
@@ -25,7 +26,7 @@ fn bench(c: &mut Criterion) {
     let query_edges: Vec<(usize, usize)> = eq.edges().iter().map(|e| (e.from, e.to)).collect();
     // The exact feature set the coordinator prunes (engine-style per-site
     // Algorithm 1 with disjoint id ranges).
-    let features = bench_pr4::coordinator_features(&dist, &eq);
+    let features = fixtures::coordinator_features(&dist, &eq);
     // The LPM-heaviest fragment, for the Algorithm 1 head-to-head.
     let heaviest: Vec<LocalPartialMatch> = dist
         .fragments
@@ -58,7 +59,7 @@ fn bench(c: &mut Criterion) {
             criterion::black_box(reference::compute_lec_features_prepr4(&heaviest, 0).0.len())
         })
     });
-    let (many, nv, many_edges) = bench_pr4::many_feature_features(24);
+    let (many, nv, many_edges) = fixtures::many_feature_features(24);
     group.bench_function("many_feature_prune", |b| {
         b.iter(|| criterion::black_box(prune_features(&many, nv, &many_edges).len()))
     });

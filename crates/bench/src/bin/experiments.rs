@@ -1,38 +1,26 @@
 //! Regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! experiments [table1|table2|table3|table4|fig9|fig10|fig11|fig12|all]
+//! experiments [table1|table2|table3|table4|fig9|fig10|fig11|fig12|ablation|all]
 //!             [--scale N] [--sites K] [--markdown]
-//! experiments bench-pr3 [--scale N] [--sites K] [--smoke] [--out PATH]
-//! experiments bench-pr4 [--scale N] [--sites K] [--smoke] [--out PATH]
-//! experiments bench-pr5 [--scale N] [--sites K] [--smoke] [--out PATH]
-//! experiments bench-pr6 [--scale N] [--sites K] [--smoke] [--out PATH]
-//! experiments bench-pr7 [--scale N] [--sites K] [--smoke] [--out PATH]
-//! experiments bench-pr9 [--scale N] [--sites K] [--smoke] [--out PATH]
-//! experiments bench-pr10 [--scale N] [--sites K] [--smoke] [--out PATH]
 //! ```
 //!
 //! Default scale is 30k triples per dataset and 12 sites (the paper's
 //! cluster size). `--markdown` prints GitHub tables for EXPERIMENTS.md.
-//!
-//! `bench-pr3` / `bench-pr4` regenerate the repo's committed performance
-//! trajectory: they write `BENCH_PR3.json` / `BENCH_PR4.json` (or
-//! `--out PATH`), validate it against the expected schema, and exit
-//! non-zero when validation fails. `--smoke` runs the tiny CI
-//! configuration.
 
-use gstored_bench::{
-    bench_pr10, bench_pr3, bench_pr4, bench_pr5, bench_pr6, bench_pr7, bench_pr9, datasets,
-    experiments, format::Table,
-};
+use gstored_bench::{datasets, experiments, format::Table};
+
+/// Every artifact `experiments` can regenerate: the paper's tables and
+/// figures plus the candidate-bits ablation.
+const ARTIFACTS: [&str; 9] = [
+    "table1", "table2", "table3", "table4", "fig9", "fig10", "fig11", "fig12", "ablation",
+];
 
 struct Args {
     what: Vec<String>,
     scale: Option<usize>,
     sites: Option<usize>,
     markdown: bool,
-    smoke: bool,
-    out: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -41,8 +29,6 @@ fn parse_args() -> Args {
         scale: None,
         sites: None,
         markdown: false,
-        smoke: false,
-        out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -62,62 +48,19 @@ fn parse_args() -> Args {
                 );
             }
             "--markdown" => args.markdown = true,
-            "--smoke" => args.smoke = true,
-            "--out" => args.out = Some(it.next().expect("--out needs a path")),
-            other => args.what.push(other.to_string()),
+            other if ARTIFACTS.contains(&other) || other == "all" => {
+                args.what.push(other.to_string())
+            }
+            other => {
+                eprintln!("unknown argument {other:?}; expected one of {ARTIFACTS:?}, all");
+                std::process::exit(2);
+            }
         }
     }
     if args.what.is_empty() {
         args.what.push("all".to_string());
     }
     args
-}
-
-fn run_bench_pr3(args: &Args) {
-    let mut config = if args.smoke {
-        bench_pr3::BenchPr3Config::smoke()
-    } else {
-        bench_pr3::BenchPr3Config::default()
-    };
-    if let Some(scale) = args.scale {
-        config.scale = scale;
-        config.micro_scale = config.micro_scale.min(scale);
-    }
-    if let Some(sites) = args.sites {
-        config.sites = sites;
-    }
-    let path = args.out.as_deref().unwrap_or("BENCH_PR3.json");
-    eprintln!("# bench-pr3: {config:?} -> {path}");
-    let json = bench_pr3::run(&config);
-    if let Err(e) = bench_pr3::validate(&json) {
-        eprintln!("bench-pr3: generated JSON failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("# bench-pr3: wrote {} bytes, schema OK", json.len());
-}
-
-fn run_bench_pr4(args: &Args) {
-    let mut config = if args.smoke {
-        bench_pr4::BenchPr4Config::smoke()
-    } else {
-        bench_pr4::BenchPr4Config::default()
-    };
-    if let Some(scale) = args.scale {
-        config.scale = scale;
-    }
-    if let Some(sites) = args.sites {
-        config.sites = sites;
-    }
-    let path = args.out.as_deref().unwrap_or("BENCH_PR4.json");
-    eprintln!("# bench-pr4: {config:?} -> {path}");
-    let json = bench_pr4::run(&config);
-    if let Err(e) = bench_pr4::validate(&json) {
-        eprintln!("bench-pr4: generated JSON failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("# bench-pr4: wrote {} bytes, schema OK", json.len());
 }
 
 fn emit(table: Table, markdown: bool) {
@@ -128,149 +71,8 @@ fn emit(table: Table, markdown: bool) {
     }
 }
 
-fn run_bench_pr5(args: &Args) {
-    let mut config = if args.smoke {
-        bench_pr5::BenchPr5Config::smoke()
-    } else {
-        bench_pr5::BenchPr5Config::default()
-    };
-    if let Some(scale) = args.scale {
-        config.scale = scale;
-    }
-    if let Some(sites) = args.sites {
-        config.sites = sites;
-    }
-    let path = args.out.as_deref().unwrap_or("BENCH_PR5.json");
-    eprintln!("# bench-pr5: {config:?} -> {path}");
-    let json = bench_pr5::run(&config);
-    if let Err(e) = bench_pr5::validate(&json) {
-        eprintln!("bench-pr5: generated JSON failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("# bench-pr5: wrote {} bytes, schema OK", json.len());
-}
-
-fn run_bench_pr6(args: &Args) {
-    let mut config = if args.smoke {
-        bench_pr6::BenchPr6Config::smoke()
-    } else {
-        bench_pr6::BenchPr6Config::default()
-    };
-    if let Some(scale) = args.scale {
-        config.scale = scale;
-    }
-    if let Some(sites) = args.sites {
-        config.sites = sites;
-    }
-    let path = args.out.as_deref().unwrap_or("BENCH_PR6.json");
-    eprintln!("# bench-pr6: {config:?} -> {path}");
-    let json = bench_pr6::run(&config);
-    if let Err(e) = bench_pr6::validate(&json) {
-        eprintln!("bench-pr6: generated JSON failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("# bench-pr6: wrote {} bytes, schema OK", json.len());
-}
-
-fn run_bench_pr7(args: &Args) {
-    let mut config = if args.smoke {
-        bench_pr7::BenchPr7Config::smoke()
-    } else {
-        bench_pr7::BenchPr7Config::default()
-    };
-    if let Some(scale) = args.scale {
-        config.scale = scale;
-    }
-    if let Some(sites) = args.sites {
-        config.sites = sites;
-    }
-    let path = args.out.as_deref().unwrap_or("BENCH_PR7.json");
-    eprintln!("# bench-pr7: {config:?} -> {path}");
-    let json = bench_pr7::run(&config);
-    if let Err(e) = bench_pr7::validate(&json) {
-        eprintln!("bench-pr7: generated JSON failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("# bench-pr7: wrote {} bytes, schema OK", json.len());
-}
-
-fn run_bench_pr9(args: &Args) {
-    let mut config = if args.smoke {
-        bench_pr9::BenchPr9Config::smoke()
-    } else {
-        bench_pr9::BenchPr9Config::default()
-    };
-    if let Some(scale) = args.scale {
-        config.chain_links = scale;
-    }
-    if let Some(sites) = args.sites {
-        config.sites = sites;
-    }
-    let path = args.out.as_deref().unwrap_or("BENCH_PR9.json");
-    eprintln!("# bench-pr9: {config:?} -> {path}");
-    let json = bench_pr9::run(&config);
-    if let Err(e) = bench_pr9::validate(&json) {
-        eprintln!("bench-pr9: generated JSON failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("# bench-pr9: wrote {} bytes, schema OK", json.len());
-}
-
-fn run_bench_pr10(args: &Args) {
-    let mut config = if args.smoke {
-        bench_pr10::BenchPr10Config::smoke()
-    } else {
-        bench_pr10::BenchPr10Config::default()
-    };
-    if let Some(scale) = args.scale {
-        config.scale = scale;
-    }
-    if let Some(sites) = args.sites {
-        config.sites = sites;
-    }
-    let path = args.out.as_deref().unwrap_or("BENCH_PR10.json");
-    eprintln!("# bench-pr10: {config:?} -> {path}");
-    let json = bench_pr10::run(&config);
-    if let Err(e) = bench_pr10::validate(&json) {
-        eprintln!("bench-pr10: generated JSON failed schema validation: {e}");
-        std::process::exit(1);
-    }
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    eprintln!("# bench-pr10: wrote {} bytes, schema OK", json.len());
-}
-
 fn main() {
     let args = parse_args();
-    for (name, runner) in [
-        ("bench-pr3", run_bench_pr3 as fn(&Args)),
-        ("bench-pr4", run_bench_pr4 as fn(&Args)),
-        ("bench-pr5", run_bench_pr5 as fn(&Args)),
-        ("bench-pr6", run_bench_pr6 as fn(&Args)),
-        ("bench-pr7", run_bench_pr7 as fn(&Args)),
-        ("bench-pr9", run_bench_pr9 as fn(&Args)),
-        ("bench-pr10", run_bench_pr10 as fn(&Args)),
-    ] {
-        if args.what.iter().any(|w| w == name) {
-            if args.what.len() > 1 {
-                let others: Vec<&str> = args
-                    .what
-                    .iter()
-                    .map(String::as_str)
-                    .filter(|w| *w != name)
-                    .collect();
-                eprintln!("warning: {name} runs alone; ignoring {}", others.join(", "));
-            }
-            runner(&args);
-            return;
-        }
-    }
-    if args.smoke || args.out.is_some() {
-        eprintln!("warning: --smoke/--out only apply to the bench-prN subcommands; ignoring");
-    }
     let scale = args.scale.unwrap_or(datasets::DEFAULT_SCALE);
     let sites = args.sites.unwrap_or(datasets::DEFAULT_SITES);
     let wants = |k: &str| args.what.iter().any(|w| w == k || w == "all");

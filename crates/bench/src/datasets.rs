@@ -5,10 +5,8 @@
 //! machine; the scale knob preserves the paper's *ratios* (LUBM 100M :
 //! 500M : 1B = 1 : 5 : 10 in Fig. 11).
 
-use gstored_datagen::random::{predicate_iri, random_graph, RandomGraphConfig};
 use gstored_datagen::{btc, lubm, queries, yago, BenchQuery, BtcConfig, LubmConfig, YagoConfig};
 use gstored_rdf::RdfGraph;
-use gstored_sparql::analysis::QueryShape;
 
 /// A named dataset with its benchmark queries.
 pub struct Dataset {
@@ -60,57 +58,6 @@ pub fn btc(target_triples: usize) -> Dataset {
         RdfGraph::from_triples(triples),
         queries::btc_queries(),
     )
-}
-
-/// Crossing-heavy random dataset: an Erdős–Rényi-style labeled digraph
-/// with no locality for any partitioner to exploit, so under hashing
-/// nearly every edge crosses fragments and evaluation is dominated by LPM
-/// enumeration and assembly — the workload Algorithm 3's LEC grouping is
-/// built for, and the one `BENCH_PR3.json` uses to compare the assembly
-/// strategies.
-pub fn random_dense(target_triples: usize) -> Dataset {
-    // Average total degree ≈ 6 over 3 predicates: about one out-edge per
-    // (vertex, predicate), which keeps per-hop fan-out near 1 and result
-    // sizes proportional to the graph, not exponential in query length.
-    let vertices = (target_triples / 3).max(12);
-    let g = random_graph(&RandomGraphConfig {
-        vertices,
-        edges: target_triples,
-        predicates: 3,
-        seed: 99,
-    });
-    let p = predicate_iri;
-    let queries = vec![
-        BenchQuery {
-            id: "RQ1",
-            text: format!("SELECT * WHERE {{ ?a <{}> ?b . ?b <{}> ?c }}", p(0), p(1)),
-            expected_shape: QueryShape::Path,
-            expected_selective: false,
-        },
-        BenchQuery {
-            id: "RQ2",
-            text: format!(
-                "SELECT * WHERE {{ ?a <{}> ?b . ?b <{}> ?c . ?c <{}> ?d }}",
-                p(0),
-                p(1),
-                p(2)
-            ),
-            expected_shape: QueryShape::Path,
-            expected_selective: false,
-        },
-        BenchQuery {
-            id: "RQ3",
-            text: format!(
-                "SELECT * WHERE {{ ?a <{}> ?b . ?b <{}> ?c . ?c <{}> ?a }}",
-                p(0),
-                p(1),
-                p(2)
-            ),
-            expected_shape: QueryShape::Cyclic,
-            expected_selective: false,
-        },
-    ];
-    Dataset::new("RANDOM", g, queries)
 }
 
 /// The default experiment scale (triples per dataset). Small enough for

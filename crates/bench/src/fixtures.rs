@@ -1,0 +1,129 @@
+//! Synthetic stress inputs for the hot-path equivalence tests and the
+//! micro benches, which compare them against the frozen copies in
+//! [`crate::reference`].
+
+use gstored_core::lec::{compute_lec_features, LecFeature};
+use gstored_partition::DistributedGraph;
+use gstored_rdf::{EdgeRef, TermId};
+use gstored_store::candidates::CandidateFilter;
+use gstored_store::{enumerate_local_partial_matches, EncodedQuery, LocalPartialMatch};
+
+/// The dense-star assembly stress case: a hub internal to F0 with
+/// `n_leaves` crossing edges per query edge into F1, under the 2-leaf star
+/// query `?c -p-> ?a . ?c -q-> ?b`. F0 contributes `n²` LPMs (every leaf
+/// pair), F1 contributes `2n`, and assembly must produce exactly `n²`
+/// crossing matches. The pre-PR3 pairwise join with its quadratic
+/// `next.contains` dedup is `O(n⁴)` comparisons on this shape; the hash
+/// join is near-linear in the `n²` intermediates.
+///
+/// Returns `(lpms, n_query_vertices, query_edges)`.
+pub fn dense_star_lpms(n_leaves: usize) -> (Vec<LocalPartialMatch>, usize, Vec<(usize, usize)>) {
+    let query_edges = vec![(0usize, 1usize), (0usize, 2usize)];
+    let hub = TermId(1_000_000);
+    let (p, q) = (TermId(500), TermId(501));
+    let leaf = |i: usize| TermId(1 + i as u64);
+    let edge = |label: TermId, to: TermId| EdgeRef {
+        from: hub,
+        label,
+        to,
+    };
+    let mut lpms = Vec::new();
+    // F0: core {c} -> hub, boundary a,b over every leaf pair.
+    for i in 0..n_leaves {
+        for j in 0..n_leaves {
+            lpms.push(LocalPartialMatch {
+                fragment: 0,
+                binding: vec![Some(hub), Some(leaf(i)), Some(leaf(j))],
+                crossing: vec![(edge(p, leaf(i)), 0), (edge(q, leaf(j)), 1)],
+                internal_mask: 0b001,
+            });
+        }
+    }
+    // F1: each leaf internal, the hub extended.
+    for i in 0..n_leaves {
+        lpms.push(LocalPartialMatch {
+            fragment: 1,
+            binding: vec![Some(hub), Some(leaf(i)), None],
+            crossing: vec![(edge(p, leaf(i)), 0)],
+            internal_mask: 0b010,
+        });
+        lpms.push(LocalPartialMatch {
+            fragment: 1,
+            binding: vec![Some(hub), None, Some(leaf(i))],
+            crossing: vec![(edge(q, leaf(i)), 1)],
+            internal_mask: 0b100,
+        });
+    }
+    (lpms, 3, query_edges)
+}
+
+/// The crossing-heavy many-feature pruning stress case: a path query
+/// `?a -p-> ?b -p-> ?c` over a single hub data vertex with `n` incoming
+/// and `n` outgoing crossing edges, compressed (as three fragments would)
+/// into `n` features covering `v0`, `n²` middle features covering `v1`
+/// (every in/out edge pair — the high LEC-group fan-out), and `n`
+/// features covering `v2`. Algorithm 2 joins the `v0` group through the
+/// `n²`-feature middle group, producing `n²` distinct intermediates per
+/// level: the pre-PR4 `next.iter_mut().find` dedup is `O(n⁴)` feature
+/// comparisons on this shape, the PR4 interned-key hash dedup near-linear
+/// in the `n²` intermediates. Every feature participates in a complete
+/// combination, so the expected survivor set is everything.
+///
+/// Returns `(features, n_query_vertices, query_edges)`.
+pub fn many_feature_features(n: usize) -> (Vec<LecFeature>, usize, Vec<(usize, usize)>) {
+    let query_edges = vec![(0usize, 1usize), (1usize, 2usize)];
+    let hub = TermId(1_000_000);
+    let label = TermId(500);
+    let a_edge = |i: usize| EdgeRef {
+        from: TermId(1 + i as u64),
+        label,
+        to: hub,
+    };
+    let c_edge = |j: usize| EdgeRef {
+        from: hub,
+        label,
+        to: TermId(10_000 + j as u64),
+    };
+    let mut features = Vec::with_capacity(n * n + 2 * n);
+    let mut id = 0u32;
+    let mut push = |fragment: usize, mapping: Vec<(EdgeRef, usize)>, sign: u64| {
+        features.push(LecFeature {
+            fragments: 1 << fragment,
+            mapping,
+            sign,
+            sources: vec![id],
+        });
+        id += 1;
+    };
+    // F0: the a-side endpoints, internal v0.
+    for i in 0..n {
+        push(0, vec![(a_edge(i), 0)], 0b001);
+    }
+    // F1: the hub fragment, internal v1 — one feature per (in, out) pair.
+    for i in 0..n {
+        for j in 0..n {
+            push(1, vec![(a_edge(i), 0), (c_edge(j), 1)], 0b010);
+        }
+    }
+    // F2: the c-side endpoints, internal v2.
+    for j in 0..n {
+        push(2, vec![(c_edge(j), 1)], 0b100);
+    }
+    (features, 3, query_edges)
+}
+
+/// The feature set the coordinator prunes for one query: per-fragment
+/// LPM enumeration + Algorithm 1, each site's feature ids in a range of
+/// its own.
+pub fn coordinator_features(dist: &DistributedGraph, eq: &EncodedQuery) -> Vec<LecFeature> {
+    let filter = CandidateFilter::none(eq.vertex_count());
+    let mut all = Vec::new();
+    let mut next = 0u32;
+    for f in &dist.fragments {
+        let lpms = enumerate_local_partial_matches(f, eq, &filter);
+        let (features, _) = compute_lec_features(&lpms, next);
+        next += lpms.len() as u32 + 1;
+        all.extend(features);
+    }
+    all
+}

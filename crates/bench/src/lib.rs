@@ -15,40 +15,16 @@
 //! | Fig. 11 (scalability) | [`experiments::fig_scalability`] |
 //! | Fig. 12 (system comparison) | [`experiments::fig_comparison`] |
 //!
-//! Beyond the paper's artifacts, [`bench_pr3`] and [`bench_pr4`] emit the
-//! repo's committed performance trajectory (`BENCH_PR3.json` /
-//! `BENCH_PR4.json`: per-variant × per-partitioner wall times, stage
-//! breakdowns, and the optimized hot paths timed against the frozen
-//! pre-PR3/pre-PR4 baselines of [`mod@reference`]), and [`bench_pr5`]
-//! emits the concurrent multi-query throughput sweep (`BENCH_PR5.json`:
-//! closed-loop QPS and p50/p95 latency at 1/2/4/8 concurrent clients
-//! over one shared session, with result-equality and no-leak
-//! invariants). [`bench_pr7`] emits the streaming result-pipeline leg
-//! (`BENCH_PR7.json`: time-to-first-row for `stream()` vs `execute()`'s
-//! full materialization, the `LIMIT` short-circuit's wall-time fraction,
-//! and the coordinator's peak buffered join states, with sorted-row
-//! equality in every cell). (`BENCH_PR8.json` — barriered vs overlapped
-//! driver under a straggler — stays as history; its generator went with
-//! the barriered driver it measured.) [`bench_pr9`]
-//! emits the robustness leg (`BENCH_PR9.json`: availability under a
-//! kill-and-restart of a TCP worker driven by a closed-loop client —
-//! bounded walls, typed errors, self-healing back to the fault-free
-//! rows — plus the happy-path overhead of the deadline/chaos/retry
-//! plumbing against the PR 8 configuration). [`bench_pr10`] emits the
-//! cost-based planner leg (`BENCH_PR10.json`: the PR4 sweep replayed
-//! with a fifth `Variant::Auto` column, proving row equality against
-//! every explicit baseline and that the planner's per-cell wall lands
-//! at the measured-best explicit variant).
+//! Beside them: [`mod@reference`] keeps frozen copies of the hot paths
+//! that later PRs rewrote, and [`fixtures`] the synthetic stress inputs
+//! the equivalence tests and micro benches feed both versions. The
+//! service's performance is measured by the standalone `benchmark/`
+//! package (see `BENCHMARK.json`); the `BENCH_PR*.json` files are the
+//! frozen output of the per-PR generators that preceded it.
 
-pub mod bench_pr10;
-pub mod bench_pr3;
-pub mod bench_pr4;
-pub mod bench_pr5;
-pub mod bench_pr6;
-pub mod bench_pr7;
-pub mod bench_pr9;
 pub mod datasets;
 pub mod experiments;
+pub mod fixtures;
 pub mod format;
 pub mod reference;
 

@@ -12,10 +12,11 @@
 //! consistency dedup, the pairwise `joinable` nested loops, the all-pairs
 //! `build_join_graph` sweep, the quadratic `next.contains` /
 //! `next.iter_mut().find` dedups and the insertion-order frontier walk —
-//! so that `BENCH_PR3.json`/`BENCH_PR4.json`, the
-//! `micro_store`/`micro_lec`/`micro_prune` benches and the
-//! planner-equivalence proptests can measure the current paths against
-//! the exact code they replaced, on any machine, forever.
+//! so that the `micro_store`/`micro_lec`/`micro_prune` benches and the
+//! hot-path and planner equivalence proptests can measure the current
+//! paths against the exact code they replaced, on any machine, forever.
+//! (`BENCH_PR3.json`/`BENCH_PR4.json` record what they measured when
+//! their generators still existed.)
 //!
 //! Nothing here is called by the engine. Do not "fix" these: their
 //! inefficiency is the point.

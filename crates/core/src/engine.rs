@@ -62,7 +62,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use fxhash::FxHashSet;
 use gstored_net::{
-    ChaosConfig, NetworkModel, QueryMetrics, ReactorTransport, TcpTransport, Transport,
+    ChaosConfig, NetworkModel, QueryMetrics, ReactorTransport, Transport, TransportError,
 };
 use gstored_partition::DistributedGraph;
 use gstored_rdf::{Term, VertexId};
@@ -83,13 +83,6 @@ use crate::worker::with_in_process_workers;
 /// (`Engine::execute` / `Engine::execute_on` used directly). Process-wide
 /// so two engines accidentally sharing a fleet still cannot collide.
 static ONE_SHOT_QUERY_IDS: AtomicU32 = AtomicU32::new(0);
-
-/// Write timeout armed on the blocking TCP transport's sockets at
-/// connect time, bounding how long a `send` can block on a worker that
-/// stopped draining its socket. Generous on purpose: it only fires once
-/// the kernel send buffer is full *and* the peer makes no progress for
-/// this long — a dead worker, not a slow one.
-const TCP_WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
 fn one_shot_query_id() -> QueryId {
     loop {
@@ -173,7 +166,8 @@ pub enum Backend {
     /// fragment in fragment order. Fragments are installed on connect
     /// (deployment setup, not charged as query shipment); the query
     /// stages then exchange exactly the same frames as
-    /// [`Backend::InProcess`].
+    /// [`Backend::InProcess`]. The coordinator drives every socket from
+    /// one [`ReactorTransport`] I/O thread, which is Linux-only.
     Tcp {
         /// Worker addresses (`host:port`), one per fragment.
         workers: Vec<String>,
@@ -205,12 +199,6 @@ pub struct EngineConfig {
     /// deliver. Off by default (tests and interactive use want raw
     /// speed); the closed-loop throughput benchmarks turn it on.
     pub pace_network: bool,
-    /// Drive [`Backend::Tcp`] fleets through the epoll-multiplexed
-    /// [`ReactorTransport`] — one coordinator I/O thread for the whole
-    /// fleet regardless of site count (default). `false` falls back to
-    /// the blocking per-site sockets of [`TcpTransport`]. Frames are
-    /// identical either way.
-    pub reactor_io: bool,
     /// Deadline budget per query pipeline (default 30 s; `None` waits
     /// forever, the pre-deadline behaviour). The budget starts when the
     /// pipeline starts — for streams, afresh at every pull — and every
@@ -237,7 +225,6 @@ impl Default for EngineConfig {
             backend: Backend::InProcess,
             max_concurrent_queries: 8,
             pace_network: false,
-            reactor_io: true,
             query_deadline: Some(Duration::from_secs(30)),
             chaos: None,
         }
@@ -305,18 +292,6 @@ impl Engine {
         &self.config
     }
 
-    /// Evaluate `query` over the distributed graph. Infallible version of
-    /// [`Engine::try_run`] that panics on unsupported projections.
-    #[deprecated(
-        since = "0.1.0",
-        note = "panics on unsupported queries; prepare once via `gstored::GStoreD::prepare` \
-                (or `Engine::try_run` for one-shot evaluation) and handle the `Result`"
-    )]
-    pub fn run(&self, dist: &DistributedGraph, query: &QueryGraph) -> QueryOutput {
-        self.try_run(dist, query)
-            .expect("query not supported by the engine")
-    }
-
     /// Evaluate `query` over the distributed graph in one shot.
     ///
     /// Thin shim over the prepared path: builds a throwaway
@@ -351,19 +326,16 @@ impl Engine {
                 with_in_process_workers(dist, |transport| self.execute_on(transport, dist, plan))
             }
             Backend::Tcp { .. } => {
-                if self.config.reactor_io {
-                    let transport = self.connect_workers_reactor(dist)?;
-                    self.execute_on(&transport, dist, plan)
-                } else {
-                    let transport = self.connect_workers(dist)?;
-                    self.execute_on(&transport, dist, plan)
-                }
+                let transport = self.connect_workers(dist)?;
+                self.execute_on(&transport, dist, plan)
             }
         }
     }
 
-    /// Connect to the configured [`Backend::Tcp`] workers and install the
-    /// fragments (deployment-time setup, not charged as query shipment).
+    /// Connect to the configured [`Backend::Tcp`] workers through the
+    /// epoll-multiplexed [`ReactorTransport`] — one coordinator I/O
+    /// thread for the whole fleet — and install the fragments
+    /// (deployment-time setup, not charged as query shipment).
     ///
     /// [`Engine::execute`] does this on every call — correct but wasteful
     /// for repeated executions, since the whole graph re-ships each time.
@@ -372,41 +344,13 @@ impl Engine {
     /// `GStoreD` facade does exactly that, caching the connection for the
     /// session's lifetime. Errors when the backend is not TCP or the
     /// worker count does not match the partitioning.
-    pub fn connect_workers(&self, dist: &DistributedGraph) -> Result<TcpTransport, EngineError> {
-        let Backend::Tcp { workers } = &self.config.backend else {
-            return Err(EngineError::Transport(
-                "connect_workers requires Backend::Tcp".into(),
-            ));
-        };
-        if workers.len() != dist.fragment_count() {
-            return Err(EngineError::Transport(format!(
-                "{} worker addresses for {} fragments",
-                workers.len(),
-                dist.fragment_count()
-            )));
-        }
-        let transport = TcpTransport::connect(workers)?;
-        // A worker that stops draining its socket must not wedge `send`
-        // forever: bound writes so backpressure from a dead peer turns
-        // into a typed transport error. Reads stay unbounded — recv
-        // deadlines arm per-call timeouts, and a global read timeout
-        // would tear healthy idle waits.
-        transport.set_io_timeouts(None, Some(TCP_WRITE_TIMEOUT))?;
-        self.install_fragments(&transport, dist)?;
-        Ok(transport)
-    }
-
-    /// Like [`Engine::connect_workers`], but through the
-    /// epoll-multiplexed [`ReactorTransport`]: every site socket is
-    /// serviced by **one** coordinator I/O thread, so the thread count
-    /// stays O(1) as the fleet grows. Same wire protocol, same frames.
-    pub fn connect_workers_reactor(
+    pub fn connect_workers(
         &self,
         dist: &DistributedGraph,
     ) -> Result<ReactorTransport, EngineError> {
         let Backend::Tcp { workers } = &self.config.backend else {
             return Err(EngineError::Transport(
-                "connect_workers_reactor requires Backend::Tcp".into(),
+                "connect_workers requires Backend::Tcp".into(),
             ));
         };
         if workers.len() != dist.fragment_count() {
@@ -427,16 +371,34 @@ impl Engine {
     /// Public so harnesses connecting their own [`Transport`] (e.g. a
     /// [`ReactorTransport`] over a custom listener set) can load the
     /// fleet the same way the engine does.
+    ///
+    /// The `Ack` waits share one [`EngineConfig::query_deadline`] budget
+    /// (`None` waits forever): a worker that accepts the connection but
+    /// never answers surfaces as [`EngineError::Timeout`] naming its site
+    /// instead of wedging the caller — and, through it, the session's
+    /// fleet cache.
     pub fn install_fragments(
         &self,
         transport: &dyn Transport,
         dist: &DistributedGraph,
     ) -> Result<(), EngineError> {
+        let deadline = self.config.query_deadline.map(|d| Instant::now() + d);
         for (site, fragment) in dist.fragments.iter().enumerate() {
             transport.send(site, protocol::encode_install_fragment(fragment))?;
         }
         for site in 0..dist.fragment_count() {
-            let response = protocol::decode_response(transport.recv(site)?)?;
+            let frame = match deadline {
+                None => transport.recv(site),
+                Some(deadline) => transport.recv_deadline(site, deadline),
+            }
+            .map_err(|e| match e {
+                TransportError::TimedOut { site } => EngineError::Timeout {
+                    site,
+                    stage: "install_fragment",
+                },
+                e => e.into(),
+            })?;
+            let response = protocol::decode_response(frame)?;
             match response.body {
                 ResponseBody::Ack => {}
                 ResponseBody::Error(msg) => {

@@ -509,9 +509,9 @@ impl<'t> WorkerPool<'t> {
     ) -> Result<Vec<Vec<ResponseBody>>, EngineError> {
         for (site, chain) in chains {
             let envelope = chain.frame.len() - chain.steps.iter().map(|s| s.0).sum::<usize>();
-            let mut transfer = self.charge(*site, chain.steps[0].1.of(metrics), 1, envelope);
+            let mut transfer = self.charge(chain.steps[0].1.of(metrics), 1, envelope);
             for &(len, stage) in &chain.steps {
-                transfer += self.charge(*site, stage.of(metrics), 0, len);
+                transfer += self.charge(stage.of(metrics), 0, len);
             }
             self.pace(transfer);
             self.transport.send(*site, chain.frame.clone())?;
@@ -550,13 +550,13 @@ impl<'t> WorkerPool<'t> {
                 _ => vec![(len, response)],
             };
             let envelope = len.saturating_sub(steps.iter().map(|s| s.0).sum());
-            let mut transfer = self.charge(*site, stages[0].of(metrics), 1, envelope);
+            let mut transfer = self.charge(stages[0].of(metrics), 1, envelope);
             let answered = steps.len();
             let mut bodies = Vec::with_capacity(answered);
             for ((len, reply), (slow, stage)) in
                 steps.into_iter().zip(slowest.iter_mut().zip(&stages))
             {
-                transfer += self.charge(*site, stage.of(metrics), 0, len);
+                transfer += self.charge(stage.of(metrics), 0, len);
                 *slow = (*slow).max(reply.elapsed_nanos);
                 bodies.push(reply.body);
             }
@@ -614,7 +614,7 @@ impl<'t> WorkerPool<'t> {
             .collect();
         for site in sent {
             if let Ok((len, _)) = self.recv_routed(site) {
-                let transfer = self.charge(site, stage, 1, len);
+                let transfer = self.charge(stage, 1, len);
                 self.pace(transfer);
             }
         }
@@ -643,7 +643,7 @@ impl<'t> WorkerPool<'t> {
         frame: Bytes,
         stage: &mut StageMetrics,
     ) -> Result<(), EngineError> {
-        let transfer = self.charge(site, stage, 1, frame.len());
+        let transfer = self.charge(stage, 1, frame.len());
         self.pace(transfer);
         self.transport.send(site, frame)?;
         Ok(())
@@ -664,7 +664,7 @@ impl<'t> WorkerPool<'t> {
                 Ok(reply) => reply,
                 Err(e) => return Err(first_error.unwrap_or(e)),
             };
-            let transfer = self.charge(site, stage, 1, len);
+            let transfer = self.charge(stage, 1, len);
             self.pace(transfer);
             slowest_nanos = slowest_nanos.max(response.elapsed_nanos);
             if let Some(e) = worker_failure(site, &response.body) {
@@ -679,14 +679,14 @@ impl<'t> WorkerPool<'t> {
         Ok(bodies)
     }
 
-    /// Book `messages` messages totalling `len` bytes on `site`'s link to
-    /// `stage`; returns their simulated transfer time for [`pace`].
+    /// Book `messages` messages totalling `len` bytes to `stage`; returns
+    /// their simulated transfer time for [`pace`].
     ///
     /// [`pace`]: WorkerPool::pace
-    fn charge(&self, site: usize, stage: &mut StageMetrics, messages: u64, len: usize) -> Duration {
+    fn charge(&self, stage: &mut StageMetrics, messages: u64, len: usize) -> Duration {
         stage.bytes_shipped += len as u64;
         stage.messages += messages;
-        let transfer = self.network.transfer_time_for(site, messages, len as u64);
+        let transfer = self.network.transfer_time(messages, len as u64);
         stage.network += transfer;
         transfer
     }

@@ -21,24 +21,14 @@ use std::time::{Duration, Instant};
 use crate::metrics::StageMetrics;
 
 /// A simple network cost model: per-message latency plus bandwidth-limited
-/// transfer. Defaults approximate the paper's cluster-era LAN (1 Gbps,
-/// 0.1 ms latency).
-///
-/// Links are uniform by default; [`NetworkModel::with_site_latency`] and
-/// [`NetworkModel::with_site_bandwidth`] override individual sites to
-/// model skewed deployments (the straggler benchmarks give one site a
-/// 10x slower link). Overrides are a sparse list — fleets are small and
-/// most benchmarks skew one or two sites.
+/// transfer, uniform across links. Defaults approximate the paper's
+/// cluster-era LAN (1 Gbps, 0.1 ms latency).
 #[derive(Debug, Clone)]
 pub struct NetworkModel {
-    /// One-way latency charged per message (uniform default).
+    /// One-way latency charged per message.
     pub latency: Duration,
-    /// Bandwidth in bytes per second (uniform default).
+    /// Bandwidth in bytes per second.
     pub bytes_per_sec: u64,
-    /// Per-site latency overrides, sparse `(site, latency)` pairs.
-    site_latency: Vec<(usize, Duration)>,
-    /// Per-site bandwidth overrides, sparse `(site, bytes/sec)` pairs.
-    site_bandwidth: Vec<(usize, u64)>,
 }
 
 impl Default for NetworkModel {
@@ -48,14 +38,12 @@ impl Default for NetworkModel {
 }
 
 impl NetworkModel {
-    /// A uniform model: every link has `latency` one-way latency and
+    /// A model where every link has `latency` one-way latency and
     /// `bytes_per_sec` bandwidth.
     pub fn new(latency: Duration, bytes_per_sec: u64) -> Self {
         NetworkModel {
             latency,
             bytes_per_sec,
-            site_latency: Vec::new(),
-            site_bandwidth: Vec::new(),
         }
     }
 
@@ -64,67 +52,15 @@ impl NetworkModel {
         NetworkModel::new(Duration::ZERO, u64::MAX)
     }
 
-    /// Override one site's one-way latency (straggler modelling).
-    pub fn with_site_latency(mut self, site: usize, latency: Duration) -> Self {
-        self.site_latency.retain(|(s, _)| *s != site);
-        self.site_latency.push((site, latency));
-        self
-    }
-
-    /// Override one site's bandwidth in bytes per second.
-    pub fn with_site_bandwidth(mut self, site: usize, bytes_per_sec: u64) -> Self {
-        self.site_bandwidth.retain(|(s, _)| *s != site);
-        self.site_bandwidth.push((site, bytes_per_sec));
-        self
-    }
-
-    /// Whether every site shares the default link (no overrides).
-    pub fn is_uniform(&self) -> bool {
-        self.site_latency.is_empty() && self.site_bandwidth.is_empty()
-    }
-
-    /// One-way latency of `site`'s link.
-    pub fn latency_for(&self, site: usize) -> Duration {
-        self.site_latency
-            .iter()
-            .find(|(s, _)| *s == site)
-            .map(|(_, l)| *l)
-            .unwrap_or(self.latency)
-    }
-
-    /// Bandwidth of `site`'s link in bytes per second.
-    pub fn bandwidth_for(&self, site: usize) -> u64 {
-        self.site_bandwidth
-            .iter()
-            .find(|(s, _)| *s == site)
-            .map(|(_, b)| *b)
-            .unwrap_or(self.bytes_per_sec)
-    }
-
-    /// Transfer time for `messages` messages totalling `bytes` bytes on
-    /// the uniform (default) link.
+    /// Transfer time for `messages` messages totalling `bytes` bytes.
     pub fn transfer_time(&self, messages: u64, bytes: u64) -> Duration {
-        Self::price(self.latency, self.bytes_per_sec, messages, bytes)
-    }
-
-    /// Transfer time on `site`'s link, honouring per-site overrides.
-    pub fn transfer_time_for(&self, site: usize, messages: u64, bytes: u64) -> Duration {
-        Self::price(
-            self.latency_for(site),
-            self.bandwidth_for(site),
-            messages,
-            bytes,
-        )
-    }
-
-    fn price(latency: Duration, bytes_per_sec: u64, messages: u64, bytes: u64) -> Duration {
-        let bw = if bytes_per_sec == 0 {
+        let bw = if self.bytes_per_sec == 0 {
             u64::MAX
         } else {
-            bytes_per_sec
+            self.bytes_per_sec
         };
         let secs = bytes as f64 / bw as f64;
-        latency * (messages as u32) + Duration::from_secs_f64(secs)
+        self.latency * (messages as u32) + Duration::from_secs_f64(secs)
     }
 }
 
@@ -275,26 +211,6 @@ mod tests {
         let zero_bw = NetworkModel::new(Duration::ZERO, 0);
         // Zero bandwidth is treated as infinite (avoids div-by-zero).
         assert_eq!(zero_bw.transfer_time(1, 1000), Duration::ZERO);
-    }
-
-    #[test]
-    fn per_site_overrides_price_links_independently() {
-        let model = NetworkModel::new(Duration::from_millis(1), 1000)
-            .with_site_latency(2, Duration::from_millis(10))
-            .with_site_bandwidth(3, 500);
-        assert!(!model.is_uniform());
-        // Non-overridden sites keep the uniform link.
-        assert_eq!(model.transfer_time_for(0, 1, 0), Duration::from_millis(1));
-        assert_eq!(model.latency_for(2), Duration::from_millis(10));
-        assert_eq!(model.transfer_time_for(2, 2, 0), Duration::from_millis(20));
-        assert_eq!(model.bandwidth_for(3), 500);
-        assert_eq!(
-            model.transfer_time_for(3, 0, 1000),
-            Duration::from_millis(2000)
-        );
-        // Re-overriding a site replaces the previous entry.
-        let model = model.with_site_latency(2, Duration::from_millis(3));
-        assert_eq!(model.latency_for(2), Duration::from_millis(3));
     }
 
     #[test]

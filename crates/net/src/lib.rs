@@ -11,15 +11,12 @@
 //! * [`wire`] — a compact varint-based binary codec; every message the
 //!   engine ships is encoded through it, so shipment numbers are real
 //!   serialized sizes, not estimates.
-//! * [`transport`] — the [`Transport`] trait plus its two blocking
-//!   backends: [`InProcessTransport`] (threads + channels,
-//!   deterministic) and [`TcpTransport`] (length-prefixed frames over
-//!   sockets).
-//! * [`reactor`] — [`ReactorTransport`], the epoll-multiplexed TCP
-//!   backend: one coordinator I/O thread services every site socket
-//!   through per-connection partial-frame state machines.
-//! * [`paced`] — [`PacedTransport`], a link emulator that delays frames
-//!   per a [`NetworkModel`] with honest pipelining (benchmarks only).
+//! * [`transport`] — the [`Transport`] trait, the in-process backend
+//!   [`InProcessTransport`] (threads + channels, deterministic) and the
+//!   length-prefixed TCP frame codec.
+//! * [`reactor`] — [`ReactorTransport`], the TCP backend: one epoll
+//!   I/O thread services every site socket through per-connection
+//!   partial-frame state machines (Linux only).
 //! * [`chaos`] — [`ChaosTransport`], a fault injector that perturbs any
 //!   backend with a deterministic seed-driven schedule of delays,
 //!   drops, truncations, corruptions, disconnects, and hangs
@@ -34,7 +31,6 @@
 pub mod chaos;
 pub mod cluster;
 pub mod metrics;
-pub mod paced;
 pub mod reactor;
 pub mod transport;
 pub mod wire;
@@ -43,7 +39,6 @@ pub mod worker;
 pub use chaos::{ChaosConfig, ChaosStats, ChaosTransport};
 pub use cluster::{Cluster, NetworkModel};
 pub use metrics::{QueryMetrics, StageMetrics};
-pub use paced::PacedTransport;
 pub use reactor::ReactorTransport;
-pub use transport::{InProcessTransport, TcpTransport, Transport, TransportError};
+pub use transport::{InProcessTransport, Transport, TransportError};
 pub use wire::{WireReader, WireWriter};

@@ -1,14 +1,11 @@
 //! Readiness-driven TCP transport: one I/O thread for the whole fleet.
 //!
-//! [`TcpTransport`](crate::transport::TcpTransport) performs blocking
-//! reads and writes under a per-site mutex, so a coordinator that wants
-//! to overlap work across `k` sites needs `k` threads parked in
-//! `read()`. [`ReactorTransport`] replaces that with a single event
-//! loop: every site socket is non-blocking and registered with an
-//! epoll-backed [`polling::Poller`]; one I/O thread multiplexes all
-//! reads and writes, maintaining a per-connection partial-frame state
-//! machine in each direction. Coordinator threads interact only with
-//! in-memory queues:
+//! [`ReactorTransport`] is the coordinator's only TCP backend. Every
+//! site socket is non-blocking and registered with an epoll-backed
+//! [`polling::Poller`]; one I/O thread multiplexes all reads and
+//! writes, maintaining a per-connection partial-frame state machine in
+//! each direction, so the coordinator needs no thread per site.
+//! Coordinator threads interact only with in-memory queues:
 //!
 //! * [`ReactorTransport::send`] appends the frame to the site's outbox
 //!   and wakes the poller; the I/O thread drains the outbox whenever the
@@ -18,15 +15,18 @@
 //!   has reassembled the site's next complete frame (or the site
 //!   failed).
 //!
-//! The wire format is identical to `TcpTransport` — little-endian `u32`
-//! length prefix, payload, [`MAX_FRAME_LEN`] cap — so `gstored-worker`
-//! processes cannot tell which coordinator transport they are talking
-//! to. A length prefix above the cap fails the connection *before* any
+//! The wire format is the one [`write_frame`](crate::transport::write_frame)
+//! and [`read_frame`](crate::transport::read_frame) speak on the worker
+//! side — little-endian `u32` length prefix, payload, [`MAX_FRAME_LEN`]
+//! cap. A length prefix above the cap fails the connection *before* any
 //! allocation, so a hostile peer cannot trigger an unbounded buffer.
 //!
 //! Thread-count contract: exactly one I/O thread regardless of fleet
-//! size ([`ReactorTransport::io_threads`] returns the constant; the PR8
-//! benchmark asserts it stays flat as sites sweep 4→32).
+//! size ([`ReactorTransport::io_threads`] returns the constant).
+//!
+//! Platform: the vendored `polling` shim implements epoll only, so on
+//! any OS other than Linux [`ReactorTransport::connect`] fails with an
+//! `Unsupported` I/O error and `Backend::Tcp` is unavailable there.
 //!
 //! Lock discipline: a site's outbox (`tx`) and inbox (`rx`) mutexes are
 //! never held together, and where the stream mutex nests with either it
@@ -545,7 +545,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_and_counters_match_tcp_transport() {
+    fn roundtrip_counts_payload_bytes_and_frames() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let worker = reverse_echo_worker(listener);
@@ -553,7 +553,7 @@ mod tests {
         assert_eq!(transport.io_threads(), 1);
         transport.send(0, Bytes::from_static(b"ping")).unwrap();
         assert_eq!(transport.recv(0).unwrap().as_ref(), b"gnip");
-        // Same payload-byte accounting as TcpTransport: 4 out + 4 in.
+        // Payload bytes only, no length prefixes: 4 out + 4 in.
         assert_eq!(transport.counters().bytes(), 8);
         assert_eq!(transport.counters().frames(), 2);
         drop(transport);

@@ -1,26 +1,28 @@
 //! Pluggable message transports between the coordinator and site workers.
 //!
 //! The engine speaks to its sites through the [`Transport`] trait: an
-//! ordered, reliable, length-delimited frame channel per site. Two
-//! backends are provided:
+//! ordered, reliable, length-delimited frame channel per site. This
+//! module holds the trait, the in-process backend and the TCP frame
+//! codec:
 //!
 //! * [`InProcessTransport`] — worker threads connected by channels. The
 //!   default backend: deterministic, no sockets, but every frame is still
 //!   a real serialized byte buffer, so shipment accounting is identical
 //!   to a networked deployment.
-//! * [`TcpTransport`] — length-prefixed frames over TCP sockets, one
-//!   connection per site, as used by the `gstored-worker` binary.
+//! * [`write_frame`] / [`read_frame`] — length-prefixed frames over a
+//!   byte stream, spoken by the `gstored-worker` serve loops and by the
+//!   coordinator's TCP backend,
+//!   [`ReactorTransport`](crate::reactor::ReactorTransport).
 //!
 //! What a frame *means* is defined one layer up (`gstored_core::protocol`
 //! encodes typed request/response envelopes); this module only moves
 //! opaque bytes and counts them.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::Bytes;
 
@@ -44,10 +46,9 @@ pub enum TransportError {
     },
     /// No frame arrived from the site before the caller's deadline.
     /// [`Transport::recv_deadline`] only returns this at a clean frame
-    /// boundary (a deadline that expires mid-frame is a connection
-    /// failure instead); a socket-level timeout from a plain `recv`
-    /// makes no such promise, so the coordinator treats a timed-out
-    /// site as needing repair either way.
+    /// boundary: giving up consumes nothing, so the caller may retry.
+    /// The coordinator still treats a timed-out site as needing repair,
+    /// since silence cannot tell a slow worker from a hung one.
     TimedOut {
         /// Site that failed to answer in time.
         site: usize,
@@ -97,10 +98,9 @@ impl From<io::Error> for TransportError {
 /// channel per site.
 ///
 /// The engine's contract is FIFO pipelining per site: it may have
-/// several request frames in flight to one site at a time (the
-/// overlapped stage driver sends a site its next stage as soon as the
-/// previous reply arrives, and may queue a short chain up front), and
-/// the site answers every request in arrival order. Implementations
+/// several request frames in flight to one site at a time (concurrent
+/// queries' chains interleave on one connection), and the site answers
+/// every request in arrival order. Implementations
 /// must therefore preserve per-site frame order in both directions but
 /// need no reordering or windowing — `recv(site)` always yields the
 /// reply to the oldest unanswered request. Sends to *different* sites
@@ -307,78 +307,6 @@ impl Transport for InProcessTransport {
     }
 }
 
-/// TCP-backed transport: one socket per site, frames delimited by a
-/// little-endian `u32` length prefix (see [`write_frame`]/[`read_frame`]).
-///
-/// The resolved address of every site is retained, so a dead connection
-/// can be re-dialed in place with [`Transport::reconnect`] — the repair
-/// path the session uses after a worker restart. Optional socket
-/// timeouts ([`TcpTransport::set_io_timeouts`]) bound how long a plain
-/// `send`/`recv` can block even without a caller-supplied deadline.
-#[derive(Debug)]
-pub struct TcpTransport {
-    streams: Vec<Mutex<TcpStream>>,
-    /// Resolved worker addresses, in site order, for `reconnect`.
-    addrs: Vec<SocketAddr>,
-    /// `(read, write)` socket timeouts applied to every stream,
-    /// including freshly reconnected ones.
-    io_timeouts: Mutex<(Option<Duration>, Option<Duration>)>,
-    counters: TransferCounters,
-}
-
-impl TcpTransport {
-    /// Connect to one worker address per site, in site order.
-    pub fn connect<A: ToSocketAddrs>(workers: &[A]) -> Result<TcpTransport, TransportError> {
-        assert!(!workers.is_empty(), "need at least one site");
-        let mut streams = Vec::with_capacity(workers.len());
-        let mut addrs = Vec::with_capacity(workers.len());
-        for (site, addr) in workers.iter().enumerate() {
-            let dial = |e: String| TransportError::Connect { site, detail: e };
-            let resolved = addr
-                .to_socket_addrs()
-                .map_err(|e| dial(e.to_string()))?
-                .next()
-                .ok_or_else(|| dial("address resolved to nothing".into()))?;
-            let stream = TcpStream::connect(resolved).map_err(|e| dial(e.to_string()))?;
-            stream.set_nodelay(true)?;
-            streams.push(Mutex::new(stream));
-            addrs.push(resolved);
-        }
-        Ok(TcpTransport {
-            streams,
-            addrs,
-            io_timeouts: Mutex::new((None, None)),
-            counters: TransferCounters::default(),
-        })
-    }
-
-    /// Apply socket-level read/write timeouts to every site connection
-    /// (and remember them for reconnected sockets). `None` disables a
-    /// timeout. These are the backstop that keeps a blocking `send` or
-    /// deadline-less `recv` from wedging forever on a dead peer; a read
-    /// that trips the socket timeout surfaces as
-    /// [`TransportError::TimedOut`] if it hit at a frame boundary and
-    /// as a connection failure otherwise.
-    pub fn set_io_timeouts(
-        &self,
-        read: Option<Duration>,
-        write: Option<Duration>,
-    ) -> Result<(), TransportError> {
-        *self.io_timeouts.lock().expect("timeout config poisoned") = (read, write);
-        for stream in &self.streams {
-            let stream = stream.lock().expect("transport stream poisoned");
-            stream.set_read_timeout(read)?;
-            stream.set_write_timeout(write)?;
-        }
-        Ok(())
-    }
-
-    /// Frame/byte totals moved through this transport so far.
-    pub fn counters(&self) -> &TransferCounters {
-        &self.counters
-    }
-}
-
 /// Whether an I/O error is a socket-timeout expiry (reported as
 /// `WouldBlock` or `TimedOut` depending on platform).
 pub(crate) fn is_timeout(e: &io::Error) -> bool {
@@ -386,158 +314,6 @@ pub(crate) fn is_timeout(e: &io::Error) -> bool {
         e.kind(),
         io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
     )
-}
-
-/// Read one frame with a hard deadline, using per-call socket read
-/// timeouts. A deadline expiry *before any byte of the frame arrived*
-/// is a clean [`TransportError::TimedOut`]; an expiry mid-frame means
-/// the stream position is torn and surfaces as a connection-fatal
-/// `Io` error instead.
-fn read_frame_deadline(
-    stream: &mut TcpStream,
-    site: usize,
-    deadline: Instant,
-) -> Result<Option<Bytes>, TransportError> {
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0;
-    while filled < 4 {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(timeout_or_torn(site, filled == 0));
-        }
-        stream.set_read_timeout(Some(remaining))?;
-        match stream.read(&mut len_buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(TransportError::Io(
-                    "stream ended inside a frame header".into(),
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => return Err(timeout_or_torn(site, filled == 0)),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(TransportError::Io(
-            "frame length exceeds MAX_FRAME_LEN".into(),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    let mut got = 0;
-    while got < len {
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(timeout_or_torn(site, false));
-        }
-        stream.set_read_timeout(Some(remaining))?;
-        match stream.read(&mut payload[got..]) {
-            Ok(0) => {
-                return Err(TransportError::Io(
-                    "stream ended inside a frame payload".into(),
-                ))
-            }
-            Ok(n) => got += n,
-            Err(e) if is_timeout(&e) => return Err(timeout_or_torn(site, false)),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(Some(Bytes::from(payload)))
-}
-
-/// Timeout classification for `read_frame_deadline`: clean frame
-/// boundary → retryable `TimedOut`; mid-frame → torn stream.
-fn timeout_or_torn(site: usize, at_boundary: bool) -> TransportError {
-    if at_boundary {
-        TransportError::TimedOut { site }
-    } else {
-        TransportError::Io("read deadline expired mid-frame; stream position lost".into())
-    }
-}
-
-impl Transport for TcpTransport {
-    fn sites(&self) -> usize {
-        self.streams.len()
-    }
-
-    fn send(&self, site: usize, frame: Bytes) -> Result<(), TransportError> {
-        let stream = self
-            .streams
-            .get(site)
-            .ok_or(TransportError::UnknownSite { site })?;
-        self.counters.record(frame.len());
-        let mut stream = stream.lock().expect("transport stream poisoned");
-        write_frame(&mut *stream, &frame)?;
-        Ok(())
-    }
-
-    fn recv(&self, site: usize) -> Result<Bytes, TransportError> {
-        let stream = self
-            .streams
-            .get(site)
-            .ok_or(TransportError::UnknownSite { site })?;
-        let mut stream = stream.lock().expect("transport stream poisoned");
-        match read_frame(&mut *stream) {
-            Ok(Some(frame)) => {
-                self.counters.record(frame.len());
-                Ok(frame)
-            }
-            Ok(None) => Err(TransportError::Closed { site }),
-            // A socket-timeout expiry (set via `set_io_timeouts`).
-            // read_frame cannot report whether it was mid-frame, so the
-            // caller must treat the connection as suspect — the router
-            // marks a timed-out site failed rather than reading on.
-            Err(e) if is_timeout(&e) => Err(TransportError::TimedOut { site }),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn recv_deadline(&self, site: usize, deadline: Instant) -> Result<Bytes, TransportError> {
-        let stream = self
-            .streams
-            .get(site)
-            .ok_or(TransportError::UnknownSite { site })?;
-        let mut guard = stream.lock().expect("transport stream poisoned");
-        let result = read_frame_deadline(&mut guard, site, deadline);
-        // Restore the configured steady-state read timeout regardless of
-        // outcome, so later plain `recv` calls see their usual config.
-        let (read, _) = *self.io_timeouts.lock().expect("timeout config poisoned");
-        let _ = guard.set_read_timeout(read);
-        match result {
-            Ok(Some(frame)) => {
-                self.counters.record(frame.len());
-                Ok(frame)
-            }
-            Ok(None) => Err(TransportError::Closed { site }),
-            Err(e) => Err(e),
-        }
-    }
-
-    fn reconnect(&self, site: usize) -> Result<(), TransportError> {
-        let slot = self
-            .streams
-            .get(site)
-            .ok_or(TransportError::UnknownSite { site })?;
-        let addr = self.addrs[site];
-        let fresh = TcpStream::connect(addr).map_err(|e| TransportError::Connect {
-            site,
-            detail: e.to_string(),
-        })?;
-        fresh.set_nodelay(true)?;
-        let (read, write) = *self.io_timeouts.lock().expect("timeout config poisoned");
-        fresh.set_read_timeout(read)?;
-        fresh.set_write_timeout(write)?;
-        // Swap under the lock; the old socket closes on drop.
-        *slot.lock().expect("transport stream poisoned") = fresh;
-        Ok(())
-    }
-
-    fn can_reconnect(&self) -> bool {
-        true
-    }
 }
 
 /// Write one length-prefixed frame (`u32` little-endian length, then the
@@ -583,6 +359,7 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Bytes>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn in_process_roundtrip_and_counters() {
@@ -672,95 +449,5 @@ mod tests {
         // The channel is untouched: a frame sent later is received fine.
         assert!(endpoints[0].send(Bytes::from_static(b"late")));
         assert_eq!(transport.recv(0).unwrap().as_ref(), b"late");
-    }
-
-    #[test]
-    fn tcp_recv_deadline_times_out_then_recovers() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            // Stay silent past the first deadline, then answer.
-            std::thread::sleep(Duration::from_millis(60));
-            write_frame(&mut stream, b"eventually").unwrap();
-            let _ = read_frame(&mut stream); // wait for coordinator close
-        });
-        let transport = TcpTransport::connect(&[addr]).unwrap();
-        let deadline = Instant::now() + Duration::from_millis(10);
-        assert_eq!(
-            transport.recv_deadline(0, deadline),
-            Err(TransportError::TimedOut { site: 0 })
-        );
-        // Timeout hit at a frame boundary, so a patient retry succeeds.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        assert_eq!(
-            transport.recv_deadline(0, deadline).unwrap().as_ref(),
-            b"eventually"
-        );
-        drop(transport);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn tcp_reconnect_replaces_a_dead_connection() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            // First connection: accept and hang up immediately.
-            let (stream, _) = listener.accept().unwrap();
-            drop(stream);
-            // Second connection: behave like an echo worker.
-            let (mut stream, _) = listener.accept().unwrap();
-            while let Some(frame) = read_frame(&mut stream).unwrap() {
-                write_frame(&mut stream, &frame).unwrap();
-            }
-        });
-        let transport = TcpTransport::connect(&[addr]).unwrap();
-        assert_eq!(transport.recv(0), Err(TransportError::Closed { site: 0 }));
-        transport.reconnect(0).unwrap();
-        transport.send(0, Bytes::from_static(b"again")).unwrap();
-        assert_eq!(transport.recv(0).unwrap().as_ref(), b"again");
-        drop(transport);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn tcp_socket_read_timeout_surfaces_as_timed_out() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            let _ = read_frame(&mut stream); // hold open, never reply
-        });
-        let transport = TcpTransport::connect(&[addr]).unwrap();
-        transport
-            .set_io_timeouts(
-                Some(Duration::from_millis(20)),
-                Some(Duration::from_secs(5)),
-            )
-            .unwrap();
-        assert_eq!(transport.recv(0), Err(TransportError::TimedOut { site: 0 }));
-        drop(transport);
-        server.join().unwrap();
-    }
-
-    #[test]
-    fn tcp_transport_roundtrip() {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            while let Some(frame) = read_frame(&mut stream).unwrap() {
-                let mut reply = frame.to_vec();
-                reply.reverse();
-                write_frame(&mut stream, &reply).unwrap();
-            }
-        });
-        let transport = TcpTransport::connect(&[addr]).unwrap();
-        transport.send(0, Bytes::from_static(b"ping")).unwrap();
-        assert_eq!(transport.recv(0).unwrap().as_ref(), b"gnip");
-        assert_eq!(transport.counters().bytes(), 8);
-        drop(transport);
-        server.join().unwrap();
     }
 }

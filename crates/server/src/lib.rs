@@ -19,7 +19,7 @@
 //!   turn overload into immediate `429`s, the endpoint routing, and
 //!   graceful shutdown; [`shutdown`] adds the SIGINT/SIGTERM hook the
 //!   `gstored-server` binary uses; [`client`] is the tiny blocking HTTP
-//!   client the tests and the `bench-pr6` harness drive it with.
+//!   client the tests drive it with.
 //!
 //! Every concurrent HTTP request runs as one of the session's
 //! multiplexed queries (PR 5's query-id runtime): the HTTP pool admits

@@ -813,12 +813,9 @@ impl GStoreD {
                 self.engine.config().max_concurrent_queries,
                 chaos,
             ),
-            // TCP fleets default to the reactor: one epoll-driven I/O
-            // thread multiplexes every site socket, so the session's
-            // thread count stays O(1) in the fleet size.
-            Backend::Tcp { .. } if self.engine.config().reactor_io => {
-                Fleet::remote(self.engine.connect_workers_reactor(&self.dist)?, chaos)
-            }
+            // The fragment install waits under the query deadline, so a
+            // silent worker costs this (cache-locked) call one deadline,
+            // not forever.
             Backend::Tcp { .. } => Fleet::remote(self.engine.connect_workers(&self.dist)?, chaos),
         };
         let fleet = Arc::new(fleet);

@@ -31,8 +31,7 @@ use gstored::store::candidates::CandidateFilter;
 use gstored::store::{
     enumerate_local_partial_matches, find_matches, EncodedQuery, LocalPartialMatch,
 };
-use gstored_bench::bench_pr3::dense_star_lpms;
-use gstored_bench::bench_pr4::many_feature_features;
+use gstored_bench::fixtures::{dense_star_lpms, many_feature_features};
 use gstored_bench::reference;
 
 fn partitioners(sites: usize) -> Vec<Box<dyn Partitioner>> {

@@ -11,7 +11,7 @@ use gstored::core::engine::{Backend, Engine, EngineConfig, Variant};
 use gstored::core::protocol::{decode_response, encode_request, Request, ResponseBody};
 use gstored::core::worker::{send_shutdown, serve_tcp, with_in_process_workers};
 use gstored::core::PreparedPlan;
-use gstored::net::{QueryMetrics, ReactorTransport, TcpTransport, Transport};
+use gstored::net::{QueryMetrics, ReactorTransport, Transport};
 use gstored::prelude::*;
 use gstored::rdf::Triple;
 
@@ -196,40 +196,33 @@ fn tcp_workers_are_persistent_across_executions() {
 /// frame (length prefix, then payload), the classic write-write-read
 /// pattern where Nagle's algorithm holds the second write until the
 /// peer's delayed ACK — ~40ms per round trip on Linux. Every socket in
-/// the stack (`TcpTransport::connect`, `ReactorTransport::connect`, and
-/// `serve_tcp`'s accepted connections) sets NODELAY, so hundreds of
-/// sequential tiny request/reply frames must complete in interactive
-/// time. The budget is ~20× what a loopback run needs but far below the
+/// the stack (`ReactorTransport::connect` and `serve_tcp`'s accepted
+/// connections) sets NODELAY, so hundreds of sequential tiny
+/// request/reply frames must complete in interactive time. The budget is ~20× what a loopback run needs but far below the
 /// tens of seconds a reintroduced Nagle stall would cost.
 #[test]
 fn small_sequential_frames_are_not_nagle_delayed() {
     let addrs = spawn_tcp_fleet(1);
     const ROUNDS: usize = 200;
-    for reactor in [false, true] {
-        let transport: Box<dyn Transport> = if reactor {
-            Box::new(ReactorTransport::connect(&[addrs[0].as_str()]).unwrap())
-        } else {
-            Box::new(TcpTransport::connect(&addrs).unwrap())
-        };
-        let start = Instant::now();
-        for _ in 0..ROUNDS {
-            let ping = encode_request(&Request::WorkerStatus { query: QueryId(7) });
-            transport.send(0, ping).unwrap();
-            let reply = decode_response(transport.recv(0).unwrap()).unwrap();
-            assert!(
-                matches!(reply.body, ResponseBody::Status(_)),
-                "status ping got {:?}",
-                reply.body
-            );
-        }
-        let elapsed = start.elapsed();
+    let transport = ReactorTransport::connect(&[addrs[0].as_str()]).unwrap();
+    let start = Instant::now();
+    for _ in 0..ROUNDS {
+        let ping = encode_request(&Request::WorkerStatus { query: QueryId(7) });
+        transport.send(0, ping).unwrap();
+        let reply = decode_response(transport.recv(0).unwrap()).unwrap();
         assert!(
-            elapsed < Duration::from_secs(4),
-            "{} paid per-frame delays: {ROUNDS} status round trips took {elapsed:?} \
-             (Nagle back on a socket?)",
-            if reactor { "reactor" } else { "blocking tcp" },
+            matches!(reply.body, ResponseBody::Status(_)),
+            "status ping got {:?}",
+            reply.body
         );
     }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(4),
+        "paid per-frame delays: {ROUNDS} status round trips took {elapsed:?} \
+         (Nagle back on a socket?)",
+    );
+    drop(transport);
     send_shutdown(&addrs[0]).unwrap();
 }
 

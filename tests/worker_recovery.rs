@@ -3,14 +3,18 @@
 //! bounded time (never a hang), and once a replacement is listening on
 //! the same address the session must heal itself — reconnect, re-install
 //! the fragment, and answer the next query with the fault-free rows —
-//! without being rebuilt by hand. Exercised on both TCP transports
-//! (blocking per-site sockets and the epoll reactor).
+//! without being rebuilt by hand. Also pins the two failure contracts
+//! that have no repair: a star stream that already yielded rows, and a
+//! worker that accepts the connection but never answers.
 
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use gstored::core::engine::EngineConfig;
+use gstored::core::worker::{send_shutdown, serve_tcp};
+use gstored::core::EngineError;
 use gstored::prelude::*;
 use gstored::rdf::{Triple, VertexId};
 
@@ -99,8 +103,37 @@ fn sorted_rows(rows: &[Vec<VertexId>]) -> Vec<Vec<VertexId>> {
     sorted
 }
 
-fn kill_restart_roundtrip(reactor: bool) {
-    let label = if reactor { "reactor" } else { "blocking tcp" };
+/// A 3-site session over `addrs` with a 2 s query deadline.
+fn tcp_session(addrs: &[String]) -> GStoreD {
+    GStoreD::builder()
+        .graph(graph())
+        .partitioner(HashPartitioner::new(3))
+        .config(EngineConfig {
+            query_deadline: Some(QUERY_DEADLINE),
+            ..EngineConfig::default()
+        })
+        .tcp_workers(addrs.iter().cloned())
+        .build()
+        .unwrap()
+}
+
+const QUERY_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Query `db` until it answers (a restarted worker heals within a few
+/// attempts); `None` if it never does.
+fn query_until_healed(db: &GStoreD, query: &str) -> Option<Vec<Vec<VertexId>>> {
+    for _ in 0..5 {
+        match db.query(query) {
+            Ok(results) => return Some(sorted_rows(results.vertex_rows())),
+            Err(gstored::Error::Engine(_)) => continue,
+            Err(other) => panic!("post-restart non-engine error: {other}"),
+        }
+    }
+    None
+}
+
+#[test]
+fn kill_and_restart_worker_reactor() {
     let oracle = {
         let db = GStoreD::builder()
             .graph(graph())
@@ -109,28 +142,18 @@ fn kill_restart_roundtrip(reactor: bool) {
             .unwrap();
         sorted_rows(db.query(PATH_QUERY).unwrap().vertex_rows())
     };
-    assert!(!oracle.is_empty(), "{label}: trivial oracle");
+    assert!(!oracle.is_empty(), "trivial oracle");
 
     let addrs = reserve_addrs(3);
     let mut workers: Vec<Worker> = addrs.iter().map(|a| Worker::spawn(a)).collect();
 
-    let db = GStoreD::builder()
-        .graph(graph())
-        .partitioner(HashPartitioner::new(3))
-        .config(EngineConfig {
-            reactor_io: reactor,
-            query_deadline: Some(Duration::from_secs(2)),
-            ..EngineConfig::default()
-        })
-        .tcp_workers(addrs.iter().cloned())
-        .build()
-        .unwrap();
+    let db = tcp_session(&addrs);
 
     // Healthy baseline: establishes the fleet and ships the fragments.
     assert_eq!(
         sorted_rows(db.query(PATH_QUERY).unwrap().vertex_rows()),
         oracle,
-        "{label}: baseline rows wrong"
+        "baseline rows wrong"
     );
 
     // Kill one site. The next query must fail typed, in bounded time.
@@ -140,37 +163,26 @@ fn kill_restart_roundtrip(reactor: bool) {
     let elapsed = start.elapsed();
     assert!(
         elapsed < Duration::from_secs(30),
-        "{label}: dead worker blocked the coordinator for {elapsed:?}"
+        "dead worker blocked the coordinator for {elapsed:?}"
     );
     match outcome {
         Err(gstored::Error::Engine(_)) => {}
-        Ok(_) => panic!("{label}: query succeeded with a dead site"),
-        Err(other) => panic!("{label}: dead worker produced non-engine error: {other}"),
+        Ok(_) => panic!("query succeeded with a dead site"),
+        Err(other) => panic!("dead worker produced non-engine error: {other}"),
     }
     let stats = db.robustness_stats();
     assert!(
         stats.repairs_failed + stats.fleet_rebuilds + stats.repairs > 0,
-        "{label}: failure handling left no trace: {stats:?}"
+        "failure handling left no trace: {stats:?}"
     );
 
     // Restart the dead site on the same address. The session must heal
     // itself: reconnect, re-install the fragment, answer correctly.
     workers[1] = Worker::spawn(&addrs[1]);
-    let mut healed = None;
-    for _ in 0..5 {
-        match db.query(PATH_QUERY) {
-            Ok(results) => {
-                healed = Some(sorted_rows(results.vertex_rows()));
-                break;
-            }
-            Err(gstored::Error::Engine(_)) => continue,
-            Err(other) => panic!("{label}: post-restart non-engine error: {other}"),
-        }
-    }
     assert_eq!(
-        healed.as_deref(),
+        query_until_healed(&db, PATH_QUERY).as_deref(),
         Some(oracle.as_slice()),
-        "{label}: session never recovered after worker restart"
+        "session never recovered after worker restart"
     );
 
     // A star stream sends a site nothing until it pulls it, so a site
@@ -179,9 +191,9 @@ fn kill_restart_roundtrip(reactor: bool) {
     // repair the site and start over like a failed startup, and the
     // caller sees every row and no error. Site 0 is pulled first.
     let star = db.prepare(STAR_QUERY).unwrap();
-    assert!(star.shape().is_star(), "{label}: not a star");
+    assert!(star.shape().is_star(), "not a star");
     let star_oracle = sorted_rows(star.execute().unwrap().vertex_rows());
-    assert_eq!(star_oracle.len(), 12, "{label}: star baseline wrong");
+    assert_eq!(star_oracle.len(), 12, "star baseline wrong");
     workers[0].kill();
     workers[0] = Worker::spawn(&addrs[0]);
     let retries = db.robustness_stats().retries;
@@ -190,32 +202,158 @@ fn kill_restart_roundtrip(reactor: bool) {
         .unwrap()
         .map(|solution| solution.map(|s| s.into_vertex_row()))
         .collect::<Result<_, _>>()
-        .unwrap_or_else(|e| panic!("{label}: star stream surfaced {e}"));
-    assert_eq!(
-        sorted_rows(&rows),
-        star_oracle,
-        "{label}: wrong streamed rows"
-    );
+        .unwrap_or_else(|e| panic!("star stream surfaced {e}"));
+    assert_eq!(sorted_rows(&rows), star_oracle, "wrong streamed rows");
     assert_eq!(
         db.robustness_stats().retries,
         retries + 1,
-        "{label}: the star stream was not retried exactly once"
+        "the star stream was not retried exactly once"
     );
 
     // Recovery left nothing resident in the fleet.
     let statuses = db.fleet_status().unwrap();
     assert!(
         statuses.iter().all(|s| s.resident_queries == 0),
-        "{label}: resident state leaked across the kill/restart: {statuses:?}"
+        "resident state leaked across the kill/restart: {statuses:?}"
     );
 }
 
+/// The star-stream contract once rows are out (`docs/faults.md`): a star
+/// stream meets each site only when it pulls it, so a site that dies
+/// after rows were delivered surfaces on the pull that reaches it.
+/// Starting over could deliver those rows twice, so that pull is a typed
+/// engine error inside the deadline, the iterator fuses, and no retry is
+/// spent. The site is still repaired for the next query.
 #[test]
-fn kill_and_restart_worker_blocking_tcp() {
-    kill_restart_roundtrip(false);
+fn star_stream_fails_typed_when_an_unpulled_site_dies_after_rows_are_out() {
+    let addrs = reserve_addrs(3);
+    let mut workers: Vec<Worker> = addrs.iter().map(|a| Worker::spawn(a)).collect();
+    let db = tcp_session(&addrs);
+    let star = db.prepare(STAR_QUERY).unwrap();
+    let star_oracle = sorted_rows(star.execute().unwrap().vertex_rows());
+    assert_eq!(star_oracle.len(), 12, "star baseline wrong");
+
+    // Site 0 is pulled first and answers with every star whose centre
+    // ?y is internal to it; draining those rows leaves the next pull
+    // aimed at site 1.
+    let y = star.variables().iter().position(|v| v == "y").unwrap();
+    let site0 = &db.distributed_graph().fragments[0];
+    let site0_rows = star_oracle
+        .iter()
+        .filter(|row| site0.is_internal(row[y]))
+        .count();
+    assert!(site0_rows > 0, "site 0 holds no star centre");
+    let mut stream = star.stream().unwrap();
+    for _ in 0..site0_rows {
+        stream.next().expect("site 0's rows").expect("healthy pull");
+    }
+
+    workers[1].kill();
+    let retries = db.robustness_stats().retries;
+    let start = Instant::now();
+    match stream.next() {
+        Some(Err(gstored::Error::Engine(_))) => {}
+        other => panic!("expected a typed engine error, got {other:?}"),
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < QUERY_DEADLINE, "the failed pull took {elapsed:?}");
+    assert!(stream.next().is_none(), "the iterator is not fused");
+    assert_eq!(
+        db.robustness_stats().retries,
+        retries,
+        "a stream that delivered rows was retried"
+    );
+    drop(stream);
+
+    workers[1] = Worker::spawn(&addrs[1]);
+    assert_eq!(
+        query_until_healed(&db, STAR_QUERY).as_deref(),
+        Some(star_oracle.as_slice()),
+        "session never recovered after worker restart"
+    );
+    let statuses = db.fleet_status().unwrap();
+    assert!(
+        statuses.iter().all(|s| s.resident_queries == 0),
+        "resident state leaked: {statuses:?}"
+    );
 }
 
+/// Run `f` on its own thread and wait at most `limit` for it: a hang
+/// fails the test instead of wedging the test binary.
+fn within<T: Send + 'static>(
+    limit: Duration,
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("{what} still blocked after {limit:?}"))
+}
+
+/// A worker that accepts the connection but never answers (a stopped
+/// process, a wrong port) must not wedge the session. The fragment
+/// install waits under the query deadline, so the first query fails
+/// typed, naming the site, and the fleet probe behind `/health` is just
+/// as bounded.
 #[test]
-fn kill_and_restart_worker_reactor() {
-    kill_restart_roundtrip(true);
+fn silent_worker_fails_the_first_query_typed_within_the_deadline() {
+    const SILENT: usize = 1;
+    let addrs: Vec<String> = (0..3)
+        .map(|site| {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            if site == SILENT {
+                std::thread::spawn(move || {
+                    let mut held = Vec::new();
+                    for stream in listener.incoming() {
+                        held.push(stream);
+                    }
+                });
+            } else {
+                std::thread::spawn(move || serve_tcp(listener));
+            }
+            addr
+        })
+        .collect();
+    let db = Arc::new(tcp_session(&addrs));
+    let limit = QUERY_DEADLINE + Duration::from_secs(1);
+
+    let session = Arc::clone(&db);
+    let outcome = within(limit, "the first query", move || {
+        session.query(PATH_QUERY).map(|results| results.len())
+    });
+    assert!(
+        matches!(
+            outcome,
+            Err(gstored::Error::Engine(EngineError::Timeout {
+                site: SILENT,
+                stage: "install_fragment"
+            }))
+        ),
+        "expected a typed install timeout naming site {SILENT}, got {outcome:?}"
+    );
+
+    let session = Arc::clone(&db);
+    let health = within(limit, "the fleet probe", move || {
+        session.site_health().map(|sites| sites.len())
+    });
+    assert!(
+        matches!(
+            health,
+            Err(gstored::Error::Engine(EngineError::Timeout {
+                site: SILENT,
+                ..
+            }))
+        ),
+        "expected the probe to fail typed, got {health:?}"
+    );
+
+    for (site, addr) in addrs.iter().enumerate() {
+        if site != SILENT {
+            send_shutdown(addr).unwrap();
+        }
+    }
 }
