@@ -2,11 +2,13 @@
 //! compression, Algorithm 2 pruning, Algorithm 3 vs basic assembly), with
 //! the hash-join Algorithm 3 timed against its frozen pre-PR3 pairwise
 //! implementation on both the YAGO workload and the dense-star stress
-//! case of [`gstored_bench::fixtures::dense_star_lpms`].
+//! case of [`gstored_bench::fixtures::dense_star_lpms`], and the
+//! streaming `IncrementalJoin` timed beside Algorithm 3 on the YAGO LPMs
+//! and the fan-in case of [`gstored_bench::fixtures::fan_in_path_lpms`].
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gstored_bench::{datasets, experiments, fixtures, reference};
-use gstored_core::assembly::{assemble_basic, assemble_lec};
+use gstored_core::assembly::{assemble_basic, assemble_lec, IncrementalJoin};
 use gstored_core::lec::compute_lec_features;
 use gstored_core::prune::prune_features;
 use gstored_store::candidates::CandidateFilter;
@@ -54,8 +56,18 @@ fn bench(c: &mut Criterion) {
             )
         })
     });
+    group.bench_function("incremental_join", |b| {
+        b.iter(|| criterion::black_box(push_all(&lpms, eq.vertex_count(), query_edges.len())))
+    });
     group.bench_function("basic_assembly", |b| {
         b.iter(|| criterion::black_box(assemble_basic(&lpms, eq.vertex_count()).len()))
+    });
+    let (fan_in, fan_nv, fan_edges) = fixtures::fan_in_path_lpms(1_000);
+    group.bench_function("fan_in_lec_assembly", |b| {
+        b.iter(|| criterion::black_box(assemble_lec(&fan_in, fan_nv, &fan_edges).len()))
+    });
+    group.bench_function("fan_in_incremental_join", |b| {
+        b.iter(|| criterion::black_box(push_all(&fan_in, fan_nv, fan_edges.len())))
     });
     let (dense, nv, dense_edges) = fixtures::dense_star_lpms(40);
     group.bench_function("dense_star_lec_assembly", |b| {
@@ -67,6 +79,13 @@ fn bench(c: &mut Criterion) {
         })
     });
     group.finish();
+}
+
+/// Push every LPM through a fresh streaming joiner, in order; returns the
+/// number of matches emitted.
+fn push_all(lpms: &[LocalPartialMatch], n_vertices: usize, n_edges: usize) -> usize {
+    let mut joiner = IncrementalJoin::new(n_vertices, n_edges);
+    lpms.iter().map(|m| joiner.push(m).len()).sum()
 }
 
 criterion_group!(benches, bench);

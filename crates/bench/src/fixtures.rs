@@ -57,6 +57,61 @@ pub fn dense_star_lpms(n_leaves: usize) -> (Vec<LocalPartialMatch>, usize, Vec<(
     (lpms, 3, query_edges)
 }
 
+/// The fan-in assembly stress case: the shape of one department under
+/// the three-edge path `?x memberOf ?d . ?d subOrganizationOf ?u . ?u
+/// name ?n`. F0 holds the department: `n_members` LPMs with `d`
+/// internal, one per member, all sharing the single `d→u` crossing edge
+/// (and each its own `x→d` edge). The members live elsewhere (F1–F4):
+/// `n_members` LPMs with `x` internal. F5 contributes one university LPM
+/// (`u` and `n` internal) on the same `d→u` edge. Assembly must produce
+/// exactly `n_members` crossing matches. A joiner that tries every LPM
+/// on the shared edge against all its same-sign siblings is quadratic on
+/// this shape; skipping LECSign buckets that overlap the state keeps it
+/// linear.
+///
+/// LPMs come departments first, then members, then the university.
+/// Returns `(lpms, n_query_vertices, query_edges)`.
+pub fn fan_in_path_lpms(n_members: usize) -> (Vec<LocalPartialMatch>, usize, Vec<(usize, usize)>) {
+    let query_edges = vec![(0usize, 1usize), (1, 2), (2, 3)];
+    let (dept, univ, name) = (TermId(1_000_000), TermId(1_000_001), TermId(1_000_002));
+    let (member_of, sub_org) = (TermId(500), TermId(501));
+    let member = |i: usize| TermId(1 + i as u64);
+    let member_edge = |i: usize| EdgeRef {
+        from: member(i),
+        label: member_of,
+        to: dept,
+    };
+    let dept_edge = EdgeRef {
+        from: dept,
+        label: sub_org,
+        to: univ,
+    };
+    let mut lpms = Vec::with_capacity(2 * n_members + 1);
+    for i in 0..n_members {
+        lpms.push(LocalPartialMatch {
+            fragment: 0,
+            binding: vec![Some(member(i)), Some(dept), Some(univ), None],
+            crossing: vec![(member_edge(i), 0), (dept_edge, 1)],
+            internal_mask: 0b0010,
+        });
+    }
+    for i in 0..n_members {
+        lpms.push(LocalPartialMatch {
+            fragment: 1 + i % 4,
+            binding: vec![Some(member(i)), Some(dept), None, None],
+            crossing: vec![(member_edge(i), 0)],
+            internal_mask: 0b0001,
+        });
+    }
+    lpms.push(LocalPartialMatch {
+        fragment: 5,
+        binding: vec![None, Some(dept), Some(univ), Some(name)],
+        crossing: vec![(dept_edge, 1)],
+        internal_mask: 0b1100,
+    });
+    (lpms, 4, query_edges)
+}
+
 /// The crossing-heavy many-feature pruning stress case: a path query
 /// `?a -p-> ?b -p-> ?c` over a single hub data vertex with `n` incoming
 /// and `n` outgoing crossing edges, compressed (as three fragments would)
@@ -126,4 +181,23 @@ pub fn coordinator_features(dist: &DistributedGraph, eq: &EncodedQuery) -> Vec<L
         all.extend(features);
     }
     all
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gstored_core::assembly::{assemble_lec, IncrementalJoin};
+
+    #[test]
+    fn fan_in_incremental_join_equals_lec_assembly() {
+        let n = 2_000;
+        let (lpms, nv, qedges) = fan_in_path_lpms(n);
+        let expected = assemble_lec(&lpms, nv, &qedges);
+        assert_eq!(expected.len(), n, "one match per member");
+        let mut joiner = IncrementalJoin::new(nv, qedges.len());
+        let mut got: Vec<_> = lpms.iter().flat_map(|m| joiner.push(m)).collect();
+        got.sort_unstable();
+        assert_eq!(got, expected);
+        assert_eq!(joiner.resident_states(), lpms.len());
+    }
 }

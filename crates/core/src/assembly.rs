@@ -1,6 +1,7 @@
 //! Assembly of local partial matches into crossing matches.
 //!
-//! Two implementations:
+//! Two batch implementations, plus the streaming [`IncrementalJoin`]
+//! (a delta join over pushed LPMs, bucketed by LECSign like Algorithm 3):
 //!
 //! * [`assemble_lec`] — the LEC feature-based assembly of **Algorithm 3**:
 //!   LPMs are grouped by LECSign (Definition 11), a group join graph is
@@ -394,41 +395,44 @@ fn hash_join(
     next.into_iter().collect()
 }
 
-/// Incremental (streaming) crossing-match assembly: the worklist join of
-/// \[18\] restructured so LPMs can be **pushed one at a time**, with the
-/// complete matches each push makes possible emitted immediately.
+/// One posting list split by LECSign: `(sign, indices of the LPMs with
+/// that internal mask)`.
+type SignBuckets = Vec<(u64, Vec<usize>)>;
+
+/// Incremental (streaming) crossing-match assembly: a **delta join** over
+/// LPMs that are pushed one at a time, with the complete matches each
+/// push makes possible emitted immediately.
 ///
-/// The invariant after every [`IncrementalJoin::push`]: the internal
-/// store holds every joinable connected combination of the LPMs pushed so
-/// far, and `found` holds every complete binding they form. A new LPM
-/// therefore only needs to be joined (transitively) against the store —
-/// any complete match is emitted by the push of its **last-arriving**
-/// member. Two states that both contain the new LPM can never join each
-/// other (their internal masks overlap), so each worklist state only ever
-/// meets previously stored states; and a stored × stored pair was already
-/// explored by an earlier push. This yields exactly the result set of
-/// [`assemble_basic`] / [`assemble_lec`] over the same LPMs, in
-/// arrival-driven order instead of after a full gather.
+/// Only the pushed LPMs are stored — no joined intermediate outlives the
+/// push that built it. A complete match can only come together in the
+/// push of its **last-arriving** member, and that member reaches every
+/// other one by extension: the LPMs of a match are connected through
+/// shared crossing edges (each join needs one), so starting from the new
+/// LPM and adding one stored LPM that shares a crossing edge with the
+/// state at a time reaches the whole match. Each push therefore runs a
+/// DFS from the new LPM alone. At every step it probes only the postings
+/// of the state's own crossing edges, and within each posting list only
+/// the LECSign buckets whose sign is disjoint from the state's internal
+/// mask — an overlapping bucket can never join (Theorem 5), so it is
+/// skipped whole, without testing its members. This yields exactly the
+/// result set of [`assemble_basic`] / [`assemble_lec`] over the same
+/// LPMs, whatever the arrival order.
 ///
 /// Used by the engine's streaming pipeline to join survivor chunks as
-/// they arrive, so the coordinator's buffering is bounded by the join
-/// frontier instead of the full survivor set.
+/// they arrive. Its memory is the LPMs pushed so far plus the distinct
+/// bindings emitted so far (`found` must keep them: under a predicate
+/// variable two edge mappings can yield one vertex binding).
 #[derive(Debug)]
 pub struct IncrementalJoin {
     n_vertices: usize,
     n_edges: usize,
-    /// Every pushed LPM plus every incomplete joined intermediate.
-    states: Vec<Joined>,
-    /// Hash index over `states`: each bound `(query edge, data edge)`
-    /// pair → indices of the states binding it, in insertion order. Two
-    /// states can only join if they share a crossing edge on the same
-    /// query edge (condition 2), so the union of a state's postings
-    /// lists is a complete candidate set — each push probes only states
-    /// that share an edge with it instead of scanning the whole store.
-    by_edge: FxHashMap<(usize, EdgeRef), Vec<usize>>,
-    /// Dedup for incomplete intermediates (different DFS orders reach the
-    /// same combination; it must be stored and explored once).
-    seen: FxHashSet<Joined>,
+    /// Every pushed LPM, in arrival order.
+    lpms: Vec<Joined>,
+    /// Hash index over `lpms`: each bound `(query edge, data edge)` pair →
+    /// the LPMs binding it, bucketed by LECSign. Two states can only join
+    /// if they share a crossing edge on the same query edge (condition 2),
+    /// so the postings of a state's edges are a complete candidate set.
+    postings: FxHashMap<(usize, EdgeRef), SignBuckets>,
     /// Every complete binding emitted so far (the dedup sink).
     found: FxHashSet<MatchBinding>,
 }
@@ -443,9 +447,8 @@ impl IncrementalJoin {
         IncrementalJoin {
             n_vertices: n_query_vertices,
             n_edges: n_query_edges,
-            states: Vec::new(),
-            by_edge: FxHashMap::default(),
-            seen: FxHashSet::default(),
+            lpms: Vec::new(),
+            postings: FxHashMap::default(),
             found: FxHashSet::default(),
         }
     }
@@ -454,75 +457,73 @@ impl IncrementalJoin {
     /// become derivable with it (each binding is emitted exactly once
     /// across the joiner's lifetime).
     pub fn push(&mut self, lpm: &LocalPartialMatch) -> Vec<MatchBinding> {
-        let j = Joined::of_lpm(lpm, self.n_edges);
+        let new = Joined::of_lpm(lpm, self.n_edges);
         let mut newly = Vec::new();
-        if j.is_complete(self.n_vertices) {
-            // A degenerate "partial" match that is already complete: emit
-            // it; it can never join anything (full mask overlaps all).
-            if let Some(b) = j.complete_binding() {
-                if self.found.insert(b.clone()) {
-                    newly.push(b);
-                }
-            }
-            return newly;
-        }
-        // Worklist of states containing the new LPM; each joins against
-        // the stored states (none of which contain it). Candidates come
-        // from the edge index, sorted so they are probed in insertion
-        // order — the exact sequence a full scan of `states` would try,
-        // minus the states `try_join` would reject for sharing no edge.
-        let mut work: Vec<Joined> = vec![j];
-        let mut head = 0;
-        let mut candidates: Vec<usize> = Vec::new();
-        while head < work.len() {
-            let cur = work[head].clone();
-            head += 1;
-            candidates.clear();
-            for (qe, be) in cur.edges.iter().enumerate() {
-                let Some(be) = be else { continue };
-                if let Some(postings) = self.by_edge.get(&(qe, *be)) {
-                    candidates.extend_from_slice(postings);
-                }
-            }
-            candidates.sort_unstable();
-            candidates.dedup();
-            for &si in &candidates {
-                let Some(joined) = cur.try_join(&self.states[si]) else {
-                    continue;
-                };
-                if joined.is_complete(self.n_vertices) {
-                    if let Some(b) = joined.complete_binding() {
-                        if self.found.insert(b.clone()) {
-                            newly.push(b);
+        if new.is_complete(self.n_vertices) {
+            // A degenerate "partial" match that is already complete.
+            emit(&mut self.found, &mut newly, &new);
+        } else {
+            // DFS over the states containing `new`, one stored LPM added
+            // per step. Different orders reach the same combination, so
+            // intermediates are deduplicated — within this push only.
+            let mut seen: FxHashSet<Joined> = FxHashSet::default();
+            let mut stack = vec![new.clone()];
+            while let Some(cur) = stack.pop() {
+                for (qe, be) in cur.edges.iter().enumerate() {
+                    let Some(be) = be else { continue };
+                    let Some(buckets) = self.postings.get(&(qe, *be)) else {
+                        continue;
+                    };
+                    for (sign, members) in buckets {
+                        if sign & cur.internal_mask != 0 {
+                            continue;
+                        }
+                        for &li in members {
+                            let Some(joined) = cur.try_join(&self.lpms[li]) else {
+                                continue;
+                            };
+                            if joined.is_complete(self.n_vertices) {
+                                emit(&mut self.found, &mut newly, &joined);
+                            } else if seen.insert(joined.clone()) {
+                                stack.push(joined);
+                            }
                         }
                     }
-                } else if self.seen.insert(joined.clone()) {
-                    work.push(joined);
                 }
             }
         }
-        for state in work {
-            let si = self.states.len();
-            for (qe, be) in state.edges.iter().enumerate() {
-                if let Some(be) = be {
-                    self.by_edge.entry((qe, *be)).or_default().push(si);
-                }
+        let li = self.lpms.len();
+        for (qe, be) in new.edges.iter().enumerate() {
+            let Some(be) = be else { continue };
+            let buckets = self.postings.entry((qe, *be)).or_default();
+            match buckets.iter_mut().find(|(s, _)| *s == new.internal_mask) {
+                Some((_, members)) => members.push(li),
+                None => buckets.push((new.internal_mask, vec![li])),
             }
-            self.states.push(state);
         }
+        self.lpms.push(new);
         newly
     }
 
-    /// States currently buffered (pushed LPMs + incomplete
-    /// intermediates): the coordinator-side memory footprint of the join
-    /// frontier, reported by the streaming benchmarks.
+    /// LPMs buffered at the coordinator: every LPM pushed so far (no
+    /// intermediate is kept between pushes).
     pub fn resident_states(&self) -> usize {
-        self.states.len()
+        self.lpms.len()
     }
 
     /// Complete bindings emitted so far.
     pub fn found_count(&self) -> usize {
         self.found.len()
+    }
+}
+
+/// Record a complete state's binding, appending it to `newly` unless it
+/// was emitted before.
+fn emit(found: &mut FxHashSet<MatchBinding>, newly: &mut Vec<MatchBinding>, complete: &Joined) {
+    if let Some(b) = complete.complete_binding() {
+        if found.insert(b.clone()) {
+            newly.push(b);
+        }
     }
 }
 

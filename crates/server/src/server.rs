@@ -426,8 +426,9 @@ fn send_buffered(
 /// Serve one `/query` request with a **streamed** response: solutions
 /// flow from the engine's [`gstored::QuerySolutionIter`] straight
 /// through a [`SolutionWriter`] into chunked transfer encoding, so the
-/// response needs coordinator memory proportional to the join frontier,
-/// never to the result set.
+/// serialized response is never held whole. The engine behind it still
+/// holds the survivors received so far plus the distinct bindings
+/// emitted so far (its join's dedup set).
 ///
 /// Everything that fails *before the first byte* (bad request, parse
 /// error, no acceptable format, engine refusing to start) still goes out

@@ -1003,9 +1003,9 @@ impl<'s> PreparedQuery<'s> {
 
     /// Execute the prepared plan as a **pull-based stream**: solutions
     /// surface as soon as they are assembled, with survivors crossing
-    /// the fleet in bounded chunks instead of one full-fleet gather —
-    /// coordinator memory stays proportional to the join frontier, not
-    /// the result set.
+    /// the fleet in bounded chunks instead of one full-fleet gather. The
+    /// coordinator holds the survivors received so far plus the distinct
+    /// bindings emitted so far (the join's dedup set).
     ///
     /// Differences from [`PreparedQuery::execute`]:
     /// - Solutions arrive in **assembly order**, not sorted. The solution
@@ -1159,8 +1159,8 @@ impl<'s> QuerySolutionIter<'s> {
         self.stream.metrics()
     }
 
-    /// High-water mark of partial join states buffered at the
-    /// coordinator — the measurable bounded-memory claim.
+    /// High-water mark of LPMs buffered by the coordinator's incremental
+    /// join (0 for a star stream): the survivors received so far.
     pub fn peak_resident_states(&self) -> usize {
         self.stream.peak_resident_states()
     }

@@ -8,6 +8,11 @@
 //! act as the oracle here, alongside `assemble_basic` and the centralized
 //! matcher, across all 4 engine variants × 3 partitioning strategies.
 //!
+//! The streaming `IncrementalJoin` is held to the same standard: fed the
+//! LPMs and survivors of real partitioned enumeration in shuffled and
+//! reversed arrival orders, it emits exactly `assemble_lec`'s set, each
+//! binding once, buffering only the LPMs it was pushed.
+//!
 //! The dense-star and many-feature regressions at the bottom run
 //! workloads the pre-PR3/pre-PR4 quadratic dedups needed minutes for;
 //! the hash join and the interned-key prune must finish them in
@@ -18,18 +23,19 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
-use gstored::core::assembly::{assemble_basic, assemble_lec};
+use gstored::core::assembly::{assemble_basic, assemble_lec, IncrementalJoin, MatchBinding};
 use gstored::core::engine::Variant;
 use gstored::core::lec::compute_lec_features;
 use gstored::core::prune::prune_features;
-use gstored::datagen::random::{random_graph, random_query, RandomGraphConfig};
+use gstored::datagen::random::{predicate_iri, random_graph, random_query, RandomGraphConfig};
 use gstored::partition::{
     HashPartitioner, MetisLikePartitioner, Partitioner, SemanticHashPartitioner,
 };
 use gstored::prelude::*;
 use gstored::store::candidates::CandidateFilter;
 use gstored::store::{
-    enumerate_local_partial_matches, find_matches, EncodedQuery, LocalPartialMatch,
+    enumerate_local_partial_matches, find_matches, local_complete_matches, EncodedQuery,
+    LocalPartialMatch,
 };
 use gstored_bench::fixtures::{dense_star_lpms, many_feature_features};
 use gstored_bench::reference;
@@ -238,6 +244,139 @@ proptest! {
                     &got, &expected,
                     "{} under {} diverged on {}", variant.label(), p.name(), text
                 );
+            }
+        }
+    }
+}
+
+/// Fisher–Yates over a SplitMix64 stream: one seeded arrival order.
+fn shuffled<T: Clone>(items: &[T], seed: u64) -> Vec<T> {
+    let mut state = seed;
+    let mut next = || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut out = items.to_vec();
+    for i in (1..out.len()).rev() {
+        out.swap(i, (next() % (i as u64 + 1)) as usize);
+    }
+    out
+}
+
+/// What survives Algorithm 2 when each fragment compresses its own LPMs
+/// (disjoint feature-id ranges, as the engine's sites do).
+fn survivors(
+    site_lpms: &[Vec<LocalPartialMatch>],
+    n_vertices: usize,
+    query_edges: &[(usize, usize)],
+) -> Vec<LocalPartialMatch> {
+    let mut features = Vec::new();
+    let mut sources_of_lpm: Vec<(&LocalPartialMatch, Vec<u32>)> = Vec::new();
+    let mut next = 0u32;
+    for lpms in site_lpms {
+        let (site_features, feature_of_lpm) = compute_lec_features(lpms, next);
+        next += lpms.len() as u32 + 1;
+        for (lpm, fi) in lpms.iter().zip(feature_of_lpm) {
+            sources_of_lpm.push((lpm, site_features[fi].sources.clone()));
+        }
+        features.extend(site_features);
+    }
+    let useful = prune_features(&features, n_vertices, query_edges);
+    sources_of_lpm
+        .into_iter()
+        .filter(|(_, sources)| sources.iter().any(|s| useful.contains(s)))
+        .map(|(lpm, _)| lpm.clone())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Arrival order cannot change what the streaming joiner emits. A
+    /// path, a triangle and a variable-predicate query over a random graph,
+    /// under 3 partitioners: the LPMs of real partitioned enumeration, and
+    /// the survivors of pruning them, pushed into `IncrementalJoin` in
+    /// order, in reverse and in three seeded shuffles. Every time the
+    /// emitted set equals `assemble_lec`'s (and with the local complete
+    /// matches, the centralized `find_matches`), no binding is emitted
+    /// twice, and the joiner buffers exactly the LPMs it was pushed.
+    #[test]
+    fn incremental_join_is_arrival_order_independent(
+        graph_seed in 0u64..5000,
+        order_seed in 0u64..5000,
+        p in 0usize..3,
+        q in 0usize..3,
+        r in 0usize..3,
+    ) {
+        let g = random_graph(&RandomGraphConfig {
+            vertices: 20,
+            edges: 60,
+            predicates: 3,
+            seed: graph_seed,
+        });
+        let (p, q, r) = (predicate_iri(p), predicate_iri(q), predicate_iri(r));
+        let texts = [
+            format!("SELECT * WHERE {{ ?a <{p}> ?b . ?b <{q}> ?c . ?c <{r}> ?d . }}"),
+            format!("SELECT * WHERE {{ ?a <{p}> ?b . ?b <{q}> ?c . ?a <{r}> ?c . }}"),
+            format!("SELECT ?a ?b ?c ?d WHERE {{ ?a ?x ?b . ?b <{q}> ?c . ?c ?y ?d . }}"),
+        ];
+        for text in &texts {
+            let query = QueryGraph::from_query(
+                &gstored::sparql::parse_query(text).expect("query parses"),
+            )
+            .expect("query is connected");
+            let eq = EncodedQuery::encode(&query, g.dict()).expect("vertex-only projection");
+            let n = eq.vertex_count();
+            let query_edges: Vec<(usize, usize)> =
+                eq.edges().iter().map(|e| (e.from, e.to)).collect();
+            let mut centralized = find_matches(&g, &eq);
+            centralized.sort_unstable();
+
+            for part in &partitioners(3) {
+                let dist = DistributedGraph::build(g.clone(), part.as_ref());
+                let filter = CandidateFilter::none(n);
+                let site_lpms: Vec<Vec<LocalPartialMatch>> = dist
+                    .fragments
+                    .iter()
+                    .map(|f| enumerate_local_partial_matches(f, &eq, &filter))
+                    .collect();
+                let all: Vec<LocalPartialMatch> = site_lpms.concat();
+                let pruned = survivors(&site_lpms, n, &query_edges);
+
+                let lec = assemble_lec(&all, n, &query_edges);
+                prop_assert_eq!(&assemble_lec(&pruned, n, &query_edges), &lec);
+                let mut everything: Vec<MatchBinding> = lec.clone();
+                for f in &dist.fragments {
+                    everything.extend(local_complete_matches(f, &eq));
+                }
+                everything.sort_unstable();
+                everything.dedup();
+                prop_assert_eq!(&everything, &centralized, "{} ({})", text, part.name());
+
+                for lpms in [&all, &pruned] {
+                    let mut reversed = lpms.clone();
+                    reversed.reverse();
+                    let mut orders = vec![lpms.clone(), reversed];
+                    orders.extend((0..3).map(|k| shuffled(lpms, order_seed * 3 + k)));
+                    for (k, order) in orders.iter().enumerate() {
+                        let mut joiner = IncrementalJoin::new(n, query_edges.len());
+                        let mut emitted: Vec<MatchBinding> =
+                            order.iter().flat_map(|m| joiner.push(m)).collect();
+                        prop_assert_eq!(joiner.resident_states(), order.len());
+                        prop_assert_eq!(joiner.found_count(), emitted.len());
+                        emitted.sort_unstable();
+                        let before = emitted.len();
+                        emitted.dedup();
+                        prop_assert_eq!(emitted.len(), before, "a binding was emitted twice");
+                        prop_assert_eq!(
+                            &emitted, &lec,
+                            "order {} on {} ({})", k, text, part.name()
+                        );
+                    }
+                }
             }
         }
     }
