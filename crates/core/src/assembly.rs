@@ -1,7 +1,9 @@
 //! Assembly of local partial matches into crossing matches.
 //!
-//! Two batch implementations, plus the streaming [`IncrementalJoin`]
-//! (a delta join over pushed LPMs, bucketed by LECSign like Algorithm 3):
+//! The engine runs the streaming [`IncrementalJoin`] (a delta join over
+//! pushed LPMs, bucketed by LECSign like Algorithm 3) for LA/LO/Full and
+//! [`assemble_basic`] for Basic; [`assemble_lec`] is the batch reference
+//! the equivalence tests hold the delta join to:
 //!
 //! * [`assemble_lec`] — the LEC feature-based assembly of **Algorithm 3**:
 //!   LPMs are grouped by LECSign (Definition 11), a group join graph is

@@ -15,9 +15,10 @@
 //! 3. *(LO/Full)* **LEC optimization** — `ComputeLecFeatures` ships only
 //!    the features (Algorithm 1); the coordinator prunes (Algorithm 2)
 //!    and tells the sites the surviving feature ids via `DropPruned`.
-//! 4. **Assembly** — `ShipSurvivors` moves the surviving LPMs to the
-//!    coordinator, which joins them: Algorithm 3 for LA/LO/Full, the
-//!    \[18\] partition join for Basic.
+//! 4. **Assembly** — `ShipSurvivorsChunk` moves the surviving LPMs to
+//!    the coordinator, which joins them: the LECSign delta join of
+//!    Algorithm 3 ([`IncrementalJoin`]) as they arrive for LA/LO/Full,
+//!    the \[18\] partition join once the last site is drained for Basic.
 //!
 //! Only two of those steps need another site's data — the candidate
 //! union and the pruning verdict — so the steps travel as **one
@@ -27,19 +28,24 @@
 //! ```text
 //! A  [InstallQuery, ComputeCandidates]                  → union barrier
 //! B  [SetCandidateFilter, PartialEval, ComputeLecFeatures] → prune barrier
-//! C  [DropPruned, ShipSurvivors, ReleaseQuery]
+//! C  [DropPruned, ShipSurvivorsChunk], then bare ShipSurvivorsChunk pulls
 //! ```
 //!
 //! A site runs its chain without waiting for the coordinator, so a
-//! straggler delays a phase's one collection point, not every step. The
-//! streaming pipeline ([`Engine::start_stream`]) shares phases A and B
-//! and then pulls lazily: `[DropPruned, ShipSurvivorsChunk]` on a site's
-//! first pull, bare chunks after, one closing `ReleaseQuery` broadcast.
+//! straggler delays a phase's one collection point, not every step.
+//!
+//! There is **one pipeline**: [`Engine::start_stream`] runs phases A and
+//! B eagerly and returns a [`StreamState`] that pulls phase C on demand.
+//! A bounded stream pulls one site per round, round-robin; an unbounded
+//! one (`chunk == usize::MAX`) asks every undone site at once, in one
+//! phase. [`Engine::execute_routed`] is the unbounded stream, drained. A
+//! chunk reply with `last = true` drops the site's per-query state, so a
+//! drained stream sends no closing release.
 //!
 //! Star queries short-circuit per Section VIII-B: every match lives in
 //! the fragment where the star's center is internal, so the whole
 //! evaluation is the single chain `[InstallQuery, StarMatches,
-//! ReleaseQuery]` and only the result bindings ship.
+//! ReleaseQuery]` per site and only the result bindings ship.
 //!
 //! The workers are reached through a pluggable [`Transport`]: the
 //! [`Backend::InProcess`] default runs them as scoped threads behind
@@ -48,7 +54,8 @@
 //! results *and* shipment metrics are independent of the backend.
 //!
 //! Every per-query frame carries a [`QueryId`], and a pipeline ends with
-//! a `ReleaseQuery` dropping each site's per-query state — so
+//! each site's per-query state dropped — by its last survivor chunk, by
+//! the star chain's `ReleaseQuery`, or by a `CancelQuery` on abort — so
 //! **many queries can run their pipelines concurrently over one shared
 //! fleet**, their stage messages interleaved on the same connections and
 //! demultiplexed by the [`ReplyRouter`]. [`Engine::execute_routed`] is
@@ -69,14 +76,14 @@ use gstored_rdf::{Term, VertexId};
 use gstored_sparql::QueryGraph;
 use gstored_store::{EncodedQuery, LocalPartialMatch};
 
-use crate::assembly::{assemble_basic, assemble_lec, IncrementalJoin};
+use crate::assembly::{assemble_basic, IncrementalJoin};
 use crate::candidates::{union_bit_vectors, var_vertices};
 use crate::error::EngineError;
 use crate::planner::{plan_query, PlannerDecision};
 use crate::prepared::PreparedPlan;
 use crate::protocol::{self, QueryId, Request, ResponseBody};
 use crate::prune::prune_features;
-use crate::runtime::{expect_acks, Chain, ReplyRouter, Stage, WorkerPool};
+use crate::runtime::{Chain, ReplyRouter, Stage, WorkerPool};
 use crate::worker::with_in_process_workers;
 
 /// Query ids for executions that bypass a session's `QueryExecutor`
@@ -448,6 +455,7 @@ impl Engine {
     /// queries in flight on this fleet. On success **and** on error the
     /// sites' per-query state is released before returning, so a
     /// completed pipeline leaves no residue in any worker's state table.
+    /// This is [`Engine::start_stream`] with unbounded chunks, drained.
     pub fn execute_routed(
         &self,
         transport: &dyn Transport,
@@ -456,75 +464,17 @@ impl Engine {
         plan: &PreparedPlan,
         query: QueryId,
     ) -> Result<QueryOutput, EngineError> {
-        self.check_fleet(transport, dist, plan)?;
-        // `Auto` resolves here, after validation and before any frame is
-        // sent: price the variants against the cached partition stats,
-        // then delegate to an engine configured with the winner. Every
-        // downstream `self.config.variant` read thus sees a concrete
-        // variant; the decision rides back on the output.
-        if self.config.variant.is_auto() {
-            let decision = plan_query(dist, plan);
-            let resolved = Engine::new(EngineConfig {
-                variant: decision.chosen,
-                ..self.config.clone()
-            });
-            let mut out = resolved.execute_routed(transport, router, dist, plan, query)?;
-            out.planner = Some(decision);
-            return Ok(out);
+        let started = Instant::now();
+        let mut stream = self.start_stream(transport, router, dist, plan, query, usize::MAX)?;
+        // One deadline for the whole execution, not one per pull: the
+        // drain gets what the front half left of the budget.
+        let budget = &mut stream.deadline_budget;
+        *budget = budget.map(|d| d.saturating_sub(started.elapsed()));
+        let mut bindings = Vec::new();
+        while let Some(binding) = stream.next_binding(transport, router)? {
+            bindings.push(binding);
         }
-        let query_graph = plan.query();
-        let q = plan.encoded();
-        let mut metrics = QueryMetrics::default();
-
-        if q.has_unsatisfiable() {
-            return Ok(self.finish(query_graph, q, Vec::new(), metrics));
-        }
-
-        let pool = self.pool(transport, router, query);
-        match self.run_stages(&pool, plan, &mut metrics) {
-            Ok(bindings) => Ok(self.finish(query_graph, q, bindings, metrics)),
-            Err(e) => {
-                abandon(&pool, router);
-                Err(e)
-            }
-        }
-    }
-
-    /// The plan must have been prepared against `dist`'s dictionary, and
-    /// the transport must reach one worker per fragment.
-    fn check_fleet(
-        &self,
-        transport: &dyn Transport,
-        dist: &DistributedGraph,
-        plan: &PreparedPlan,
-    ) -> Result<(), EngineError> {
-        if plan.dict_uid() != dist.dict().uid() {
-            return Err(EngineError::PlanGraphMismatch {
-                plan_dict: plan.dict_uid(),
-                graph_dict: dist.dict().uid(),
-            });
-        }
-        if transport.sites() != dist.fragment_count() {
-            return Err(EngineError::Transport(format!(
-                "transport has {} sites but the graph has {} fragments",
-                transport.sites(),
-                dist.fragment_count()
-            )));
-        }
-        Ok(())
-    }
-
-    /// `query`'s handle on the fleet: paced per the config, with the
-    /// deadline budget starting now.
-    fn pool<'t>(
-        &self,
-        transport: &'t dyn Transport,
-        router: &'t ReplyRouter,
-        query: QueryId,
-    ) -> WorkerPool<'t> {
-        WorkerPool::new(transport, router, self.config.network.clone(), query)
-            .with_pacing(self.config.pace_network)
-            .with_deadline(self.config.query_deadline.map(|d| Instant::now() + d))
+        Ok(finish(plan, bindings, stream))
     }
 
     /// Start a **streaming** evaluation of a prepared plan as one of many
@@ -535,11 +485,13 @@ impl Engine {
     /// verdict reaches a site with its first pull), nothing at all for the
     /// star fast path — and returns
     /// a [`StreamState`] that pulls the rest on demand: survivors arrive
-    /// in bounded [`Request::ShipSurvivorsChunk`] batches (at most
-    /// `chunk` LPMs per reply, clamped to ≥ 1; pass `usize::MAX` for
-    /// unbounded) and join incrementally at the coordinator, so complete
-    /// bindings surface as soon as their last LPM lands rather than
-    /// after a full-fleet gather.
+    /// in [`Request::ShipSurvivorsChunk`] batches of at most `chunk` LPMs
+    /// per reply (clamped to ≥ 1), one site per pull. `usize::MAX` means
+    /// unbounded: every site ships everything in one chunk, and all sites
+    /// are pulled at once. LA/LO/Full join each chunk as it lands, so
+    /// complete bindings surface as soon as their last LPM does; Basic
+    /// (\[18\] has no incremental form) joins once the last site is
+    /// drained.
     ///
     /// The caller owns id allocation and admission exactly as for
     /// [`Engine::execute_routed`], plus the streaming obligations spelled
@@ -557,9 +509,23 @@ impl Engine {
         query: QueryId,
         chunk: usize,
     ) -> Result<StreamState, EngineError> {
-        self.check_fleet(transport, dist, plan)?;
-        // Mirror `execute_routed`: resolve `Auto` before any frame moves
-        // and stash the decision on the stream state.
+        // The plan must have been prepared against `dist`'s dictionary,
+        // and the transport must reach one worker per fragment.
+        if plan.dict_uid() != dist.dict().uid() {
+            return Err(EngineError::PlanGraphMismatch {
+                plan_dict: plan.dict_uid(),
+                graph_dict: dist.dict().uid(),
+            });
+        }
+        if transport.sites() != dist.fragment_count() {
+            return Err(EngineError::Transport(format!(
+                "transport has {} sites but the graph has {} fragments",
+                transport.sites(),
+                dist.fragment_count()
+            )));
+        }
+        // Resolve `Auto` before any frame moves: delegate to an engine
+        // running the planner's pick, and stash the decision on the state.
         if self.config.variant.is_auto() {
             let decision = plan_query(dist, plan);
             let resolved = Engine::new(EngineConfig {
@@ -573,130 +539,65 @@ impl Engine {
         let q = plan.encoded();
         let sites = transport.sites();
         let shape = plan.shape();
-        let mut state = StreamState {
+        let join = if self.config.variant.uses_lec_assembly() {
+            Join::Lec(IncrementalJoin::new(q.vertex_count(), q.edge_count()))
+        } else {
+            Join::Basic(Vec::new())
+        };
+        let mut metrics = QueryMetrics::default();
+        let mut pending = VecDeque::new();
+        let born_drained = q.has_unsatisfiable();
+        let mode = if born_drained {
+            // Nothing was installed anywhere; no site is ever pulled.
+            StreamMode::General {
+                drop_pruned: None,
+                join,
+            }
+        } else if self.config.star_fast_path && shape.is_star() {
+            // Nothing moves until the first pull.
+            let center = shape.star_center.expect("stars have centers");
+            StreamMode::Star {
+                chain: star_chain(query, q, center),
+            }
+        } else {
+            let pool = WorkerPool::new(transport, router, self.config.network.clone(), query)
+                .with_pacing(self.config.pace_network)
+                .with_deadline(self.config.query_deadline.map(|d| Instant::now() + d));
+            match self.prepare_survivors(&pool, plan, &mut metrics) {
+                Ok((complete, drop_pruned)) => {
+                    pending.extend(complete);
+                    StreamMode::General { drop_pruned, join }
+                }
+                Err(e) => {
+                    // Best-effort and uncharged: a failed query has no
+                    // metrics consumer. Straggler replies under the
+                    // retired id would park forever; drop them.
+                    pool.release_quietly(&mut gstored_net::StageMetrics::default());
+                    router.forget(query);
+                    return Err(e);
+                }
+            }
+        };
+        Ok(StreamState {
             query,
             network: self.config.network.clone(),
             paced: self.config.pace_network,
             chunk: chunk.max(1),
             vertex_count: q.vertex_count(),
             edge_count: q.edge_count(),
-            mode: StreamMode::General { drop_pruned: None },
-            site_done: vec![false; sites],
+            mode,
+            site_done: vec![born_drained; sites],
             site_seq: vec![0; sites],
             next_site: 0,
-            pending: VecDeque::new(),
-            joiner: None,
-            metrics: QueryMetrics::default(),
-            peak_resident: 0,
-            finished: false,
-            released: false,
+            pending,
+            metrics,
             deadline_budget: self.config.query_deadline,
             planner: None,
-        };
-
-        if q.has_unsatisfiable() {
-            // Nothing was installed anywhere; the stream is born drained.
-            state.finished = true;
-            state.released = true;
-        } else if self.config.star_fast_path && shape.is_star() {
-            // Nothing moves until the first pull.
-            let center = shape.star_center.expect("stars have centers");
-            state.mode = StreamMode::Star {
-                chain: star_chain(query, q, center),
-            };
-        } else {
-            let pool = self.pool(transport, router, query);
-            match self.prepare_survivors(&pool, plan, &mut state.metrics) {
-                Ok((complete, drop_pruned)) => {
-                    state.pending.extend(complete);
-                    state.mode = StreamMode::General { drop_pruned };
-                    state.joiner = Some(IncrementalJoin::new(q.vertex_count(), q.edge_count()));
-                }
-                Err(e) => {
-                    abandon(&pool, router);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(state)
+        })
     }
 
-    /// The batch pipeline: one chain per site per phase (module docs),
-    /// every frame stamped with the pool's query id, each site's last
-    /// chain ending in the `ReleaseQuery` that drops its per-query state.
-    fn run_stages(
-        &self,
-        pool: &WorkerPool<'_>,
-        plan: &PreparedPlan,
-        metrics: &mut QueryMetrics,
-    ) -> Result<Vec<Vec<VertexId>>, EngineError> {
-        let q = plan.encoded();
-        let query = pool.query();
-
-        // --- Star fast path (Section VIII-B): a star match never needs
-        // another site's data, so the whole evaluation is one chain ---
-        let shape = plan.shape();
-        if self.config.star_fast_path && shape.is_star() {
-            let center = shape.star_center.expect("stars have centers");
-            pool.set_stage("star");
-            let chain = star_chain(query, q, center);
-            let mut all = Vec::new();
-            for bodies in pool.run_phase(&every_site(pool, &chain), metrics)? {
-                all.extend(star_matches(bodies, q.vertex_count())?);
-            }
-            metrics.local_matches = all.len() as u64;
-            return Ok(all);
-        }
-
-        let (mut complete, drop_pruned) = self.prepare_survivors(pool, plan, metrics)?;
-
-        // --- Phase C: the verdict, the survivors, the release ---
-        pool.set_stage("assembly");
-        let pruned = drop_pruned.is_some();
-        let mut steps = Vec::with_capacity(3);
-        steps.extend(drop_pruned.map(|frame| (frame, Stage::LecOptimization)));
-        for request in [
-            Request::ShipSurvivors { query },
-            Request::ReleaseQuery { query },
-        ] {
-            steps.push((protocol::encode_request(&request), Stage::Assembly));
-        }
-        let chain = Chain::new(query, &steps);
-        let mut all_lpms: Vec<LocalPartialMatch> = Vec::new();
-        for bodies in pool.run_phase(&every_site(pool, &chain), metrics)? {
-            let mut replies = bodies.into_iter();
-            if pruned {
-                expect_ack(replies.next(), "DropPruned")?;
-            }
-            match replies.next() {
-                Some(ResponseBody::Survivors(lpms)) => {
-                    for lpm in &lpms {
-                        check_lpm(lpm, q.vertex_count(), q.edge_count())?;
-                    }
-                    all_lpms.extend(lpms);
-                }
-                other => return Err(unexpected("Survivors", "ShipSurvivors", other)),
-            }
-            expect_ack(replies.next(), "ReleaseQuery")?;
-        }
-        metrics.surviving_partial_matches = all_lpms.len() as u64;
-
-        // --- Stage 4: assembly at the coordinator ---
-        let query_edges: Vec<(usize, usize)> = q.edges().iter().map(|e| (e.from, e.to)).collect();
-        let crossing = metrics.assembly.time(|| {
-            if self.config.variant.uses_lec_assembly() {
-                assemble_lec(&all_lpms, q.vertex_count(), &query_edges)
-            } else {
-                assemble_basic(&all_lpms, q.vertex_count())
-            }
-        });
-        metrics.crossing_matches = crossing.len() as u64;
-        complete.extend(crossing);
-        Ok(complete)
-    }
-
-    /// Stages 0–3 of the general pipeline, shared by [`Engine::execute`]
-    /// and [`Engine::start_stream`]: query distribution, candidate exchange
+    /// Stages 0–3 of the general pipeline, run eagerly by
+    /// [`Engine::start_stream`]: query distribution, candidate exchange
     /// (Full), partial evaluation and LEC pruning (LO/Full), in two
     /// phases around the two genuinely global steps:
     ///
@@ -711,9 +612,9 @@ impl Engine {
     ///    the whole fleet.
     ///
     /// Returns the local complete matches and, when pruning ran, the
-    /// encoded `DropPruned` verdict — *not yet sent*: it heads whatever
-    /// chain next goes to each site (the batch phase C, or a stream's
-    /// first pull of that site). Afterwards every site holds its LPMs.
+    /// encoded `DropPruned` verdict — *not yet sent*: it heads the
+    /// stream's first pull of each site. Afterwards every site holds its
+    /// LPMs.
     fn prepare_survivors(
         &self,
         pool: &WorkerPool<'_>,
@@ -743,8 +644,9 @@ impl Engine {
                     (compute, Stage::Candidates),
                 ],
             );
+            let chains: Vec<_> = (0..sites).map(|site| (site, chain.clone())).collect();
             let mut vector_bodies = Vec::with_capacity(sites);
-            for bodies in pool.run_phase(&every_site(pool, &chain), metrics)? {
+            for bodies in pool.run_phase(&chains, metrics)? {
                 let mut replies = bodies.into_iter();
                 expect_ack(replies.next(), "InstallQuery")?;
                 vector_bodies.extend(replies.next());
@@ -830,34 +732,30 @@ impl Engine {
         let drop_pruned = protocol::encode_request(&Request::DropPruned { query, useful });
         Ok((complete, Some(drop_pruned)))
     }
+}
 
-    /// Apply projection / DISTINCT / LIMIT and package the output.
-    fn finish(
-        &self,
-        query: &QueryGraph,
-        q: &EncodedQuery,
-        bindings: Vec<Vec<VertexId>>,
-        metrics: QueryMetrics,
-    ) -> QueryOutput {
-        let proj = q.projection();
-        let mut rows: Vec<Vec<VertexId>> = bindings
-            .iter()
-            .map(|b| proj.iter().map(|&v| b[v]).collect())
-            .collect();
-        if query.distinct {
-            let mut seen: HashSet<Vec<VertexId>> = HashSet::new();
-            rows.retain(|r| seen.insert(r.clone()));
-        }
-        rows.sort_unstable();
-        if let Some(limit) = query.limit {
-            rows.truncate(limit);
-        }
-        QueryOutput {
-            rows,
-            bindings,
-            metrics,
-            planner: None,
-        }
+/// Apply projection / DISTINCT / LIMIT to a drained stream's bindings and
+/// package them with its metrics and planner verdict.
+fn finish(plan: &PreparedPlan, bindings: Vec<Vec<VertexId>>, stream: StreamState) -> QueryOutput {
+    let query = plan.query();
+    let proj = plan.encoded().projection();
+    let mut rows: Vec<Vec<VertexId>> = bindings
+        .iter()
+        .map(|b| proj.iter().map(|&v| b[v]).collect())
+        .collect();
+    if query.distinct {
+        let mut seen: HashSet<Vec<VertexId>> = HashSet::new();
+        rows.retain(|r| seen.insert(r.clone()));
+    }
+    rows.sort_unstable();
+    if let Some(limit) = query.limit {
+        rows.truncate(limit);
+    }
+    QueryOutput {
+        rows,
+        bindings,
+        metrics: stream.metrics,
+        planner: stream.planner,
     }
 }
 
@@ -871,13 +769,25 @@ enum StreamMode {
         /// The chain, identical for every site.
         chain: Chain,
     },
-    /// General queries: bounded `ShipSurvivorsChunk` pulls, round-robin
-    /// across sites, pushed through an [`IncrementalJoin`].
+    /// General queries: `ShipSurvivorsChunk` pulls, joined at the
+    /// coordinator.
     General {
         /// The pruning verdict (LO/Full), sent to each site at the head
         /// of its first pull.
         drop_pruned: Option<Bytes>,
+        join: Join,
     },
+}
+
+/// How a general stream joins its survivors, fixed once `Auto` has
+/// resolved.
+#[derive(Debug)]
+enum Join {
+    /// LA/LO/Full: Algorithm 3's LECSign delta join, fed as chunks land.
+    Lec(IncrementalJoin),
+    /// Basic: the survivors received so far; the \[18\] partition join
+    /// runs over them once the last site is drained.
+    Basic(Vec<LocalPartialMatch>),
 }
 
 /// The coordinator side of an in-flight streaming query: the pull-based
@@ -888,28 +798,31 @@ enum StreamMode {
 /// iterator that also owns (a handle to) the fleet. The obligations:
 ///
 /// - Pump [`StreamState::next_binding`] until it returns `Ok(None)`
-///   (every site has then been sent its `ReleaseQuery`), **or** call
-///   [`StreamState::cancel`] to stop early — otherwise every site of a
-///   general query keeps its state table entry until fleet teardown.
+///   (every site has then dropped its state with its last chunk), **or**
+///   call [`StreamState::cancel`] to stop early — otherwise every
+///   undrained site of a general query keeps its state table entry until
+///   fleet teardown.
 /// - After an `Err`, the state has already cancelled the fleet and is
 ///   fused: further pumps return `Ok(None)`.
 ///
 /// Shipment charging: star pulls are charged to `partial_evaluation`
 /// (they *are* the evaluation), the verdict heading a first pull to
-/// `lec_optimization`, survivor chunks and the closing
-/// `ReleaseQuery`/`CancelQuery` frames to `assembly`, matching the batch
-/// path's stage accounting.
+/// `lec_optimization`, survivor chunks and `CancelQuery` frames to
+/// `assembly`.
 #[derive(Debug)]
 pub struct StreamState {
     query: QueryId,
     network: NetworkModel,
     paced: bool,
-    /// Maximum LPMs per `SurvivorsChunk` reply (≥ 1).
+    /// Maximum LPMs per `SurvivorsChunk` reply (≥ 1); `usize::MAX` also
+    /// means every undone site is pulled at once.
     chunk: usize,
     vertex_count: usize,
     edge_count: usize,
     mode: StreamMode,
-    /// Per-site: has the site reported its last chunk / star reply?
+    /// Per-site: has the site reported its last chunk / star reply? A
+    /// done site holds no state for this query; the stream is finished
+    /// once every site is done.
     site_done: Vec<bool>,
     /// Per-site next expected `ShipSurvivorsChunk` sequence number.
     site_seq: Vec<u64>,
@@ -917,11 +830,7 @@ pub struct StreamState {
     next_site: usize,
     /// Bindings produced but not yet pulled by the caller.
     pending: VecDeque<Vec<VertexId>>,
-    joiner: Option<IncrementalJoin>,
     metrics: QueryMetrics,
-    peak_resident: usize,
-    finished: bool,
-    released: bool,
     /// Deadline budget applied afresh to **each pull** (a stream may sit
     /// idle between pulls for as long as the caller likes; only the time
     /// spent waiting on sites counts).
@@ -952,7 +861,7 @@ impl StreamState {
             if let Some(row) = self.pending.pop_front() {
                 return Ok(Some(row));
             }
-            if self.finished {
+            if self.is_finished() {
                 return Ok(None);
             }
             if let Err(e) = self.advance(transport, router) {
@@ -969,92 +878,113 @@ impl StreamState {
             .with_deadline(self.deadline_budget.map(|d| Instant::now() + d))
     }
 
-    /// One round of progress: pull one star site or one survivor chunk,
-    /// or — once every site is drained — release the fleet.
+    /// One round of progress, as one phase: pull the next undone site
+    /// round-robin — or, unbounded, every undone site at once. The round
+    /// in which the last site answers finishes the stream; every site
+    /// has dropped its state by then, so nothing is left to release.
     fn advance(
         &mut self,
         transport: &dyn Transport,
         router: &ReplyRouter,
     ) -> Result<(), EngineError> {
-        let pool = self.pool(transport, router);
-        pool.set_stage("stream pull");
         let sites = self.site_done.len();
-        match &self.mode {
+        let undone = (0..sites)
+            .map(|i| (self.next_site + i) % sites)
+            .filter(|&site| !self.site_done[site]);
+        let pulled: Vec<usize> = if self.chunk == usize::MAX {
+            undone.collect()
+        } else {
+            undone.take(1).collect()
+        };
+        let pool = self.pool(transport, router);
+        match &mut self.mode {
             StreamMode::Star { chain } => {
-                let Some(site) = self.site_done.iter().position(|done| !done) else {
-                    // Every site released itself at the end of its chain.
-                    self.released = true;
-                    self.finished = true;
-                    return Ok(());
-                };
-                let bodies = pool
-                    .run_phase(&[(site, chain.clone())], &mut self.metrics)?
-                    .remove(0);
-                let ms = star_matches(bodies, self.vertex_count)?;
-                self.metrics.local_matches += ms.len() as u64;
-                self.site_done[site] = true;
-                self.pending.extend(ms);
+                pool.set_stage("star");
+                let chains: Vec<(usize, Chain)> =
+                    pulled.iter().map(|&site| (site, chain.clone())).collect();
+                for (site, bodies) in pulled
+                    .iter()
+                    .zip(pool.run_phase(&chains, &mut self.metrics)?)
+                {
+                    let rows = star_matches(bodies, self.vertex_count)?;
+                    self.metrics.local_matches += rows.len() as u64;
+                    self.site_done[*site] = true;
+                    self.pending.extend(rows);
+                }
             }
-            StreamMode::General { drop_pruned } => {
-                let Some(site) = (0..sites)
-                    .map(|i| (self.next_site + i) % sites)
-                    .find(|&s| !self.site_done[s])
-                else {
-                    expect_acks(pool.broadcast(
-                        &Request::ReleaseQuery { query: self.query },
-                        &mut self.metrics.assembly,
-                    )?)?;
-                    self.released = true;
-                    self.finished = true;
-                    if let Some(joiner) = &self.joiner {
-                        self.metrics.crossing_matches = joiner.found_count() as u64;
+            StreamMode::General { drop_pruned, join } => {
+                pool.set_stage("assembly");
+                let chains: Vec<(usize, Chain)> = pulled
+                    .iter()
+                    .map(|&site| {
+                        let seq = self.site_seq[site];
+                        let pull = protocol::encode_request(&Request::ShipSurvivorsChunk {
+                            query: self.query,
+                            seq,
+                            max: self.chunk,
+                        });
+                        // The verdict rides at the head of a site's first pull.
+                        let verdict = drop_pruned.as_ref().filter(|_| seq == 0);
+                        let mut steps = Vec::with_capacity(2);
+                        steps.extend(verdict.map(|frame| (frame.clone(), Stage::LecOptimization)));
+                        steps.push((pull, Stage::Assembly));
+                        (site, Chain::new(self.query, &steps))
+                    })
+                    .collect();
+                for (&site, bodies) in pulled
+                    .iter()
+                    .zip(pool.run_phase(&chains, &mut self.metrics)?)
+                {
+                    let mut replies = bodies.into_iter();
+                    if drop_pruned.is_some() && self.site_seq[site] == 0 {
+                        expect_ack(replies.next(), "DropPruned")?;
                     }
-                    return Ok(());
-                };
-                let pull = protocol::encode_request(&Request::ShipSurvivorsChunk {
-                    query: self.query,
-                    seq: self.site_seq[site],
-                    max: self.chunk,
-                });
-                // The verdict rides at the head of a site's first pull.
-                let verdict = drop_pruned.as_ref().filter(|_| self.site_seq[site] == 0);
-                let mut steps = Vec::with_capacity(2);
-                steps.extend(verdict.map(|frame| (frame.clone(), Stage::LecOptimization)));
-                steps.push((pull, Stage::Assembly));
-                let bodies = pool
-                    .run_phase(&[(site, Chain::new(self.query, &steps))], &mut self.metrics)?
-                    .remove(0);
-                let mut replies = bodies.into_iter();
-                if verdict.is_some() {
-                    expect_ack(replies.next(), "DropPruned")?;
-                }
-                let (lpms, last) = match replies.next() {
-                    Some(ResponseBody::SurvivorsChunk { lpms, seq, last })
-                        if seq == self.site_seq[site] =>
-                    {
-                        (lpms, last)
+                    let (lpms, last) = match replies.next() {
+                        Some(ResponseBody::SurvivorsChunk { lpms, seq, last })
+                            if seq == self.site_seq[site] =>
+                        {
+                            (lpms, last)
+                        }
+                        Some(ResponseBody::SurvivorsChunk { seq, .. }) => {
+                            return Err(EngineError::Protocol(format!(
+                                "site {site} answered survivor chunk seq {seq}, expected {}",
+                                self.site_seq[site]
+                            )))
+                        }
+                        other => {
+                            return Err(unexpected("SurvivorsChunk", "ShipSurvivorsChunk", other))
+                        }
+                    };
+                    self.site_seq[site] += 1;
+                    self.site_done[site] = last;
+                    self.next_site = (site + 1) % sites;
+                    self.metrics.surviving_partial_matches += lpms.len() as u64;
+                    for lpm in &lpms {
+                        check_lpm(lpm, self.vertex_count, self.edge_count)?;
                     }
-                    Some(ResponseBody::SurvivorsChunk { seq, .. }) => {
-                        return Err(EngineError::Protocol(format!(
-                            "site {site} answered survivor chunk seq {seq}, expected {}",
-                            self.site_seq[site]
-                        )))
+                    match join {
+                        Join::Lec(joiner) => {
+                            for lpm in &lpms {
+                                let emitted = self.metrics.assembly.time(|| joiner.push(lpm));
+                                self.metrics.crossing_matches += emitted.len() as u64;
+                                self.pending.extend(emitted);
+                            }
+                        }
+                        Join::Basic(survivors) => survivors.extend(lpms),
                     }
-                    other => return Err(unexpected("SurvivorsChunk", "ShipSurvivorsChunk", other)),
-                };
-                self.site_seq[site] += 1;
-                self.site_done[site] = last;
-                self.next_site = (site + 1) % sites;
-                self.metrics.surviving_partial_matches += lpms.len() as u64;
-                for lpm in &lpms {
-                    check_lpm(lpm, self.vertex_count, self.edge_count)?;
                 }
-                let joiner = self.joiner.as_mut().expect("general streams have a joiner");
-                for lpm in &lpms {
-                    let emitted = self.metrics.assembly.time(|| joiner.push(lpm));
-                    self.pending.extend(emitted);
+                match join {
+                    Join::Basic(survivors) if !self.site_done.contains(&false) => {
+                        let survivors = std::mem::take(survivors);
+                        let rows = self
+                            .metrics
+                            .assembly
+                            .time(|| assemble_basic(&survivors, self.vertex_count));
+                        self.metrics.crossing_matches = rows.len() as u64;
+                        self.pending.extend(rows);
+                    }
+                    _ => {}
                 }
-                self.peak_resident = self.peak_resident.max(joiner.resident_states());
             }
         }
         Ok(())
@@ -1062,51 +992,48 @@ impl StreamState {
 
     /// Stop the stream early: broadcast `CancelQuery` (idempotent; errors
     /// swallowed — the fleet may already be gone) unless no site holds
-    /// state — already released, or a star stream, whose sites release
-    /// themselves at the end of each pull — then fuse the stream. Safe
-    /// to call repeatedly.
+    /// state — every site already drained, or a star stream, whose sites
+    /// release themselves at the end of each pull — then fuse the
+    /// stream. Safe to call repeatedly.
     pub fn cancel(&mut self, transport: &dyn Transport, router: &ReplyRouter) {
-        if !self.released && matches!(self.mode, StreamMode::General { .. }) {
+        if matches!(self.mode, StreamMode::General { .. }) && !self.is_finished() {
             // Deadline-armed like every pull: a site that went silent
             // must not wedge the cancelling thread on the ack gather.
             self.pool(transport, router)
                 .cancel_quietly(&mut self.metrics.assembly);
         }
-        self.released = true;
-        self.finished = true;
-        self.pending.clear();
+        self.fuse();
     }
 
     /// Post-error cleanup: cancel the fleet (uncharged — a failed chain
-    /// may have stopped short of its `ReleaseQuery`), drop any straggler
+    /// may have stopped short of dropping its state), drop any straggler
     /// replies parked under the retired query id, and fuse.
     fn abort(&mut self, transport: &dyn Transport, router: &ReplyRouter) {
-        if !self.released {
+        if !self.is_finished() {
             let mut scratch = gstored_net::StageMetrics::default();
             self.pool(transport, router).cancel_quietly(&mut scratch);
-            self.released = true;
         }
         router.forget(self.query);
-        self.finished = true;
+        self.fuse();
+    }
+
+    /// Mark every site done (none holds state any more), which finishes
+    /// the stream, and drop undelivered rows.
+    fn fuse(&mut self) {
+        self.site_done.fill(true);
         self.pending.clear();
     }
 
     /// True once the stream is drained, cancelled, or errored — the
     /// sites hold no state for this query anymore.
     pub fn is_finished(&self) -> bool {
-        self.finished
+        !self.site_done.contains(&false)
     }
 
     /// The stage metrics accumulated so far (complete once
     /// [`StreamState::next_binding`] has returned `Ok(None)`).
     pub fn metrics(&self) -> &QueryMetrics {
         &self.metrics
-    }
-
-    /// High-water mark of LPMs buffered by the coordinator's incremental
-    /// join (0 for a star stream): the survivors received so far.
-    pub fn peak_resident_states(&self) -> usize {
-        self.peak_resident
     }
 }
 
@@ -1138,23 +1065,6 @@ fn star_chain(query: QueryId, q: &EncodedQuery, center: usize) -> Chain {
             ),
         ],
     )
-}
-
-/// Best-effort cleanup of a pipeline that failed before its sites were
-/// released, so it strands no state in the workers' tables (uncharged:
-/// a failed execution has no metrics consumer). Straggler replies that
-/// would otherwise park forever under the retired query id are dropped
-/// at the router.
-fn abandon(pool: &WorkerPool<'_>, router: &ReplyRouter) {
-    pool.release_quietly(&mut gstored_net::StageMetrics::default());
-    router.forget(pool.query());
-}
-
-/// The same chain for every site of the pool's fleet.
-fn every_site(pool: &WorkerPool<'_>, chain: &Chain) -> Vec<(usize, Chain)> {
-    (0..pool.sites())
-        .map(|site| (site, chain.clone()))
-        .collect()
 }
 
 /// A step that must be answered by a plain acknowledgement.
@@ -1694,6 +1604,54 @@ mod tests {
         assert!(matches!(err, Err(EngineError::Transport(_))));
     }
 
+    /// A fleet whose every reply reaches the coordinator `.1` late.
+    struct Lagging<'t>(&'t dyn Transport, Duration);
+
+    impl Transport for Lagging<'_> {
+        fn sites(&self) -> usize {
+            self.0.sites()
+        }
+        fn send(&self, site: usize, frame: Bytes) -> Result<(), TransportError> {
+            self.0.send(site, frame)
+        }
+        fn recv(&self, site: usize) -> Result<Bytes, TransportError> {
+            self.0.recv(site)
+        }
+        fn recv_deadline(&self, site: usize, deadline: Instant) -> Result<Bytes, TransportError> {
+            std::thread::sleep(self.1);
+            if Instant::now() >= deadline {
+                return Err(TransportError::TimedOut { site });
+            }
+            self.0.recv_deadline(site, deadline)
+        }
+    }
+
+    #[test]
+    fn execute_spends_one_deadline_across_its_phases() {
+        let g = paper_graph();
+        let partitioner = paper_partitioner(&g);
+        let dist = DistributedGraph::build(g, &partitioner);
+        let plan = PreparedPlan::new(paper_query(), dist.dict()).unwrap();
+        // Three phases of three 50 ms replies: each phase fits in the
+        // deadline, the front two leave the last only 75 ms.
+        let engine = Engine::new(EngineConfig {
+            query_deadline: Some(Duration::from_millis(375)),
+            ..EngineConfig::variant(Variant::Full)
+        });
+        with_in_process_workers(&dist, |transport| {
+            let lagging = Lagging(transport, Duration::from_millis(50));
+            let err = engine.execute_on(&lagging, &dist, &plan).unwrap_err();
+            let at_c = matches!(
+                err,
+                EngineError::Timeout {
+                    stage: "assembly",
+                    ..
+                }
+            );
+            assert!(at_c, "{err}");
+        });
+    }
+
     /// Drain a stream to completion, returning sorted bindings.
     fn drain_stream(
         engine: &Engine,
@@ -1818,13 +1776,49 @@ mod tests {
                 .start_stream(transport, &router, &dist, &plan, one_shot_query_id(), 1)
                 .unwrap();
             while stream.next_binding(transport, &router).unwrap().is_some() {}
-            let m = stream.metrics();
-            assert!(m.surviving_partial_matches > 0);
-            // The joiner buffers the LPMs it was pushed and nothing else.
-            assert_eq!(
-                stream.peak_resident_states() as u64,
-                m.surviving_partial_matches
-            );
+            // The joiner buffers the LPMs it was pushed and nothing else:
+            // the survivors, which chunking neither adds to nor loses.
+            let survivors = stream.metrics().surviving_partial_matches;
+            let batch = engine.execute_on(transport, &dist, &plan).unwrap();
+            assert!(survivors > 0);
+            assert_eq!(survivors, batch.metrics.surviving_partial_matches);
+        });
+    }
+
+    #[test]
+    fn basic_streams_join_once_the_last_site_is_drained() {
+        use gstored_store::{candidates::CandidateFilter, enumerate_local_partial_matches};
+        let g = paper_graph();
+        let partitioner = paper_partitioner(&g);
+        let dist = DistributedGraph::build(g, &partitioner);
+        let plan = PreparedPlan::new(paper_query(), dist.dict()).unwrap();
+        let q = plan.encoded();
+        let none = CandidateFilter::none(q.vertex_count());
+        // Basic prunes nothing: its survivors are every site's LPMs.
+        let survivors: Vec<LocalPartialMatch> = (dist.fragments.iter())
+            .flat_map(|f| enumerate_local_partial_matches(f, q, &none))
+            .collect();
+        let mut reference = assemble_basic(&survivors, q.vertex_count());
+        reference.sort_unstable();
+        assert!(!reference.is_empty());
+        with_in_process_workers(&dist, |transport| {
+            let router = ReplyRouter::new(transport.sites());
+            let mut stream = Engine::with_variant(Variant::Basic)
+                .start_stream(transport, &router, &dist, &plan, one_shot_query_id(), 1)
+                .unwrap();
+            // Rows handed out before the last site is drained can only be
+            // the local complete matches.
+            let (mut early, mut late) = (0, Vec::new());
+            while let Some(row) = stream.next_binding(transport, &router).unwrap() {
+                if stream.is_finished() {
+                    late.push(row);
+                } else {
+                    early += 1;
+                }
+            }
+            assert_eq!(early, stream.metrics().local_matches);
+            late.sort_unstable();
+            assert_eq!(late, reference);
         });
     }
 

@@ -612,7 +612,7 @@ impl std::fmt::Display for QueryId {
 
 /// A snapshot of one site worker's resource state, answered to
 /// [`Request::WorkerStatus`]. This is the observability hook behind the
-/// no-leak tests: after a query's `ReleaseQuery`, `resident_queries` and
+/// no-leak tests: after a query completes, `resident_queries` and
 /// `resident_lpms` must drop back to what they were before it ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WorkerStatus {
@@ -712,18 +712,21 @@ pub enum Request {
         /// Sorted global ids of the surviving original features.
         useful: Vec<u32>,
     },
-    /// Assembly prologue: ship the surviving LPMs to the coordinator;
-    /// answer with `Survivors`.
+    /// Ship every surviving LPM in one `Survivors` reply, leaving the
+    /// slot resident. The engine no longer sends it (survivors ship as
+    /// [`Request::ShipSurvivorsChunk`]); workers still answer it because
+    /// the standalone benchmark's traced pass replays it.
     ShipSurvivors {
         /// The query being evaluated.
         query: QueryId,
     },
-    /// Streaming assembly: ship the next batch of at most `max` surviving
-    /// LPMs from the site's ship cursor; answer with `SurvivorsChunk`.
-    /// `seq` must equal the site's next expected chunk sequence number
-    /// (starting at 0) or the worker answers with a typed `Error` — a
-    /// reordered or replayed chunk request must never silently skip or
-    /// duplicate survivors.
+    /// Assembly: ship the next batch of at most `max` surviving LPMs from
+    /// the site's ship cursor; answer with `SurvivorsChunk`. `seq` must
+    /// equal the site's next expected chunk sequence number (starting at
+    /// 0) or the worker answers with a typed `Error` — a reordered or
+    /// replayed chunk request must never silently skip or duplicate
+    /// survivors. The reply that exhausts the cursor (`last`) also drops
+    /// the query's slot, as `ReleaseQuery` would.
     ShipSurvivorsChunk {
         /// The query being evaluated.
         query: QueryId,
@@ -742,7 +745,8 @@ pub enum Request {
     },
     /// Drop the query's state slot (LPMs, features, filter). Idempotent:
     /// releasing an unknown or already-evicted id is still an `Ack`, so
-    /// the coordinator's end-of-pipeline release never fails.
+    /// neither a star chain's closing step nor an error path's cleanup
+    /// ever fails.
     ReleaseQuery {
         /// The query to release.
         query: QueryId,
@@ -1052,8 +1056,9 @@ pub enum ResponseBody {
     Survivors(Vec<LocalPartialMatch>),
     /// One bounded batch of surviving LPMs from the site's ship cursor
     /// ([`Request::ShipSurvivorsChunk`]). `seq` echoes the request;
-    /// `last` tells the coordinator the cursor is exhausted so it can
-    /// stop asking this site.
+    /// `last` tells the coordinator the cursor is exhausted — and the
+    /// site's slot for the query already dropped — so it can stop asking
+    /// this site.
     SurvivorsChunk {
         /// The batch (at most the request's `max` LPMs, possibly empty).
         lpms: Vec<LocalPartialMatch>,

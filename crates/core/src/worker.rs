@@ -13,21 +13,24 @@
 //!
 //! State-slot lifecycle: `InstallQuery` creates a slot (re-installing a
 //! resident id is rejected — a duplicate install must never clobber an
-//! in-flight query's LPMs), the per-query stages operate on it, and
-//! `ReleaseQuery` drops it (idempotently). The engine sends a site the
-//! steps of one phase as a single `Chain` frame; the worker runs them in
-//! order through the same dispatch and stops at the first step that
-//! fails. A capacity cap bounds the
-//! table: installing past it evicts the least recently used slot, so a
-//! crashed coordinator that never releases cannot leak site memory
-//! forever. A frame referencing an unknown or evicted id gets the typed
-//! `UnknownQuery` reply — never a panic.
+//! in-flight query's LPMs), the per-query stages operate on it, and the
+//! `ShipSurvivorsChunk` reply with `last = true`, `ReleaseQuery` or
+//! `CancelQuery` drops it (the last two idempotently). The engine sends
+//! a site the steps of one phase as a single `Chain` frame; the worker
+//! runs them in order through the same dispatch and stops at the first
+//! step that fails. A capacity cap bounds the table: installing past it
+//! evicts the least recently used slot, so a crashed coordinator that
+//! never releases cannot leak site memory forever. A frame referencing an
+//! unknown or evicted id gets the typed `UnknownQuery` reply — never a
+//! panic.
 //!
 //! The key locality property: **local partial matches never leave the
 //! site until pruning has happened.** Partial evaluation replies with
 //! only the local complete matches and an LPM count; features ship in
 //! place of LPMs (Algorithm 1's whole point); the LPMs themselves ship
-//! once, in `ShipSurvivors`, after `DropPruned` has marked the losers.
+//! once, in `ShipSurvivorsChunk` replies, after `DropPruned` has marked
+//! the losers. (`ShipSurvivors`, the whole set in one reply, is still
+//! answered but no longer sent by the engine.)
 
 use std::cell::RefCell;
 use std::net::{TcpListener, TcpStream};
@@ -411,6 +414,11 @@ impl<'a> SiteWorker<'a> {
                 let last = !state.keep[pos..].iter().any(|&k| k);
                 state.ship_pos = pos;
                 state.ship_seq += 1;
+                if last {
+                    // Nothing is left to ship: the last chunk releases the
+                    // slot exactly as `ReleaseQuery` would.
+                    self.queries.remove(&query.0);
+                }
                 ResponseBody::SurvivorsChunk { lpms, seq, last }
             }
             Request::CancelQuery { query } => {
@@ -782,7 +790,8 @@ mod tests {
         }
     }
 
-    /// Drain one site's survivors through the chunked cursor.
+    /// Drain one site's survivors through the chunked cursor; every chunk
+    /// before the last keeps the query's slot, the last drops it.
     fn drain_chunks(
         w: &mut SiteWorker<'_>,
         id: QueryId,
@@ -790,6 +799,7 @@ mod tests {
     ) -> (Vec<LocalPartialMatch>, u64) {
         let mut all = Vec::new();
         let mut seq = 0u64;
+        let resident = w.status().resident_queries;
         loop {
             let ResponseBody::SurvivorsChunk {
                 lpms,
@@ -810,6 +820,8 @@ mod tests {
             assert!(lpms.len() <= max, "chunk respects the batch bound");
             all.extend(lpms);
             seq += 1;
+            let left = w.status().resident_queries;
+            assert_eq!(left, resident - u64::from(last), "chunk {seq} of max {max}");
             if last {
                 return (all, seq);
             }
@@ -838,7 +850,6 @@ mod tests {
                 if max == usize::MAX {
                     assert_eq!(chunks, 1, "unbounded chunk drains in one frame");
                 }
-                roundtrip(&mut w, &Request::ReleaseQuery { query: id });
             }
         }
     }
@@ -874,7 +885,8 @@ mod tests {
             ),
             ResponseBody::SurvivorsChunk { last: true, .. }
         ));
-        // Replaying seq 0 after it was consumed is rejected too.
+        // Replaying seq 0 after it was consumed ships nothing either: that
+        // last chunk released the slot.
         assert!(matches!(
             roundtrip(
                 &mut w,
@@ -884,7 +896,11 @@ mod tests {
                     max: usize::MAX,
                 }
             ),
-            ResponseBody::Error(_)
+            ResponseBody::UnknownQuery(id) if id == Q0
+        ));
+        assert!(matches!(
+            roundtrip(&mut w, &Request::CancelQuery { query: Q0 }),
+            ResponseBody::Ack
         ));
     }
 

@@ -555,100 +555,75 @@ impl GStoreD {
         self.dist.fragment_count()
     }
 
-    /// Run a prepared plan as one of the session's concurrent queries:
-    /// wait for an admission slot, then drive the pipeline over the
-    /// shared fleet under a fresh query id.
+    /// Run `attempt` as one of the session's concurrent queries: wait for
+    /// an admission slot, then drive it over the shared fleet under a
+    /// fresh query id. Returns the ticket (held until the caller is done
+    /// with the fleet), the fleet, the attempt's value, and whether the
+    /// one retry was spent. `failed` is a first attempt that already
+    /// failed on that fleet — a stream that broke before delivering
+    /// anything — to recover from before the retry.
     ///
     /// Failures that implicate the fleet go through [`GStoreD::recover`]:
     /// a timeout or an attributable transport failure repairs just the
     /// implicated sites (reconnect + fragment re-install) and **retries
-    /// the execution once** under a fresh query id — the per-site
-    /// pipeline is idempotent, so a retry is always safe. Only protocol
-    /// desynchronization or unattributable breakage tears down the
-    /// cached fleet; in-flight queries finish on the old fleet, which
+    /// the attempt once** under a fresh query id — an attempt that has
+    /// delivered nothing is idempotent, so a retry is always safe. Only
+    /// protocol desynchronization or unattributable breakage tears down
+    /// the cached fleet; in-flight queries finish on the old fleet, which
     /// their `Arc` keeps alive. Per-query failures that leave the
     /// streams fully drained (worker errors, evicted query ids, plan
     /// validation) touch nothing — tearing down what every concurrent
     /// caller shares over one query's error would turn a local failure
     /// into a global stall.
-    fn run_plan(&self, plan: &PreparedPlan) -> Result<QueryOutput, EngineError> {
+    fn admitted<T>(
+        &self,
+        mut failed: Option<(Arc<Fleet>, EngineError)>,
+        mut attempt: impl FnMut(&Fleet, QueryId) -> Result<T, EngineError>,
+    ) -> Result<(QueryTicket<'_>, Arc<Fleet>, T, bool), EngineError> {
         let mut recovered = false;
         loop {
+            if let Some((fleet, err)) = failed.take() {
+                if recovered {
+                    // The retry failed too: give up, and make sure a
+                    // possibly-desynchronized fleet is not left cached.
+                    if matches!(err, EngineError::Transport(_) | EngineError::Protocol(_)) {
+                        self.invalidate_fleet(&fleet);
+                    }
+                    return Err(err);
+                }
+                match self.recover(&fleet, &err) {
+                    Recovery::Repaired => {
+                        self.robustness.retries.fetch_add(1, Ordering::Relaxed);
+                        recovered = true;
+                    }
+                    Recovery::Failed(repair_err) => return Err(repair_err),
+                    Recovery::NotApplicable => return Err(err),
+                }
+            }
+            // The ticket of a failed attempt drops before the repair
+            // above, so a slow repair does not hold an admission slot.
             let ticket = self.executor.admit();
             let fleet = self.fleet()?;
-            let err = match self.engine.execute_routed(
-                fleet.transport(),
-                &fleet.router,
-                &self.dist,
-                plan,
-                ticket.query(),
-            ) {
-                Ok(output) => {
-                    self.record_planner(output.planner.as_ref());
-                    return Ok(output);
-                }
-                Err(e) => e,
-            };
-            drop(ticket);
-            if recovered {
-                // The retry failed too: give up, and make sure a
-                // possibly-desynchronized fleet is not left cached.
-                if matches!(err, EngineError::Transport(_) | EngineError::Protocol(_)) {
-                    self.invalidate_fleet(&fleet);
-                }
-                return Err(err);
-            }
-            match self.recover(&fleet, &err) {
-                Recovery::Repaired => {
-                    self.robustness.retries.fetch_add(1, Ordering::Relaxed);
-                    recovered = true;
-                }
-                Recovery::Failed(repair_err) => return Err(repair_err),
-                Recovery::NotApplicable => return Err(err),
+            match attempt(&fleet, ticket.query()) {
+                Ok(value) => return Ok((ticket, fleet, value, recovered)),
+                Err(e) => failed = Some((fleet, e)),
             }
         }
     }
 
-    /// Admit `plan` and start its stream. Until a solution has been
-    /// delivered a stream is idempotent, so a failure gets the same
-    /// recover-and-retry-once loop as `run_plan`; `recovered` says the
-    /// retry is already spent. Returns whether it is spent now.
+    /// Admit `plan` and start its stream: [`GStoreD::admitted`] around
+    /// the stream's eager front half.
     fn start_stream(
         &self,
         plan: &PreparedPlan,
         chunk: usize,
-        mut recovered: bool,
+        failed: Option<(Arc<Fleet>, EngineError)>,
     ) -> Result<(QueryTicket<'_>, Arc<Fleet>, StreamState, bool), Error> {
-        loop {
-            let ticket = self.executor.admit();
-            let fleet = self.fleet()?;
-            let err = match self.engine.start_stream(
-                fleet.transport(),
-                &fleet.router,
-                &self.dist,
-                plan,
-                ticket.query(),
-                chunk,
-            ) {
-                Ok(stream) => return Ok((ticket, fleet, stream, recovered)),
-                Err(e) => e,
-            };
-            drop(ticket);
-            if recovered {
-                if matches!(err, EngineError::Transport(_) | EngineError::Protocol(_)) {
-                    self.invalidate_fleet(&fleet);
-                }
-                return Err(err.into());
-            }
-            match self.recover(&fleet, &err) {
-                Recovery::Repaired => {
-                    self.robustness.retries.fetch_add(1, Ordering::Relaxed);
-                    recovered = true;
-                }
-                Recovery::Failed(repair_err) => return Err(repair_err.into()),
-                Recovery::NotApplicable => return Err(err.into()),
-            }
-        }
+        Ok(self.admitted(failed, |fleet, query| {
+            let (transport, router) = (fleet.transport(), &fleet.router);
+            self.engine
+                .start_stream(transport, router, &self.dist, plan, query, chunk)
+        })?)
     }
 
     /// React to an execution failure on `fleet`: decide whether it
@@ -987,15 +962,21 @@ pub struct PreparedQuery<'s> {
 }
 
 impl<'s> PreparedQuery<'s> {
-    /// Execute the prepared plan, running only per-execution stages.
+    /// Execute the prepared plan, running only per-execution stages: the
+    /// same pipeline as [`PreparedQuery::stream_with_chunk`]`(usize::MAX)`,
+    /// drained, with the rows sorted. Unlike a stream, a failure anywhere
+    /// in it is repaired and retried once, since nothing was delivered.
     pub fn execute(&self) -> Result<QueryResults<'s>, Error> {
-        let output = self.session.run_plan(&self.plan)?;
-        self.session
-            .counters
-            .executions
-            .fetch_add(1, Ordering::Relaxed);
+        let session = self.session;
+        let (_, _, output, _) = session.admitted(None, |fleet, query| {
+            let (transport, router) = (fleet.transport(), &fleet.router);
+            let (engine, dist) = (&session.engine, &session.dist);
+            engine.execute_routed(transport, router, dist, &self.plan, query)
+        })?;
+        session.record_planner(output.planner.as_ref());
+        session.counters.executions.fetch_add(1, Ordering::Relaxed);
         Ok(QueryResults {
-            dict: self.session.dist.dict(),
+            dict: session.dist.dict(),
             variables: self.plan.projection().to_vec(),
             output,
         })
@@ -1005,7 +986,10 @@ impl<'s> PreparedQuery<'s> {
     /// surface as soon as they are assembled, with survivors crossing
     /// the fleet in bounded chunks instead of one full-fleet gather. The
     /// coordinator holds the survivors received so far plus the distinct
-    /// bindings emitted so far (the join's dedup set).
+    /// bindings emitted so far (the join's dedup set). Under
+    /// [`Variant::Basic`] the crossing matches all arrive after the last
+    /// site is drained: the \[18\] join it measures has no incremental
+    /// form.
     ///
     /// Differences from [`PreparedQuery::execute`]:
     /// - Solutions arrive in **assembly order**, not sorted. The solution
@@ -1025,13 +1009,14 @@ impl<'s> PreparedQuery<'s> {
     }
 
     /// [`PreparedQuery::stream`] with an explicit survivor-chunk size:
-    /// at most `chunk` LPMs per `SurvivorsChunk` reply (clamped to ≥ 1;
-    /// `usize::MAX` means each site ships everything in one chunk).
-    /// Chunk size never changes the solution set — only frame sizes and
-    /// the arrival interleaving.
+    /// at most `chunk` LPMs per `SurvivorsChunk` reply (clamped to ≥ 1),
+    /// one site per pull. `usize::MAX` means each site ships everything
+    /// in one chunk and every site is pulled at once — what
+    /// [`PreparedQuery::execute`] runs. Chunk size never changes the
+    /// solution set — only frame sizes and the arrival interleaving.
     pub fn stream_with_chunk(&self, chunk: usize) -> Result<QuerySolutionIter<'s>, Error> {
         let session = self.session;
-        let (ticket, fleet, stream, recovered) = session.start_stream(&self.plan, chunk, false)?;
+        let (ticket, fleet, stream, recovered) = session.start_stream(&self.plan, chunk, None)?;
         session.counters.executions.fetch_add(1, Ordering::Relaxed);
         session.record_planner(stream.planner());
         let query = self.plan.query();
@@ -1064,11 +1049,8 @@ impl<'s> PreparedQuery<'s> {
     /// does pay for partition statistics — while `chosen` reports the
     /// configured variant that actually executed.
     pub fn explain(&self) -> Result<PlanExplain, Error> {
-        let output = self.session.run_plan(&self.plan)?;
-        self.session
-            .counters
-            .executions
-            .fetch_add(1, Ordering::Relaxed);
+        let results = self.execute()?;
+        let output = results.output();
         let configured = self.session.engine.config().variant;
         let (decision, chosen) = match &output.planner {
             Some(d) => (d.clone(), d.chosen),
@@ -1118,9 +1100,10 @@ pub const DEFAULT_STREAM_CHUNK: usize = 256;
 /// Yields `Result<StreamSolution, Error>` in assembly order, applying
 /// projection, `DISTINCT` and `LIMIT` incrementally. Exhaustion,
 /// `LIMIT`, an error, or dropping the iterator all release the fleet's
-/// per-query state (via `ReleaseQuery`/`CancelQuery`) and the admission
-/// slot — a stream can never leak worker-side state. After an error the
-/// iterator is fused (further `next()` calls return `None`).
+/// per-query state (each site's last survivor chunk, or `CancelQuery`)
+/// and the admission slot — a stream can never leak worker-side state.
+/// After an error the iterator is fused (further `next()` calls return
+/// `None`).
 pub struct QuerySolutionIter<'s> {
     session: &'s GStoreD,
     /// Keeps a dropped-from-cache fleet alive while this stream runs.
@@ -1154,15 +1137,10 @@ impl<'s> QuerySolutionIter<'s> {
 
     /// Stage metrics accumulated so far (complete once the stream is
     /// exhausted; partial — covering only the work actually done — when
-    /// `LIMIT` or a drop short-circuited the pipeline).
+    /// `LIMIT` or a drop short-circuited the pipeline). The coordinator's
+    /// join buffers exactly `surviving_partial_matches` LPMs.
     pub fn metrics(&self) -> &QueryMetrics {
         self.stream.metrics()
-    }
-
-    /// High-water mark of LPMs buffered by the coordinator's incremental
-    /// join (0 for a star stream): the survivors received so far.
-    pub fn peak_resident_states(&self) -> usize {
-        self.stream.peak_resident_states()
     }
 
     /// Stop the stream now: cancel the fleet's per-query state and
@@ -1208,16 +1186,8 @@ impl<'s> Iterator for QuerySolutionIter<'s> {
                     if !self.yielded && !self.recovered {
                         // Nothing delivered yet: as good as a failed
                         // startup, so repair and start over.
-                        let restarted = match self.session.recover(&self.fleet, &e) {
-                            Recovery::Repaired => {
-                                let robustness = &self.session.robustness;
-                                robustness.retries.fetch_add(1, Ordering::Relaxed);
-                                self.session.start_stream(&self.plan, self.chunk, true)
-                            }
-                            Recovery::Failed(repair_err) => Err(repair_err.into()),
-                            Recovery::NotApplicable => Err(e.into()),
-                        };
-                        match restarted {
+                        let failed = Some((Arc::clone(&self.fleet), e));
+                        match self.session.start_stream(&self.plan, self.chunk, failed) {
                             Ok((ticket, fleet, stream, recovered)) => {
                                 self.ticket = Some(ticket);
                                 self.fleet = fleet;
@@ -1233,7 +1203,7 @@ impl<'s> Iterator for QuerySolutionIter<'s> {
                     }
                     // Rows have been yielded, so a retry could duplicate
                     // them — but repair the implicated site anyway
-                    // (mirroring `run_plan`) so the *next* execution
+                    // (mirroring `admitted`) so the *next* execution
                     // finds a healthy fleet, then fuse.
                     let _ = self.session.recover(&self.fleet, &e);
                     self.done = true;

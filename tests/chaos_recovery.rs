@@ -146,7 +146,7 @@ proptest! {
     }
 
     /// Same property through the streaming path, which repairs on the
-    /// iterator's error arm instead of `run_plan`'s retry loop.
+    /// iterator's error arm instead of `execute()`'s whole-query retry.
     #[test]
     fn chaos_streams_match_oracle_or_fail_typed(
         seed in any::<u64>(),

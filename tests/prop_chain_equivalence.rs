@@ -9,7 +9,8 @@
 //!     get one by one, and ends in the same state, however the step
 //!     sequence is cut into chains;
 //! (b) `execute` and `stream` return the centralized oracle's rows, in
-//!     the promised number of frames — two per site per phase;
+//!     the promised number of frames — two per site per phase, with an
+//!     unbounded stream costing exactly what `execute` does;
 //! (c) a chain whose k-th step fails returns k replies and runs nothing
 //!     after it, and the engine turns that into the same typed error as
 //!     ever, leaving no query resident on any site.
@@ -131,6 +132,9 @@ fn step_by_step(
         .step_by(2)
         .collect();
     send(worker, Request::DropPruned { query: Q, useful });
+    send(worker, Request::ShipSurvivors { query: Q });
+    // Last of the per-query steps: a chunk that drains the cursor
+    // releases the slot.
     send(
         worker,
         Request::ShipSurvivorsChunk {
@@ -139,7 +143,6 @@ fn step_by_step(
             max: chunk,
         },
     );
-    send(worker, Request::ShipSurvivors { query: Q });
     send(worker, Request::WorkerStatus { query: Q });
     (requests, bodies)
 }
@@ -233,11 +236,10 @@ proptest! {
                     }
                     assert_eq!(sorted(rows), oracle, "stream: {context}");
                     if chunk == usize::MAX {
-                        // A star stream: the one chain. Otherwise the front
-                        // phases, one pull per site, the release broadcast.
-                        let phases = if star { 1 } else { front + 2 };
+                        // An unbounded stream is what `execute` runs: the
+                        // front phases, then every site pulled at once.
                         let streamed = transport.counters().frames() - executed;
-                        assert_eq!(streamed, 2 * SITES as u64 * phases, "stream: {context}");
+                        assert_eq!(streamed, executed, "stream: {context}");
                     }
                     assert_eq!(resident_queries(transport, &router), 0, "{context}");
                 });

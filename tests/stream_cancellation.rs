@@ -10,10 +10,12 @@
 use std::net::TcpListener;
 
 use gstored::core::engine::Backend;
-use gstored::core::worker::serve_tcp;
+use gstored::core::worker::{serve_tcp, with_in_process_workers};
+use gstored::core::{ReplyRouter, WorkerPool};
+use gstored::net::{NetworkModel, Transport};
 use gstored::prelude::*;
 use gstored::rdf::Triple;
-use gstored::GStoreD;
+use gstored::{GStoreD, DEFAULT_STREAM_CHUNK};
 
 const P: &str = "http://x/p";
 const Q: &str = "http://x/q";
@@ -143,6 +145,41 @@ fn limit_one_over_a_dense_star_releases_the_fleet_on_both_backends() {
                 assert!(stream.next().is_none(), "limit 1 means one row");
             }
         }
+    }
+}
+
+/// A drained stream needs no closing release: each site drops its state
+/// with its last survivor chunk. On this fixture the last pull always
+/// completes a match (pruning leaves only LPMs that take part in one), so
+/// the `next_binding` call that reports exhaustion finds nothing left to
+/// do and sends no frame — and every worker table is already empty.
+#[test]
+fn a_drained_stream_sends_no_closing_release() {
+    let dist = DistributedGraph::build(dense_star(40), &HashPartitioner::new(3));
+    let query = QueryGraph::from_query(&parse_query(PATH_QUERY).unwrap()).unwrap();
+    let plan = PreparedPlan::new(query, dist.dict()).unwrap();
+    let engine = Engine::new(EngineConfig::default());
+    for (n, chunk) in [1, 7, DEFAULT_STREAM_CHUNK].into_iter().enumerate() {
+        with_in_process_workers(&dist, |transport| {
+            let router = ReplyRouter::new(transport.sites());
+            let mut stream = engine
+                .start_stream(transport, &router, &dist, &plan, QueryId(n as u32), chunk)
+                .unwrap();
+            let mut rows = 0;
+            let silent = loop {
+                let before = transport.counters().frames();
+                match stream.next_binding(transport, &router).unwrap() {
+                    Some(_) => rows += 1,
+                    None => break transport.counters().frames() == before,
+                }
+            };
+            assert_eq!(rows, 40, "chunk {chunk}");
+            assert!(silent, "chunk {chunk}: the exhausted call sent frames");
+            let probe = WorkerPool::new(transport, &router, NetworkModel::instant(), QueryId(99));
+            for status in probe.worker_status().unwrap() {
+                assert_eq!(status.resident_queries, 0, "chunk {chunk}");
+            }
+        });
     }
 }
 
