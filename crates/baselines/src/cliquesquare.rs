@@ -9,12 +9,13 @@
 //! Hadoop stage overhead, which dominates on selective queries — exactly
 //! the Fig. 12 behaviour.
 
-use gstored_net::{Cluster, QueryMetrics};
+use gstored_net::QueryMetrics;
 use gstored_partition::DistributedGraph;
 use gstored_rdf::RdfGraph;
 use gstored_sparql::QueryGraph;
 use gstored_store::EncodedQuery;
 
+use crate::cluster::Cluster;
 use crate::decompose::decompose_stars;
 use crate::relalg::{hash_join, join_all, scan_pattern, to_bindings, Relation};
 use crate::{Baseline, BaselineOutput, CostModel};

@@ -8,12 +8,13 @@
 //! subqueries ... often results in many intermediate results, and joining
 //! these intermediate results is also costly" — Section VIII-F).
 
-use gstored_net::{Cluster, QueryMetrics};
+use gstored_net::QueryMetrics;
 use gstored_partition::DistributedGraph;
 use gstored_rdf::RdfGraph;
 use gstored_sparql::QueryGraph;
 use gstored_store::EncodedQuery;
 
+use crate::cluster::Cluster;
 use crate::decompose::decompose_stars;
 use crate::relalg::{join_all, scan_pattern, to_bindings, Relation};
 use crate::{Baseline, BaselineOutput, CostModel};

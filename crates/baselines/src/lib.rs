@@ -23,6 +23,7 @@
 //! same vertex pair; the benchmark query sets contain none.
 
 pub mod cliquesquare;
+mod cluster;
 pub mod decompose;
 pub mod dream;
 pub mod relalg;

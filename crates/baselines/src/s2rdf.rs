@@ -11,12 +11,13 @@
 //! is S2RDF's actual contribution), and charges a Spark stage overhead
 //! per scan/join plus shuffle bytes for every intermediate relation.
 
-use gstored_net::{Cluster, QueryMetrics};
+use gstored_net::QueryMetrics;
 use gstored_partition::DistributedGraph;
 use gstored_rdf::RdfGraph;
 use gstored_sparql::QueryGraph;
 use gstored_store::EncodedQuery;
 
+use crate::cluster::Cluster;
 use crate::relalg::{hash_join, to_bindings, Relation};
 use crate::{Baseline, BaselineOutput, CostModel};
 

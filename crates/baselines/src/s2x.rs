@@ -13,12 +13,13 @@
 
 use std::collections::{HashMap, HashSet};
 
-use gstored_net::{Cluster, QueryMetrics};
+use gstored_net::QueryMetrics;
 use gstored_partition::DistributedGraph;
 use gstored_rdf::{RdfGraph, VertexId};
 use gstored_sparql::QueryGraph;
 use gstored_store::{EncodedLabel, EncodedQuery, EncodedVertex};
 
+use crate::cluster::Cluster;
 use crate::relalg::{join_all, scan_pattern, to_bindings, Relation};
 use crate::{Baseline, BaselineOutput, CostModel};
 

@@ -1,13 +1,12 @@
 //! Micro-benchmarks for the LEC machinery (ablation: Algorithm 1 feature
 //! compression, Algorithm 2 pruning, Algorithm 3 vs basic assembly), with
-//! the hash-join Algorithm 3 timed against its frozen pre-PR3 pairwise
-//! implementation on both the YAGO workload and the dense-star stress
-//! case of [`gstored_bench::fixtures::dense_star_lpms`], and the
-//! streaming `IncrementalJoin` timed beside Algorithm 3 on the YAGO LPMs
-//! and the fan-in case of [`gstored_bench::fixtures::fan_in_path_lpms`].
+//! the hash-join Algorithm 3 also timed on the dense-star stress case of
+//! [`gstored_bench::fixtures::dense_star_lpms`], and the streaming
+//! `IncrementalJoin` timed beside Algorithm 3 on the YAGO LPMs and the
+//! fan-in case of [`gstored_bench::fixtures::fan_in_path_lpms`].
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gstored_bench::{datasets, experiments, fixtures, reference};
+use gstored_bench::{datasets, experiments, fixtures};
 use gstored_core::assembly::{assemble_basic, assemble_lec, IncrementalJoin};
 use gstored_core::lec::compute_lec_features;
 use gstored_core::prune::prune_features;
@@ -49,13 +48,6 @@ fn bench(c: &mut Criterion) {
     group.bench_function("algorithm3_lec_assembly", |b| {
         b.iter(|| criterion::black_box(assemble_lec(&lpms, eq.vertex_count(), &query_edges).len()))
     });
-    group.bench_function("algorithm3_lec_assembly_prepr3", |b| {
-        b.iter(|| {
-            criterion::black_box(
-                reference::assemble_lec_prepr3(&lpms, eq.vertex_count(), &query_edges).len(),
-            )
-        })
-    });
     group.bench_function("incremental_join", |b| {
         b.iter(|| criterion::black_box(push_all(&lpms, eq.vertex_count(), query_edges.len())))
     });
@@ -72,11 +64,6 @@ fn bench(c: &mut Criterion) {
     let (dense, nv, dense_edges) = fixtures::dense_star_lpms(40);
     group.bench_function("dense_star_lec_assembly", |b| {
         b.iter(|| criterion::black_box(assemble_lec(&dense, nv, &dense_edges).len()))
-    });
-    group.bench_function("dense_star_lec_assembly_prepr3", |b| {
-        b.iter(|| {
-            criterion::black_box(reference::assemble_lec_prepr3(&dense, nv, &dense_edges).len())
-        })
     });
     group.finish();
 }

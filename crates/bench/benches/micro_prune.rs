@@ -1,12 +1,11 @@
-//! Micro-benchmarks for the PR4 LEC-pruning rewrite: Algorithm 2's
-//! `prune_features` and Algorithm 1's `compute_lec_features` timed
-//! against their frozen pre-PR4 implementations, on the engine's own
-//! feature sets (LUBM LQ7 under hashing) and on the crossing-heavy
+//! Micro-benchmarks for LEC pruning: Algorithm 2's `prune_features` and
+//! Algorithm 1's `compute_lec_features` on the engine's own feature sets
+//! (LUBM LQ7 under hashing), and Algorithm 2 on the crossing-heavy
 //! many-feature stress case of
 //! [`gstored_bench::fixtures::many_feature_features`].
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gstored_bench::{datasets, experiments, fixtures, reference};
+use gstored_bench::{datasets, experiments, fixtures};
 use gstored_core::lec::compute_lec_features;
 use gstored_core::prune::prune_features;
 use gstored_store::candidates::CandidateFilter;
@@ -27,7 +26,7 @@ fn bench(c: &mut Criterion) {
     // The exact feature set the coordinator prunes (engine-style per-site
     // Algorithm 1 with disjoint id ranges).
     let features = fixtures::coordinator_features(&dist, &eq);
-    // The LPM-heaviest fragment, for the Algorithm 1 head-to-head.
+    // The LPM-heaviest fragment, for Algorithm 1.
     let heaviest: Vec<LocalPartialMatch> = dist
         .fragments
         .iter()
@@ -44,29 +43,12 @@ fn bench(c: &mut Criterion) {
             criterion::black_box(prune_features(&features, eq.vertex_count(), &query_edges).len())
         })
     });
-    group.bench_function("algorithm2_prune_lubm_prepr4", |b| {
-        b.iter(|| {
-            criterion::black_box(
-                reference::prune_features_prepr4(&features, eq.vertex_count(), &query_edges).len(),
-            )
-        })
-    });
     group.bench_function("algorithm1_compress", |b| {
         b.iter(|| criterion::black_box(compute_lec_features(&heaviest, 0).0.len()))
-    });
-    group.bench_function("algorithm1_compress_prepr4", |b| {
-        b.iter(|| {
-            criterion::black_box(reference::compute_lec_features_prepr4(&heaviest, 0).0.len())
-        })
     });
     let (many, nv, many_edges) = fixtures::many_feature_features(24);
     group.bench_function("many_feature_prune", |b| {
         b.iter(|| criterion::black_box(prune_features(&many, nv, &many_edges).len()))
-    });
-    group.bench_function("many_feature_prune_prepr4", |b| {
-        b.iter(|| {
-            criterion::black_box(reference::prune_features_prepr4(&many, nv, &many_edges).len())
-        })
     });
     group.finish();
 }

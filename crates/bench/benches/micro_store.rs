@@ -1,10 +1,8 @@
 //! Micro-benchmarks for the local store: candidate filtering, full
-//! matching and LPM enumeration on one fragment — each optimized path
-//! side by side with its frozen pre-PR3 baseline (`*_prepr3`) so the
-//! neighbor-driven matcher's speedup stays measurable.
+//! matching and LPM enumeration on one fragment.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gstored_bench::{datasets, experiments, reference};
+use gstored_bench::{datasets, experiments};
 use gstored_store::candidates::CandidateFilter;
 use gstored_store::{
     enumerate_local_partial_matches, find_matches, internal_candidates, EncodedQuery,
@@ -35,16 +33,8 @@ fn bench(c: &mut Criterion) {
             criterion::black_box(enumerate_local_partial_matches(fragment, &eq, &filter).len())
         })
     });
-    group.bench_function("lpm_enumeration_prepr3", |b| {
-        b.iter(|| {
-            criterion::black_box(reference::enumerate_lpms_prepr3(fragment, &eq, &filter).len())
-        })
-    });
     group.bench_function("centralized_matching", |b| {
         b.iter(|| criterion::black_box(find_matches(&dataset.graph, &eq).len()))
-    });
-    group.bench_function("centralized_matching_prepr3", |b| {
-        b.iter(|| criterion::black_box(reference::find_matches_prepr3(&dataset.graph, &eq).len()))
     });
     group.finish();
 }

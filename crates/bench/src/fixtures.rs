@@ -1,6 +1,5 @@
 //! Synthetic stress inputs for the hot-path equivalence tests and the
-//! micro benches, which compare them against the frozen copies in
-//! [`crate::reference`].
+//! micro benches.
 
 use gstored_core::lec::{compute_lec_features, LecFeature};
 use gstored_partition::DistributedGraph;

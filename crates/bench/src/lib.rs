@@ -15,17 +15,15 @@
 //! | Fig. 11 (scalability) | [`experiments::fig_scalability`] |
 //! | Fig. 12 (system comparison) | [`experiments::fig_comparison`] |
 //!
-//! Beside them: [`mod@reference`] keeps frozen copies of the hot paths
-//! that later PRs rewrote, and [`fixtures`] the synthetic stress inputs
-//! the equivalence tests and micro benches feed both versions. The
-//! service's performance is measured by the standalone `benchmark/`
-//! package (see `BENCHMARK.json`); the `BENCH_PR*.json` files are the
-//! frozen output of the per-PR generators that preceded it.
+//! Beside them, [`fixtures`] holds the synthetic stress inputs of the
+//! equivalence tests and micro benches. The service's performance is
+//! measured by the standalone `benchmark/` package (see
+//! `BENCHMARK.json`); the `BENCH_PR*.json` files are the frozen output of
+//! the per-PR generators that preceded it.
 
 pub mod datasets;
 pub mod experiments;
 pub mod fixtures;
 pub mod format;
-pub mod reference;
 
 pub use datasets::Dataset;

@@ -301,12 +301,11 @@ fn com_par_join(
         .collect();
     frontier.sort_unstable();
     frontier.dedup();
-    // Smallest-cardinality group first: joining against the group with
-    // the fewest members keeps the intermediate `current` sets small
-    // before the bigger groups multiply them. The result set is
-    // order-independent (pinned against the frozen insertion-order
-    // assembly by the planner-equivalence proptests); only the work to
-    // reach it changes. Index tiebreak keeps the walk deterministic.
+    // Smallest group first, by actual member count: joining against the
+    // group with the fewest members keeps the intermediate `current` sets
+    // small before the bigger groups multiply them. The result set does
+    // not depend on the order, only the work to reach it does. Index
+    // tiebreak keeps the walk deterministic.
     frontier.sort_by_key(|&u| (groups[u].1.len(), u));
 
     for v in frontier {

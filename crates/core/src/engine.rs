@@ -524,22 +524,18 @@ impl Engine {
                 dist.fragment_count()
             )));
         }
-        // Resolve `Auto` before any frame moves: delegate to an engine
-        // running the planner's pick, and stash the decision on the state.
-        if self.config.variant.is_auto() {
-            let decision = plan_query(dist, plan);
-            let resolved = Engine::new(EngineConfig {
-                variant: decision.chosen,
-                ..self.config.clone()
-            });
-            let mut state = resolved.start_stream(transport, router, dist, plan, query, chunk)?;
-            state.planner = Some(decision);
-            return Ok(state);
-        }
+        // Resolve `Auto` before any frame moves: the planner's pick selects
+        // the stages and the join, and the decision rides on the state.
+        let planner = self
+            .config
+            .variant
+            .is_auto()
+            .then(|| plan_query(dist, plan));
+        let variant = planner.as_ref().map_or(self.config.variant, |d| d.chosen);
         let q = plan.encoded();
         let sites = transport.sites();
         let shape = plan.shape();
-        let join = if self.config.variant.uses_lec_assembly() {
+        let join = if variant.uses_lec_assembly() {
             Join::Lec(IncrementalJoin::new(q.vertex_count(), q.edge_count()))
         } else {
             Join::Basic(Vec::new())
@@ -563,7 +559,7 @@ impl Engine {
             let pool = WorkerPool::new(transport, router, self.config.network.clone(), query)
                 .with_pacing(self.config.pace_network)
                 .with_deadline(self.config.query_deadline.map(|d| Instant::now() + d));
-            match self.prepare_survivors(&pool, plan, &mut metrics) {
+            match self.prepare_survivors(&pool, plan, variant, &mut metrics) {
                 Ok((complete, drop_pruned)) => {
                     pending.extend(complete);
                     StreamMode::General { drop_pruned, join }
@@ -592,7 +588,7 @@ impl Engine {
             pending,
             metrics,
             deadline_budget: self.config.query_deadline,
-            planner: None,
+            planner,
         })
     }
 
@@ -611,20 +607,21 @@ impl Engine {
     /// 4. **Prune barrier** (LO/Full): Algorithm 2 ranks features across
     ///    the whole fleet.
     ///
-    /// Returns the local complete matches and, when pruning ran, the
-    /// encoded `DropPruned` verdict — *not yet sent*: it heads the
-    /// stream's first pull of each site. Afterwards every site holds its
-    /// LPMs.
+    /// `variant` is the explicit variant to run (`Auto` already
+    /// resolved). Returns the local complete matches and, when pruning
+    /// ran, the encoded `DropPruned` verdict — *not yet sent*: it heads
+    /// the stream's first pull of each site. Afterwards every site holds
+    /// its LPMs.
     fn prepare_survivors(
         &self,
         pool: &WorkerPool<'_>,
         plan: &PreparedPlan,
+        variant: Variant,
         metrics: &mut QueryMetrics,
     ) -> Result<(Vec<Vec<VertexId>>, Option<Bytes>), EngineError> {
         let q = plan.encoded();
         let query = pool.query();
         let sites = pool.sites();
-        let variant = self.config.variant;
         let install = protocol::encode_install_query(query, q);
 
         // --- Phase A + union barrier (Full only) ---

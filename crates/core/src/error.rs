@@ -9,7 +9,8 @@ pub enum EngineError {
     /// position. Definition 3 gives predicate variables per-edge "match
     /// anything" semantics, so they carry no binding to project.
     PredicateOnlyProjection(String),
-    /// The query has more vertices than the 64-bit LECSign masks support.
+    /// The query has more than `gstored_store::MAX_QUERY_VERTICES`
+    /// vertices.
     QueryTooLarge(usize),
     /// `EngineConfig::candidate_bits` times the query's variable count
     /// exceeds `protocol::MAX_CANDIDATE_BITS`: the sites would refuse the
@@ -77,12 +78,11 @@ impl fmt::Display for EngineError {
                 f,
                 "cannot project ?{v}: it only occurs in predicate position"
             ),
-            EngineError::QueryTooLarge(n) => {
-                write!(
-                    f,
-                    "query has {n} vertices; LECSign masks support at most 64"
-                )
-            }
+            EngineError::QueryTooLarge(n) => write!(
+                f,
+                "query has {n} vertices; at most {} are supported",
+                gstored_store::MAX_QUERY_VERTICES
+            ),
             EngineError::CandidateVectorsTooLarge { bits, vectors } => write!(
                 f,
                 "{vectors} candidate vectors of {bits} bits exceed MAX_CANDIDATE_BITS"

@@ -82,14 +82,6 @@ pub struct PlannerDecision {
     /// Estimated fraction of candidate vertices surviving Algorithm 4's
     /// exchange (1.0 = exchange filters nothing).
     pub est_candidate_selectivity: f64,
-    /// Query-edge indices ordered smallest-estimated-cardinality first —
-    /// the order the assembly's group joins aim for (at run time each
-    /// group's actual member count refines these estimates).
-    pub join_order: Vec<usize>,
-    /// Per-query-edge estimated cardinalities (internal + crossing
-    /// matches of the edge's predicate), aligned with the *query's* edge
-    /// numbering, not with `join_order`.
-    pub edge_cardinalities: Vec<f64>,
 }
 
 impl PlannerDecision {
@@ -111,8 +103,7 @@ pub fn plan_query(dist: &DistributedGraph, plan: &PreparedPlan) -> PlannerDecisi
     let stats = dist.stats();
     let q = plan.encoded();
 
-    // --- Per-edge cardinalities and the crossing/internal scan volume ---
-    let mut edge_cardinalities = Vec::with_capacity(q.edge_count());
+    // --- The crossing/internal scan volume ---
     let mut crossing_fanout = 0.0;
     let mut internal_scan = 0.0;
     for e in q.edges() {
@@ -128,17 +119,9 @@ pub fn plan_query(dist: &DistributedGraph, plan: &PreparedPlan) -> PlannerDecisi
             // A constant the dictionary has never seen matches nothing.
             EncodedLabel::Unsatisfiable => (0.0, 0.0),
         };
-        edge_cardinalities.push(internal + crossing);
         crossing_fanout += crossing;
         internal_scan += internal;
     }
-    let mut join_order: Vec<usize> = (0..q.edge_count()).collect();
-    join_order.sort_by(|&a, &b| {
-        edge_cardinalities[a]
-            .partial_cmp(&edge_cardinalities[b])
-            .expect("cardinalities are finite")
-            .then(a.cmp(&b))
-    });
 
     // --- Candidate selectivity: constants and class constraints bind
     // during local matching on EVERY variant (a constant vertex admits
@@ -207,8 +190,6 @@ pub fn plan_query(dist: &DistributedGraph, plan: &PreparedPlan) -> PlannerDecisi
         est_crossing_fanout: crossing_fanout,
         est_internal_scan: internal_scan,
         est_candidate_selectivity,
-        join_order,
-        edge_cardinalities,
     }
 }
 
@@ -248,7 +229,7 @@ pub struct PlanExplain {
     pub configured: Variant,
     /// The variant that actually executed.
     pub chosen: Variant,
-    /// The full planner verdict (estimates, costs, join order).
+    /// The full planner verdict (estimates and costs).
     pub decision: PlannerDecision,
     /// Measured local partial matches across all sites.
     pub actual_lpms: u64,
@@ -285,7 +266,6 @@ impl PlanExplain {
             out.push_str(&format!(" {}={c:.0}", v.label()));
         }
         out.push('\n');
-        out.push_str(&format!("join order: {:?}\n", self.decision.join_order));
         out
     }
 }
@@ -372,32 +352,6 @@ mod tests {
         assert_eq!(d.chosen, Variant::Basic, "{d:?}");
     }
 
-    #[test]
-    fn join_order_is_smallest_cardinality_first() {
-        let dist = DistributedGraph::build(crossing_heavy(30), &HashPartitioner::new(3));
-        // p/1 (hub edges) and p/0 (ring edges) have equal counts here, so
-        // use a predicate that does not exist for a guaranteed minimum.
-        let plan = plan_for(
-            &dist,
-            "SELECT * WHERE { ?a <http://p/0> ?b . ?b <http://nosuch> ?c }",
-        );
-        let d = plan_query(&dist, &plan);
-        assert_eq!(d.edge_cardinalities.len(), 2);
-        assert_eq!(
-            d.join_order[0], 1,
-            "the empty predicate's edge must come first: {d:?}"
-        );
-        let ordered: Vec<f64> = d
-            .join_order
-            .iter()
-            .map(|&e| d.edge_cardinalities[e])
-            .collect();
-        assert!(
-            ordered.windows(2).all(|w| w[0] <= w[1]),
-            "join order must be ascending in estimated cardinality: {d:?}"
-        );
-    }
-
     /// Growing every fragment (more data, same shape) never shrinks the
     /// estimates — the monotonicity the proptests pin at scale.
     #[test]
@@ -432,6 +386,6 @@ mod tests {
         assert!(report.contains("configured: gStoreD-Auto"));
         assert!(report.contains("estimated:"));
         assert!(report.contains("actual:"));
-        assert!(report.contains("join order:"));
+        assert!(report.contains("costs:"));
     }
 }

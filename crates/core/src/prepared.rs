@@ -11,7 +11,7 @@
 //! [`PreparedPlan::new`]):
 //!
 //! * the lowered [`QueryGraph`] (Definition 2) handed in by the caller,
-//! * the size guard against the 64-bit `LECSign` mask limit,
+//! * the size guard against [`MAX_QUERY_VERTICES`],
 //! * the dictionary-encoded [`EncodedQuery`] — every constant resolved to
 //!   a [`gstored_rdf::TermId`] against the distributed graph's dictionary,
 //!   including the per-vertex class-constraint resolution and the
@@ -37,7 +37,7 @@
 
 use gstored_rdf::Dictionary;
 use gstored_sparql::{analysis, QueryGraph, ShapeReport};
-use gstored_store::EncodedQuery;
+use gstored_store::{EncodedQuery, MAX_QUERY_VERTICES};
 
 use crate::error::EngineError;
 
@@ -62,10 +62,10 @@ impl PreparedPlan {
     ///
     /// This performs all per-query work the engine needs: the size guard,
     /// [`EncodedQuery::encode`] and [`analysis::analyze`]. Fails when the
-    /// query exceeds the 64-vertex `LECSign` limit or projects a variable
-    /// that only occurs in predicate position.
+    /// query has more than [`MAX_QUERY_VERTICES`] vertices or projects a
+    /// variable that only occurs in predicate position.
     pub fn new(query: QueryGraph, dict: &Dictionary) -> Result<Self, EngineError> {
-        if query.vertex_count() > 64 {
+        if query.vertex_count() > MAX_QUERY_VERTICES {
             return Err(EngineError::QueryTooLarge(query.vertex_count()));
         }
         let Some(encoded) = EncodedQuery::encode(&query, dict) else {

@@ -47,6 +47,7 @@ use gstored_rdf::{EdgeRef, TermId, VertexId};
 use gstored_store::candidates::BitVectorFilter;
 use gstored_store::{
     EncodedEdge, EncodedLabel, EncodedQuery, EncodedVertex, LocalPartialMatch, RequiredClasses,
+    MAX_QUERY_VERTICES,
 };
 
 use crate::lec::LecFeature;
@@ -439,6 +440,9 @@ fn write_query(w: &mut WireWriter, q: &EncodedQuery) {
 
 fn read_query(r: &mut WireReader) -> Result<EncodedQuery, WireError> {
     let n = read_batch_len(r, 1)?;
+    if n > MAX_QUERY_VERTICES {
+        return Err(WireError("query exceeds MAX_QUERY_VERTICES"));
+    }
     let mut vertices = Vec::with_capacity(n);
     for _ in 0..n {
         vertices.push(match r.u64()? {

@@ -1115,6 +1115,44 @@ mod tests {
         assert!(matches!(resp.body, ResponseBody::Error(_)));
     }
 
+    /// A query too large for the LPM enumerator's subset loop is refused
+    /// when its `InstallQuery` frame decodes, so no later step can reach
+    /// the enumerator with it; the worker keeps serving.
+    #[test]
+    fn oversized_install_query_is_an_error_not_a_panic() {
+        use gstored_store::{EncodedEdge, EncodedLabel, EncodedVertex, RequiredClasses};
+        let (dist, q) = setup();
+        let n = gstored_store::MAX_QUERY_VERTICES + 13;
+        let path = EncodedQuery::from_parts(
+            vec![EncodedVertex::Var; n],
+            (0..n - 1)
+                .map(|i| EncodedEdge {
+                    index: i,
+                    from: i,
+                    to: i + 1,
+                    label: EncodedLabel::Any,
+                })
+                .collect(),
+            vec![RequiredClasses::Resolved(Vec::new()); n],
+            (0..n).collect(),
+            (0..n).map(|i| Some(format!("v{i}"))).collect(),
+        );
+        let mut w = SiteWorker::for_fragment(&dist.fragments[0]);
+        let reply = w.handle(protocol::encode_install_query(Q0, &path)).unwrap();
+        let resp = protocol::decode_response(reply).unwrap();
+        assert!(
+            matches!(&resp.body, ResponseBody::Error(msg) if msg.contains("MAX_QUERY_VERTICES")),
+            "{:?}",
+            resp.body
+        );
+        assert_eq!(w.status().resident_queries, 0);
+        assert!(matches!(install(&mut w, Q0, &q), ResponseBody::Ack));
+        assert!(matches!(
+            roundtrip(&mut w, &Request::PartialEval { query: Q0 }),
+            ResponseBody::PartialEval { .. }
+        ));
+    }
+
     #[test]
     fn shutdown_ends_the_loop() {
         let mut w = SiteWorker::empty();

@@ -25,8 +25,7 @@
 //!   either backend; the engine-specific handler lives in
 //!   `gstored_core::worker`.
 //! * [`metrics`] — stage timers and shipment meters.
-//! * [`cluster`] — the [`NetworkModel`] cost model and the legacy
-//!   scatter/gather executor still used by the baseline engines.
+//! * [`cluster`] — the [`NetworkModel`] cost model.
 
 pub mod chaos;
 pub mod cluster;
@@ -37,7 +36,7 @@ pub mod wire;
 pub mod worker;
 
 pub use chaos::{ChaosConfig, ChaosStats, ChaosTransport};
-pub use cluster::{Cluster, NetworkModel};
+pub use cluster::NetworkModel;
 pub use metrics::{QueryMetrics, StageMetrics};
 pub use reactor::ReactorTransport;
 pub use transport::{InProcessTransport, Transport, TransportError};

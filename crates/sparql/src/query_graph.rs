@@ -324,46 +324,6 @@ impl QueryGraph {
         }
         count == self.vertices.len()
     }
-
-    /// Whether the given vertex subset is weakly connected in `Q`
-    /// (used by Definition 5 condition 6 and by the LPM enumerator).
-    pub fn subset_connected(&self, subset: &[QVertexId]) -> bool {
-        if subset.is_empty() {
-            return false;
-        }
-        let in_set = |v: QVertexId| subset.contains(&v);
-        let mut seen = vec![subset[0]];
-        let mut stack = vec![subset[0]];
-        while let Some(v) = stack.pop() {
-            for u in self.neighbors(v) {
-                if in_set(u) && !seen.contains(&u) {
-                    seen.push(u);
-                    stack.push(u);
-                }
-            }
-        }
-        seen.len() == subset.len()
-    }
-
-    /// Enumerate every non-empty weakly-connected subset of query vertices.
-    ///
-    /// The LPM enumerator iterates these as candidate "internal cores".
-    /// Queries are small (the paper's benchmarks have ≤ 8 vertices), so the
-    /// worst case `2^|V^Q|` enumeration is cheap; subsets are produced in
-    /// ascending size order.
-    pub fn connected_subsets(&self) -> Vec<Vec<QVertexId>> {
-        let n = self.vertices.len();
-        assert!(n <= 30, "query too large for subset enumeration");
-        let mut result: Vec<Vec<QVertexId>> = Vec::new();
-        for mask in 1u32..(1u32 << n) {
-            let subset: Vec<QVertexId> = (0..n).filter(|&i| mask & (1 << i) != 0).collect();
-            if self.subset_connected(&subset) {
-                result.push(subset);
-            }
-        }
-        result.sort_by_key(Vec::len);
-        result
-    }
 }
 
 #[cfg(test)]
@@ -448,41 +408,6 @@ mod tests {
             .unwrap();
         let g = QueryGraph::from_query(&q).unwrap();
         assert_eq!(g.edge_count(), 3, "E^Q is a multiset (Definition 2)");
-    }
-
-    #[test]
-    fn connected_subsets_of_paper_query() {
-        let g = paper_query();
-        let subsets = g.connected_subsets();
-        // Every singleton is connected.
-        assert!(subsets.iter().filter(|s| s.len() == 1).count() == 5);
-        // The full set is connected.
-        assert!(subsets.iter().any(|s| s.len() == 5));
-        // Sizes ascend.
-        for w in subsets.windows(2) {
-            assert!(w[0].len() <= w[1].len());
-        }
-        // ?l and the literal are not adjacent: {l, lit} must be absent.
-        let l = g.vertex_of_var("l").unwrap();
-        let lit = (0..g.vertex_count())
-            .find(|&v| !g.vertex(v).is_var())
-            .unwrap();
-        assert!(!subsets.contains(&{
-            let mut s = vec![l, lit];
-            s.sort_unstable();
-            s
-        }));
-    }
-
-    #[test]
-    fn subset_connected_checks() {
-        let g = paper_query();
-        let t = g.vertex_of_var("t").unwrap();
-        let l = g.vertex_of_var("l").unwrap();
-        let p1 = g.vertex_of_var("p1").unwrap();
-        assert!(g.subset_connected(&[t, l]));
-        assert!(!g.subset_connected(&[l, p1]));
-        assert!(!g.subset_connected(&[]));
     }
 
     #[test]

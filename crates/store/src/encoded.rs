@@ -74,6 +74,13 @@ pub struct EncodedEdge {
     pub label: EncodedLabel,
 }
 
+/// The most query vertices the engine evaluates. The LPM enumerator
+/// ([`EncodedQuery::proper_connected_subsets`]) visits all `2^n` vertex
+/// subsets at every site, about a million at this bound; every paper,
+/// test and benchmark query is far smaller. Queries are refused above
+/// this bound at prepare time and when a site decodes `InstallQuery`.
+pub const MAX_QUERY_VERTICES: usize = 20;
+
 /// A query graph with all constants resolved to term ids.
 #[derive(Debug, Clone)]
 pub struct EncodedQuery {
@@ -310,7 +317,10 @@ impl EncodedQuery {
     /// a local complete match, not an LPM; Definition 5 condition 4.)
     pub fn proper_connected_subsets(&self) -> Vec<Vec<usize>> {
         let n = self.vertices.len();
-        assert!(n <= 30, "query too large for subset enumeration");
+        assert!(
+            n <= MAX_QUERY_VERTICES,
+            "query too large for subset enumeration"
+        );
         let mut result = Vec::new();
         let full = (1u32 << n) - 1;
         for mask in 1u32..full {

@@ -27,7 +27,9 @@ pub mod matcher;
 pub mod partial;
 
 pub use candidates::{internal_candidates, vertex_candidates, CandidateFilter};
-pub use encoded::{EncodedEdge, EncodedLabel, EncodedQuery, EncodedVertex, RequiredClasses};
+pub use encoded::{
+    EncodedEdge, EncodedLabel, EncodedQuery, EncodedVertex, RequiredClasses, MAX_QUERY_VERTICES,
+};
 pub use lpm::{Binding, LocalPartialMatch};
 pub use matcher::{find_matches, find_star_matches, local_complete_matches, Adjacency};
 pub use partial::enumerate_local_partial_matches;

@@ -1040,7 +1040,7 @@ impl<'s> PreparedQuery<'s> {
 
     /// Execute once and report the planner's estimates next to what the
     /// execution actually measured: estimated vs. actual cardinalities,
-    /// the chosen variant and the join order.
+    /// the chosen variant and every variant's estimated cost.
     ///
     /// On a [`Variant::Auto`] session the decision is the one that
     /// picked the executed variant. On an explicit-variant session the
@@ -1605,7 +1605,7 @@ mod tests {
         assert_eq!(explain.decision.costs.len(), 4);
         let report = explain.report();
         assert!(report.contains("configured: gStoreD-Auto"));
-        assert!(report.contains("join order:"));
+        assert!(report.contains("costs:"));
         // Explicit sessions get an advisory decision; `chosen` is what ran.
         let explicit = session();
         let exp = explicit

@@ -161,3 +161,44 @@ fn variable_class_type_pattern_is_rejected_at_parse_layer() {
         Err(Error::Parse(gstored::sparql::SparqlError::Unsupported(_)))
     ));
 }
+
+/// A basic graph pattern with more query vertices than the LPM
+/// enumerator's subset loop admits is refused at prepare time with the
+/// typed error. No frame reaches the fleet, so nothing needs repairing,
+/// and the session keeps answering.
+#[test]
+fn oversized_query_is_refused_without_touching_the_fleet() {
+    let chain = |n: usize| -> String {
+        (0..n)
+            .map(|i| format!("?v{i} <http://p> ?v{} .", i + 1))
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let triples: Vec<Triple> = (0..40)
+        .map(|i| {
+            Triple::new(
+                Term::iri(format!("http://a/{i}")),
+                Term::iri("http://p"),
+                Term::iri(format!("http://a/{}", i + 1)),
+            )
+        })
+        .collect();
+    let db = GStoreD::builder()
+        .triples(triples)
+        .partitioner(HashPartitioner::new(3))
+        .variant(Variant::Full)
+        .build()
+        .unwrap();
+    let small = format!("SELECT * WHERE {{ {} }}", chain(2));
+    assert_eq!(db.query(&small).unwrap().len(), 39);
+
+    let oversized = format!("SELECT * WHERE {{ {} }}", chain(31));
+    assert!(matches!(
+        db.query(&oversized),
+        Err(Error::Engine(gstored::core::EngineError::QueryTooLarge(32)))
+    ));
+    let stats = db.robustness_stats();
+    assert_eq!(stats.fleet_rebuilds, 0);
+    assert_eq!(stats.retries, 0);
+    assert_eq!(db.query(&small).unwrap().len(), 39);
+}

@@ -1,12 +1,22 @@
-//! PR3/PR4 hot-path equivalence oracle.
+//! Hot-path equivalence: each optimized algorithm against an independent
+//! in-tree reference.
 //!
-//! The neighbor-driven matcher, the neighbor-driven LPM enumerator, the
-//! hash-join `assemble_lec` (PR3) and the interned/indexed/memoized LEC
-//! pruning pipeline (PR4) are pure re-engineerings: on every input they
-//! must return exactly what the code they replaced returned. The frozen
-//! pre-PR3/pre-PR4 implementations live in `gstored_bench::reference` and
-//! act as the oracle here, alongside `assemble_basic` and the centralized
-//! matcher, across all 4 engine variants × 3 partitioning strategies.
+//! * The neighbor-driven matcher `find_matches` against the relational
+//!   evaluation of `gstored::baselines::relalg` (one scan per pattern,
+//!   hash-joined).
+//! * The LPM enumerator against Definition 5's partition of the answer
+//!   set: the assembled LPMs plus every fragment's local complete matches
+//!   are exactly the centralized result.
+//! * The hash-join `assemble_lec` against the \[18\] join
+//!   `assemble_basic`.
+//! * The join graph's posting index against Definition 9 itself, through
+//!   `LecFeature::joinable`.
+//! * Algorithm 2 against its contract: the survivors assemble to the same
+//!   set as every LPM. (Algorithm 1 is held to Theorems 1/3/5 in
+//!   `prop_pruning_soundness`.)
+//!
+//! Every property also runs all 4 engine variants × 3 partitioning
+//! strategies against the centralized matcher.
 //!
 //! The streaming `IncrementalJoin` is held to the same standard: fed the
 //! LPMs and survivors of real partitioned enumeration in shuffled and
@@ -23,10 +33,11 @@ use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
 
+use gstored::baselines::relalg;
 use gstored::core::assembly::{assemble_basic, assemble_lec, IncrementalJoin, MatchBinding};
 use gstored::core::engine::Variant;
-use gstored::core::lec::compute_lec_features;
-use gstored::core::prune::prune_features;
+use gstored::core::lec::{compute_lec_features, LecFeature};
+use gstored::core::prune::{build_join_graph, group_by_sign, prune_features};
 use gstored::datagen::random::{predicate_iri, random_graph, random_query, RandomGraphConfig};
 use gstored::partition::{
     HashPartitioner, MetisLikePartitioner, Partitioner, SemanticHashPartitioner,
@@ -38,7 +49,6 @@ use gstored::store::{
     LocalPartialMatch,
 };
 use gstored_bench::fixtures::{dense_star_lpms, many_feature_features};
-use gstored_bench::reference;
 
 fn partitioners(sites: usize) -> Vec<Box<dyn Partitioner>> {
     vec![
@@ -48,22 +58,48 @@ fn partitioners(sites: usize) -> Vec<Box<dyn Partitioner>> {
     ]
 }
 
-fn sorted_lpms(mut lpms: Vec<LocalPartialMatch>) -> Vec<LocalPartialMatch> {
-    lpms.sort_unstable_by(|a, b| {
-        (&a.binding, a.internal_mask, &a.crossing).cmp(&(&b.binding, b.internal_mask, &b.crossing))
-    });
-    lpms
+/// Definition 9 at group level: distinct groups `i` and `j` are adjacent
+/// iff their LECSigns are disjoint and some member pair is joinable.
+/// Checks `build_join_graph`'s adjacency against that rule, edge for edge.
+fn assert_join_graph_is_definition_9(features: &[LecFeature], query_edges: &[(usize, usize)]) {
+    let groups = group_by_sign(features);
+    let adj = build_join_graph(features, &groups, query_edges);
+    assert_eq!(adj.len(), groups.len());
+    for (i, gi) in groups.iter().enumerate() {
+        let expected: Vec<usize> = groups
+            .iter()
+            .enumerate()
+            .filter(|&(j, gj)| {
+                j != i
+                    && gi.sign & gj.sign == 0
+                    && gi.members.iter().any(|&a| {
+                        gj.members.iter().any(|&b| {
+                            features[a as usize].joinable(&features[b as usize], query_edges)
+                        })
+                    })
+            })
+            .map(|(j, _)| j)
+            .collect();
+        assert_eq!(
+            adj[i],
+            expected,
+            "group {i} (sign {:#b}) of {} features",
+            gi.sign,
+            features.len()
+        );
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Random graph × random query: the optimized matcher, enumerator and
-    /// LEC assembly agree with the frozen pre-PR3 oracle, with
-    /// `assemble_basic`, and with the centralized reference through every
-    /// variant × partitioner engine run.
+    /// Random graph × random query: the matcher equals the relational
+    /// evaluation, the enumerated LPMs assemble (with the local complete
+    /// matches) to the centralized result, `assemble_lec` equals
+    /// `assemble_basic`, and every variant × partitioner engine run equals
+    /// the centralized reference.
     #[test]
-    fn optimized_hot_paths_equal_prepr3_oracle(
+    fn hot_paths_equal_relational_and_centralized_references(
         graph_seed in 0u64..5000,
         query_seed in 0u64..5000,
         n_edges in 1usize..4,
@@ -81,43 +117,42 @@ proptest! {
         .expect("generated query is connected");
         let eq = EncodedQuery::encode(&query, g.dict()).expect("no predicate projection");
 
-        // Matcher oracle: optimized vs frozen pre-PR3, identical output
-        // (both enumerate in deterministic order — not even sorted first).
-        let centralized = find_matches(&g, &eq);
-        prop_assert_eq!(
-            &centralized,
-            &reference::find_matches_prepr3(&g, &eq),
-            "matcher drift on {}", text
-        );
-        let mut expected = centralized;
+        // Matcher vs the relational reference. `to_bindings` sorts and
+        // dedups; the matcher's homomorphisms are distinct already.
+        let mut expected = find_matches(&g, &eq);
         expected.sort_unstable();
+        let relational = relalg::to_bindings(
+            &relalg::join_all(relalg::pattern_relations(&g, &eq)),
+            &eq,
+            &g,
+        );
+        prop_assert_eq!(&expected, &relational, "matcher drift on {}", text);
 
         for p in &partitioners(3) {
             let dist = DistributedGraph::build(g.clone(), p.as_ref());
             prop_assert_eq!(dist.validate(), None);
             let filter = CandidateFilter::none(eq.vertex_count());
 
-            // Enumerator oracle per fragment, then assembly three ways.
+            // Enumerator: the crossing matches its LPMs assemble to, plus
+            // the local complete matches, are the whole answer set.
             let mut lpms = Vec::new();
+            let mut everything: Vec<MatchBinding> = Vec::new();
             for f in &dist.fragments {
-                let new = sorted_lpms(enumerate_local_partial_matches(f, &eq, &filter));
-                let old = sorted_lpms(reference::enumerate_lpms_prepr3(f, &eq, &filter));
-                prop_assert_eq!(&new, &old, "LPM drift in F{} on {} ({})", f.id, text, p.name());
-                lpms.extend(new);
+                lpms.extend(enumerate_local_partial_matches(f, &eq, &filter));
+                everything.extend(local_complete_matches(f, &eq));
             }
             let query_edges: Vec<(usize, usize)> =
                 eq.edges().iter().map(|e| (e.from, e.to)).collect();
             let lec = assemble_lec(&lpms, eq.vertex_count(), &query_edges);
             prop_assert_eq!(
                 &lec,
-                &reference::assemble_lec_prepr3(&lpms, eq.vertex_count(), &query_edges),
-                "assembly drift on {} ({})", text, p.name()
-            );
-            prop_assert_eq!(
-                &lec,
                 &assemble_basic(&lpms, eq.vertex_count()),
                 "lec vs basic drift on {} ({})", text, p.name()
             );
+            everything.extend(lec.iter().cloned());
+            everything.sort_unstable();
+            everything.dedup();
+            prop_assert_eq!(&everything, &expected, "LPM drift on {} ({})", text, p.name());
 
             // End to end: every variant equals the centralized reference.
             for variant in Variant::ALL {
@@ -138,13 +173,12 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Random graph × random query: the PR4 pruning pipeline agrees with
-    /// the frozen pre-PR4 oracle — Algorithm 1 feature-for-feature, the
-    /// join graph edge-for-edge, Algorithm 2 survivor-for-survivor — and
-    /// pruning preserves the assembled result set, across 3 partitioners
-    /// with every engine variant checked against the centralized matcher.
+    /// Random graph × random query: the join graph over the engine's own
+    /// features is Definition 9 edge for edge, pruning preserves the
+    /// assembled result set, across 3 partitioners with every engine
+    /// variant checked against the centralized matcher.
     #[test]
-    fn optimized_prune_equals_prepr4_oracle(
+    fn join_graph_and_pruning_preserve_the_answer(
         graph_seed in 0u64..5000,
         query_seed in 0u64..5000,
         n_edges in 2usize..4,
@@ -173,59 +207,32 @@ proptest! {
             let dist = DistributedGraph::build(g.clone(), p.as_ref());
             let filter = CandidateFilter::none(eq.vertex_count());
 
-            // Engine-style per-site Algorithm 1 with disjoint id ranges;
-            // the interned compression must match the Vec-keyed oracle
-            // feature-for-feature (ids, mappings, order — everything).
+            // Engine-style per-site Algorithm 1 with disjoint id ranges.
             let mut lpms: Vec<LocalPartialMatch> = Vec::new();
             let mut features = Vec::new();
             let mut feature_of_lpm: Vec<(usize, Vec<u32>)> = Vec::new(); // (lpm -> sources)
             let mut next = 0u32;
             for f in &dist.fragments {
                 let site_lpms = enumerate_local_partial_matches(f, &eq, &filter);
-                let (new_f, new_of) = compute_lec_features(&site_lpms, next);
-                let (old_f, old_of) = reference::compute_lec_features_prepr4(&site_lpms, next);
-                prop_assert_eq!(&new_f, &old_f, "Algorithm 1 drift in F{} on {}", f.id, text);
-                prop_assert_eq!(&new_of, &old_of, "feature_of_lpm drift in F{} on {}", f.id, text);
+                let (site_features, feature_of) = compute_lec_features(&site_lpms, next);
                 next += site_lpms.len() as u32 + 1;
-                for (i, _) in site_lpms.iter().enumerate() {
-                    feature_of_lpm.push((lpms.len() + i, new_f[new_of[i]].sources.clone()));
+                for (i, &fi) in feature_of.iter().enumerate() {
+                    feature_of_lpm.push((lpms.len() + i, site_features[fi].sources.clone()));
                 }
                 lpms.extend(site_lpms);
-                features.extend(new_f);
+                features.extend(site_features);
             }
 
-            // Join graph: the crossing-edge index must reproduce the
-            // all-pairs sweep exactly (adjacency lists are sorted sets).
-            let groups = gstored::core::prune::group_by_sign(&features);
-            let old_groups = reference::group_by_sign_prepr4(&features);
-            prop_assert_eq!(groups.len(), old_groups.len(), "grouping drift on {}", text);
-            for (g_new, g_old) in groups.iter().zip(&old_groups) {
-                prop_assert_eq!(g_new.sign, g_old.sign);
-                prop_assert_eq!(g_new.members.len(), g_old.features.len());
-            }
-            let adj = gstored::core::prune::build_join_graph(&features, &groups, &query_edges);
-            let old_adj = reference::build_join_graph_prepr4(&old_groups, &query_edges);
-            let old_adj: Vec<Vec<usize>> = old_adj
-                .into_iter()
-                .map(|mut l| {
-                    l.sort_unstable();
-                    l
-                })
-                .collect();
-            prop_assert_eq!(&adj, &old_adj, "join graph drift on {} ({})", text, p.name());
+            assert_join_graph_is_definition_9(&features, &query_edges);
 
-            // Algorithm 2: identical survivor sets.
-            let new_useful: HashSet<u32> = prune_features(&features, eq.vertex_count(), &query_edges)
+            let useful: HashSet<u32> = prune_features(&features, eq.vertex_count(), &query_edges)
                 .into_iter()
                 .collect();
-            let old_useful =
-                reference::prune_features_prepr4(&features, eq.vertex_count(), &query_edges);
-            prop_assert_eq!(&new_useful, &old_useful, "survivor drift on {} ({})", text, p.name());
 
             // Pruning soundness: assembling only survivors loses nothing.
             let surviving: Vec<LocalPartialMatch> = feature_of_lpm
                 .iter()
-                .filter(|(_, sources)| sources.iter().any(|s| new_useful.contains(s)))
+                .filter(|(_, sources)| sources.iter().any(|s| useful.contains(s)))
                 .map(|&(i, _)| lpms[i].clone())
                 .collect();
             let unpruned = assemble_lec(&lpms, eq.vertex_count(), &query_edges);
@@ -233,7 +240,7 @@ proptest! {
             prop_assert_eq!(&pruned, &unpruned, "pruning changed matches on {} ({})", text, p.name());
 
             // End to end: every variant equals the centralized reference
-            // (LO and Full run the rewritten prune inside the engine).
+            // (LO and Full prune inside the engine).
             for variant in Variant::ALL {
                 let out = Engine::with_variant(variant)
                     .try_run(&dist, &query)
@@ -410,14 +417,13 @@ fn dense_star_assembly_regression() {
     );
 }
 
-/// At a size the pre-PR3 code and the basic baseline can still handle,
-/// all three assemblies agree on the dense star.
+/// At a size the basic baseline can still handle, both batch assemblies
+/// agree on the dense star.
 #[test]
 fn dense_star_small_all_assemblies_agree() {
     let (lpms, nv, qedges) = dense_star_lpms(10);
     let lec = assemble_lec(&lpms, nv, &qedges);
     assert_eq!(lec.len(), 100);
-    assert_eq!(lec, reference::assemble_lec_prepr3(&lpms, nv, &qedges));
     assert_eq!(lec, assemble_basic(&lpms, nv));
 }
 
@@ -448,14 +454,13 @@ fn many_feature_prune_regression() {
     );
 }
 
-/// At a size the pre-PR4 code can still handle, the optimized prune and
-/// the frozen oracle agree survivor-for-survivor on the many-feature
-/// workload.
+/// Both join-graph builds equal Definition 9: 168 features take the
+/// all-pairs sweep, 288 the crossing-edge posting index.
 #[test]
-fn many_feature_small_prune_agrees_with_oracle() {
-    let (features, nv, qedges) = many_feature_features(12);
-    let new: HashSet<u32> = prune_features(&features, nv, &qedges).into_iter().collect();
-    let old = reference::prune_features_prepr4(&features, nv, &qedges);
-    assert_eq!(new, old);
-    assert_eq!(new.len(), features.len());
+fn join_graph_equals_definition_9_on_both_build_paths() {
+    for n in [12, 16] {
+        let (features, _, qedges) = many_feature_features(n);
+        assert_eq!(features.len(), n * n + 2 * n);
+        assert_join_graph_is_definition_9(&features, &qedges);
+    }
 }

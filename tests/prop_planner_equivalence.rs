@@ -1,34 +1,25 @@
 //! PR 10's planner-equivalence battery.
 //!
 //! The cost-based planner ([`gstored::core::planner`]) must never change
-//! *answers* — only *work*. Three property families pin that down:
+//! *answers* — only *work*. Two property families pin that down:
 //!
 //! 1. **Auto is invisible in the rows**: for ANY random graph, ANY of the
 //!    three real partitioners and ANY random connected BGP,
 //!    `Variant::Auto` returns exactly the rows of every explicit variant
 //!    and of the centralized oracle.
-//! 2. **Join reordering is invisible in the joins**: the
-//!    smallest-cardinality-first `ComParJoin` of PR 10 produces exactly
-//!    the crossing matches of the frozen pre-PR10 insertion-order copy
-//!    ([`gstored_bench::reference::assemble_lec_prepr10`]) on LPM sets
-//!    enumerated from randomly partitioned random graphs.
-//! 3. **The cost model is a function**: decisions are deterministic,
+//! 2. **The cost model is a function**: decisions are deterministic,
 //!    every estimate and cost is finite, the chosen variant really is a
 //!    cost minimizer, and the internal-scan estimate grows monotonically
 //!    with the data.
 
 use proptest::prelude::*;
 
-use gstored::core::assembly::assemble_lec;
 use gstored::core::engine::Variant;
 use gstored::core::planner::plan_query;
 use gstored::datagen::random::{random_graph, random_query, RandomGraphConfig};
 use gstored::partition::Partitioner;
 use gstored::prelude::*;
-use gstored::store::{
-    enumerate_local_partial_matches, find_matches, CandidateFilter, EncodedQuery,
-};
-use gstored_bench::reference::assemble_lec_prepr10;
+use gstored::store::{find_matches, EncodedQuery};
 
 const SITES: usize = 3;
 
@@ -126,46 +117,7 @@ proptest! {
         }
     }
 
-    /// Property family 2: the smallest-cardinality-first ComParJoin
-    /// returns exactly the crossing matches of the frozen pre-PR10
-    /// insertion-order join, on LPMs from real partitioned enumeration.
-    #[test]
-    fn reordered_join_equals_frozen_prepr10(
-        graph_seed in 0u64..5000,
-        query_seed in 0u64..5000,
-        n_edges in 1usize..4,
-        strategy_pick in 0usize..3,
-    ) {
-        let g = random_graph(&RandomGraphConfig {
-            vertices: 24,
-            edges: 48,
-            predicates: 3,
-            seed: graph_seed,
-        });
-        let text = random_query(n_edges, 3, None, query_seed);
-        let query = QueryGraph::from_query(
-            &gstored::sparql::parse_query(&text).expect("generated query parses"),
-        )
-        .expect("generated query is connected");
-        let strategy = ["hash", "semantic", "metis"][strategy_pick];
-        let dist = DistributedGraph::build(g.clone(), partitioner(strategy).as_ref());
-        let eq = EncodedQuery::encode(&query, dist.dict()).expect("encodable");
-        let filter = CandidateFilter::none(eq.vertex_count());
-        let mut all_lpms = Vec::new();
-        for f in &dist.fragments {
-            all_lpms.extend(enumerate_local_partial_matches(f, &eq, &filter));
-        }
-        let query_edges: Vec<(usize, usize)> =
-            eq.edges().iter().map(|e| (e.from, e.to)).collect();
-        let reordered = assemble_lec(&all_lpms, eq.vertex_count(), &query_edges);
-        let frozen = assemble_lec_prepr10(&all_lpms, eq.vertex_count(), &query_edges);
-        prop_assert_eq!(
-            reordered, frozen,
-            "join-reorder drift under {} on {}", strategy, text
-        );
-    }
-
-    /// Property family 3a: the planner is a pure function of
+    /// Property family 2a: the planner is a pure function of
     /// (statistics, query) — rerunning it yields the identical decision,
     /// every cost and estimate is finite, every explicit variant is
     /// costed, and the chosen variant minimizes the costed set.
@@ -212,13 +164,9 @@ proptest! {
         ] {
             prop_assert!(est.is_finite() && est >= 0.0, "estimate {est}");
         }
-        prop_assert_eq!(first.join_order.len(), first.edge_cardinalities.len());
-        let mut sorted = first.join_order.clone();
-        sorted.sort_unstable();
-        prop_assert_eq!(sorted, (0..first.edge_cardinalities.len()).collect::<Vec<_>>());
     }
 
-    /// Property family 3b: growing the data never shrinks the total
+    /// Property family 2b: growing the data never shrinks the total
     /// scan-volume estimate for a fixed query shape. (Internal and
     /// crossing counts individually can trade places when repartitioning
     /// a bigger graph shuffles the assignment; their sum — the partial
