@@ -1,8 +1,8 @@
 //! # gstored-bench
 //!
 //! The experiment harness: one function per table/figure of the paper's
-//! evaluation (Section VIII), each returning printable rows so both the
-//! `experiments` binary and the Criterion benches drive the same code.
+//! evaluation (Section VIII), each returning printable rows for the
+//! `experiments` binary.
 //!
 //! | Paper artifact | Harness entry |
 //! |---|---|

@@ -54,8 +54,8 @@
 //! results *and* shipment metrics are independent of the backend.
 //!
 //! Every per-query frame carries a [`QueryId`], and a pipeline ends with
-//! each site's per-query state dropped — by its last survivor chunk, by
-//! the star chain's `ReleaseQuery`, or by a `CancelQuery` on abort — so
+//! each site's per-query state dropped — by its last survivor chunk or by
+//! a `ReleaseQuery` (a star chain's last step, or an abort's broadcast) — so
 //! **many queries can run their pipelines concurrently over one shared
 //! fleet**, their stage messages interleaved on the same connections and
 //! demultiplexed by the [`ReplyRouter`]. [`Engine::execute_routed`] is
@@ -191,8 +191,6 @@ pub struct EngineConfig {
     /// Bits per candidate bit vector (Algorithm 4). The paper uses a
     /// "fixed length"; 64 Ki bits (8 KiB) is our default.
     pub candidate_bits: usize,
-    /// Enable the star-query fast path of Section VIII-B.
-    pub star_fast_path: bool,
     /// Which runtime backend drives the site workers.
     pub backend: Backend,
     /// How many query pipelines a `GStoreD` session admits onto its
@@ -228,7 +226,6 @@ impl Default for EngineConfig {
             variant: Variant::Full,
             network: NetworkModel::default(),
             candidate_bits: 1 << 16,
-            star_fast_path: true,
             backend: Backend::InProcess,
             max_concurrent_queries: 8,
             pace_network: false,
@@ -269,11 +266,6 @@ impl QueryOutput {
             .iter()
             .map(|row| row.iter().map(|&v| dict.resolve(v).clone()).collect())
             .collect()
-    }
-
-    /// Shorthand used throughout tests and examples.
-    pub fn matches(&self) -> &[Vec<VertexId>] {
-        &self.rows
     }
 }
 
@@ -549,8 +541,16 @@ impl Engine {
                 drop_pruned: None,
                 join,
             }
-        } else if self.config.star_fast_path && shape.is_star() {
-            // Nothing moves until the first pull.
+        } else if shape.is_star() {
+            // Nothing moves until the first pull, so a site an earlier
+            // exchange already found broken would only fail mid-stream,
+            // after rows went out. Fail now instead, while the caller can
+            // still repair and retry, or answer with a typed error.
+            if let Some(site) = (0..sites).find(|&site| router.is_failed(site)) {
+                return Err(EngineError::Transport(format!(
+                    "site {site} failed in an earlier exchange"
+                )));
+            }
             let center = shape.star_center.expect("stars have centers");
             StreamMode::Star {
                 chain: star_chain(query, q, center),
@@ -804,8 +804,8 @@ enum Join {
 ///
 /// Shipment charging: star pulls are charged to `partial_evaluation`
 /// (they *are* the evaluation), the verdict heading a first pull to
-/// `lec_optimization`, survivor chunks and `CancelQuery` frames to
-/// `assembly`.
+/// `lec_optimization`, survivor chunks and a cancel's `ReleaseQuery`
+/// frames to `assembly`.
 #[derive(Debug)]
 pub struct StreamState {
     query: QueryId,
@@ -987,7 +987,7 @@ impl StreamState {
         Ok(())
     }
 
-    /// Stop the stream early: broadcast `CancelQuery` (idempotent; errors
+    /// Stop the stream early: broadcast `ReleaseQuery` (idempotent; errors
     /// swallowed — the fleet may already be gone) unless no site holds
     /// state — every site already drained, or a star stream, whose sites
     /// release themselves at the end of each pull — then fuse the
@@ -997,18 +997,18 @@ impl StreamState {
             // Deadline-armed like every pull: a site that went silent
             // must not wedge the cancelling thread on the ack gather.
             self.pool(transport, router)
-                .cancel_quietly(&mut self.metrics.assembly);
+                .release_quietly(&mut self.metrics.assembly);
         }
         self.fuse();
     }
 
-    /// Post-error cleanup: cancel the fleet (uncharged — a failed chain
+    /// Post-error cleanup: release the fleet (uncharged — a failed chain
     /// may have stopped short of dropping its state), drop any straggler
     /// replies parked under the retired query id, and fuse.
     fn abort(&mut self, transport: &dyn Transport, router: &ReplyRouter) {
         if !self.is_finished() {
             let mut scratch = gstored_net::StageMetrics::default();
-            self.pool(transport, router).cancel_quietly(&mut scratch);
+            self.pool(transport, router).release_quietly(&mut scratch);
         }
         router.forget(self.query);
         self.fuse();
@@ -1335,7 +1335,7 @@ mod tests {
     }
 
     #[test]
-    fn star_fast_path_agrees_with_general_path() {
+    fn star_fast_path_agrees_with_centralized_oracle() {
         let g = paper_graph();
         let query = QueryGraph::from_query(
             &parse_query(
@@ -1344,21 +1344,17 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
+        let q = EncodedQuery::encode(&query, g.dict()).unwrap();
+        let mut reference = find_matches(&g, &q);
+        reference.sort_unstable();
+        assert!(!reference.is_empty());
         let dist = DistributedGraph::build(g, &HashPartitioner::new(3));
-        let fast = Engine::new(EngineConfig {
-            star_fast_path: true,
-            ..EngineConfig::variant(Variant::Full)
-        })
-        .try_run(&dist, &query)
-        .unwrap();
-        let slow = Engine::new(EngineConfig {
-            star_fast_path: false,
-            ..EngineConfig::variant(Variant::Full)
-        })
-        .try_run(&dist, &query)
-        .unwrap();
-        assert_eq!(fast.rows, slow.rows);
-        assert!(!fast.rows.is_empty());
+        let fast = Engine::with_variant(Variant::Full)
+            .try_run(&dist, &query)
+            .unwrap();
+        let mut got = fast.bindings.clone();
+        got.sort_unstable();
+        assert_eq!(got, reference);
         // The fast path ships no LPMs at all.
         assert_eq!(fast.metrics.local_partial_matches, 0);
     }

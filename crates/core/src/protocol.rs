@@ -647,7 +647,8 @@ const REQ_SHUTDOWN: u64 = 10;
 const REQ_RELEASE_QUERY: u64 = 11;
 const REQ_WORKER_STATUS: u64 = 12;
 const REQ_SHIP_SURVIVORS_CHUNK: u64 = 13;
-const REQ_CANCEL_QUERY: u64 = 14;
+// Tag 14 is retired (it was a second name for `ReleaseQuery`); a frame
+// carrying it is an invalid request.
 const REQ_CHAIN: u64 = 15;
 
 /// A coordinator → worker message: one step of the engine's four-stage
@@ -739,18 +740,10 @@ pub enum Request {
         /// Maximum number of LPMs in the reply (`usize::MAX` = all).
         max: usize,
     },
-    /// Abandon the query mid-stream: drop its state slot exactly like
-    /// `ReleaseQuery` (idempotent, always `Ack`), but named separately so
-    /// an aborted pipeline is distinguishable from a drained one on the
-    /// wire and in traces.
-    CancelQuery {
-        /// The query to cancel.
-        query: QueryId,
-    },
     /// Drop the query's state slot (LPMs, features, filter). Idempotent:
     /// releasing an unknown or already-evicted id is still an `Ack`, so
-    /// neither a star chain's closing step nor an error path's cleanup
-    /// ever fails.
+    /// neither a star chain's closing step, an abandoned stream's cancel
+    /// nor an error path's cleanup ever fails.
     ReleaseQuery {
         /// The query to release.
         query: QueryId,
@@ -795,7 +788,6 @@ impl Request {
             | Request::DropPruned { query, .. }
             | Request::ShipSurvivors { query }
             | Request::ShipSurvivorsChunk { query, .. }
-            | Request::CancelQuery { query }
             | Request::ReleaseQuery { query }
             | Request::WorkerStatus { query }
             | Request::Chain { query, .. } => *query,
@@ -866,11 +858,6 @@ pub fn encode_request(req: &Request) -> Bytes {
                 .u32_fixed(query.0)
                 .u64(*seq)
                 .usize(*max);
-            w.finish()
-        }
-        Request::CancelQuery { query } => {
-            let mut w = WireWriter::new();
-            w.u64(REQ_CANCEL_QUERY).u32_fixed(query.0);
             w.finish()
         }
         Request::ReleaseQuery { query } => {
@@ -1001,7 +988,6 @@ fn decode_request_in(
             seq: r.u64()?,
             max: r.usize()?,
         },
-        REQ_CANCEL_QUERY => Request::CancelQuery { query: qid },
         REQ_RELEASE_QUERY => Request::ReleaseQuery { query: qid },
         REQ_WORKER_STATUS => Request::WorkerStatus { query: qid },
         REQ_CHAIN => {
@@ -1424,7 +1410,6 @@ mod tests {
                 seq: 0,
                 max: usize::MAX,
             },
-            Request::CancelQuery { query: q },
             Request::ReleaseQuery { query: q },
             Request::WorkerStatus { query: q },
             Request::Shutdown,
@@ -1473,12 +1458,6 @@ mod tests {
                     query: QueryId(3_000_000),
                     seq: 5,
                     max: 64,
-                },
-            ),
-            (
-                Request::CancelQuery { query: QueryId(4) },
-                Request::CancelQuery {
-                    query: QueryId(u32::MAX - 2),
                 },
             ),
         ] {

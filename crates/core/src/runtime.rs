@@ -318,24 +318,6 @@ impl QueryExecutor {
         }
     }
 
-    /// Claim a slot only if one is free right now: `None` means the gate
-    /// is at capacity. The non-blocking twin of [`QueryExecutor::admit`]
-    /// for callers with their own overload answer — the HTTP server's
-    /// admission layer turns a `None` here into a fast `429` instead of
-    /// parking the connection on the condvar.
-    pub fn try_admit(&self) -> Option<QueryTicket<'_>> {
-        let mut running = self.running.lock().expect("query executor poisoned");
-        if *running >= self.max_concurrent {
-            return None;
-        }
-        *running += 1;
-        drop(running);
-        Some(QueryTicket {
-            query: self.allocate_id(),
-            executor: self,
-        })
-    }
-
     fn allocate_id(&self) -> QueryId {
         loop {
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
@@ -584,31 +566,21 @@ impl<'t> WorkerPool<'t> {
         }
     }
 
-    /// Best-effort end-of-pipeline release of the pool's query on every
-    /// site, swallowing errors — used on pipeline error paths where the
-    /// transport may already be gone. Frames still charge to `stage` so
-    /// shipment metrics cover everything that crossed the wire.
-    pub fn release_quietly(&self, stage: &mut StageMetrics) {
-        self.broadcast_quietly(&Request::ReleaseQuery { query: self.query }, stage);
-    }
-
-    /// Best-effort mid-stream abort: broadcast `CancelQuery` to every
-    /// site, swallowing errors — used when a solution iterator is dropped
-    /// (or a `LIMIT` fills) with survivor chunks still unpulled. Frames
-    /// still charge to `stage` so an aborted stream's shipment is
-    /// accounted like any other.
-    pub fn cancel_quietly(&self, stage: &mut StageMetrics) {
-        self.broadcast_quietly(&Request::CancelQuery { query: self.query }, stage);
-    }
-
-    /// Send `req` to every site that will take it and drain the replies
-    /// of those that did, swallowing errors. Unlike [`broadcast`], a dead
-    /// site does not stop the loop: the live sites after it would keep
-    /// the query's state until eviction.
+    /// Best-effort release of the pool's query on every site, swallowing
+    /// errors — used on pipeline error paths, where the transport may
+    /// already be gone, and when a stream is abandoned (an iterator
+    /// dropped or a `LIMIT` filled) with survivor chunks still unpulled.
+    /// Frames still charge to `stage` so shipment metrics cover
+    /// everything that crossed the wire.
+    ///
+    /// Every site that will take the frame gets it, and the replies of
+    /// those that did are drained. Unlike [`broadcast`], a dead site does
+    /// not stop the loop: the live sites after it would keep the query's
+    /// state until eviction.
     ///
     /// [`broadcast`]: WorkerPool::broadcast
-    fn broadcast_quietly(&self, req: &Request, stage: &mut StageMetrics) {
-        let frame = protocol::encode_request(req);
+    pub fn release_quietly(&self, stage: &mut StageMetrics) {
+        let frame = protocol::encode_request(&Request::ReleaseQuery { query: self.query });
         let sent: Vec<usize> = (0..self.sites())
             .filter(|&site| self.send_charged(site, frame.clone(), stage).is_ok())
             .collect();
@@ -1178,18 +1150,6 @@ mod tests {
             let q3 = handle.join().unwrap();
             assert_ne!(q3, t2.query());
         });
-    }
-
-    #[test]
-    fn try_admit_refuses_at_capacity_instead_of_blocking() {
-        let executor = QueryExecutor::new(2);
-        let t1 = executor.try_admit().expect("first slot free");
-        let t2 = executor.try_admit().expect("second slot free");
-        assert_ne!(t1.query(), t2.query());
-        assert!(executor.try_admit().is_none(), "gate full: None, not wait");
-        drop(t1);
-        let t3 = executor.try_admit().expect("freed slot reclaimable");
-        assert_ne!(t3.query(), t2.query());
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! State-slot lifecycle: `InstallQuery` creates a slot (re-installing a
 //! resident id is rejected — a duplicate install must never clobber an
 //! in-flight query's LPMs), the per-query stages operate on it, and the
-//! `ShipSurvivorsChunk` reply with `last = true`, `ReleaseQuery` or
-//! `CancelQuery` drops it (the last two idempotently). The engine sends
+//! `ShipSurvivorsChunk` reply with `last = true` or `ReleaseQuery` drops
+//! it (the latter idempotently). The engine sends
 //! a site the steps of one phase as a single `Chain` frame; the worker
 //! runs them in order through the same dispatch and stops at the first
 //! step that fails. A capacity cap bounds the table: installing past it
@@ -421,14 +421,9 @@ impl<'a> SiteWorker<'a> {
                 }
                 ResponseBody::SurvivorsChunk { lpms, seq, last }
             }
-            Request::CancelQuery { query } => {
-                // Idempotent like ReleaseQuery: a cancel racing a release
-                // (or arriving after an eviction) must still succeed.
-                self.queries.remove(&query.0);
-                ResponseBody::Ack
-            }
             Request::ReleaseQuery { query } => {
-                // Idempotent: the end-of-pipeline release must succeed
+                // Idempotent: a release (a star chain's last step, an
+                // abandoned stream's cancel, error cleanup) must succeed
                 // even after an eviction or a duplicate release.
                 self.queries.remove(&query.0);
                 ResponseBody::Ack
@@ -511,11 +506,6 @@ fn touch<'q>(
 /// connection untouched.
 pub fn serve_tcp(listener: TcpListener) -> std::io::Result<()> {
     serve_tcp_with_options(listener, DEFAULT_QUERY_CAPACITY, Some(DEFAULT_QUERY_TTL))
-}
-
-/// [`serve_tcp`] with an explicit per-connection state-table capacity.
-pub fn serve_tcp_with_capacity(listener: TcpListener, capacity: usize) -> std::io::Result<()> {
-    serve_tcp_with_options(listener, capacity, Some(DEFAULT_QUERY_TTL))
 }
 
 /// How often an idle worker connection wakes to run the TTL janitor
@@ -899,7 +889,7 @@ mod tests {
             ResponseBody::UnknownQuery(id) if id == Q0
         ));
         assert!(matches!(
-            roundtrip(&mut w, &Request::CancelQuery { query: Q0 }),
+            roundtrip(&mut w, &Request::ReleaseQuery { query: Q0 }),
             ResponseBody::Ack
         ));
     }
@@ -937,47 +927,6 @@ mod tests {
             return;
         }
         panic!("no site produced LPMs");
-    }
-
-    #[test]
-    fn cancel_query_drops_the_slot_idempotently() {
-        let (dist, q) = setup();
-        let mut w = SiteWorker::for_fragment(&dist.fragments[0]);
-        install(&mut w, Q0, &q);
-        roundtrip(&mut w, &Request::PartialEval { query: Q0 });
-        assert_eq!(w.status().resident_queries, 1);
-        assert!(matches!(
-            roundtrip(&mut w, &Request::CancelQuery { query: Q0 }),
-            ResponseBody::Ack
-        ));
-        assert_eq!(w.status().resident_queries, 0);
-        assert_eq!(w.status().resident_lpms, 0);
-        // Cancelling again, or a never-installed id, still acks.
-        assert!(matches!(
-            roundtrip(&mut w, &Request::CancelQuery { query: Q0 }),
-            ResponseBody::Ack
-        ));
-        assert!(matches!(
-            roundtrip(
-                &mut w,
-                &Request::CancelQuery {
-                    query: QueryId(424242)
-                }
-            ),
-            ResponseBody::Ack
-        ));
-        // The cancelled query's chunk cursor is gone with the slot.
-        assert!(matches!(
-            roundtrip(
-                &mut w,
-                &Request::ShipSurvivorsChunk {
-                    query: Q0,
-                    seq: 0,
-                    max: 1,
-                }
-            ),
-            ResponseBody::UnknownQuery(id) if id == Q0
-        ));
     }
 
     #[test]
@@ -1025,6 +974,49 @@ mod tests {
                 }
             ),
             ResponseBody::Ack
+        ));
+    }
+
+    #[test]
+    fn cancel_query_drops_the_slot_idempotently() {
+        // An abandoned stream cancels its query with ReleaseQuery; the
+        // cancel may race the stream's own end or an eviction.
+        let (dist, q) = setup();
+        let mut w = SiteWorker::for_fragment(&dist.fragments[0]);
+        install(&mut w, Q0, &q);
+        roundtrip(&mut w, &Request::PartialEval { query: Q0 });
+        assert_eq!(w.status().resident_queries, 1);
+        assert!(matches!(
+            roundtrip(&mut w, &Request::ReleaseQuery { query: Q0 }),
+            ResponseBody::Ack
+        ));
+        assert_eq!(w.status().resident_queries, 0);
+        assert_eq!(w.status().resident_lpms, 0);
+        // Cancelling again, or a never-installed id, still acks.
+        assert!(matches!(
+            roundtrip(&mut w, &Request::ReleaseQuery { query: Q0 }),
+            ResponseBody::Ack
+        ));
+        assert!(matches!(
+            roundtrip(
+                &mut w,
+                &Request::ReleaseQuery {
+                    query: QueryId(424242)
+                }
+            ),
+            ResponseBody::Ack
+        ));
+        // The cancelled query's chunk cursor is gone with the slot.
+        assert!(matches!(
+            roundtrip(
+                &mut w,
+                &Request::ShipSurvivorsChunk {
+                    query: Q0,
+                    seq: 0,
+                    max: 1,
+                }
+            ),
+            ResponseBody::UnknownQuery(id) if id == Q0
         ));
     }
 

@@ -11,7 +11,7 @@ use std::io::{self, Read, Write};
 
 use bytes::Bytes;
 
-use crate::transport::{is_timeout, read_frame, write_frame, InProcessEndpoint, MAX_FRAME_LEN};
+use crate::transport::{is_timeout, write_frame, InProcessEndpoint, MAX_FRAME_LEN};
 
 /// Why a serve loop ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,21 +24,14 @@ pub enum ServeOutcome {
 }
 
 /// Serve frames over a byte stream (e.g. a `TcpStream`) until the peer
-/// disconnects or the handler stops.
-pub fn serve_stream<S, H>(stream: &mut S, mut handler: H) -> io::Result<ServeOutcome>
+/// disconnects or the handler stops: [`serve_stream_idle`] with no idle
+/// work.
+pub fn serve_stream<S, H>(stream: &mut S, handler: H) -> io::Result<ServeOutcome>
 where
     S: Read + Write,
     H: FnMut(Bytes) -> Option<Bytes>,
 {
-    loop {
-        let Some(frame) = read_frame(stream)? else {
-            return Ok(ServeOutcome::Disconnected);
-        };
-        match handler(frame) {
-            Some(reply) => write_frame(stream, &reply)?,
-            None => return Ok(ServeOutcome::Stopped),
-        }
-    }
+    serve_stream_idle(stream, handler, || {})
 }
 
 /// [`serve_stream`] with an **idle tick**: whenever a full tick passes
@@ -51,8 +44,7 @@ where
 /// ticks to fire; timeouts are retried at *any* stream position — a tick
 /// elapsing mid-frame just means the coordinator is slow writing, not
 /// that the stream is torn, because this side never gives up on the
-/// frame. Without a socket timeout the loop degenerates to
-/// [`serve_stream`] and `on_idle` never runs.
+/// frame. Without a socket timeout `on_idle` never runs.
 pub fn serve_stream_idle<S, H, I>(
     stream: &mut S,
     mut handler: H,
@@ -143,7 +135,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{InProcessTransport, Transport};
+    use crate::transport::{read_frame, InProcessTransport, Transport};
 
     #[test]
     fn endpoint_loop_replies_until_disconnect() {

@@ -1,7 +1,7 @@
 //! Admission control for the HTTP front-end.
 //!
-//! The server runs a **bounded worker pool** (`max_concurrent` handler
-//! threads) fed by a **bounded queue** of accepted connections
+//! The server runs a **bounded worker pool** (one handler thread per
+//! session `max_concurrent_queries` slot) fed by a **bounded queue** of accepted connections
 //! ([`BoundedQueue`], capacity `queue_depth`). Overload therefore has
 //! exactly one behavior: when every worker is busy *and* the queue is
 //! full, [`BoundedQueue::push`] refuses immediately and the accept loop
@@ -12,9 +12,10 @@
 //! `BENCH_PR6.json`'s overload cell measures).
 //!
 //! The queue composes with the session's own [`QueryExecutor`]
-//! admission: the pool never runs more than `max_concurrent` requests,
-//! so sizing the session's `max_concurrent_queries` to match means the
-//! engine-side gate never queues behind the HTTP-side one.
+//! admission: the pool is sized by the session's
+//! `max_concurrent_queries`, so it never runs more requests than the
+//! engine-side gate admits, and that gate never queues behind the
+//! HTTP-side one.
 //!
 //! [`QueryExecutor`]: gstored::core::runtime::QueryExecutor
 

@@ -173,8 +173,9 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let session = Arc::new(build_session(args)?);
     let listener = std::net::TcpListener::bind(&args.bind)
         .map_err(|e| format!("cannot bind {}: {e}", args.bind))?;
+    // The HTTP pool takes its size from the session's
+    // `max_concurrent_queries`, which `--max-concurrent` set.
     let config = ServerConfig {
-        max_concurrent: args.max_concurrent.max(1),
         queue_depth: args.queue_depth,
         ..ServerConfig::default()
     };

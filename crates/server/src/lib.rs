@@ -22,10 +22,10 @@
 //!   client the tests drive it with.
 //!
 //! Every concurrent HTTP request runs as one of the session's
-//! multiplexed queries (PR 5's query-id runtime): the HTTP pool admits
-//! at most `max_concurrent` requests, each of which occupies one
-//! engine admission slot while it executes, over one shared worker
-//! fleet. See `docs/http.md` for the endpoint and status-code
+//! multiplexed queries (the query-id runtime): the HTTP pool admits at
+//! most the session's `max_concurrent_queries` requests, each of which
+//! occupies one engine admission slot while it executes, over one shared
+//! worker fleet. See `docs/http.md` for the endpoint and status-code
 //! reference, and `ARCHITECTURE.md` for how the server maps onto the
 //! concurrency model.
 
@@ -40,5 +40,5 @@ pub mod shutdown;
 pub use admission::{BoundedQueue, CountersSnapshot, ServerCounters};
 pub use http::{HttpRequest, HttpResponse};
 pub use negotiate::{negotiate, ResultFormat};
-pub use serializer::{serialize_results, serialize_rows, SolutionWriter};
+pub use serializer::{serialize_rows, SolutionWriter};
 pub use server::{ServerConfig, ServerHandle, SparqlServer};

@@ -159,8 +159,8 @@ impl<W: Write> SolutionWriter<W> {
 
 /// Serialize a whole result set (variables + rows of optional terms)
 /// into a byte buffer. The row-at-a-time [`SolutionWriter`] is the
-/// streaming interface; this is the convenience wrapper the server and
-/// benchmarks use for materialized [`gstored::QueryResults`].
+/// streaming interface; this is the convenience wrapper tests and
+/// benchmarks use for materialized rows.
 pub fn serialize_rows<'a>(
     format: ResultFormat,
     variables: &[String],
@@ -174,18 +174,6 @@ pub fn serialize_rows<'a>(
             .expect("writing to a Vec cannot fail");
     }
     writer.finish().expect("writing to a Vec cannot fail")
-}
-
-/// Serialize a session's [`gstored::QueryResults`] (every variable of
-/// every row is bound — BGP solutions are total).
-pub fn serialize_results(format: ResultFormat, results: &gstored::QueryResults<'_>) -> Vec<u8> {
-    serialize_rows(
-        format,
-        results.variables(),
-        results
-            .iter()
-            .map(|sol| sol.iter().map(|(_, term)| Some(term)).collect()),
-    )
 }
 
 /// Escape a string for inclusion in a JSON string literal.

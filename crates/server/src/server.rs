@@ -31,7 +31,7 @@
 //! transient and when to come back, while `/health` reports per-site
 //! liveness for load balancers.
 
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -47,16 +47,13 @@ use crate::http::{
     RequestError,
 };
 use crate::negotiate::{negotiate, ResultFormat};
-use crate::serializer::{json_escape, serialize_results, SolutionWriter};
+use crate::serializer::{json_escape, SolutionWriter};
 
-/// Server knobs. The defaults match the session's: 8 concurrent
-/// requests, a 16-deep pending queue.
+/// Server knobs. The worker pool — the number of requests served at
+/// once — is sized by the session's `max_concurrent_queries`, so the
+/// HTTP pool and the engine's admission gate always agree.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads — the number of requests served at once. Keep it
-    /// at or below the session's `max_concurrent_queries` so the HTTP
-    /// pool, not the engine gate, is where requests wait.
-    pub max_concurrent: usize,
     /// Accepted connections allowed to wait for a worker; beyond this,
     /// `429`.
     pub queue_depth: usize,
@@ -73,7 +70,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            max_concurrent: 8,
             queue_depth: 16,
             retry_after_secs: 1,
             read_timeout: Duration::from_secs(30),
@@ -129,8 +125,9 @@ impl SparqlServer {
         let config = Arc::new(self.config);
         let session = self.session;
 
-        let mut workers = Vec::with_capacity(config.max_concurrent.max(1));
-        for _ in 0..config.max_concurrent.max(1) {
+        let pool = session.engine().config().max_concurrent_queries.max(1);
+        let mut workers = Vec::with_capacity(pool);
+        for _ in 0..pool {
             let queue = Arc::clone(&queue);
             let session = Arc::clone(&session);
             let counters = Arc::clone(&counters);
@@ -226,18 +223,6 @@ impl ServerHandle {
         self.counters.snapshot()
     }
 
-    /// Whether shutdown has been requested.
-    pub fn shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-
-    /// Request shutdown without waiting: stop accepting and close the
-    /// queue. [`ServerHandle::shutdown`] (or dropping the handle) still
-    /// has to run to join the threads.
-    pub fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
     /// Graceful shutdown: stop accepting new connections, serve
     /// everything already admitted (in-flight requests run to
     /// completion, queued connections get one response), then join every
@@ -302,9 +287,9 @@ fn serve_connection(
         // During shutdown, finish this response but do not keep the
         // connection alive — the worker has a queue to drain.
         let close = request.wants_close() || shutdown.load(Ordering::SeqCst);
-        // Successful `/query` responses stream (chunked transfer, bounded
-        // memory) when the peer speaks HTTP/1.1; everything else — other
-        // endpoints, errors, HTTP/1.0 peers — goes out buffered.
+        // `/query` responses to HTTP/1.1 peers stream (chunked transfer,
+        // bounded memory); everything else — other endpoints, HTTP/1.0
+        // peers — goes out buffered with a `Content-Length`.
         let streamable = request.path == "/query"
             && matches!(request.method.as_str(), "GET" | "POST")
             && !request.http10;
@@ -344,10 +329,7 @@ pub(crate) fn handle_request(
              application/sparql-results+xml, text/tab-separated-values, \
              text/csv\n",
         ),
-        ("GET", "/query") | ("POST", "/query") => match extract_query(request) {
-            Ok(query) => run_query(session, request, &query),
-            Err(resp) => *resp,
-        },
+        ("GET", "/query") | ("POST", "/query") => buffered_query(session, counters, request),
         ("GET", "/status") => status_response(session, counters, queue),
         ("GET", "/health") => health_response(session),
         (_, "/query") | (_, "/status") | (_, "/health") | (_, "/") => {
@@ -412,32 +394,87 @@ fn extract_query(request: &HttpRequest) -> Result<String, Box<HttpResponse>> {
     }
 }
 
-/// Record and write one buffered response on the streaming path.
-fn send_buffered(
-    counters: &ServerCounters,
-    stream: &mut TcpStream,
-    response: HttpResponse,
-    close: bool,
-) -> std::io::Result<()> {
-    counters.record_status(response.status);
-    response.write_to(stream, close)
+/// Why a `/query` response could not be completed.
+enum QueryFailure {
+    /// The request failed before its body started; this is its typed
+    /// error response.
+    Refused(HttpResponse),
+    /// The engine failed mid-body.
+    Engine(Error),
+    /// The body sink failed mid-body (the client went away).
+    Io(std::io::Error),
 }
 
-/// Serve one `/query` request with a **streamed** response: solutions
-/// flow from the engine's [`gstored::QuerySolutionIter`] straight
-/// through a [`SolutionWriter`] into chunked transfer encoding, so the
-/// serialized response is never held whole. The engine behind it still
-/// holds the survivors received so far plus the distinct bindings
-/// emitted so far (its join's dedup set).
+/// The one `/query` responder: extract → negotiate → `prepare` →
+/// [`gstored::PreparedQuery::stream`] → [`SolutionWriter`] into the body
+/// sink `open` returns for the negotiated format. Only that sink differs
+/// between HTTP/1.1 ([`stream_query`]) and HTTP/1.0 peers or the unit
+/// harness ([`buffered_query`]), so every peer gets the same rows in the
+/// same (assembly) order. The engine holds the survivors received so
+/// far plus the distinct bindings emitted so far (its join's dedup set),
+/// never the serialized document.
+///
+/// On a mid-body failure the solution iterator drops here, and its
+/// `Drop` releases the fleet's per-query state, so a disconnected
+/// client's query stops occupying the fleet. `streams_cancelled` counts
+/// exactly those mid-body aborts.
+fn respond_query<W: Write>(
+    session: &GStoreD,
+    counters: &ServerCounters,
+    request: &HttpRequest,
+    open: impl FnOnce(ResultFormat) -> std::io::Result<W>,
+) -> Result<(ResultFormat, W), QueryFailure> {
+    let query = extract_query(request).map_err(|resp| QueryFailure::Refused(*resp))?;
+    let format = negotiate(request.header("accept")).map_err(|header| {
+        QueryFailure::Refused(error_response(
+            406,
+            "not-acceptable",
+            &format!(
+                "no servable result format in Accept: {header} (supported: {})",
+                ResultFormat::ALL.map(|f| f.media_type()).join(", ")
+            ),
+        ))
+    })?;
+    // Prepare-time failures (parse, lowering, encoding, shape analysis)
+    // are the query's fault: typed 400. Execution failures are ours.
+    let prepared = session.prepare(&query).map_err(|e| {
+        QueryFailure::Refused(match e {
+            Error::Parse(e) => error_response(400, "parse", &e.to_string()),
+            e => error_response(400, "unsupported", &e.to_string()),
+        })
+    })?;
+    let mut solutions = prepared
+        .stream()
+        .map_err(|e| QueryFailure::Refused(engine_error_response(&e)))?;
+    counters.streams_started.fetch_add(1, Ordering::Relaxed);
+    let variables = solutions.variables().to_vec();
+    let body = (|| {
+        let sink = open(format).map_err(QueryFailure::Io)?;
+        let mut writer =
+            SolutionWriter::start(sink, format, &variables).map_err(QueryFailure::Io)?;
+        for solution in &mut solutions {
+            let solution = solution.map_err(QueryFailure::Engine)?;
+            let terms: Vec<Option<&Term>> = solution.iter().map(|(_, term)| Some(term)).collect();
+            writer.write_row(&terms).map_err(QueryFailure::Io)?;
+        }
+        writer.finish().map_err(QueryFailure::Io)
+    })();
+    let outcome = match body {
+        Ok(_) => &counters.streams_completed,
+        Err(_) => &counters.streams_cancelled,
+    };
+    outcome.fetch_add(1, Ordering::Relaxed);
+    body.map(|sink| (format, sink))
+}
+
+/// Serve one `/query` request to an HTTP/1.1 peer: solutions flow
+/// through [`respond_query`] straight into chunked transfer encoding.
 ///
 /// Everything that fails *before the first byte* (bad request, parse
 /// error, no acceptable format, engine refusing to start) still goes out
 /// as an ordinary buffered error response. Once the `200` head is on the
 /// wire the only honest failure mode is truncation: the chunked body is
-/// left unterminated and the connection closes, and — crucially — the
-/// returned error drops the solution iterator, whose `Drop` broadcasts
-/// `CancelQuery` so a disconnected client's query stops occupying the
-/// fleet. `streams_cancelled` counts exactly those mid-body aborts.
+/// left unterminated and the connection closes.
 fn stream_query(
     session: &GStoreD,
     counters: &ServerCounters,
@@ -445,104 +482,38 @@ fn stream_query(
     stream: &mut TcpStream,
     close: bool,
 ) -> std::io::Result<()> {
-    let query = match extract_query(request) {
-        Ok(query) => query,
-        Err(resp) => return send_buffered(counters, stream, *resp, close),
-    };
-    let format = match negotiate(request.header("accept")) {
-        Ok(format) => format,
-        Err(header) => {
-            let resp = error_response(
-                406,
-                "not-acceptable",
-                &format!(
-                    "no servable result format in Accept: {header} (supported: {})",
-                    ResultFormat::ALL.map(|f| f.media_type()).join(", ")
-                ),
-            );
-            return send_buffered(counters, stream, resp, close);
-        }
-    };
-    let prepared = match session.prepare(&query) {
-        Ok(prepared) => prepared,
-        Err(Error::Parse(e)) => {
-            return send_buffered(
-                counters,
-                stream,
-                error_response(400, "parse", &e.to_string()),
-                close,
-            )
-        }
-        Err(e) => {
-            return send_buffered(
-                counters,
-                stream,
-                error_response(400, "unsupported", &e.to_string()),
-                close,
-            )
-        }
-    };
-    let mut solutions = match prepared.stream() {
-        Ok(solutions) => solutions,
-        Err(e) => return send_buffered(counters, stream, engine_error_response(&e), close),
-    };
-    counters.streams_started.fetch_add(1, Ordering::Relaxed);
-    counters.record_status(200);
-    let variables = solutions.variables().to_vec();
-    let outcome: std::io::Result<()> = (|| {
-        write_chunked_head(stream, 200, format.content_type(), close)?;
-        let chunker = ChunkedWriter::new(&mut *stream);
-        let mut writer = SolutionWriter::start(chunker, format, &variables)?;
-        for solution in &mut solutions {
-            let solution = solution.map_err(|e| std::io::Error::other(format!("engine: {e}")))?;
-            let terms: Vec<Option<&Term>> = solution.iter().map(|(_, term)| Some(term)).collect();
-            writer.write_row(&terms)?;
-        }
-        writer.finish()?.finish()?;
-        Ok(())
-    })();
+    let body = &mut *stream;
+    let outcome = respond_query(session, counters, request, move |format| {
+        counters.record_status(200);
+        write_chunked_head(body, 200, format.content_type(), close)?;
+        Ok(ChunkedWriter::new(body))
+    });
     match outcome {
-        Ok(()) => {
-            counters.streams_completed.fetch_add(1, Ordering::Relaxed);
-            Ok(())
+        Ok((_, chunker)) => chunker.finish().map(drop),
+        Err(QueryFailure::Refused(response)) => {
+            counters.record_status(response.status);
+            response.write_to(stream, close)
         }
-        Err(e) => {
-            // Dropping `solutions` below cancels the engine query.
-            counters.streams_cancelled.fetch_add(1, Ordering::Relaxed);
-            Err(e)
-        }
+        Err(QueryFailure::Engine(e)) => Err(std::io::Error::other(format!("engine: {e}"))),
+        Err(QueryFailure::Io(e)) => Err(e),
     }
 }
 
-/// Parse, execute and serialize one SPARQL query (the buffered path:
-/// unit harnesses and HTTP/1.0 peers, which cannot take chunked
-/// framing).
-fn run_query(session: &GStoreD, request: &HttpRequest, query: &str) -> HttpResponse {
-    let format = match negotiate(request.header("accept")) {
-        Ok(format) => format,
-        Err(header) => {
-            return error_response(
-                406,
-                "not-acceptable",
-                &format!(
-                    "no servable result format in Accept: {header} (supported: {})",
-                    ResultFormat::ALL.map(|f| f.media_type()).join(", ")
-                ),
-            )
-        }
-    };
-    // Prepare-time failures (parse, lowering, encoding, shape analysis)
-    // are the query's fault: typed 400. Execution failures are ours: 500.
-    let prepared = match session.prepare(query) {
-        Ok(prepared) => prepared,
-        Err(Error::Parse(e)) => return error_response(400, "parse", &e.to_string()),
-        Err(e) => return error_response(400, "unsupported", &e.to_string()),
-    };
-    match prepared.execute() {
-        Ok(results) => {
-            HttpResponse::new(200).body(format.content_type(), serialize_results(format, &results))
-        }
-        Err(e) => engine_error_response(&e),
+/// Serve one `/query` request into a buffer sent with `Content-Length`
+/// (HTTP/1.0 peers, which cannot take chunked framing, and the unit
+/// harness). The rows are [`stream_query`]'s; because nothing is on the
+/// wire until the body is complete, a mid-body engine failure still gets
+/// its typed status.
+fn buffered_query(
+    session: &GStoreD,
+    counters: &ServerCounters,
+    request: &HttpRequest,
+) -> HttpResponse {
+    match respond_query(session, counters, request, |_| Ok(Vec::new())) {
+        Ok((format, body)) => HttpResponse::new(200).body(format.content_type(), body),
+        Err(QueryFailure::Refused(response)) => response,
+        Err(QueryFailure::Engine(e)) => engine_error_response(&e),
+        Err(QueryFailure::Io(e)) => error_response(500, "io", &e.to_string()),
     }
 }
 

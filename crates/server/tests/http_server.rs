@@ -10,26 +10,32 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gstored::rdf::{write_ntriples, Term};
-use gstored::GStoreD;
+use gstored::{GStoreD, GStoreDBuilder};
 use gstored_datagen::lubm::{self, LubmConfig};
 use gstored_datagen::queries;
-use gstored_server::{
-    client, serialize_results, serialize_rows, ResultFormat, ServerConfig, SparqlServer,
-};
+use gstored_server::{client, serialize_rows, ResultFormat, ServerConfig, SparqlServer};
 
-fn lubm_session() -> GStoreD {
-    let triples = lubm::generate(&LubmConfig::with_target_triples(600, 7));
+/// A session builder over generated LUBM data.
+fn lubm_builder(target_triples: usize) -> GStoreDBuilder {
+    let triples = lubm::generate(&LubmConfig::with_target_triples(target_triples, 7));
     let mut text = Vec::new();
     write_ntriples(&mut text, &triples).unwrap();
     GStoreD::builder()
         .ntriples(std::str::from_utf8(&text).unwrap())
         .unwrap()
-        .build()
-        .unwrap()
 }
 
 fn start(config: ServerConfig) -> (Arc<GStoreD>, gstored_server::ServerHandle) {
-    let session = Arc::new(lubm_session());
+    start_with(lubm_builder(600), config)
+}
+
+/// Serve the session `builder` builds; its `max_concurrent_queries` also
+/// sizes the server's worker pool.
+fn start_with(
+    builder: GStoreDBuilder,
+    config: ServerConfig,
+) -> (Arc<GStoreD>, gstored_server::ServerHandle) {
+    let session = Arc::new(builder.build().unwrap());
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let handle = SparqlServer::new(Arc::clone(&session), config)
         .start(listener)
@@ -150,31 +156,74 @@ fn all_formats_row_equal_to_embedded() {
     handle.shutdown();
 }
 
-/// An HTTP/1.0 peer cannot take chunked framing: `/query` falls back to
-/// the buffered path with a `Content-Length`, and the body is the
-/// sorted `execute()` serialization — byte-identical to PR6 behavior.
-#[test]
-fn http10_gets_the_buffered_content_length_path() {
-    let (session, handle) = start(ServerConfig::default());
-    let query = &queries::lubm_queries()[0].text;
-    let results = session.query(query).unwrap();
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+/// `GET path` over HTTP/1.0, which cannot take chunked framing.
+fn http10_get(addr: std::net::SocketAddr, path: &str, accept: &str) -> client::HttpReply {
+    let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .write_all(
-            format!(
-                "GET /query?query={} HTTP/1.0\r\nHost: test\r\n\
-                 Accept: application/sparql-results+json\r\n\r\n",
-                urlencode(query)
-            )
-            .as_bytes(),
+            format!("GET {path} HTTP/1.0\r\nHost: test\r\nAccept: {accept}\r\n\r\n").as_bytes(),
         )
         .unwrap();
-    let reply = client::read_reply(&mut std::io::BufReader::new(stream)).unwrap();
-    assert_eq!(reply.status, 200);
-    assert_eq!(reply.header("transfer-encoding"), None);
-    assert!(reply.header("content-length").is_some());
-    assert_eq!(reply.body, serialize_results(ResultFormat::Json, &results));
-    assert_eq!(handle.counters().streams_started, 0);
+    client::read_reply(&mut std::io::BufReader::new(stream)).unwrap()
+}
+
+/// An HTTP/1.0 peer goes through the same responder as an HTTP/1.1 one;
+/// only the sink differs. The body is byte-identical to the decoded
+/// chunked body, sent with a `Content-Length` and no chunked framing.
+#[test]
+fn http10_gets_the_buffered_content_length_path() {
+    let (_session, handle) = start(ServerConfig::default());
+    let query = &queries::lubm_queries()[0].text;
+    let path = format!("/query?query={}", urlencode(query));
+    for format in ResultFormat::ALL {
+        let http11 = client::get(handle.addr(), &path, Some(format.media_type())).unwrap();
+        assert_eq!(http11.header("transfer-encoding"), Some("chunked"));
+        let http10 = http10_get(handle.addr(), &path, format.media_type());
+        assert_eq!(http10.status, 200, "{format:?}");
+        assert_eq!(http10.header("transfer-encoding"), None, "{format:?}");
+        assert_eq!(
+            http10.header("content-length"),
+            Some(http10.body.len().to_string().as_str()),
+            "{format:?}"
+        );
+        assert_eq!(
+            http10.header("content-type"),
+            Some(format.content_type()),
+            "{format:?}"
+        );
+        assert!(!http10.body.is_empty());
+        assert_eq!(http10.body, http11.body, "{format:?}");
+    }
+    // Both peers' responses ran as streams, and all of them completed.
+    let counters = handle.counters();
+    assert_eq!(counters.streams_cancelled, 0);
+    handle.shutdown();
+}
+
+/// Under a `LIMIT`, a stream keeps the first rows assembled — not the
+/// smallest ones, which is what `execute()` keeps. Both HTTP versions
+/// answer from the stream, so they return the same rows.
+#[test]
+fn http10_and_http11_return_the_same_rows_under_limit() {
+    let (session, handle) = start(ServerConfig::default());
+    let query = format!("{} LIMIT 3", queries::lubm_queries()[0].text);
+    let path = format!("/query?query={}", urlencode(&query));
+    let http11 = client::get(handle.addr(), &path, Some("text/csv")).unwrap();
+    let http10 = http10_get(handle.addr(), &path, "text/csv");
+    assert_eq!((http10.status, http11.status), (200, 200));
+    assert_eq!(http10.body_str().lines().count(), 4, "head + 3 rows");
+    assert_eq!(http10.body, http11.body);
+    // The case is one where the two `LIMIT` semantics differ: the 3
+    // smallest rows are not the first 3 assembled.
+    let smallest = session.query(&query).unwrap();
+    let smallest = serialize_rows(
+        ResultFormat::Csv,
+        smallest.variables(),
+        smallest
+            .iter()
+            .map(|sol| sol.iter().map(|(_, term)| Some(term)).collect()),
+    );
+    assert_ne!(http10.body, smallest);
     handle.shutdown();
 }
 
@@ -186,20 +235,7 @@ fn http10_gets_the_buffered_content_length_path() {
 fn client_disconnect_mid_body_cancels_the_query() {
     // A result set far larger than the socket buffers, so the server is
     // still streaming when the client hangs up.
-    let triples = lubm::generate(&LubmConfig::with_target_triples(20_000, 7));
-    let mut text = Vec::new();
-    write_ntriples(&mut text, &triples).unwrap();
-    let session = Arc::new(
-        GStoreD::builder()
-            .ntriples(std::str::from_utf8(&text).unwrap())
-            .unwrap()
-            .build()
-            .unwrap(),
-    );
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = SparqlServer::new(Arc::clone(&session), ServerConfig::default())
-        .start(listener)
-        .unwrap();
+    let (session, handle) = start_with(lubm_builder(20_000), ServerConfig::default());
 
     let query =
         "SELECT * WHERE { ?s <http://swat.cse.lehigh.edu/onto/univ-bench.owl#takesCourse> ?c }";
@@ -215,7 +251,7 @@ fn client_disconnect_mid_body_cancels_the_query() {
         .unwrap();
     // Hang up without reading the body: the server's chunk flushes hit
     // EPIPE once the FIN lands, the write error drops the solution
-    // iterator, and its Drop broadcasts CancelQuery.
+    // iterator, and its Drop broadcasts ReleaseQuery.
     drop(stream);
 
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -301,17 +337,20 @@ fn oversized_bodies_get_413() {
     handle.shutdown();
 }
 
-/// With a single worker and a one-deep queue, a third concurrent
+/// With a single worker (the session admits one query) and a one-deep
+/// queue, a third concurrent
 /// connection must be refused immediately with `429` + `Retry-After` —
 /// overload turns into fast rejection, not unbounded queueing.
 #[test]
 fn overload_yields_fast_429() {
-    let (_session, handle) = start(ServerConfig {
-        max_concurrent: 1,
-        queue_depth: 1,
-        read_timeout: Duration::from_secs(2),
-        ..ServerConfig::default()
-    });
+    let (_session, handle) = start_with(
+        lubm_builder(600).max_concurrent_queries(1),
+        ServerConfig {
+            queue_depth: 1,
+            read_timeout: Duration::from_secs(2),
+            ..ServerConfig::default()
+        },
+    );
     let addr = handle.addr();
     // Two idle connections: one occupies the single worker (blocked
     // reading a request that never comes), one fills the queue.
@@ -339,11 +378,13 @@ fn overload_yields_fast_429() {
 /// workers exit, and refuse service afterwards.
 #[test]
 fn graceful_shutdown_drains_in_flight() {
-    let (_session, handle) = start(ServerConfig {
-        max_concurrent: 2,
-        read_timeout: Duration::from_secs(5),
-        ..ServerConfig::default()
-    });
+    let (_session, handle) = start_with(
+        lubm_builder(600).max_concurrent_queries(2),
+        ServerConfig {
+            read_timeout: Duration::from_secs(5),
+            ..ServerConfig::default()
+        },
+    );
     let addr = handle.addr();
     // Park a request mid-head so a worker is holding it when shutdown
     // starts, then complete it from another thread.
@@ -393,21 +434,10 @@ fn keep_alive_serves_sequential_requests() {
 /// as an explicit-variant server.
 #[test]
 fn auto_variant_server_reports_planner_choice_in_status() {
-    let triples = lubm::generate(&LubmConfig::with_target_triples(600, 7));
-    let mut text = Vec::new();
-    write_ntriples(&mut text, &triples).unwrap();
-    let session = Arc::new(
-        GStoreD::builder()
-            .ntriples(std::str::from_utf8(&text).unwrap())
-            .unwrap()
-            .variant(gstored::core::Variant::Auto)
-            .build()
-            .unwrap(),
+    let (session, handle) = start_with(
+        lubm_builder(600).variant(gstored::core::Variant::Auto),
+        ServerConfig::default(),
     );
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let handle = SparqlServer::new(Arc::clone(&session), ServerConfig::default())
-        .start(listener)
-        .unwrap();
     let addr = handle.addr();
 
     let before = client::get(addr, "/status", None).unwrap();

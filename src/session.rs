@@ -335,12 +335,6 @@ impl GStoreDBuilder {
         self
     }
 
-    /// Toggle the star-query fast path of Section VIII-B.
-    pub fn star_fast_path(mut self, enabled: bool) -> Self {
-        self.config.star_fast_path = enabled;
-        self
-    }
-
     /// Per-query deadline budget (`None` waits forever). See
     /// [`EngineConfig::query_deadline`].
     pub fn query_deadline(mut self, deadline: Option<Duration>) -> Self {
@@ -839,11 +833,13 @@ impl GStoreD {
         Ok(status?)
     }
 
-    /// Probe each site worker individually for liveness: send it a
-    /// status request and wait a bounded `HEALTH_PROBE_TIMEOUT`.
-    /// Unlike [`GStoreD::fleet_status`], one dead site does not fail
-    /// the call — its entry reports the error and the remaining sites
-    /// are still probed. This is the `/health` endpoint's data source.
+    /// Probe each site worker individually for liveness: send every site
+    /// a status request, then collect the replies under one shared
+    /// `HEALTH_PROBE_TIMEOUT` deadline, so k hung sites cost one timeout,
+    /// not k. Unlike [`GStoreD::fleet_status`], one dead site does not
+    /// fail the call — its entry reports the error and the remaining
+    /// sites are still probed. This is the `/health` endpoint's data
+    /// source.
     ///
     /// Takes an admission slot like a query (the probe itself is
     /// flow-controlled) and establishes the fleet if no query has run
@@ -854,22 +850,25 @@ impl GStoreD {
         let frame = protocol::encode_request(&Request::WorkerStatus {
             query: ticket.query(),
         });
-        let sites = fleet.router.sites();
-        let mut health = Vec::with_capacity(sites);
-        for site in 0..sites {
-            let result = fleet
-                .transport()
-                .send(site, frame.clone())
-                .map_err(EngineError::from)
-                .and_then(|()| {
-                    let deadline = Instant::now() + HEALTH_PROBE_TIMEOUT;
-                    fleet.router.recv_deadline(
-                        fleet.transport(),
-                        site,
-                        ticket.query(),
-                        Some(deadline),
-                    )
-                });
+        let sent: Vec<Result<(), EngineError>> = (0..fleet.router.sites())
+            .map(|site| {
+                fleet
+                    .transport()
+                    .send(site, frame.clone())
+                    .map_err(EngineError::from)
+            })
+            .collect();
+        let deadline = Instant::now() + HEALTH_PROBE_TIMEOUT;
+        let mut health = Vec::with_capacity(sent.len());
+        for (site, sent) in sent.into_iter().enumerate() {
+            // Receive even when the send failed: a broken connection then
+            // fails the receive too, which marks the site failed in the
+            // router, so the next query repairs it before using it.
+            let received =
+                fleet
+                    .router
+                    .recv_deadline(fleet.transport(), site, ticket.query(), Some(deadline));
+            let result = sent.and(received);
             health.push(match result {
                 Ok((_, response)) => match response.body {
                     ResponseBody::Status(status) => SiteHealth {
@@ -997,7 +996,7 @@ impl<'s> PreparedQuery<'s> {
     ///   but under a `LIMIT` the stream keeps the *first k assembled*
     ///   rather than the k smallest.
     /// - `LIMIT` (and dropping the iterator early) short-circuits the
-    ///   pipeline: the fleet gets a `CancelQuery` broadcast and the
+    ///   pipeline: the fleet gets a `ReleaseQuery` broadcast and the
     ///   admission slot frees immediately, instead of after a full
     ///   evaluation.
     ///
@@ -1100,7 +1099,7 @@ pub const DEFAULT_STREAM_CHUNK: usize = 256;
 /// Yields `Result<StreamSolution, Error>` in assembly order, applying
 /// projection, `DISTINCT` and `LIMIT` incrementally. Exhaustion,
 /// `LIMIT`, an error, or dropping the iterator all release the fleet's
-/// per-query state (each site's last survivor chunk, or `CancelQuery`)
+/// per-query state (each site's last survivor chunk, or `ReleaseQuery`)
 /// and the admission slot — a stream can never leak worker-side state.
 /// After an error the iterator is fused (further `next()` calls return
 /// `None`).

@@ -163,8 +163,8 @@ proptest! {
         filter_vertices in prop::collection::vec((0usize..8, 0u64..512), 0..4),
         seq in any::<u64>(),
         max in any::<usize>(),
-        chain_from in 0usize..12,
-        chain_to in 0usize..12,
+        chain_from in 0usize..11,
+        chain_to in 0usize..11,
     ) {
         let query = QueryId(qid);
         let requests = vec![
@@ -187,7 +187,6 @@ proptest! {
             Request::ShipSurvivors { query },
             Request::ShipSurvivorsChunk { query, seq, max },
             Request::ShipSurvivorsChunk { query, seq: 0, max: usize::MAX },
-            Request::CancelQuery { query },
             Request::ReleaseQuery { query },
             Request::WorkerStatus { query },
             Request::Shutdown,
@@ -469,7 +468,7 @@ proptest! {
     }
 
     /// Truncated streaming request frames (ShipSurvivorsChunk missing its
-    /// cursor fields, CancelQuery missing its id) are decode errors, and
+    /// cursor fields, ReleaseQuery missing its id) are decode errors, and
     /// any prefix of a valid streaming frame decodes without panicking.
     #[test]
     fn truncated_streaming_frames_never_panic(
@@ -481,7 +480,7 @@ proptest! {
         let query = QueryId(qid);
         for frame in [
             protocol::encode_request(&Request::ShipSurvivorsChunk { query, seq, max }),
-            protocol::encode_request(&Request::CancelQuery { query }),
+            protocol::encode_request(&Request::ReleaseQuery { query }),
             protocol::encode_response(&Response {
                 elapsed_nanos: 1,
                 query,
@@ -496,6 +495,24 @@ proptest! {
                 || protocol::decode_response(frame).is_ok();
             prop_assert!(full);
         }
+    }
+
+    /// Request tag 14 is retired (it was a second name for
+    /// `ReleaseQuery`): a frame carrying it is a decode error, whole or
+    /// as a chain step, and whatever follows the query id.
+    #[test]
+    fn retired_request_tag_14_is_a_decode_error(
+        qid in any::<u32>(),
+        tail in prop::collection::vec(0u64..256, 0..8),
+    ) {
+        let mut w = WireWriter::new();
+        w.u64(14).u32_fixed(qid);
+        let mut frame = w.finish().to_vec();
+        frame.extend(tail.into_iter().map(|b| b as u8));
+        let frame = bytes::Bytes::from(frame);
+        prop_assert!(protocol::decode_request(frame.clone()).is_err());
+        let chain = protocol::encode_chain(QueryId(qid), &[frame]);
+        prop_assert!(protocol::decode_request(chain).is_err());
     }
 
     /// Arbitrary byte soup through both envelope decoders: errors are

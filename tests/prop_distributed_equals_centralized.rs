@@ -25,7 +25,6 @@ fn run_distributed(
     assignment: &[usize],
     sites: usize,
     variant: Variant,
-    star_fast_path: bool,
 ) -> Vec<Vec<gstored::rdf::TermId>> {
     // Deterministically map the proptest-chosen assignment onto vertices.
     let mut verts: Vec<_> = g.vertices().collect();
@@ -43,7 +42,6 @@ fn run_distributed(
             of_vertex: map,
         })
         .variant(variant)
-        .star_fast_path(star_fast_path)
         .build()
         .expect("Definition 1 invariants");
     let results = db.query(query_text).expect("generated query evaluates");
@@ -78,7 +76,7 @@ proptest! {
         .expect("generated query is connected");
         let expected = reference(&g, &query);
         for variant in Variant::ALL {
-            let got = run_distributed(&g, &text, &assignment, 4, variant, true);
+            let got = run_distributed(&g, &text, &assignment, 4, variant);
             prop_assert_eq!(
                 &got, &expected,
                 "variant {} on {}", variant.label(), text
@@ -86,9 +84,10 @@ proptest! {
         }
     }
 
-    /// The star fast path agrees with the general machinery.
+    /// The star fast path (Section VIII-B) under every variant agrees
+    /// with the centralized matcher.
     #[test]
-    fn star_fast_path_equals_general_path(
+    fn star_fast_path_equals_centralized(
         graph_seed in 0u64..5000,
         assignment in prop::collection::vec(0usize..3, 16),
         leaves in 1usize..4,
@@ -115,10 +114,13 @@ proptest! {
         )
         .unwrap();
         let expected = reference(&g, &query);
-        let fast = run_distributed(&g, &text, &assignment, 3, Variant::Full, true);
-        let slow = run_distributed(&g, &text, &assignment, 3, Variant::Full, false);
-        prop_assert_eq!(&fast, &expected, "fast path diverged on {}", text);
-        prop_assert_eq!(&slow, &expected, "general path diverged on {}", text);
+        for variant in Variant::ALL {
+            let got = run_distributed(&g, &text, &assignment, 3, variant);
+            prop_assert_eq!(
+                &got, &expected,
+                "variant {} on {}", variant.label(), text
+            );
+        }
     }
 
     /// Varying the number of sites never changes results.
@@ -141,7 +143,7 @@ proptest! {
         .unwrap();
         let expected = reference(&g, &query);
         for sites in [1usize, 2, 5, 8] {
-            let got = run_distributed(&g, &text, &assignment, sites, Variant::Full, true);
+            let got = run_distributed(&g, &text, &assignment, sites, Variant::Full);
             prop_assert_eq!(&got, &expected, "{} sites on {}", sites, text);
         }
     }

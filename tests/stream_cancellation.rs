@@ -1,11 +1,11 @@
-//! PR7 stream-cancellation leak tests.
+//! Stream-cancellation leak tests.
 //!
 //! A dropped or LIMIT-short-circuited [`gstored::QuerySolutionIter`]
 //! must leave **no residue anywhere in the fleet**: every worker's
 //! query-state table empty (`fleet_status()` occupancy zero, no resident
 //! LPMs) and the session's admission slot released — on the in-process
 //! backend and over real TCP workers alike, since cancellation is a
-//! protocol broadcast (`CancelQuery`), not an in-process shortcut.
+//! protocol broadcast (`ReleaseQuery`), not an in-process shortcut.
 
 use std::net::TcpListener;
 

@@ -278,6 +278,41 @@ fn star_stream_fails_typed_when_an_unpulled_site_dies_after_rows_are_out() {
     );
 }
 
+/// A star stream sends a site nothing until it pulls it. When the fleet
+/// already knows a site is dead (here the `/health` probe found it), the
+/// stream must not start pulling the live sites and fail after their
+/// rows are out: starting it fails typed, before any row, so the HTTP
+/// layer can still answer `503` + `Retry-After`.
+#[test]
+fn star_stream_over_a_known_dead_site_fails_before_its_first_row() {
+    let addrs = reserve_addrs(3);
+    let mut workers: Vec<Worker> = addrs.iter().map(|a| Worker::spawn(a)).collect();
+    let db = tcp_session(&addrs);
+    let star = db.prepare(STAR_QUERY).unwrap();
+    let star_oracle = sorted_rows(star.execute().unwrap().vertex_rows());
+
+    workers[1].kill();
+    let alive: Vec<bool> = db
+        .site_health()
+        .unwrap()
+        .iter()
+        .map(|h| h.is_alive())
+        .collect();
+    assert_eq!(alive, vec![true, false, true]);
+    match star.stream() {
+        Err(gstored::Error::Engine(EngineError::SiteUnavailable { site: 1, .. })) => {}
+        Err(other) => panic!("expected site 1 unavailable, got {other}"),
+        Ok(_) => panic!("a star stream started over a known-dead site"),
+    }
+
+    workers[1] = Worker::spawn(&addrs[1]);
+    assert_eq!(
+        query_until_healed(&db, STAR_QUERY).as_deref(),
+        Some(star_oracle.as_slice()),
+        "session never recovered after worker restart"
+    );
+}
+
 /// Run `f` on its own thread and wait at most `limit` for it: a hang
 /// fails the test instead of wedging the test binary.
 fn within<T: Send + 'static>(
@@ -356,4 +391,53 @@ fn silent_worker_fails_the_first_query_typed_within_the_deadline() {
             send_shutdown(addr).unwrap();
         }
     }
+}
+
+/// `/health` waits once, not once per hung site: the probes go out to
+/// every site first and their replies share one deadline. Sites 1 and 2
+/// ack `InstallFragment` and then never answer again, so a probe that
+/// waited for each site in turn would take two probe timeouts.
+#[test]
+fn site_health_waits_one_deadline_for_every_hung_site() {
+    use gstored::core::protocol::{encode_response, Response, ResponseBody};
+    use gstored::core::QueryId;
+    use gstored::net::transport::{read_frame, write_frame};
+
+    let addrs: Vec<String> = (0..3)
+        .map(|site| {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            if site == 0 {
+                std::thread::spawn(move || serve_tcp(listener));
+            } else {
+                std::thread::spawn(move || {
+                    let (mut stream, _) = listener.accept().unwrap();
+                    // Ack the fragment install, then read and drop every
+                    // frame until the coordinator hangs up.
+                    if read_frame(&mut stream).ok().flatten().is_some() {
+                        let ack =
+                            Response::new(Duration::ZERO, QueryId::CONTROL, ResponseBody::Ack);
+                        let _ = write_frame(&mut stream, &encode_response(&ack));
+                    }
+                    while let Ok(Some(_)) = read_frame(&mut stream) {}
+                });
+            }
+            addr
+        })
+        .collect();
+    let db = Arc::new(tcp_session(&addrs));
+    let session = Arc::clone(&db);
+    let (health, took) = within(Duration::from_secs(10), "the fleet probe", move || {
+        let started = Instant::now();
+        let health = session.site_health().expect("the fleet installs");
+        (health, started.elapsed())
+    });
+    let alive: Vec<bool> = health.iter().map(|h| h.is_alive()).collect();
+    assert_eq!(alive, vec![true, false, false], "{health:?}");
+    assert!(
+        took < Duration::from_secs(3),
+        "two hung sites cost {took:?}, more than one probe timeout"
+    );
+    drop(db);
+    send_shutdown(&addrs[0]).unwrap();
 }
