@@ -7,8 +7,9 @@ use gstored_baselines::dream::DreamLike;
 use gstored_baselines::s2rdf::S2rdfLike;
 use gstored_baselines::s2x::S2xLike;
 use gstored_baselines::Baseline;
-use gstored_core::engine::{Engine, EngineConfig, Variant};
+use gstored_core::engine::{Engine, EngineConfig, QueryOutput, Variant};
 use gstored_core::prepared::PreparedPlan;
+use gstored_core::worker::with_in_process_workers;
 use gstored_datagen::BenchQuery;
 use gstored_partition::{
     cost::partitioning_cost, DistributedGraph, HashPartitioner, MetisLikePartitioner, Partitioner,
@@ -24,6 +25,13 @@ use crate::format::{kib, ms, Table};
 pub fn query_graph(q: &BenchQuery) -> QueryGraph {
     QueryGraph::from_query(&parse_query(&q.text).unwrap_or_else(|e| panic!("{}: {e}", q.id)))
         .unwrap_or_else(|e| panic!("{}: {e}", q.id))
+}
+
+/// Evaluate a prepared plan once on a fresh in-process fleet, panicking
+/// with the query id on an engine error.
+pub fn run(engine: &Engine, dist: &DistributedGraph, plan: &PreparedPlan, id: &str) -> QueryOutput {
+    with_in_process_workers(dist, |fleet| engine.execute_on(fleet, dist, plan))
+        .unwrap_or_else(|e| panic!("{id}: {e}"))
 }
 
 /// Prepare a benchmark query against a distributed graph's dictionary:
@@ -73,9 +81,7 @@ pub fn table_stage_breakdown(dataset: &Dataset, sites: usize) -> Table {
     );
     for q in &dataset.queries {
         let plan = prepare(&dist, q);
-        let out = engine
-            .execute(&dist, &plan)
-            .unwrap_or_else(|e| panic!("{}: {e}", q.id));
+        let out = run(&engine, &dist, &plan, q.id);
         let m = &out.metrics;
         table.row(vec![
             q.id.to_string(),
@@ -132,9 +138,7 @@ pub fn fig_optimizations(dataset: &Dataset, sites: usize) -> Table {
         let mut cells = vec![q.id.to_string()];
         let mut matches = 0u64;
         for variant in Variant::ALL {
-            let out = Engine::with_variant(variant)
-                .execute(&dist, &plan)
-                .unwrap_or_else(|e| panic!("{}: {e}", q.id));
+            let out = run(&Engine::with_variant(variant), &dist, &plan, q.id);
             cells.push(ms(out.metrics.total_time()));
             matches = out.metrics.total_matches();
         }
@@ -162,9 +166,7 @@ pub fn fig_partitionings(dataset: &Dataset, sites: usize) -> Table {
         let mut cells = vec![q.id.to_string()];
         for (_, dist) in &dists {
             let plan = prepare(dist, q);
-            let out = engine
-                .execute(dist, &plan)
-                .unwrap_or_else(|e| panic!("{}: {e}", q.id));
+            let out = run(&engine, dist, &plan, q.id);
             cells.push(format!(
                 "{} | {}",
                 ms(out.metrics.total_time()),
@@ -205,9 +207,7 @@ pub fn fig_scalability(
         ];
         for (di, dist) in dists.iter().enumerate() {
             let plan = prepare(dist, &datasets[di].queries[qi]);
-            let out = engine
-                .execute(dist, &plan)
-                .unwrap_or_else(|e| panic!("{}: {e}", q.id));
+            let out = run(&engine, dist, &plan, q.id);
             cells.push(ms(out.metrics.total_time()));
         }
         table.row(cells);
@@ -253,9 +253,7 @@ pub fn fig_comparison(dataset: &Dataset, sites: usize) -> Table {
         }
         for (_, dist) in &dists {
             let plan = prepare(dist, q);
-            let out = engine
-                .execute(dist, &plan)
-                .unwrap_or_else(|e| panic!("{}: {e}", q.id));
+            let out = run(&engine, dist, &plan, q.id);
             counts.entry(q.id).or_default().push(out.bindings.len());
             cells.push(ms(out.metrics.total_time()));
         }
@@ -295,9 +293,7 @@ pub fn ablation_candidate_bits(dataset: &Dataset, sites: usize) -> Table {
                 candidate_bits: bits,
                 ..EngineConfig::variant(Variant::Full)
             });
-            let out = engine
-                .execute(&dist, &plan)
-                .unwrap_or_else(|e| panic!("{}: {e}", q.id));
+            let out = run(&engine, &dist, &plan, q.id);
             table.row(vec![
                 q.id.to_string(),
                 format!("{}Ki", bits >> 10),

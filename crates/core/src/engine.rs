@@ -68,12 +68,9 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use fxhash::FxHashSet;
-use gstored_net::{
-    ChaosConfig, NetworkModel, QueryMetrics, ReactorTransport, Transport, TransportError,
-};
+use gstored_net::{ChaosConfig, NetworkModel, QueryMetrics, ReactorTransport, Transport};
 use gstored_partition::DistributedGraph;
 use gstored_rdf::{Term, VertexId};
-use gstored_sparql::QueryGraph;
 use gstored_store::{EncodedQuery, LocalPartialMatch};
 
 use crate::assembly::{assemble_basic, IncrementalJoin};
@@ -84,10 +81,9 @@ use crate::prepared::PreparedPlan;
 use crate::protocol::{self, QueryId, Request, ResponseBody};
 use crate::prune::prune_features;
 use crate::runtime::{Chain, ReplyRouter, Stage, WorkerPool};
-use crate::worker::with_in_process_workers;
 
 /// Query ids for executions that bypass a session's `QueryExecutor`
-/// (`Engine::execute` / `Engine::execute_on` used directly). Process-wide
+/// ([`Engine::execute_on`] used directly). Process-wide
 /// so two engines accidentally sharing a fleet still cannot collide.
 static ONE_SHOT_QUERY_IDS: AtomicU32 = AtomicU32::new(0);
 
@@ -186,8 +182,6 @@ pub enum Backend {
 pub struct EngineConfig {
     /// Which optimizations run (default: the full gStoreD).
     pub variant: Variant,
-    /// Network cost model for shipment pricing.
-    pub network: NetworkModel,
     /// Bits per candidate bit vector (Algorithm 4). The paper uses a
     /// "fixed length"; 64 Ki bits (8 KiB) is our default.
     pub candidate_bits: usize,
@@ -199,9 +193,9 @@ pub struct EngineConfig {
     /// the session's `QueryExecutor`.
     pub max_concurrent_queries: usize,
     /// When set, the coordinator *waits out* each frame's simulated
-    /// [`NetworkModel`] transfer time instead of only recording it, so
-    /// wall-clock latency matches what the modeled interconnect would
-    /// deliver. Off by default (tests and interactive use want raw
+    /// transfer time under the default [`NetworkModel`] instead of only
+    /// recording it, so wall-clock latency matches what the modeled
+    /// interconnect would deliver. Off by default (tests and interactive use want raw
     /// speed); the closed-loop throughput benchmarks turn it on.
     pub pace_network: bool,
     /// Deadline budget per query pipeline (default 30 s; `None` waits
@@ -224,7 +218,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             variant: Variant::Full,
-            network: NetworkModel::default(),
             candidate_bits: 1 << 16,
             backend: Backend::InProcess,
             max_concurrent_queries: 8,
@@ -291,58 +284,20 @@ impl Engine {
         &self.config
     }
 
-    /// Evaluate `query` over the distributed graph in one shot.
-    ///
-    /// Thin shim over the prepared path: builds a throwaway
-    /// [`PreparedPlan`] and executes it once. Callers issuing the same
-    /// query repeatedly should prepare once and call [`Engine::execute`]
-    /// (or use the umbrella crate's `GStoreD` facade) to amortize
-    /// encoding and shape analysis.
-    pub fn try_run(
-        &self,
-        dist: &DistributedGraph,
-        query: &QueryGraph,
-    ) -> Result<QueryOutput, EngineError> {
-        let plan = PreparedPlan::new(query.clone(), dist.dict())?;
-        self.execute(dist, &plan)
-    }
-
-    /// Evaluate a prepared plan over the distributed graph.
-    ///
-    /// This is the engine's hot path: it performs no parsing, encoding or
-    /// shape analysis — all of that is cached in `plan` — and runs only
-    /// the per-execution stages (candidate exchange, partial evaluation,
-    /// LEC optimization, assembly) by messaging the site workers of the
-    /// configured [`Backend`]. The plan must have been prepared against
-    /// `dist`'s dictionary.
-    pub fn execute(
-        &self,
-        dist: &DistributedGraph,
-        plan: &PreparedPlan,
-    ) -> Result<QueryOutput, EngineError> {
-        match &self.config.backend {
-            Backend::InProcess => {
-                with_in_process_workers(dist, |transport| self.execute_on(transport, dist, plan))
-            }
-            Backend::Tcp { .. } => {
-                let transport = self.connect_workers(dist)?;
-                self.execute_on(&transport, dist, plan)
-            }
-        }
-    }
-
     /// Connect to the configured [`Backend::Tcp`] workers through the
     /// epoll-multiplexed [`ReactorTransport`] — one coordinator I/O
     /// thread for the whole fleet — and install the fragments
     /// (deployment-time setup, not charged as query shipment).
     ///
-    /// [`Engine::execute`] does this on every call — correct but wasteful
-    /// for repeated executions, since the whole graph re-ships each time.
-    /// Long-lived callers should connect once and drive
-    /// [`Engine::execute_on`] against the returned transport; the
-    /// `GStoreD` facade does exactly that, caching the connection for the
-    /// session's lifetime. Errors when the backend is not TCP or the
-    /// worker count does not match the partitioning.
+    /// Connect once and drive [`Engine::execute_on`] against the
+    /// returned transport; the `GStoreD` facade does exactly that,
+    /// caching the connection for the session's lifetime. The install's
+    /// `Ack` waits share one [`EngineConfig::query_deadline`] budget
+    /// (`None` waits forever): a worker that accepts the connection but
+    /// never answers surfaces as [`EngineError::Timeout`] naming its site
+    /// and the `"install_fragment"` stage instead of wedging the caller.
+    /// Errors when the backend is not TCP or the worker count does not
+    /// match the partitioning.
     pub fn connect_workers(
         &self,
         dist: &DistributedGraph,
@@ -361,56 +316,16 @@ impl Engine {
         }
         let addrs: Vec<&str> = workers.iter().map(|w| w.as_str()).collect();
         let transport = ReactorTransport::connect(&addrs)?;
-        self.install_fragments(&transport, dist)?;
+        let router = ReplyRouter::new(transport.sites());
+        WorkerPool::new(
+            &transport,
+            &router,
+            NetworkModel::default(),
+            QueryId::CONTROL,
+        )
+        .with_deadline(self.config.query_deadline.map(|d| Instant::now() + d))
+        .ship_fragments(dist.fragments.iter().enumerate())?;
         Ok(transport)
-    }
-
-    /// Ship every fragment to its remote worker (deployment-time data
-    /// loading — deliberately *not* charged as query data shipment).
-    /// Public so harnesses connecting their own [`Transport`] (e.g. a
-    /// [`ReactorTransport`] over a custom listener set) can load the
-    /// fleet the same way the engine does.
-    ///
-    /// The `Ack` waits share one [`EngineConfig::query_deadline`] budget
-    /// (`None` waits forever): a worker that accepts the connection but
-    /// never answers surfaces as [`EngineError::Timeout`] naming its site
-    /// instead of wedging the caller — and, through it, the session's
-    /// fleet cache.
-    pub fn install_fragments(
-        &self,
-        transport: &dyn Transport,
-        dist: &DistributedGraph,
-    ) -> Result<(), EngineError> {
-        let deadline = self.config.query_deadline.map(|d| Instant::now() + d);
-        for (site, fragment) in dist.fragments.iter().enumerate() {
-            transport.send(site, protocol::encode_install_fragment(fragment))?;
-        }
-        for site in 0..dist.fragment_count() {
-            let frame = match deadline {
-                None => transport.recv(site),
-                Some(deadline) => transport.recv_deadline(site, deadline),
-            }
-            .map_err(|e| match e {
-                TransportError::TimedOut { site } => EngineError::Timeout {
-                    site,
-                    stage: "install_fragment",
-                },
-                e => e.into(),
-            })?;
-            let response = protocol::decode_response(frame)?;
-            match response.body {
-                ResponseBody::Ack => {}
-                ResponseBody::Error(msg) => {
-                    return Err(EngineError::Worker(format!("site {site}: {msg}")))
-                }
-                other => {
-                    return Err(EngineError::Protocol(format!(
-                        "expected Ack to InstallFragment, got {other:?}"
-                    )))
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Evaluate a prepared plan against workers reachable through a
@@ -556,7 +471,7 @@ impl Engine {
                 chain: star_chain(query, q, center),
             }
         } else {
-            let pool = WorkerPool::new(transport, router, self.config.network.clone(), query)
+            let pool = WorkerPool::new(transport, router, NetworkModel::default(), query)
                 .with_pacing(self.config.pace_network)
                 .with_deadline(self.config.query_deadline.map(|d| Instant::now() + d));
             match self.prepare_survivors(&pool, plan, variant, &mut metrics) {
@@ -576,7 +491,6 @@ impl Engine {
         };
         Ok(StreamState {
             query,
-            network: self.config.network.clone(),
             paced: self.config.pace_network,
             chunk: chunk.max(1),
             vertex_count: q.vertex_count(),
@@ -809,7 +723,6 @@ enum Join {
 #[derive(Debug)]
 pub struct StreamState {
     query: QueryId,
-    network: NetworkModel,
     paced: bool,
     /// Maximum LPMs per `SurvivorsChunk` reply (≥ 1); `usize::MAX` also
     /// means every undone site is pulled at once.
@@ -870,7 +783,7 @@ impl StreamState {
 
     /// This query's handle on the fleet, deadline-armed afresh.
     fn pool<'t>(&self, transport: &'t dyn Transport, router: &'t ReplyRouter) -> WorkerPool<'t> {
-        WorkerPool::new(transport, router, self.network.clone(), self.query)
+        WorkerPool::new(transport, router, NetworkModel::default(), self.query)
             .with_pacing(self.paced)
             .with_deadline(self.deadline_budget.map(|d| Instant::now() + d))
     }
@@ -1184,14 +1097,38 @@ fn unexpected(wanted: &str, request: &str, got: Option<ResponseBody>) -> EngineE
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::worker::with_in_process_workers;
+    use gstored_net::TransportError;
     use gstored_partition::{
         DistributedGraph, ExplicitPartitioner, HashPartitioner, MetisLikePartitioner, Partitioner,
         SemanticHashPartitioner,
     };
     use gstored_rdf::{RdfGraph, Triple};
-    use gstored_sparql::parse_query;
+    use gstored_sparql::{parse_query, QueryGraph};
     use gstored_store::find_matches;
     use std::collections::HashMap;
+
+    /// Evaluate `plan` once on a fresh in-process fleet.
+    fn execute(
+        engine: &Engine,
+        dist: &DistributedGraph,
+        plan: &PreparedPlan,
+    ) -> Result<QueryOutput, EngineError> {
+        with_in_process_workers(dist, |transport| engine.execute_on(transport, dist, plan))
+    }
+
+    /// Prepare `query` and evaluate it once on a fresh in-process fleet.
+    fn run(
+        engine: &Engine,
+        dist: &DistributedGraph,
+        query: &QueryGraph,
+    ) -> Result<QueryOutput, EngineError> {
+        execute(
+            engine,
+            dist,
+            &PreparedPlan::new(query.clone(), dist.dict())?,
+        )
+    }
 
     fn t(s: &str, p: &str, o: &str) -> Triple {
         Triple::new(Term::iri(s), Term::iri(p), Term::iri(o))
@@ -1286,7 +1223,7 @@ mod tests {
         assert_eq!(dist.validate(), None);
         for variant in Variant::ALL {
             let engine = Engine::with_variant(variant);
-            let out = engine.try_run(&dist, &query).unwrap();
+            let out = run(&engine, &dist, &query).unwrap();
             let mut got = out.bindings.clone();
             got.sort_unstable();
             assert_eq!(got, reference, "variant {}", variant.label());
@@ -1325,9 +1262,7 @@ mod tests {
         };
         for seed in 0..6 {
             let dist = DistributedGraph::build(g.clone(), &HashPartitioner::with_seed(3, seed));
-            let out = Engine::with_variant(Variant::Full)
-                .try_run(&dist, &query)
-                .unwrap();
+            let out = run(&Engine::with_variant(Variant::Full), &dist, &query).unwrap();
             let mut got = out.bindings.clone();
             got.sort_unstable();
             assert_eq!(got, reference, "seed {seed}");
@@ -1349,9 +1284,7 @@ mod tests {
         reference.sort_unstable();
         assert!(!reference.is_empty());
         let dist = DistributedGraph::build(g, &HashPartitioner::new(3));
-        let fast = Engine::with_variant(Variant::Full)
-            .try_run(&dist, &query)
-            .unwrap();
+        let fast = run(&Engine::with_variant(Variant::Full), &dist, &query).unwrap();
         let mut got = fast.bindings.clone();
         got.sort_unstable();
         assert_eq!(got, reference);
@@ -1378,9 +1311,7 @@ mod tests {
             let dist = DistributedGraph::build(g.clone(), p.as_ref());
             assert_eq!(dist.validate(), None, "{}", p.name());
             for variant in [Variant::Basic, Variant::Full] {
-                let out = Engine::with_variant(variant)
-                    .try_run(&dist, &query)
-                    .unwrap();
+                let out = run(&Engine::with_variant(variant), &dist, &query).unwrap();
                 let mut got = out.bindings.clone();
                 got.sort_unstable();
                 assert_eq!(got, reference, "{} / {}", p.name(), variant.label());
@@ -1394,12 +1325,13 @@ mod tests {
         let query = paper_query();
         let partitioner = paper_partitioner(&g);
         let dist = DistributedGraph::build(g, &partitioner);
-        let basic = Engine::with_variant(Variant::Basic)
-            .try_run(&dist, &query)
-            .unwrap();
-        let lo = Engine::with_variant(Variant::LecOptimization)
-            .try_run(&dist, &query)
-            .unwrap();
+        let basic = run(&Engine::with_variant(Variant::Basic), &dist, &query).unwrap();
+        let lo = run(
+            &Engine::with_variant(Variant::LecOptimization),
+            &dist,
+            &query,
+        )
+        .unwrap();
         assert_eq!(basic.rows, lo.rows);
         assert_eq!(
             basic.metrics.surviving_partial_matches,
@@ -1423,9 +1355,7 @@ mod tests {
         )
         .unwrap();
         let dist = DistributedGraph::build(g, &HashPartitioner::new(2));
-        let out = Engine::with_variant(Variant::Full)
-            .try_run(&dist, &query)
-            .unwrap();
+        let out = run(&Engine::with_variant(Variant::Full), &dist, &query).unwrap();
         assert!(out.rows.is_empty());
         // The short-circuit never messages the workers.
         assert_eq!(out.metrics.total_shipped(), 0);
@@ -1440,9 +1370,7 @@ mod tests {
         )
         .unwrap();
         let dist = DistributedGraph::build(g, &HashPartitioner::new(3));
-        let out = Engine::with_variant(Variant::Full)
-            .try_run(&dist, &query)
-            .unwrap();
+        let out = run(&Engine::with_variant(Variant::Full), &dist, &query).unwrap();
         assert!(out.rows.len() <= 2);
         let unique: HashSet<_> = out.rows.iter().collect();
         assert_eq!(unique.len(), out.rows.len());
@@ -1456,7 +1384,7 @@ mod tests {
         )
         .unwrap();
         let dist = DistributedGraph::build(g, &HashPartitioner::new(2));
-        let err = Engine::with_variant(Variant::Full).try_run(&dist, &query);
+        let err = run(&Engine::with_variant(Variant::Full), &dist, &query);
         assert!(matches!(err, Err(EngineError::PredicateOnlyProjection(_))));
     }
 
@@ -1466,9 +1394,7 @@ mod tests {
         let query = paper_query();
         let partitioner = paper_partitioner(&g);
         let dist = DistributedGraph::build(g, &partitioner);
-        let out = Engine::with_variant(Variant::Full)
-            .try_run(&dist, &query)
-            .unwrap();
+        let out = run(&Engine::with_variant(Variant::Full), &dist, &query).unwrap();
         let m = &out.metrics;
         assert!(m.local_partial_matches > 0);
         assert!(m.lec_features > 0);
@@ -1491,8 +1417,8 @@ mod tests {
         let partitioner = paper_partitioner(&g);
         let dist = DistributedGraph::build(g, &partitioner);
         let engine = Engine::with_variant(Variant::Full);
-        let a = engine.try_run(&dist, &query).unwrap();
-        let b = engine.try_run(&dist, &query).unwrap();
+        let a = run(&engine, &dist, &query).unwrap();
+        let b = run(&engine, &dist, &query).unwrap();
         for (x, y) in [
             (&a.metrics.candidates, &b.metrics.candidates),
             (&a.metrics.partial_evaluation, &b.metrics.partial_evaluation),
@@ -1513,7 +1439,7 @@ mod tests {
         let other =
             RdfGraph::from_triples(vec![t("http://o/x", "http://o/influencedBy", "http://o/y")]);
         let foreign_plan = PreparedPlan::new(query, other.dict()).unwrap();
-        let err = Engine::with_variant(Variant::Full).execute(&dist, &foreign_plan);
+        let err = execute(&Engine::with_variant(Variant::Full), &dist, &foreign_plan);
         assert!(matches!(err, Err(EngineError::PlanGraphMismatch { .. })));
     }
 
@@ -1585,7 +1511,6 @@ mod tests {
     #[test]
     fn wrong_worker_count_is_a_transport_error() {
         let g = paper_graph();
-        let query = paper_query();
         let dist = DistributedGraph::build(g, &HashPartitioner::new(3));
         let engine = Engine::new(EngineConfig {
             backend: Backend::Tcp {
@@ -1593,7 +1518,7 @@ mod tests {
             },
             ..EngineConfig::variant(Variant::Full)
         });
-        let err = engine.try_run(&dist, &query);
+        let err = engine.connect_workers(&dist);
         assert!(matches!(err, Err(EngineError::Transport(_))));
     }
 
@@ -1606,9 +1531,6 @@ mod tests {
         }
         fn send(&self, site: usize, frame: Bytes) -> Result<(), TransportError> {
             self.0.send(site, frame)
-        }
-        fn recv(&self, site: usize) -> Result<Bytes, TransportError> {
-            self.0.recv(site)
         }
         fn recv_deadline(&self, site: usize, deadline: Instant) -> Result<Bytes, TransportError> {
             std::thread::sleep(self.1);
@@ -1677,7 +1599,7 @@ mod tests {
         for variant in Variant::ALL {
             let engine = Engine::with_variant(variant);
             let batch = {
-                let mut b = engine.execute(&dist, &plan).unwrap().bindings;
+                let mut b = execute(&engine, &dist, &plan).unwrap().bindings;
                 b.sort_unstable();
                 b
             };
@@ -1703,7 +1625,7 @@ mod tests {
         let plan = PreparedPlan::new(query, dist.dict()).unwrap();
         let engine = Engine::with_variant(Variant::Full);
         let batch = {
-            let mut b = engine.execute(&dist, &plan).unwrap().bindings;
+            let mut b = execute(&engine, &dist, &plan).unwrap().bindings;
             b.sort_unstable();
             b
         };
@@ -1824,10 +1746,10 @@ mod tests {
         let plan = PreparedPlan::new(query.clone(), dist.dict()).unwrap();
         for variant in Variant::ALL {
             let engine = Engine::with_variant(variant);
-            let one_shot = engine.try_run(&dist, &query).unwrap();
+            let one_shot = run(&engine, &dist, &query).unwrap();
             // The same plan re-executes any number of times.
             for _ in 0..3 {
-                let out = engine.execute(&dist, &plan).unwrap();
+                let out = execute(&engine, &dist, &plan).unwrap();
                 assert_eq!(out.rows, one_shot.rows, "variant {}", variant.label());
                 assert_eq!(out.bindings, one_shot.bindings);
             }

@@ -24,8 +24,11 @@
 //!   concurrency substrate: the [`runtime::ReplyRouter`] that
 //!   demultiplexes interleaved replies by query id and the
 //!   [`runtime::QueryExecutor`] that allocates ids and admits pipelines
-//!   onto a shared fleet; every frame is charged to its stage as it
-//!   crosses the wire, per query.
+//!   onto a shared fleet. The pool has one exchange loop — every phase,
+//!   broadcast, release, probe and fragment install goes through it —
+//!   so every frame is charged to its stage as it crosses the wire, per
+//!   query, and a failed site is marked for repair whichever exchange
+//!   meets it.
 //! * [`engine`] — the distributed engine with the four variants compared
 //!   in Fig. 9: `Basic`, `LA` (LEC assembly), `LO` (+ LEC pruning) and
 //!   `Full` (+ candidate exchange), including the star-query fast path of
@@ -33,7 +36,7 @@
 //!   remote `gstored-worker` processes over TCP).
 //! * [`prepared`] — the prepare-once / execute-many split:
 //!   [`PreparedPlan`] caches encoding and shape analysis so
-//!   [`engine::Engine::execute`] runs only per-execution work.
+//!   [`engine::Engine::execute_on`] runs only per-execution work.
 //! * [`planner`] — the cost model behind [`Variant::Auto`]: estimate
 //!   each variant's pipeline cost from the cached per-fragment
 //!   statistics and the query shape, pick the cheapest per query.

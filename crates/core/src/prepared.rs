@@ -20,7 +20,8 @@
 //! * the [`ShapeReport`] from [`analysis::analyze`] — star detection for
 //!   the Section VIII-B fast path and the selectivity flags.
 //!
-//! **Computed per execution** (in [`crate::engine::Engine::execute`]):
+//! **Computed per execution** (in [`crate::engine::Engine::execute_on`]
+//! and the session's concurrent entry points):
 //!
 //! * candidate bit-vector exchange (Algorithm 4, `Full` only),
 //! * partial evaluation at every site (local complete matches + LPMs),

@@ -1,8 +1,10 @@
 //! Wire encoding of everything the engine ships between sites and the
-//! coordinator — both the payload batches (local partial matches, LEC
-//! features, candidate bit vectors, surviving-feature id sets, complete
-//! match bindings) and the typed [`Request`]/[`Response`] envelopes the
-//! message-passing runtime frames them in.
+//! coordinator: the typed [`Request`]/[`Response`] envelopes of the
+//! message-passing runtime, with the payload batches they carry (local
+//! partial matches, LEC features, candidate bit vectors,
+//! surviving-feature id sets, complete match bindings) written inside
+//! them. Only envelopes cross the wire, so only envelopes have public
+//! codecs.
 //!
 //! Shipment numbers in the experiments are the byte lengths of the
 //! encoded frames that actually cross the [`gstored_net::Transport`] —
@@ -52,8 +54,7 @@ use gstored_store::{
 
 use crate::lec::LecFeature;
 
-// --- payload batch helpers (shared by the standalone codecs and the
-// envelopes) ---
+// --- payload batch helpers (written inside the envelopes) ---
 
 /// Read and validate a wire-supplied element count before allocating:
 /// `n` elements of at least `min_bytes` each must fit in the reader's
@@ -507,82 +508,6 @@ fn read_query(r: &mut WireReader) -> Result<EncodedQuery, WireError> {
     Ok(EncodedQuery::from_parts(
         vertices, edges, required, projection, var_names,
     ))
-}
-
-// --- standalone payload codecs (kept for tests and size analysis) ---
-
-/// Encode a batch of local partial matches (one site → coordinator).
-pub fn encode_lpms(lpms: &[LocalPartialMatch]) -> Bytes {
-    let mut w = WireWriter::with_capacity(lpms.len() * 32);
-    write_lpms(&mut w, lpms);
-    w.finish()
-}
-
-/// Decode a batch of local partial matches.
-pub fn decode_lpms(bytes: Bytes) -> Result<Vec<LocalPartialMatch>, WireError> {
-    read_lpms(&mut WireReader::new(bytes))
-}
-
-/// Encode a batch of LEC features (one site → coordinator).
-pub fn encode_features(features: &[LecFeature]) -> Bytes {
-    let mut w = WireWriter::with_capacity(features.len() * 24);
-    write_features(&mut w, features);
-    w.finish()
-}
-
-/// Decode a batch of LEC features.
-pub fn decode_features(bytes: Bytes) -> Result<Vec<LecFeature>, WireError> {
-    read_features(&mut WireReader::new(bytes))
-}
-
-/// Encode a candidate bit vector (Algorithm 4): the smaller of the dense
-/// fixed-width words and the sparse position list, so the size never
-/// exceeds Section VI's fixed length ("the length of a bit vector is
-/// fixed, the communication cost is not too expensive") by more than the
-/// form tag.
-pub fn encode_bit_vector(bv: &BitVectorFilter) -> Bytes {
-    let mut w = WireWriter::new();
-    write_bit_vector(&mut w, bv);
-    w.finish()
-}
-
-/// Decode a candidate bit vector.
-pub fn decode_bit_vector(bytes: Bytes) -> Result<BitVectorFilter, WireError> {
-    read_bit_vector(&mut WireReader::new(bytes), &mut { MAX_CANDIDATE_BITS })
-}
-
-/// Encode a set of surviving feature ids (coordinator → site broadcast).
-pub fn encode_feature_ids(ids: &[u32]) -> Bytes {
-    let mut w = WireWriter::with_capacity(ids.len() * 3 + 4);
-    w.usize(ids.len());
-    for &id in ids {
-        w.u64(u64::from(id));
-    }
-    w.finish()
-}
-
-/// Decode a set of surviving feature ids.
-pub fn decode_feature_ids(bytes: Bytes) -> Result<Vec<u32>, WireError> {
-    let mut r = WireReader::new(bytes);
-    let n = read_batch_len(&mut r, 1)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(r.u64()? as u32);
-    }
-    Ok(out)
-}
-
-/// Encode complete match bindings (site → coordinator, e.g. local matches
-/// and star matches).
-pub fn encode_bindings(bindings: &[Vec<VertexId>]) -> Bytes {
-    let mut w = WireWriter::with_capacity(bindings.len() * 16);
-    write_bindings(&mut w, bindings);
-    w.finish()
-}
-
-/// Decode complete match bindings.
-pub fn decode_bindings(bytes: Bytes) -> Result<Vec<Vec<VertexId>>, WireError> {
-    read_bindings(&mut WireReader::new(bytes))
 }
 
 // --- request/response envelopes ---
@@ -1252,18 +1177,26 @@ mod tests {
         }
     }
 
+    /// `body` as the reply frame a worker sends.
+    fn reply_frame(body: ResponseBody) -> Bytes {
+        encode_response(&Response::new(Duration::ZERO, QueryId(3), body))
+    }
+
+    /// `body` through a reply frame and back.
+    fn reply_roundtrip(body: ResponseBody) -> ResponseBody {
+        decode_response(reply_frame(body)).unwrap().body
+    }
+
     #[test]
     fn lpm_roundtrip() {
-        let lpms = vec![sample_lpm(), sample_lpm()];
-        let bytes = encode_lpms(&lpms);
-        let decoded = decode_lpms(bytes).unwrap();
-        assert_eq!(decoded, lpms);
+        let lpms = ResponseBody::Survivors(vec![sample_lpm(), sample_lpm()]);
+        assert_eq!(reply_roundtrip(lpms.clone()), lpms);
     }
 
     #[test]
     fn empty_lpm_batch_roundtrip() {
-        let bytes = encode_lpms(&[]);
-        assert_eq!(decode_lpms(bytes).unwrap(), vec![]);
+        let empty = ResponseBody::Survivors(vec![]);
+        assert_eq!(reply_roundtrip(empty.clone()), empty);
     }
 
     #[test]
@@ -1291,58 +1224,69 @@ mod tests {
             sign: 0b11010,
             sources: vec![3, 7],
         };
-        let bytes = encode_features(std::slice::from_ref(&f));
-        let decoded = decode_features(bytes).unwrap();
-        assert_eq!(decoded, vec![f]);
+        let features = ResponseBody::Features(vec![f]);
+        assert_eq!(reply_roundtrip(features.clone()), features);
     }
 
     #[test]
     fn bit_vector_roundtrip_and_fixed_size() {
         let dense_len = |bits: usize| bits / 8 + 3; // n_bits varint + tag + words
+                                                    // One vector's share of a `BitVectors` reply (the count varint
+                                                    // is one byte for zero vectors and for one).
+        let wire_len = |bv: &BitVectorFilter| {
+            reply_frame(ResponseBody::BitVectors(vec![bv.clone()])).len()
+                - reply_frame(ResponseBody::BitVectors(vec![])).len()
+        };
+        let roundtrip = |bv: &BitVectorFilter| {
+            let body = ResponseBody::BitVectors(vec![bv.clone()]);
+            assert_eq!(reply_roundtrip(body.clone()), body);
+        };
         let mut bv = BitVectorFilter::new(1024);
-        let empty = encode_bit_vector(&bv);
-        assert_eq!(empty.len(), 4, "n_bits, tag, zero count");
-        assert_eq!(decode_bit_vector(empty).unwrap(), bv);
+        assert_eq!(wire_len(&bv), 4, "n_bits, tag, zero count");
+        roundtrip(&bv);
         // A few set bits ship as their positions...
         for i in 0..20u64 {
             bv.insert(TermId(i * 3));
         }
-        let sparse = encode_bit_vector(&bv);
-        assert!(sparse.len() < dense_len(1024) / 2);
-        assert_eq!(decode_bit_vector(sparse).unwrap(), bv);
+        assert!(wire_len(&bv) < dense_len(1024) / 2);
+        roundtrip(&bv);
         // ...and however dense the vector gets, the fixed length plus
         // the one-byte tag is the most it costs.
         for i in 0..4000u64 {
             bv.insert(TermId(i));
-            assert!(encode_bit_vector(&bv).len() <= dense_len(1024));
+            assert!(wire_len(&bv) <= dense_len(1024));
         }
-        let dense = encode_bit_vector(&bv);
-        assert_eq!(dense.len(), dense_len(1024));
-        assert_eq!(decode_bit_vector(dense).unwrap(), bv);
+        assert_eq!(wire_len(&bv), dense_len(1024));
+        roundtrip(&bv);
     }
 
     #[test]
     fn feature_ids_roundtrip() {
         let ids = vec![0u32, 5, 1000, u32::MAX];
-        let decoded = decode_feature_ids(encode_feature_ids(&ids)).unwrap();
-        assert_eq!(decoded, ids);
+        let frame = encode_request(&Request::DropPruned {
+            query: QueryId(3),
+            useful: ids.clone(),
+        });
+        let Request::DropPruned { useful, .. } = decode_request(frame).unwrap() else {
+            panic!("DropPruned decodes as DropPruned");
+        };
+        assert_eq!(useful, ids);
     }
 
     #[test]
     fn bindings_roundtrip() {
-        let bindings = vec![
+        let bindings = ResponseBody::Bindings(vec![
             vec![TermId(1), TermId(2), TermId(3)],
             vec![TermId(9), TermId(8), TermId(7)],
-        ];
-        let decoded = decode_bindings(encode_bindings(&bindings)).unwrap();
-        assert_eq!(decoded, bindings);
+        ]);
+        assert_eq!(reply_roundtrip(bindings.clone()), bindings);
     }
 
     #[test]
     fn truncated_payloads_error() {
-        let bytes = encode_lpms(&[sample_lpm()]);
-        let cut = bytes.slice(0..bytes.len() - 2);
-        assert!(decode_lpms(cut).is_err());
+        let frame = reply_frame(ResponseBody::Survivors(vec![sample_lpm()]));
+        let cut = frame.slice(0..frame.len() - 2);
+        assert!(decode_response(cut).is_err());
     }
 
     #[test]
@@ -1367,8 +1311,8 @@ mod tests {
             internal_mask: 1,
         };
         assert!(
-            encode_lpms(std::slice::from_ref(&sparse)).len()
-                < encode_lpms(std::slice::from_ref(&dense)).len()
+            reply_frame(ResponseBody::Survivors(vec![sparse])).len()
+                < reply_frame(ResponseBody::Survivors(vec![dense])).len()
         );
     }
 

@@ -6,15 +6,29 @@
 //! and the [`QueryExecutor`] that allocates query ids and admits up to a
 //! configured number of pipelines onto a shared worker fleet.
 //!
-//! Shipment accounting happens here, once, at the send/receive boundary:
-//! each encoded frame's length is charged to the stage it belongs to as
-//! it crosses the transport, so the metrics are byte-for-byte the frames
-//! that were actually exchanged — never a re-encoded estimate. Stage wall
-//! time uses the **maximum** worker-reported compute time across sites
-//! (sites run concurrently; the stage ends when the slowest site does),
-//! plus the simulated [`NetworkModel`] transfer time per frame. Metrics
-//! stay **per query**: each pipeline owns its `QueryMetrics`, so
-//! concurrent queries never bleed into each other's numbers.
+//! ## One exchange
+//!
+//! Every message round between the coordinator and its sites — a
+//! pipeline phase, a broadcast, a release, a status or health probe, a
+//! fragment install — is one call of the pool's single exchange loop:
+//! send every addressed site its frame, then receive from every
+//! addressed site, whatever failed at another. A site whose send failed
+//! is received from too, so a broken connection always marks the site
+//! failed in the router and the session repairs that one site,
+//! whichever request met it first. Each site's outcome is kept; callers
+//! that need all of them take the first failure in site order.
+//!
+//! Shipment accounting happens in that loop, once, at the send/receive
+//! boundary: each encoded frame's length is charged to the stage it
+//! belongs to as it crosses the transport, so the metrics are
+//! byte-for-byte the frames that were actually exchanged — never a
+//! re-encoded estimate. Stage wall time uses the **maximum**
+//! worker-reported compute time across sites (sites run concurrently;
+//! the stage ends when the slowest site does), plus the simulated
+//! [`NetworkModel`] transfer time per frame. Metrics stay **per query**:
+//! each pipeline owns its `QueryMetrics`, so concurrent queries never
+//! bleed into each other's numbers. Exchanges outside a query (status,
+//! health, fragment installs) charge a throwaway cell that nobody reads.
 //!
 //! ## How interleaving works
 //!
@@ -36,6 +50,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use fxhash::FxHashMap;
 use gstored_net::{NetworkModel, QueryMetrics, StageMetrics, Transport};
+use gstored_partition::Fragment;
 
 use crate::error::EngineError;
 use crate::protocol::{self, QueryId, Request, Response, ResponseBody, WorkerStatus};
@@ -444,8 +459,8 @@ impl<'t> WorkerPool<'t> {
     }
 
     /// Send the same request to every site and gather the replies in
-    /// site order. All frames (requests and responses) are charged to
-    /// `stage`; the maximum worker compute time is added to its wall.
+    /// site order: a one-step phase whose frames are all charged to
+    /// `stage`, which also gets the slowest site's compute time.
     pub fn broadcast(
         &self,
         req: &Request,
@@ -461,10 +476,26 @@ impl<'t> WorkerPool<'t> {
         frame: Bytes,
         stage: &mut StageMetrics,
     ) -> Result<Vec<ResponseBody>, EngineError> {
-        for site in 0..self.sites() {
-            self.send_charged(site, frame.clone(), stage)?;
-        }
-        self.gather(stage)
+        self.broadcast_each(frame, stage).into_iter().collect()
+    }
+
+    /// [`WorkerPool::broadcast_frame`]'s per-site outcomes, in site order.
+    fn broadcast_each(
+        &self,
+        frame: Bytes,
+        stage: &mut StageMetrics,
+    ) -> Vec<Result<ResponseBody, EngineError>> {
+        let chain = Chain::new(self.query, &[(frame, ONE_CELL)]);
+        let chains: Vec<(usize, Chain)> = (0..self.sites())
+            .map(|site| (site, chain.clone()))
+            .collect();
+        let mut metrics = QueryMetrics::default();
+        let outcomes = self.exchange(&chains, &mut metrics);
+        stage.absorb(ONE_CELL.of(&mut metrics));
+        outcomes
+            .into_iter()
+            .map(|outcome| outcome.map(|mut bodies| bodies.pop().expect("one reply per step")))
+            .collect()
     }
 
     /// Run one **phase** of a pipeline: send every listed site its
@@ -480,24 +511,46 @@ impl<'t> WorkerPool<'t> {
     /// stage's wall (sites overlap; a stage ends when its slowest site
     /// does). All chains of one phase must have the same step stages.
     ///
-    /// Every site's reply is drained even after a worker-side failure;
-    /// the first failure (a step's `Error`/`UnknownQuery`, which also
-    /// stopped that site's chain) is then returned as the typed
+    /// Every listed site is sent its frame and received from, whatever
+    /// failed at another site, so no reply of this query is left on a
+    /// stream. The first failure in `chains` order — a transport error,
+    /// a timeout, or a step's `Error`/`UnknownQuery`, which also stopped
+    /// that site's chain — is then returned as the typed
     /// [`EngineError`].
     pub fn run_phase(
         &self,
         chains: &[(usize, Chain)],
         metrics: &mut QueryMetrics,
     ) -> Result<Vec<Vec<ResponseBody>>, EngineError> {
-        for (site, chain) in chains {
-            let envelope = chain.frame.len() - chain.steps.iter().map(|s| s.0).sum::<usize>();
-            let mut transfer = self.charge(chain.steps[0].1.of(metrics), 1, envelope);
-            for &(len, stage) in &chain.steps {
-                transfer += self.charge(stage.of(metrics), 0, len);
-            }
-            self.pace(transfer);
-            self.transport.send(*site, chain.frame.clone())?;
-        }
+        self.exchange(chains, metrics).into_iter().collect()
+    }
+
+    /// The one exchange with the fleet, behind every other method of
+    /// the pool: charge, pace and send every chain, then receive every
+    /// listed site's reply under the pool deadline, returning each
+    /// site's outcome in `chains` order.
+    ///
+    /// A site whose send failed is still received from: a broken
+    /// connection fails that receive at once, which marks the site
+    /// failed in the [`ReplyRouter`], so recovery repairs that one site
+    /// whichever exchange met it first.
+    fn exchange(
+        &self,
+        chains: &[(usize, Chain)],
+        metrics: &mut QueryMetrics,
+    ) -> Vec<Result<Vec<ResponseBody>, EngineError>> {
+        let sent: Vec<Result<(), EngineError>> = chains
+            .iter()
+            .map(|(site, chain)| {
+                let envelope = chain.frame.len() - chain.steps.iter().map(|s| s.0).sum::<usize>();
+                let mut transfer = self.charge(chain.steps[0].1.of(metrics), 1, envelope);
+                for &(len, stage) in &chain.steps {
+                    transfer += self.charge(stage.of(metrics), 0, len);
+                }
+                self.pace(transfer);
+                Ok(self.transport.send(*site, chain.frame.clone())?)
+            })
+            .collect();
         let stages: Vec<Stage> = chains
             .first()
             .map(|(_, chain)| chain.steps.iter().map(|s| s.1).collect())
@@ -511,96 +564,98 @@ impl<'t> WorkerPool<'t> {
             "the chains of one phase must have the same step stages"
         );
         let mut slowest = vec![0u64; stages.len()];
-        let mut first_error: Option<EngineError> = None;
-        let mut replies = Vec::with_capacity(chains.len());
-        for (site, _) in chains {
-            let (len, response) = self.recv_routed(*site)?;
-            // A chain is answered by its step replies' frames; a bare
-            // step — or a frame the worker refused whole — by one reply
-            // that is the entire frame.
-            // An undecodable step reply fails the phase like a worker
-            // failure: the remaining sites are still drained.
-            let steps: Vec<(usize, Response)> = match response.body {
-                ResponseBody::Chain(frames) if stages.len() > 1 => frames
-                    .into_iter()
-                    .map(|frame| Ok((frame.len(), protocol::decode_response(frame)?)))
-                    .collect::<Result<_, EngineError>>()
-                    .unwrap_or_else(|e| {
-                        first_error.get_or_insert(e);
-                        Vec::new()
-                    }),
-                _ => vec![(len, response)],
-            };
-            let envelope = len.saturating_sub(steps.iter().map(|s| s.0).sum());
-            let mut transfer = self.charge(stages[0].of(metrics), 1, envelope);
-            let answered = steps.len();
-            let mut bodies = Vec::with_capacity(answered);
-            for ((len, reply), (slow, stage)) in
-                steps.into_iter().zip(slowest.iter_mut().zip(&stages))
-            {
-                transfer += self.charge(stage.of(metrics), 0, len);
-                *slow = (*slow).max(reply.elapsed_nanos);
-                bodies.push(reply.body);
-            }
-            self.pace(transfer);
-            match bodies.last().and_then(|body| worker_failure(*site, body)) {
-                Some(e) => {
-                    first_error.get_or_insert(e);
-                }
-                None if answered != stages.len() => {
-                    first_error.get_or_insert(EngineError::Protocol(format!(
-                        "site {site} sent {answered} replies to a {}-step chain",
-                        stages.len()
-                    )));
-                }
-                None => {}
-            }
-            replies.push(bodies);
-        }
+        let outcomes = chains
+            .iter()
+            .zip(sent)
+            .map(|(&(site, _), sent)| {
+                let received = self.recv_routed(site);
+                let (len, response) = sent.and(received)?;
+                self.take_reply(site, len, response, &stages, &mut slowest, metrics)
+            })
+            .collect();
         for (nanos, stage) in slowest.into_iter().zip(stages) {
             stage.of(metrics).wall += Duration::from_nanos(nanos);
         }
-        match first_error {
+        outcomes
+    }
+
+    /// Charge and pace one site's reply frame, and unpack it into its
+    /// step replies: a chain is answered by its step replies' frames; a
+    /// bare step — or a frame the worker refused whole — by one reply
+    /// that is the entire frame. `slowest` keeps each step's slowest
+    /// site.
+    fn take_reply(
+        &self,
+        site: usize,
+        len: usize,
+        response: Response,
+        stages: &[Stage],
+        slowest: &mut [u64],
+        metrics: &mut QueryMetrics,
+    ) -> Result<Vec<ResponseBody>, EngineError> {
+        let mut undecodable = None;
+        let steps: Vec<(usize, Response)> = match response.body {
+            ResponseBody::Chain(frames) if stages.len() > 1 => frames
+                .into_iter()
+                .map(|frame| Ok((frame.len(), protocol::decode_response(frame)?)))
+                .collect::<Result<_, EngineError>>()
+                .unwrap_or_else(|e| {
+                    undecodable = Some(e);
+                    Vec::new()
+                }),
+            _ => vec![(len, response)],
+        };
+        let envelope = len.saturating_sub(steps.iter().map(|s| s.0).sum());
+        let mut transfer = self.charge(stages[0].of(metrics), 1, envelope);
+        let answered = steps.len();
+        let mut bodies = Vec::with_capacity(answered);
+        for ((len, reply), (slow, stage)) in steps.into_iter().zip(slowest.iter_mut().zip(stages)) {
+            transfer += self.charge(stage.of(metrics), 0, len);
+            *slow = (*slow).max(reply.elapsed_nanos);
+            bodies.push(reply.body);
+        }
+        self.pace(transfer);
+        if let Some(e) = undecodable {
+            return Err(e);
+        }
+        match bodies.last().and_then(|body| worker_failure(site, body)) {
             Some(e) => Err(e),
-            None => Ok(replies),
+            None if answered != stages.len() => Err(EngineError::Protocol(format!(
+                "site {site} sent {answered} replies to a {}-step chain",
+                stages.len()
+            ))),
+            None => Ok(bodies),
         }
     }
 
-    /// Best-effort release of the pool's query on every site, swallowing
-    /// errors — used on pipeline error paths, where the transport may
-    /// already be gone, and when a stream is abandoned (an iterator
-    /// dropped or a `LIMIT` filled) with survivor chunks still unpulled.
-    /// Frames still charge to `stage` so shipment metrics cover
-    /// everything that crossed the wire.
-    ///
-    /// Every site that will take the frame gets it, and the replies of
-    /// those that did are drained. Unlike [`broadcast`], a dead site does
-    /// not stop the loop: the live sites after it would keep the query's
-    /// state until eviction.
-    ///
-    /// [`broadcast`]: WorkerPool::broadcast
+    /// Best-effort release of the pool's query on every site, ignoring
+    /// every site's outcome — used on pipeline error paths, where the
+    /// transport may already be gone, and when a stream is abandoned (an
+    /// iterator dropped or a `LIMIT` filled) with survivor chunks still
+    /// unpulled. Frames still charge to `stage` so shipment metrics
+    /// cover everything that crossed the wire. A dead site does not stop
+    /// the release: every exchange reaches every site.
     pub fn release_quietly(&self, stage: &mut StageMetrics) {
         let frame = protocol::encode_request(&Request::ReleaseQuery { query: self.query });
-        let sent: Vec<usize> = (0..self.sites())
-            .filter(|&site| self.send_charged(site, frame.clone(), stage).is_ok())
-            .collect();
-        for site in sent {
-            if let Ok((len, _)) = self.recv_routed(site) {
-                let transfer = self.charge(stage, 1, len);
-                self.pace(transfer);
-            }
-        }
+        let _ = self.broadcast_each(frame, stage);
     }
 
-    /// Probe every site's state-table occupancy ([`WorkerStatus`]).
-    /// An operational query, not part of any pipeline stage: frames are
-    /// not charged to per-query metrics.
+    /// Probe every site's state-table occupancy ([`WorkerStatus`]),
+    /// failing with the first site's error. An operational query, not
+    /// part of any pipeline stage: frames are not charged to per-query
+    /// metrics.
     pub fn worker_status(&self) -> Result<Vec<WorkerStatus>, EngineError> {
-        let mut scratch = StageMetrics::default();
-        let bodies = self.broadcast(&Request::WorkerStatus { query: self.query }, &mut scratch)?;
-        bodies
+        self.site_statuses().into_iter().collect()
+    }
+
+    /// [`WorkerPool::worker_status`] per site, in site order: one dead
+    /// site fails only its own entry.
+    pub fn site_statuses(&self) -> Vec<Result<WorkerStatus, EngineError>> {
+        let frame = protocol::encode_request(&Request::WorkerStatus { query: self.query });
+        let outcomes = self.broadcast_each(frame, &mut StageMetrics::default());
+        outcomes
             .into_iter()
-            .map(|body| match body {
+            .map(|outcome| match outcome? {
                 ResponseBody::Status(s) => Ok(s),
                 other => Err(EngineError::Protocol(format!(
                     "expected Status reply to WorkerStatus, got {other:?}"
@@ -609,46 +664,24 @@ impl<'t> WorkerPool<'t> {
             .collect()
     }
 
-    fn send_charged(
+    /// Ship each listed site its fragment and wait for every `Ack`:
+    /// deployment setup, charged to no query, with timeouts naming the
+    /// `"install_fragment"` stage. Workers stamp the reply
+    /// [`QueryId::CONTROL`], so build the pool under that id.
+    pub fn ship_fragments<'f>(
         &self,
-        site: usize,
-        frame: Bytes,
-        stage: &mut StageMetrics,
+        fragments: impl IntoIterator<Item = (usize, &'f Fragment)>,
     ) -> Result<(), EngineError> {
-        let transfer = self.charge(stage, 1, frame.len());
-        self.pace(transfer);
-        self.transport.send(site, frame)?;
-        Ok(())
-    }
-
-    fn gather(&self, stage: &mut StageMetrics) -> Result<Vec<ResponseBody>, EngineError> {
-        // Every site was sent a request, so every site's reply must be
-        // read — even after an early failure. Returning before draining
-        // would leave this query's replies parked in the router and
-        // confuse a later query that reuses the id slot's position.
-        let mut bodies = Vec::with_capacity(self.sites());
-        let mut slowest_nanos = 0u64;
-        let mut first_error: Option<EngineError> = None;
-        for site in 0..self.sites() {
-            // A broken stream ends the gather: there is nothing left to
-            // drain from this or later sites reliably.
-            let (len, response) = match self.recv_routed(site) {
-                Ok(reply) => reply,
-                Err(e) => return Err(first_error.unwrap_or(e)),
-            };
-            let transfer = self.charge(stage, 1, len);
-            self.pace(transfer);
-            slowest_nanos = slowest_nanos.max(response.elapsed_nanos);
-            if let Some(e) = worker_failure(site, &response.body) {
-                first_error.get_or_insert(e);
-            }
-            bodies.push(response.body);
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        stage.wall += Duration::from_nanos(slowest_nanos);
-        Ok(bodies)
+        self.set_stage("install_fragment");
+        let chains: Vec<(usize, Chain)> = fragments
+            .into_iter()
+            .map(|(site, fragment)| {
+                let frame = protocol::encode_install_fragment(fragment);
+                (site, Chain::new(self.query, &[(frame, ONE_CELL)]))
+            })
+            .collect();
+        let replies = self.run_phase(&chains, &mut QueryMetrics::default())?;
+        expect_acks(replies.into_iter().flatten().collect())
     }
 
     /// Book `messages` messages totalling `len` bytes to `stage`; returns
@@ -673,6 +706,11 @@ impl<'t> WorkerPool<'t> {
         }
     }
 }
+
+/// The stage cell that one-step exchanges outside the four-stage
+/// pipeline ([`WorkerPool::broadcast`] and what is built on it) charge
+/// to before their metrics move into the caller's one cell.
+const ONE_CELL: Stage = Stage::Candidates;
 
 /// Which of a query's four stage cells ([`QueryMetrics`]) a chain step's
 /// bytes and compute time are charged to.
@@ -730,9 +768,8 @@ impl Chain {
 
 /// The typed error a worker-side failure reply maps to: `Error` bodies
 /// become [`EngineError::Worker`], `UnknownQuery` the matching typed
-/// variant, anything else `None`. Shared by [gathers](WorkerPool::broadcast)
-/// and [phases](WorkerPool::run_phase) so both report identical errors.
-pub fn worker_failure(site: usize, body: &ResponseBody) -> Option<EngineError> {
+/// variant, anything else `None`.
+fn worker_failure(site: usize, body: &ResponseBody) -> Option<EngineError> {
     match body {
         ResponseBody::Error(msg) => Some(EngineError::Worker(format!("site {site}: {msg}"))),
         ResponseBody::UnknownQuery(q) => Some(EngineError::UnknownQuery { site, query: q.0 }),
@@ -763,6 +800,10 @@ mod tests {
     const Q0: QueryId = QueryId(0);
 
     fn setup() -> (DistributedGraph, EncodedQuery) {
+        setup_sites(2)
+    }
+
+    fn setup_sites(sites: usize) -> (DistributedGraph, EncodedQuery) {
         let t = |s: &str, p: &str, o: &str| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
         let g = RdfGraph::from_triples(vec![
             t("http://a", "http://p", "http://b"),
@@ -771,7 +812,7 @@ mod tests {
         let qg =
             QueryGraph::from_query(&parse_query("SELECT * WHERE { ?x <http://p> ?y }").unwrap())
                 .unwrap();
-        let dist = DistributedGraph::build(g, &HashPartitioner::new(2));
+        let dist = DistributedGraph::build(g, &HashPartitioner::new(sites));
         let q = EncodedQuery::encode(&qg, dist.dict()).unwrap();
         (dist, q)
     }
@@ -857,20 +898,20 @@ mod tests {
             let mut sa = StageMetrics::default();
             let mut sb = StageMetrics::default();
             // Interleave the two queries' frames on the same connections:
-            // send a's install, then b's, then gather b first — the
+            // send a's install, then b's, then receive b's first — the
             // router must park a's acks for pool_a.
-            for site in 0..pool_a.sites() {
-                pool_a
-                    .send_charged(site, protocol::encode_install_query(qa, &q), &mut sa)
+            for site in 0..transport.sites() {
+                transport
+                    .send(site, protocol::encode_install_query(qa, &q))
                     .unwrap();
             }
-            for site in 0..pool_b.sites() {
-                pool_b
-                    .send_charged(site, protocol::encode_install_query(qb, &q), &mut sb)
+            for site in 0..transport.sites() {
+                transport
+                    .send(site, protocol::encode_install_query(qb, &q))
                     .unwrap();
             }
-            expect_acks(pool_b.gather(&mut sb).unwrap()).unwrap();
-            expect_acks(pool_a.gather(&mut sa).unwrap()).unwrap();
+            expect_acks(recv_each_site(&router, transport, qb)).unwrap();
+            expect_acks(recv_each_site(&router, transport, qa)).unwrap();
             // Both proceed independently to partial evaluation.
             let a = pool_a
                 .broadcast(&Request::PartialEval { query: qa }, &mut sa)
@@ -897,32 +938,30 @@ mod tests {
         with_in_process_workers(&dist, |transport| {
             let router = ReplyRouter::new(transport.sites());
             let (qa, qb) = (QueryId(20), QueryId(21));
-            let pool_a = WorkerPool::new(transport, &router, NetworkModel::instant(), qa);
             let pool_b = WorkerPool::new(transport, &router, NetworkModel::instant(), qb);
-            let mut sa = StageMetrics::default();
             let mut sb = StageMetrics::default();
             // A queues three frames per site, then B queues its own
             // install behind them.
-            for site in 0..pool_a.sites() {
+            for site in 0..transport.sites() {
                 for frame in [
                     protocol::encode_install_query(qa, &q),
                     protocol::encode_request(&Request::PartialEval { query: qa }),
                     protocol::encode_request(&Request::ReleaseQuery { query: qa }),
                 ] {
-                    pool_a.send_charged(site, frame, &mut sa).unwrap();
+                    transport.send(site, frame).unwrap();
                 }
             }
-            for site in 0..pool_b.sites() {
-                pool_b
-                    .send_charged(site, protocol::encode_install_query(qb, &q), &mut sb)
+            for site in 0..transport.sites() {
+                transport
+                    .send(site, protocol::encode_install_query(qb, &q))
                     .unwrap();
             }
             // B reads first: it must park all three of A's replies per
             // site before reaching its own ack.
-            expect_acks(pool_b.gather(&mut sb).unwrap()).unwrap();
+            expect_acks(recv_each_site(&router, transport, qb)).unwrap();
             // A's replies hand over from the parked queues, in order.
-            for site in 0..pool_a.sites() {
-                let next = || pool_a.recv_routed(site).unwrap().1.body;
+            for site in 0..transport.sites() {
+                let next = || router.recv(transport, site, qa).unwrap().1.body;
                 assert!(matches!(next(), ResponseBody::Ack), "install ack first");
                 assert!(matches!(next(), ResponseBody::PartialEval { .. }));
                 assert!(matches!(next(), ResponseBody::Ack), "release ack last");
@@ -934,7 +973,19 @@ mod tests {
         });
     }
 
-    /// A fleet whose site 0 refuses every send — a dead link.
+    /// `query`'s next reply from every site, in site order, read
+    /// straight through the router.
+    fn recv_each_site(
+        router: &ReplyRouter,
+        transport: &dyn Transport,
+        query: QueryId,
+    ) -> Vec<ResponseBody> {
+        (0..transport.sites())
+            .map(|site| router.recv(transport, site, query).unwrap().1.body)
+            .collect()
+    }
+
+    /// A fleet whose site 0 is unreachable both ways — a dead link.
     struct DeadLink<'t>(&'t dyn Transport);
 
     impl Transport for DeadLink<'_> {
@@ -947,9 +998,84 @@ mod tests {
             }
             self.0.send(site, frame)
         }
-        fn recv(&self, site: usize) -> Result<Bytes, TransportError> {
-            self.0.recv(site)
+        fn recv_deadline(&self, site: usize, deadline: Instant) -> Result<Bytes, TransportError> {
+            if site == 0 {
+                return Err(TransportError::Closed { site });
+            }
+            self.0.recv_deadline(site, deadline)
         }
+    }
+
+    /// A fleet whose site 1 takes every frame but whose replies from it
+    /// never arrive: each receive fails at once.
+    struct DeafLink<'t>(&'t dyn Transport);
+
+    impl Transport for DeafLink<'_> {
+        fn sites(&self) -> usize {
+            self.0.sites()
+        }
+        fn send(&self, site: usize, frame: Bytes) -> Result<(), TransportError> {
+            self.0.send(site, frame)
+        }
+        fn recv_deadline(&self, site: usize, deadline: Instant) -> Result<Bytes, TransportError> {
+            if site == 1 {
+                return Err(TransportError::Io("connection reset".into()));
+            }
+            self.0.recv_deadline(site, deadline)
+        }
+    }
+
+    #[test]
+    fn a_failed_send_still_reaches_and_drains_every_other_site() {
+        let (dist, q) = setup_sites(3);
+        with_in_process_workers(&dist, |transport| {
+            let router = ReplyRouter::new(transport.sites());
+            let dead = DeadLink(transport);
+            let pool = WorkerPool::new(&dead, &router, NetworkModel::instant(), Q0);
+            let err = pool.broadcast_frame(
+                protocol::encode_install_query(Q0, &q),
+                &mut StageMetrics::default(),
+            );
+            assert!(matches!(err, Err(EngineError::Transport(_))), "{err:?}");
+            // The dead site is marked for repair, and the live sites got
+            // the install and had their acks read: one frame each way.
+            assert!(router.is_failed(0));
+            assert!(!router.is_failed(1) && !router.is_failed(2));
+            assert_eq!(transport.counters().frames(), 4);
+            for slot in &router.sites {
+                assert!(slot.state.lock().unwrap().parked.is_empty());
+            }
+            let healthy = WorkerPool::new(transport, &router, NetworkModel::instant(), Q0);
+            let resident: Vec<Option<u64>> = healthy
+                .site_statuses()
+                .into_iter()
+                .map(|s| s.ok().map(|s| s.resident_queries))
+                .collect();
+            assert_eq!(resident, [None, Some(1), Some(1)]);
+        });
+    }
+
+    #[test]
+    fn a_failed_receive_still_drains_the_phase_so_a_release_reads_its_acks() {
+        let (dist, q) = setup_sites(3);
+        with_in_process_workers(&dist, |transport| {
+            let router = ReplyRouter::new(transport.sites());
+            let deaf = DeafLink(transport);
+            let pool = WorkerPool::new(&deaf, &router, NetworkModel::instant(), Q0);
+            let mut metrics = QueryMetrics::default();
+            let err = pool.run_phase(&three_stage_chains(&pool, &q), &mut metrics);
+            assert!(matches!(err, Err(EngineError::Transport(_))), "{err:?}");
+            // Sites 0 and 2 were drained, so the release reads their
+            // release acks and the next exchange of the same query
+            // lines up: each of them answers the status probe.
+            pool.release_quietly(&mut metrics.assembly);
+            let statuses = pool.site_statuses();
+            for site in [0, 2] {
+                let status = statuses[site].as_ref().expect("a live site answers");
+                assert_eq!(status.resident_queries, 0, "site {site}");
+            }
+            assert!(statuses[1].is_err() && router.is_failed(1));
+        });
     }
 
     #[test]
@@ -968,6 +1094,10 @@ mod tests {
             let dead = DeadLink(transport);
             WorkerPool::new(&dead, &router, NetworkModel::instant(), Q0)
                 .release_quietly(&mut stage);
+            // The release marked the dead site failed; a repair would
+            // reconnect it and lift the mark before the next probe.
+            assert!(router.is_failed(0));
+            router.reset(0);
             let resident: Vec<u64> = healthy
                 .worker_status()
                 .unwrap()

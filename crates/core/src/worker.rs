@@ -579,12 +579,12 @@ pub fn send_shutdown<A: std::net::ToSocketAddrs>(addr: A) -> std::io::Result<()>
 /// tear the workers down. The workers borrow their fragments; no
 /// `InstallFragment` setup frames are exchanged.
 ///
-/// This is the harness behind `Engine::execute`'s default backend, public
-/// so tests can drive `Engine::execute_on` against a transport they can
-/// inspect (e.g. to compare shipment metrics with the transport's own
-/// frame counters). Long-lived sessions use the equivalent persistent
-/// fleet kept by `gstored::GStoreD` instead, so concurrent queries share
-/// one set of workers.
+/// The one-shot fleet for tests, experiments and harnesses that drive
+/// `Engine::execute_on` against a transport they can inspect (e.g. to
+/// compare shipment metrics with the transport's own frame counters).
+/// Long-lived sessions use the equivalent persistent fleet kept by
+/// `gstored::GStoreD` instead, so concurrent queries share one set of
+/// workers.
 pub fn with_in_process_workers<T>(
     dist: &DistributedGraph,
     f: impl FnOnce(&InProcessTransport) -> T,

@@ -354,11 +354,6 @@ impl Transport for ChaosTransport {
         }
     }
 
-    fn recv(&self, site: usize) -> Result<Bytes, TransportError> {
-        // Far-future deadline: identical logic, effectively no timeout.
-        self.recv_deadline(site, Instant::now() + Duration::from_secs(86_400))
-    }
-
     fn recv_deadline(&self, site: usize, deadline: Instant) -> Result<Bytes, TransportError> {
         let chaos = self
             .sites

@@ -213,25 +213,6 @@ impl Transport for ReactorTransport {
         Ok(())
     }
 
-    fn recv(&self, site: usize) -> Result<Bytes, TransportError> {
-        let state = self
-            .shared
-            .sites
-            .get(site)
-            .ok_or(TransportError::UnknownSite { site })?;
-        let mut rx = state.rx.lock().expect("reactor inbox poisoned");
-        loop {
-            if let Some(frame) = rx.frames.pop_front() {
-                self.shared.counters.record(frame.len());
-                return Ok(frame);
-            }
-            if let Some(err) = &rx.failed {
-                return Err(err.clone());
-            }
-            rx = state.rx_ready.wait(rx).expect("reactor inbox poisoned");
-        }
-    }
-
     fn recv_deadline(&self, site: usize, deadline: Instant) -> Result<Bytes, TransportError> {
         let state = self
             .shared

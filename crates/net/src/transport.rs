@@ -22,7 +22,7 @@ use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
@@ -132,21 +132,21 @@ pub trait Transport: Send + Sync {
     /// Ship one frame to `site`.
     fn send(&self, site: usize, frame: Bytes) -> Result<(), TransportError>;
 
-    /// Block until `site`'s next frame arrives.
-    fn recv(&self, site: usize) -> Result<Bytes, TransportError>;
-
     /// Block until `site`'s next frame arrives or `deadline` passes,
-    /// returning [`TransportError::TimedOut`] in the latter case.
+    /// returning [`TransportError::TimedOut`] in the latter case. The
+    /// one receive every backend implements.
     ///
     /// A timeout must leave the connection at a clean frame boundary
     /// (no partial frame consumed) so the caller can either retry the
     /// receive or declare the site dead — the provided backends all
     /// guarantee this, failing the connection instead if a frame was
-    /// torn mid-read. The default implementation ignores the deadline
-    /// and blocks; every production backend overrides it.
-    fn recv_deadline(&self, site: usize, deadline: Instant) -> Result<Bytes, TransportError> {
-        let _ = deadline;
-        self.recv(site)
+    /// torn mid-read.
+    fn recv_deadline(&self, site: usize, deadline: Instant) -> Result<Bytes, TransportError>;
+
+    /// Block until `site`'s next frame arrives:
+    /// [`Transport::recv_deadline`] with a deadline a day away.
+    fn recv(&self, site: usize) -> Result<Bytes, TransportError> {
+        self.recv_deadline(site, Instant::now() + Duration::from_secs(86_400))
     }
 
     /// Tear down and re-establish the connection to `site`, clearing
@@ -277,20 +277,6 @@ impl Transport for InProcessTransport {
         tx.send(frame).map_err(|_| TransportError::Closed { site })
     }
 
-    fn recv(&self, site: usize) -> Result<Bytes, TransportError> {
-        let rx = self
-            .from_workers
-            .get(site)
-            .ok_or(TransportError::UnknownSite { site })?;
-        let frame = rx
-            .lock()
-            .expect("transport receiver poisoned")
-            .recv()
-            .map_err(|_| TransportError::Closed { site })?;
-        self.counters.record(frame.len());
-        Ok(frame)
-    }
-
     fn recv_deadline(&self, site: usize, deadline: Instant) -> Result<Bytes, TransportError> {
         let rx = self
             .from_workers
@@ -359,7 +345,6 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Bytes>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn in_process_roundtrip_and_counters() {

@@ -25,12 +25,14 @@ use std::time::{Duration, Instant};
 use gstored_core::engine::{Backend, Engine, EngineConfig, QueryOutput, StreamState, Variant};
 use gstored_core::planner::{plan_query, PlanExplain, PlannerDecision};
 use gstored_core::prepared::PreparedPlan;
-use gstored_core::protocol::{self, QueryId, Request, ResponseBody};
+use gstored_core::protocol::QueryId;
 use gstored_core::runtime::{QueryExecutor, QueryTicket, ReplyRouter, WorkerPool};
 use gstored_core::worker::SiteWorker;
 use gstored_core::{EngineError, WorkerStatus};
 use gstored_net::worker::serve_endpoint;
-use gstored_net::{ChaosConfig, ChaosTransport, InProcessTransport, QueryMetrics, Transport};
+use gstored_net::{
+    ChaosConfig, ChaosTransport, InProcessTransport, NetworkModel, QueryMetrics, Transport,
+};
 use gstored_partition::{DistributedGraph, HashPartitioner, PartitionAssignment, Partitioner};
 use gstored_rdf::{parse_ntriples, Dictionary, RdfGraph, Term, Triple, VertexId};
 use gstored_sparql::{parse_query, QueryGraph, ShapeReport};
@@ -227,6 +229,19 @@ impl Fleet {
         self.transport
             .as_deref()
             .expect("fleet transport only taken in Drop")
+    }
+
+    /// An unpaced handle on the fleet for `query`'s operational
+    /// exchanges (status, health, fragment installs), every receive
+    /// bounded by `timeout` from now.
+    fn pool(&self, query: QueryId, timeout: Option<Duration>) -> WorkerPool<'_> {
+        WorkerPool::new(
+            self.transport(),
+            &self.router,
+            NetworkModel::default(),
+            query,
+        )
+        .with_deadline(timeout.map(|t| Instant::now() + t))
     }
 }
 
@@ -734,29 +749,15 @@ impl GStoreD {
     }
 
     /// Re-ship `site`'s fragment over a freshly reconnected stream and
-    /// wait (bounded) for the worker's `Ack`. The reply is stamped
-    /// [`QueryId::CONTROL`]; in the rare race where a concurrently
-    /// reading pipeline consumes it first, this times out and the
-    /// repair attempt retries after backoff.
+    /// wait (bounded) for the worker's `Ack`: a one-site exchange under
+    /// [`QueryId::CONTROL`], the id the reply is stamped with. In the
+    /// rare race where a concurrently reading pipeline consumes it
+    /// first, this times out and the repair attempt retries after
+    /// backoff.
     fn reinstall_fragment(&self, fleet: &Fleet, site: usize) -> Result<(), EngineError> {
-        let fragment = &self.dist.fragments[site];
         fleet
-            .transport()
-            .send(site, protocol::encode_install_fragment(fragment))?;
-        let deadline = Instant::now() + REINSTALL_TIMEOUT;
-        let (_, response) = fleet.router.recv_deadline(
-            fleet.transport(),
-            site,
-            QueryId::CONTROL,
-            Some(deadline),
-        )?;
-        match response.body {
-            ResponseBody::Ack => Ok(()),
-            ResponseBody::Error(msg) => Err(EngineError::Worker(format!("site {site}: {msg}"))),
-            other => Err(EngineError::Protocol(format!(
-                "expected Ack to re-installed fragment, got {other:?}"
-            ))),
-        }
+            .pool(QueryId::CONTROL, Some(REINSTALL_TIMEOUT))
+            .ship_fragments([(site, &self.dist.fragments[site])])
     }
 
     /// The cached fleet, establishing it if this is the first execution.
@@ -812,19 +813,8 @@ impl GStoreD {
     pub fn fleet_status(&self) -> Result<Vec<WorkerStatus>, Error> {
         let ticket = self.executor.admit();
         let fleet = self.fleet()?;
-        let pool = WorkerPool::new(
-            fleet.transport(),
-            &fleet.router,
-            self.engine.config().network.clone(),
-            ticket.query(),
-        )
-        .with_deadline(
-            self.engine
-                .config()
-                .query_deadline
-                .map(|d| Instant::now() + d),
-        );
-        let status = pool.worker_status();
+        let deadline = self.engine.config().query_deadline;
+        let status = fleet.pool(ticket.query(), deadline).worker_status();
         if let Err(e) = &status {
             // Same containment as queries: repair the implicated site,
             // tear down only what cannot be repaired.
@@ -847,49 +837,18 @@ impl GStoreD {
     pub fn site_health(&self) -> Result<Vec<SiteHealth>, Error> {
         let ticket = self.executor.admit();
         let fleet = self.fleet()?;
-        let frame = protocol::encode_request(&Request::WorkerStatus {
-            query: ticket.query(),
-        });
-        let sent: Vec<Result<(), EngineError>> = (0..fleet.router.sites())
-            .map(|site| {
-                fleet
-                    .transport()
-                    .send(site, frame.clone())
-                    .map_err(EngineError::from)
+        let pool = fleet.pool(ticket.query(), Some(HEALTH_PROBE_TIMEOUT));
+        pool.set_stage("health");
+        let statuses = pool.site_statuses();
+        Ok(statuses
+            .into_iter()
+            .enumerate()
+            .map(|(site, status)| SiteHealth {
+                site,
+                error: status.as_ref().err().map(ToString::to_string),
+                status: status.ok(),
             })
-            .collect();
-        let deadline = Instant::now() + HEALTH_PROBE_TIMEOUT;
-        let mut health = Vec::with_capacity(sent.len());
-        for (site, sent) in sent.into_iter().enumerate() {
-            // Receive even when the send failed: a broken connection then
-            // fails the receive too, which marks the site failed in the
-            // router, so the next query repairs it before using it.
-            let received =
-                fleet
-                    .router
-                    .recv_deadline(fleet.transport(), site, ticket.query(), Some(deadline));
-            let result = sent.and(received);
-            health.push(match result {
-                Ok((_, response)) => match response.body {
-                    ResponseBody::Status(status) => SiteHealth {
-                        site,
-                        status: Some(status),
-                        error: None,
-                    },
-                    other => SiteHealth {
-                        site,
-                        status: None,
-                        error: Some(format!("unexpected status reply: {other:?}")),
-                    },
-                },
-                Err(e) => SiteHealth {
-                    site,
-                    status: None,
-                    error: Some(e.to_string()),
-                },
-            });
-        }
-        Ok(health)
+            .collect())
     }
 
     /// Snapshot of the session's failure-handling counters: deadline

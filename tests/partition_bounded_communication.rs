@@ -120,11 +120,13 @@ fn feature_shipment_grows_with_crossing_edges() {
 #[test]
 fn analytical_size_bound_holds() {
     // Every shipped feature respects the O(|E^Q| + |V^Q|) size bound of
-    // Section IV-D (constant factor: serialized varints per component).
+    // Section IV-D (constant factor: serialized varints per component),
+    // measured as the whole `Features` reply that would ship it alone.
     use gstored::core::lec::compute_lec_features;
-    use gstored::core::protocol::encode_features;
+    use gstored::core::protocol::{encode_response, QueryId, Response, ResponseBody};
     use gstored::store::candidates::CandidateFilter;
     use gstored::store::{enumerate_local_partial_matches, EncodedQuery};
+    use std::time::Duration;
 
     let (g, p) = build(100, 16);
     let dist = DistributedGraph::build(g, &p);
@@ -141,7 +143,8 @@ fn analytical_size_bound_holds() {
         let lpms = enumerate_local_partial_matches(f, &q, &filter);
         let (features, _) = compute_lec_features(&lpms, 0);
         for feat in &features {
-            let wire = encode_features(std::slice::from_ref(feat)).len();
+            let reply = ResponseBody::Features(vec![feat.clone()]);
+            let wire = encode_response(&Response::new(Duration::ZERO, QueryId(0), reply)).len();
             // Generous constant: ≤ 64 bytes per (edge + vertex) unit.
             let bound = 64 * (q.edge_count() + q.vertex_count());
             assert!(

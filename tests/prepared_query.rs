@@ -11,6 +11,8 @@
 use proptest::prelude::*;
 
 use gstored::core::engine::Variant;
+use gstored::core::worker::with_in_process_workers;
+use gstored::core::PreparedPlan;
 use gstored::datagen::random::{random_graph, random_query, RandomGraphConfig};
 use gstored::datagen::{yago, YagoConfig};
 use gstored::prelude::*;
@@ -86,14 +88,16 @@ fn prepared_reexecution_matches_one_shot_for_all_variants_and_partitioners() {
 }
 
 #[test]
-fn prepared_path_agrees_with_engine_try_run() {
-    // The deprecated-run replacement (`Engine::try_run`) and the facade's
+fn prepared_path_agrees_with_engine_execute_on() {
+    // The engine run directly on a fleet of its own and the facade's
     // prepared path are the same computation.
     let g = test_graph();
     let dist = DistributedGraph::build(g, &HashPartitioner::new(3));
     let query = QueryGraph::from_query(&parse_query(TEST_QUERY).unwrap()).unwrap();
+    let plan = PreparedPlan::new(query, dist.dict()).unwrap();
     let engine = Engine::new(EngineConfig::default());
-    let one_shot = engine.try_run(&dist, &query).unwrap();
+    let one_shot =
+        with_in_process_workers(&dist, |fleet| engine.execute_on(fleet, &dist, &plan)).unwrap();
 
     let db = GStoreD::builder()
         .distributed(dist.clone())

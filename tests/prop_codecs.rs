@@ -1,6 +1,8 @@
 //! Round-trip properties of every serialization layer: the wire codec,
 //! the engine protocol, N-Triples, and the SPARQL pretty-printer.
 
+use std::time::Duration;
+
 use proptest::prelude::*;
 
 use gstored::core::lec::LecFeature;
@@ -9,6 +11,16 @@ use gstored::net::{WireReader, WireWriter};
 use gstored::rdf::{EdgeRef, Literal, Term, TermId, Triple};
 use gstored::store::candidates::BitVectorFilter;
 use gstored::store::LocalPartialMatch;
+
+/// `body` as the reply frame a worker sends.
+fn reply_frame(body: ResponseBody) -> bytes::Bytes {
+    protocol::encode_response(&Response::new(Duration::ZERO, QueryId(3), body))
+}
+
+/// `body` through a reply frame and back.
+fn reply_roundtrip(body: ResponseBody) -> ResponseBody {
+    protocol::decode_response(reply_frame(body)).unwrap().body
+}
 
 fn arbitrary_lpm(
     fragment: usize,
@@ -91,9 +103,8 @@ proptest! {
                 .collect(),
             internal_mask: mask,
         };
-        let batch = vec![lpm.clone(), lpm];
-        let decoded = protocol::decode_lpms(protocol::encode_lpms(&batch)).unwrap();
-        prop_assert_eq!(decoded, batch);
+        let batch = ResponseBody::Survivors(vec![lpm.clone(), lpm]);
+        prop_assert_eq!(reply_roundtrip(batch.clone()), batch);
     }
 
     #[test]
@@ -114,10 +125,8 @@ proptest! {
             sign,
             sources,
         };
-        let decoded =
-            protocol::decode_features(protocol::encode_features(std::slice::from_ref(&f)))
-                .unwrap();
-        prop_assert_eq!(decoded, vec![f]);
+        let features = ResponseBody::Features(vec![f]);
+        prop_assert_eq!(reply_roundtrip(features.clone()), features);
     }
 
     #[test]
@@ -242,19 +251,34 @@ proptest! {
         for i in 0..(fill * n_bits / 3) as u64 {
             bv.insert(TermId(i));
         }
-        let frame = protocol::encode_bit_vector(&bv);
+        // The vector's share of a `BitVectors` reply (the count varint
+        // is one byte for zero vectors and for one).
+        let len = reply_frame(ResponseBody::BitVectors(vec![bv.clone()])).len()
+            - reply_frame(ResponseBody::BitVectors(vec![])).len();
         // The fixed-length words behind the width varint and the tag.
         let dense = bv.wire_size() + if n_bits < 128 { 1 } else { 2 } + 1;
-        prop_assert!(frame.len() <= dense, "{} > {}", frame.len(), dense);
+        prop_assert!(len <= dense, "{} > {}", len, dense);
         if members.len() + fill * n_bits / 3 < n_bits / 16 {
-            prop_assert!(frame.len() < dense / 2, "few bits must ship sparse");
+            prop_assert!(len < dense / 2, "few bits must ship sparse");
         }
-        prop_assert_eq!(protocol::decode_bit_vector(frame).unwrap(), bv);
+        let reply = ResponseBody::BitVectors(vec![bv.clone()]);
+        prop_assert_eq!(reply_roundtrip(reply.clone()), reply);
+        // Coordinator to site, the unioned vector rides SetCandidateFilter.
+        let frame = protocol::encode_request(&Request::SetCandidateFilter {
+            query: QueryId(3),
+            vectors: vec![(1, bv.clone())],
+        });
+        match protocol::decode_request(frame).unwrap() {
+            Request::SetCandidateFilter { vectors, .. } => {
+                prop_assert_eq!(vectors, vec![(1, bv)]);
+            }
+            other => prop_assert!(false, "decoded the wrong request: {:?}", other),
+        }
     }
 
     /// Hostile vector frames — absurd widths, counts the frame cannot
     /// hold, positions past `n_bits` — are decode errors: no panic, no
-    /// allocation sized by the claim. In a request, a reply and alone.
+    /// allocation sized by the claim. In a request and in a reply.
     #[test]
     fn hostile_bit_vectors_are_decode_errors(
         qid in any::<u32>(),
@@ -283,7 +307,6 @@ proptest! {
             vector(n_bits, &[2, 1, (n_bits + beyond) as u64]),
             vector(n_bits, &[2, 7, 0]),
         ] {
-            prop_assert!(protocol::decode_bit_vector(payload.clone()).is_err());
             // SetCandidateFilter: tag 5, query, count, (vertex, vector).
             let mut w = WireWriter::new();
             w.u64(5).u32_fixed(qid).usize(1).usize(0);
@@ -444,9 +467,8 @@ proptest! {
             .iter()
             .map(|r| r.iter().map(|&v| TermId(v)).collect())
             .collect();
-        let decoded =
-            protocol::decode_bindings(protocol::encode_bindings(&bindings)).unwrap();
-        prop_assert_eq!(decoded, bindings);
+        let bindings = ResponseBody::Bindings(bindings);
+        prop_assert_eq!(reply_roundtrip(bindings.clone()), bindings);
     }
 
     /// A hostile `SurvivorsChunk` reply claiming an enormous LPM count

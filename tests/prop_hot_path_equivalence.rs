@@ -35,9 +35,11 @@ use proptest::prelude::*;
 
 use gstored::baselines::relalg;
 use gstored::core::assembly::{assemble_basic, assemble_lec, IncrementalJoin, MatchBinding};
-use gstored::core::engine::Variant;
+use gstored::core::engine::{QueryOutput, Variant};
 use gstored::core::lec::{compute_lec_features, LecFeature};
 use gstored::core::prune::{build_join_graph, group_by_sign, prune_features};
+use gstored::core::worker::with_in_process_workers;
+use gstored::core::PreparedPlan;
 use gstored::datagen::random::{predicate_iri, random_graph, random_query, RandomGraphConfig};
 use gstored::partition::{
     HashPartitioner, MetisLikePartitioner, Partitioner, SemanticHashPartitioner,
@@ -49,6 +51,14 @@ use gstored::store::{
     LocalPartialMatch,
 };
 use gstored_bench::fixtures::{dense_star_lpms, many_feature_features};
+
+/// Evaluate `query` under `variant` once on a fresh in-process fleet.
+fn run_variant(variant: Variant, dist: &DistributedGraph, query: &QueryGraph) -> QueryOutput {
+    let plan = PreparedPlan::new(query.clone(), dist.dict()).expect("generated query prepares");
+    let engine = Engine::with_variant(variant);
+    with_in_process_workers(dist, |fleet| engine.execute_on(fleet, dist, &plan))
+        .expect("generated query evaluates")
+}
 
 fn partitioners(sites: usize) -> Vec<Box<dyn Partitioner>> {
     vec![
@@ -156,9 +166,7 @@ proptest! {
 
             // End to end: every variant equals the centralized reference.
             for variant in Variant::ALL {
-                let out = Engine::with_variant(variant)
-                    .try_run(&dist, &query)
-                    .expect("generated query evaluates");
+                let out = run_variant(variant, &dist, &query);
                 let mut got = out.bindings.clone();
                 got.sort_unstable();
                 prop_assert_eq!(
@@ -242,9 +250,7 @@ proptest! {
             // End to end: every variant equals the centralized reference
             // (LO and Full prune inside the engine).
             for variant in Variant::ALL {
-                let out = Engine::with_variant(variant)
-                    .try_run(&dist, &query)
-                    .expect("generated query evaluates");
+                let out = run_variant(variant, &dist, &query);
                 let mut got = out.bindings.clone();
                 got.sort_unstable();
                 prop_assert_eq!(

@@ -94,31 +94,26 @@ fn backends_return_identical_results_and_byte_counts() {
         let dist = DistributedGraph::build(g.clone(), partitioner.as_ref());
         assert_eq!(dist.validate(), None);
         for variant in Variant::ALL {
+            let session = |backend| {
+                GStoreD::builder()
+                    .distributed(dist.clone())
+                    .variant(variant)
+                    .backend(backend)
+                    .build()
+                    .unwrap()
+            };
+            let in_process = session(Backend::InProcess);
+            let tcp = session(Backend::Tcp {
+                workers: addrs.clone(),
+            });
             for query in [PATH_QUERY, STAR_QUERY] {
-                let plan = PreparedPlan::new(
-                    QueryGraph::from_query(&gstored::sparql::parse_query(query).unwrap()).unwrap(),
-                    dist.dict(),
-                )
-                .unwrap();
-                let in_process = Engine::new(EngineConfig::variant(variant))
-                    .execute(&dist, &plan)
-                    .unwrap();
-                let tcp = Engine::new(EngineConfig {
-                    backend: Backend::Tcp {
-                        workers: addrs.clone(),
-                    },
-                    ..EngineConfig::variant(variant)
-                })
-                .execute(&dist, &plan)
-                .unwrap();
+                let a = in_process.query(query).unwrap();
+                let b = tcp.query(query).unwrap();
                 let context = format!("{} / {} / {query}", partitioner.name(), variant.label());
-                assert_eq!(in_process.rows, tcp.rows, "{context}: rows differ");
-                assert_eq!(
-                    in_process.bindings, tcp.bindings,
-                    "{context}: bindings differ"
-                );
-                assert!(!in_process.rows.is_empty(), "{context}: trivial test");
-                assert_same_shipment(&in_process.metrics, &tcp.metrics, &context);
+                assert_eq!(a.vertex_rows(), b.vertex_rows(), "{context}: rows differ");
+                assert_eq!(a.bindings(), b.bindings(), "{context}: bindings differ");
+                assert!(!a.is_empty(), "{context}: trivial test");
+                assert_same_shipment(a.metrics(), b.metrics(), &context);
             }
         }
     }

@@ -218,6 +218,40 @@ fn kill_and_restart_worker_reactor() {
     );
 }
 
+/// A dead site heals by a one-site repair whichever exchange meets it
+/// first — here a general query, after the coordinator has seen the
+/// connection close. The query still sends to the live sites, and its
+/// receive from the dead one marks that site failed, so the session
+/// repairs just that site: typed `SiteUnavailable` while the worker is
+/// down, healed once it is back, and the fleet is never rebuilt.
+#[test]
+fn a_killed_site_met_by_a_query_is_repaired_not_rebuilt() {
+    let addrs = reserve_addrs(3);
+    let mut workers: Vec<Worker> = addrs.iter().map(|a| Worker::spawn(a)).collect();
+    let db = tcp_session(&addrs);
+    let oracle = sorted_rows(db.query(PATH_QUERY).unwrap().vertex_rows());
+
+    workers[1].kill();
+    std::thread::sleep(Duration::from_millis(500));
+    match db.query(PATH_QUERY) {
+        Err(gstored::Error::Engine(EngineError::SiteUnavailable { site: 1, .. })) => {}
+        other => panic!("expected site 1 unavailable, got {other:?}"),
+    }
+    let stats = db.robustness_stats();
+    assert_eq!(stats.fleet_rebuilds, 0, "the fleet was rebuilt: {stats:?}");
+    assert!(stats.repairs_failed >= 1, "no repair was tried: {stats:?}");
+
+    workers[1] = Worker::spawn(&addrs[1]);
+    assert_eq!(
+        query_until_healed(&db, PATH_QUERY).as_deref(),
+        Some(oracle.as_slice()),
+        "session never recovered after worker restart"
+    );
+    let stats = db.robustness_stats();
+    assert_eq!(stats.fleet_rebuilds, 0, "the fleet was rebuilt: {stats:?}");
+    assert!(stats.repairs >= 1, "the site was not repaired: {stats:?}");
+}
+
 /// The star-stream contract once rows are out (`docs/faults.md`): a star
 /// stream meets each site only when it pulls it, so a site that dies
 /// after rows were delivered surfaces on the pull that reaches it.
