@@ -1156,7 +1156,7 @@ pub fn decode_response(bytes: Bytes) -> Result<Response, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gstored_partition::{DistributedGraph, HashPartitioner};
+    use gstored_partition::{DistributedGraph, HashPartitioner, PostingKey};
     use gstored_rdf::{RdfGraph, Term, Triple};
     use gstored_sparql::{parse_query, QueryGraph};
     use std::time::Duration;
@@ -1519,11 +1519,36 @@ mod tests {
             ),
         ]);
         let dist = DistributedGraph::build(g, &HashPartitioner::new(2));
+        // The frame carries edges and classes only: these lengths were
+        // measured before fragments gained postings, and pin the codec.
+        let frame_lengths = [22, 19];
+        let mut class_postings = 0;
         for fragment in &dist.fragments {
             let frame = encode_install_fragment(fragment);
+            assert_eq!(
+                frame.len(),
+                frame_lengths[fragment.id],
+                "fragment {}",
+                fragment.id
+            );
             let Request::InstallFragment(decoded) = decode_request(frame.clone()).unwrap() else {
                 panic!("wrong request kind");
             };
+            // The receiver derives the same postings from what it decoded.
+            let unused = TermId(u64::MAX);
+            for label in fragment.edges().map(|e| e.label).chain([unused]) {
+                for key in [PostingKey::Out(label), PostingKey::In(label)] {
+                    assert_eq!(decoded.posting(key), fragment.posting(key), "{key:?}");
+                }
+            }
+            for (_, classes) in fragment.class_entries() {
+                for &class in classes {
+                    let key = PostingKey::Class(class);
+                    assert_eq!(decoded.posting(key), fragment.posting(key), "{key:?}");
+                    class_postings += 1;
+                }
+            }
+            assert!(decoded.posting(PostingKey::Class(unused)).is_empty());
             assert_eq!(decoded.id, fragment.id);
             assert_eq!(decoded.internal, fragment.internal);
             assert_eq!(decoded.extended, fragment.extended);
@@ -1537,6 +1562,10 @@ mod tests {
             // Canonical re-encode is byte-identical.
             assert_eq!(encode_install_fragment(&decoded), frame);
         }
+        assert!(
+            class_postings > 0,
+            "the fixture must exercise class postings"
+        );
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! The site worker: one persistent process/thread per fragment.
 //!
 //! A [`SiteWorker`] owns its [`Fragment`] plus a **table of per-query
-//! state slots** keyed by [`QueryId`] (the installed query, the candidate
+//! state slots** keyed by [`QueryId`] (the installed query, its internal
+//! candidates until partial evaluation has read them, the candidate
 //! filter, the enumerated LPMs with their LEC features and survivor
 //! flags) and answers the typed [`Request`] messages of the engine's four
 //! stages. Because every per-query request names its query, one worker
@@ -43,10 +44,11 @@ use fxhash::FxHashMap;
 use gstored_net::worker::{serve_endpoint, serve_stream_idle, ServeOutcome};
 use gstored_net::InProcessTransport;
 use gstored_partition::{DistributedGraph, Fragment};
+use gstored_rdf::VertexId;
 use gstored_store::candidates::{BitVectorFilter, CandidateFilter};
 use gstored_store::{
-    enumerate_local_partial_matches, find_star_matches, internal_candidates,
-    local_complete_matches, EncodedQuery, LocalPartialMatch,
+    find_star_matches, internal_candidates, matches_from, partial_matches_from, EncodedQuery,
+    LocalPartialMatch,
 };
 
 use crate::lec::{compute_lec_features, LecFeature};
@@ -91,6 +93,11 @@ impl FragmentSlot<'_> {
 struct QueryState {
     query: EncodedQuery,
     filter: CandidateFilter,
+    /// The query's internal candidates `C(Q, v)` on this fragment,
+    /// computed by the first step that needs them (`ComputeCandidates` or
+    /// `PartialEval`) and taken by `PartialEval`, the last step that reads
+    /// them; they go with the slot otherwise.
+    candidates: Option<Vec<Vec<VertexId>>>,
     lpms: Vec<LocalPartialMatch>,
     features: Vec<LecFeature>,
     feature_of_lpm: Vec<usize>,
@@ -114,6 +121,7 @@ impl QueryState {
         QueryState {
             query,
             filter,
+            candidates: None,
             lpms: Vec::new(),
             features: Vec::new(),
             feature_of_lpm: Vec::new(),
@@ -302,7 +310,9 @@ impl<'a> SiteWorker<'a> {
                         vars.len()
                     ));
                 }
-                let cands = internal_candidates(f, q);
+                let cands = state
+                    .candidates
+                    .get_or_insert_with(|| internal_candidates(f, q));
                 let vectors = vars
                     .into_iter()
                     .map(|v| {
@@ -337,8 +347,12 @@ impl<'a> SiteWorker<'a> {
                     Ok(s) => s,
                     Err(e) => return e,
                 };
-                let locals = local_complete_matches(f, &state.query);
-                let lpms = enumerate_local_partial_matches(f, &state.query, &state.filter);
+                let cands = state
+                    .candidates
+                    .take()
+                    .unwrap_or_else(|| internal_candidates(f, &state.query));
+                let locals = matches_from(f, &state.query, &cands);
+                let lpms = partial_matches_from(f, &state.query, &cands, &state.filter);
                 state.keep = vec![true; lpms.len()];
                 state.lpms = lpms;
                 ResponseBody::PartialEval {
@@ -609,9 +623,11 @@ pub fn with_in_process_workers<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::Response;
     use gstored_partition::HashPartitioner;
     use gstored_rdf::{RdfGraph, Term, Triple};
     use gstored_sparql::{parse_query, QueryGraph};
+    use gstored_store::enumerate_local_partial_matches;
 
     const Q0: QueryId = QueryId(0);
 
@@ -1143,6 +1159,184 @@ mod tests {
             roundtrip(&mut w, &Request::PartialEval { query: Q0 }),
             ResponseBody::PartialEval { .. }
         ));
+    }
+
+    /// Twelve vertices wired by two labels over three sites: enough
+    /// crossing edges that every site has LPMs for a two-edge path.
+    fn crossing_setup() -> (DistributedGraph, EncodedQuery) {
+        let v = |i: usize| Term::iri(format!("http://v/{i}"));
+        let mut triples = Vec::new();
+        for i in 0..12 {
+            triples.push(Triple::new(
+                v(i),
+                Term::iri("http://p"),
+                v((i * 5 + 1) % 12),
+            ));
+            triples.push(Triple::new(
+                v(i),
+                Term::iri("http://q"),
+                v((i * 7 + 3) % 12),
+            ));
+        }
+        let qg = QueryGraph::from_query(
+            &parse_query("SELECT * WHERE { ?x <http://p> ?y . ?y <http://q> ?z }").unwrap(),
+        )
+        .unwrap();
+        let dist =
+            DistributedGraph::build(RdfGraph::from_triples(triples), &HashPartitioner::new(3));
+        let q = EncodedQuery::encode(&qg, dist.dict()).unwrap();
+        (dist, q)
+    }
+
+    /// A reply frame with the timing zeroed, for byte comparisons.
+    fn frame(body: ResponseBody) -> Bytes {
+        protocol::encode_response(&Response::new(Duration::ZERO, Q0, body))
+    }
+
+    /// Reusing the candidates `ComputeCandidates` cached cannot be seen
+    /// from outside: a site that ran it answers `PartialEval` and
+    /// `ComputeLecFeatures` byte for byte like a site that got the same
+    /// filter without ever computing candidates for Algorithm 4.
+    #[test]
+    fn candidate_reuse_is_invisible_in_replies() {
+        let (dist, q) = crossing_setup();
+        let bits = 256;
+        // The coordinator's side of Algorithm 4: OR every site's vectors.
+        let mut union: Vec<BitVectorFilter> = Vec::new();
+        for f in &dist.fragments {
+            let mut w = SiteWorker::for_fragment(f);
+            install(&mut w, Q0, &q);
+            let ResponseBody::BitVectors(vectors) =
+                roundtrip(&mut w, &Request::ComputeCandidates { query: Q0, bits })
+            else {
+                panic!("wrong response");
+            };
+            if union.is_empty() {
+                union = vectors;
+            } else {
+                for (u, v) in union.iter_mut().zip(&vectors) {
+                    u.union_with(v);
+                }
+            }
+        }
+        let vectors: Vec<(usize, BitVectorFilter)> = (0..q.vertex_count())
+            .filter(|&v| q.vertex(v).is_var())
+            .zip(union)
+            .collect();
+        let mut lpms = 0;
+        for f in &dist.fragments {
+            let replies = |compute_first: bool| {
+                let mut w = SiteWorker::for_fragment(f);
+                install(&mut w, Q0, &q);
+                if compute_first {
+                    roundtrip(&mut w, &Request::ComputeCandidates { query: Q0, bits });
+                    assert!(
+                        w.queries[&Q0.0].candidates.is_some(),
+                        "cached by the first step"
+                    );
+                }
+                roundtrip(
+                    &mut w,
+                    &Request::SetCandidateFilter {
+                        query: Q0,
+                        vectors: vectors.clone(),
+                    },
+                );
+                let eval = roundtrip(&mut w, &Request::PartialEval { query: Q0 });
+                assert!(
+                    w.queries[&Q0.0].candidates.is_none(),
+                    "taken by the last reader"
+                );
+                let features = roundtrip(
+                    &mut w,
+                    &Request::ComputeLecFeatures {
+                        query: Q0,
+                        first_id: 0,
+                    },
+                );
+                (eval, features)
+            };
+            let (eval, features) = replies(true);
+            if let ResponseBody::PartialEval { lpm_count, .. } = &eval {
+                lpms += lpm_count;
+            }
+            let (fresh_eval, fresh_features) = replies(false);
+            assert_eq!(frame(eval), frame(fresh_eval), "site {}", f.id);
+            assert_eq!(frame(features), frame(fresh_features), "site {}", f.id);
+        }
+        assert!(lpms > 0, "the fixture must produce LPMs");
+    }
+
+    /// Cached candidates go with their slot: after the last survivor
+    /// chunk, a release, an LRU eviction, the TTL janitor or a new
+    /// fragment, the query holds nothing and `status()` no longer counts
+    /// it.
+    #[test]
+    fn cached_candidates_do_not_outlive_their_slot() {
+        let (dist, q) = crossing_setup();
+        let fragment = &dist.fragments[0];
+        let cached = |w: &mut SiteWorker<'_>, id: QueryId| {
+            install(w, id, &q);
+            roundtrip(
+                w,
+                &Request::ComputeCandidates {
+                    query: id,
+                    bits: 64,
+                },
+            );
+            assert!(w.queries[&id.0].candidates.is_some());
+        };
+        let gone = |w: &SiteWorker<'_>, id: QueryId, how: &str| {
+            assert!(!w.queries.contains_key(&id.0), "{how}");
+            assert_eq!(w.status().resident_queries, 0, "{how}");
+        };
+
+        let mut w = SiteWorker::for_fragment(fragment);
+        cached(&mut w, Q0);
+        // No PartialEval ran, so there is nothing to ship: chunk 0 is last.
+        assert!(matches!(
+            roundtrip(
+                &mut w,
+                &Request::ShipSurvivorsChunk {
+                    query: Q0,
+                    seq: 0,
+                    max: 8
+                }
+            ),
+            ResponseBody::SurvivorsChunk { last: true, .. }
+        ));
+        gone(&w, Q0, "last chunk");
+
+        cached(&mut w, Q0);
+        roundtrip(&mut w, &Request::ReleaseQuery { query: Q0 });
+        gone(&w, Q0, "release");
+
+        let mut w = SiteWorker::for_fragment(fragment).with_capacity(1);
+        cached(&mut w, Q0);
+        install(&mut w, QueryId(1), &q);
+        assert_eq!(w.status().evictions, 1);
+        assert!(!w.queries.contains_key(&Q0.0), "eviction");
+        roundtrip(&mut w, &Request::ReleaseQuery { query: QueryId(1) });
+        gone(&w, QueryId(1), "eviction, then release");
+
+        let ttl = Duration::from_millis(50);
+        let mut w = SiteWorker::for_fragment(fragment).with_ttl(Some(ttl));
+        cached(&mut w, Q0);
+        std::thread::sleep(ttl * 2);
+        assert_eq!(w.sweep_stale(), 1);
+        gone(&w, Q0, "TTL");
+
+        let mut w = SiteWorker::empty();
+        roundtrip(
+            &mut w,
+            &Request::InstallFragment(Box::new(fragment.clone())),
+        );
+        cached(&mut w, Q0);
+        roundtrip(
+            &mut w,
+            &Request::InstallFragment(Box::new(fragment.clone())),
+        );
+        gone(&w, Q0, "InstallFragment");
     }
 
     #[test]

@@ -11,8 +11,23 @@
 //!   in `V_i`; crossing edges are *replicated* in both touched fragments,
 //!   which is what makes star queries evaluable locally and what lets
 //!   LEC features join across fragments on shared crossing edges.
+//!
+//! Besides the adjacency, every fragment keeps three **postings**: per
+//! edge label, the vertices with an out-edge (and, separately, an
+//! in-edge) carrying it, and per class, the stored vertices carrying it.
+//! They are how a site hands out a query vertex's candidates without
+//! walking its whole vertex set (see `gstored_store::candidates`). The
+//! postings are derived from the edges and classes whenever a fragment is
+//! built — by [`DistributedGraph::build`] at the coordinator and by
+//! [`Fragment::from_parts`] at a worker that decoded an `InstallFragment`
+//! frame — so they never travel on the wire. Each costs one vertex id per
+//! entry, packed in one buffer: the label postings at most half of the
+//! adjacency lists' memory (one id per distinct `(vertex, label)` pair
+//! against one `(label, vertex)` pair per edge, in each direction), the
+//! class postings as much as the class lists.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use gstored_rdf::stats::{FragmentStats, PartitionStats, PredicateCard, SelectivityHistogram};
@@ -72,6 +87,23 @@ pub struct Fragment {
     /// Classes of stored vertices (internal and extended), mirroring
     /// gStore's replicated vertex signatures.
     classes: HashMap<VertexId, Vec<TermId>>,
+    /// Label → sorted vertices with an out-edge carrying it.
+    out_postings: Postings,
+    /// Label → sorted vertices with an in-edge carrying it.
+    in_postings: Postings,
+    /// Class → sorted stored vertices carrying it.
+    class_postings: Postings,
+}
+
+/// What a [`Fragment::posting`] lists the vertices of.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum PostingKey {
+    /// Vertices with an outgoing edge carrying this label.
+    Out(TermId),
+    /// Vertices with an incoming edge carrying this label.
+    In(TermId),
+    /// Stored vertices carrying this class.
+    Class(TermId),
 }
 
 impl Fragment {
@@ -99,6 +131,17 @@ impl Fragment {
     pub fn has_classes(&self, v: VertexId, required: &[TermId]) -> bool {
         let cs = self.classes_of(v);
         required.iter().all(|c| cs.contains(c))
+    }
+
+    /// The sorted, duplicate-free vertices `key` selects; empty when no
+    /// stored vertex has the label or class. Every vertex listed is
+    /// stored here, internal or extended.
+    pub fn posting(&self, key: PostingKey) -> &[VertexId] {
+        match key {
+            PostingKey::Out(label) => self.out_postings.get(label),
+            PostingKey::In(label) => self.in_postings.get(label),
+            PostingKey::Class(class) => self.class_postings.get(class),
+        }
     }
 
     /// Whether the given edge is one of this fragment's crossing edges.
@@ -238,6 +281,48 @@ impl Fragment {
         self.internal_edges.dedup();
         self.crossing_edges.sort_unstable();
         self.crossing_edges.dedup();
+        let edges = || self.internal_edges.iter().chain(&self.crossing_edges);
+        let out_postings = Postings::from_pairs(edges().map(|e| (e.label, e.from)).collect());
+        let in_postings = Postings::from_pairs(edges().map(|e| (e.label, e.to)).collect());
+        let class_postings = Postings::from_pairs(
+            self.classes
+                .iter()
+                .flat_map(|(&v, cs)| cs.iter().map(move |&c| (c, v)))
+                .collect(),
+        );
+        self.out_postings = out_postings;
+        self.in_postings = in_postings;
+        self.class_postings = class_postings;
+    }
+}
+
+/// Sorted vertex lists keyed by label or class, packed into one buffer
+/// sized exactly, so an index costs one vertex id per entry.
+#[derive(Debug, Clone, Default)]
+struct Postings {
+    ranges: HashMap<TermId, Range<usize>>,
+    vertices: Vec<VertexId>,
+}
+
+impl Postings {
+    /// Index `(key, vertex)` pairs given in any order, repeats allowed.
+    fn from_pairs(mut pairs: Vec<(TermId, VertexId)>) -> Postings {
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut ranges = HashMap::new();
+        let mut start = 0;
+        for run in pairs.chunk_by(|a, b| a.0 == b.0) {
+            ranges.insert(run[0].0, start..start + run.len());
+            start += run.len();
+        }
+        let vertices = pairs.into_iter().map(|(_, v)| v).collect();
+        Postings { ranges, vertices }
+    }
+
+    fn get(&self, key: TermId) -> &[VertexId] {
+        self.ranges
+            .get(&key)
+            .map_or(&[], |range| &self.vertices[range.clone()])
     }
 }
 
@@ -681,6 +766,54 @@ mod tests {
                 g.vertex_count(),
                 "{name}: one histogram entry per internal vertex"
             );
+        }
+    }
+
+    /// Every posting lists exactly the stored vertices its key selects,
+    /// sorted and duplicate-free, under every partitioner; an absent key
+    /// selects nothing.
+    #[test]
+    fn postings_list_exactly_the_vertices_their_key_selects() {
+        let g = stats_graph();
+        let partitioners: [Box<dyn Partitioner>; 3] = [
+            Box::new(HashPartitioner::new(3)),
+            Box::new(SemanticHashPartitioner::new(3)),
+            Box::new(MetisLikePartitioner::new(3)),
+        ];
+        for p in partitioners {
+            let dist = DistributedGraph::build(g.clone(), p.as_ref());
+            for f in &dist.fragments {
+                let mut stored = [f.internal.as_slice(), &f.extended].concat();
+                stored.sort_unstable();
+                let select = |keep: &dyn Fn(VertexId) -> bool| -> Vec<VertexId> {
+                    stored.iter().copied().filter(|&v| keep(v)).collect()
+                };
+                for label in g.predicates() {
+                    let has = |edges: &[(TermId, VertexId)]| edges.iter().any(|&(l, _)| l == label);
+                    assert_eq!(
+                        f.posting(PostingKey::Out(label)),
+                        select(&|v| has(f.out_edges(v)))
+                    );
+                    assert_eq!(
+                        f.posting(PostingKey::In(label)),
+                        select(&|v| has(f.in_edges(v)))
+                    );
+                }
+                let mut classes: Vec<TermId> = g
+                    .class_map()
+                    .values()
+                    .flat_map(|cs| cs.iter().copied())
+                    .collect();
+                classes.sort_unstable();
+                classes.dedup();
+                for c in classes {
+                    assert_eq!(
+                        f.posting(PostingKey::Class(c)),
+                        select(&|v| f.classes_of(v).contains(&c))
+                    );
+                }
+                assert!(f.posting(PostingKey::Out(TermId(u64::MAX))).is_empty());
+            }
         }
     }
 

@@ -29,7 +29,7 @@ pub mod metis_like;
 pub mod semantic;
 
 pub use cost::{partitioning_cost, CostReport};
-pub use fragment::{DistributedGraph, Fragment, FragmentId, PartitionAssignment};
+pub use fragment::{DistributedGraph, Fragment, FragmentId, PartitionAssignment, PostingKey};
 pub use hash::{ExplicitPartitioner, HashPartitioner};
 pub use metis_like::MetisLikePartitioner;
 pub use semantic::SemanticHashPartitioner;

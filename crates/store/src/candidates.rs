@@ -10,7 +10,23 @@
 //! this filter is *exact with respect to the full graph*, because crossing
 //! edges are replicated, so an internal vertex's complete neighborhood is
 //! locally visible — the property Algorithm 4 depends on.
+//!
+//! The premise holds here the way it holds in gStore: through an index.
+//! Every [`Fragment`] keeps label and class postings
+//! ([`Fragment::posting`]), and a variable vertex's candidates are seeded
+//! from the smallest posting among its constant-label edges (in each
+//! edge's direction) and its required classes — every candidate must
+//! appear in each of those lists — then filtered. (A posting also lists
+//! extended vertices; when it is longer than the universe, the universe
+//! is walked and the posting probed instead.) Only a vertex with
+//! neither a constant-label edge nor a class, or an [`Adjacency`] without
+//! postings (the whole [`gstored_rdf::RdfGraph`], which keeps the
+//! centralized oracle an independent scan), runs every vertex of the
+//! universe through the filter. A seeded
+//! set is the same set, in the same ascending order, as the scan's, so
+//! everything downstream is unchanged.
 
+use gstored_partition::{Fragment, PostingKey};
 use gstored_rdf::{TermId, VertexId};
 
 use crate::encoded::{EncodedLabel, EncodedQuery, EncodedVertex};
@@ -124,29 +140,111 @@ impl BitVectorFilter {
 
 /// Candidates of query vertex `qv` among `universe`, using adjacency `adj`.
 ///
-/// `universe` is typically the internal vertices of a fragment or all
-/// vertices of the full graph.
+/// `universe` must be sorted; it is typically the internal vertices of a
+/// fragment or all vertices of the full graph. The result is sorted.
 pub fn vertex_candidates<A: Adjacency>(
     adj: &A,
     q: &EncodedQuery,
     qv: usize,
     universe: &[VertexId],
 ) -> Vec<VertexId> {
-    match q.vertex(qv) {
-        EncodedVertex::Unsatisfiable => Vec::new(),
-        EncodedVertex::Const(id) => {
-            if universe.binary_search(&id).is_ok() && passes_structure(adj, q, qv, id) {
+    filter_candidates(adj, q, qv, Universe::Sorted(universe))
+}
+
+/// Candidates of query vertex `qv` among every vertex `fragment` stores,
+/// internal or extended (the star leaves' universe). Sorted.
+///
+/// A posting lists stored vertices only, so seeded candidates need no
+/// membership test and the union of the two vertex lists is built only
+/// when `qv` has nothing to seed from.
+pub fn stored_candidates(fragment: &Fragment, q: &EncodedQuery, qv: usize) -> Vec<VertexId> {
+    filter_candidates(fragment, q, qv, Universe::Stored(fragment))
+}
+
+/// Where candidates are drawn from.
+#[derive(Clone, Copy)]
+enum Universe<'a> {
+    /// A sorted vertex list.
+    Sorted(&'a [VertexId]),
+    /// Every vertex the fragment stores; it is also the adjacency, so its
+    /// postings list stored vertices only.
+    Stored(&'a Fragment),
+}
+
+/// The candidate filter behind [`vertex_candidates`] and
+/// [`stored_candidates`]: the vertices of `universe` that lie in the
+/// smallest posting `qv` seeds from, when there is one, and pass the
+/// structure filter.
+fn filter_candidates<A: Adjacency>(
+    adj: &A,
+    q: &EncodedQuery,
+    qv: usize,
+    universe: Universe<'_>,
+) -> Vec<VertexId> {
+    let structure = |&u: &VertexId| passes_structure(adj, q, qv, u);
+    match (q.vertex(qv), universe) {
+        (EncodedVertex::Unsatisfiable, _) => Vec::new(),
+        (EncodedVertex::Const(id), _) => {
+            let stored = match universe {
+                Universe::Sorted(vertices) => vertices.binary_search(&id).is_ok(),
+                Universe::Stored(fragment) => fragment.contains(id),
+            };
+            if stored && structure(&id) {
                 vec![id]
             } else {
                 Vec::new()
             }
         }
-        EncodedVertex::Var => universe
-            .iter()
-            .copied()
-            .filter(|&u| passes_structure(adj, q, qv, u))
-            .collect(),
+        (EncodedVertex::Var, Universe::Sorted(vertices)) => match seed(adj, q, qv) {
+            // Walk the shorter of the two sorted lists, probing the other.
+            Some(posting) if posting.len() <= vertices.len() => posting
+                .iter()
+                .filter(|u| vertices.binary_search(u).is_ok() && structure(u))
+                .copied()
+                .collect(),
+            Some(posting) => vertices
+                .iter()
+                .filter(|u| posting.binary_search(u).is_ok() && structure(u))
+                .copied()
+                .collect(),
+            None => vertices.iter().filter(|u| structure(u)).copied().collect(),
+        },
+        (EncodedVertex::Var, Universe::Stored(fragment)) => match seed(adj, q, qv) {
+            Some(posting) => posting.iter().filter(|u| structure(u)).copied().collect(),
+            None => {
+                let mut stored = [fragment.internal.as_slice(), &fragment.extended].concat();
+                stored.sort_unstable();
+                stored.dedup();
+                stored.retain(structure);
+                stored
+            }
+        },
     }
+}
+
+/// The smallest posting every candidate of `qv` must appear in: one per
+/// constant-label edge at `qv` (out-edges seed from the label's
+/// out-posting, in-edges from its in-posting) and one per required class.
+/// `None` when `qv` has no such constraint or `adj` keeps no postings.
+fn seed<'a, A: Adjacency>(adj: &'a A, q: &'a EncodedQuery, qv: usize) -> Option<&'a [VertexId]> {
+    let labels = |edges: &'a [usize], key: fn(TermId) -> PostingKey| {
+        edges.iter().filter_map(move |&ei| match q.edge(ei).label {
+            EncodedLabel::Const(p) => Some(key(p)),
+            EncodedLabel::Any | EncodedLabel::Unsatisfiable => None,
+        })
+    };
+    let classes = q.required_classes(qv).ids().unwrap_or(&[]);
+    let keys = labels(q.out_edges(qv), PostingKey::Out)
+        .chain(labels(q.in_edges(qv), PostingKey::In))
+        .chain(classes.iter().map(|&c| PostingKey::Class(c)));
+    let mut best: Option<&'a [VertexId]> = None;
+    for key in keys {
+        let posting = adj.posting(key)?;
+        if best.is_none_or(|b| posting.len() < b.len()) {
+            best = Some(posting);
+        }
+    }
+    best
 }
 
 /// Neighborhood-structure filter: `u` must have an incident edge with a
@@ -208,10 +306,7 @@ pub fn label_edge_range(edges: &[(TermId, VertexId)], label: TermId) -> &[(TermI
 /// Internal candidates `C(Q, v)` for every query vertex of a fragment
 /// (Section VI / Algorithm 4 site side): candidates drawn from the
 /// fragment's internal vertices only.
-pub fn internal_candidates(
-    fragment: &gstored_partition::Fragment,
-    q: &EncodedQuery,
-) -> Vec<Vec<VertexId>> {
+pub fn internal_candidates(fragment: &Fragment, q: &EncodedQuery) -> Vec<Vec<VertexId>> {
     (0..q.vertex_count())
         .map(|qv| vertex_candidates(fragment, q, qv, &fragment.internal))
         .collect()

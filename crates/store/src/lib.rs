@@ -8,7 +8,8 @@
 //! * [`encoded::EncodedQuery`] — the query graph with constants resolved
 //!   against the dictionary.
 //! * [`candidates`] — filter-and-evaluate candidate computation per query
-//!   vertex (the "find candidates first" behaviour Section VI relies on).
+//!   vertex (the "find candidates first" behaviour Section VI relies on),
+//!   seeded from the fragment's label and class postings.
 //! * [`matcher`] — backtracking graph homomorphism search, used for
 //!   (a) the centralized reference evaluation, (b) intra-fragment complete
 //!   matches, and (c) the star-query fast path of Section VIII-B.
@@ -26,13 +27,15 @@ pub mod lpm;
 pub mod matcher;
 pub mod partial;
 
-pub use candidates::{internal_candidates, vertex_candidates, CandidateFilter};
+pub use candidates::{internal_candidates, stored_candidates, vertex_candidates, CandidateFilter};
 pub use encoded::{
     EncodedEdge, EncodedLabel, EncodedQuery, EncodedVertex, RequiredClasses, MAX_QUERY_VERTICES,
 };
 pub use lpm::{Binding, LocalPartialMatch};
-pub use matcher::{find_matches, find_star_matches, local_complete_matches, Adjacency};
-pub use partial::enumerate_local_partial_matches;
+pub use matcher::{
+    find_matches, find_star_matches, local_complete_matches, matches_from, Adjacency,
+};
+pub use partial::{enumerate_local_partial_matches, partial_matches_from};
 
 /// A local store: a fragment plus the machinery to evaluate queries on it.
 ///

@@ -9,7 +9,16 @@
 //!   partition the answer set,
 //! * the **star-query fast path** (Section VIII-B): a star match is fully
 //!   contained in whichever fragment the center is internal to, so sites
-//!   evaluate stars locally with no communication.
+//!   evaluate stars locally with no communication. The center draws its
+//!   candidates from the internal vertices, the leaves from everything
+//!   the fragment stores; both are seeded from the fragment's postings
+//!   (see [`crate::candidates`]), so the star path never materializes the
+//!   union of internal and extended vertices unless a leaf has nothing
+//!   to seed from.
+//!
+//! Every entry point is a thin wrapper that computes candidate sets and
+//! hands them to [`matches_from`]; a site that already holds a query's
+//! internal candidates calls it directly.
 //!
 //! The search is a candidate-ordered backtracking over the query vertices
 //! with **neighbor-driven enumeration**: once the matching order places a
@@ -20,10 +29,12 @@
 //! remaining constraints. Definition 3's injective multiset label matching
 //! is checked on every bound pair.
 
-use gstored_partition::Fragment;
+use gstored_partition::{Fragment, PostingKey};
 use gstored_rdf::{RdfGraph, TermId, VertexId};
 
-use crate::candidates::{label_edge_range, vertex_candidates};
+use crate::candidates::{
+    internal_candidates, label_edge_range, stored_candidates, vertex_candidates,
+};
 use crate::encoded::{EncodedLabel, EncodedQuery};
 use crate::labels::labels_satisfiable;
 
@@ -37,6 +48,12 @@ pub trait Adjacency {
     /// Whether `v` carries every class in `required` (gStore-style vertex
     /// signatures; see `gstored_rdf::RdfGraph`'s class handling).
     fn has_classes(&self, v: VertexId, required: &[TermId]) -> bool;
+    /// The sorted vertices `key` selects, when this adjacency indexes
+    /// them; `None` (the default) means no index, and candidate
+    /// computation scans its universe instead.
+    fn posting(&self, _key: PostingKey) -> Option<&[VertexId]> {
+        None
+    }
 }
 
 impl Adjacency for RdfGraph {
@@ -61,6 +78,9 @@ impl Adjacency for Fragment {
     fn has_classes(&self, v: VertexId, required: &[TermId]) -> bool {
         Fragment::has_classes(self, v, required)
     }
+    fn posting(&self, key: PostingKey) -> Option<&[VertexId]> {
+        Some(Fragment::posting(self, key))
+    }
 }
 
 /// All homomorphic matches of `q` over the full graph (Definition 3).
@@ -71,7 +91,8 @@ pub fn find_matches(graph: &RdfGraph, q: &EncodedQuery) -> Vec<Vec<VertexId>> {
     }
     let mut universe: Vec<VertexId> = graph.vertices().collect();
     universe.sort_unstable();
-    search(graph, q, &universe, |_, _| true)
+    all_candidates(q, |qv| vertex_candidates(graph, q, qv, &universe))
+        .map_or_else(Vec::new, |cands| matches_from(graph, q, &cands))
 }
 
 /// Complete matches of `q` inside one fragment with **every** query vertex
@@ -80,7 +101,7 @@ pub fn local_complete_matches(fragment: &Fragment, q: &EncodedQuery) -> Vec<Vec<
     if q.has_unsatisfiable() {
         return Vec::new();
     }
-    search(fragment, q, &fragment.internal, |_, _| true)
+    matches_from(fragment, q, &internal_candidates(fragment, q))
 }
 
 /// Star-query fast path: matches inside one fragment whose designated
@@ -96,50 +117,46 @@ pub fn find_star_matches(
     if q.has_unsatisfiable() {
         return Vec::new();
     }
-    // The center draws from internal vertices; leaves from everything
-    // stored locally (internal ∪ extended).
-    let mut universe: Vec<VertexId> = fragment
-        .internal
-        .iter()
-        .chain(fragment.extended.iter())
-        .copied()
-        .collect();
-    universe.sort_unstable();
-    universe.dedup();
-    // Borrow the internal list — the admit closure lives only as long as
-    // the search, so no clone is needed.
-    let internal: &[VertexId] = &fragment.internal;
-    search(fragment, q, &universe, |qv, u| {
-        qv != center || internal.binary_search(&u).is_ok()
+    all_candidates(q, |qv| {
+        if qv == center {
+            vertex_candidates(fragment, q, qv, &fragment.internal)
+        } else {
+            stored_candidates(fragment, q, qv)
+        }
     })
+    .map_or_else(Vec::new, |cands| matches_from(fragment, q, &cands))
 }
 
-/// Core backtracking search. `admit` can veto `(query vertex, data vertex)`
-/// pairs (used by the star fast path); it is statically dispatched so the
-/// common all-admitting closure compiles to nothing.
-fn search<A: Adjacency>(
+/// One candidate set per query vertex, or `None` as soon as one comes out
+/// empty — then nothing matches, and the rest need not be computed.
+fn all_candidates(
+    q: &EncodedQuery,
+    candidates: impl FnMut(usize) -> Vec<VertexId>,
+) -> Option<Vec<Vec<VertexId>>> {
+    (0..q.vertex_count())
+        .map(candidates)
+        .map(|c| (!c.is_empty()).then_some(c))
+        .collect()
+}
+
+/// Every match of `q` over `adj` that binds each query vertex to one of
+/// its sorted candidates in `cands` (one set per query vertex), in the
+/// backtracking search's order. With a fragment's internal candidates
+/// this is [`local_complete_matches`]; the wrappers above only differ in
+/// the candidate sets they pass.
+pub fn matches_from<A: Adjacency>(
     adj: &A,
     q: &EncodedQuery,
-    universe: &[VertexId],
-    admit: impl Fn(usize, VertexId) -> bool,
+    cands: &[Vec<VertexId>],
 ) -> Vec<Vec<VertexId>> {
-    let n = q.vertex_count();
-    // Candidate sets per query vertex (sorted — they filter the sorted
-    // universe — so the neighbor-driven enumeration can binary-search them).
-    let mut cands: Vec<Vec<VertexId>> = Vec::with_capacity(n);
-    for qv in 0..n {
-        let mut c = vertex_candidates(adj, q, qv, universe);
-        c.retain(|&u| admit(qv, u));
-        if c.is_empty() {
-            return Vec::new();
-        }
-        cands.push(c);
+    debug_assert_eq!(cands.len(), q.vertex_count());
+    if q.has_unsatisfiable() || cands.iter().any(Vec::is_empty) {
+        return Vec::new();
     }
-
-    let order = matching_order(q, &cands);
-    let mut binding: Vec<Option<VertexId>> = vec![None; n];
+    let order = matching_order(q, cands);
+    let mut binding: Vec<Option<VertexId>> = vec![None; q.vertex_count()];
     let mut out = Vec::new();
-    extend(adj, q, &order, 0, &mut binding, &cands, &mut out);
+    extend(adj, q, &order, 0, &mut binding, cands, &mut out);
     out
 }
 

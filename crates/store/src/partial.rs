@@ -27,7 +27,7 @@
 use gstored_partition::Fragment;
 use gstored_rdf::{EdgeRef, TermId, VertexId};
 
-use crate::candidates::{vertex_candidates, CandidateFilter};
+use crate::candidates::{internal_candidates, CandidateFilter};
 use crate::encoded::{EncodedLabel, EncodedQuery, EncodedVertex};
 use crate::labels::{label_matches, labels_assignment};
 use crate::lpm::LocalPartialMatch;
@@ -43,17 +43,29 @@ pub fn enumerate_local_partial_matches(
     q: &EncodedQuery,
     filter: &CandidateFilter,
 ) -> Vec<LocalPartialMatch> {
+    if q.has_unsatisfiable() || fragment.crossing_edges.is_empty() {
+        return Vec::new();
+    }
+    partial_matches_from(fragment, q, &internal_candidates(fragment, q), filter)
+}
+
+/// [`enumerate_local_partial_matches`] over precomputed internal
+/// candidates `internal_cands` (one sorted set per query vertex, as
+/// [`internal_candidates`] returns them), so a site that already computed
+/// them for Algorithm 4 or its local complete matches does not again.
+pub fn partial_matches_from(
+    fragment: &Fragment,
+    q: &EncodedQuery,
+    internal_cands: &[Vec<VertexId>],
+    filter: &CandidateFilter,
+) -> Vec<LocalPartialMatch> {
     let n = q.vertex_count();
     assert!(n <= 64, "LECSign masks are 64-bit");
+    debug_assert_eq!(internal_cands.len(), n);
     if q.has_unsatisfiable() || fragment.crossing_edges.is_empty() {
         // Without crossing edges no LPM can satisfy condition 4.
         return Vec::new();
     }
-
-    // Internal candidates per query vertex, computed once per fragment.
-    let internal_cands: Vec<Vec<VertexId>> = (0..n)
-        .map(|qv| vertex_candidates(fragment, q, qv, &fragment.internal))
-        .collect();
 
     let mut out = Vec::new();
     'subsets: for core in q.proper_connected_subsets() {
@@ -62,7 +74,7 @@ pub fn enumerate_local_partial_matches(
                 continue 'subsets;
             }
         }
-        enumerate_for_core(fragment, q, &core, &internal_cands, filter, &mut out);
+        enumerate_for_core(fragment, q, &core, internal_cands, filter, &mut out);
     }
     out
 }

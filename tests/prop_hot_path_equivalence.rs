@@ -14,6 +14,9 @@
 //! * Algorithm 2 against its contract: the survivors assemble to the same
 //!   set as every LPM. (Algorithm 1 is held to Theorems 1/3/5 in
 //!   `prop_pruning_soundness`.)
+//! * Posting-seeded candidates against the universe scan: through an
+//!   adjacency that hides the fragment's postings, every candidate set,
+//!   star match, local complete match and LPM comes out equal, in order.
 //!
 //! Every property also runs all 4 engine variants × 3 partitioning
 //! strategies against the centralized matcher.
@@ -40,15 +43,19 @@ use gstored::core::lec::{compute_lec_features, LecFeature};
 use gstored::core::prune::{build_join_graph, group_by_sign, prune_features};
 use gstored::core::worker::with_in_process_workers;
 use gstored::core::PreparedPlan;
-use gstored::datagen::random::{predicate_iri, random_graph, random_query, RandomGraphConfig};
+use gstored::datagen::random::{
+    predicate_iri, random_graph, random_query, vertex_iri, RandomGraphConfig,
+};
 use gstored::partition::{
-    HashPartitioner, MetisLikePartitioner, Partitioner, SemanticHashPartitioner,
+    Fragment, HashPartitioner, MetisLikePartitioner, Partitioner, SemanticHashPartitioner,
 };
 use gstored::prelude::*;
+use gstored::rdf::{vocab, VertexId};
 use gstored::store::candidates::CandidateFilter;
 use gstored::store::{
-    enumerate_local_partial_matches, find_matches, local_complete_matches, EncodedQuery,
-    LocalPartialMatch,
+    enumerate_local_partial_matches, find_matches, find_star_matches, local_complete_matches,
+    matches_from, partial_matches_from, stored_candidates, vertex_candidates, Adjacency,
+    EncodedQuery, LocalPartialMatch,
 };
 use gstored_bench::fixtures::{dense_star_lpms, many_feature_features};
 
@@ -257,6 +264,150 @@ proptest! {
                     &got, &expected,
                     "{} under {} diverged on {}", variant.label(), p.name(), text
                 );
+            }
+        }
+    }
+}
+
+/// A fragment seen through an adjacency without postings: candidate
+/// computation over it falls back to scanning the universe, the reference
+/// the posting seeds are held to.
+struct ScanOnly<'a>(&'a Fragment);
+
+impl Adjacency for ScanOnly<'_> {
+    fn out_edges(&self, v: VertexId) -> &[(TermId, VertexId)] {
+        self.0.out_edges(v)
+    }
+    fn in_edges(&self, v: VertexId) -> &[(TermId, VertexId)] {
+        self.0.in_edges(v)
+    }
+    fn has_classes(&self, v: VertexId, required: &[TermId]) -> bool {
+        self.0.has_classes(v, required)
+    }
+}
+
+/// A random graph whose vertices carry one of two classes (every third
+/// vertex, shifted by the seed, stays untyped).
+fn typed_random_graph(seed: u64) -> RdfGraph {
+    let vertices = 24;
+    let mut g = random_graph(&RandomGraphConfig {
+        vertices,
+        edges: 48,
+        predicates: 3,
+        seed,
+    });
+    for i in 0..vertices {
+        if !(i as u64 + seed).is_multiple_of(3) {
+            g.insert(&Triple::new(
+                Term::iri(vertex_iri(i)),
+                Term::iri(vocab::rdf::TYPE),
+                Term::iri(format!("http://rnd/C{}", i % 2)),
+            ));
+        }
+    }
+    g.finalize();
+    g
+}
+
+/// Queries covering every way a candidate set is seeded or scanned: the
+/// random path/tree alone, anchored on a constant, with class
+/// constraints, with a variable predicate, with an unsatisfiable
+/// constant, a class-only single vertex and an all-variable edge.
+fn candidate_queries(n_edges: usize, seed: u64) -> Vec<String> {
+    let base = random_query(n_edges, 3, None, seed);
+    let body = &base[base.find('{').unwrap() + 1..base.rfind('}').unwrap()];
+    let vars: Vec<String> = (0..=n_edges).map(|i| format!("?v{i}")).collect();
+    let c = |i: u64| format!("http://rnd/C{}", i % 2);
+    let var_pred = body
+        .replacen(&format!("<{}>", predicate_iri(0)), "?p", 1)
+        .replacen(&format!("<{}>", predicate_iri(1)), "?q", 1);
+    vec![
+        base.clone(),
+        random_query(n_edges, 3, Some(&vertex_iri(seed as usize % 24)), seed),
+        format!("SELECT * WHERE {{ {body} ?v0 a <{}> . }}", c(seed)),
+        format!(
+            "SELECT * WHERE {{ {body} ?v0 a <{}> . ?v{n_edges} a <{}> . }}",
+            c(seed + 1),
+            c(seed)
+        ),
+        format!("SELECT {} WHERE {{ {var_pred} }}", vars.join(" ")),
+        format!(
+            "SELECT * WHERE {{ {body} ?v0 <{}> <http://rnd/missing> . }}",
+            predicate_iri(0)
+        ),
+        format!("SELECT ?x WHERE {{ ?x a <{}> }}", c(seed)),
+        "SELECT ?a ?b WHERE { ?a ?p ?b }".to_string(),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
+
+    /// Random typed graph × 3 partitioners × the queries above: on every
+    /// fragment, each query vertex's candidates over the internal
+    /// vertices and over everything stored equal the universe scan's, and
+    /// the star matches (every query vertex tried as the center), local
+    /// complete matches and LPMs computed from seeded candidates equal,
+    /// element for element and in order, the ones computed from scanned
+    /// candidates through the posting-free adjacency.
+    #[test]
+    fn seeded_candidates_equal_the_universe_scan(
+        graph_seed in 0u64..5000,
+        query_seed in 0u64..5000,
+        n_edges in 1usize..4,
+    ) {
+        let g = typed_random_graph(graph_seed);
+        for text in candidate_queries(n_edges, query_seed) {
+            let query = QueryGraph::from_query(
+                &gstored::sparql::parse_query(&text).expect("generated query parses"),
+            )
+            .expect("generated query is connected");
+            let eq = EncodedQuery::encode(&query, g.dict()).expect("vertex-only projection");
+            let n = eq.vertex_count();
+            for p in &partitioners(3) {
+                let dist = DistributedGraph::build(g.clone(), p.as_ref());
+                let filter = CandidateFilter::none(n);
+                for f in &dist.fragments {
+                    let scan = ScanOnly(f);
+                    let mut stored = [f.internal.as_slice(), &f.extended].concat();
+                    stored.sort_unstable();
+                    let mut scan_internal = Vec::new();
+                    let mut scan_stored = Vec::new();
+                    for qv in 0..n {
+                        let internal = vertex_candidates(&scan, &eq, qv, &f.internal);
+                        prop_assert_eq!(
+                            &vertex_candidates(f, &eq, qv, &f.internal), &internal,
+                            "internal candidates of {} on {} ({})", qv, text, p.name()
+                        );
+                        let everywhere = vertex_candidates(&scan, &eq, qv, &stored);
+                        prop_assert_eq!(
+                            &vertex_candidates(f, &eq, qv, &stored), &everywhere,
+                            "stored candidates of {} on {} ({})", qv, text, p.name()
+                        );
+                        prop_assert_eq!(&stored_candidates(f, &eq, qv), &everywhere);
+                        scan_internal.push(internal);
+                        scan_stored.push(everywhere);
+                    }
+                    prop_assert_eq!(
+                        &local_complete_matches(f, &eq),
+                        &matches_from(&scan, &eq, &scan_internal),
+                        "local matches on {} ({})", &text, p.name()
+                    );
+                    prop_assert_eq!(
+                        &enumerate_local_partial_matches(f, &eq, &filter),
+                        &partial_matches_from(f, &eq, &scan_internal, &filter),
+                        "LPMs on {} ({})", &text, p.name()
+                    );
+                    for center in 0..n {
+                        let mut cands = scan_stored.clone();
+                        cands[center] = scan_internal[center].clone();
+                        prop_assert_eq!(
+                            &find_star_matches(f, &eq, center),
+                            &matches_from(&scan, &eq, &cands),
+                            "star at {} on {} ({})", center, &text, p.name()
+                        );
+                    }
+                }
             }
         }
     }
