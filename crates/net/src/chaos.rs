@@ -32,10 +32,11 @@
 //! measure the happy-path overhead of the robustness layer.
 //!
 //! Simulated disconnects and hangs are repaired by
-//! [`Transport::reconnect`], which clears the wrapper's own down-state
-//! and — only if the inner connection itself failed — re-dials through
-//! the inner transport. The [`ChaosStats`] counters record every
-//! injected fault so tests can assert a schedule actually fired.
+//! [`Transport::reconnect`], which clears the wrapper's own down-state;
+//! a site that was not simulated down failed for real, so it is
+//! reconnected through the inner transport (a fresh channel and worker
+//! in process, a re-dial over TCP). The [`ChaosStats`] counters record
+//! every injected fault so tests can assert a schedule actually fired.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -422,20 +423,13 @@ impl Transport for ChaosTransport {
         };
         chaos.revived.notify_all();
         // A simulated condition lives entirely in this wrapper — the
-        // inner link never failed, so don't re-dial it. Only a genuine
-        // inner failure (e.g. the real worker process died) needs the
-        // backend's reconnect — and only when the backend supports one
-        // (the in-process transport cannot fail and cannot re-dial, so
-        // clearing the wrapper state is the whole repair).
-        if was != Down::Up || !self.inner.can_reconnect() {
+        // inner link never failed, so clearing it is the whole repair.
+        // Otherwise the failure was real (a dead worker, a mangled
+        // reply stream), and the inner backend re-establishes the site.
+        if was != Down::Up {
             return Ok(());
         }
         self.inner.reconnect(site)
-    }
-
-    fn can_reconnect(&self) -> bool {
-        // Simulated faults are always clearable, whatever the backend.
-        true
     }
 }
 

@@ -285,10 +285,6 @@ impl Transport for ReactorTransport {
         self.shared.poller.notify()?;
         Ok(())
     }
-
-    fn can_reconnect(&self) -> bool {
-        true
-    }
 }
 
 impl Drop for ReactorTransport {

@@ -21,7 +21,8 @@
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, RwLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
@@ -150,23 +151,15 @@ pub trait Transport: Send + Sync {
     }
 
     /// Tear down and re-establish the connection to `site`, clearing
-    /// any sticky failure state. Used by the coordinator's repair path
-    /// after a site is marked dead. Backends that cannot re-dial (the
-    /// in-process channels have no address to call back) return an
-    /// error, which the caller treats as "rebuild the fleet instead".
+    /// any sticky failure state and any frame still queued on the old
+    /// connection. The coordinator's one recovery path: after a site is
+    /// marked dead or times out, it reconnects that site and re-installs
+    /// its fragment. Backends with nothing to re-establish return an
+    /// error, which the repair reports after its capped attempts.
     fn reconnect(&self, site: usize) -> Result<(), TransportError> {
         Err(TransportError::Io(format!(
             "transport cannot reconnect site {site}: backend does not support re-dialing"
         )))
-    }
-
-    /// Whether [`Transport::reconnect`] can ever succeed on this
-    /// backend. Lets the coordinator pick a repair strategy up front:
-    /// re-dial and re-install one site, or tear the fleet down and
-    /// rebuild it wholesale (the only option for in-process channels,
-    /// whose worker threads die with the channel).
-    fn can_reconnect(&self) -> bool {
-        false
     }
 }
 
@@ -218,48 +211,109 @@ impl InProcessEndpoint {
     }
 }
 
-/// Channel-backed transport: `k` worker endpoints, typically served by
-/// scoped threads for the duration of one query. Dropping the transport
-/// closes every channel, which ends the worker loops.
-#[derive(Debug)]
+/// What serves one site of an [`InProcessTransport::spawn`]ed fleet:
+/// called on a fresh thread with the site index and its endpoint, it
+/// runs that site's worker loop until the endpoint hangs up.
+type ServeSite = dyn Fn(usize, InProcessEndpoint) + Send + Sync;
+
+/// Channel-backed transport: `k` worker endpoints.
+/// [`InProcessTransport::pair`] hands the endpoints to the caller,
+/// typically served by scoped threads for the duration of one query;
+/// [`InProcessTransport::spawn`] serves them on threads the transport
+/// owns, respawns a site's worker on [`Transport::reconnect`], and joins
+/// them all on drop. Dropping the transport closes every channel, which
+/// ends the worker loops.
 pub struct InProcessTransport {
-    to_workers: Vec<Sender<Bytes>>,
+    /// Behind a lock per site only so `reconnect` can swap a site's
+    /// channel pair; sends share the read side and never wait on each
+    /// other.
+    to_workers: Vec<RwLock<Sender<Bytes>>>,
     from_workers: Vec<Mutex<Receiver<Bytes>>>,
     counters: TransferCounters,
+    /// `Some` for a spawned fleet: what (re)starts a site's worker.
+    serve: Option<Arc<ServeSite>>,
+    /// The spawned fleet's worker threads, one per site (empty for
+    /// [`InProcessTransport::pair`]).
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// One site's fresh channel pair: the coordinator's request sender and
+/// reply receiver, and the worker's endpoint.
+fn site_channel() -> (Sender<Bytes>, Receiver<Bytes>, InProcessEndpoint) {
+    let (req_tx, req_rx) = channel();
+    let (resp_tx, resp_rx) = channel();
+    let endpoint = InProcessEndpoint {
+        rx: req_rx,
+        tx: resp_tx,
+    };
+    (req_tx, resp_rx, endpoint)
 }
 
 impl InProcessTransport {
     /// Create the coordinator side plus one endpoint per site. Spawn a
     /// worker loop (see `gstored_net::worker::serve_endpoint`) on each
-    /// endpoint before exercising the transport.
+    /// endpoint before exercising the transport. Such a transport cannot
+    /// [reconnect](Transport::reconnect): it does not own the workers.
     pub fn pair(sites: usize) -> (InProcessTransport, Vec<InProcessEndpoint>) {
         assert!(sites > 0, "need at least one site");
         let mut to_workers = Vec::with_capacity(sites);
         let mut from_workers = Vec::with_capacity(sites);
         let mut endpoints = Vec::with_capacity(sites);
         for _ in 0..sites {
-            let (req_tx, req_rx) = channel();
-            let (resp_tx, resp_rx) = channel();
-            to_workers.push(req_tx);
-            from_workers.push(Mutex::new(resp_rx));
-            endpoints.push(InProcessEndpoint {
-                rx: req_rx,
-                tx: resp_tx,
-            });
+            let (tx, rx, endpoint) = site_channel();
+            to_workers.push(RwLock::new(tx));
+            from_workers.push(Mutex::new(rx));
+            endpoints.push(endpoint);
         }
         (
             InProcessTransport {
                 to_workers,
                 from_workers,
                 counters: TransferCounters::default(),
+                serve: None,
+                threads: Mutex::new(Vec::new()),
             },
             endpoints,
         )
     }
 
+    /// A fleet of `sites` workers on threads the transport owns: `serve`
+    /// runs on its own thread per site with that site's endpoint, and
+    /// runs again on a fresh thread and channel when the site is
+    /// [reconnected](Transport::reconnect). Dropping the transport hangs
+    /// up every channel and joins the threads.
+    pub fn spawn(
+        sites: usize,
+        serve: impl Fn(usize, InProcessEndpoint) + Send + Sync + 'static,
+    ) -> InProcessTransport {
+        let (mut transport, endpoints) = Self::pair(sites);
+        let serve: Arc<ServeSite> = Arc::new(serve);
+        let threads = endpoints
+            .into_iter()
+            .enumerate()
+            .map(|(site, endpoint)| {
+                let serve = Arc::clone(&serve);
+                std::thread::spawn(move || serve(site, endpoint))
+            })
+            .collect();
+        transport.threads = Mutex::new(threads);
+        transport.serve = Some(serve);
+        transport
+    }
+
     /// Frame/byte totals moved through this transport so far.
     pub fn counters(&self) -> &TransferCounters {
         &self.counters
+    }
+}
+
+impl std::fmt::Debug for InProcessTransport {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("InProcessTransport")
+            .field("sites", &self.to_workers.len())
+            .field("owns_workers", &self.serve.is_some())
+            .field("counters", &self.counters)
+            .finish()
     }
 }
 
@@ -274,7 +328,10 @@ impl Transport for InProcessTransport {
             .get(site)
             .ok_or(TransportError::UnknownSite { site })?;
         self.counters.record(frame.len());
-        tx.send(frame).map_err(|_| TransportError::Closed { site })
+        tx.read()
+            .expect("transport sender poisoned")
+            .send(frame)
+            .map_err(|_| TransportError::Closed { site })
     }
 
     fn recv_deadline(&self, site: usize, deadline: Instant) -> Result<Bytes, TransportError> {
@@ -290,6 +347,54 @@ impl Transport for InProcessTransport {
         })?;
         self.counters.record(frame.len());
         Ok(frame)
+    }
+
+    /// Give `site` a fresh channel pair and a fresh worker thread. The
+    /// old request channel hangs up first, so the old worker's loop ends
+    /// after the frame it is on, and a receive still blocked on its
+    /// reply channel returns before that channel is replaced. Frames
+    /// queued on the old channels are dropped with them.
+    fn reconnect(&self, site: usize) -> Result<(), TransportError> {
+        let tx_slot = self
+            .to_workers
+            .get(site)
+            .ok_or(TransportError::UnknownSite { site })?;
+        let Some(serve) = &self.serve else {
+            return Err(TransportError::Io(format!(
+                "site {site}'s worker is not owned by this transport, so it cannot be restarted"
+            )));
+        };
+        let (tx, rx, endpoint) = site_channel();
+        *tx_slot.write().expect("transport sender poisoned") = tx;
+        *self.from_workers[site]
+            .lock()
+            .expect("transport receiver poisoned") = rx;
+        let serve = Arc::clone(serve);
+        let worker = std::thread::spawn(move || serve(site, endpoint));
+        let old = std::mem::replace(
+            &mut self.threads.lock().expect("transport threads poisoned")[site],
+            worker,
+        );
+        // The old loop has lost its channel, so this waits at most for
+        // the frame it was serving. A panic there is the failure this
+        // reconnect repairs; the fresh worker is already serving.
+        let _ = old.join();
+        Ok(())
+    }
+}
+
+impl Drop for InProcessTransport {
+    fn drop(&mut self) {
+        // Hanging up the request channels ends every owned serve loop;
+        // then the threads can be joined.
+        self.to_workers.clear();
+        let threads = self
+            .threads
+            .get_mut()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        for handle in threads.drain(..) {
+            let _ = handle.join();
+        }
     }
 }
 

@@ -640,7 +640,7 @@ fn status_response(
          \"session\":{{\"queries_prepared\":{},\"executions\":{},\"variant\":\"{}\",\
          \"planner_decisions\":{}{}}},\
          \"robustness\":{{\"timeouts\":{},\"retries\":{},\"reconnects\":{},\"repairs\":{},\
-         \"repairs_failed\":{},\"fleet_rebuilds\":{}}},\
+         \"repairs_failed\":{}}},\
          {}}}",
         snap.admitted,
         snap.rejected,
@@ -663,7 +663,6 @@ fn status_response(
         robustness.reconnects,
         robustness.repairs,
         robustness.repairs_failed,
-        robustness.fleet_rebuilds,
         fleet_field
     );
     HttpResponse::new(200).body("application/json", body)
@@ -755,8 +754,10 @@ mod tests {
         assert!(body.contains("\"queue_depth\":1"));
         assert!(body.contains("\"resident_queries\":0"));
         assert!(body.contains("\"rejected_429\":0"));
-        assert!(body.contains("\"robustness\":"));
-        assert!(body.contains("\"fleet_rebuilds\":0"));
+        assert!(body.contains(
+            "\"robustness\":{\"timeouts\":0,\"retries\":0,\"reconnects\":0,\"repairs\":0,\
+             \"repairs_failed\":0}"
+        ));
         assert!(body.contains("\"ttl_evictions\":0"));
         // Explicit-variant session: configured variant reported, zero
         // planner decisions, no last choice.

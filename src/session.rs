@@ -19,7 +19,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use gstored_core::engine::{Backend, Engine, EngineConfig, QueryOutput, StreamState, Variant};
@@ -68,7 +68,7 @@ pub struct SessionStats {
     pub planner_decisions: u64,
 }
 
-/// Running counters of the session's failure handling, mirrored into
+/// Running counters of the fleet's failure handling, mirrored into
 /// [`RobustnessStats`] snapshots.
 #[derive(Debug, Default)]
 struct RobustnessCounters {
@@ -77,7 +77,6 @@ struct RobustnessCounters {
     reconnects: AtomicU64,
     repairs: AtomicU64,
     repairs_failed: AtomicU64,
-    fleet_rebuilds: AtomicU64,
 }
 
 /// A point-in-time snapshot of [`GStoreD::robustness_stats`]: how often
@@ -96,12 +95,10 @@ pub struct RobustnessStats {
     /// Completed single-site repairs (reconnect + router reset +
     /// fragment re-install).
     pub repairs: u64,
-    /// Repairs abandoned after exhausting every backoff attempt; the
-    /// triggering query surfaced [`EngineError::SiteUnavailable`].
+    /// Repairs abandoned after exhausting every backoff attempt or the
+    /// query deadline; the triggering query surfaced
+    /// [`EngineError::SiteUnavailable`].
     pub repairs_failed: u64,
-    /// Wholesale fleet teardowns (protocol desynchronization, or any
-    /// failure on a backend that cannot re-dial a single site).
-    pub fleet_rebuilds: u64,
 }
 
 /// Liveness and state-table occupancy of one site worker, as reported by
@@ -124,111 +121,70 @@ impl SiteHealth {
     }
 }
 
-/// How [`GStoreD::recover`] disposed of an execution failure.
-enum Recovery {
-    /// The implicated sites were repaired (or the fleet was scheduled
-    /// for a rebuild); the execution is worth retrying once.
-    Repaired,
-    /// Repair itself failed; surface this error instead of the original.
-    Failed(EngineError),
-    /// The failure does not implicate the fleet (worker-side errors,
-    /// plan validation); nothing to recover, nothing to retry.
-    NotApplicable,
-}
-
 /// Bounded retry schedule for single-site repair: up to
 /// [`REPAIR_ATTEMPTS`] reconnect attempts, sleeping [`REPAIR_BACKOFF`]
-/// before each retry and doubling up to [`REPAIR_BACKOFF_CAP`].
+/// before each retry and doubling up to [`REPAIR_BACKOFF_CAP`], all
+/// within one [`EngineConfig::query_deadline`] from the repair's start.
 const REPAIR_ATTEMPTS: u32 = 4;
 const REPAIR_BACKOFF: Duration = Duration::from_millis(50);
 const REPAIR_BACKOFF_CAP: Duration = Duration::from_secs(1);
-/// How long a repair waits for the re-installed fragment's `Ack`.
+/// The longest a repair attempt waits for the re-installed fragment's
+/// `Ack`; less when the repair's deadline is nearer.
 const REINSTALL_TIMEOUT: Duration = Duration::from_secs(5);
 /// Per-site deadline of one [`GStoreD::site_health`] probe.
 const HEALTH_PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The session's connected worker fleet, shared by every concurrent
-/// query: the transport (in-process channels or TCP sockets), the reply
-/// router demultiplexing interleaved replies, and — for the in-process
-/// backend — the worker threads themselves.
+/// query, and the owner of its recovery: the transport (in-process
+/// channels or TCP sockets), the reply router demultiplexing
+/// interleaved replies, what a repair needs, and the counters it moves.
+/// In-process worker threads belong to the transport.
 ///
-/// Established lazily on first execution and held for the session's
-/// lifetime behind an `Arc`, so in-flight queries keep a dropped-from-
-/// cache fleet alive until they finish. For TCP, the fragments ship once
-/// at establishment (deployment setup); in-process workers borrow them
-/// through the session's `Arc<DistributedGraph>`.
+/// Established on first execution and kept for the session's lifetime:
+/// a broken site is repaired in place, so the fleet is never replaced.
+/// For TCP, the fragments ship once at establishment (deployment setup);
+/// in-process workers borrow them through the session's
+/// `Arc<DistributedGraph>`.
 struct Fleet {
-    /// `Option` only so `Drop` can close the transport (ending the
-    /// in-process worker loops) before joining the worker threads.
-    transport: Option<Box<dyn Transport>>,
+    transport: Box<dyn Transport>,
     router: ReplyRouter,
-    workers: Vec<std::thread::JoinHandle<()>>,
     /// One lock per site, serializing repairs of that site: concurrent
     /// pipelines that all tripped over the same dead worker take turns
     /// instead of racing reconnects against each other.
     repair_locks: Vec<Mutex<()>>,
+    /// The fragments a repair re-installs.
+    dist: Arc<DistributedGraph>,
+    /// The budget of one repair: the session's query deadline.
+    repair_deadline: Option<Duration>,
+    robustness: RobustnessCounters,
 }
 
 impl Fleet {
-    /// Persistent in-process workers, one thread per fragment, borrowing
-    /// the fragments through the session's shared graph. The state-table
-    /// capacity must exceed the session's admission bound, or legitimate
-    /// concurrent load would LRU-evict in-flight queries; remote
-    /// `gstored-worker` processes need the same headroom via
-    /// `--capacity`.
-    fn in_process(
-        dist: &Arc<DistributedGraph>,
-        max_concurrent: usize,
-        chaos: Option<&ChaosConfig>,
-    ) -> Fleet {
-        let capacity =
-            gstored_core::worker::DEFAULT_QUERY_CAPACITY.max(max_concurrent.saturating_mul(2));
-        let sites = dist.fragment_count();
-        let (transport, endpoints) = InProcessTransport::pair(sites);
-        let mut workers = Vec::with_capacity(sites);
-        for (site, endpoint) in endpoints.into_iter().enumerate() {
-            let dist = Arc::clone(dist);
-            workers.push(std::thread::spawn(move || {
-                let mut worker =
-                    SiteWorker::for_fragment(&dist.fragments[site]).with_capacity(capacity);
-                serve_endpoint(endpoint, |frame| worker.handle(frame));
-            }));
-        }
-        Fleet {
-            transport: Some(Self::maybe_chaos(transport, chaos)),
-            router: ReplyRouter::new(sites),
-            workers,
-            repair_locks: (0..sites).map(|_| Mutex::new(())).collect(),
-        }
-    }
-
-    /// Wrap an already-connected remote fleet (fragments installed).
-    fn remote(transport: impl Transport + 'static, chaos: Option<&ChaosConfig>) -> Fleet {
-        let sites = transport.sites();
-        Fleet {
-            transport: Some(Self::maybe_chaos(transport, chaos)),
-            router: ReplyRouter::new(sites),
-            workers: Vec::new(),
-            repair_locks: (0..sites).map(|_| Mutex::new(())).collect(),
-        }
-    }
-
-    /// Interpose the fault-injection wrapper when the config asks for
-    /// it; the fault-free path gets the bare transport, no indirection.
-    fn maybe_chaos(
+    /// Wrap a connected fleet transport, behind the fault-injection
+    /// wrapper when the config asks for it; the fault-free path gets the
+    /// bare transport, no indirection.
+    fn new(
         transport: impl Transport + 'static,
-        chaos: Option<&ChaosConfig>,
-    ) -> Box<dyn Transport> {
-        match chaos {
-            Some(config) => Box::new(ChaosTransport::new(transport, config.clone())),
+        dist: &Arc<DistributedGraph>,
+        config: &EngineConfig,
+    ) -> Fleet {
+        let sites = transport.sites();
+        let transport: Box<dyn Transport> = match &config.chaos {
+            Some(chaos) => Box::new(ChaosTransport::new(transport, chaos.clone())),
             None => Box::new(transport),
+        };
+        Fleet {
+            transport,
+            router: ReplyRouter::new(sites),
+            repair_locks: (0..sites).map(|_| Mutex::new(())).collect(),
+            dist: Arc::clone(dist),
+            repair_deadline: config.query_deadline,
+            robustness: RobustnessCounters::default(),
         }
     }
 
     fn transport(&self) -> &dyn Transport {
-        self.transport
-            .as_deref()
-            .expect("fleet transport only taken in Drop")
+        &*self.transport
     }
 
     /// An unpaced handle on the fleet for `query`'s operational
@@ -243,19 +199,112 @@ impl Fleet {
         )
         .with_deadline(timeout.map(|t| Instant::now() + t))
     }
+
+    /// React to an execution failure: repair every site it implicates —
+    /// the router-marked sites (a broken connection or an undecodable
+    /// frame), plus the site of a [`EngineError::Timeout`], whose
+    /// connection may be wedged (a hung worker never produces the reply,
+    /// so re-dialing is the only way back to a known-clean frame
+    /// boundary). Returns whether any site was repaired, so a retry is
+    /// worthwhile; a failure that implicates no site repairs nothing. A
+    /// repair that fails surfaces as its [`EngineError::SiteUnavailable`].
+    fn recover(&self, error: &EngineError) -> Result<bool, EngineError> {
+        let timed_out = match error {
+            EngineError::Timeout { site, .. } => {
+                self.robustness.timeouts.fetch_add(1, Ordering::Relaxed);
+                Some(*site)
+            }
+            EngineError::Transport(_) | EngineError::Protocol(_) => None,
+            _ => return Ok(false),
+        };
+        let sites: Vec<usize> = (0..self.router.sites())
+            .filter(|&site| timed_out == Some(site) || self.router.is_failed(site))
+            .collect();
+        for &site in &sites {
+            self.repair_site(site)?;
+        }
+        Ok(!sites.is_empty())
+    }
+
+    /// Bring one dead site back: reconnect the transport, clear the
+    /// router's sticky failure, and re-ship the site's fragment, waiting
+    /// for the worker's `Ack` — a one-site exchange under
+    /// [`QueryId::CONTROL`], the id the reply is stamped with. Runs
+    /// under capped exponential backoff ([`REPAIR_ATTEMPTS`] attempts)
+    /// and within one query deadline from the start. Serialized per site
+    /// by the repair lock, so concurrent queries that all tripped over
+    /// the same dead worker produce one repair sequence, not a stampede
+    /// of reconnects. In the rare race where a concurrently reading
+    /// pipeline consumes the `Ack` first, the attempt times out and the
+    /// next one retries after backoff.
+    ///
+    /// Exhausting every attempt or the deadline surfaces
+    /// [`EngineError::SiteUnavailable`] — the typed signal the HTTP
+    /// layer maps to `503 Service Unavailable` + `Retry-After`.
+    fn repair_site(&self, site: usize) -> Result<(), EngineError> {
+        let _guard = self.repair_locks[site]
+            .lock()
+            .expect("repair lock poisoned");
+        let deadline = self.repair_deadline.map(|d| Instant::now() + d);
+        // What is left of the repair's deadline, capped at `cap`; `None`
+        // once it has passed.
+        let left = |cap: Duration| {
+            let left = deadline.map_or(cap, |d| {
+                d.saturating_duration_since(Instant::now()).min(cap)
+            });
+            (!left.is_zero()).then_some(left)
+        };
+        let mut backoff = REPAIR_BACKOFF;
+        let mut last_err = String::from("never connected");
+        for attempt in 0..REPAIR_ATTEMPTS {
+            if attempt > 0 {
+                let Some(pause) = left(backoff) else { break };
+                std::thread::sleep(pause);
+                backoff = (backoff * 2).min(REPAIR_BACKOFF_CAP);
+            }
+            let Some(wait) = left(REINSTALL_TIMEOUT) else {
+                break;
+            };
+            if let Err(e) = self.transport().reconnect(site) {
+                last_err = e.to_string();
+                continue;
+            }
+            self.robustness.reconnects.fetch_add(1, Ordering::Relaxed);
+            self.router.reset(site);
+            match self
+                .pool(QueryId::CONTROL, Some(wait))
+                .ship_fragments([(site, &self.dist.fragments[site])])
+            {
+                Ok(()) => {
+                    self.robustness.repairs.fetch_add(1, Ordering::Relaxed);
+                    return Ok(());
+                }
+                Err(e) => last_err = e.to_string(),
+            }
+        }
+        self.robustness
+            .repairs_failed
+            .fetch_add(1, Ordering::Relaxed);
+        Err(EngineError::SiteUnavailable {
+            site,
+            reason: format!("repair gave up; last error: {last_err}"),
+        })
+    }
 }
 
-impl Drop for Fleet {
-    fn drop(&mut self) {
-        // Closing the transport ends the in-process serve loops (their
-        // channels hang up); then the threads can be joined. TCP fleets
-        // have no threads — dropping the sockets disconnects the remote
-        // workers, which go back to accepting coordinators.
-        self.transport.take();
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
+/// Persistent in-process workers, one thread per fragment, borrowing the
+/// fragments through the session's shared graph. The state-table
+/// capacity must exceed the session's admission bound, or legitimate
+/// concurrent load would LRU-evict in-flight queries; remote
+/// `gstored-worker` processes need the same headroom via `--capacity`.
+fn in_process_workers(dist: &Arc<DistributedGraph>, max_concurrent: usize) -> InProcessTransport {
+    let capacity =
+        gstored_core::worker::DEFAULT_QUERY_CAPACITY.max(max_concurrent.saturating_mul(2));
+    let dist = Arc::clone(dist);
+    InProcessTransport::spawn(dist.fragment_count(), move |site, endpoint| {
+        let mut worker = SiteWorker::for_fragment(&dist.fragments[site]).with_capacity(capacity);
+        serve_endpoint(endpoint, |frame| worker.handle(frame));
+    })
 }
 
 /// How the builder receives its data.
@@ -476,24 +525,14 @@ pub struct GStoreD {
     /// Allocates query ids and admits up to `max_concurrent_queries`
     /// pipelines onto the shared fleet at once.
     executor: QueryExecutor,
-    /// The session's worker fleet (both backends), established lazily on
-    /// first execution and reused for the session's lifetime, so for TCP
-    /// the fragments ship exactly once. Behind `Arc` so concurrent
-    /// queries share it without holding this lock while executing. A
-    /// failure that implicates one site is repaired in place (reconnect
-    /// and fragment re-install); only unattributable breakage or
-    /// protocol desynchronization drops the cached entry, and the next
-    /// execution re-establishes it.
-    fleet: Mutex<Option<Arc<Fleet>>>,
-    /// Failure-handling counters, surfaced via
-    /// [`GStoreD::robustness_stats`].
-    robustness: RobustnessCounters,
-    /// Fleet incarnation counter, mixed into the chaos seed so a
-    /// rebuilt fleet draws a fresh fault script instead of replaying
-    /// the previous incarnation's from frame zero — a deterministic
-    /// schedule would otherwise reproduce the exact fault that forced
-    /// the rebuild, forever.
-    fleet_epoch: AtomicU64,
+    /// The session's worker fleet (both backends), established on first
+    /// execution and kept for the session's lifetime, so for TCP the
+    /// fragments ship exactly once. A failure that implicates a site is
+    /// repaired in place (reconnect and fragment re-install).
+    fleet: OnceLock<Fleet>,
+    /// Held while the fleet is being established, so concurrent first
+    /// executions dial the workers once.
+    dialing: Mutex<()>,
     /// The most recent [`Variant::Auto`] planner verdict, surfaced via
     /// [`GStoreD::last_planner_decision`] and the server's `/status`.
     /// Stays `None` forever on explicit-variant sessions.
@@ -513,9 +552,8 @@ impl GStoreD {
             engine: Engine::new(config),
             counters: SessionCounters::default(),
             executor,
-            fleet: Mutex::new(None),
-            robustness: RobustnessCounters::default(),
-            fleet_epoch: AtomicU64::new(0),
+            fleet: OnceLock::new(),
+            dialing: Mutex::new(()),
             last_planner: Mutex::new(None),
         }
     }
@@ -564,58 +602,46 @@ impl GStoreD {
         self.dist.fragment_count()
     }
 
-    /// Run `attempt` as one of the session's concurrent queries: wait for
-    /// an admission slot, then drive it over the shared fleet under a
-    /// fresh query id. Returns the ticket (held until the caller is done
-    /// with the fleet), the fleet, the attempt's value, and whether the
-    /// one retry was spent. `failed` is a first attempt that already
-    /// failed on that fleet — a stream that broke before delivering
-    /// anything — to recover from before the retry.
+    /// Run `attempt` as one of the session's concurrent queries on
+    /// `fleet`: wait for an admission slot, then drive it under a fresh
+    /// query id. Returns the ticket (held until the caller is done with
+    /// the fleet), the attempt's value, and whether the one retry was
+    /// spent. `failed` is a first attempt that already failed — a stream
+    /// that broke before delivering anything — to recover from before
+    /// the retry.
     ///
-    /// Failures that implicate the fleet go through [`GStoreD::recover`]:
-    /// a timeout or an attributable transport failure repairs just the
-    /// implicated sites (reconnect + fragment re-install) and **retries
-    /// the attempt once** under a fresh query id — an attempt that has
-    /// delivered nothing is idempotent, so a retry is always safe. Only
-    /// protocol desynchronization or unattributable breakage tears down
-    /// the cached fleet; in-flight queries finish on the old fleet, which
-    /// their `Arc` keeps alive. Per-query failures that leave the
-    /// streams fully drained (worker errors, evicted query ids, plan
-    /// validation) touch nothing — tearing down what every concurrent
-    /// caller shares over one query's error would turn a local failure
-    /// into a global stall.
+    /// Every failure goes through [`Fleet::recover`]: the sites it
+    /// implicates are repaired (reconnect + fragment re-install) and the
+    /// attempt is **retried once** under a fresh query id — an attempt
+    /// that has delivered nothing is idempotent, so a retry is always
+    /// safe. A failed retry is repaired too, so the next execution finds
+    /// the fleet healthy. A failure that implicates no site (worker
+    /// errors, evicted query ids, plan validation, an unattributed
+    /// transport or protocol error) is returned as it is: repairing what
+    /// every concurrent caller shares over one query's error would turn
+    /// a local failure into a global stall.
     fn admitted<T>(
         &self,
-        mut failed: Option<(Arc<Fleet>, EngineError)>,
-        mut attempt: impl FnMut(&Fleet, QueryId) -> Result<T, EngineError>,
-    ) -> Result<(QueryTicket<'_>, Arc<Fleet>, T, bool), EngineError> {
+        fleet: &Fleet,
+        mut failed: Option<EngineError>,
+        mut attempt: impl FnMut(QueryId) -> Result<T, EngineError>,
+    ) -> Result<(QueryTicket<'_>, T, bool), EngineError> {
         let mut recovered = false;
         loop {
-            if let Some((fleet, err)) = failed.take() {
-                if recovered {
-                    // The retry failed too: give up, and make sure a
-                    // possibly-desynchronized fleet is not left cached.
-                    if matches!(err, EngineError::Transport(_) | EngineError::Protocol(_)) {
-                        self.invalidate_fleet(&fleet);
-                    }
+            if let Some(err) = failed.take() {
+                let repaired = fleet.recover(&err)?;
+                if recovered || !repaired {
                     return Err(err);
                 }
-                match self.recover(&fleet, &err) {
-                    Recovery::Repaired => {
-                        self.robustness.retries.fetch_add(1, Ordering::Relaxed);
-                        recovered = true;
-                    }
-                    Recovery::Failed(repair_err) => return Err(repair_err),
-                    Recovery::NotApplicable => return Err(err),
-                }
+                fleet.robustness.retries.fetch_add(1, Ordering::Relaxed);
+                recovered = true;
             }
             // The ticket of a failed attempt drops before the repair
             // above, so a slow repair does not hold an admission slot.
             let ticket = self.executor.admit();
-            let fleet = self.fleet()?;
-            match attempt(&fleet, ticket.query()) {
-                Ok(value) => return Ok((ticket, fleet, value, recovered)),
-                Err(e) => failed = Some((fleet, e)),
+            match attempt(ticket.query()) {
+                Ok(value) => return Ok((ticket, value, recovered)),
+                Err(e) => failed = Some(e),
             }
         }
     }
@@ -624,182 +650,41 @@ impl GStoreD {
     /// the stream's eager front half.
     fn start_stream(
         &self,
+        fleet: &Fleet,
         plan: &PreparedPlan,
         chunk: usize,
-        failed: Option<(Arc<Fleet>, EngineError)>,
-    ) -> Result<(QueryTicket<'_>, Arc<Fleet>, StreamState, bool), Error> {
-        Ok(self.admitted(failed, |fleet, query| {
+        failed: Option<EngineError>,
+    ) -> Result<(QueryTicket<'_>, StreamState, bool), Error> {
+        Ok(self.admitted(fleet, failed, |query| {
             let (transport, router) = (fleet.transport(), &fleet.router);
             self.engine
                 .start_stream(transport, router, &self.dist, plan, query, chunk)
         })?)
     }
 
-    /// React to an execution failure on `fleet`: decide whether it
-    /// implicates the fleet's connections and, when it does, repair the
-    /// narrowest thing that explains it.
-    ///
-    /// - [`EngineError::Timeout`] names its site: repair exactly that
-    ///   one. The connection may be wedged (a hung worker never
-    ///   produces the reply), so re-dialing is the only way back to a
-    ///   known-clean frame boundary.
-    /// - [`EngineError::Transport`]: repair every site whose router
-    ///   slot is marked failed; when none is (e.g. the failure happened
-    ///   on the send side before any slot could be marked), fall back
-    ///   to a wholesale rebuild.
-    /// - [`EngineError::Protocol`]: the stream produced an undecodable
-    ///   or misdirected frame — nothing short of a fresh fleet is
-    ///   trustworthy.
-    ///
-    /// Backends that cannot re-dial one site ([`Transport::can_reconnect`]
-    /// is false — in-process channels, whose worker threads die with the
-    /// channel) always take the rebuild path.
-    fn recover(&self, fleet: &Arc<Fleet>, error: &EngineError) -> Recovery {
-        match error {
-            EngineError::Timeout { site, .. } => {
-                self.robustness.timeouts.fetch_add(1, Ordering::Relaxed);
-                self.repair_or_rebuild(fleet, std::slice::from_ref(site))
-            }
-            EngineError::Transport(_) => {
-                let failed: Vec<usize> = (0..fleet.router.sites())
-                    .filter(|&site| fleet.router.is_failed(site))
-                    .collect();
-                if failed.is_empty() {
-                    self.rebuild(fleet);
-                    Recovery::Repaired
-                } else {
-                    self.repair_or_rebuild(fleet, &failed)
-                }
-            }
-            EngineError::Protocol(_) => {
-                self.rebuild(fleet);
-                Recovery::Repaired
-            }
-            _ => Recovery::NotApplicable,
+    /// The session's fleet, establishing it if this is the first
+    /// execution. A failed establishment leaves nothing behind, so the
+    /// next call dials again.
+    fn fleet(&self) -> Result<&Fleet, EngineError> {
+        let _dialing = self.dialing.lock().expect("fleet dial lock poisoned");
+        if let Some(fleet) = self.fleet.get() {
+            return Ok(fleet);
         }
-    }
-
-    /// Repair each of `sites` in place when the backend supports
-    /// re-dialing; otherwise drop the cached fleet so the next
-    /// execution rebuilds it wholesale.
-    fn repair_or_rebuild(&self, fleet: &Arc<Fleet>, sites: &[usize]) -> Recovery {
-        if !fleet.transport().can_reconnect() {
-            self.rebuild(fleet);
-            return Recovery::Repaired;
-        }
-        for &site in sites {
-            if let Err(e) = self.repair_site(fleet, site) {
-                return Recovery::Failed(e);
-            }
-        }
-        Recovery::Repaired
-    }
-
-    /// Drop the cached fleet (if `fleet` is still it) so the next
-    /// execution stands up a fresh one.
-    fn rebuild(&self, fleet: &Arc<Fleet>) {
-        self.invalidate_fleet(fleet);
-        self.robustness
-            .fleet_rebuilds
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Bring one dead site back: reconnect the transport, clear the
-    /// router's sticky failure, and re-install the site's fragment,
-    /// under capped exponential backoff ([`REPAIR_ATTEMPTS`] attempts).
-    /// Serialized per site by the fleet's repair lock, so concurrent
-    /// queries that all tripped over the same dead worker produce one
-    /// repair sequence, not a stampede of reconnects.
-    ///
-    /// Exhausting every attempt surfaces
-    /// [`EngineError::SiteUnavailable`] — the typed signal the HTTP
-    /// layer maps to `503 Service Unavailable` + `Retry-After`.
-    fn repair_site(&self, fleet: &Fleet, site: usize) -> Result<(), EngineError> {
-        let _guard = fleet.repair_locks[site]
-            .lock()
-            .expect("repair lock poisoned");
-        let mut backoff = REPAIR_BACKOFF;
-        let mut last_err = String::from("never connected");
-        for attempt in 0..REPAIR_ATTEMPTS {
-            if attempt > 0 {
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(REPAIR_BACKOFF_CAP);
-            }
-            if let Err(e) = fleet.transport().reconnect(site) {
-                last_err = e.to_string();
-                continue;
-            }
-            self.robustness.reconnects.fetch_add(1, Ordering::Relaxed);
-            fleet.router.reset(site);
-            match self.reinstall_fragment(fleet, site) {
-                Ok(()) => {
-                    self.robustness.repairs.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
-                Err(e) => last_err = e.to_string(),
-            }
-        }
-        self.robustness
-            .repairs_failed
-            .fetch_add(1, Ordering::Relaxed);
-        Err(EngineError::SiteUnavailable {
-            site,
-            reason: format!("{REPAIR_ATTEMPTS} repair attempts failed; last error: {last_err}"),
-        })
-    }
-
-    /// Re-ship `site`'s fragment over a freshly reconnected stream and
-    /// wait (bounded) for the worker's `Ack`: a one-site exchange under
-    /// [`QueryId::CONTROL`], the id the reply is stamped with. In the
-    /// rare race where a concurrently reading pipeline consumes it
-    /// first, this times out and the repair attempt retries after
-    /// backoff.
-    fn reinstall_fragment(&self, fleet: &Fleet, site: usize) -> Result<(), EngineError> {
-        fleet
-            .pool(QueryId::CONTROL, Some(REINSTALL_TIMEOUT))
-            .ship_fragments([(site, &self.dist.fragments[site])])
-    }
-
-    /// The cached fleet, establishing it if this is the first execution.
-    fn fleet(&self) -> Result<Arc<Fleet>, EngineError> {
-        let mut cache = self.fleet.lock().expect("fleet cache poisoned");
-        if let Some(fleet) = cache.as_ref() {
-            return Ok(Arc::clone(fleet));
-        }
-        // Each incarnation shifts the chaos seed: the schedule stays
-        // deterministic for a given (seed, epoch), but a rebuilt fleet
-        // does not replay its predecessor's faults from frame zero.
-        let chaos = self.engine.config().chaos.as_ref().map(|config| {
-            let mut config = config.clone();
-            config.seed = config
-                .seed
-                .wrapping_add(self.fleet_epoch.fetch_add(1, Ordering::Relaxed));
-            config
-        });
-        let chaos = chaos.as_ref();
-        let fleet = match &self.engine.config().backend {
-            Backend::InProcess => Fleet::in_process(
+        let config = self.engine.config();
+        let fleet = match &config.backend {
+            Backend::InProcess => Fleet::new(
+                in_process_workers(&self.dist, config.max_concurrent_queries),
                 &self.dist,
-                self.engine.config().max_concurrent_queries,
-                chaos,
+                config,
             ),
             // The fragment install waits under the query deadline, so a
-            // silent worker costs this (cache-locked) call one deadline,
+            // silent worker costs this (dial-locked) call one deadline,
             // not forever.
-            Backend::Tcp { .. } => Fleet::remote(self.engine.connect_workers(&self.dist)?, chaos),
+            Backend::Tcp { .. } => {
+                Fleet::new(self.engine.connect_workers(&self.dist)?, &self.dist, config)
+            }
         };
-        let fleet = Arc::new(fleet);
-        *cache = Some(Arc::clone(&fleet));
-        Ok(fleet)
-    }
-
-    /// Drop `fleet` from the cache if it is still the cached one (a
-    /// concurrent failure may have replaced it already).
-    fn invalidate_fleet(&self, fleet: &Arc<Fleet>) {
-        let mut cache = self.fleet.lock().expect("fleet cache poisoned");
-        if cache.as_ref().is_some_and(|f| Arc::ptr_eq(f, fleet)) {
-            *cache = None;
-        }
+        Ok(self.fleet.get_or_init(|| fleet))
     }
 
     /// Probe every site worker's state-table occupancy (resident
@@ -816,9 +701,8 @@ impl GStoreD {
         let deadline = self.engine.config().query_deadline;
         let status = fleet.pool(ticket.query(), deadline).worker_status();
         if let Err(e) = &status {
-            // Same containment as queries: repair the implicated site,
-            // tear down only what cannot be repaired.
-            let _ = self.recover(&fleet, e);
+            // Same containment as queries: repair the implicated sites.
+            let _ = fleet.recover(e);
         }
         Ok(status?)
     }
@@ -852,16 +736,18 @@ impl GStoreD {
     }
 
     /// Snapshot of the session's failure-handling counters: deadline
-    /// expiries, retried executions, per-site reconnects/repairs, and
-    /// wholesale fleet rebuilds.
+    /// expiries, retried executions, and per-site reconnects/repairs.
     pub fn robustness_stats(&self) -> RobustnessStats {
+        let Some(fleet) = self.fleet.get() else {
+            return RobustnessStats::default();
+        };
+        let counters = &fleet.robustness;
         RobustnessStats {
-            timeouts: self.robustness.timeouts.load(Ordering::Relaxed),
-            retries: self.robustness.retries.load(Ordering::Relaxed),
-            reconnects: self.robustness.reconnects.load(Ordering::Relaxed),
-            repairs: self.robustness.repairs.load(Ordering::Relaxed),
-            repairs_failed: self.robustness.repairs_failed.load(Ordering::Relaxed),
-            fleet_rebuilds: self.robustness.fleet_rebuilds.load(Ordering::Relaxed),
+            timeouts: counters.timeouts.load(Ordering::Relaxed),
+            retries: counters.retries.load(Ordering::Relaxed),
+            reconnects: counters.reconnects.load(Ordering::Relaxed),
+            repairs: counters.repairs.load(Ordering::Relaxed),
+            repairs_failed: counters.repairs_failed.load(Ordering::Relaxed),
         }
     }
 
@@ -926,7 +812,8 @@ impl<'s> PreparedQuery<'s> {
     /// in it is repaired and retried once, since nothing was delivered.
     pub fn execute(&self) -> Result<QueryResults<'s>, Error> {
         let session = self.session;
-        let (_, _, output, _) = session.admitted(None, |fleet, query| {
+        let fleet = session.fleet()?;
+        let (_, output, _) = session.admitted(fleet, None, |query| {
             let (transport, router) = (fleet.transport(), &fleet.router);
             let (engine, dist) = (&session.engine, &session.dist);
             engine.execute_routed(transport, router, dist, &self.plan, query)
@@ -974,7 +861,8 @@ impl<'s> PreparedQuery<'s> {
     /// solution set — only frame sizes and the arrival interleaving.
     pub fn stream_with_chunk(&self, chunk: usize) -> Result<QuerySolutionIter<'s>, Error> {
         let session = self.session;
-        let (ticket, fleet, stream, recovered) = session.start_stream(&self.plan, chunk, None)?;
+        let fleet = session.fleet()?;
+        let (ticket, stream, recovered) = session.start_stream(fleet, &self.plan, chunk, None)?;
         session.counters.executions.fetch_add(1, Ordering::Relaxed);
         session.record_planner(stream.planner());
         let query = self.plan.query();
@@ -1064,8 +952,7 @@ pub const DEFAULT_STREAM_CHUNK: usize = 256;
 /// `None`).
 pub struct QuerySolutionIter<'s> {
     session: &'s GStoreD,
-    /// Keeps a dropped-from-cache fleet alive while this stream runs.
-    fleet: Arc<Fleet>,
+    fleet: &'s Fleet,
     /// `Some` while the stream holds its admission slot.
     ticket: Option<QueryTicket<'s>>,
     stream: StreamState,
@@ -1144,11 +1031,10 @@ impl<'s> Iterator for QuerySolutionIter<'s> {
                     if !self.yielded && !self.recovered {
                         // Nothing delivered yet: as good as a failed
                         // startup, so repair and start over.
-                        let failed = Some((Arc::clone(&self.fleet), e));
-                        match self.session.start_stream(&self.plan, self.chunk, failed) {
-                            Ok((ticket, fleet, stream, recovered)) => {
+                        let session = self.session;
+                        match session.start_stream(self.fleet, &self.plan, self.chunk, Some(e)) {
+                            Ok((ticket, stream, recovered)) => {
                                 self.ticket = Some(ticket);
-                                self.fleet = fleet;
                                 self.stream = stream;
                                 self.recovered = recovered;
                                 continue;
@@ -1163,7 +1049,7 @@ impl<'s> Iterator for QuerySolutionIter<'s> {
                     // them — but repair the implicated site anyway
                     // (mirroring `admitted`) so the *next* execution
                     // finds a healthy fleet, then fuse.
-                    let _ = self.session.recover(&self.fleet, &e);
+                    let _ = self.fleet.recover(&e);
                     self.done = true;
                     return Some(Err(e.into()));
                 }
@@ -1710,6 +1596,30 @@ mod tests {
         }
         // A healthy in-process fleet never trips the failure machinery.
         assert_eq!(db.robustness_stats(), RobustnessStats::default());
+    }
+
+    /// An in-process site whose worker is gone is repaired alone, like a
+    /// TCP site: a fresh channel and worker thread, the fragment
+    /// re-installed, and the query retried once.
+    #[test]
+    fn a_stopped_in_process_site_is_repaired_not_rebuilt() {
+        use gstored_core::protocol::{encode_request, Request};
+        let db = session();
+        let text = "SELECT ?x ?n WHERE { ?x <http://ex/knows> ?y . ?y <http://ex/name> ?n . }";
+        let healthy = db.query(text).unwrap().vertex_rows().to_vec();
+        // Shutdown ends site 1's serve loop without a reply.
+        let fleet = db.fleet().unwrap();
+        fleet
+            .transport()
+            .send(1, encode_request(&Request::Shutdown))
+            .unwrap();
+        assert_eq!(db.query(text).unwrap().vertex_rows(), healthy.as_slice());
+        let stats = db.robustness_stats();
+        assert_eq!(
+            (stats.repairs, stats.reconnects, stats.retries),
+            (1, 1, 1),
+            "{stats:?}"
+        );
     }
 
     #[test]

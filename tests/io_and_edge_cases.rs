@@ -197,8 +197,6 @@ fn oversized_query_is_refused_without_touching_the_fleet() {
         db.query(&oversized),
         Err(Error::Engine(gstored::core::EngineError::QueryTooLarge(32)))
     ));
-    let stats = db.robustness_stats();
-    assert_eq!(stats.fleet_rebuilds, 0);
-    assert_eq!(stats.retries, 0);
+    assert_eq!(db.robustness_stats(), RobustnessStats::default());
     assert_eq!(db.query(&small).unwrap().len(), 39);
 }
