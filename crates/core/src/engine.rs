@@ -35,12 +35,15 @@
 //! straggler delays a phase's one collection point, not every step.
 //!
 //! There is **one pipeline**: [`Engine::start_stream`] runs phases A and
-//! B eagerly and returns a [`StreamState`] that pulls phase C on demand.
-//! A bounded stream pulls one site per round, round-robin; an unbounded
-//! one (`chunk == usize::MAX`) asks every undone site at once, in one
-//! phase. [`Engine::execute_routed`] is the unbounded stream, drained. A
-//! chunk reply with `last = true` drops the site's per-query state, so a
-//! drained stream sends no closing release.
+//! B eagerly and returns a [`StreamState`] that pulls phase C on demand,
+//! ahead of consumption: a bounded stream keeps up to two pulls in
+//! flight (one until its caller has drained the first reply), each
+//! non-final survivor chunk re-pulling its site as it lands, so the
+//! sites compute while the coordinator joins and the caller writes rows
+//! out; an unbounded one (`chunk == usize::MAX`) pulls every undone
+//! site at once. [`Engine::execute_routed`] is the unbounded stream,
+//! drained. A chunk reply with `last = true` drops the site's per-query
+//! state, so a drained stream sends no closing release.
 //!
 //! Star queries short-circuit per Section VIII-B: every match lives in
 //! the fragment where the star's center is internal, so the whole
@@ -80,7 +83,7 @@ use crate::planner::{plan_query, PlannerDecision};
 use crate::prepared::PreparedPlan;
 use crate::protocol::{self, QueryId, Request, ResponseBody};
 use crate::prune::prune_features;
-use crate::runtime::{Chain, ReplyRouter, Stage, WorkerPool};
+use crate::runtime::{Chain, ReplyRouter, Stage, Wave, WorkerPool};
 
 /// Query ids for executions that bypass a session's `QueryExecutor`
 /// ([`Engine::execute_on`] used directly). Process-wide
@@ -393,10 +396,11 @@ impl Engine {
     /// star fast path — and returns
     /// a [`StreamState`] that pulls the rest on demand: survivors arrive
     /// in [`Request::ShipSurvivorsChunk`] batches of at most `chunk` LPMs
-    /// per reply (clamped to ≥ 1), one site per pull. `usize::MAX` means
-    /// unbounded: every site ships everything in one chunk, and all sites
-    /// are pulled at once. LA/LO/Full join each chunk as it lands, so
-    /// complete bindings surface as soon as their last LPM does; Basic
+    /// per reply (clamped to ≥ 1), one site per pull, with up to two
+    /// pulls in flight. `usize::MAX` means unbounded: every site ships
+    /// everything in one chunk, and all sites are pulled at once.
+    /// LA/LO/Full join each chunk as it lands, so complete bindings
+    /// surface as soon as their last LPM does; Basic
     /// (\[18\] has no incremental form) joins once the last site is
     /// drained.
     ///
@@ -498,7 +502,7 @@ impl Engine {
             mode,
             site_done: vec![born_drained; sites],
             site_seq: vec![0; sites],
-            next_site: 0,
+            in_flight: VecDeque::new(),
             pending,
             metrics,
             deadline_budget: self.config.query_deadline,
@@ -701,6 +705,29 @@ enum Join {
     Basic(Vec<LocalPartialMatch>),
 }
 
+/// How many pulls a bounded stream keeps in flight once its caller has
+/// drained the first reply: the one being joined or written out, and
+/// the next one being computed, so the sites, the coordinator and the
+/// socket overlap instead of taking turns. It also bounds what a stream
+/// holds beyond its pending rows: two chunks of LPMs, or two sites' star
+/// rows.
+///
+/// Why not more, and why not from the start: on a 2-core host, keeping
+/// every undone site in flight measured `lubm_bigresult` `ttfr_p50_ms`
+/// ×1.07–1.17, because a concurrent client's first rows queue behind
+/// eight busy site threads; opening two pulls before the first reply
+/// measured ×1.35–1.50.
+const PULL_DEPTH: usize = 2;
+
+/// A pull a stream has sent and not yet received.
+#[derive(Debug)]
+struct Pull {
+    site: usize,
+    chain: Chain,
+    /// Its receive deadline, counted from its send.
+    deadline: Option<Instant>,
+}
+
 /// The coordinator side of an in-flight streaming query: the pull-based
 /// tail of the pipeline started by [`Engine::start_stream`].
 ///
@@ -715,6 +742,15 @@ enum Join {
 ///   fleet teardown.
 /// - After an `Err`, the state has already cancelled the fleet and is
 ///   fused: further pumps return `Ok(None)`.
+///
+/// **The pull pipeline.** Pulls are sent ahead of consumption and kept
+/// in a FIFO. A bounded stream sends one pull until its caller has
+/// drained a reply, then keeps two (`PULL_DEPTH`) in flight: a survivor
+/// chunk that is not its site's last re-pulls that site as it lands,
+/// before it is joined, and a site that finishes makes room for the
+/// next undone one. An unbounded stream (`chunk == usize::MAX`) pulls
+/// every site at once and receives them as one wave. Each pull's
+/// deadline runs from its send.
 ///
 /// Shipment charging: star pulls are charged to `partial_evaluation`
 /// (they *are* the evaluation), the verdict heading a first pull to
@@ -736,12 +772,13 @@ pub struct StreamState {
     site_done: Vec<bool>,
     /// Per-site next expected `ShipSurvivorsChunk` sequence number.
     site_seq: Vec<u64>,
-    /// Round-robin cursor over undone sites.
-    next_site: usize,
+    /// Pulls sent and not yet received, oldest first; at most one per
+    /// site.
+    in_flight: VecDeque<Pull>,
     /// Bindings produced but not yet pulled by the caller.
     pending: VecDeque<Vec<VertexId>>,
     metrics: QueryMetrics,
-    /// Deadline budget applied afresh to **each pull** (a stream may sit
+    /// Deadline budget of **each pull**, from its send (a stream may sit
     /// idle between pulls for as long as the caller likes; only the time
     /// spent waiting on sites counts).
     deadline_budget: Option<Duration>,
@@ -775,156 +812,265 @@ impl StreamState {
                 return Ok(None);
             }
             if let Err(e) = self.advance(transport, router) {
-                self.abort(transport, router);
+                self.abort(transport, router, &e);
                 return Err(e);
             }
         }
     }
 
-    /// This query's handle on the fleet, deadline-armed afresh.
-    fn pool<'t>(&self, transport: &'t dyn Transport, router: &'t ReplyRouter) -> WorkerPool<'t> {
-        WorkerPool::new(transport, router, NetworkModel::default(), self.query)
+    /// This query's handle on the fleet, with receives due by
+    /// `deadline` and timeouts naming the stream's stage.
+    fn pool<'t>(
+        &self,
+        transport: &'t dyn Transport,
+        router: &'t ReplyRouter,
+        deadline: Option<Instant>,
+    ) -> WorkerPool<'t> {
+        let pool = WorkerPool::new(transport, router, NetworkModel::default(), self.query)
             .with_pacing(self.paced)
-            .with_deadline(self.deadline_budget.map(|d| Instant::now() + d))
+            .with_deadline(deadline);
+        pool.set_stage(match self.mode {
+            StreamMode::Star { .. } => "star",
+            StreamMode::General { .. } => "assembly",
+        });
+        pool
     }
 
-    /// One round of progress, as one phase: pull the next undone site
-    /// round-robin — or, unbounded, every undone site at once. The round
-    /// in which the last site answers finishes the stream; every site
-    /// has dropped its state by then, so nothing is left to release.
+    /// One round of progress: top the pipeline up, then receive the
+    /// oldest pull — or, unbounded, every pull in flight, as one wave.
+    /// The round in which the last site answers finishes the stream;
+    /// every site has dropped its state by then, so nothing is left to
+    /// release.
     fn advance(
         &mut self,
         transport: &dyn Transport,
         router: &ReplyRouter,
     ) -> Result<(), EngineError> {
         let sites = self.site_done.len();
-        let undone = (0..sites)
-            .map(|i| (self.next_site + i) % sites)
-            .filter(|&site| !self.site_done[site]);
-        let pulled: Vec<usize> = if self.chunk == usize::MAX {
-            undone.collect()
-        } else {
-            undone.take(1).collect()
+        let unbounded = self.chunk == usize::MAX;
+        let landed = self.site_seq.iter().any(|&seq| seq > 0) || self.site_done.contains(&true);
+        let depth = match (unbounded, landed) {
+            (true, _) => sites,
+            (false, true) => PULL_DEPTH,
+            (false, false) => 1,
         };
-        let pool = self.pool(transport, router);
+        while self.in_flight.len() < depth {
+            let fresh = (0..sites).find(|&site| {
+                !self.site_done[site] && !self.in_flight.iter().any(|pull| pull.site == site)
+            });
+            match fresh {
+                Some(site) => self.pull(transport, router, site)?,
+                None => break,
+            }
+        }
+        let wave_len = if unbounded { self.in_flight.len() } else { 1 };
+        let mut wave: Option<Wave> = None;
+        for _ in 0..wave_len {
+            let pull = self
+                .in_flight
+                .pop_front()
+                .expect("an unfinished stream has a pull in flight");
+            let wave = wave.get_or_insert_with(|| Wave::new(&pull.chain));
+            let bodies = self.pool(transport, router, pull.deadline).receive(
+                pull.site,
+                &pull.chain,
+                wave,
+                &mut self.metrics,
+            )?;
+            self.land(transport, router, pull.site, bodies)?;
+        }
+        if let Some(wave) = wave {
+            wave.finish(&mut self.metrics);
+        }
         match &mut self.mode {
-            StreamMode::Star { chain } => {
-                pool.set_stage("star");
-                let chains: Vec<(usize, Chain)> =
-                    pulled.iter().map(|&site| (site, chain.clone())).collect();
-                for (site, bodies) in pulled
-                    .iter()
-                    .zip(pool.run_phase(&chains, &mut self.metrics)?)
-                {
-                    let rows = star_matches(bodies, self.vertex_count)?;
-                    self.metrics.local_matches += rows.len() as u64;
-                    self.site_done[*site] = true;
-                    self.pending.extend(rows);
-                }
+            StreamMode::General {
+                join: Join::Basic(survivors),
+                ..
+            } if !self.site_done.contains(&false) => {
+                let survivors = std::mem::take(survivors);
+                let rows = self
+                    .metrics
+                    .assembly
+                    .time(|| assemble_basic(&survivors, self.vertex_count));
+                self.metrics.crossing_matches = rows.len() as u64;
+                self.pending.extend(rows);
             }
-            StreamMode::General { drop_pruned, join } => {
-                pool.set_stage("assembly");
-                let chains: Vec<(usize, Chain)> = pulled
-                    .iter()
-                    .map(|&site| {
-                        let seq = self.site_seq[site];
-                        let pull = protocol::encode_request(&Request::ShipSurvivorsChunk {
-                            query: self.query,
-                            seq,
-                            max: self.chunk,
-                        });
-                        // The verdict rides at the head of a site's first pull.
-                        let verdict = drop_pruned.as_ref().filter(|_| seq == 0);
-                        let mut steps = Vec::with_capacity(2);
-                        steps.extend(verdict.map(|frame| (frame.clone(), Stage::LecOptimization)));
-                        steps.push((pull, Stage::Assembly));
-                        (site, Chain::new(self.query, &steps))
-                    })
-                    .collect();
-                for (&site, bodies) in pulled
-                    .iter()
-                    .zip(pool.run_phase(&chains, &mut self.metrics)?)
-                {
-                    let mut replies = bodies.into_iter();
-                    if drop_pruned.is_some() && self.site_seq[site] == 0 {
-                        expect_ack(replies.next(), "DropPruned")?;
-                    }
-                    let (lpms, last) = match replies.next() {
-                        Some(ResponseBody::SurvivorsChunk { lpms, seq, last })
-                            if seq == self.site_seq[site] =>
-                        {
-                            (lpms, last)
-                        }
-                        Some(ResponseBody::SurvivorsChunk { seq, .. }) => {
-                            return Err(EngineError::Protocol(format!(
-                                "site {site} answered survivor chunk seq {seq}, expected {}",
-                                self.site_seq[site]
-                            )))
-                        }
-                        other => {
-                            return Err(unexpected("SurvivorsChunk", "ShipSurvivorsChunk", other))
-                        }
-                    };
-                    self.site_seq[site] += 1;
-                    self.site_done[site] = last;
-                    self.next_site = (site + 1) % sites;
-                    self.metrics.surviving_partial_matches += lpms.len() as u64;
-                    for lpm in &lpms {
-                        check_lpm(lpm, self.vertex_count, self.edge_count)?;
-                    }
-                    match join {
-                        Join::Lec(joiner) => {
-                            for lpm in &lpms {
-                                let emitted = self.metrics.assembly.time(|| joiner.push(lpm));
-                                self.metrics.crossing_matches += emitted.len() as u64;
-                                self.pending.extend(emitted);
-                            }
-                        }
-                        Join::Basic(survivors) => survivors.extend(lpms),
-                    }
-                }
-                match join {
-                    Join::Basic(survivors) if !self.site_done.contains(&false) => {
-                        let survivors = std::mem::take(survivors);
-                        let rows = self
-                            .metrics
-                            .assembly
-                            .time(|| assemble_basic(&survivors, self.vertex_count));
-                        self.metrics.crossing_matches = rows.len() as u64;
-                        self.pending.extend(rows);
-                    }
-                    _ => {}
-                }
-            }
+            _ => {}
         }
         Ok(())
     }
 
-    /// Stop the stream early: broadcast `ReleaseQuery` (idempotent; errors
-    /// swallowed — the fleet may already be gone) unless no site holds
-    /// state — every site already drained, or a star stream, whose sites
-    /// release themselves at the end of each pull — then fuse the
-    /// stream. Safe to call repeatedly.
-    pub fn cancel(&mut self, transport: &dyn Transport, router: &ReplyRouter) {
-        if matches!(self.mode, StreamMode::General { .. }) && !self.is_finished() {
-            // Deadline-armed like every pull: a site that went silent
-            // must not wedge the cancelling thread on the ack gather.
-            self.pool(transport, router)
-                .release_quietly(&mut self.metrics.assembly);
+    /// Send `site` its next pull — a star stream's whole chain, or the
+    /// next survivor chunk request, headed by the pruning verdict on a
+    /// site's first — and queue it. A pull whose send failed is queued
+    /// too, so the receive that follows marks a broken site failed.
+    fn pull(
+        &mut self,
+        transport: &dyn Transport,
+        router: &ReplyRouter,
+        site: usize,
+    ) -> Result<(), EngineError> {
+        let chain = match &self.mode {
+            StreamMode::Star { chain } => chain.clone(),
+            StreamMode::General { drop_pruned, .. } => {
+                let seq = self.site_seq[site];
+                let pull = protocol::encode_request(&Request::ShipSurvivorsChunk {
+                    query: self.query,
+                    seq,
+                    max: self.chunk,
+                });
+                let verdict = drop_pruned.as_ref().filter(|_| seq == 0);
+                let mut steps = Vec::with_capacity(2);
+                steps.extend(verdict.map(|frame| (frame.clone(), Stage::LecOptimization)));
+                steps.push((pull, Stage::Assembly));
+                Chain::new(self.query, &steps)
+            }
+        };
+        let deadline = self.deadline_budget.map(|d| Instant::now() + d);
+        let sent = self
+            .pool(transport, router, deadline)
+            .send(site, &chain, &mut self.metrics);
+        self.in_flight.push_back(Pull {
+            site,
+            chain,
+            deadline,
+        });
+        sent
+    }
+
+    /// Take `site`'s reply to its pull: star rows, or a survivor chunk —
+    /// which, unless it is the site's last, re-pulls the site before it
+    /// is joined.
+    fn land(
+        &mut self,
+        transport: &dyn Transport,
+        router: &ReplyRouter,
+        site: usize,
+        bodies: Vec<ResponseBody>,
+    ) -> Result<(), EngineError> {
+        let verdict = match &self.mode {
+            StreamMode::Star { .. } => {
+                let rows = star_matches(bodies, self.vertex_count)?;
+                self.metrics.local_matches += rows.len() as u64;
+                self.site_done[site] = true;
+                self.pending.extend(rows);
+                return Ok(());
+            }
+            StreamMode::General { drop_pruned, .. } => drop_pruned.is_some(),
+        };
+        let seq = self.site_seq[site];
+        let mut replies = bodies.into_iter();
+        if verdict && seq == 0 {
+            expect_ack(replies.next(), "DropPruned")?;
         }
+        let (lpms, last) = match replies.next() {
+            Some(ResponseBody::SurvivorsChunk {
+                lpms,
+                seq: got,
+                last,
+            }) if got == seq => (lpms, last),
+            Some(ResponseBody::SurvivorsChunk { seq: got, .. }) => {
+                return Err(EngineError::Protocol(format!(
+                    "site {site} answered survivor chunk seq {got}, expected {seq}"
+                )))
+            }
+            other => return Err(unexpected("SurvivorsChunk", "ShipSurvivorsChunk", other)),
+        };
+        self.site_seq[site] += 1;
+        self.site_done[site] = last;
+        if !last {
+            self.pull(transport, router, site)?;
+        }
+        self.metrics.surviving_partial_matches += lpms.len() as u64;
+        for lpm in &lpms {
+            check_lpm(lpm, self.vertex_count, self.edge_count)?;
+        }
+        let StreamMode::General { join, .. } = &mut self.mode else {
+            unreachable!("star replies returned above");
+        };
+        match join {
+            Join::Lec(joiner) => {
+                for lpm in &lpms {
+                    let emitted = self.metrics.assembly.time(|| joiner.push(lpm));
+                    self.metrics.crossing_matches += emitted.len() as u64;
+                    self.pending.extend(emitted);
+                }
+            }
+            Join::Basic(survivors) => survivors.extend(lpms),
+        }
+        Ok(())
+    }
+
+    /// Stop the stream early and fuse it; safe to call repeatedly. Every
+    /// pull still in flight is received first (charged, then dropped),
+    /// so a release's `Ack` is never mistaken for a chunk reply. Then
+    /// `ReleaseQuery` goes to every site (idempotent; errors swallowed —
+    /// the fleet may already be gone) unless no site holds state: every
+    /// site drained, or a star stream, whose chains release their sites
+    /// — unless one of them failed.
+    pub fn cancel(&mut self, transport: &dyn Transport, router: &ReplyRouter) {
+        let mut metrics = std::mem::take(&mut self.metrics);
+        let drained = self.drain(transport, router, None, &mut metrics);
+        let general = matches!(self.mode, StreamMode::General { .. });
+        if (general || !drained) && !self.is_finished() {
+            let pool = self.pool(transport, router, self.fresh_deadline());
+            pool.release_quietly(&mut metrics.assembly);
+        }
+        self.metrics = metrics;
+        router.forget(self.query);
         self.fuse();
     }
 
-    /// Post-error cleanup: release the fleet (uncharged — a failed chain
-    /// may have stopped short of dropping its state), drop any straggler
-    /// replies parked under the retired query id, and fuse.
-    fn abort(&mut self, transport: &dyn Transport, router: &ReplyRouter) {
+    /// Post-error cleanup, uncharged: receive the pulls still in flight,
+    /// release the fleet (a failed chain may have stopped short of
+    /// dropping its state), drop any straggler replies parked under the
+    /// retired query id, and fuse. A site that timed out is neither
+    /// drained nor released: the repair that follows re-dials it, and a
+    /// worker's state is per connection, so waiting on it again would
+    /// only spend a second deadline.
+    fn abort(&mut self, transport: &dyn Transport, router: &ReplyRouter, error: &EngineError) {
+        let silent = match error {
+            EngineError::Timeout { site, .. } => Some(*site),
+            _ => None,
+        };
+        let mut scratch = QueryMetrics::default();
+        self.drain(transport, router, silent, &mut scratch);
         if !self.is_finished() {
-            let mut scratch = gstored_net::StageMetrics::default();
-            self.pool(transport, router).release_quietly(&mut scratch);
+            let pool = self.pool(transport, router, self.fresh_deadline());
+            pool.release_quietly_skipping(silent, &mut scratch.assembly);
         }
         router.forget(self.query);
         self.fuse();
+    }
+
+    /// Receive and drop every pull in flight, each under its own
+    /// deadline, except those to `skip`. Returns whether every one of
+    /// them was answered without a failure.
+    fn drain(
+        &mut self,
+        transport: &dyn Transport,
+        router: &ReplyRouter,
+        skip: Option<usize>,
+        metrics: &mut QueryMetrics,
+    ) -> bool {
+        let mut answered = true;
+        for pull in std::mem::take(&mut self.in_flight) {
+            if Some(pull.site) == skip {
+                continue;
+            }
+            let mut wave = Wave::new(&pull.chain);
+            let pool = self.pool(transport, router, pull.deadline);
+            answered &= pool
+                .receive(pull.site, &pull.chain, &mut wave, metrics)
+                .is_ok();
+            wave.finish(metrics);
+        }
+        answered
+    }
+
+    /// A deadline one budget from now, for a cancel's release.
+    fn fresh_deadline(&self) -> Option<Instant> {
+        self.deadline_budget.map(|d| Instant::now() + d)
     }
 
     /// Mark every site done (none holds state any more), which finishes
@@ -1107,6 +1253,7 @@ mod tests {
     use gstored_sparql::{parse_query, QueryGraph};
     use gstored_store::find_matches;
     use std::collections::HashMap;
+    use std::sync::atomic::AtomicBool;
 
     /// Evaluate `plan` once on a fresh in-process fleet.
     fn execute(
@@ -1564,6 +1711,63 @@ mod tests {
                 }
             );
             assert!(at_c, "{err}");
+        });
+    }
+
+    /// A fleet whose site `.1` stops answering once `.2` is set: each of
+    /// its receives waits out its deadline and times out.
+    struct GoesDeaf<'t>(&'t dyn Transport, usize, AtomicBool);
+
+    impl Transport for GoesDeaf<'_> {
+        fn sites(&self) -> usize {
+            self.0.sites()
+        }
+        fn send(&self, site: usize, frame: Bytes) -> Result<(), TransportError> {
+            self.0.send(site, frame)
+        }
+        fn recv_deadline(&self, site: usize, deadline: Instant) -> Result<Bytes, TransportError> {
+            if site == self.1 && self.2.load(Ordering::Relaxed) {
+                std::thread::sleep(deadline.saturating_duration_since(Instant::now()));
+                return Err(TransportError::TimedOut { site });
+            }
+            self.0.recv_deadline(site, deadline)
+        }
+    }
+
+    #[test]
+    fn an_abort_after_a_timeout_does_not_wait_on_the_silent_site_again() {
+        let g = paper_graph();
+        let partitioner = paper_partitioner(&g);
+        let dist = DistributedGraph::build(g, &partitioner);
+        let plan = PreparedPlan::new(paper_query(), dist.dict()).unwrap();
+        let deadline = Duration::from_millis(300);
+        let engine = Engine::new(EngineConfig {
+            query_deadline: Some(deadline),
+            ..EngineConfig::variant(Variant::Full)
+        });
+        with_in_process_workers(&dist, |transport| {
+            let deaf = GoesDeaf(transport, 1, AtomicBool::new(false));
+            let router = ReplyRouter::new(transport.sites());
+            let mut stream = engine
+                .start_stream(&deaf, &router, &dist, &plan, one_shot_query_id(), 1)
+                .unwrap();
+            deaf.2.store(true, Ordering::Relaxed);
+            let (err, waited) = loop {
+                let started = Instant::now();
+                match stream.next_binding(&deaf, &router) {
+                    Ok(Some(_)) => {}
+                    Ok(None) => panic!("site 1 was never pulled"),
+                    Err(e) => break (e, started.elapsed()),
+                }
+            };
+            assert!(matches!(err, EngineError::Timeout { site: 1, .. }), "{err}");
+            // The pull's own deadline, and no second one for the abort's
+            // drain or release.
+            assert!(
+                waited < deadline * 3 / 2,
+                "the failing pull took {waited:?}"
+            );
+            assert!(stream.is_finished());
         });
     }
 

@@ -16,7 +16,10 @@
 //! is received from too, so a broken connection always marks the site
 //! failed in the router and the session repairs that one site,
 //! whichever request met it first. Each site's outcome is kept; callers
-//! that need all of them take the first failure in site order.
+//! that need all of them take the first failure in site order. The loop
+//! is built from a send half and a receive half; a stream uses the two
+//! halves directly to keep pulls in flight between them, under the same
+//! rule (a pull whose send failed is still received from).
 //!
 //! Shipment accounting happens in that loop, once, at the send/receive
 //! boundary: each encoded frame's length is charged to the stage it
@@ -476,17 +479,22 @@ impl<'t> WorkerPool<'t> {
         frame: Bytes,
         stage: &mut StageMetrics,
     ) -> Result<Vec<ResponseBody>, EngineError> {
-        self.broadcast_each(frame, stage).into_iter().collect()
+        self.broadcast_each(frame, None, stage)
+            .into_iter()
+            .collect()
     }
 
-    /// [`WorkerPool::broadcast_frame`]'s per-site outcomes, in site order.
+    /// [`WorkerPool::broadcast_frame`]'s per-site outcomes, in site
+    /// order, to every site but `skip`.
     fn broadcast_each(
         &self,
         frame: Bytes,
+        skip: Option<usize>,
         stage: &mut StageMetrics,
     ) -> Vec<Result<ResponseBody, EngineError>> {
         let chain = Chain::new(self.query, &[(frame, ONE_CELL)]);
         let chains: Vec<(usize, Chain)> = (0..self.sites())
+            .filter(|&site| Some(site) != skip)
             .map(|site| (site, chain.clone()))
             .collect();
         let mut metrics = QueryMetrics::default();
@@ -526,9 +534,9 @@ impl<'t> WorkerPool<'t> {
     }
 
     /// The one exchange with the fleet, behind every other method of
-    /// the pool: charge, pace and send every chain, then receive every
-    /// listed site's reply under the pool deadline, returning each
-    /// site's outcome in `chains` order.
+    /// the pool: [send](WorkerPool::send) every chain, then
+    /// [receive](WorkerPool::receive) every listed site's reply as one
+    /// [`Wave`], returning each site's outcome in `chains` order.
     ///
     /// A site whose send failed is still received from: a broken
     /// connection fails that receive at once, which marks the site
@@ -541,61 +549,69 @@ impl<'t> WorkerPool<'t> {
     ) -> Vec<Result<Vec<ResponseBody>, EngineError>> {
         let sent: Vec<Result<(), EngineError>> = chains
             .iter()
-            .map(|(site, chain)| {
-                let envelope = chain.frame.len() - chain.steps.iter().map(|s| s.0).sum::<usize>();
-                let mut transfer = self.charge(chain.steps[0].1.of(metrics), 1, envelope);
-                for &(len, stage) in &chain.steps {
-                    transfer += self.charge(stage.of(metrics), 0, len);
-                }
-                self.pace(transfer);
-                Ok(self.transport.send(*site, chain.frame.clone())?)
-            })
+            .map(|(site, chain)| self.send(*site, chain, metrics))
             .collect();
-        let stages: Vec<Stage> = chains
-            .first()
-            .map(|(_, chain)| chain.steps.iter().map(|s| s.1).collect())
-            .unwrap_or_default();
-        debug_assert!(
-            chains.iter().all(|(_, chain)| chain
-                .steps
-                .iter()
-                .map(|s| s.1)
-                .eq(stages.iter().copied())),
-            "the chains of one phase must have the same step stages"
-        );
-        let mut slowest = vec![0u64; stages.len()];
+        let Some((_, first)) = chains.first() else {
+            return Vec::new();
+        };
+        let mut wave = Wave::new(first);
         let outcomes = chains
             .iter()
             .zip(sent)
-            .map(|(&(site, _), sent)| {
-                let received = self.recv_routed(site);
-                let (len, response) = sent.and(received)?;
-                self.take_reply(site, len, response, &stages, &mut slowest, metrics)
+            .map(|((site, chain), sent)| match sent {
+                Ok(()) => self.receive(*site, chain, &mut wave, metrics),
+                Err(e) => {
+                    let _ = self.recv_routed(*site);
+                    Err(e)
+                }
             })
             .collect();
-        for (nanos, stage) in slowest.into_iter().zip(stages) {
-            stage.of(metrics).wall += Duration::from_nanos(nanos);
-        }
+        wave.finish(metrics);
         outcomes
     }
 
-    /// Charge and pace one site's reply frame, and unpack it into its
-    /// step replies: a chain is answered by its step replies' frames; a
-    /// bare step — or a frame the worker refused whole — by one reply
-    /// that is the entire frame. `slowest` keeps each step's slowest
-    /// site.
-    fn take_reply(
+    /// The send half of an exchange: charge, pace and send `site` its
+    /// chain. The reply is [`WorkerPool::receive`]'s; a stream keeps
+    /// pulls in flight between the two halves.
+    pub(crate) fn send(
         &self,
         site: usize,
-        len: usize,
-        response: Response,
-        stages: &[Stage],
-        slowest: &mut [u64],
+        chain: &Chain,
+        metrics: &mut QueryMetrics,
+    ) -> Result<(), EngineError> {
+        let envelope = chain.frame.len() - chain.steps.iter().map(|s| s.0).sum::<usize>();
+        let mut transfer = self.charge(chain.steps[0].1.of(metrics), 1, envelope);
+        for &(len, stage) in &chain.steps {
+            transfer += self.charge(stage.of(metrics), 0, len);
+        }
+        self.pace(transfer);
+        Ok(self.transport.send(site, chain.frame.clone())?)
+    }
+
+    /// The receive half of an exchange: `site`'s reply to `chain` under
+    /// the pool deadline, charged, paced and unpacked into its step
+    /// replies. A chain is answered by its step replies' frames; a bare
+    /// step — or a frame the worker refused whole — by one reply that is
+    /// the entire frame. `wave` keeps each step's slowest site.
+    pub(crate) fn receive(
+        &self,
+        site: usize,
+        chain: &Chain,
+        wave: &mut Wave,
         metrics: &mut QueryMetrics,
     ) -> Result<Vec<ResponseBody>, EngineError> {
+        debug_assert!(
+            chain
+                .steps
+                .iter()
+                .map(|s| s.1)
+                .eq(wave.steps.iter().map(|s| s.1)),
+            "the chains of one wave must have the same step stages"
+        );
+        let (len, response) = self.recv_routed(site)?;
         let mut undecodable = None;
         let steps: Vec<(usize, Response)> = match response.body {
-            ResponseBody::Chain(frames) if stages.len() > 1 => frames
+            ResponseBody::Chain(frames) if wave.steps.len() > 1 => frames
                 .into_iter()
                 .map(|frame| Ok((frame.len(), protocol::decode_response(frame)?)))
                 .collect::<Result<_, EngineError>>()
@@ -606,12 +622,12 @@ impl<'t> WorkerPool<'t> {
             _ => vec![(len, response)],
         };
         let envelope = len.saturating_sub(steps.iter().map(|s| s.0).sum());
-        let mut transfer = self.charge(stages[0].of(metrics), 1, envelope);
+        let mut transfer = self.charge(wave.steps[0].1.of(metrics), 1, envelope);
         let answered = steps.len();
         let mut bodies = Vec::with_capacity(answered);
-        for ((len, reply), (slow, stage)) in steps.into_iter().zip(slowest.iter_mut().zip(stages)) {
+        for ((len, reply), (slowest, stage)) in steps.into_iter().zip(wave.steps.iter_mut()) {
             transfer += self.charge(stage.of(metrics), 0, len);
-            *slow = (*slow).max(reply.elapsed_nanos);
+            *slowest = (*slowest).max(reply.elapsed_nanos);
             bodies.push(reply.body);
         }
         self.pace(transfer);
@@ -620,9 +636,9 @@ impl<'t> WorkerPool<'t> {
         }
         match bodies.last().and_then(|body| worker_failure(site, body)) {
             Some(e) => Err(e),
-            None if answered != stages.len() => Err(EngineError::Protocol(format!(
+            None if answered != wave.steps.len() => Err(EngineError::Protocol(format!(
                 "site {site} sent {answered} replies to a {}-step chain",
-                stages.len()
+                wave.steps.len()
             ))),
             None => Ok(bodies),
         }
@@ -636,8 +652,16 @@ impl<'t> WorkerPool<'t> {
     /// cover everything that crossed the wire. A dead site does not stop
     /// the release: every exchange reaches every site.
     pub fn release_quietly(&self, stage: &mut StageMetrics) {
+        self.release_quietly_skipping(None, stage);
+    }
+
+    /// [`WorkerPool::release_quietly`] to every site but `skip`: a site
+    /// that just timed out is left to the repair that follows, which
+    /// re-dials it (a worker's state is per connection), so the release
+    /// does not wait on it a second time.
+    pub(crate) fn release_quietly_skipping(&self, skip: Option<usize>, stage: &mut StageMetrics) {
         let frame = protocol::encode_request(&Request::ReleaseQuery { query: self.query });
-        let _ = self.broadcast_each(frame, stage);
+        let _ = self.broadcast_each(frame, skip, stage);
     }
 
     /// Probe every site's state-table occupancy ([`WorkerStatus`]),
@@ -652,7 +676,7 @@ impl<'t> WorkerPool<'t> {
     /// site fails only its own entry.
     pub fn site_statuses(&self) -> Vec<Result<WorkerStatus, EngineError>> {
         let frame = protocol::encode_request(&Request::WorkerStatus { query: self.query });
-        let outcomes = self.broadcast_each(frame, &mut StageMetrics::default());
+        let outcomes = self.broadcast_each(frame, None, &mut StageMetrics::default());
         outcomes
             .into_iter()
             .map(|outcome| match outcome? {
@@ -740,7 +764,7 @@ impl Stage {
 
 /// What one site is sent in one phase: its steps as a single frame — a
 /// [`Request::Chain`], or the bare step when there is only one — plus
-/// what [`WorkerPool::run_phase`] needs to charge each step to its stage.
+/// what the pool needs to charge each step to its stage.
 #[derive(Debug, Clone)]
 pub struct Chain {
     frame: Bytes,
@@ -762,6 +786,33 @@ impl Chain {
         Chain {
             frame,
             steps: steps.iter().map(|(f, stage)| (f.len(), *stage)).collect(),
+        }
+    }
+}
+
+/// The replies of one wave of same-shaped chains — a phase, or a
+/// stream's pulls received together: each step's slowest site, which
+/// becomes that step's stage wall once the wave is in (sites overlap; a
+/// step ends when its slowest site does).
+#[derive(Debug)]
+pub(crate) struct Wave {
+    /// Per step: the slowest site's compute so far, in nanoseconds, and
+    /// the stage it is charged to.
+    steps: Vec<(u64, Stage)>,
+}
+
+impl Wave {
+    /// An empty wave of chains shaped like `chain`.
+    pub(crate) fn new(chain: &Chain) -> Wave {
+        Wave {
+            steps: chain.steps.iter().map(|&(_, stage)| (0, stage)).collect(),
+        }
+    }
+
+    /// Add each step's slowest site to its stage's wall.
+    pub(crate) fn finish(self, metrics: &mut QueryMetrics) {
+        for (nanos, stage) in self.steps {
+            stage.of(metrics).wall += Duration::from_nanos(nanos);
         }
     }
 }

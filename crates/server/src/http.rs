@@ -320,16 +320,21 @@ pub fn write_chunked_head(
 ///
 /// Bytes written accumulate in an internal buffer; once it reaches the
 /// threshold they ship as one `{len:x}\r\n…\r\n` chunk, so row-at-a-time
-/// writers produce sanely-sized chunks instead of one per row. Zero-size
-/// chunks are never emitted mid-body (a zero chunk terminates chunked
-/// encoding); [`ChunkedWriter::finish`] flushes the tail and writes the
-/// `0\r\n\r\n` terminator. Dropping the writer *without* `finish`
-/// deliberately leaves the body unterminated — a client then sees a
-/// truncated response rather than a silently complete-looking one, which
-/// is exactly what a mid-stream engine failure must look like.
+/// writers produce sanely-sized chunks instead of one per row. A chunk
+/// leaves in **one write**: the buffer keeps room for the size line in
+/// front of the payload, and the CRLF goes behind it — the last chunk
+/// also carries the terminator. Zero-size chunks are never emitted
+/// mid-body (a zero chunk terminates chunked encoding);
+/// [`ChunkedWriter::finish`] flushes the tail and writes the `0\r\n\r\n`
+/// terminator. Dropping the writer *without* `finish` deliberately
+/// leaves the body unterminated — a client then sees a truncated
+/// response rather than a silently complete-looking one, which is
+/// exactly what a mid-stream engine failure must look like.
 #[derive(Debug)]
 pub struct ChunkedWriter<W: Write> {
     sink: W,
+    /// [`SIZE_LINE_ROOM`] bytes of room for the size line, then the
+    /// payload so far.
     buf: Vec<u8>,
     threshold: usize,
 }
@@ -337,6 +342,9 @@ pub struct ChunkedWriter<W: Write> {
 /// Default chunk-size threshold: small enough for quick first bytes,
 /// large enough to amortize chunk framing.
 pub const DEFAULT_CHUNK_THRESHOLD: usize = 8 * 1024;
+
+/// Room for a chunk's size line: 16 hex digits (a 64-bit length) + CRLF.
+const SIZE_LINE_ROOM: usize = 18;
 
 impl<W: Write> ChunkedWriter<W> {
     /// A writer flushing chunks of about [`DEFAULT_CHUNK_THRESHOLD`].
@@ -349,28 +357,39 @@ impl<W: Write> ChunkedWriter<W> {
     pub fn with_threshold(sink: W, threshold: usize) -> ChunkedWriter<W> {
         ChunkedWriter {
             sink,
-            buf: Vec::new(),
+            buf: vec![0; SIZE_LINE_ROOM],
             threshold: threshold.max(1),
         }
     }
 
-    fn flush_chunk(&mut self) -> std::io::Result<()> {
-        if self.buf.is_empty() {
+    /// Send the buffered payload as one chunk — followed by the
+    /// terminator when `last` — in one write, and flush.
+    fn write_chunk(&mut self, last: bool) -> std::io::Result<()> {
+        let len = self.buf.len() - SIZE_LINE_ROOM;
+        let mut start = SIZE_LINE_ROOM;
+        if len > 0 {
+            let mut line = [0u8; SIZE_LINE_ROOM];
+            let mut rest = &mut line[..];
+            write!(rest, "{len:x}\r\n")?;
+            let written = SIZE_LINE_ROOM - rest.len();
+            start -= written;
+            self.buf[start..SIZE_LINE_ROOM].copy_from_slice(&line[..written]);
+            self.buf.extend_from_slice(b"\r\n");
+        } else if !last {
             return Ok(());
         }
-        write!(self.sink, "{:x}\r\n", self.buf.len())?;
-        self.sink.write_all(&self.buf)?;
-        self.sink.write_all(b"\r\n")?;
-        self.buf.clear();
+        if last {
+            self.buf.extend_from_slice(b"0\r\n\r\n");
+        }
+        self.sink.write_all(&self.buf[start..])?;
+        self.buf.truncate(SIZE_LINE_ROOM);
         self.sink.flush()
     }
 
     /// Flush any buffered tail, write the terminating zero chunk, and
     /// return the sink.
     pub fn finish(mut self) -> std::io::Result<W> {
-        self.flush_chunk()?;
-        self.sink.write_all(b"0\r\n\r\n")?;
-        self.sink.flush()?;
+        self.write_chunk(true)?;
         Ok(self.sink)
     }
 }
@@ -378,14 +397,14 @@ impl<W: Write> ChunkedWriter<W> {
 impl<W: Write> Write for ChunkedWriter<W> {
     fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
         self.buf.extend_from_slice(data);
-        if self.buf.len() >= self.threshold {
-            self.flush_chunk()?;
+        if self.buf.len() - SIZE_LINE_ROOM >= self.threshold {
+            self.write_chunk(false)?;
         }
         Ok(data.len())
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        self.flush_chunk()
+        self.write_chunk(false)
     }
 }
 

@@ -32,11 +32,22 @@ use gstored::rdf::{Literal, Term};
 use crate::negotiate::ResultFormat;
 
 /// A streaming result-set writer: head, then rows, then the tail.
+///
+/// Each row is encoded into one reused byte buffer — terms escaped in
+/// place, byte by byte — and leaves in one `write_all`, so once the
+/// buffer has grown to the widest row, writing a row allocates nothing.
+/// The string formatters below ([`json_escape`], [`xml_escape_text`],
+/// [`xml_escape_attr`], [`tsv_term`], [`csv_term`]) are the reference
+/// the encoder is tested against, byte for byte.
 #[derive(Debug)]
 pub struct SolutionWriter<W: Write> {
     sink: W,
     format: ResultFormat,
-    variables: Vec<String>,
+    /// Per variable, the bytes that open its binding, escaped once: JSON
+    /// `"name":`, XML `    <binding name="name">`; empty for TSV/CSV.
+    openers: Vec<Vec<u8>>,
+    /// The row being encoded.
+    row: Vec<u8>,
     rows: usize,
 }
 
@@ -80,10 +91,21 @@ impl<W: Write> SolutionWriter<W> {
                 sink.write_all(b"\r\n")?;
             }
         }
+        let openers = variables
+            .iter()
+            .map(|name| match format {
+                ResultFormat::Json => format!("\"{}\":", json_escape(name)).into_bytes(),
+                ResultFormat::Xml => {
+                    format!("    <binding name=\"{}\">", xml_escape_attr(name)).into_bytes()
+                }
+                ResultFormat::Tsv | ResultFormat::Csv => Vec::new(),
+            })
+            .collect();
         Ok(SolutionWriter {
             sink,
             format,
-            variables: variables.to_vec(),
+            openers,
+            row: Vec::new(),
             rows: 0,
         })
     }
@@ -91,51 +113,54 @@ impl<W: Write> SolutionWriter<W> {
     /// Append one solution. `row` must bind the writer's variables in
     /// projection order; `None` is an unbound variable.
     pub fn write_row(&mut self, row: &[Option<&Term>]) -> std::io::Result<()> {
-        debug_assert_eq!(row.len(), self.variables.len());
+        debug_assert_eq!(row.len(), self.openers.len());
+        let out = &mut self.row;
+        out.clear();
+        let bound = self
+            .openers
+            .iter()
+            .zip(row)
+            .filter_map(|(o, t)| Some((o, (*t)?)));
         match self.format {
             ResultFormat::Json => {
                 if self.rows > 0 {
-                    self.sink.write_all(b",")?;
+                    out.push(b',');
                 }
-                let mut bindings = Vec::new();
-                for (name, term) in self.variables.iter().zip(row) {
-                    if let Some(term) = term {
-                        bindings.push(format!("\"{}\":{}", json_escape(name), json_term(term)));
+                out.push(b'{');
+                for (i, (opener, term)) in bound.enumerate() {
+                    if i > 0 {
+                        out.push(b',');
                     }
+                    out.extend_from_slice(opener);
+                    encode_json_term(out, term);
                 }
-                write!(self.sink, "{{{}}}", bindings.join(","))?;
+                out.push(b'}');
             }
             ResultFormat::Xml => {
-                self.sink.write_all(b"  <result>\n")?;
-                for (name, term) in self.variables.iter().zip(row) {
-                    if let Some(term) = term {
-                        writeln!(
-                            self.sink,
-                            "    <binding name=\"{}\">{}</binding>",
-                            xml_escape_attr(name),
-                            xml_term(term)
-                        )?;
+                out.extend_from_slice(b"  <result>\n");
+                for (opener, term) in bound {
+                    out.extend_from_slice(opener);
+                    encode_xml_term(out, term);
+                    out.extend_from_slice(b"</binding>\n");
+                }
+                out.extend_from_slice(b"  </result>\n");
+            }
+            ResultFormat::Tsv | ResultFormat::Csv => {
+                let tsv = self.format == ResultFormat::Tsv;
+                for (i, term) in row.iter().enumerate() {
+                    if i > 0 {
+                        out.push(if tsv { b'\t' } else { b',' });
+                    }
+                    match term {
+                        Some(term) if tsv => encode_tsv_term(out, term),
+                        Some(term) => encode_csv_term(out, term),
+                        None => {}
                     }
                 }
-                self.sink.write_all(b"  </result>\n")?;
-            }
-            ResultFormat::Tsv => {
-                let fields: Vec<String> = row
-                    .iter()
-                    .map(|t| t.map(tsv_term).unwrap_or_default())
-                    .collect();
-                self.sink.write_all(fields.join("\t").as_bytes())?;
-                self.sink.write_all(b"\n")?;
-            }
-            ResultFormat::Csv => {
-                let fields: Vec<String> = row
-                    .iter()
-                    .map(|t| t.map(csv_term).unwrap_or_default())
-                    .collect();
-                self.sink.write_all(fields.join(",").as_bytes())?;
-                self.sink.write_all(b"\r\n")?;
+                out.extend_from_slice(if tsv { b"\n" } else { b"\r\n" });
             }
         }
+        self.sink.write_all(&self.row)?;
         self.rows += 1;
         Ok(())
     }
@@ -154,6 +179,163 @@ impl<W: Write> SolutionWriter<W> {
         }
         self.sink.flush()?;
         Ok(self.sink)
+    }
+}
+
+/// Append `s` to `out`, replacing each byte `escape` maps to a
+/// replacement and copying the runs in between whole. Every byte the
+/// escapers replace is ASCII, so a multi-byte character is never split.
+fn encode_escaped(out: &mut Vec<u8>, s: &str, escape: impl Fn(u8) -> Option<&'static [u8]>) {
+    let bytes = s.as_bytes();
+    let mut run = 0;
+    for (i, &b) in bytes.iter().enumerate() {
+        if let Some(replacement) = escape(b) {
+            out.extend_from_slice(&bytes[run..i]);
+            out.extend_from_slice(replacement);
+            run = i + 1;
+        }
+    }
+    out.extend_from_slice(&bytes[run..]);
+}
+
+/// [`json_escape`], appended to `out`.
+fn encode_json_string(out: &mut Vec<u8>, s: &str) {
+    /// `\u00XX` for every control byte, indexed by the byte.
+    const CONTROL: [[u8; 6]; 0x20] = {
+        let hex = b"0123456789abcdef";
+        let mut table = [[0u8; 6]; 0x20];
+        let mut b = 0;
+        while b < 0x20 {
+            table[b] = [b'\\', b'u', b'0', b'0', hex[b >> 4], hex[b & 0xf]];
+            b += 1;
+        }
+        table
+    };
+    encode_escaped(out, s, |b| {
+        backslash_escape(b).or_else(|| (b < 0x20).then(|| &CONTROL[b as usize][..]))
+    });
+}
+
+/// The backslash escapes JSON strings and N-Triples literal bodies
+/// share.
+fn backslash_escape(b: u8) -> Option<&'static [u8]> {
+    match b {
+        b'"' => Some(b"\\\""),
+        b'\\' => Some(b"\\\\"),
+        b'\n' => Some(b"\\n"),
+        b'\r' => Some(b"\\r"),
+        b'\t' => Some(b"\\t"),
+        _ => None,
+    }
+}
+
+fn encode_json_term(out: &mut Vec<u8>, term: &Term) {
+    let (kind, value) = match term {
+        Term::Iri(iri) => ("uri", iri),
+        Term::Blank(label) => ("bnode", label),
+        Term::Literal(l) => ("literal", &l.lexical),
+    };
+    out.extend_from_slice(b"{\"type\":\"");
+    out.extend_from_slice(kind.as_bytes());
+    out.extend_from_slice(b"\",\"value\":\"");
+    encode_json_string(out, value);
+    out.push(b'"');
+    if let Term::Literal(l) = term {
+        let annotation = match (&l.language, &l.datatype) {
+            (Some(tag), _) => Some((&b",\"xml:lang\":\""[..], tag)),
+            (None, Some(dt)) => Some((&b",\"datatype\":\""[..], dt)),
+            (None, None) => None,
+        };
+        if let Some((key, value)) = annotation {
+            out.extend_from_slice(key);
+            encode_json_string(out, value);
+            out.push(b'"');
+        }
+    }
+    out.push(b'}');
+}
+
+/// [`xml_escape_text`] (`attr == false`) or [`xml_escape_attr`],
+/// appended to `out`.
+fn encode_xml_string(out: &mut Vec<u8>, s: &str, attr: bool) {
+    encode_escaped(out, s, |b| match b {
+        b'&' => Some(b"&amp;"),
+        b'<' => Some(b"&lt;"),
+        b'>' => Some(b"&gt;"),
+        b'"' if attr => Some(b"&quot;"),
+        _ => None,
+    });
+}
+
+fn encode_xml_term(out: &mut Vec<u8>, term: &Term) {
+    let (open, value, close): (&[u8], &str, &[u8]) = match term {
+        Term::Iri(iri) => (b"<uri>", iri, b"</uri>"),
+        Term::Blank(label) => (b"<bnode>", label, b"</bnode>"),
+        Term::Literal(l) => {
+            match (&l.language, &l.datatype) {
+                (Some(tag), _) => {
+                    out.extend_from_slice(b"<literal xml:lang=\"");
+                    encode_xml_string(out, tag, true);
+                    out.extend_from_slice(b"\">");
+                }
+                (None, Some(dt)) => {
+                    out.extend_from_slice(b"<literal datatype=\"");
+                    encode_xml_string(out, dt, true);
+                    out.extend_from_slice(b"\">");
+                }
+                (None, None) => out.extend_from_slice(b"<literal>"),
+            }
+            (b"", &l.lexical, b"</literal>")
+        }
+    };
+    out.extend_from_slice(open);
+    encode_xml_string(out, value, false);
+    out.extend_from_slice(close);
+}
+
+/// [`tsv_term`], appended to `out`.
+fn encode_tsv_term(out: &mut Vec<u8>, term: &Term) {
+    match term {
+        Term::Iri(iri) => {
+            out.push(b'<');
+            out.extend_from_slice(iri.as_bytes());
+            out.push(b'>');
+        }
+        Term::Blank(label) => {
+            out.extend_from_slice(b"_:");
+            out.extend_from_slice(label.as_bytes());
+        }
+        Term::Literal(l) => {
+            out.push(b'"');
+            encode_escaped(out, &l.lexical, backslash_escape);
+            out.push(b'"');
+            if let Some(tag) = &l.language {
+                out.push(b'@');
+                out.extend_from_slice(tag.as_bytes());
+            } else if let Some(dt) = &l.datatype {
+                out.extend_from_slice(b"^^<");
+                out.extend_from_slice(dt.as_bytes());
+                out.push(b'>');
+            }
+        }
+    }
+}
+
+/// [`csv_term`], appended to `out`.
+fn encode_csv_term(out: &mut Vec<u8>, term: &Term) {
+    let (prefix, value): (&[u8], &str) = match term {
+        Term::Iri(iri) => (b"", iri),
+        Term::Blank(label) => (b"_:", label),
+        Term::Literal(l) => (b"", &l.lexical),
+    };
+    if value.contains([',', '"', '\n', '\r']) {
+        out.push(b'"');
+        out.extend_from_slice(prefix);
+        encode_escaped(out, value, |b| (b == b'"').then_some(&b"\"\""[..]));
+        out.push(b'"');
+    } else {
+        out.extend_from_slice(prefix);
+        out.extend_from_slice(value.as_bytes());
     }
 }
 
@@ -193,35 +375,6 @@ pub fn json_escape(s: &str) -> String {
     out
 }
 
-fn json_term(term: &Term) -> String {
-    match term {
-        Term::Iri(iri) => format!("{{\"type\":\"uri\",\"value\":\"{}\"}}", json_escape(iri)),
-        Term::Blank(label) => {
-            format!(
-                "{{\"type\":\"bnode\",\"value\":\"{}\"}}",
-                json_escape(label)
-            )
-        }
-        Term::Literal(Literal {
-            lexical,
-            language,
-            datatype,
-        }) => {
-            let mut out = format!(
-                "{{\"type\":\"literal\",\"value\":\"{}\"",
-                json_escape(lexical)
-            );
-            if let Some(tag) = language {
-                out.push_str(&format!(",\"xml:lang\":\"{}\"", json_escape(tag)));
-            } else if let Some(dt) = datatype {
-                out.push_str(&format!(",\"datatype\":\"{}\"", json_escape(dt)));
-            }
-            out.push('}');
-            out
-        }
-    }
-}
-
 /// Escape text content for XML (`&`, `<`, `>`).
 pub fn xml_escape_text(s: &str) -> String {
     s.replace('&', "&amp;")
@@ -232,34 +385,6 @@ pub fn xml_escape_text(s: &str) -> String {
 /// Escape an XML attribute value (text rules plus `"`).
 pub fn xml_escape_attr(s: &str) -> String {
     xml_escape_text(s).replace('"', "&quot;")
-}
-
-fn xml_term(term: &Term) -> String {
-    match term {
-        Term::Iri(iri) => format!("<uri>{}</uri>", xml_escape_text(iri)),
-        Term::Blank(label) => format!("<bnode>{}</bnode>", xml_escape_text(label)),
-        Term::Literal(Literal {
-            lexical,
-            language,
-            datatype,
-        }) => {
-            if let Some(tag) = language {
-                format!(
-                    "<literal xml:lang=\"{}\">{}</literal>",
-                    xml_escape_attr(tag),
-                    xml_escape_text(lexical)
-                )
-            } else if let Some(dt) = datatype {
-                format!(
-                    "<literal datatype=\"{}\">{}</literal>",
-                    xml_escape_attr(dt),
-                    xml_escape_text(lexical)
-                )
-            } else {
-                format!("<literal>{}</literal>", xml_escape_text(lexical))
-            }
-        }
-    }
 }
 
 /// One term in TSV syntax: N-Triples, which [`Term`]'s `Display` already

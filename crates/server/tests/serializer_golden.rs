@@ -9,7 +9,8 @@
 
 use gstored::rdf::{Literal, Term};
 use gstored_server::serializer::{
-    csv_field, csv_term, parse_tsv_term, split_csv_row, split_tsv_row, tsv_term,
+    csv_field, csv_term, json_escape, parse_tsv_term, split_csv_row, split_tsv_row, tsv_term,
+    xml_escape_attr, xml_escape_text,
 };
 use gstored_server::{serialize_rows, ResultFormat};
 use proptest::prelude::*;
@@ -146,8 +147,177 @@ fn palette_string(indices: &[usize]) -> String {
         .collect()
 }
 
+/// How many characters [`hostile_string`] draws from: [`PALETTE`], then
+/// every control byte below 0x20 (the JSON escaper's `\u00XX` branch).
+const HOSTILE_CHARS: usize = PALETTE.len() + 0x20;
+
+/// A string of [`PALETTE`] characters and control bytes, for the
+/// writer-equivalence property.
+fn hostile_string(indices: &[usize]) -> String {
+    indices
+        .iter()
+        .map(|&i| match i.checked_sub(PALETTE.len()) {
+            Some(control) => char::from(control as u8),
+            None => PALETTE[i],
+        })
+        .collect()
+}
+
+/// One random cell: `kind` picks unbound, IRI, blank node, plain,
+/// language-tagged or typed literal; `a` is its value and `b` its tag or
+/// datatype.
+fn hostile_term(kind: usize, a: &[usize], b: &[usize]) -> Option<Term> {
+    let (a, b) = (hostile_string(a), hostile_string(b));
+    match kind {
+        0 => None,
+        1 => Some(Term::iri(a)),
+        2 => Some(Term::blank(a)),
+        3 => Some(Term::lit(a)),
+        4 => Some(Term::lang_lit(a, b)),
+        _ => Some(Term::Literal(Literal::typed(a, b))),
+    }
+}
+
+/// The document the row writer must produce, built the way the server
+/// built it before rows were encoded in place: one `String` per term
+/// from the reference formatters.
+fn reference_document(
+    format: ResultFormat,
+    variables: &[String],
+    rows: &[Vec<Option<Term>>],
+) -> String {
+    let mut doc = String::from_utf8(serialize_rows(format, variables, Vec::new())).unwrap();
+    let tail = match format {
+        ResultFormat::Json => "]}}",
+        ResultFormat::Xml => "</results>\n</sparql>\n",
+        ResultFormat::Tsv | ResultFormat::Csv => "",
+    };
+    doc.truncate(doc.len() - tail.len());
+    for (n, row) in rows.iter().enumerate() {
+        let bound = variables
+            .iter()
+            .zip(row)
+            .filter_map(|(v, t)| Some((v, t.as_ref()?)));
+        match format {
+            ResultFormat::Json => {
+                let fields: Vec<String> = bound
+                    .map(|(v, t)| format!("\"{}\":{}", json_escape(v), json_term(t)))
+                    .collect();
+                let separator = if n > 0 { "," } else { "" };
+                doc.push_str(&format!("{separator}{{{}}}", fields.join(",")));
+            }
+            ResultFormat::Xml => {
+                doc.push_str("  <result>\n");
+                for (v, t) in bound {
+                    doc.push_str(&format!(
+                        "    <binding name=\"{}\">{}</binding>\n",
+                        xml_escape_attr(v),
+                        xml_term(t)
+                    ));
+                }
+                doc.push_str("  </result>\n");
+            }
+            ResultFormat::Tsv => {
+                let fields: Vec<String> = row
+                    .iter()
+                    .map(|t| t.as_ref().map(tsv_term).unwrap_or_default())
+                    .collect();
+                doc.push_str(&fields.join("\t"));
+                doc.push('\n');
+            }
+            ResultFormat::Csv => {
+                let fields: Vec<String> = row
+                    .iter()
+                    .map(|t| t.as_ref().map(csv_term).unwrap_or_default())
+                    .collect();
+                doc.push_str(&fields.join(","));
+                doc.push_str("\r\n");
+            }
+        }
+    }
+    doc.push_str(tail);
+    doc
+}
+
+fn json_term(term: &Term) -> String {
+    let (kind, value) = match term {
+        Term::Iri(iri) => ("uri", iri),
+        Term::Blank(label) => ("bnode", label),
+        Term::Literal(l) => ("literal", &l.lexical),
+    };
+    let mut out = format!("{{\"type\":\"{kind}\",\"value\":\"{}\"", json_escape(value));
+    if let Term::Literal(l) = term {
+        if let Some(tag) = &l.language {
+            out.push_str(&format!(",\"xml:lang\":\"{}\"", json_escape(tag)));
+        } else if let Some(dt) = &l.datatype {
+            out.push_str(&format!(",\"datatype\":\"{}\"", json_escape(dt)));
+        }
+    }
+    out.push('}');
+    out
+}
+
+fn xml_term(term: &Term) -> String {
+    match term {
+        Term::Iri(iri) => format!("<uri>{}</uri>", xml_escape_text(iri)),
+        Term::Blank(label) => format!("<bnode>{}</bnode>", xml_escape_text(label)),
+        Term::Literal(l) => {
+            let body = xml_escape_text(&l.lexical);
+            match (&l.language, &l.datatype) {
+                (Some(tag), _) => format!(
+                    "<literal xml:lang=\"{}\">{body}</literal>",
+                    xml_escape_attr(tag)
+                ),
+                (None, Some(dt)) => format!(
+                    "<literal datatype=\"{}\">{body}</literal>",
+                    xml_escape_attr(dt)
+                ),
+                (None, None) => format!("<literal>{body}</literal>"),
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// The row writer encodes terms in place into one reused buffer; on
+    /// random rows of every term kind, unbound cells and every byte an
+    /// escaper handles, its bytes equal the reference formatters'
+    /// documents in all four formats.
+    #[test]
+    fn row_writer_equals_the_reference_formatters(
+        width in 1usize..5,
+        names in prop::collection::vec(prop::collection::vec(0usize..HOSTILE_CHARS, 1..6), 4..5),
+        cells in prop::collection::vec(
+            (
+                0usize..6,
+                prop::collection::vec(0usize..HOSTILE_CHARS, 0..12),
+                prop::collection::vec(0usize..HOSTILE_CHARS, 0..5),
+            ),
+            0..24,
+        ),
+    ) {
+        let variables: Vec<String> = names[..width].iter().map(|n| hostile_string(n)).collect();
+        let terms: Vec<Option<Term>> = cells.iter().map(|(k, a, b)| hostile_term(*k, a, b)).collect();
+        let rows: Vec<Vec<Option<Term>>> = terms
+            .chunks(width)
+            .map(|chunk| {
+                let mut row = chunk.to_vec();
+                row.resize(width, None);
+                row
+            })
+            .collect();
+        for format in ResultFormat::ALL {
+            let written = serialize_rows(
+                format,
+                &variables,
+                rows.iter().map(|row| row.iter().map(|t| t.as_ref()).collect()),
+            );
+            let written = String::from_utf8(written).expect("the writer emits UTF-8");
+            prop_assert_eq!(written, reference_document(format, &variables, &rows));
+        }
+    }
 
     #[test]
     fn tsv_plain_literal_roundtrips(indices in prop::collection::vec(0usize..21, 0..24)) {

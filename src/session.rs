@@ -855,7 +855,7 @@ impl<'s> PreparedQuery<'s> {
 
     /// [`PreparedQuery::stream`] with an explicit survivor-chunk size:
     /// at most `chunk` LPMs per `SurvivorsChunk` reply (clamped to ≥ 1),
-    /// one site per pull. `usize::MAX` means each site ships everything
+    /// one site per pull, up to two pulls in flight. `usize::MAX` means each site ships everything
     /// in one chunk and every site is pulled at once — what
     /// [`PreparedQuery::execute`] runs. Chunk size never changes the
     /// solution set — only frame sizes and the arrival interleaving.

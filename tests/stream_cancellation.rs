@@ -8,11 +8,14 @@
 //! protocol broadcast (`ReleaseQuery`), not an in-process shortcut.
 
 use std::net::TcpListener;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
+use bytes::Bytes;
 use gstored::core::engine::Backend;
 use gstored::core::worker::{serve_tcp, with_in_process_workers};
 use gstored::core::{ReplyRouter, WorkerPool};
-use gstored::net::{NetworkModel, Transport};
+use gstored::net::{NetworkModel, Transport, TransportError};
 use gstored::prelude::*;
 use gstored::rdf::Triple;
 use gstored::{GStoreD, DEFAULT_STREAM_CHUNK};
@@ -203,4 +206,103 @@ fn completed_streams_match_execute_and_release_on_both_backends() {
             assert_fleet_drained(&session, &format!("{name}, completed, {query}"));
         }
     }
+}
+
+/// A fleet that counts the frames it sends and receives.
+struct Counting<'t> {
+    inner: &'t dyn Transport,
+    sent: AtomicU64,
+    received: AtomicU64,
+}
+
+impl<'t> Counting<'t> {
+    fn new(inner: &'t dyn Transport) -> Self {
+        Counting {
+            inner,
+            sent: AtomicU64::new(0),
+            received: AtomicU64::new(0),
+        }
+    }
+
+    /// Frames `(sent, received)` so far.
+    fn totals(&self) -> (u64, u64) {
+        (
+            self.sent.load(Ordering::Relaxed),
+            self.received.load(Ordering::Relaxed),
+        )
+    }
+}
+
+impl Transport for Counting<'_> {
+    fn sites(&self) -> usize {
+        self.inner.sites()
+    }
+    fn send(&self, site: usize, frame: Bytes) -> Result<(), TransportError> {
+        self.sent.fetch_add(1, Ordering::Relaxed);
+        self.inner.send(site, frame)
+    }
+    fn recv_deadline(&self, site: usize, deadline: Instant) -> Result<Bytes, TransportError> {
+        let frame = self.inner.recv_deadline(site, deadline)?;
+        self.received.fetch_add(1, Ordering::Relaxed);
+        Ok(frame)
+    }
+}
+
+/// Cancelling a stream with pulls in flight — right after its first
+/// row, as a dropped iterator or a filled `LIMIT 1` does, and deeper in
+/// — receives those pulls before it releases, on both backends. The
+/// release then reads its own acks, so no frame of the query is left on
+/// a connection (a probe under the same query id reads its own replies),
+/// every worker table drains, and the pulls wasted — received by the
+/// cancel and dropped — are at most the pipeline depth, two.
+#[test]
+fn cancelling_with_pulls_in_flight_wastes_at_most_two_and_leaves_nothing_behind() {
+    let dist = DistributedGraph::build(dense_star(40), &HashPartitioner::new(3));
+    let tcp = Engine::new(EngineConfig {
+        backend: Backend::Tcp {
+            workers: spawn_tcp_fleet(3),
+        },
+        ..EngineConfig::default()
+    });
+    let remote = tcp.connect_workers(&dist).unwrap();
+    let engine = Engine::new(EngineConfig::default());
+    let mut most_wasted = 0;
+    with_in_process_workers(&dist, |local| {
+        let fleets: [(&str, &dyn Transport); 2] = [("in-process", local), ("tcp", &remote)];
+        for (name, fleet) in fleets {
+            let router = ReplyRouter::new(fleet.sites());
+            let mut id = 0;
+            for query in [STAR_QUERY, PATH_QUERY] {
+                let query_graph = QueryGraph::from_query(&parse_query(query).unwrap()).unwrap();
+                let plan = PreparedPlan::new(query_graph, dist.dict()).unwrap();
+                for taken in [1, 2, 5, 17] {
+                    id += 1;
+                    let context = format!("{name}, {taken} rows of {query}");
+                    let counting = Counting::new(fleet);
+                    let mut stream = engine
+                        .start_stream(&counting, &router, &dist, &plan, QueryId(id), 1)
+                        .unwrap();
+                    for _ in 0..taken {
+                        let row = stream.next_binding(&counting, &router).unwrap();
+                        assert!(row.is_some(), "{context}");
+                    }
+                    let (sent, received) = counting.totals();
+                    stream.cancel(&counting, &router);
+                    let (sent_now, received_now) = counting.totals();
+                    // Each release frame is answered by one ack; the
+                    // other replies the cancel read are drained pulls.
+                    let wasted = (received_now - received) - (sent_now - sent);
+                    assert!(wasted <= 2, "{context}: {wasted} pulls wasted");
+                    most_wasted = most_wasted.max(wasted);
+                    let probe =
+                        WorkerPool::new(fleet, &router, NetworkModel::instant(), QueryId(id));
+                    for (site, status) in probe.worker_status().unwrap().iter().enumerate() {
+                        assert_eq!(status.resident_queries, 0, "{context}: site {site}");
+                        assert_eq!(status.resident_lpms, 0, "{context}: site {site}");
+                    }
+                }
+            }
+        }
+    });
+    assert!(most_wasted > 0, "no case cancelled with a pull in flight");
 }
