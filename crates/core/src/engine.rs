@@ -14,7 +14,8 @@
 //!    **stay at the site**.
 //! 3. *(LO/Full)* **LEC optimization** — `ComputeLecFeatures` ships only
 //!    the features (Algorithm 1); the coordinator prunes (Algorithm 2)
-//!    and tells the sites the surviving feature ids via `DropPruned`.
+//!    and tells each site, via its own `DropPruned`, which of *its*
+//!    features survived — every surviving id crosses the wire once.
 //! 4. **Assembly** — `ShipSurvivorsChunk` moves the surviving LPMs to
 //!    the coordinator, which joins them: the LECSign delta join of
 //!    Algorithm 3 ([`IncrementalJoin`]) as they arrive for LA/LO/Full,
@@ -457,7 +458,7 @@ impl Engine {
         let mode = if born_drained {
             // Nothing was installed anywhere; no site is ever pulled.
             StreamMode::General {
-                drop_pruned: None,
+                drop_pruned: Vec::new(),
                 join,
             }
         } else if shape.is_star() {
@@ -527,16 +528,17 @@ impl Engine {
     ///
     /// `variant` is the explicit variant to run (`Auto` already
     /// resolved). Returns the local complete matches and, when pruning
-    /// ran, the encoded `DropPruned` verdict — *not yet sent*: it heads
-    /// the stream's first pull of each site. Afterwards every site holds
-    /// its LPMs.
+    /// ran, one encoded `DropPruned` verdict per site holding only the
+    /// surviving ids in that site's range — *not yet sent*: each heads
+    /// the stream's first pull of its site, so every surviving id
+    /// crosses the wire once. Afterwards every site holds its LPMs.
     fn prepare_survivors(
         &self,
         pool: &WorkerPool<'_>,
         plan: &PreparedPlan,
         variant: Variant,
         metrics: &mut QueryMetrics,
-    ) -> Result<(Vec<Vec<VertexId>>, Option<Bytes>), EngineError> {
+    ) -> Result<(Vec<Vec<VertexId>>, Vec<Bytes>), EngineError> {
         let q = plan.encoded();
         let query = pool.query();
         let sites = pool.sites();
@@ -631,12 +633,12 @@ impl Engine {
             }
         }
         if !pruning {
-            return Ok((complete, None));
+            return Ok((complete, Vec::new()));
         }
 
         // --- Prune barrier: the coordinator ranks the features of the
-        // whole fleet (Algorithm 2); sites will drop the LPMs whose
-        // features lost ---
+        // whole fleet (Algorithm 2); each site will hear the ids of its
+        // own surviving features and drop the LPMs of the rest ---
         metrics.lec_features = all_features.len() as u64;
         let query_edges: Vec<(usize, usize)> = q.edges().iter().map(|e| (e.from, e.to)).collect();
         let useful: FxHashSet<u32> = metrics
@@ -644,8 +646,16 @@ impl Engine {
             .time(|| prune_features(&all_features, q.vertex_count(), &query_edges));
         let mut useful: Vec<u32> = useful.into_iter().collect();
         useful.sort_unstable();
-        let drop_pruned = protocol::encode_request(&Request::DropPruned { query, useful });
-        Ok((complete, Some(drop_pruned)))
+        // Site s owns ids `lec_first_id(s)..lec_first_id(s + 1)`, and
+        // `check_feature` held every feature to its site's range.
+        let start = |site| useful.partition_point(|&id| id < lec_first_id(site, sites));
+        let drop_pruned = (0..sites)
+            .map(|site| {
+                let useful = useful[start(site)..start(site + 1)].to_vec();
+                protocol::encode_request(&Request::DropPruned { query, useful })
+            })
+            .collect();
+        Ok((complete, drop_pruned))
     }
 }
 
@@ -687,9 +697,9 @@ enum StreamMode {
     /// General queries: `ShipSurvivorsChunk` pulls, joined at the
     /// coordinator.
     General {
-        /// The pruning verdict (LO/Full), sent to each site at the head
-        /// of its first pull.
-        drop_pruned: Option<Bytes>,
+        /// The pruning verdicts (LO/Full), one per site, each sent at the
+        /// head of that site's first pull; empty when no pruning ran.
+        drop_pruned: Vec<Bytes>,
         join: Join,
     },
 }
@@ -919,7 +929,7 @@ impl StreamState {
                     seq,
                     max: self.chunk,
                 });
-                let verdict = drop_pruned.as_ref().filter(|_| seq == 0);
+                let verdict = drop_pruned.get(site).filter(|_| seq == 0);
                 let mut steps = Vec::with_capacity(2);
                 steps.extend(verdict.map(|frame| (frame.clone(), Stage::LecOptimization)));
                 steps.push((pull, Stage::Assembly));
@@ -956,7 +966,7 @@ impl StreamState {
                 self.pending.extend(rows);
                 return Ok(());
             }
-            StreamMode::General { drop_pruned, .. } => drop_pruned.is_some(),
+            StreamMode::General { drop_pruned, .. } => !drop_pruned.is_empty(),
         };
         let seq = self.site_seq[site];
         let mut replies = bodies.into_iter();
@@ -1097,8 +1107,8 @@ impl StreamState {
 /// `site` in a fleet of `sites`. Deliberately independent of any LPM
 /// count: `ComputeLecFeatures` rides in the same chain as `PartialEval`,
 /// *before* any site has reported how many LPMs it found. Each site owns
-/// `u32::MAX / sites` ids — orders of magnitude beyond any realistic
-/// per-site feature count.
+/// `u32::MAX / sites` ids, `lec_first_id(site)..lec_first_id(site + 1)`
+/// — orders of magnitude beyond any realistic per-site feature count.
 fn lec_first_id(site: usize, sites: usize) -> u32 {
     (u32::MAX / sites as u32) * site as u32
 }

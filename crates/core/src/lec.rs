@@ -404,7 +404,15 @@ fn endpoint_bindings_agree(
 /// Algorithm 1: compress a fragment's local partial matches into its set
 /// of LEC features. Returns the deduplicated features (with `sources` set
 /// to their global ids starting at `first_id`) and, for each LPM, the
-/// index of its feature *within the returned vector*. Each LPM's
+/// index of its feature *within the returned vector*.
+///
+/// **Numbering contract:** feature *i* of the returned vector is global
+/// id `first_id + i`, and its `sources` is exactly `[first_id + i]`. A
+/// site worker relies on this to keep only `first_id` and the per-LPM
+/// indices once the features have shipped: a `DropPruned` verdict keeps
+/// LPM *j* iff `first_id + feature_of_lpm[j]` is among the useful ids.
+///
+/// Each LPM's
 /// crossing list is interned through a [`MappingInterner`], so dedup is a
 /// probe of an integer-keyed [`InternedFeatureKey`] map — the mapping
 /// `Vec` is hashed once per *distinct* mapping, not once per LPM.

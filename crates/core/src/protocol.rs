@@ -113,7 +113,37 @@ fn read_lpms(r: &mut WireReader) -> Result<Vec<LocalPartialMatch>, WireError> {
     Ok(out)
 }
 
+/// The running state of a feature-id list on the wire: each id is
+/// written as the zigzag-coded signed difference from the one before it
+/// (the first from 0), so the ascending, mostly consecutive ids one site
+/// owns cost a byte each rather than the five their size needs. Any
+/// order still round-trips, duplicates included; a difference that
+/// would leave the `u32` range is a decode error, never a wrap.
+#[derive(Default)]
+struct IdDeltas {
+    prev: u32,
+}
+
+impl IdDeltas {
+    fn write(&mut self, w: &mut WireWriter, id: u32) {
+        let delta = i64::from(id) - i64::from(self.prev);
+        w.u64(((delta << 1) ^ (delta >> 63)) as u64);
+        self.prev = id;
+    }
+
+    fn read(&mut self, r: &mut WireReader) -> Result<u32, WireError> {
+        let zigzag = r.u64()?;
+        let delta = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
+        self.prev = i64::from(self.prev)
+            .checked_add(delta)
+            .and_then(|id| u32::try_from(id).ok())
+            .ok_or(WireError("feature id delta leaves the u32 range"))?;
+        Ok(self.prev)
+    }
+}
+
 fn write_features(w: &mut WireWriter, features: &[LecFeature]) {
+    let mut ids = IdDeltas::default();
     w.usize(features.len());
     for f in features {
         w.u64(f.fragments);
@@ -123,13 +153,14 @@ fn write_features(w: &mut WireWriter, features: &[LecFeature]) {
         }
         w.u64(f.sign);
         w.usize(f.sources.len());
-        for s in &f.sources {
-            w.u64(u64::from(*s));
+        for &id in &f.sources {
+            ids.write(w, id);
         }
     }
 }
 
 fn read_features(r: &mut WireReader) -> Result<Vec<LecFeature>, WireError> {
+    let mut ids = IdDeltas::default();
     let n = read_batch_len(r, 1)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
@@ -144,7 +175,7 @@ fn read_features(r: &mut WireReader) -> Result<Vec<LecFeature>, WireError> {
         let sn = read_batch_len(r, 1)?;
         let mut sources = Vec::with_capacity(sn);
         for _ in 0..sn {
-            sources.push(r.u64()? as u32);
+            sources.push(ids.read(r)?);
         }
         out.push(LecFeature {
             fragments,
@@ -639,7 +670,9 @@ pub enum Request {
     DropPruned {
         /// The query being evaluated.
         query: QueryId,
-        /// Sorted global ids of the surviving original features.
+        /// Global ids of the surviving original features, sorted. The
+        /// engine sends each site only the ids in its own range
+        /// (`first_id` onwards); a worker ignores ids it does not own.
         useful: Vec<u32>,
     },
     /// Ship every surviving LPM in one `Survivors` reply, leaving the
@@ -767,8 +800,9 @@ pub fn encode_request(req: &Request) -> Bytes {
             w.u64(REQ_DROP_PRUNED)
                 .u32_fixed(query.0)
                 .usize(useful.len());
+            let mut ids = IdDeltas::default();
             for &id in useful {
-                w.u64(u64::from(id));
+                ids.write(&mut w, id);
             }
             w.finish()
         }
@@ -902,8 +936,9 @@ fn decode_request_in(
         REQ_DROP_PRUNED => {
             let n = read_batch_len(&mut r, 1)?;
             let mut useful = Vec::with_capacity(n);
+            let mut ids = IdDeltas::default();
             for _ in 0..n {
-                useful.push(r.u64()? as u32);
+                useful.push(ids.read(&mut r)?);
             }
             Request::DropPruned { query: qid, useful }
         }
@@ -1262,7 +1297,8 @@ mod tests {
 
     #[test]
     fn feature_ids_roundtrip() {
-        let ids = vec![0u32, 5, 1000, u32::MAX];
+        // Ascending, then backwards, repeated and at both ends of `u32`.
+        let ids = vec![0u32, 5, 1000, u32::MAX, 7, 7, 0, u32::MAX];
         let frame = encode_request(&Request::DropPruned {
             query: QueryId(3),
             useful: ids.clone(),
@@ -1503,6 +1539,21 @@ mod tests {
             ResponseBody::Ack,
         );
         assert_eq!(encode_response(&fast).len(), encode_response(&slow).len());
+    }
+
+    #[test]
+    fn reply_tag_sits_where_the_chaos_corruption_flips() {
+        // The `corrupt` fault must hit the tag, not a timing byte.
+        let at = gstored_net::REPLY_TAG_OFFSET;
+        let frame = encode_response(&Response::new(
+            Duration::from_nanos(u64::MAX),
+            QueryId(u32::MAX),
+            ResponseBody::Chain(vec![]),
+        ));
+        assert_eq!(u64::from(frame[at]), RESP_CHAIN);
+        let mut flipped = frame.to_vec();
+        flipped[at] ^= 0xE0;
+        assert!(decode_response(flipped.into()).is_err());
     }
 
     #[test]

@@ -3,12 +3,12 @@
 //! A [`SiteWorker`] owns its [`Fragment`] plus a **table of per-query
 //! state slots** keyed by [`QueryId`] (the installed query, its internal
 //! candidates until partial evaluation has read them, the candidate
-//! filter, the enumerated LPMs with their LEC features and survivor
-//! flags) and answers the typed [`Request`] messages of the engine's four
-//! stages. Because every per-query request names its query, one worker
-//! connection can serve the interleaved frames of many in-flight queries
-//! — the substrate of the concurrent multi-query runtime (see
-//! `docs/concurrency.md`). The same handler serves both transport
+//! filter, the enumerated LPMs with each one's LEC feature number and
+//! survivor flag) and answers the typed [`Request`] messages of the
+//! engine's four stages. Because every per-query request names its
+//! query, one worker connection can serve the interleaved frames of many
+//! in-flight queries — the substrate of the concurrent multi-query
+//! runtime (see `docs/concurrency.md`). The same handler serves both transport
 //! backends, so the frames — and therefore the shipment metrics — are
 //! identical whether sites are threads or remote processes.
 //!
@@ -51,7 +51,7 @@ use gstored_store::{
     LocalPartialMatch,
 };
 
-use crate::lec::{compute_lec_features, LecFeature};
+use crate::lec::compute_lec_features;
 use crate::protocol::{self, QueryId, Request, Response, ResponseBody, WorkerStatus};
 
 /// Default bound on resident queries per worker. Far above what the
@@ -99,7 +99,10 @@ struct QueryState {
     /// them; they go with the slot otherwise.
     candidates: Option<Vec<Vec<VertexId>>>,
     lpms: Vec<LocalPartialMatch>,
-    features: Vec<LecFeature>,
+    /// The global id of this site's first LEC feature; feature *i* is
+    /// `first_id + i` ([`compute_lec_features`]), so the features
+    /// themselves need not stay once they have shipped.
+    first_id: u32,
     feature_of_lpm: Vec<usize>,
     keep: Vec<bool>,
     /// Streaming ship cursor: index into `lpms` of the first survivor not
@@ -123,7 +126,7 @@ impl QueryState {
             filter,
             candidates: None,
             lpms: Vec::new(),
-            features: Vec::new(),
+            first_id: 0,
             feature_of_lpm: Vec::new(),
             keep: Vec::new(),
             ship_pos: 0,
@@ -366,9 +369,9 @@ impl<'a> SiteWorker<'a> {
                     Err(e) => return e,
                 };
                 let (features, feature_of_lpm) = compute_lec_features(&state.lpms, first_id);
-                state.features = features;
+                state.first_id = first_id;
                 state.feature_of_lpm = feature_of_lpm;
-                ResponseBody::Features(state.features.clone())
+                ResponseBody::Features(features)
             }
             Request::DropPruned { query, useful } => {
                 let state = match self.state_mut(query) {
@@ -378,12 +381,18 @@ impl<'a> SiteWorker<'a> {
                 if state.feature_of_lpm.len() != state.lpms.len() {
                     return ResponseBody::Error("DropPruned before ComputeLecFeatures".into());
                 }
-                let useful: fxhash::FxHashSet<u32> = useful.into_iter().collect();
+                // Feature i is `first_id + i`; ids outside this site's
+                // features (another site's, in a full-fleet list) match
+                // none. There are at most as many features as LPMs.
+                let mut useful_feature = vec![false; state.lpms.len()];
+                for id in useful {
+                    let i = id.wrapping_sub(state.first_id) as usize;
+                    if let Some(flag) = useful_feature.get_mut(i) {
+                        *flag = true;
+                    }
+                }
                 for (keep, &fi) in state.keep.iter_mut().zip(&state.feature_of_lpm) {
-                    *keep = state.features[fi]
-                        .sources
-                        .iter()
-                        .any(|id| useful.contains(id));
+                    *keep = useful_feature[fi];
                 }
                 ResponseBody::Ack
             }
@@ -724,13 +733,36 @@ mod tests {
             if lpm_count == 0 {
                 continue;
             }
-            roundtrip(
+            let ResponseBody::Features(features) = roundtrip(
                 &mut w,
                 &Request::ComputeLecFeatures {
                     query: Q0,
                     first_id: 100,
                 },
-            );
+            ) else {
+                panic!("wrong response");
+            };
+            let own = 100..100 + features.len() as u32;
+            let mut survivors = |useful: Vec<u32>| {
+                roundtrip(&mut w, &Request::DropPruned { query: Q0, useful });
+                match roundtrip(&mut w, &Request::ShipSurvivors { query: Q0 }) {
+                    ResponseBody::Survivors(lpms) => lpms,
+                    other => panic!("wrong response: {other:?}"),
+                }
+            };
+            // A full-fleet list, as a replay sends it: other sites' ids on
+            // either side of this site's range match nothing here.
+            let others = [0, 99, own.end, u32::MAX];
+            let all = survivors(own.clone().chain(others).collect());
+            assert_eq!(all.len() as u64, lpm_count);
+            let (_, feature_of_lpm) = compute_lec_features(&all, 100);
+            let first: Vec<_> = all
+                .iter()
+                .zip(&feature_of_lpm)
+                .filter(|&(_, &fi)| fi == 0)
+                .map(|(lpm, _)| lpm.clone())
+                .collect();
+            assert_eq!(survivors([100].into_iter().chain(others).collect()), first);
             // Dropping everything leaves no survivors.
             roundtrip(
                 &mut w,

@@ -46,6 +46,12 @@ use bytes::Bytes;
 
 use crate::transport::{Transport, TransportError};
 
+/// Where a reply frame's envelope tag starts: after the fixed-width
+/// `elapsed_nanos` (8 bytes) and query id (4 bytes) of the response
+/// header (`docs/protocol.md`, "Responses"). The `corrupt` fault flips
+/// this byte, so the reply fails to decode.
+pub const REPLY_TAG_OFFSET: usize = 12;
+
 /// Probabilities (in permille, 0..=1000) and parameters of the fault
 /// schedule. All-zero probabilities (the default) inject nothing.
 #[derive(Debug, Clone)]
@@ -391,10 +397,12 @@ impl Transport for ChaosTransport {
                 Fault::Corrupt => {
                     self.stats.corrupts.fetch_add(1, Ordering::Relaxed);
                     let mut bytes = frame.to_vec();
-                    match bytes.first_mut() {
-                        // Flip high bits of the envelope tag: decodes
-                        // to an unknown tag, never silently to other
-                        // valid data.
+                    // Flip the high bits of the envelope tag: it decodes
+                    // to an unknown tag, never silently to other valid
+                    // data. A frame too short to hold a tag cannot
+                    // decode anyway; its last byte stands in.
+                    let at = REPLY_TAG_OFFSET.min(bytes.len().saturating_sub(1));
+                    match bytes.get_mut(at) {
                         Some(b) => *b ^= 0xE0,
                         None => continue, // empty frame: nothing to flip
                     }

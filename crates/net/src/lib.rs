@@ -35,7 +35,7 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use chaos::{ChaosConfig, ChaosStats, ChaosTransport};
+pub use chaos::{ChaosConfig, ChaosStats, ChaosTransport, REPLY_TAG_OFFSET};
 pub use cluster::NetworkModel;
 pub use metrics::{QueryMetrics, StageMetrics};
 pub use reactor::ReactorTransport;

@@ -11,8 +11,11 @@
 
 use std::time::{Duration, Instant};
 
+use gstored::core::protocol::{decode_response, encode_request, Request};
+use gstored::core::worker::SiteWorker;
 use gstored::core::EngineError;
-use gstored::net::ChaosConfig;
+use gstored::net::worker::serve_endpoint;
+use gstored::net::{ChaosConfig, ChaosTransport, InProcessTransport, Transport};
 use gstored::prelude::*;
 use gstored::rdf::{Triple, VertexId};
 use proptest::prelude::*;
@@ -286,6 +289,60 @@ fn total_hang_fails_typed_in_bounded_time() {
         stats.repairs_failed > 0,
         "repair of a dead site never reported failure: {stats:?}"
     );
+}
+
+/// A corrupted reply is detectably corrupt: with `corrupt_per_mille:
+/// 1000` every reply, whatever it answers, fails to decode, and so the
+/// engine's exchange fails with a typed protocol error rather than
+/// returning rows or a skewed stage time.
+#[test]
+fn total_corruption_fails_every_reply_typed() {
+    let dist = DistributedGraph::build(graph(), &HashPartitioner::new(SITES));
+    let plan = PreparedPlan::new(
+        QueryGraph::from_query(&parse_query(PATH_QUERY).unwrap()).unwrap(),
+        dist.dict(),
+    )
+    .unwrap();
+    let (inner, endpoints) = InProcessTransport::pair(SITES);
+    std::thread::scope(|scope| {
+        for (endpoint, fragment) in endpoints.into_iter().zip(&dist.fragments) {
+            scope.spawn(move || {
+                let mut worker = SiteWorker::for_fragment(fragment);
+                serve_endpoint(endpoint, |frame| worker.handle(frame))
+            });
+        }
+        let chaos = ChaosTransport::new(
+            inner,
+            ChaosConfig {
+                seed: 17,
+                corrupt_per_mille: 1000,
+                ..ChaosConfig::default()
+            },
+        );
+        for site in 0..SITES {
+            let probe = Request::WorkerStatus {
+                query: QueryId(site as u32),
+            };
+            chaos.send(site, encode_request(&probe)).unwrap();
+            let reply = chaos.recv(site).unwrap();
+            assert!(
+                decode_response(reply).is_err(),
+                "site {site}: reply decoded"
+            );
+        }
+        for variant in Variant::ALL {
+            let err = Engine::with_variant(variant)
+                .execute_on(&chaos, &dist, &plan)
+                .unwrap_err();
+            assert!(
+                matches!(err, EngineError::Protocol(_)),
+                "{}: {err}",
+                variant.label()
+            );
+        }
+        assert!(chaos.stats().corrupts() > SITES as u64);
+        assert_eq!(chaos.stats().total(), chaos.stats().corrupts());
+    });
 }
 
 /// Chaos disabled is a true pass-through: a schedule wrapped around the

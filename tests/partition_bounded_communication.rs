@@ -4,11 +4,19 @@
 //! size. We grow a dataset while holding the crossing structure fixed and
 //! assert the feature shipment stays flat while the LPM volume grows; we
 //! then grow only the crossing structure and assert feature shipment
-//! grows with it.
+//! grows with it. And the pruning verdict ships each surviving feature
+//! id once, to the site that owns it — not once per site.
 
 use std::collections::HashMap;
+use std::sync::Mutex;
+use std::time::Instant;
 
+use bytes::Bytes;
 use gstored::core::engine::Variant;
+use gstored::core::protocol::{decode_request, decode_response, Request, ResponseBody};
+use gstored::core::prune::prune_features;
+use gstored::core::worker::with_in_process_workers;
+use gstored::net::{Transport, TransportError};
 use gstored::partition::ExplicitPartitioner;
 use gstored::prelude::*;
 use gstored::rdf::Triple;
@@ -152,5 +160,140 @@ fn analytical_size_bound_holds() {
                 "feature wire size {wire} exceeds bound {bound}"
             );
         }
+    }
+}
+
+/// A transport that keeps a copy of every frame it moves, per site.
+struct Recording<'t> {
+    inner: &'t dyn Transport,
+    sent: Mutex<Vec<(usize, Bytes)>>,
+    received: Mutex<Vec<(usize, Bytes)>>,
+}
+
+impl Transport for Recording<'_> {
+    fn sites(&self) -> usize {
+        self.inner.sites()
+    }
+    fn send(&self, site: usize, frame: Bytes) -> Result<(), TransportError> {
+        self.sent.lock().unwrap().push((site, frame.clone()));
+        self.inner.send(site, frame)
+    }
+    fn recv_deadline(&self, site: usize, deadline: Instant) -> Result<Bytes, TransportError> {
+        let frame = self.inner.recv_deadline(site, deadline)?;
+        self.received.lock().unwrap().push((site, frame.clone()));
+        Ok(frame)
+    }
+}
+
+/// Chains a{i} -p-> b{i} -q-> c{i} -p-> d{i}, plus dead ends e{i} -p->
+/// f{i} -q-> g{i} that match the query's first two edges and nothing
+/// more, so pruning has features to drop. Hash-partitioned, nearly
+/// every edge crosses.
+fn crossing_graph() -> RdfGraph {
+    let t = |s: String, p: &str, o: String| Triple::new(Term::iri(s), Term::iri(p), Term::iri(o));
+    let mut triples = Vec::new();
+    for i in 0..40 {
+        triples.push(t(format!("http://v/a{i}"), P, format!("http://v/b{i}")));
+        triples.push(t(format!("http://v/b{i}"), Q, format!("http://v/c{i}")));
+        triples.push(t(format!("http://v/c{i}"), P, format!("http://v/d{i}")));
+        triples.push(t(format!("http://v/e{i}"), P, format!("http://v/f{i}")));
+        triples.push(t(format!("http://v/f{i}"), Q, format!("http://v/g{i}")));
+    }
+    RdfGraph::from_triples(triples)
+}
+
+/// Section IV-D bounds the LEC stage's shipment by the features, not by
+/// features × sites: every `DropPruned` step sent to site *s* carries
+/// only ids of *s*'s own features, and across the fleet the verdicts
+/// hold the surviving set, each id exactly once.
+#[test]
+fn each_site_hears_only_its_own_pruning_verdict() {
+    const SITES: usize = 8;
+    let dist = DistributedGraph::build(crossing_graph(), &HashPartitioner::new(SITES));
+    let query = format!("SELECT * WHERE {{ ?x <{P}> ?y . ?y <{Q}> ?z . ?z <{P}> ?w }}");
+    let plan = PreparedPlan::new(
+        QueryGraph::from_query(&parse_query(&query).unwrap()).unwrap(),
+        dist.dict(),
+    )
+    .unwrap();
+    let q = plan.encoded();
+    let query_edges: Vec<(usize, usize)> = q.edges().iter().map(|e| (e.from, e.to)).collect();
+    for variant in [Variant::LecOptimization, Variant::Full] {
+        let label = variant.label();
+        let (rows, sent, received) = with_in_process_workers(&dist, |transport| {
+            let recording = Recording {
+                inner: transport,
+                sent: Mutex::default(),
+                received: Mutex::default(),
+            };
+            let out = Engine::with_variant(variant)
+                .execute_on(&recording, &dist, &plan)
+                .unwrap();
+            let Recording { sent, received, .. } = recording;
+            (
+                out.bindings.len(),
+                sent.into_inner().unwrap(),
+                received.into_inner().unwrap(),
+            )
+        });
+        assert_eq!(rows, 40, "{label}: one row per chain");
+
+        // What each site shipped as features, and what it was told.
+        let mut features = vec![Vec::new(); SITES];
+        for (site, frame) in received {
+            let ResponseBody::Chain(replies) = decode_response(frame).unwrap().body else {
+                continue;
+            };
+            for reply in replies {
+                if let ResponseBody::Features(f) = decode_response(reply).unwrap().body {
+                    features[site].extend(f);
+                }
+            }
+        }
+        let mut verdicts: Vec<Vec<Vec<u32>>> = vec![Vec::new(); SITES];
+        for (site, frame) in sent {
+            let Request::Chain { steps, .. } = decode_request(frame).unwrap() else {
+                continue;
+            };
+            for step in steps {
+                if let Request::DropPruned { useful, .. } = step {
+                    verdicts[site].push(useful);
+                }
+            }
+        }
+
+        let all: Vec<_> = features.concat();
+        let mut useful: Vec<u32> = prune_features(&all, q.vertex_count(), &query_edges)
+            .into_iter()
+            .collect();
+        useful.sort_unstable();
+        assert!(
+            !useful.is_empty() && useful.len() < all.len(),
+            "{label}: pruning kept {} of {} features; the test needs both",
+            useful.len(),
+            all.len()
+        );
+        let mut heard = Vec::new();
+        for site in 0..SITES {
+            assert_eq!(verdicts[site].len(), 1, "{label}: site {site} verdicts");
+            let own: Vec<u32> = features[site]
+                .iter()
+                .flat_map(|f| f.sources.iter().copied())
+                .collect();
+            for &id in &verdicts[site][0] {
+                assert_eq!(
+                    id / (u32::MAX / SITES as u32),
+                    site as u32,
+                    "{label}: site {site} was sent feature id {id}, outside its range"
+                );
+                assert!(
+                    own.contains(&id),
+                    "{label}: site {site} was sent feature id {id}, which is not its own"
+                );
+            }
+            heard.extend(verdicts[site][0].iter().copied());
+        }
+        heard.sort_unstable();
+        assert_eq!(heard, useful, "{label}: each surviving id, exactly once");
     }
 }

@@ -537,6 +537,113 @@ proptest! {
         prop_assert!(protocol::decode_request(chain).is_err());
     }
 
+    /// Feature ids ship as zigzag deltas from the previous id, so a
+    /// hostile list can point outside `u32`: above `u32::MAX`, or below
+    /// 0. Either is a typed decode error, never an id wrapped back into
+    /// range, in a `DropPruned` request and in a `Features` reply alike.
+    /// Every proper prefix of a valid list — cut mid-varint, too — is an
+    /// error as well.
+    #[test]
+    fn hostile_feature_id_lists_are_decode_errors(
+        qid in any::<u32>(),
+        ids in prop::collection::vec(any::<u32>(), 1..8),
+        over in 1u64..u64::from(u32::MAX),
+    ) {
+        let zigzag = |delta: i64| ((delta << 1) ^ (delta >> 63)) as u64;
+        let last = i64::from(*ids.last().unwrap());
+        let over = over as i64;
+        // A valid list, then one delta past either end of `u32`, and the
+        // largest varints a delta can be.
+        for bad in [
+            zigzag(i64::from(u32::MAX) - last + over),
+            zigzag(-last - over),
+            u64::MAX,
+            u64::MAX - 1,
+        ] {
+            let mut list = WireWriter::new();
+            list.usize(ids.len() + 1);
+            let mut prev = 0i64;
+            for &id in &ids {
+                list.u64(zigzag(i64::from(id) - prev));
+                prev = i64::from(id);
+            }
+            list.u64(bad);
+            let list = list.finish();
+            // DropPruned: tag 8, query id, the list.
+            let mut w = WireWriter::new();
+            w.u64(8).u32_fixed(qid);
+            let mut request = w.finish().to_vec();
+            request.extend_from_slice(&list);
+            prop_assert!(protocol::decode_request(request.into()).is_err());
+            // Features: header, tag 5, one feature (fragments, no
+            // mapping, sign), then its sources as the list.
+            let mut w = WireWriter::new();
+            w.u64_fixed(0).u32_fixed(qid).u64(5).usize(1).u64(1).usize(0).u64(1);
+            let mut reply = w.finish().to_vec();
+            reply.extend_from_slice(&list);
+            prop_assert!(protocol::decode_response(reply.into()).is_err());
+        }
+
+        // The same ids, valid, round-trip — spread over several features
+        // of one batch, whose deltas run on from feature to feature — and
+        // no proper prefix of either frame decodes.
+        let query = QueryId(qid);
+        let drop_pruned = Request::DropPruned { query, useful: ids.clone() };
+        let request = protocol::encode_request(&drop_pruned);
+        let features = ResponseBody::Features(
+            ids.chunks(3)
+                .map(|sources| LecFeature {
+                    fragments: 1,
+                    mapping: vec![],
+                    sign: 1,
+                    sources: sources.to_vec(),
+                })
+                .collect(),
+        );
+        prop_assert_eq!(reply_roundtrip(features.clone()), features.clone());
+        let reply = reply_frame(features);
+        let Request::DropPruned { useful, .. } = protocol::decode_request(request.clone()).unwrap()
+        else {
+            panic!("DropPruned decodes as DropPruned");
+        };
+        prop_assert_eq!(useful, ids);
+        for cut in 0..request.len() {
+            prop_assert!(protocol::decode_request(request.slice(0..cut)).is_err());
+        }
+        for cut in 0..reply.len() {
+            prop_assert!(protocol::decode_response(reply.slice(0..cut)).is_err());
+        }
+    }
+
+    /// The size law of a site's verdict: `n` ascending consecutive ids
+    /// cost the frame header, at most 5 bytes for the first id, and one
+    /// byte for each further id — wherever in `u32` they start.
+    #[test]
+    fn consecutive_feature_ids_cost_a_byte_each(
+        qid in any::<u32>(),
+        start in any::<u32>(),
+        n in 0u32..600,
+    ) {
+        let useful: Vec<u32> = (start..=u32::MAX).take(n as usize).collect();
+        let n = useful.len();
+        let frame = protocol::encode_request(&Request::DropPruned {
+            query: QueryId(qid),
+            useful: useful.clone(),
+        });
+        // Tag, query id, count.
+        let mut header = WireWriter::new();
+        header.u64(8).u32_fixed(qid).usize(n);
+        prop_assert!(
+            frame.len() <= header.len() + 5 + n,
+            "{} ids from {} cost {} bytes", n, start, frame.len()
+        );
+        let Request::DropPruned { useful: decoded, .. } = protocol::decode_request(frame).unwrap()
+        else {
+            panic!("DropPruned decodes as DropPruned");
+        };
+        prop_assert_eq!(decoded, useful);
+    }
+
     /// Arbitrary byte soup through both envelope decoders: errors are
     /// fine, panics and runaway allocations are not.
     #[test]
