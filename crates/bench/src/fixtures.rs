@@ -166,6 +166,56 @@ pub fn many_feature_features(n: usize) -> (Vec<LecFeature>, usize, Vec<(usize, u
     (features, 3, query_edges)
 }
 
+/// The many-group pruning stress case: a 7-vertex path query and one
+/// LECSign group for every nonempty proper subset of its vertices (126
+/// groups), `members` (≥ 2) features each. Member 0 of a group shares a
+/// crossing edge with member 0 of the group of the complementary sign,
+/// from another fragment, so the two join into a complete combination.
+/// In the group of the smaller sign of such a pair, member 1 shares that
+/// edge too, but from the complementary member's own fragment, which
+/// condition 1 of Definition 9 forbids. Every other member has a crossing
+/// edge of its own. An all-pairs join-graph sweep
+/// tests the 966 disjoint-sign group pairs member by member, about
+/// `966 · members²` feature pairs; a posting-driven one pays about
+/// `966 · members` hash lookups.
+///
+/// Group `g` (sign `g + 1`) holds features `g · members ..`, and each
+/// feature's id is its index, so the survivors of Algorithm 2 are exactly
+/// the ids `g · members`.
+///
+/// Returns `(features, n_query_vertices, query_edges)`.
+pub fn many_group_features(members: usize) -> (Vec<LecFeature>, usize, Vec<(usize, usize)>) {
+    assert!(members >= 2, "member 1 is the condition-1 decoy");
+    let n = 7;
+    let query_edges: Vec<(usize, usize)> = (0..n - 1).map(|v| (v, v + 1)).collect();
+    let full = (1u64 << n) - 1;
+    let edge = |from: u64, to: u64| EdgeRef {
+        from: TermId(from),
+        label: TermId(500),
+        to: TermId(to),
+    };
+    let mut features = Vec::with_capacity(126 * members);
+    for sign in 1..full {
+        let pair = sign.min(full ^ sign);
+        let shared = edge(pair, 1_000 + pair);
+        for k in 0..members {
+            let id = features.len() as u32;
+            let (fragment, mapping) = match k {
+                0 => (u64::from(sign != pair), shared),
+                1 if sign == pair => (1, shared),
+                _ => (2 + id as u64 % 60, edge(10_000 + id as u64, 20_000)),
+            };
+            features.push(LecFeature {
+                fragments: 1 << fragment,
+                mapping: vec![(mapping, 0)],
+                sign,
+                sources: vec![id],
+            });
+        }
+    }
+    (features, n, query_edges)
+}
+
 /// The feature set the coordinator prunes for one query: per-fragment
 /// LPM enumeration + Algorithm 1, each site's feature ids in a range of
 /// its own.

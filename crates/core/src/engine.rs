@@ -80,6 +80,7 @@ use gstored_store::{EncodedQuery, LocalPartialMatch};
 use crate::assembly::{assemble_basic, IncrementalJoin};
 use crate::candidates::{union_bit_vectors, var_vertices};
 use crate::error::EngineError;
+use crate::lec::MAX_SITES;
 use crate::planner::{plan_query, PlannerDecision};
 use crate::prepared::PreparedPlan;
 use crate::protocol::{self, QueryId, Request, ResponseBody};
@@ -435,6 +436,9 @@ impl Engine {
                 transport.sites(),
                 dist.fragment_count()
             )));
+        }
+        if transport.sites() > MAX_SITES {
+            return Err(EngineError::TooManySites(transport.sites()));
         }
         // Resolve `Auto` before any frame moves: the planner's pick selects
         // the stages and the join, and the decision rides on the state.
@@ -1199,14 +1203,22 @@ fn check_lpm(
 
 /// Reject a wire-supplied LEC feature before pruning uses it: one
 /// mapping a nonexistent query edge would index past the query-edge
-/// table, and one whose source ids leave `site`'s pre-assigned range
-/// ([`lec_first_id`]) would collide with another site's features.
+/// table, one whose source ids leave `site`'s pre-assigned range
+/// ([`lec_first_id`]) would collide with another site's features, and
+/// one claiming another fragment than `site`'s own would let condition 1
+/// of Definition 9 misjudge it.
 fn check_feature(
     feature: &crate::lec::LecFeature,
     q: &EncodedQuery,
     site: usize,
     sites: usize,
 ) -> Result<(), EngineError> {
+    if feature.fragments != 1 << site {
+        return Err(EngineError::Protocol(format!(
+            "site {site} sent a LEC feature spanning fragments {:#x}",
+            feature.fragments
+        )));
+    }
     for &(_, qe) in &feature.mapping {
         if qe >= q.edge_count() {
             return Err(EngineError::Protocol(format!(
@@ -1637,11 +1649,18 @@ mod tests {
         // Nor can one whose ids stray into another site's range.
         feature.mapping[0].1 = 0;
         assert!(check_feature(&feature, &q, 0, 3).is_ok());
+        feature.fragments = 1 << 1;
         assert!(check_feature(&feature, &q, 1, 3).is_err());
         feature.sources = vec![lec_first_id(1, 3), lec_first_id(2, 3) - 1];
         assert!(check_feature(&feature, &q, 1, 3).is_ok());
         feature.sources.push(lec_first_id(2, 3));
         assert!(check_feature(&feature, &q, 1, 3).is_err());
+        // Nor one that claims a fragment other than its site's own.
+        feature.sources.pop();
+        for fragments in [1, 0b110, 0] {
+            feature.fragments = fragments;
+            assert!(check_feature(&feature, &q, 1, 3).is_err());
+        }
     }
 
     #[test]

@@ -12,6 +12,8 @@ pub enum EngineError {
     /// The query has more than `gstored_store::MAX_QUERY_VERTICES`
     /// vertices.
     QueryTooLarge(usize),
+    /// The fleet has more than [`crate::MAX_SITES`] sites.
+    TooManySites(usize),
     /// `EngineConfig::candidate_bits` times the query's variable count
     /// exceeds `protocol::MAX_CANDIDATE_BITS`: the sites would refuse the
     /// frames, so the engine sends none.
@@ -82,6 +84,11 @@ impl fmt::Display for EngineError {
                 f,
                 "query has {n} vertices; at most {} are supported",
                 gstored_store::MAX_QUERY_VERTICES
+            ),
+            EngineError::TooManySites(n) => write!(
+                f,
+                "{n} sites requested; at most MAX_SITES = {} are supported",
+                crate::MAX_SITES
             ),
             EngineError::CandidateVectorsTooLarge { bits, vectors } => write!(
                 f,

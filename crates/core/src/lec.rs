@@ -38,15 +38,8 @@ pub type InternedFeatureKey = (u64, u32, u64);
 /// carries — is interned to a dense `u32` id, so that everything keyed by
 /// mapping identity (feature dedup, join-result dedup, joinability
 /// probes) becomes integer-keyed instead of hashing and comparing vectors.
-/// On top of the identity map the interner supports the two pairwise
-/// mapping operations of Algorithm 2:
-///
-/// * [`MappingInterner::compatible_cached`] — Definition 9 conditions
-///   2/3/5 (shared entry, no query-edge conflict, endpoint-binding
-///   agreement) against a caller-owned memo, for sweeps that re-probe
-///   the same pairs (the join-graph build);
-/// * [`MappingInterner::union`] — the merged mapping of a feature join,
-///   computed (and interned) once per unordered pair.
+/// On top of the identity map, [`MappingInterner::union`] computes (and
+/// interns) the merged mapping of a feature join once per unordered pair.
 ///
 /// Ids are only meaningful within the interner that issued them; the
 /// engine builds one per pruning invocation.
@@ -102,31 +95,6 @@ impl MappingInterner {
     /// The canonical (sorted) mapping behind an id.
     pub fn resolve(&self, id: u32) -> &[MappingEntry] {
         &self.mappings[id as usize]
-    }
-
-    /// Definition 9 conditions 2/3/5 on a mapping pair — at least one
-    /// shared entry, no query edge mapped to different data edges, and
-    /// agreeing endpoint bindings — memoized in a caller-owned cache.
-    /// Symmetric, so the memo is keyed on the unordered pair; after the
-    /// first evaluation every repeat is a table probe. Takes `&self`, so
-    /// parallel sweeps can share the interner read-only with per-thread
-    /// caches; the cache's useful lifetime is one sweep (the Algorithm 2
-    /// DFS probes almost-always-fresh pairs, where a memo is all insert
-    /// churn and no hits — it runs the merge scan directly).
-    pub fn compatible_cached(
-        &self,
-        a: u32,
-        b: u32,
-        query_edges: &[(usize, usize)],
-        cache: &mut FxHashMap<(u32, u32), bool>,
-    ) -> bool {
-        let key = (a.min(b), a.max(b));
-        if let Some(&hit) = cache.get(&key) {
-            return hit;
-        }
-        let v = mappings_compatible(self.resolve(a), self.resolve(b), query_edges);
-        cache.insert(key, v);
-        v
     }
 
     /// Memoized union of two mappings (the merged `g` of a feature join,
@@ -268,6 +236,13 @@ fn endpoint_bindings_agree_flat(
     }
     true
 }
+
+/// The most sites (fragments) one fleet may have. A [`LecFeature`]
+/// records the fragments it spans as a `u64` bitmask, so a 65th site's
+/// features would alias site 0's and condition 1 of Definition 9 would
+/// reject real joins. Larger fleets are refused when a session is built,
+/// when a query starts, and when a worker decodes an `InstallFragment`.
+pub const MAX_SITES: usize = 64;
 
 /// A LEC feature (Definition 8), possibly the join of several features.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

@@ -55,7 +55,7 @@ pub mod worker;
 
 pub use engine::{Backend, Engine, EngineConfig, QueryOutput, Variant};
 pub use error::EngineError;
-pub use lec::LecFeature;
+pub use lec::{LecFeature, MAX_SITES};
 pub use planner::{plan_query, PlanExplain, PlannerDecision};
 pub use prepared::PreparedPlan;
 pub use protocol::{QueryId, WorkerStatus};

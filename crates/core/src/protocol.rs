@@ -52,7 +52,7 @@ use gstored_store::{
     MAX_QUERY_VERTICES,
 };
 
-use crate::lec::LecFeature;
+use crate::lec::{LecFeature, MAX_SITES};
 
 // --- payload batch helpers (written inside the envelopes) ---
 
@@ -365,6 +365,9 @@ fn write_fragment(w: &mut WireWriter, f: &Fragment) {
 
 fn read_fragment(r: &mut WireReader) -> Result<Fragment, WireError> {
     let id = r.usize()?;
+    if id >= MAX_SITES {
+        return Err(WireError("fragment id exceeds MAX_SITES"));
+    }
     let n = read_batch_len(r, 1)?;
     let mut internal = Vec::with_capacity(n);
     for _ in 0..n {

@@ -7,32 +7,31 @@
 //! *useful*; the rest — and all their local partial matches — are pruned
 //! before any LPM is shipped.
 //!
-//! This is the engine's Algorithm 2 hot path, engineered around a
-//! per-query [`MappingInterner`]:
+//! This is the engine's Algorithm 2 hot path. It runs on the caller's
+//! thread over one index, built once per call:
 //!
-//! * every feature's crossing-edge mapping becomes a `u32` id, so the
-//!   structural key `(fragments, mapping id, sign)` is `Copy` and every
-//!   dedup map is integer-keyed;
-//! * pairwise mapping compatibility (Definition 9 conditions 2/3/5) is
-//!   an allocation-free merge scan, memoized per unordered id pair where
-//!   re-probes actually happen (the join-graph build); mapping unions
-//!   are computed and interned once per pair;
-//! * [`build_join_graph`] replaces the all-pairs `O(G²·|Fi|·|Fj|)` sweep
-//!   with a crossing-edge index: candidate group pairs come from shared
-//!   `(data edge, query edge)` postings (condition 2 is *necessary*), so
-//!   only groups that can possibly join pay a probe, and large posting
-//!   sweeps run on scoped threads;
-//! * [`prune_features`]' recursive `ComLECFJoin` tracks the visited
-//!   group set as a `u64` bitmask, drives each join level off per-group
-//!   posting indexes (an intermediate only meets members it shares a
-//!   crossing edge with, never the full `current × members` product),
-//!   deduplicates join results through an interned-key hash map, records
-//!   lineage as a join-derivation DAG of `(a, b)` back-pointers (one
-//!   backward reachability pass at the end replaces the per-join
-//!   `sources` vector cloning/merging), and memoizes explored
-//!   `(visited set, current features)` states so structurally identical
-//!   subtrees — the same frontier reached through a different join
-//!   order — expand exactly once.
+//! * a per-query [`MappingInterner`] turns every feature's crossing-edge
+//!   mapping into a `u32` id, so the structural key `(fragments, mapping
+//!   id, sign)` is `Copy` and every dedup map is integer-keyed;
+//! * a per-group posting map sends each `(data edge, query edge)` entry
+//!   to the group's members whose mapping contains it. Condition 2 of
+//!   Definition 9 (a shared entry) is necessary, so a feature only ever
+//!   meets the members it shares an entry with, never a whole group;
+//! * pairwise mapping compatibility (Definition 9 conditions 2/3/5) is an
+//!   allocation-free merge scan, and mapping unions are computed and
+//!   interned once per pair.
+//!
+//! [`build_join_graph`] probes each disjoint-sign group pair through
+//! those postings, from the smaller group's side, and stops at the first
+//! joinable feature pair. [`prune_features`]' recursive `ComLECFJoin`
+//! drives each join level off the same postings, tracks the visited group
+//! set as a `u64` bitmask, deduplicates join results through an
+//! interned-key hash map, records lineage as a join-derivation DAG of
+//! `(a, b)` back-pointers (one backward reachability pass at the end
+//! replaces per-join `sources` vector merging), and memoizes explored
+//! `(visited set, current features)` states so structurally identical
+//! subtrees — the same frontier reached through a different join order —
+//! expand exactly once.
 
 use fxhash::{FxHashMap, FxHashSet};
 use gstored_rdf::EdgeRef;
@@ -73,259 +72,153 @@ pub fn group_by_sign(features: &[LecFeature]) -> Vec<FeatureGroup> {
 /// The join graph over feature groups: `adj[i]` lists groups with at
 /// least one joinable feature pair with group `i` (sorted, deduplicated).
 ///
-/// Candidate pairs come from a crossing-edge index — Definition 9
-/// condition 2 requires a shared `(data edge, query edge)` entry, so two
-/// groups can only be adjacent if some posting list contains features of
-/// both — then pay the disjoint-sign mask test and a memoized
-/// compatibility probe. Groups that share no crossing edge are never
-/// compared at all, which is what makes the build sublinear in the group
-/// pair count on real workloads.
+/// Only group pairs with disjoint LECSigns are tested (Theorem 5). Each
+/// member of the smaller group looks its mapping entries up in the other
+/// group's postings, and the test stops at the first joinable pair, so a
+/// pair of groups that share no crossing edge costs hash lookups only.
 pub fn build_join_graph(
     features: &[LecFeature],
     groups: &[FeatureGroup],
     query_edges: &[(usize, usize)],
 ) -> Vec<Vec<usize>> {
-    let mut interner = MappingInterner::new();
-    let mapping_ids: Vec<u32> = features
-        .iter()
-        .map(|f| interner.intern(&f.mapping))
-        .collect();
-    build_join_graph_interned(&interner, features, &mapping_ids, groups, query_edges)
+    let index = FeatureIndex::new(features, groups);
+    index.join_graph(groups, query_edges)
 }
 
-/// Above ~this many candidate feature-pair probes the posting sweep is
-/// split across scoped threads (the same pattern the engine uses for its
-/// in-process site workers). Below it, thread spawn/join overhead loses.
-const PARALLEL_PROBE_THRESHOLD: usize = 1 << 14;
+/// One group's posting map: `(data edge, query edge)` entry → the
+/// group's member features whose mapping contains it.
+type Postings = FxHashMap<(EdgeRef, usize), Vec<u32>>;
 
-/// Below ~this many features the all-pairs group sweep (with memoized,
-/// allocation-free probes and its early exits) beats building the
-/// posting index at all — the index pays off asymptotically, not on
-/// inputs that fit in a few cache lines.
-const SMALL_SWEEP_FEATURES: usize = 256;
-
-/// One posting-sweep thread's yield: the adjacent group pairs it found.
-type SweepResult = FxHashSet<(u32, u32)>;
-
-/// The Definition 9 feature-pair test shared by both join-graph sweep
-/// strategies (condition 1 plus the memoized conditions 2/3/5). The
-/// disjoint-sign test is applied at group level by both callers.
-#[allow(clippy::too_many_arguments)]
-fn pair_joinable(
-    fa: u32,
-    fb: u32,
-    features: &[LecFeature],
-    mapping_ids: &[u32],
-    interner: &MappingInterner,
-    query_edges: &[(usize, usize)],
-    cache: &mut FxHashMap<(u32, u32), bool>,
-) -> bool {
-    let (a, b) = (&features[fa as usize], &features[fb as usize]);
-    // Condition 1: not two originals of the same fragment.
-    !(a.fragments == b.fragments && a.fragments.count_ones() == 1)
-        && interner.compatible_cached(
-            mapping_ids[fa as usize],
-            mapping_ids[fb as usize],
-            query_edges,
-            cache,
-        )
+/// The one index Algorithm 2 runs on: interned mappings, the features as
+/// `Copy` seeds, and one posting map per group.
+struct FeatureIndex {
+    interner: MappingInterner,
+    /// Per-input-feature `Feat` seeds (node id = feature index).
+    seeds: Vec<Feat>,
+    /// `postings[g]` indexes the members of group `g`.
+    postings: Vec<Postings>,
 }
 
-/// [`build_join_graph`] over pre-interned mappings.
-fn build_join_graph_interned(
-    interner: &MappingInterner,
-    features: &[LecFeature],
-    mapping_ids: &[u32],
-    groups: &[FeatureGroup],
-    query_edges: &[(usize, usize)],
-) -> Vec<Vec<usize>> {
-    if features.len() <= SMALL_SWEEP_FEATURES {
-        let mut cache: FxHashMap<(u32, u32), bool> = FxHashMap::default();
+impl FeatureIndex {
+    fn new(features: &[LecFeature], groups: &[FeatureGroup]) -> Self {
+        let mut interner = MappingInterner::new();
+        let seeds = features
+            .iter()
+            .enumerate()
+            .map(|(i, f)| Feat {
+                fragments: f.fragments,
+                mapping: interner.intern(&f.mapping),
+                sign: f.sign,
+                node: i as u32,
+            })
+            .collect();
+        let postings = groups
+            .iter()
+            .map(|g| {
+                let mut p = Postings::default();
+                for &fi in &g.members {
+                    for &entry in &features[fi as usize].mapping {
+                        let row = p.entry(entry).or_default();
+                        // Canonical mappings keep duplicates adjacent.
+                        if row.last() != Some(&fi) {
+                            row.push(fi);
+                        }
+                    }
+                }
+                p
+            })
+            .collect();
+        FeatureIndex {
+            interner,
+            seeds,
+            postings,
+        }
+    }
+
+    /// [`build_join_graph`] over this index.
+    fn join_graph(
+        &self,
+        groups: &[FeatureGroup],
+        query_edges: &[(usize, usize)],
+    ) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); groups.len()];
+        let mut witness = Vec::new();
         for i in 0..groups.len() {
             for j in (i + 1)..groups.len() {
                 if groups[i].sign & groups[j].sign != 0 {
                     continue;
                 }
-                let joinable = groups[i].members.iter().any(|&fa| {
-                    groups[j].members.iter().any(|&fb| {
-                        pair_joinable(
-                            fa,
-                            fb,
-                            features,
-                            mapping_ids,
-                            interner,
-                            query_edges,
-                            &mut cache,
-                        )
-                    })
+                let (small, other) = if groups[i].members.len() <= groups[j].members.len() {
+                    (i, j)
+                } else {
+                    (j, i)
+                };
+                let joinable = groups[small].members.iter().any(|&fa| {
+                    joinable_members(
+                        &self.seeds[fa as usize],
+                        &self.postings[other],
+                        &self.seeds,
+                        &self.interner,
+                        query_edges,
+                        true,
+                        &mut witness,
+                    );
+                    !witness.is_empty()
                 });
+                witness.clear();
                 if joinable {
                     adj[i].push(j);
                     adj[j].push(i);
                 }
             }
         }
-        return adj;
+        adj
     }
-
-    let mut group_of = vec![0u32; features.len()];
-    for (gi, g) in groups.iter().enumerate() {
-        for &fi in &g.members {
-            group_of[fi as usize] = gi as u32;
-        }
-    }
-    // Posting lists: (crossing data edge, query edge) -> features whose
-    // mapping contains that entry. Only rows with ≥ 2 features can
-    // witness an adjacency.
-    let mut postings: FxHashMap<(EdgeRef, usize), Vec<u32>> = FxHashMap::default();
-    for (fi, f) in features.iter().enumerate() {
-        for &entry in &f.mapping {
-            let row = postings.entry(entry).or_default();
-            // A degenerate mapping may repeat an entry; post once.
-            if row.last() != Some(&(fi as u32)) {
-                row.push(fi as u32);
-            }
-        }
-    }
-    let mut rows: Vec<Vec<u32>> = postings.into_values().filter(|r| r.len() > 1).collect();
-
-    let probes: usize = rows.iter().map(|r| r.len() * (r.len() - 1) / 2).sum();
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8);
-    let adjacent: FxHashSet<(u32, u32)> = if probes >= PARALLEL_PROBE_THRESHOLD && threads > 1 {
-        // Deal rows round-robin by descending size for balance; each
-        // thread probes with its own compatibility cache against the
-        // shared read-only interner (caches are per-sweep — pairs repeat
-        // across a sweep's rows, not beyond it).
-        rows.sort_unstable_by_key(|r| std::cmp::Reverse(r.len()));
-        let chunks: Vec<Vec<Vec<u32>>> = {
-            let mut chunks: Vec<Vec<Vec<u32>>> = (0..threads).map(|_| Vec::new()).collect();
-            for (i, row) in rows.into_iter().enumerate() {
-                chunks[i % threads].push(row);
-            }
-            chunks
-        };
-        let group_of = &group_of;
-        let results: Vec<SweepResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        let mut cache: FxHashMap<(u32, u32), bool> = FxHashMap::default();
-                        let mut found: FxHashSet<(u32, u32)> = FxHashSet::default();
-                        for row in &chunk {
-                            probe_row(
-                                row,
-                                features,
-                                groups,
-                                group_of,
-                                mapping_ids,
-                                interner,
-                                query_edges,
-                                &mut cache,
-                                &mut found,
-                            );
-                        }
-                        found
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("posting sweep thread panicked"))
-                .collect()
-        });
-        let mut adjacent = FxHashSet::default();
-        for found in results {
-            adjacent.extend(found);
-        }
-        adjacent
-    } else {
-        let mut cache: FxHashMap<(u32, u32), bool> = FxHashMap::default();
-        let mut adjacent = FxHashSet::default();
-        for row in &rows {
-            probe_row(
-                row,
-                features,
-                groups,
-                &group_of,
-                mapping_ids,
-                interner,
-                query_edges,
-                &mut cache,
-                &mut adjacent,
-            );
-        }
-        adjacent
-    };
-
-    let mut adj = vec![Vec::new(); groups.len()];
-    for &(a, b) in &adjacent {
-        adj[a as usize].push(b as usize);
-        adj[b as usize].push(a as usize);
-    }
-    for list in &mut adj {
-        list.sort_unstable();
-        list.dedup();
-    }
-    adj
 }
 
-/// Probe one posting row for adjacent group pairs. Every pair in the row
-/// already shares an entry (condition 2). The row is bucketed by group
-/// first, so a group pair that is already adjacent skips its whole
-/// feature-pair block and same-group members cost nothing; within an
-/// undecided pair the probe loop exits on the first joinable witness,
-/// exactly like the all-pairs sweep's `any()` did.
-#[allow(clippy::too_many_arguments)]
-fn probe_row(
-    row: &[u32],
-    features: &[LecFeature],
-    groups: &[FeatureGroup],
-    group_of: &[u32],
-    mapping_ids: &[u32],
+/// Append to `out` the members of one group (given by its `postings`)
+/// that Definition 9 lets `a` join, each once, in posting order; with
+/// `first_only`, stop after the first.
+///
+/// Candidates come from the postings of `a`'s mapping entries, so
+/// condition 2 holds for each; a member sharing several entries with `a`
+/// is tested at the first one only. Then: disjoint signs (condition 4),
+/// not two originals of one fragment (condition 1), and conditions 2/3/5
+/// on the two mappings.
+fn joinable_members(
+    a: &Feat,
+    postings: &Postings,
+    seeds: &[Feat],
     interner: &MappingInterner,
     query_edges: &[(usize, usize)],
-    cache: &mut FxHashMap<(u32, u32), bool>,
-    adjacent: &mut FxHashSet<(u32, u32)>,
+    first_only: bool,
+    out: &mut Vec<u32>,
 ) {
-    // Bucket the row by owning group (rows are typically short and touch
-    // few groups; a sorted run split beats hashing here).
-    let mut by_group: Vec<u32> = row.to_vec();
-    by_group.sort_unstable_by_key(|&fi| group_of[fi as usize]);
-    let mut buckets: Vec<&[u32]> = Vec::new();
-    let mut start = 0;
-    for i in 1..=by_group.len() {
-        if i == by_group.len()
-            || group_of[by_group[i] as usize] != group_of[by_group[start] as usize]
-        {
-            buckets.push(&by_group[start..i]);
-            start = i;
-        }
-    }
-    for (x, fa_list) in buckets.iter().enumerate() {
-        let ga = group_of[fa_list[0] as usize];
-        for fb_list in &buckets[x + 1..] {
-            let gb = group_of[fb_list[0] as usize];
-            let pair = (ga.min(gb), ga.max(gb));
-            if adjacent.contains(&pair) {
+    let a_map = interner.resolve(a.mapping);
+    for (ei, entry) in a_map.iter().enumerate() {
+        let Some(cands) = postings.get(entry) else {
+            continue;
+        };
+        for &bi in cands {
+            let b = &seeds[bi as usize];
+            if a.sign & b.sign != 0 {
                 continue;
             }
-            // Theorem 5 prefilter: disjoint signs are necessary (group
-            // signs equal member signs, so this is the feature test too).
-            if groups[ga as usize].sign & groups[gb as usize].sign != 0 {
+            if a.fragments == b.fragments && a.fragments.count_ones() == 1 {
                 continue;
             }
-            'pair: for &fa in *fa_list {
-                for &fb in *fb_list {
-                    if pair_joinable(fa, fb, features, mapping_ids, interner, query_edges, cache) {
-                        adjacent.insert(pair);
-                        break 'pair;
-                    }
-                }
+            let b_map = interner.resolve(b.mapping);
+            let shares_earlier = a_map[..ei].iter().any(|&(e, qe)| {
+                b_map
+                    .binary_search_by_key(&(qe, e), |&(be, bqe)| (bqe, be))
+                    .is_ok()
+            });
+            if shares_earlier || !mappings_compatible(a_map, b_map, query_edges) {
+                continue;
+            }
+            out.push(bi);
+            if first_only {
+                return;
             }
         }
     }
@@ -401,14 +294,10 @@ impl VisitedStack {
 struct JoinCtx<'a> {
     adj: &'a [Vec<usize>],
     query_edges: &'a [(usize, usize)],
-    interner: &'a mut MappingInterner,
-    /// Per-input-feature `Feat` seeds (node id = feature index).
-    seeds: Vec<Feat>,
-    /// Per-group posting index: `(data edge, query edge)` entry → the
-    /// group's member features whose mapping contains it. Joins probe
-    /// only members sharing an entry with the intermediate (condition 2
-    /// is necessary), never the full `current × members` cross product.
-    group_postings: Vec<FxHashMap<(EdgeRef, usize), Vec<u32>>>,
+    /// The seeds and per-group postings every join level probes: an
+    /// intermediate only meets members sharing an entry with it, never
+    /// the full `current × members` cross product.
+    index: FeatureIndex,
     /// All-ones LECSign for the query.
     full_sign: u64,
     /// Derivation DAG: nodes `0..features.len()` are the input features
@@ -479,47 +368,13 @@ pub fn prune_features(
         return FxHashSet::default();
     }
     let groups = group_by_sign(features);
-    let mut interner = MappingInterner::new();
-    let mapping_ids: Vec<u32> = features
-        .iter()
-        .map(|f| interner.intern(&f.mapping))
-        .collect();
-    let adj = build_join_graph_interned(&interner, features, &mapping_ids, &groups, query_edges);
-
-    let full_sign = crate::lec::full_sign(n_query_vertices);
-    let seeds: Vec<Feat> = features
-        .iter()
-        .enumerate()
-        .map(|(i, f)| Feat {
-            fragments: f.fragments,
-            mapping: mapping_ids[i],
-            sign: f.sign,
-            node: i as u32,
-        })
-        .collect();
-    let group_postings: Vec<FxHashMap<(EdgeRef, usize), Vec<u32>>> = groups
-        .iter()
-        .map(|g| {
-            let mut p: FxHashMap<(EdgeRef, usize), Vec<u32>> = FxHashMap::default();
-            for &fi in &g.members {
-                for &entry in &features[fi as usize].mapping {
-                    let row = p.entry(entry).or_default();
-                    // Canonical mappings keep duplicates adjacent.
-                    if row.last() != Some(&fi) {
-                        row.push(fi);
-                    }
-                }
-            }
-            p
-        })
-        .collect();
+    let index = FeatureIndex::new(features, &groups);
+    let adj = index.join_graph(&groups, query_edges);
     let mut ctx = JoinCtx {
         adj: &adj,
         query_edges,
-        interner: &mut interner,
-        seeds,
-        group_postings,
-        full_sign,
+        index,
+        full_sign: crate::lec::full_sign(n_query_vertices),
         node_parents: vec![Vec::new(); features.len()],
         complete_pairs: Vec::new(),
         aliases: Vec::new(),
@@ -542,7 +397,7 @@ pub fn prune_features(
         let current: Vec<Feat> = groups[vmin]
             .members
             .iter()
-            .map(|&fi| ctx.seeds[fi as usize])
+            .map(|&fi| ctx.index.seeds[fi as usize])
             .collect();
         let mut visited = VisitedStack::new(groups.len());
         visited.push(vmin);
@@ -605,11 +460,10 @@ pub fn prune_features(
 /// set `V`; `current` the accumulated joined features for that set.
 ///
 /// Per-level work: frontier from the adjacency lists (bitmask/flag
-/// membership, no `Vec::contains`); per (intermediate × group member)
-/// pair a sign mask test, the original-fragment rule and a memoized
-/// mapping-compatibility probe; join results deduplicated through an
-/// integer-keyed map, recording every derivation as DAG back-pointers
-/// (no lineage vectors cloned or merged in-flight). The
+/// membership, no `Vec::contains`); per intermediate, the group members
+/// [`joinable_members`] finds through the group's postings; join results
+/// deduplicated through an integer-keyed map, recording every derivation
+/// as DAG back-pointers (no lineage vectors cloned or merged in-flight). The
 /// `(visited, current)` state memo skips subtrees that an earlier join
 /// order already expanded, wiring alias edges so the skipped instance
 /// inherits the expanded one's completions.
@@ -637,7 +491,7 @@ fn com_lecf_join(
     frontier.sort_unstable();
     frontier.dedup();
 
-    let mut a_entries: Vec<(EdgeRef, usize)> = Vec::new();
+    let mut joinable: Vec<u32> = Vec::new();
     for v in frontier {
         let mut next: Vec<Feat> = Vec::new();
         // Dedup by interned structure; a hit records one more derivation
@@ -645,73 +499,41 @@ fn com_lecf_join(
         // joined feature are both useful if the feature later completes.
         let mut slot: FxHashMap<InternedFeatureKey, u32> = FxHashMap::default();
         for a in &current {
-            // Condition 2 is necessary, so candidate members come from
-            // the group's posting index over `a`'s mapping entries —
-            // members sharing nothing with `a` are never probed, unlike
-            // the pre-PR4 full `current × members` sweep.
-            a_entries.clear();
-            a_entries.extend_from_slice(ctx.interner.resolve(a.mapping));
-            for ei in 0..a_entries.len() {
-                let Some(cands) = ctx.group_postings[v].get(&a_entries[ei]) else {
+            joinable.clear();
+            let index = &ctx.index;
+            joinable_members(
+                a,
+                &index.postings[v],
+                &index.seeds,
+                &index.interner,
+                ctx.query_edges,
+                false,
+                &mut joinable,
+            );
+            for &bi in &joinable {
+                let b = ctx.index.seeds[bi as usize];
+                let joined_sign = a.sign | b.sign;
+                if joined_sign == ctx.full_sign {
+                    ctx.complete_pairs.push((a.node, b.node));
                     continue;
-                };
-                for &bi in cands {
-                    let b = ctx.seeds[bi as usize];
-                    // Theorem 5 / condition 4: disjoint LECSigns.
-                    if a.sign & b.sign != 0 {
-                        continue;
+                }
+                let joined_fragments = a.fragments | b.fragments;
+                let joined_mapping = ctx.index.interner.union(a.mapping, b.mapping);
+                match slot.entry((joined_fragments, joined_mapping, joined_sign)) {
+                    std::collections::hash_map::Entry::Occupied(o) => {
+                        let node = next[*o.get() as usize].node;
+                        ctx.node_parents[node as usize].push((a.node, b.node));
                     }
-                    // Condition 1: not two originals of the same fragment.
-                    if a.fragments == b.fragments && a.fragments.count_ones() == 1 {
-                        continue;
-                    }
-                    // A pair sharing several entries surfaces once per
-                    // shared entry; process it at the first one only.
-                    if ei > 0 {
-                        let bmap = ctx.interner.resolve(b.mapping);
-                        let shares_earlier = a_entries[..ei].iter().any(|&(e, qe)| {
-                            bmap.binary_search_by_key(&(qe, e), |&(be, bqe)| (bqe, be))
-                                .is_ok()
+                    std::collections::hash_map::Entry::Vacant(slot) => {
+                        let node = ctx.node_parents.len() as u32;
+                        ctx.node_parents.push(vec![(a.node, b.node)]);
+                        slot.insert(next.len() as u32);
+                        next.push(Feat {
+                            fragments: joined_fragments,
+                            mapping: joined_mapping,
+                            sign: joined_sign,
+                            node,
                         });
-                        if shares_earlier {
-                            continue;
-                        }
-                    }
-                    // Conditions 2/3/5, computed directly — an alloc-free
-                    // merge scan over two short interned mappings. (No
-                    // memo here: in the DFS almost every probed mapping
-                    // pair is new, so a memo is all insert churn and no
-                    // hits.)
-                    if !mappings_compatible(
-                        ctx.interner.resolve(a.mapping),
-                        ctx.interner.resolve(b.mapping),
-                        ctx.query_edges,
-                    ) {
-                        continue;
-                    }
-                    let joined_sign = a.sign | b.sign;
-                    if joined_sign == ctx.full_sign {
-                        ctx.complete_pairs.push((a.node, b.node));
-                        continue;
-                    }
-                    let joined_fragments = a.fragments | b.fragments;
-                    let joined_mapping = ctx.interner.union(a.mapping, b.mapping);
-                    match slot.entry((joined_fragments, joined_mapping, joined_sign)) {
-                        std::collections::hash_map::Entry::Occupied(o) => {
-                            let node = next[*o.get() as usize].node;
-                            ctx.node_parents[node as usize].push((a.node, b.node));
-                        }
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            let node = ctx.node_parents.len() as u32;
-                            ctx.node_parents.push(vec![(a.node, b.node)]);
-                            slot.insert(next.len() as u32);
-                            next.push(Feat {
-                                fragments: joined_fragments,
-                                mapping: joined_mapping,
-                                sign: joined_sign,
-                                node,
-                            });
-                        }
                     }
                 }
             }

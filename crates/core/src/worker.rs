@@ -1155,6 +1155,30 @@ mod tests {
         assert!(matches!(resp.body, ResponseBody::Error(_)));
     }
 
+    /// A fragment id past `MAX_SITES` would alias another site's bit in
+    /// the LEC feature masks, so its `InstallFragment` is refused when it
+    /// decodes; the worker keeps the fragment it had and keeps serving.
+    #[test]
+    fn install_fragment_beyond_max_sites_is_an_error() {
+        let (dist, q) = setup();
+        let mut w = SiteWorker::for_fragment(&dist.fragments[0]);
+        let beyond = Fragment::from_parts(crate::MAX_SITES, vec![], vec![], vec![], vec![], vec![]);
+        let reply = w
+            .handle(protocol::encode_install_fragment(&beyond))
+            .unwrap();
+        let resp = protocol::decode_response(reply).unwrap();
+        assert!(
+            matches!(&resp.body, ResponseBody::Error(msg) if msg.contains("MAX_SITES")),
+            "{:?}",
+            resp.body
+        );
+        assert!(matches!(install(&mut w, Q0, &q), ResponseBody::Ack));
+        assert!(matches!(
+            roundtrip(&mut w, &Request::PartialEval { query: Q0 }),
+            ResponseBody::PartialEval { .. }
+        ));
+    }
+
     /// A query too large for the LPM enumerator's subset loop is refused
     /// when its `InstallQuery` frame decodes, so no later step can reach
     /// the enumerator with it; the worker keeps serving.

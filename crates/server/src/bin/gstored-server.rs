@@ -14,7 +14,8 @@
 //! compare partitioners before serving. `serve` stands the HTTP endpoint
 //! up (default `127.0.0.1:7878`) over in-process site workers, or —
 //! with `--workers` — over remote `gstored-worker` processes (one
-//! address per fragment; `--sites` is then the worker count).
+//! address per fragment; `--sites` is then the worker count). A fleet
+//! has at most `MAX_SITES` = 64 sites; more are refused at startup.
 //!
 //! `SIGINT`/`SIGTERM` shut down gracefully: stop accepting, drain
 //! admitted requests, release the worker fleet, exit 0.
@@ -32,7 +33,8 @@ const USAGE: &str = "usage:
                        [--sites K] [--partitioner hash|semantic|metis]
                        [--variant basic|la|lo|full|auto]
                        [--max-concurrent N] [--queue-depth N]
-                       [--workers addr,addr,...]";
+                       [--workers addr,addr,...]
+  K (or the worker count) is at most MAX_SITES = 64";
 
 struct Args {
     command: String,

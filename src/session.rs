@@ -28,7 +28,7 @@ use gstored_core::prepared::PreparedPlan;
 use gstored_core::protocol::QueryId;
 use gstored_core::runtime::{QueryExecutor, QueryTicket, ReplyRouter, WorkerPool};
 use gstored_core::worker::SiteWorker;
-use gstored_core::{EngineError, WorkerStatus};
+use gstored_core::{EngineError, WorkerStatus, MAX_SITES};
 use gstored_net::worker::serve_endpoint;
 use gstored_net::{
     ChaosConfig, ChaosTransport, InProcessTransport, NetworkModel, QueryMetrics, Transport,
@@ -440,60 +440,61 @@ impl GStoreDBuilder {
     }
 
     /// Build the session: materialize the graph, partition it, validate
-    /// the Definition 1 invariants, and stand up the engine.
+    /// the Definition 1 invariants, and stand up the engine. A fleet of
+    /// more than [`MAX_SITES`] sites is refused with
+    /// [`EngineError::TooManySites`].
     pub fn build(self) -> Result<GStoreD, Error> {
-        if let Some(dist) = self.prebuilt {
-            if !matches!(self.data, DataSource::Empty)
-                || self.partitioner.is_some()
-                || self.assignment.is_some()
-            {
-                return Err(Error::InvalidConfig(
-                    "distributed() supplies already-partitioned data; it cannot be \
-                     combined with a data source, partitioner or assignment"
-                        .into(),
-                ));
-            }
-            if let Some(violation) = dist.validate() {
-                return Err(Error::InvalidConfig(format!(
-                    "partitioning violates Definition 1: {violation}"
-                )));
-            }
-            return Ok(GStoreD::assemble(dist, self.config));
-        }
-
-        let mut graph = match self.data {
-            DataSource::Empty => RdfGraph::new(),
-            DataSource::Triples(triples) => RdfGraph::from_triples(triples),
-            DataSource::Graph(g) => *g,
-        };
-        graph.finalize();
-
-        let dist = match (self.assignment, self.partitioner) {
-            (Some(assignment), _) => {
-                if assignment.k == 0 {
+        let dist = match self.prebuilt {
+            Some(dist) => {
+                if !matches!(self.data, DataSource::Empty)
+                    || self.partitioner.is_some()
+                    || self.assignment.is_some()
+                {
                     return Err(Error::InvalidConfig(
-                        "partition assignment must target at least one fragment".into(),
+                        "distributed() supplies already-partitioned data; it cannot be \
+                         combined with a data source, partitioner or assignment"
+                            .into(),
                     ));
                 }
-                DistributedGraph::build_with_assignment(graph, assignment)
+                dist
             }
-            (None, Some(p)) => {
-                if p.num_fragments() == 0 {
-                    return Err(Error::InvalidConfig(format!(
-                        "partitioner {} produces zero fragments",
-                        p.name()
-                    )));
+            None => {
+                let mut graph = match self.data {
+                    DataSource::Empty => RdfGraph::new(),
+                    DataSource::Triples(triples) => RdfGraph::from_triples(triples),
+                    DataSource::Graph(g) => *g,
+                };
+                graph.finalize();
+                match (self.assignment, self.partitioner) {
+                    (Some(assignment), _) => {
+                        if assignment.k == 0 {
+                            return Err(Error::InvalidConfig(
+                                "partition assignment must target at least one fragment".into(),
+                            ));
+                        }
+                        DistributedGraph::build_with_assignment(graph, assignment)
+                    }
+                    (None, Some(p)) => {
+                        if p.num_fragments() == 0 {
+                            return Err(Error::InvalidConfig(format!(
+                                "partitioner {} produces zero fragments",
+                                p.name()
+                            )));
+                        }
+                        DistributedGraph::build(graph, p.as_ref())
+                    }
+                    (None, None) => DistributedGraph::build(graph, &HashPartitioner::new(3)),
                 }
-                DistributedGraph::build(graph, p.as_ref())
             }
-            (None, None) => DistributedGraph::build(graph, &HashPartitioner::new(3)),
         };
+        if dist.fragment_count() > MAX_SITES {
+            return Err(EngineError::TooManySites(dist.fragment_count()).into());
+        }
         if let Some(violation) = dist.validate() {
             return Err(Error::InvalidConfig(format!(
                 "partitioning violates Definition 1: {violation}"
             )));
         }
-
         Ok(GStoreD::assemble(dist, self.config))
     }
 }

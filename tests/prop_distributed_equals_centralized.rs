@@ -208,3 +208,74 @@ fn adversarial_partitionings_on_chain() {
         }
     }
 }
+
+/// The path `a → b → c → d` over `sites` sites: `b` alone on the last
+/// site, `a`, `c` and `d` on sites 0, 1 and 2, so every edge crosses.
+/// Returns the graph and its partitioning.
+fn path_with_b_on_last_site(sites: usize) -> (RdfGraph, DistributedGraph) {
+    let iri = |v: &str| Term::iri(format!("http://e/{v}"));
+    let g = RdfGraph::from_triples(
+        [("a", "b"), ("b", "c"), ("c", "d")]
+            .iter()
+            .map(|&(s, o)| Triple::new(iri(s), Term::iri("http://e/p"), iri(o))),
+    );
+    let site_of = [("a", 0), ("b", sites - 1), ("c", 1), ("d", 2)];
+    let map = site_of
+        .iter()
+        .map(|&(v, site)| (g.dict().id_of(&iri(v)).expect("vertex exists"), site))
+        .collect();
+    let dist = DistributedGraph::build(g.clone(), &ExplicitPartitioner::new(sites, map));
+    (g, dist)
+}
+
+const PATH_QUERY: &str =
+    "SELECT * WHERE { ?x <http://e/p> ?y . ?y <http://e/p> ?z . ?z <http://e/p> ?w }";
+
+/// A fleet of exactly `MAX_SITES` sites answers like the centralized
+/// matcher under every variant, with the last site's features in play.
+#[test]
+fn max_sites_fleet_matches_centralized_under_every_variant() {
+    let (g, dist) = path_with_b_on_last_site(gstored::core::MAX_SITES);
+    let query = QueryGraph::from_query(&gstored::sparql::parse_query(PATH_QUERY).unwrap()).unwrap();
+    let expected = reference(&g, &query);
+    assert_eq!(expected.len(), 1);
+    for variant in Variant::ALL {
+        let db = GStoreD::builder()
+            .distributed(dist.clone())
+            .variant(variant)
+            .build()
+            .expect("a MAX_SITES fleet is accepted");
+        let mut got = db.query(PATH_QUERY).unwrap().bindings().to_vec();
+        got.sort_unstable();
+        assert_eq!(got, expected, "{}", variant.label());
+    }
+}
+
+/// One site more than `MAX_SITES` is refused with a typed error, by the
+/// session builder and by the engine when a query starts. A LEC feature
+/// records its fragment as a bit of a `u64`, so site 64's features would
+/// alias site 0's: such a fleet used to answer this query with 1 row
+/// under Basic, LA and LO but 0 under Full.
+#[test]
+fn fleet_beyond_max_sites_is_refused_not_answered_wrong() {
+    use gstored::core::worker::with_in_process_workers;
+    use gstored::core::EngineError;
+    let sites = gstored::core::MAX_SITES + 1;
+    let (_, dist) = path_with_b_on_last_site(sites);
+    for variant in Variant::ALL {
+        let built = GStoreD::builder()
+            .distributed(dist.clone())
+            .variant(variant)
+            .build();
+        assert!(
+            matches!(built, Err(Error::Engine(EngineError::TooManySites(n))) if n == sites),
+            "{} built a {sites}-site session",
+            variant.label()
+        );
+    }
+    let query = QueryGraph::from_query(&gstored::sparql::parse_query(PATH_QUERY).unwrap()).unwrap();
+    let plan = PreparedPlan::new(query, dist.dict()).unwrap();
+    let engine = Engine::with_variant(Variant::Full);
+    let out = with_in_process_workers(&dist, |fleet| engine.execute_on(fleet, &dist, &plan));
+    assert_eq!(out.unwrap_err(), EngineError::TooManySites(sites));
+}

@@ -9,8 +9,8 @@
 //!   are exactly the centralized result.
 //! * The hash-join `assemble_lec` against the \[18\] join
 //!   `assemble_basic`.
-//! * The join graph's posting index against Definition 9 itself, through
-//!   `LecFeature::joinable`.
+//! * The join graph built from Algorithm 2's per-group postings against
+//!   Definition 9 itself, through `LecFeature::joinable`.
 //! * Algorithm 2 against its contract: the survivors assemble to the same
 //!   set as every LPM. (Algorithm 1 is held to Theorems 1/3/5 in
 //!   `prop_pruning_soundness`.)
@@ -29,9 +29,10 @@
 //! The dense-star and many-feature regressions at the bottom run
 //! workloads the pre-PR3/pre-PR4 quadratic dedups needed minutes for;
 //! the hash join and the interned-key prune must finish them in
-//! interactive time with the exact expected result sets.
+//! interactive time with the exact expected result sets. The many-group
+//! regression does the same for an all-pairs join-graph sweep.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -50,6 +51,7 @@ use gstored::partition::{
     Fragment, HashPartitioner, MetisLikePartitioner, Partitioner, SemanticHashPartitioner,
 };
 use gstored::prelude::*;
+use gstored::rdf::EdgeRef;
 use gstored::rdf::{vocab, VertexId};
 use gstored::store::candidates::CandidateFilter;
 use gstored::store::{
@@ -57,7 +59,10 @@ use gstored::store::{
     matches_from, partial_matches_from, stored_candidates, vertex_candidates, Adjacency,
     EncodedQuery, LocalPartialMatch,
 };
-use gstored_bench::fixtures::{dense_star_lpms, many_feature_features};
+use gstored_bench::fixtures::{
+    coordinator_features, dense_star_lpms, many_feature_features, many_group_features,
+};
+use gstored_bench::{datasets, experiments};
 
 /// Evaluate `query` under `variant` once on a fresh in-process fleet.
 fn run_variant(variant: Variant, dist: &DistributedGraph, query: &QueryGraph) -> QueryOutput {
@@ -611,8 +616,13 @@ fn many_feature_prune_regression() {
     );
 }
 
-/// Both join-graph builds equal Definition 9: 168 features take the
-/// all-pairs sweep, 288 the crossing-edge posting index.
+/// The join graph equals Definition 9 at every size the three retired
+/// build paths (an all-pairs sweep up to 256 features, a global posting
+/// sweep, and that sweep on threads from 16 384 candidate pairs) used to
+/// split between: 168 and 288 features of the many-feature fixture, the
+/// LUBM LQ1 features of a 4-site hash partitioning (over 16 384 feature
+/// pairs share a crossing edge), and 126 sign groups of the many-group
+/// fixture.
 #[test]
 fn join_graph_equals_definition_9_on_both_build_paths() {
     for n in [12, 16] {
@@ -620,4 +630,54 @@ fn join_graph_equals_definition_9_on_both_build_paths() {
         assert_eq!(features.len(), n * n + 2 * n);
         assert_join_graph_is_definition_9(&features, &qedges);
     }
+
+    let dataset = datasets::lubm(1_000);
+    let dist = experiments::partition(dataset.graph.clone(), "hash", 4);
+    let lq1 = dataset
+        .queries
+        .iter()
+        .find(|q| q.id == "LQ1")
+        .expect("LQ1 exists");
+    let eq = EncodedQuery::encode(&experiments::query_graph(lq1), dist.dict()).expect("encodable");
+    let qedges: Vec<(usize, usize)> = eq.edges().iter().map(|e| (e.from, e.to)).collect();
+    let features = coordinator_features(&dist, &eq);
+    let mut sharing: HashMap<(EdgeRef, usize), usize> = HashMap::new();
+    for f in &features {
+        for &entry in &f.mapping {
+            *sharing.entry(entry).or_default() += 1;
+        }
+    }
+    let pairs: usize = sharing.values().map(|&k| k * (k - 1) / 2).sum();
+    assert!(
+        pairs >= 1 << 14,
+        "test premise: {pairs} pairs share an edge"
+    );
+    assert_join_graph_is_definition_9(&features, &qedges);
+
+    let (features, _, qedges) = many_group_features(3);
+    assert!(group_by_sign(&features).len() >= 100);
+    assert_join_graph_is_definition_9(&features, &qedges);
+}
+
+/// The many-group pruning case at a size where an all-pairs join-graph
+/// sweep would test about 10⁹ feature pairs, minutes of wall time, while
+/// the posting-driven sweep needs about 10⁶ lookups. Algorithm 2 must keep
+/// exactly the complementary member-0 pairs in interactive time (the
+/// generous bound below is ~100× what it needs, so the assertion only
+/// fires on a complexity regression).
+#[test]
+fn many_group_prune_regression() {
+    let members = 1_000;
+    let (features, nv, qedges) = many_group_features(members);
+    let start = Instant::now();
+    let useful = prune_features(&features, nv, &qedges);
+    let elapsed = start.elapsed();
+    let mut got: Vec<u32> = useful.into_iter().collect();
+    got.sort_unstable();
+    let expected: Vec<u32> = (0..126).map(|g| (g * members) as u32).collect();
+    assert_eq!(got, expected);
+    assert!(
+        elapsed < Duration::from_secs(30),
+        "many-group prune took {elapsed:?}: the all-pairs sweep is back"
+    );
 }

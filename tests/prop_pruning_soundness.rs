@@ -7,17 +7,26 @@
 //!   never joinable).
 //! * Theorem 2/3: if two features are joinable, every LPM pair across
 //!   their classes is joinable at the binding level.
+//! * Algorithm 2's survivor set is exactly the one Definitions 9–11 give,
+//!   computed by brute force over the engine's own features under all
+//!   three partitioners.
 
 use proptest::prelude::*;
 
+use std::collections::{BTreeSet, HashSet};
+
 use gstored::core::assembly::{assemble_basic, assemble_lec};
-use gstored::core::lec::compute_lec_features;
+use gstored::core::lec::{compute_lec_features, LecFeature};
 use gstored::core::prune::prune_features;
 use gstored::datagen::random::{random_graph, random_query, RandomGraphConfig};
-use gstored::partition::PartitionAssignment;
+use gstored::partition::{
+    HashPartitioner, MetisLikePartitioner, PartitionAssignment, Partitioner,
+    SemanticHashPartitioner,
+};
 use gstored::prelude::*;
 use gstored::store::candidates::CandidateFilter;
 use gstored::store::{enumerate_local_partial_matches, EncodedQuery, LocalPartialMatch};
+use gstored_bench::fixtures::coordinator_features;
 
 fn setup(
     graph_seed: u64,
@@ -173,6 +182,84 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+}
+
+/// Definitions 9–11 by brute force: close the original features under
+/// `LecFeature::joinable`/`join` (every pair, intermediates included),
+/// then collect the ids listed in the `sources` of every complete
+/// (all-ones LECSign) member of the closure.
+fn definitional_survivors(
+    features: &[LecFeature],
+    n_vertices: usize,
+    query_edges: &[(usize, usize)],
+) -> BTreeSet<u32> {
+    let mut closure: Vec<LecFeature> = features.to_vec();
+    let mut seen: HashSet<LecFeature> = closure.iter().cloned().collect();
+    // Element `i` meets every element before it once; joins append, so
+    // each pair of the final closure is tried exactly once.
+    let mut i = 0;
+    while i < closure.len() {
+        for j in 0..i {
+            if closure[i].joinable(&closure[j], query_edges) {
+                let joined = closure[i].join(&closure[j]);
+                if seen.insert(joined.clone()) {
+                    closure.push(joined);
+                }
+            }
+        }
+        i += 1;
+    }
+    closure
+        .iter()
+        .filter(|f| f.is_complete(n_vertices))
+        .flat_map(|f| f.sources.iter().copied())
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Random graph × random query × 3 partitioners: `prune_features`
+    /// returns exactly the definitional survivor set of the features the
+    /// sites would ship, no more and no less.
+    #[test]
+    fn survivors_equal_the_definitional_closure(
+        graph_seed in 0u64..5000,
+        query_seed in 0u64..5000,
+        n_edges in 2usize..4,
+    ) {
+        let g = random_graph(&RandomGraphConfig {
+            vertices: 20,
+            edges: 40,
+            predicates: 3,
+            seed: graph_seed,
+        });
+        let text = random_query(n_edges, 3, None, query_seed);
+        let query = QueryGraph::from_query(
+            &gstored::sparql::parse_query(&text).expect("generated query parses"),
+        )
+        .expect("generated query is connected");
+        let partitioners: [Box<dyn Partitioner>; 3] = [
+            Box::new(HashPartitioner::new(3)),
+            Box::new(SemanticHashPartitioner::new(3)),
+            Box::new(MetisLikePartitioner::new(3)),
+        ];
+        for p in &partitioners {
+            let dist = DistributedGraph::build(g.clone(), p.as_ref());
+            let q = EncodedQuery::encode(&query, dist.dict()).expect("no predicate projection");
+            let query_edges: Vec<(usize, usize)> =
+                q.edges().iter().map(|e| (e.from, e.to)).collect();
+            let features = coordinator_features(&dist, &q);
+            let expected = definitional_survivors(&features, q.vertex_count(), &query_edges);
+            let got: BTreeSet<u32> = prune_features(&features, q.vertex_count(), &query_edges)
+                .into_iter()
+                .collect();
+            prop_assert_eq!(
+                &got, &expected,
+                "{} features of {} ({})", features.len(), text, p.name()
+            );
         }
     }
 }
