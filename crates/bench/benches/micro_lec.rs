@@ -1,13 +1,13 @@
 //! Micro-benchmarks for the LEC machinery (ablation: Algorithm 1 feature
-//! compression, Algorithm 2 pruning, Algorithm 3 vs basic assembly), with
-//! the hash-join Algorithm 3 also timed on the dense-star stress case of
-//! [`gstored_bench::fixtures::dense_star_lpms`], and the streaming
-//! `IncrementalJoin` timed beside Algorithm 3 on the YAGO LPMs and the
-//! fan-in case of [`gstored_bench::fixtures::fan_in_path_lpms`].
+//! compression, Algorithm 2 pruning, and Algorithm 3 — the delta join
+//! `IncrementalJoin` — beside the basic \[18\] assembly on the YAGO YQ3
+//! LPMs). Algorithm 3 is also timed on the fan-in case of
+//! [`gstored_bench::fixtures::fan_in_path_lpms`] and the dense-star stress
+//! case of [`gstored_bench::fixtures::dense_star_lpms`].
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gstored_bench::{datasets, experiments, fixtures};
-use gstored_core::assembly::{assemble_basic, assemble_lec, IncrementalJoin};
+use gstored_core::assembly::{assemble_basic, IncrementalJoin};
 use gstored_core::lec::compute_lec_features;
 use gstored_core::prune::prune_features;
 use gstored_store::candidates::CandidateFilter;
@@ -45,9 +45,6 @@ fn bench(c: &mut Criterion) {
             criterion::black_box(prune_features(&features, eq.vertex_count(), &query_edges).len())
         })
     });
-    group.bench_function("algorithm3_lec_assembly", |b| {
-        b.iter(|| criterion::black_box(assemble_lec(&lpms, eq.vertex_count(), &query_edges).len()))
-    });
     group.bench_function("incremental_join", |b| {
         b.iter(|| criterion::black_box(push_all(&lpms, eq.vertex_count(), query_edges.len())))
     });
@@ -55,15 +52,12 @@ fn bench(c: &mut Criterion) {
         b.iter(|| criterion::black_box(assemble_basic(&lpms, eq.vertex_count()).len()))
     });
     let (fan_in, fan_nv, fan_edges) = fixtures::fan_in_path_lpms(1_000);
-    group.bench_function("fan_in_lec_assembly", |b| {
-        b.iter(|| criterion::black_box(assemble_lec(&fan_in, fan_nv, &fan_edges).len()))
-    });
     group.bench_function("fan_in_incremental_join", |b| {
         b.iter(|| criterion::black_box(push_all(&fan_in, fan_nv, fan_edges.len())))
     });
     let (dense, nv, dense_edges) = fixtures::dense_star_lpms(40);
-    group.bench_function("dense_star_lec_assembly", |b| {
-        b.iter(|| criterion::black_box(assemble_lec(&dense, nv, &dense_edges).len()))
+    group.bench_function("dense_star_incremental_join", |b| {
+        b.iter(|| criterion::black_box(push_all(&dense, nv, dense_edges.len())))
     });
     group.finish();
 }

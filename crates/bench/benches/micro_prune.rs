@@ -1,6 +1,8 @@
 //! Micro-benchmarks for LEC pruning: Algorithm 2's `prune_features` and
 //! Algorithm 1's `compute_lec_features` on the engine's own feature sets
-//! (LUBM LQ7 under hashing), and Algorithm 2 on the crossing-heavy
+//! (LUBM LQ7 under hashing), Algorithm 2 on a six-edge LUBM snowflake —
+//! the case where its `(visited set, current features)` state memo pays,
+//! because many join orders reach one state — and on the crossing-heavy
 //! many-feature stress case of
 //! [`gstored_bench::fixtures::many_feature_features`].
 
@@ -8,6 +10,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gstored_bench::{datasets, experiments, fixtures};
 use gstored_core::lec::compute_lec_features;
 use gstored_core::prune::prune_features;
+use gstored_rdf::vocab::lubm;
+use gstored_sparql::{parse_query, QueryGraph};
 use gstored_store::candidates::CandidateFilter;
 use gstored_store::{enumerate_local_partial_matches, EncodedQuery, LocalPartialMatch};
 
@@ -45,6 +49,29 @@ fn bench(c: &mut Criterion) {
     });
     group.bench_function("algorithm1_compress", |b| {
         b.iter(|| criterion::black_box(compute_lec_features(&heaviest, 0).0.len()))
+    });
+    // A faculty star (five edges) plus the department's parent.
+    let snowflake = format!(
+        "SELECT * WHERE {{ ?f <{w}> ?d . ?f <{n}> ?name . ?f <{e}> ?mail . \
+         ?f <{t}> ?tel . ?f <{c}> ?course . ?d <{s}> ?u . }}",
+        w = lubm::WORKS_FOR,
+        n = lubm::NAME,
+        e = lubm::EMAIL_ADDRESS,
+        t = lubm::TELEPHONE,
+        c = lubm::TEACHER_OF,
+        s = lubm::SUB_ORGANIZATION_OF,
+    );
+    let snowflake =
+        QueryGraph::from_query(&parse_query(&snowflake).expect("parses")).expect("connected");
+    let snow = EncodedQuery::encode(&snowflake, dist.dict()).expect("encodable");
+    let snow_edges: Vec<(usize, usize)> = snow.edges().iter().map(|e| (e.from, e.to)).collect();
+    let snow_features = fixtures::coordinator_features(&dist, &snow);
+    group.bench_function("algorithm2_prune_snowflake", |b| {
+        b.iter(|| {
+            criterion::black_box(
+                prune_features(&snow_features, snow.vertex_count(), &snow_edges).len(),
+            )
+        })
     });
     let (many, nv, many_edges) = fixtures::many_feature_features(24);
     group.bench_function("many_feature_prune", |b| {

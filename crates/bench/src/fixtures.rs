@@ -12,7 +12,7 @@ use gstored_store::{enumerate_local_partial_matches, EncodedQuery, LocalPartialM
 /// query `?c -p-> ?a . ?c -q-> ?b`. F0 contributes `n²` LPMs (every leaf
 /// pair), F1 contributes `2n`, and assembly must produce exactly `n²`
 /// crossing matches. The pre-PR3 pairwise join with its quadratic
-/// `next.contains` dedup is `O(n⁴)` comparisons on this shape; the hash
+/// `next.contains` dedup is `O(n⁴)` comparisons on this shape; the delta
 /// join is near-linear in the `n²` intermediates.
 ///
 /// Returns `(lpms, n_query_vertices, query_edges)`.
@@ -235,18 +235,36 @@ pub fn coordinator_features(dist: &DistributedGraph, eq: &EncodedQuery) -> Vec<L
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gstored_core::assembly::{assemble_lec, IncrementalJoin};
+    use gstored_core::assembly::{assemble_basic, IncrementalJoin, MatchBinding};
+
+    fn push_all(lpms: &[LocalPartialMatch], nv: usize, n_edges: usize) -> Vec<MatchBinding> {
+        let mut joiner = IncrementalJoin::new(nv, n_edges);
+        let mut got: Vec<_> = lpms.iter().flat_map(|m| joiner.push(m)).collect();
+        got.sort_unstable();
+        assert_eq!(joiner.resident_states(), lpms.len());
+        got
+    }
 
     #[test]
     fn fan_in_incremental_join_equals_lec_assembly() {
+        // The [18] join is the reference at a size it finishes quickly.
+        let (lpms, nv, qedges) = fan_in_path_lpms(200);
+        assert_eq!(push_all(&lpms, nv, qedges.len()), assemble_basic(&lpms, nv));
+
+        // At full size: one match per member, each a department LPM's
+        // binding completed by the university LPM's name.
         let n = 2_000;
         let (lpms, nv, qedges) = fan_in_path_lpms(n);
-        let expected = assemble_lec(&lpms, nv, &qedges);
-        assert_eq!(expected.len(), n, "one match per member");
-        let mut joiner = IncrementalJoin::new(nv, qedges.len());
-        let mut got: Vec<_> = lpms.iter().flat_map(|m| joiner.push(m)).collect();
-        got.sort_unstable();
-        assert_eq!(got, expected);
-        assert_eq!(joiner.resident_states(), lpms.len());
+        let name = lpms[2 * n].binding[3];
+        let mut expected: Vec<MatchBinding> = lpms[..n]
+            .iter()
+            .map(|m| {
+                let mut b = m.binding.clone();
+                b[3] = name;
+                b.into_iter().map(|v| v.expect("complete")).collect()
+            })
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(push_all(&lpms, nv, qedges.len()), expected);
     }
 }

@@ -1,21 +1,18 @@
 //! Assembly of local partial matches into crossing matches.
 //!
-//! The engine runs the streaming [`IncrementalJoin`] (a delta join over
-//! pushed LPMs, bucketed by LECSign like Algorithm 3) for LA/LO/Full and
-//! [`assemble_basic`] for Basic; [`assemble_lec`] is the batch reference
-//! the equivalence tests hold the delta join to:
+//! Two joins, one per family of engine variants:
 //!
-//! * [`assemble_lec`] — the LEC feature-based assembly of **Algorithm 3**:
-//!   LPMs are grouped by LECSign (Definition 11), a group join graph is
-//!   built, and a DFS join explores only adjacent groups. The per-group
-//!   join is a **hash join**: each group's members are indexed by their
-//!   binding projected onto the query vertices bound on both sides, so an
-//!   intermediate only ever meets the members it agrees with, instead of
-//!   being tested pairwise against the whole group. Intermediates use a
-//!   compact fixed-width representation (`Joined`) — binding, bitmasks
-//!   and a query-edge-indexed crossing table — so joining is mask math
-//!   plus an `O(|E^Q|)` merge rather than `LocalPartialMatch` cloning
-//!   with quadratic crossing-list scans.
+//! * [`IncrementalJoin`] — the LEC feature-based assembly of
+//!   **Algorithm 3**, run by LA/LO/Full as a delta join: LPMs are pushed
+//!   one at a time as survivor chunks land, each push extends only the
+//!   new LPM through the postings of its crossing edges, and a posting's
+//!   LECSign buckets (Definition 11) that overlap the state's internal
+//!   mask are skipped whole (Theorem 5). Intermediates use a compact
+//!   fixed-width representation (`Joined`) — binding, bitmasks and a
+//!   query-edge-indexed crossing table — so joining is mask math plus an
+//!   `O(|E^Q|)` merge rather than `LocalPartialMatch` cloning with
+//!   quadratic crossing-list scans. [`assemble_lec`] drains a whole batch
+//!   through one joiner.
 //! * [`assemble_basic`] — the partitioning-based join of reference \[18\],
 //!   used by the `gStoreD-Basic` variant in Fig. 9: no LECSign grouping;
 //!   intermediates are joined against every LPM whose pivot-partition
@@ -23,14 +20,12 @@
 //!   pairwise join loop is kept verbatim — it *is* the baseline — but its
 //!   dedup sinks use the same fast deterministic hasher.
 //!
-//! Both return the deduplicated set of complete crossing-match bindings.
+//! Both yield the deduplicated set of complete crossing-match bindings,
+//! and the tests hold each to the other and to the centralized matcher.
 
 use fxhash::{FxHashMap, FxHashSet};
 use gstored_rdf::{EdgeRef, VertexId};
 use gstored_store::LocalPartialMatch;
-
-use crate::lec::LecFeature;
-use crate::prune::{build_join_graph, FeatureGroup};
 
 /// A complete match binding (one data vertex per query vertex).
 pub type MatchBinding = Vec<VertexId>;
@@ -42,7 +37,7 @@ pub type MatchBinding = Vec<VertexId>;
 /// [`LocalPartialMatch`] so that the shared-edge / conflicting-edge checks
 /// of the join condition are single array probes and merging two matches
 /// is one linear pass. `bound_mask` caches which query vertices are bound,
-/// which is what the hash-join keys project on.
+/// so the binding-agreement check only visits commonly bound ones.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct Joined {
     /// Source fragment for an original LPM; `usize::MAX` once joined.
@@ -97,9 +92,7 @@ impl Joined {
         if !shared {
             return None;
         }
-        // Binding agreement on commonly-bound vertices. The hash join
-        // already guarantees this for probe hits; re-checking costs one
-        // word-AND plus a few compares and keeps `try_join` total.
+        // Binding agreement on commonly-bound vertices.
         let common = self.bound_mask & other.bound_mask;
         let mut bits = common;
         while bits != 0 {
@@ -159,241 +152,26 @@ fn bound_mask_of(binding: &[Option<VertexId>]) -> u64 {
     mask
 }
 
-/// Project a binding onto the query vertices of `mask` (all bound).
-#[inline]
-fn project(binding: &[Option<VertexId>], mask: u64) -> Vec<VertexId> {
-    let mut key = Vec::with_capacity(mask.count_ones() as usize);
-    let mut bits = mask;
-    while bits != 0 {
-        let v = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        key.push(binding[v].expect("projection vertex is bound"));
-    }
-    key
-}
-
-/// Algorithm 3: LEC feature-based assembly.
+/// Algorithm 3 over a whole batch: every LPM pushed, in order, through
+/// one [`IncrementalJoin`], and the emitted bindings sorted.
 ///
-/// `query_edges[qe] = (from_vertex, to_vertex)` is needed for the
-/// feature-level joinability checks on the group join graph.
-#[allow(clippy::while_let_loop)] // the loop body mutates `alive`, not just the scrutinee
+/// `query_edges` only widens the query-edge table: its width covers every
+/// query edge and every `qe` any LPM's crossing list mentions.
 pub fn assemble_lec(
     lpms: &[LocalPartialMatch],
     n_query_vertices: usize,
     query_edges: &[(usize, usize)],
 ) -> Vec<MatchBinding> {
-    if lpms.is_empty() {
-        return Vec::new();
-    }
-    // The bound/internal bitmasks (and LECSigns generally) are 64-bit;
-    // beyond that the masked agreement checks would silently skip
-    // vertices, so fail loudly like the LPM enumerator does.
-    assert!(n_query_vertices <= 64, "LECSign masks are 64-bit");
-    // Width of the query-edge tables: every `qe` any LPM mentions.
     let n_edges = lpms
         .iter()
         .flat_map(|m| m.crossing.iter().map(|&(_, qe)| qe + 1))
         .max()
         .unwrap_or(0)
         .max(query_edges.len());
-    let prepared: Vec<Joined> = lpms.iter().map(|m| Joined::of_lpm(m, n_edges)).collect();
-
-    // Definition 11: group LPMs by LECSign — hash-mapped, no linear scan.
-    let mut group_of_sign: FxHashMap<u64, usize> = FxHashMap::default();
-    let mut groups: Vec<(u64, Vec<usize>)> = Vec::new();
-    for (i, lpm) in lpms.iter().enumerate() {
-        let idx = *group_of_sign.entry(lpm.internal_mask).or_insert_with(|| {
-            groups.push((lpm.internal_mask, Vec::new()));
-            groups.len() - 1
-        });
-        groups[idx].1.push(i);
-    }
-    // Group join graph via the groups' feature sets: features deduped by
-    // their structural key into one shared list, groups holding indices
-    // into it (the index-based `FeatureGroup` shape `build_join_graph`'s
-    // crossing-edge posting index works over).
-    let mut feature_list: Vec<LecFeature> = Vec::new();
-    let mut feature_groups: Vec<FeatureGroup> = Vec::with_capacity(groups.len());
-    for (sign, members) in &groups {
-        let mut seen: FxHashSet<crate::lec::OwnedFeatureKey> = FxHashSet::default();
-        let mut idxs: Vec<u32> = Vec::new();
-        for &mi in members {
-            let f = LecFeature::of_lpm(&lpms[mi]);
-            if seen.insert((f.fragments, f.mapping.clone(), f.sign)) {
-                idxs.push(feature_list.len() as u32);
-                feature_list.push(f);
-            }
-        }
-        feature_groups.push(FeatureGroup {
-            sign: *sign,
-            members: idxs,
-        });
-    }
-    let adj = build_join_graph(&feature_list, &feature_groups, query_edges);
-
-    let mut found: FxHashSet<MatchBinding> = FxHashSet::default();
-    let mut alive = vec![true; groups.len()];
-    loop {
-        let Some(vmin) = (0..groups.len())
-            .filter(|&v| alive[v])
-            .min_by_key(|&v| groups[v].1.len())
-        else {
-            break;
-        };
-        let seed: Vec<Joined> = groups[vmin]
-            .1
-            .iter()
-            .map(|&mi| prepared[mi].clone())
-            .collect();
-        let mut visited_set = vec![false; groups.len()];
-        visited_set[vmin] = true;
-        com_par_join(
-            &mut vec![vmin],
-            &mut visited_set,
-            seed,
-            &groups,
-            &prepared,
-            &adj,
-            &alive,
-            n_query_vertices,
-            &mut found,
-        );
-        alive[vmin] = false;
-        loop {
-            let mut removed = false;
-            for v in 0..groups.len() {
-                if alive[v] && !adj[v].iter().any(|&u| alive[u]) {
-                    alive[v] = false;
-                    removed = true;
-                }
-            }
-            if !removed {
-                break;
-            }
-        }
-    }
-    let mut out: Vec<MatchBinding> = found.into_iter().collect();
+    let mut join = IncrementalJoin::new(n_query_vertices, n_edges);
+    let mut out: Vec<MatchBinding> = lpms.iter().flat_map(|m| join.push(m)).collect();
     out.sort_unstable();
     out
-}
-
-/// The recursive `ComParJoin` of Algorithm 3, with the per-group pairwise
-/// loop replaced by [`hash_join`].
-#[allow(clippy::too_many_arguments)]
-fn com_par_join(
-    visited: &mut Vec<usize>,
-    visited_set: &mut Vec<bool>,
-    current: Vec<Joined>,
-    groups: &[(u64, Vec<usize>)],
-    prepared: &[Joined],
-    adj: &[Vec<usize>],
-    alive: &[bool],
-    n_query_vertices: usize,
-    found: &mut FxHashSet<MatchBinding>,
-) {
-    if current.is_empty() {
-        return;
-    }
-    let mut frontier: Vec<usize> = visited
-        .iter()
-        .flat_map(|&v| adj[v].iter().copied())
-        .filter(|&u| alive[u] && !visited_set[u])
-        .collect();
-    frontier.sort_unstable();
-    frontier.dedup();
-    // Smallest group first, by actual member count: joining against the
-    // group with the fewest members keeps the intermediate `current` sets
-    // small before the bigger groups multiply them. The result set does
-    // not depend on the order, only the work to reach it does. Index
-    // tiebreak keeps the walk deterministic.
-    frontier.sort_by_key(|&u| (groups[u].1.len(), u));
-
-    for v in frontier {
-        let next = hash_join(&current, &groups[v].1, prepared, n_query_vertices, found);
-        if !next.is_empty() {
-            visited.push(v);
-            visited_set[v] = true;
-            com_par_join(
-                visited,
-                visited_set,
-                next,
-                groups,
-                prepared,
-                adj,
-                alive,
-                n_query_vertices,
-                found,
-            );
-            let popped = visited.pop().expect("pushed above");
-            visited_set[popped] = false;
-        }
-    }
-}
-
-/// Join every intermediate in `current` with group `members`, hash-joined
-/// on the shared-query-vertex binding signature: members are indexed by
-/// their binding projected onto `current_bound ∩ member_bound`, so each
-/// probe meets only members that agree on every commonly-bound vertex.
-/// Complete results land in `found`; incomplete ones are deduplicated
-/// (fast hasher, no quadratic `contains`) and returned as the next level.
-fn hash_join(
-    current: &[Joined],
-    members: &[usize],
-    prepared: &[Joined],
-    n_query_vertices: usize,
-    found: &mut FxHashSet<MatchBinding>,
-) -> Vec<Joined> {
-    // Both sides are partitioned by bound mask. In practice each has
-    // exactly one (a group's bound set is determined by its LECSign and
-    // the query; `current` is one join level), but wire-supplied LPMs are
-    // not trusted to be that regular.
-    let mut member_masks: Vec<(u64, Vec<usize>)> = Vec::new();
-    for &mi in members {
-        let mask = prepared[mi].bound_mask;
-        match member_masks.iter_mut().find(|(m, _)| *m == mask) {
-            Some((_, v)) => v.push(mi),
-            None => member_masks.push((mask, vec![mi])),
-        }
-    }
-    let mut current_masks: Vec<u64> = current.iter().map(|a| a.bound_mask).collect();
-    current_masks.sort_unstable();
-    current_masks.dedup();
-
-    // Incomplete intermediates deduplicate straight into the set — one
-    // allocation per survivor, no quadratic `contains`. Fx iteration
-    // order is deterministic for a given insertion sequence, and `found`
-    // is sorted at the end, so results stay run-to-run stable.
-    let mut next: FxHashSet<Joined> = FxHashSet::default();
-    for (mmask, midxs) in &member_masks {
-        for &cmask in &current_masks {
-            let common = mmask & cmask;
-            let mut index: FxHashMap<Vec<VertexId>, Vec<usize>> = FxHashMap::default();
-            for &mi in midxs {
-                index
-                    .entry(project(&prepared[mi].binding, common))
-                    .or_default()
-                    .push(mi);
-            }
-            for a in current.iter().filter(|a| a.bound_mask == cmask) {
-                let Some(hits) = index.get(&project(&a.binding, common)) else {
-                    continue;
-                };
-                for &mi in hits {
-                    let Some(joined) = a.try_join(&prepared[mi]) else {
-                        continue;
-                    };
-                    if joined.is_complete(n_query_vertices) {
-                        if let Some(binding) = joined.complete_binding() {
-                            found.insert(binding);
-                        }
-                    } else {
-                        next.insert(joined);
-                    }
-                }
-            }
-        }
-    }
-    next.into_iter().collect()
 }
 
 /// One posting list split by LECSign: `(sign, indices of the LPMs with
@@ -416,8 +194,8 @@ type SignBuckets = Vec<(u64, Vec<usize>)>;
 /// the LECSign buckets whose sign is disjoint from the state's internal
 /// mask — an overlapping bucket can never join (Theorem 5), so it is
 /// skipped whole, without testing its members. This yields exactly the
-/// result set of [`assemble_basic`] / [`assemble_lec`] over the same
-/// LPMs, whatever the arrival order.
+/// result set of [`assemble_basic`] over the same LPMs, whatever the
+/// arrival order.
 ///
 /// Used by the engine's streaming pipeline to join survivor chunks as
 /// they arrive. Its memory is the LPMs pushed so far plus the distinct
@@ -789,7 +567,7 @@ mod tests {
     #[test]
     fn incremental_join_matches_batch_assembly_in_every_arrival_order() {
         let (lpms, qedges) = paper_lpms();
-        let reference = assemble_lec(&lpms, 5, &qedges);
+        let reference = assemble_basic(&lpms, 5);
         assert_eq!(reference, expected());
         // Forward, reverse, and a few rotations: chunk/arrival order must
         // never change the emitted set.
@@ -829,7 +607,7 @@ mod tests {
         // The a(F0) - b(F1) - c(F0) chain: the two F0 LPMs cannot join
         // directly, only through the F1 middle — and the middle may
         // arrive first, last, or between them.
-        let qedges = vec![(0, 1), (1, 2)];
+        let qedges = [(0, 1), (1, 2)];
         let e01 = edge(100, 1, 200);
         let e12 = edge(200, 1, 300);
         let lpms = vec![
@@ -842,7 +620,7 @@ mod tests {
                 &[1],
             ),
         ];
-        let reference = assemble_lec(&lpms, 3, &qedges);
+        let reference = assemble_basic(&lpms, 3);
         assert_eq!(reference.len(), 1);
         for rot in 0..lpms.len() {
             let mut order = lpms.clone();

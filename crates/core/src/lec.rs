@@ -19,10 +19,6 @@ use fxhash::FxHashMap;
 use gstored_rdf::EdgeRef;
 use gstored_store::LocalPartialMatch;
 
-/// Owned form of [`LecFeature::key`]: `(fragments, mapping, sign)`. The
-/// key type of the hash maps that deduplicate features structurally.
-pub type OwnedFeatureKey = (u64, Vec<(EdgeRef, usize)>, u64);
-
 /// One crossing-edge mapping entry: a matched data edge plus the index of
 /// the query edge it matches (the function `g` of Definition 8).
 pub type MappingEntry = (EdgeRef, usize);
@@ -261,24 +257,6 @@ pub struct LecFeature {
 }
 
 impl LecFeature {
-    /// The feature of one local partial match (Algorithm 1 inner loop).
-    pub fn of_lpm(lpm: &LocalPartialMatch) -> LecFeature {
-        let mut mapping = lpm.crossing.clone();
-        mapping.sort_unstable_by_key(|&(e, qe)| (qe, e));
-        LecFeature {
-            fragments: 1u64 << lpm.fragment,
-            mapping,
-            sign: lpm.internal_mask,
-            sources: Vec::new(),
-        }
-    }
-
-    /// Structural identity (fragment + mapping + sign): two LPMs with equal
-    /// keys belong to the same LEC (Definition 6).
-    pub fn key(&self) -> (u64, &[(EdgeRef, usize)], u64) {
-        (self.fragments, &self.mapping, self.sign)
-    }
-
     /// Whether this is an original (single-fragment, un-joined) feature.
     pub fn is_original(&self) -> bool {
         self.fragments.count_ones() == 1

@@ -588,9 +588,6 @@ pub struct WorkerStatus {
     pub capacity: u64,
     /// Queries evicted by the capacity cap since the worker started.
     pub evictions: u64,
-    /// Queries reclaimed by the stale-slot TTL janitor since the worker
-    /// started (a coordinator died or forgot to release them).
-    pub ttl_evictions: u64,
 }
 
 const REQ_INSTALL_FRAGMENT: u64 = 1;
@@ -1109,8 +1106,7 @@ pub fn encode_response(resp: &Response) -> Bytes {
                 .u64(s.resident_queries)
                 .u64(s.resident_lpms)
                 .u64(s.capacity)
-                .u64(s.evictions)
-                .u64(s.ttl_evictions);
+                .u64(s.evictions);
         }
         ResponseBody::UnknownQuery(q) => {
             w.u64(RESP_UNKNOWN_QUERY).u32_fixed(q.0);
@@ -1166,7 +1162,6 @@ pub fn decode_response(bytes: Bytes) -> Result<Response, WireError> {
             resident_lpms: r.u64()?,
             capacity: r.u64()?,
             evictions: r.u64()?,
-            ttl_evictions: r.u64()?,
         }),
         RESP_UNKNOWN_QUERY => ResponseBody::UnknownQuery(QueryId(r.u32_fixed()?)),
         RESP_ERROR => ResponseBody::Error(r.str()?),
@@ -1503,7 +1498,6 @@ mod tests {
                     resident_lpms: 17,
                     capacity: 32,
                     evictions: 1,
-                    ttl_evictions: 3,
                 }),
             ),
             Response::new(Duration::ZERO, q, ResponseBody::UnknownQuery(QueryId(99))),

@@ -763,6 +763,41 @@ mod tests {
         }
     }
 
+    /// A state-memo hit must carry usefulness across to the skipped
+    /// instance. Query v0..v3 with edges q0: v0→v1, q1: v0→v2, q2: v1→v2,
+    /// q3: v1→v3; one group per internal vertex: S = {s}, A = {a1, a2},
+    /// B = {b}, C = {c}. `a1` shares q0's edge with `s`; `a2` shares q2's
+    /// edge only with `b`; both carry q3's edge, which `c` shares. So
+    /// `s ⋈ b ⋈ a1` and `s ⋈ b ⋈ a2` are one structural feature, equal to
+    /// `s ⋈ a1 ⋈ b`. The DFS from S walks S→A→B first, where `a2` never
+    /// joins, and completes with `c`; S→B→A then reaches the same
+    /// {S, A, B} state and is skipped. Only the alias edge from the
+    /// expanded state to the skipped one marks `a2`, which completes as
+    /// `s ⋈ b ⋈ a2 ⋈ c`; after S leaves the alive set no completion is
+    /// possible.
+    #[test]
+    fn memo_hit_aliases_keep_the_skipped_lineage_useful() {
+        let qedges = vec![(0, 1), (0, 2), (1, 2), (1, 3)];
+        let (v0, v1, v2, v3) = (10, 11, 12, 13);
+        let e_sa = (edge(v0, 1, v1), 0);
+        let e_sb = (edge(v0, 1, v2), 1);
+        let e_ab = (edge(v1, 1, v2), 2);
+        let e_x = (edge(v1, 1, v3), 3);
+        let features = vec![
+            feat(0, 0, vec![e_sa, e_sb], 0b0001),
+            feat(1, 1, vec![e_sa, e_x], 0b0010),
+            feat(2, 1, vec![e_ab, e_x], 0b0010),
+            feat(3, 2, vec![e_sb, e_ab], 0b0100),
+            feat(4, 3, vec![e_x], 0b1000),
+        ];
+        let groups = group_by_sign(&features);
+        assert_eq!(groups.len(), 4, "test premise: S, A, B, C");
+        let rs = prune_features(&features, 4, &qedges);
+        let mut got: Vec<u32> = rs.into_iter().collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 1, 2, 3, 4], "a2 completes through b");
+    }
+
     #[test]
     fn big_group_counts_disable_the_state_memo_but_stay_correct() {
         // More than 64 sign groups: the u64 visited mask no longer fits,

@@ -33,7 +33,6 @@
 //! the losers. (`ShipSurvivors`, the whole set in one reply, is still
 //! answered but no longer sent by the engine.)
 
-use std::cell::RefCell;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -41,7 +40,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use fxhash::FxHashMap;
-use gstored_net::worker::{serve_endpoint, serve_stream_idle, ServeOutcome};
+use gstored_net::worker::{serve_endpoint, serve_stream, ServeOutcome};
 use gstored_net::InProcessTransport;
 use gstored_partition::{DistributedGraph, Fragment};
 use gstored_rdf::VertexId;
@@ -59,13 +58,6 @@ use crate::protocol::{self, QueryId, Request, Response, ResponseBody, WorkerStat
 /// so a release lost to a torn connection degrades to an eviction, not
 /// an error.
 pub const DEFAULT_QUERY_CAPACITY: usize = 64;
-
-/// Default wall-clock TTL for remote workers' resident query slots
-/// ([`serve_tcp`]). A coordinator that died mid-pipeline never sends
-/// `ReleaseQuery`, so its slots would sit resident until the capacity
-/// cap happens to evict them; the TTL janitor reclaims them on time
-/// instead. Five minutes is far beyond any legitimate inter-stage gap.
-pub const DEFAULT_QUERY_TTL: Duration = Duration::from_secs(300);
 
 /// The fragment a worker evaluates over: borrowed from the coordinator's
 /// [`DistributedGraph`] (in-process backend) or owned after an
@@ -114,8 +106,6 @@ struct QueryState {
     ship_seq: u64,
     /// Logical touch stamp for LRU eviction (monotone per worker).
     last_touch: u64,
-    /// Wall-clock touch stamp for TTL eviction (the janitor).
-    touched_at: Instant,
 }
 
 impl QueryState {
@@ -132,7 +122,6 @@ impl QueryState {
             ship_pos: 0,
             ship_seq: 0,
             last_touch: touch,
-            touched_at: Instant::now(),
         }
     }
 }
@@ -145,10 +134,6 @@ pub struct SiteWorker<'a> {
     capacity: usize,
     clock: u64,
     evictions: u64,
-    /// Stale-slot TTL (the janitor); `None` disables wall-clock eviction
-    /// (the in-process default — those fleets die with their session).
-    ttl: Option<Duration>,
-    ttl_evictions: u64,
 }
 
 impl<'a> SiteWorker<'a> {
@@ -161,8 +146,6 @@ impl<'a> SiteWorker<'a> {
             capacity: DEFAULT_QUERY_CAPACITY,
             clock: 0,
             evictions: 0,
-            ttl: None,
-            ttl_evictions: 0,
         }
     }
 
@@ -174,8 +157,6 @@ impl<'a> SiteWorker<'a> {
             capacity: DEFAULT_QUERY_CAPACITY,
             clock: 0,
             evictions: 0,
-            ttl: None,
-            ttl_evictions: 0,
         }
     }
 
@@ -186,18 +167,6 @@ impl<'a> SiteWorker<'a> {
         self
     }
 
-    /// Evict query slots untouched for `ttl` (`None` disables the
-    /// janitor). Sweeps run before each served frame and, under
-    /// [`serve_tcp`], on idle ticks — so a coordinator that died
-    /// mid-pipeline cannot pin site memory even if no other traffic
-    /// arrives. An evicted query's later frames get the typed
-    /// `UnknownQuery` reply, the same degradation as a capacity
-    /// eviction.
-    pub fn with_ttl(mut self, ttl: Option<Duration>) -> SiteWorker<'a> {
-        self.ttl = ttl;
-        self
-    }
-
     /// Snapshot of the worker's state-table occupancy.
     pub fn status(&self) -> WorkerStatus {
         WorkerStatus {
@@ -205,25 +174,7 @@ impl<'a> SiteWorker<'a> {
             resident_lpms: self.queries.values().map(|s| s.lpms.len() as u64).sum(),
             capacity: self.capacity as u64,
             evictions: self.evictions,
-            ttl_evictions: self.ttl_evictions,
         }
-    }
-
-    /// Run the stale-query janitor now: drop every slot untouched for
-    /// longer than the TTL. Returns how many slots were reclaimed (0 when
-    /// the janitor is disabled).
-    pub fn sweep_stale(&mut self) -> usize {
-        self.sweep_stale_at(Instant::now())
-    }
-
-    fn sweep_stale_at(&mut self, now: Instant) -> usize {
-        let Some(ttl) = self.ttl else { return 0 };
-        let before = self.queries.len();
-        self.queries
-            .retain(|_, s| now.saturating_duration_since(s.touched_at) <= ttl);
-        let swept = before - self.queries.len();
-        self.ttl_evictions += swept as u64;
-        swept
     }
 
     /// Serve one frame: decode the request, run it, encode the reply.
@@ -232,7 +183,6 @@ impl<'a> SiteWorker<'a> {
     /// not kill a persistent worker.
     pub fn handle(&mut self, frame: Bytes) -> Option<Bytes> {
         let started = Instant::now();
-        self.sweep_stale_at(started);
         let (query, body) = match protocol::decode_request(frame) {
             Ok(Request::Shutdown) => return None,
             Ok(req) => (req.query_id(), self.dispatch(req)),
@@ -500,7 +450,6 @@ fn touch<'q>(
     match queries.get_mut(&query.0) {
         Some(state) => {
             state.last_touch = *clock;
-            state.touched_at = Instant::now();
             Ok(state)
         }
         None => Err(ResponseBody::UnknownQuery(query)),
@@ -520,32 +469,22 @@ fn touch<'q>(
 /// listener stops accepting and the call returns; connections still being
 /// served are reaped when the hosting process exits.
 ///
-/// Failure containment per connection: the socket gets a read timeout
-/// (used as the janitor's idle tick — see [`SiteWorker::with_ttl`],
-/// armed here with [`DEFAULT_QUERY_TTL`]) and a write timeout, so a
-/// coordinator that stops draining its socket cannot pin a worker
+/// Failure containment per connection: the socket gets a write timeout,
+/// so a coordinator that stops draining its socket cannot pin a worker
 /// thread in `write` forever; the write timing out ends that
 /// connection's serve loop and frees its state, leaving every other
-/// connection untouched.
+/// connection untouched. A connection's [`SiteWorker`] — and with it
+/// every query slot it holds — is dropped when its socket closes.
 pub fn serve_tcp(listener: TcpListener) -> std::io::Result<()> {
-    serve_tcp_with_options(listener, DEFAULT_QUERY_CAPACITY, Some(DEFAULT_QUERY_TTL))
+    serve_tcp_with_options(listener, DEFAULT_QUERY_CAPACITY)
 }
-
-/// How often an idle worker connection wakes to run the TTL janitor
-/// (and the socket read timeout that implements the tick).
-const IDLE_TICK: Duration = Duration::from_secs(1);
 
 /// How long a worker waits for the coordinator to drain a reply before
 /// declaring the connection dead.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// [`serve_tcp`] with explicit state-table capacity and stale-query TTL
-/// (`None` disables the janitor).
-pub fn serve_tcp_with_options(
-    listener: TcpListener,
-    capacity: usize,
-    ttl: Option<Duration>,
-) -> std::io::Result<()> {
+/// [`serve_tcp`] with an explicit state-table capacity per connection.
+pub fn serve_tcp_with_options(listener: TcpListener, capacity: usize) -> std::io::Result<()> {
     let stop = Arc::new(AtomicBool::new(false));
     // The address a handler thread self-connects to so the accept loop
     // wakes up and observes the stop flag. A wildcard bind (0.0.0.0 /
@@ -568,21 +507,13 @@ pub fn serve_tcp_with_options(
             return Ok(());
         }
         stream.set_nodelay(true)?;
-        stream.set_read_timeout(Some(IDLE_TICK))?;
         stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
-            // The handler and the idle tick both need the worker; they
-            // run interleaved on this one thread, so a RefCell splits
-            // the borrow without locking.
-            let worker = RefCell::new(SiteWorker::empty().with_capacity(capacity).with_ttl(ttl));
-            if let Ok(ServeOutcome::Stopped) = serve_stream_idle(
-                &mut stream,
-                |frame| worker.borrow_mut().handle(frame),
-                || {
-                    worker.borrow_mut().sweep_stale();
-                },
-            ) {
+            let mut worker = SiteWorker::empty().with_capacity(capacity);
+            if let Ok(ServeOutcome::Stopped) =
+                serve_stream(&mut stream, |frame| worker.handle(frame))
+            {
                 stop.store(true, Ordering::SeqCst);
                 // Wake the accept loop so it observes the stop flag.
                 let _ = TcpStream::connect(wake_addr);
@@ -1091,37 +1022,6 @@ mod tests {
     }
 
     #[test]
-    fn ttl_janitor_reclaims_stale_slots() {
-        let (dist, q) = setup();
-        let mut w =
-            SiteWorker::for_fragment(&dist.fragments[0]).with_ttl(Some(Duration::from_millis(30)));
-        install(&mut w, Q0, &q);
-        roundtrip(&mut w, &Request::PartialEval { query: Q0 });
-        // A fresh slot survives a sweep.
-        assert_eq!(w.sweep_stale(), 0);
-        // Touching a slot resets its clock: after half the TTL, a touch
-        // then another half-TTL wait must not evict it.
-        std::thread::sleep(Duration::from_millis(20));
-        roundtrip(&mut w, &Request::ShipSurvivors { query: Q0 });
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(w.sweep_stale(), 0, "touched slots stay resident");
-        // Left alone past the TTL, the janitor reclaims it.
-        std::thread::sleep(Duration::from_millis(40));
-        assert_eq!(w.sweep_stale(), 1);
-        let s = w.status();
-        assert_eq!(s.resident_queries, 0);
-        assert_eq!(s.resident_lpms, 0);
-        assert_eq!(s.ttl_evictions, 1);
-        assert_eq!(s.evictions, 0, "TTL and capacity evictions count apart");
-        // Frames referencing the evicted id degrade to UnknownQuery,
-        // same as a capacity eviction.
-        assert!(matches!(
-            roundtrip(&mut w, &Request::ShipSurvivors { query: Q0 }),
-            ResponseBody::UnknownQuery(id) if id == Q0
-        ));
-    }
-
-    #[test]
     fn status_reports_occupancy() {
         let (dist, q) = setup();
         let mut w = SiteWorker::for_fragment(&dist.fragments[0]);
@@ -1324,9 +1224,8 @@ mod tests {
     }
 
     /// Cached candidates go with their slot: after the last survivor
-    /// chunk, a release, an LRU eviction, the TTL janitor or a new
-    /// fragment, the query holds nothing and `status()` no longer counts
-    /// it.
+    /// chunk, a release, an LRU eviction or a new fragment, the query
+    /// holds nothing and `status()` no longer counts it.
     #[test]
     fn cached_candidates_do_not_outlive_their_slot() {
         let (dist, q) = crossing_setup();
@@ -1374,13 +1273,6 @@ mod tests {
         assert!(!w.queries.contains_key(&Q0.0), "eviction");
         roundtrip(&mut w, &Request::ReleaseQuery { query: QueryId(1) });
         gone(&w, QueryId(1), "eviction, then release");
-
-        let ttl = Duration::from_millis(50);
-        let mut w = SiteWorker::for_fragment(fragment).with_ttl(Some(ttl));
-        cached(&mut w, Q0);
-        std::thread::sleep(ttl * 2);
-        assert_eq!(w.sweep_stale(), 1);
-        gone(&w, Q0, "TTL");
 
         let mut w = SiteWorker::empty();
         roundtrip(

@@ -398,15 +398,6 @@ impl Drop for InProcessTransport {
     }
 }
 
-/// Whether an I/O error is a socket-timeout expiry (reported as
-/// `WouldBlock` or `TimedOut` depending on platform).
-pub(crate) fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
 /// Write one length-prefixed frame (`u32` little-endian length, then the
 /// payload) and flush.
 pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> io::Result<()> {
@@ -418,21 +409,23 @@ pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> io::Result<()> {
 
 /// Read one length-prefixed frame. Returns `None` on a clean end of
 /// stream (the peer closed between frames); errors on a truncated frame
-/// or an oversized length prefix.
+/// or an oversized length prefix. Interrupted reads are retried.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Bytes>> {
     let mut len_buf = [0u8; 4];
     // A clean EOF before any length byte means the peer hung up politely.
     let mut filled = 0;
     while filled < 4 {
-        match r.read(&mut len_buf[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => {
+        match r.read(&mut len_buf[filled..]) {
+            Ok(0) if filled == 0 => return Ok(None),
+            Ok(0) => {
                 return Err(io::Error::new(
                     io::ErrorKind::UnexpectedEof,
                     "stream ended inside a frame header",
                 ))
             }
-            n => filled += n,
+            Ok(n) => filled += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
     let len = u32::from_le_bytes(len_buf) as usize;
@@ -517,6 +510,35 @@ mod tests {
         // A torn header is also an error, not a clean EOF.
         let mut cursor = io::Cursor::new(vec![1u8, 0]);
         assert!(read_frame(&mut cursor).is_err());
+    }
+
+    /// A read interrupted by a signal is retried, in the header as in
+    /// the payload, and the frame still arrives whole.
+    #[test]
+    fn interrupted_reads_are_retried() {
+        struct Interrupting {
+            inner: io::Cursor<Vec<u8>>,
+            interrupt_next: bool,
+        }
+        impl Read for Interrupting {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                self.interrupt_next = !self.interrupt_next;
+                if self.interrupt_next {
+                    return Err(io::ErrorKind::Interrupted.into());
+                }
+                // One byte per call, so the header takes four reads.
+                let n = buf.len().min(1);
+                self.inner.read(&mut buf[..n])
+            }
+        }
+        let mut buf = Vec::new();
+        write_frame(&mut buf, b"hello").unwrap();
+        let mut r = Interrupting {
+            inner: io::Cursor::new(buf),
+            interrupt_next: false,
+        };
+        assert_eq!(read_frame(&mut r).unwrap().unwrap().as_ref(), b"hello");
+        assert!(read_frame(&mut r).unwrap().is_none());
     }
 
     #[test]

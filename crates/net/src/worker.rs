@@ -11,7 +11,7 @@ use std::io::{self, Read, Write};
 
 use bytes::Bytes;
 
-use crate::transport::{is_timeout, write_frame, InProcessEndpoint, MAX_FRAME_LEN};
+use crate::transport::{read_frame, write_frame, InProcessEndpoint};
 
 /// Why a serve loop ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,93 +24,20 @@ pub enum ServeOutcome {
 }
 
 /// Serve frames over a byte stream (e.g. a `TcpStream`) until the peer
-/// disconnects or the handler stops: [`serve_stream_idle`] with no idle
-/// work.
-pub fn serve_stream<S, H>(stream: &mut S, handler: H) -> io::Result<ServeOutcome>
+/// disconnects between frames or the handler stops. A torn or oversized
+/// frame ends the loop with the read error.
+pub fn serve_stream<S, H>(stream: &mut S, mut handler: H) -> io::Result<ServeOutcome>
 where
     S: Read + Write,
     H: FnMut(Bytes) -> Option<Bytes>,
 {
-    serve_stream_idle(stream, handler, || {})
-}
-
-/// [`serve_stream`] with an **idle tick**: whenever a full tick passes
-/// without a new frame starting, `on_idle` runs (housekeeping — e.g. the
-/// site worker's stale-query TTL sweep) and the loop keeps waiting. A
-/// worker whose coordinator died mid-conversation stops receiving frames
-/// entirely, so housekeeping must not depend on traffic.
-///
-/// The caller must arm a socket read timeout (`set_read_timeout`) for
-/// ticks to fire; timeouts are retried at *any* stream position — a tick
-/// elapsing mid-frame just means the coordinator is slow writing, not
-/// that the stream is torn, because this side never gives up on the
-/// frame. Without a socket timeout `on_idle` never runs.
-pub fn serve_stream_idle<S, H, I>(
-    stream: &mut S,
-    mut handler: H,
-    mut on_idle: I,
-) -> io::Result<ServeOutcome>
-where
-    S: Read + Write,
-    H: FnMut(Bytes) -> Option<Bytes>,
-    I: FnMut(),
-{
-    // One read that rides out timeouts (ticking) and interrupts; `Ok(0)`
-    // is EOF, surfaced to the framing loops below.
-    fn read_ticking<S: Read>(
-        stream: &mut S,
-        buf: &mut [u8],
-        on_idle: &mut impl FnMut(),
-    ) -> io::Result<usize> {
-        loop {
-            match stream.read(buf) {
-                Ok(n) => return Ok(n),
-                Err(e) if is_timeout(&e) => on_idle(),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-    loop {
-        let mut len_buf = [0u8; 4];
-        let mut filled = 0;
-        while filled < 4 {
-            match read_ticking(stream, &mut len_buf[filled..], &mut on_idle)? {
-                0 if filled == 0 => return Ok(ServeOutcome::Disconnected),
-                0 => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "stream ended inside a frame header",
-                    ))
-                }
-                n => filled += n,
-            }
-        }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        if len > MAX_FRAME_LEN {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "frame length exceeds MAX_FRAME_LEN",
-            ));
-        }
-        let mut payload = vec![0u8; len];
-        let mut filled = 0;
-        while filled < len {
-            match read_ticking(stream, &mut payload[filled..], &mut on_idle)? {
-                0 => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::UnexpectedEof,
-                        "stream ended inside a frame payload",
-                    ))
-                }
-                n => filled += n,
-            }
-        }
-        match handler(Bytes::from(payload)) {
+    while let Some(frame) = read_frame(stream)? {
+        match handler(frame) {
             Some(reply) => write_frame(stream, &reply)?,
             None => return Ok(ServeOutcome::Stopped),
         }
     }
+    Ok(ServeOutcome::Disconnected)
 }
 
 /// Serve frames over an in-process endpoint until the coordinator drops
@@ -135,7 +62,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{read_frame, InProcessTransport, Transport};
+    use crate::transport::{InProcessTransport, Transport};
 
     #[test]
     fn endpoint_loop_replies_until_disconnect() {
@@ -162,37 +89,6 @@ mod tests {
         assert_eq!(transport.recv(0).unwrap().as_ref(), b"x");
         transport.send(0, Bytes::new()).unwrap();
         assert_eq!(worker.join().unwrap(), ServeOutcome::Stopped);
-    }
-
-    #[test]
-    fn idle_loop_ticks_while_quiet_and_still_serves() {
-        use std::net::{TcpListener, TcpStream};
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Arc;
-        use std::time::Duration;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let ticks = Arc::new(AtomicUsize::new(0));
-        let server_ticks = Arc::clone(&ticks);
-        let server = std::thread::spawn(move || {
-            let (mut stream, _) = listener.accept().unwrap();
-            stream
-                .set_read_timeout(Some(Duration::from_millis(5)))
-                .unwrap();
-            serve_stream_idle(&mut stream, Some, || {
-                server_ticks.fetch_add(1, Ordering::SeqCst);
-            })
-        });
-        let mut client = TcpStream::connect(addr).unwrap();
-        std::thread::sleep(Duration::from_millis(50));
-        write_frame(&mut client, b"ping").unwrap();
-        assert_eq!(read_frame(&mut client).unwrap().unwrap().as_ref(), b"ping");
-        assert!(
-            ticks.load(Ordering::SeqCst) >= 1,
-            "idle ticks fire while the connection is quiet"
-        );
-        drop(client);
-        assert_eq!(server.join().unwrap().unwrap(), ServeOutcome::Disconnected);
     }
 
     #[test]

@@ -108,23 +108,14 @@ impl Partitioner for MetisLikePartitioner {
             };
         }
 
-        let mut weights: HashMap<(usize, usize), u64> = HashMap::new();
-        for e in graph.edges() {
-            let a = local[&e.from];
-            let b = local[&e.to];
-            if a == b {
-                continue; // self-loops never cross; irrelevant to the cut
-            }
-            let key = (a.min(b), a.max(b));
-            *weights.entry(key).or_insert(0) += 1;
-        }
-        let mut adj = vec![Vec::new(); n];
-        for (&(a, b), &w) in &weights {
-            adj[a].push((b, w));
-            adj[b].push((a, w));
-        }
+        let edges = graph
+            .edges()
+            .map(|e| (local[&e.from], local[&e.to], 1))
+            // Self-loops never cross; irrelevant to the cut.
+            .filter(|&(a, b, _)| a != b)
+            .collect();
         let mut levels = vec![Level {
-            adj,
+            adj: adjacency(n, edges),
             vwgt: vec![1; n],
             coarse_of: Vec::new(),
         }];
@@ -233,34 +224,52 @@ fn coarsen(cur: &mut Level, seed: u64) -> (Level, bool) {
     for v in 0..n {
         vwgt[coarse_of[v]] += cur.vwgt[v];
     }
-    let mut weights: HashMap<(usize, usize), u64> = HashMap::new();
+    let mut edges = Vec::new();
     for v in 0..n {
         for &(u, w) in &cur.adj[v] {
-            if u <= v {
-                continue; // count each undirected edge once
+            // Count each undirected edge once; drop the collapsed ones.
+            if u > v && coarse_of[v] != coarse_of[u] {
+                edges.push((coarse_of[v], coarse_of[u], w));
             }
-            let (a, b) = (coarse_of[v], coarse_of[u]);
-            if a == b {
-                continue;
-            }
-            let key = (a.min(b), a.max(b));
-            *weights.entry(key).or_insert(0) += w;
         }
-    }
-    let mut adj = vec![Vec::new(); next];
-    for (&(a, b), &w) in &weights {
-        adj[a].push((b, w));
-        adj[b].push((a, w));
     }
     cur.coarse_of = coarse_of;
     (
         Level {
-            adj,
+            adj: adjacency(next, edges),
             vwgt,
             coarse_of: Vec::new(),
         },
         shrunk,
     )
+}
+
+/// Fold undirected weighted edges `(a, b, w)` into an adjacency list:
+/// parallel edges and both directions sum into one weight, and every
+/// list is in a fixed order. The edges are sorted first, so the result
+/// depends only on the edge multiset — which is what makes `assign`
+/// deterministic: heavy-edge matching and refinement break ties by list
+/// order.
+fn adjacency(n: usize, mut edges: Vec<(usize, usize, u64)>) -> Vec<Vec<(usize, u64)>> {
+    for e in &mut edges {
+        if e.0 > e.1 {
+            (e.0, e.1) = (e.1, e.0);
+        }
+    }
+    edges.sort_unstable();
+    edges.dedup_by(|later, kept| {
+        let same = (later.0, later.1) == (kept.0, kept.1);
+        if same {
+            kept.2 += later.2;
+        }
+        same
+    });
+    let mut adj = vec![Vec::new(); n];
+    for (a, b, w) in edges {
+        adj[a].push((b, w));
+        adj[b].push((a, w));
+    }
+    adj
 }
 
 /// Greedy graph growing: grow `k` regions from spread-out seeds by
@@ -331,21 +340,24 @@ fn refine(level: &Level, part: &mut [usize], k: usize, passes: usize, balance: f
         loads[part[v]] += level.vwgt[v];
     }
 
+    // Connection weight from the current vertex to each part.
+    let mut conn = vec![0u64; k];
     for _ in 0..passes {
         let mut moved = 0usize;
         for v in 0..n {
             let cur = part[v];
-            // Connection weight to each part among neighbors.
-            let mut conn: HashMap<usize, u64> = HashMap::new();
             for &(u, w) in &level.adj[v] {
-                *conn.entry(part[u]).or_insert(0) += w;
+                conn[part[u]] += w;
             }
-            let here = conn.get(&cur).copied().unwrap_or(0);
-            let best = conn
-                .iter()
-                .filter(|&(&p, _)| p != cur)
-                .max_by_key(|&(_, &w)| w)
-                .map(|(&p, &w)| (p, w));
+            let here = conn[cur];
+            // The best-connected other part; ties go to the lowest id.
+            let best = (0..k)
+                .filter(|&p| p != cur)
+                .max_by_key(|&p| (conn[p], std::cmp::Reverse(p)))
+                .map(|p| (p, conn[p]));
+            for &(u, _) in &level.adj[v] {
+                conn[part[u]] = 0;
+            }
             if let Some((p, w)) = best {
                 let gain = w as i64 - here as i64;
                 if gain > 0 && loads[p] + level.vwgt[v] <= max_load {
@@ -432,6 +444,25 @@ mod tests {
         assert_eq!(a.of_vertex, b.of_vertex);
         assert_eq!(a.of_vertex.len(), g.vertex_count());
         assert!(a.of_vertex.values().all(|&f| f < 3));
+    }
+
+    /// Above the coarsening target (160 vertices for k ≤ 8) heavy-edge
+    /// matching and refinement meet ties on every level; `assign` must
+    /// still be a function of the graph alone, so repeated calls in one
+    /// process agree vertex for vertex.
+    #[test]
+    fn assignment_is_deterministic_when_it_coarsens() {
+        let v = |i: u64| Term::iri(format!("http://v/{i}"));
+        let triples: Vec<Triple> = (0..900u64)
+            .map(|i| Triple::new(v(mix64(i) % 400), Term::iri("http://p"), v(mix64(!i) % 400)))
+            .collect();
+        let g = RdfGraph::from_triples(triples);
+        let p = MetisLikePartitioner::new(4);
+        assert!(g.vertex_count() > p.coarsen_target, "test premise");
+        let first = p.assign(&g);
+        for _ in 0..3 {
+            assert_eq!(p.assign(&g).of_vertex, first.of_vertex);
+        }
     }
 
     #[test]

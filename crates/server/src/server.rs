@@ -610,12 +610,8 @@ fn status_response(
                 .map(|(site, s)| {
                     format!(
                         "{{\"site\":{site},\"resident_queries\":{},\"resident_lpms\":{},\
-                         \"capacity\":{},\"evictions\":{},\"ttl_evictions\":{}}}",
-                        s.resident_queries,
-                        s.resident_lpms,
-                        s.capacity,
-                        s.evictions,
-                        s.ttl_evictions
+                         \"capacity\":{},\"evictions\":{}}}",
+                        s.resident_queries, s.resident_lpms, s.capacity, s.evictions
                     )
                 })
                 .collect();
@@ -758,7 +754,8 @@ mod tests {
             "\"robustness\":{\"timeouts\":0,\"retries\":0,\"reconnects\":0,\"repairs\":0,\
              \"repairs_failed\":0}"
         ));
-        assert!(body.contains("\"ttl_evictions\":0"));
+        assert!(body.contains("\"evictions\":0}"));
+        assert!(!body.contains("ttl_evictions"));
         // Explicit-variant session: configured variant reported, zero
         // planner decisions, no last choice.
         assert!(body.contains("\"variant\":\"gStoreD\""));

@@ -7,11 +7,10 @@
 //! features, LPM shipment) as typed frames. One connection can carry
 //! many concurrent queries' frames interleaved — the per-query state
 //! table keyed by query id keeps them apart, bounded by `--capacity`
-//! (LRU eviction past it) and swept by a `--ttl` janitor that reclaims
-//! slots whose coordinator died without releasing them (evictions show
-//! up in `WorkerStatus`). When a coordinator disconnects, its state is
-//! dropped and the worker keeps serving the others — it is a persistent
-//! process, stopped by a `Shutdown` request or by killing it.
+//! (LRU eviction past it; evictions show up in `WorkerStatus`). When a
+//! coordinator disconnects, its state is dropped and the worker keeps
+//! serving the others — it is a persistent process, stopped by a
+//! `Shutdown` request or by killing it.
 //!
 //! # Shutdown semantics
 //!
@@ -46,12 +45,10 @@ use std::net::TcpListener;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let usage = "usage: gstored-worker [<host:port>] [--capacity N] [--ttl SECONDS]   \
-                 (default 127.0.0.1:7600, capacity 64, ttl 300; --ttl 0 disables \
-                 the stale-query janitor)";
+    let usage = "usage: gstored-worker [<host:port>] [--capacity N]   \
+                 (default 127.0.0.1:7600, capacity 64)";
     let mut addr: Option<String> = None;
     let mut capacity = gstored::core::worker::DEFAULT_QUERY_CAPACITY;
-    let mut ttl = Some(gstored::core::worker::DEFAULT_QUERY_TTL);
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -64,16 +61,6 @@ fn main() -> ExitCode {
                     Some(n) => n,
                     None => {
                         eprintln!("gstored-worker: --capacity needs a number\n{usage}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--ttl" => {
-                ttl = match args.next().and_then(|v| v.parse::<u64>().ok()) {
-                    Some(0) => None,
-                    Some(secs) => Some(std::time::Duration::from_secs(secs)),
-                    None => {
-                        eprintln!("gstored-worker: --ttl needs a number of seconds\n{usage}");
                         return ExitCode::FAILURE;
                     }
                 };
@@ -93,12 +80,8 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let ttl_desc = match ttl {
-        Some(d) => format!("ttl {}s", d.as_secs()),
-        None => "ttl off".to_string(),
-    };
-    eprintln!("gstored-worker: serving on {addr} (query capacity {capacity}, {ttl_desc})");
-    match gstored::core::worker::serve_tcp_with_options(listener, capacity, ttl) {
+    eprintln!("gstored-worker: serving on {addr} (query capacity {capacity})");
+    match gstored::core::worker::serve_tcp_with_options(listener, capacity) {
         Ok(()) => {
             eprintln!("gstored-worker: shutdown requested, exiting");
             ExitCode::SUCCESS

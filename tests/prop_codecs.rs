@@ -5,7 +5,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 
-use gstored::core::lec::LecFeature;
+use gstored::core::lec::{compute_lec_features, LecFeature};
 use gstored::core::protocol::{self, QueryId, Request, Response, ResponseBody, WorkerStatus};
 use gstored::net::{WireReader, WireWriter};
 use gstored::rdf::{EdgeRef, Literal, Term, TermId, Triple};
@@ -386,7 +386,7 @@ proptest! {
         crossings in prop::collection::vec((0u64..1000, 0u64..50, 0u64..1000, 0usize..8), 0..3),
         mask in any::<u64>(),
         message in "[ -~]{0,40}",
-        status in prop::collection::vec(any::<u64>(), 5),
+        status in prop::collection::vec(any::<u64>(), 4),
         chunk_seq in any::<u64>(),
         chunk_last in any::<bool>(),
     ) {
@@ -400,7 +400,7 @@ proptest! {
             ResponseBody::Bindings(locals.clone()),
             ResponseBody::BitVectors(vec![BitVectorFilter::new(128)]),
             ResponseBody::PartialEval { locals, lpm_count },
-            ResponseBody::Features(vec![LecFeature::of_lpm(&lpm)]),
+            ResponseBody::Features(compute_lec_features(std::slice::from_ref(&lpm), 0).0),
             ResponseBody::Survivors(vec![lpm.clone()]),
             ResponseBody::SurvivorsChunk {
                 lpms: vec![lpm.clone(), lpm],
@@ -413,7 +413,6 @@ proptest! {
                 resident_lpms: status[1],
                 capacity: status[2],
                 evictions: status[3],
-                ttl_evictions: status[4],
             }),
             ResponseBody::UnknownQuery(QueryId(qid.wrapping_add(1))),
             ResponseBody::Error(message),

@@ -7,8 +7,8 @@
 //! * The LPM enumerator against Definition 5's partition of the answer
 //!   set: the assembled LPMs plus every fragment's local complete matches
 //!   are exactly the centralized result.
-//! * The hash-join `assemble_lec` against the \[18\] join
-//!   `assemble_basic`.
+//! * Algorithm 3, the delta join `IncrementalJoin` (drained through
+//!   `assemble_lec`), against the \[18\] join `assemble_basic`.
 //! * The join graph built from Algorithm 2's per-group postings against
 //!   Definition 9 itself, through `LecFeature::joinable`.
 //! * Algorithm 2 against its contract: the survivors assemble to the same
@@ -23,12 +23,13 @@
 //!
 //! The streaming `IncrementalJoin` is held to the same standard: fed the
 //! LPMs and survivors of real partitioned enumeration in shuffled and
-//! reversed arrival orders, it emits exactly `assemble_lec`'s set, each
-//! binding once, buffering only the LPMs it was pushed.
+//! reversed arrival orders, it emits exactly `assemble_basic`'s set (with
+//! the local complete matches, the centralized one), each binding once,
+//! buffering only the LPMs it was pushed.
 //!
 //! The dense-star and many-feature regressions at the bottom run
 //! workloads the pre-PR3/pre-PR4 quadratic dedups needed minutes for;
-//! the hash join and the interned-key prune must finish them in
+//! the delta join and the interned-key prune must finish them in
 //! interactive time with the exact expected result sets. The many-group
 //! regression does the same for an all-pairs join-graph sweep.
 
@@ -469,9 +470,10 @@ proptest! {
     /// under 3 partitioners: the LPMs of real partitioned enumeration, and
     /// the survivors of pruning them, pushed into `IncrementalJoin` in
     /// order, in reverse and in three seeded shuffles. Every time the
-    /// emitted set equals `assemble_lec`'s (and with the local complete
-    /// matches, the centralized `find_matches`), no binding is emitted
-    /// twice, and the joiner buffers exactly the LPMs it was pushed.
+    /// emitted set equals the \[18\] join `assemble_basic`'s (and with the
+    /// local complete matches, the centralized `find_matches`), no binding
+    /// is emitted twice, and the joiner buffers exactly the LPMs it was
+    /// pushed.
     #[test]
     fn incremental_join_is_arrival_order_independent(
         graph_seed in 0u64..5000,
@@ -515,9 +517,9 @@ proptest! {
                 let all: Vec<LocalPartialMatch> = site_lpms.concat();
                 let pruned = survivors(&site_lpms, n, &query_edges);
 
-                let lec = assemble_lec(&all, n, &query_edges);
-                prop_assert_eq!(&assemble_lec(&pruned, n, &query_edges), &lec);
-                let mut everything: Vec<MatchBinding> = lec.clone();
+                let basic = assemble_basic(&all, n);
+                prop_assert_eq!(&assemble_basic(&pruned, n), &basic);
+                let mut everything: Vec<MatchBinding> = basic.clone();
                 for f in &dist.fragments {
                     everything.extend(local_complete_matches(f, &eq));
                 }
@@ -541,7 +543,7 @@ proptest! {
                         emitted.dedup();
                         prop_assert_eq!(emitted.len(), before, "a binding was emitted twice");
                         prop_assert_eq!(
-                            &emitted, &lec,
+                            &emitted, &basic,
                             "order {} on {} ({})", k, text, part.name()
                         );
                     }
@@ -552,9 +554,9 @@ proptest! {
 }
 
 /// The dense-star worst case: `n²` same-sign LPMs joining through two
-/// leaf groups. The pre-PR3 `com_par_join` deduplicated intermediates
-/// with an `O(n²)` `Vec::contains` over full `LocalPartialMatch` structs —
-/// `O(n⁴)` comparisons here, minutes of wall time at this size. The hash
+/// leaf groups. The pre-PR3 batch join deduplicated intermediates with
+/// an `O(n²)` `Vec::contains` over full `LocalPartialMatch` structs —
+/// `O(n⁴)` comparisons here, minutes of wall time at this size. The delta
 /// join must produce the exact `n²` matches in interactive time (the
 /// generous bound below is ~100× what it needs, so the assertion only
 /// fires on a complexity regression, not on a slow machine).
@@ -579,8 +581,8 @@ fn dense_star_assembly_regression() {
     );
 }
 
-/// At a size the basic baseline can still handle, both batch assemblies
-/// agree on the dense star.
+/// At a size the basic baseline can still handle, Algorithm 3 and the
+/// \[18\] join agree on the dense star.
 #[test]
 fn dense_star_small_all_assemblies_agree() {
     let (lpms, nv, qedges) = dense_star_lpms(10);
