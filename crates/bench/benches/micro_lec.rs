@@ -3,7 +3,9 @@
 //! `IncrementalJoin` — beside the basic \[18\] assembly on the YAGO YQ3
 //! LPMs). Algorithm 3 is also timed on the fan-in case of
 //! [`gstored_bench::fixtures::fan_in_path_lpms`] and the dense-star stress
-//! case of [`gstored_bench::fixtures::dense_star_lpms`].
+//! case of [`gstored_bench::fixtures::dense_star_lpms`], and at the
+//! benchmark's scale on every LPM of `MEMBER_PATH` (LUBM at a 40 k-triple
+//! target, 8 hash sites; [`gstored_bench::fixtures::lubm_member_path`]).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gstored_bench::{datasets, experiments, fixtures};
@@ -58,6 +60,13 @@ fn bench(c: &mut Criterion) {
     let (dense, nv, dense_edges) = fixtures::dense_star_lpms(40);
     group.bench_function("dense_star_incremental_join", |b| {
         b.iter(|| criterion::black_box(push_all(&dense, nv, dense_edges.len())))
+    });
+    let (path_dist, path) = fixtures::lubm_member_path();
+    let path_lpms = fixtures::all_lpms(&path_dist, &path);
+    group.bench_function("member_path_incremental_join", |b| {
+        b.iter(|| {
+            criterion::black_box(push_all(&path_lpms, path.vertex_count(), path.edge_count()))
+        })
     });
     group.finish();
 }

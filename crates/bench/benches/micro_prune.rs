@@ -4,7 +4,10 @@
 //! the case where its `(visited set, current features)` state memo pays,
 //! because many join orders reach one state — and on the crossing-heavy
 //! many-feature stress case of
-//! [`gstored_bench::fixtures::many_feature_features`].
+//! [`gstored_bench::fixtures::many_feature_features`] — and on the
+//! benchmark's scale: `MEMBER_PATH` on LUBM at a 40 k-triple target
+//! under 8 hash sites ([`gstored_bench::fixtures::lubm_member_path`]),
+//! where the feature set is as large as the LPM set.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gstored_bench::{datasets, experiments, fixtures};
@@ -76,6 +79,16 @@ fn bench(c: &mut Criterion) {
     let (many, nv, many_edges) = fixtures::many_feature_features(24);
     group.bench_function("many_feature_prune", |b| {
         b.iter(|| criterion::black_box(prune_features(&many, nv, &many_edges).len()))
+    });
+    let (path_dist, path) = fixtures::lubm_member_path();
+    let path_edges: Vec<(usize, usize)> = path.edges().iter().map(|e| (e.from, e.to)).collect();
+    let path_features = fixtures::coordinator_features(&path_dist, &path);
+    group.bench_function("algorithm2_prune_member_path", |b| {
+        b.iter(|| {
+            criterion::black_box(
+                prune_features(&path_features, path.vertex_count(), &path_edges).len(),
+            )
+        })
     });
     group.finish();
 }

@@ -216,6 +216,41 @@ pub fn many_group_features(members: usize) -> (Vec<LecFeature>, usize, Vec<(usiz
     (features, n, query_edges)
 }
 
+/// `MEMBER_PATH`, the member → department → university → name path of
+/// the benchmark's `lubm_bigresult` workload, on LUBM at a 40 k-triple
+/// target under 8 hash sites. Algorithm 1 barely compresses it (about as
+/// many features as LPMs), so Algorithms 2 and 3 run at the size of the
+/// whole LPM set.
+///
+/// Returns the partitioned graph and the encoded query.
+pub fn lubm_member_path() -> (DistributedGraph, EncodedQuery) {
+    use gstored_rdf::vocab::lubm;
+    let dataset = crate::datasets::lubm(40_000);
+    let dist = crate::experiments::partition(dataset.graph, "hash", 8);
+    let text = format!(
+        "SELECT * WHERE {{ ?x <{}> ?d . ?d <{}> ?u . ?u <{}> ?n . }}",
+        lubm::MEMBER_OF,
+        lubm::SUB_ORGANIZATION_OF,
+        lubm::NAME
+    );
+    let query = gstored_sparql::QueryGraph::from_query(
+        &gstored_sparql::parse_query(&text).expect("parses"),
+    )
+    .expect("connected");
+    let eq = EncodedQuery::encode(&query, dist.dict()).expect("encodable");
+    (dist, eq)
+}
+
+/// Every local partial match of `eq` over the fragments, fragment by
+/// fragment, with no candidate filter.
+pub fn all_lpms(dist: &DistributedGraph, eq: &EncodedQuery) -> Vec<LocalPartialMatch> {
+    let filter = CandidateFilter::none(eq.vertex_count());
+    dist.fragments
+        .iter()
+        .flat_map(|f| enumerate_local_partial_matches(f, eq, &filter))
+        .collect()
+}
+
 /// The feature set the coordinator prunes for one query: per-fragment
 /// LPM enumeration + Algorithm 1, each site's feature ids in a range of
 /// its own.

@@ -7,12 +7,14 @@
 //!   one at a time as survivor chunks land, each push extends only the
 //!   new LPM through the postings of its crossing edges, and a posting's
 //!   LECSign buckets (Definition 11) that overlap the state's internal
-//!   mask are skipped whole (Theorem 5). Intermediates use a compact
-//!   fixed-width representation (`Joined`) — binding, bitmasks and a
-//!   query-edge-indexed crossing table — so joining is mask math plus an
-//!   `O(|E^Q|)` merge rather than `LocalPartialMatch` cloning with
-//!   quadratic crossing-list scans. [`assemble_lec`] drains a whole batch
-//!   through one joiner.
+//!   mask are skipped whole (Theorem 5). Everything is flat: each
+//!   `(query edge, data edge)` entry gets a dense `u32` id, the pushed
+//!   LPMs live in three arenas (masks, bindings, entry-id edge tables),
+//!   the postings are linked lists in two more, indexed by entry id, and
+//!   each push's DFS runs in scratch arenas reused from push to push,
+//!   with states deduplicated by hash and chain. Joining is mask math
+//!   plus one `O(|E^Q|)` pass over two edge tables. [`assemble_lec`]
+//!   drains a whole batch through one joiner.
 //! * [`assemble_basic`] — the partitioning-based join of reference \[18\],
 //!   used by the `gStoreD-Basic` variant in Fig. 9: no LECSign grouping;
 //!   intermediates are joined against every LPM whose pivot-partition
@@ -24,113 +26,17 @@
 //! and the tests hold each to the other and to the centralized matcher.
 
 use fxhash::{FxHashMap, FxHashSet};
-use gstored_rdf::{EdgeRef, VertexId};
+use gstored_rdf::{EdgeRef, TermId, VertexId};
 use gstored_store::LocalPartialMatch;
+
+use crate::lec::{hash_words, to_u32, ChainIndex, NIL};
 
 /// A complete match binding (one data vertex per query vertex).
 pub type MatchBinding = Vec<VertexId>;
 
-/// Compact join-time representation of an LPM or a joined intermediate.
-///
-/// `edges[qe]` is the crossing data edge matched to query edge `qe`
-/// (`None` when unmatched), replacing the `(EdgeRef, usize)` list of
-/// [`LocalPartialMatch`] so that the shared-edge / conflicting-edge checks
-/// of the join condition are single array probes and merging two matches
-/// is one linear pass. `bound_mask` caches which query vertices are bound,
-/// so the binding-agreement check only visits commonly bound ones.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct Joined {
-    /// Source fragment for an original LPM; `usize::MAX` once joined.
-    fragment: usize,
-    binding: Vec<Option<VertexId>>,
-    edges: Vec<Option<EdgeRef>>,
-    internal_mask: u64,
-    bound_mask: u64,
-}
-
-impl Joined {
-    /// Intern one original LPM. `n_edges` is the width of the query-edge
-    /// table (covers every `qe` appearing in any crossing entry).
-    fn of_lpm(lpm: &LocalPartialMatch, n_edges: usize) -> Joined {
-        let mut edges: Vec<Option<EdgeRef>> = vec![None; n_edges];
-        for &(e, qe) in &lpm.crossing {
-            edges[qe] = Some(e);
-        }
-        Joined {
-            fragment: lpm.fragment,
-            binding: lpm.binding.clone(),
-            edges,
-            internal_mask: lpm.internal_mask,
-            bound_mask: bound_mask_of(&lpm.binding),
-        }
-    }
-
-    /// The \[18\] join condition (the same checks as
-    /// [`LocalPartialMatch::joinable`]) followed by the merge. Returns
-    /// `None` when the pair does not join.
-    fn try_join(&self, other: &Joined) -> Option<Joined> {
-        // Condition 1: never two raw LPMs of the same fragment (joined
-        // intermediates carry `usize::MAX` and may re-enter any fragment).
-        if self.fragment == other.fragment {
-            return None;
-        }
-        // Condition 4 (Theorem 5): internal cores are disjoint.
-        if self.internal_mask & other.internal_mask != 0 {
-            return None;
-        }
-        // Conditions 2+3: at least one shared crossing edge on the same
-        // query edge, and no query edge matched by different data edges.
-        let mut shared = false;
-        for (qe, be) in other.edges.iter().enumerate() {
-            let Some(be) = be else { continue };
-            match &self.edges[qe] {
-                Some(ae) if ae == be => shared = true,
-                Some(_) => return None,
-                None => {}
-            }
-        }
-        if !shared {
-            return None;
-        }
-        // Binding agreement on commonly-bound vertices.
-        let common = self.bound_mask & other.bound_mask;
-        let mut bits = common;
-        while bits != 0 {
-            let v = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if self.binding[v] != other.binding[v] {
-                return None;
-            }
-        }
-        let binding: Vec<Option<VertexId>> = self
-            .binding
-            .iter()
-            .zip(&other.binding)
-            .map(|(a, b)| a.or(*b))
-            .collect();
-        let edges: Vec<Option<EdgeRef>> = self
-            .edges
-            .iter()
-            .zip(&other.edges)
-            .map(|(a, b)| a.or(*b))
-            .collect();
-        Some(Joined {
-            fragment: usize::MAX,
-            binding,
-            edges,
-            internal_mask: self.internal_mask | other.internal_mask,
-            bound_mask: self.bound_mask | other.bound_mask,
-        })
-    }
-
-    fn is_complete(&self, vertex_count: usize) -> bool {
-        self.internal_mask == full_mask(vertex_count)
-    }
-
-    fn complete_binding(&self) -> Option<MatchBinding> {
-        self.binding.iter().copied().collect()
-    }
-}
+/// The binding slot of a query vertex no match has bound yet; the bound
+/// mask, not this value, says which slots hold data vertices.
+const UNBOUND: VertexId = TermId(u64::MAX);
 
 #[inline]
 fn full_mask(vertex_count: usize) -> u64 {
@@ -139,17 +45,6 @@ fn full_mask(vertex_count: usize) -> u64 {
     } else {
         (1u64 << vertex_count) - 1
     }
-}
-
-#[inline]
-fn bound_mask_of(binding: &[Option<VertexId>]) -> u64 {
-    let mut mask = 0u64;
-    for (i, b) in binding.iter().take(64).enumerate() {
-        if b.is_some() {
-            mask |= 1 << i;
-        }
-    }
-    mask
 }
 
 /// Algorithm 3 over a whole batch: every LPM pushed, in order, through
@@ -174,9 +69,89 @@ pub fn assemble_lec(
     out
 }
 
-/// One posting list split by LECSign: `(sign, indices of the LPMs with
-/// that internal mask)`.
-type SignBuckets = Vec<(u64, Vec<usize>)>;
+/// The masks of a stored LPM or a DFS state.
+#[derive(Debug, Clone, Copy)]
+struct Meta {
+    /// Source fragment for an original LPM; `usize::MAX` once joined.
+    fragment: usize,
+    internal_mask: u64,
+    bound_mask: u64,
+}
+
+/// Matches stored flat: match `i` has `meta[i]`, binding
+/// `bindings[i·n_vertices..]` ([`UNBOUND`] where its bound mask is
+/// clear) and edge table `edges[i·n_edges..]`, where slot `qe` holds the
+/// entry id matched to query edge `qe`, or [`NIL`].
+#[derive(Debug, Default)]
+struct MatchArena {
+    meta: Vec<Meta>,
+    bindings: Vec<VertexId>,
+    edges: Vec<u32>,
+}
+
+impl MatchArena {
+    fn len(&self) -> usize {
+        self.meta.len()
+    }
+
+    fn clear(&mut self) {
+        self.meta.clear();
+        self.bindings.clear();
+        self.edges.clear();
+    }
+
+    fn truncate(&mut self, len: usize, nv: usize, ne: usize) {
+        self.meta.truncate(len);
+        self.bindings.truncate(len * nv);
+        self.edges.truncate(len * ne);
+    }
+
+    fn binding(&self, i: usize, nv: usize) -> &[VertexId] {
+        &self.bindings[i * nv..(i + 1) * nv]
+    }
+
+    fn edge_table(&self, i: usize, ne: usize) -> &[u32] {
+        &self.edges[i * ne..(i + 1) * ne]
+    }
+
+    /// Hash of state `i`'s dedup key: masks, binding and edge table.
+    fn state_hash(&self, i: usize, nv: usize, ne: usize) -> u64 {
+        let m = self.meta[i];
+        hash_words(
+            [m.internal_mask, m.bound_mask]
+                .into_iter()
+                .chain(self.binding(i, nv).iter().map(|v| v.0))
+                .chain(self.edge_table(i, ne).iter().map(|&e| u64::from(e))),
+        )
+    }
+
+    /// Whether states `i` and `j` have one dedup key.
+    fn same_state(&self, i: usize, j: usize, nv: usize, ne: usize) -> bool {
+        let (a, b) = (self.meta[i], self.meta[j]);
+        a.internal_mask == b.internal_mask
+            && a.bound_mask == b.bound_mask
+            && self.binding(i, nv) == self.binding(j, nv)
+            && self.edge_table(i, ne) == self.edge_table(j, ne)
+    }
+}
+
+/// One LECSign bucket of a posting list: the stored LPMs with internal
+/// mask `sign`, as a linked list of [`Member`] nodes in push order.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    sign: u64,
+    first: u32,
+    last: u32,
+    /// The posting list's next bucket, or [`NIL`].
+    next: u32,
+}
+
+/// A stored LPM in one bucket, and the bucket's next member or [`NIL`].
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    lpm: u32,
+    next: u32,
+}
 
 /// Incremental (streaming) crossing-match assembly: a **delta join** over
 /// LPMs that are pushed one at a time, with the complete matches each
@@ -200,20 +175,35 @@ type SignBuckets = Vec<(u64, Vec<usize>)>;
 /// Used by the engine's streaming pipeline to join survivor chunks as
 /// they arrive. Its memory is the LPMs pushed so far plus the distinct
 /// bindings emitted so far (`found` must keep them: under a predicate
-/// variable two edge mappings can yield one vertex binding).
+/// variable two edge mappings can yield one vertex binding), all in flat
+/// arenas. Beyond the arenas' amortized growth, a push allocates only the
+/// bindings it returns.
 #[derive(Debug)]
 pub struct IncrementalJoin {
     n_vertices: usize,
     n_edges: usize,
+    /// `(query edge, data edge)` → entry id, dense in first-seen order.
+    entry_ids: FxHashMap<(usize, EdgeRef), u32>,
     /// Every pushed LPM, in arrival order.
-    lpms: Vec<Joined>,
-    /// Hash index over `lpms`: each bound `(query edge, data edge)` pair →
-    /// the LPMs binding it, bucketed by LECSign. Two states can only join
-    /// if they share a crossing edge on the same query edge (condition 2),
-    /// so the postings of a state's edges are a complete candidate set.
-    postings: FxHashMap<(usize, EdgeRef), SignBuckets>,
-    /// Every complete binding emitted so far (the dedup sink).
-    found: FxHashSet<MatchBinding>,
+    lpms: MatchArena,
+    /// Postings indexed by entry id: the first and last LECSign bucket of
+    /// the LPMs binding that entry ([`NIL`] when none). Two states can
+    /// only join if they share a crossing edge on the same query edge
+    /// (condition 2), so the postings of a state's entries are a complete
+    /// candidate set.
+    postings: Vec<(u32, u32)>,
+    buckets: Vec<Bucket>,
+    members: Vec<Member>,
+    /// Every complete binding emitted so far (the dedup sink), flat with
+    /// stride `n_vertices`, indexed by `found_index`.
+    found: Vec<VertexId>,
+    found_index: ChainIndex,
+    /// The current push's DFS states (state 0 is the new LPM), their
+    /// dedup index (item `k` is state `k + 1`) and the DFS stack — reused
+    /// from push to push.
+    states: MatchArena,
+    seen: ChainIndex,
+    stack: Vec<u32>,
 }
 
 impl IncrementalJoin {
@@ -226,9 +216,16 @@ impl IncrementalJoin {
         IncrementalJoin {
             n_vertices: n_query_vertices,
             n_edges: n_query_edges,
-            lpms: Vec::new(),
-            postings: FxHashMap::default(),
-            found: FxHashSet::default(),
+            entry_ids: FxHashMap::default(),
+            lpms: MatchArena::default(),
+            postings: Vec::new(),
+            buckets: Vec::new(),
+            members: Vec::new(),
+            found: Vec::new(),
+            found_index: ChainIndex::default(),
+            states: MatchArena::default(),
+            seen: ChainIndex::default(),
+            stack: Vec::new(),
         }
     }
 
@@ -236,52 +233,234 @@ impl IncrementalJoin {
     /// become derivable with it (each binding is emitted exactly once
     /// across the joiner's lifetime).
     pub fn push(&mut self, lpm: &LocalPartialMatch) -> Vec<MatchBinding> {
-        let new = Joined::of_lpm(lpm, self.n_edges);
+        let (nv, ne) = (self.n_vertices, self.n_edges);
+        assert_eq!(
+            lpm.binding.len(),
+            nv,
+            "a validated LPM binds every query vertex"
+        );
+        self.states.clear();
+        self.seen.clear();
+        // State 0: the new LPM, its entries interned.
+        let mut bound_mask = 0u64;
+        for (v, b) in lpm.binding.iter().enumerate() {
+            self.states.bindings.push(b.unwrap_or(UNBOUND));
+            if b.is_some() {
+                bound_mask |= 1 << v;
+            }
+        }
+        self.states.edges.resize(ne, NIL);
+        for &(e, qe) in &lpm.crossing {
+            let next = to_u32(self.entry_ids.len());
+            let id = *self.entry_ids.entry((qe, e)).or_insert(next);
+            if id == next {
+                self.postings.push((NIL, NIL));
+            }
+            self.states.edges[qe] = id;
+        }
+        self.states.meta.push(Meta {
+            fragment: lpm.fragment,
+            internal_mask: lpm.internal_mask,
+            bound_mask,
+        });
+
         let mut newly = Vec::new();
-        if new.is_complete(self.n_vertices) {
+        let full = full_mask(nv);
+        if lpm.internal_mask == full {
             // A degenerate "partial" match that is already complete.
-            emit(&mut self.found, &mut newly, &new);
+            self.emit(0, &mut newly);
         } else {
-            // DFS over the states containing `new`, one stored LPM added
-            // per step. Different orders reach the same combination, so
-            // intermediates are deduplicated — within this push only.
-            let mut seen: FxHashSet<Joined> = FxHashSet::default();
-            let mut stack = vec![new.clone()];
-            while let Some(cur) = stack.pop() {
-                for (qe, be) in cur.edges.iter().enumerate() {
-                    let Some(be) = be else { continue };
-                    let Some(buckets) = self.postings.get(&(qe, *be)) else {
+            // DFS over the states containing the new LPM, one stored LPM
+            // added per step. Different orders reach the same
+            // combination, so states are deduplicated — within this push
+            // only.
+            self.stack.clear();
+            self.stack.push(0);
+            while let Some(cur) = self.stack.pop() {
+                let cur = cur as usize;
+                let cur_internal = self.states.meta[cur].internal_mask;
+                for qe in 0..ne {
+                    let entry = self.states.edges[cur * ne + qe];
+                    if entry == NIL {
                         continue;
-                    };
-                    for (sign, members) in buckets {
-                        if sign & cur.internal_mask != 0 {
+                    }
+                    let mut bucket = self.postings[entry as usize].0;
+                    while bucket != NIL {
+                        let Bucket {
+                            sign, first, next, ..
+                        } = self.buckets[bucket as usize];
+                        bucket = next;
+                        if sign & cur_internal != 0 {
                             continue;
                         }
-                        for &li in members {
-                            let Some(joined) = cur.try_join(&self.lpms[li]) else {
+                        let mut member = first;
+                        while member != NIL {
+                            let Member { lpm: li, next } = self.members[member as usize];
+                            member = next;
+                            if !self.try_join(cur, li as usize) {
                                 continue;
-                            };
-                            if joined.is_complete(self.n_vertices) {
-                                emit(&mut self.found, &mut newly, &joined);
-                            } else if seen.insert(joined.clone()) {
-                                stack.push(joined);
+                            }
+                            let joined = self.states.len() - 1;
+                            if self.states.meta[joined].internal_mask == full {
+                                self.emit(joined, &mut newly);
+                                self.states.truncate(joined, nv, ne);
+                                continue;
+                            }
+                            let hash = self.states.state_hash(joined, nv, ne);
+                            let states = &self.states;
+                            let dup = self
+                                .seen
+                                .find(hash, |k| states.same_state(k as usize + 1, joined, nv, ne));
+                            if dup.is_some() {
+                                self.states.truncate(joined, nv, ne);
+                            } else {
+                                self.seen.insert(hash);
+                                self.stack.push(to_u32(joined));
                             }
                         }
                     }
                 }
             }
         }
-        let li = self.lpms.len();
-        for (qe, be) in new.edges.iter().enumerate() {
-            let Some(be) = be else { continue };
-            let buckets = self.postings.entry((qe, *be)).or_default();
-            match buckets.iter_mut().find(|(s, _)| *s == new.internal_mask) {
-                Some((_, members)) => members.push(li),
-                None => buckets.push((new.internal_mask, vec![li])),
+
+        // Store the new LPM and post it under each of its entries, in the
+        // bucket of its internal mask.
+        let li = to_u32(self.lpms.len());
+        let meta = self.states.meta[0];
+        self.lpms.meta.push(meta);
+        self.lpms
+            .bindings
+            .extend_from_slice(&self.states.bindings[..nv]);
+        self.lpms.edges.extend_from_slice(&self.states.edges[..ne]);
+        for qe in 0..ne {
+            let entry = self.states.edges[qe];
+            if entry != NIL {
+                self.post(entry, meta.internal_mask, li);
             }
         }
-        self.lpms.push(new);
         newly
+    }
+
+    /// Append `lpm` to the bucket of sign `sign` in `entry`'s posting
+    /// list, opening the bucket at the list's end if it is new.
+    fn post(&mut self, entry: u32, sign: u64, lpm: u32) {
+        let member = to_u32(self.members.len());
+        self.members.push(Member { lpm, next: NIL });
+        let (first, last) = self.postings[entry as usize];
+        let mut bucket = first;
+        while bucket != NIL {
+            let b = &mut self.buckets[bucket as usize];
+            if b.sign == sign {
+                self.members[b.last as usize].next = member;
+                b.last = member;
+                return;
+            }
+            bucket = b.next;
+        }
+        let new = to_u32(self.buckets.len());
+        self.buckets.push(Bucket {
+            sign,
+            first: member,
+            last: member,
+            next: NIL,
+        });
+        if last == NIL {
+            self.postings[entry as usize] = (new, new);
+        } else {
+            self.buckets[last as usize].next = new;
+            self.postings[entry as usize].1 = new;
+        }
+    }
+
+    /// The \[18\] join condition (the same checks as
+    /// [`LocalPartialMatch::joinable`]) between DFS state `cur` and
+    /// stored LPM `li`; when it holds, the merged state is appended to
+    /// the state arena and `true` returned.
+    fn try_join(&mut self, cur: usize, li: usize) -> bool {
+        let (nv, ne) = (self.n_vertices, self.n_edges);
+        let (a, b) = (self.states.meta[cur], self.lpms.meta[li]);
+        // Condition 1: never two raw LPMs of the same fragment (joined
+        // states carry `usize::MAX` and may re-enter any fragment).
+        if a.fragment == b.fragment {
+            return false;
+        }
+        // Condition 4 (Theorem 5): internal cores are disjoint.
+        if a.internal_mask & b.internal_mask != 0 {
+            return false;
+        }
+        // Conditions 2+3: at least one shared crossing edge on the same
+        // query edge, and no query edge matched by different data edges
+        // (one entry id per `(query edge, data edge)`).
+        let (a_edges, b_edges) = (
+            self.states.edge_table(cur, ne),
+            self.lpms.edge_table(li, ne),
+        );
+        let mut shared = false;
+        for (&ae, &be) in a_edges.iter().zip(b_edges) {
+            if be == NIL || ae == NIL {
+                continue;
+            }
+            if ae != be {
+                return false;
+            }
+            shared = true;
+        }
+        if !shared {
+            return false;
+        }
+        // Binding agreement on commonly-bound vertices.
+        let (a_bind, b_bind) = (self.states.binding(cur, nv), self.lpms.binding(li, nv));
+        let mut bits = a.bound_mask & b.bound_mask;
+        while bits != 0 {
+            let v = bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            if a_bind[v] != b_bind[v] {
+                return false;
+            }
+        }
+        for v in 0..nv {
+            let x = if a.bound_mask >> v & 1 == 1 {
+                self.states.bindings[cur * nv + v]
+            } else {
+                self.lpms.bindings[li * nv + v]
+            };
+            self.states.bindings.push(x);
+        }
+        for qe in 0..ne {
+            let ae = self.states.edges[cur * ne + qe];
+            let x = if ae != NIL {
+                ae
+            } else {
+                self.lpms.edges[li * ne + qe]
+            };
+            self.states.edges.push(x);
+        }
+        self.states.meta.push(Meta {
+            fragment: usize::MAX,
+            internal_mask: a.internal_mask | b.internal_mask,
+            bound_mask: a.bound_mask | b.bound_mask,
+        });
+        true
+    }
+
+    /// Record complete state `i`'s binding, appending it to `newly` unless
+    /// it was emitted before or leaves a vertex unbound.
+    fn emit(&mut self, i: usize, newly: &mut Vec<MatchBinding>) {
+        let nv = self.n_vertices;
+        if self.states.meta[i].bound_mask != full_mask(nv) {
+            return;
+        }
+        let binding = self.states.binding(i, nv);
+        let hash = hash_words(binding.iter().map(|v| v.0));
+        let found = &self.found;
+        let hit = self.found_index.find(hash, |k| {
+            &found[k as usize * nv..(k as usize + 1) * nv] == binding
+        });
+        if hit.is_none() {
+            self.found_index.insert(hash);
+            self.found.extend_from_slice(binding);
+            newly.push(binding.to_vec());
+        }
     }
 
     /// LPMs buffered at the coordinator: every LPM pushed so far (no
@@ -292,17 +471,7 @@ impl IncrementalJoin {
 
     /// Complete bindings emitted so far.
     pub fn found_count(&self) -> usize {
-        self.found.len()
-    }
-}
-
-/// Record a complete state's binding, appending it to `newly` unless it
-/// was emitted before.
-fn emit(found: &mut FxHashSet<MatchBinding>, newly: &mut Vec<MatchBinding>, complete: &Joined) {
-    if let Some(b) = complete.complete_binding() {
-        if found.insert(b.clone()) {
-            newly.push(b);
-        }
+        self.found_index.len()
     }
 }
 
@@ -626,6 +795,41 @@ mod tests {
             let mut order = lpms.clone();
             order.rotate_left(rot);
             assert_eq!(incremental(&order, 3, qedges.len()), reference, "rot {rot}");
+        }
+    }
+
+    /// Under a predicate variable, two data edges with different labels
+    /// match one query edge with one vertex binding. Query `?x ?p ?y .
+    /// ?y <q> ?z`, each vertex internal to its own fragment; `x → y`
+    /// exists as `p1` and `p2`, and the middle fragment has an LPM for
+    /// each. When the `z` side arrives last, its DFS builds two states
+    /// with equal bindings and masks but different edge tables: only the
+    /// later one (on `p2`) meets an `x`-side LPM. Both must extend, so
+    /// the state dedup must key on the edge table. With an `x`-side LPM
+    /// on `p1` as well, two combinations bind the same vertices, and that
+    /// binding is emitted exactly once: the found set is keyed by the
+    /// binding alone.
+    #[test]
+    fn equal_bindings_on_different_edges_both_extend_and_emit_once() {
+        let (x, y, z) = (Some(10), Some(20), Some(30));
+        let xy = |label: u64| edge(10, label, 20);
+        let yz = edge(20, 9, 30);
+        let x_side = |label: u64| lpm(0, vec![x, y, None], vec![(xy(label), 0)], &[0]);
+        let middle = |label: u64| lpm(1, vec![x, y, z], vec![(xy(label), 0), (yz, 1)], &[1]);
+        let z_side = lpm(2, vec![None, y, z], vec![(yz, 1)], &[2]);
+        let expected = vec![vec![TermId(10), TermId(20), TermId(30)]];
+        for x_labels in [&[2u64][..], &[1, 2]] {
+            let mut lpms: Vec<LocalPartialMatch> = x_labels.iter().map(|&l| x_side(l)).collect();
+            lpms.extend([middle(1), middle(2), z_side.clone()]);
+            let mut joiner = IncrementalJoin::new(3, 2);
+            let emitted: Vec<MatchBinding> = lpms.iter().flat_map(|m| joiner.push(m)).collect();
+            assert_eq!(emitted, expected, "x-side labels {x_labels:?}");
+            assert_eq!(joiner.found_count(), 1);
+            for rot in 1..lpms.len() {
+                let mut order = lpms.clone();
+                order.rotate_left(rot);
+                assert_eq!(incremental(&order, 3, 2), expected, "rot {rot}");
+            }
         }
     }
 

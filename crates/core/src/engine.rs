@@ -71,7 +71,6 @@ use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use fxhash::FxHashSet;
 use gstored_net::{ChaosConfig, NetworkModel, QueryMetrics, ReactorTransport, Transport};
 use gstored_partition::DistributedGraph;
 use gstored_rdf::{Term, VertexId};
@@ -84,7 +83,7 @@ use crate::lec::MAX_SITES;
 use crate::planner::{plan_query, PlannerDecision};
 use crate::prepared::PreparedPlan;
 use crate::protocol::{self, QueryId, Request, ResponseBody};
-use crate::prune::prune_features;
+use crate::prune::useful_ids;
 use crate::runtime::{Chain, ReplyRouter, Stage, Wave, WorkerPool};
 
 /// Query ids for executions that bypass a session's `QueryExecutor`
@@ -452,7 +451,10 @@ impl Engine {
         let sites = transport.sites();
         let shape = plan.shape();
         let join = if variant.uses_lec_assembly() {
-            Join::Lec(IncrementalJoin::new(q.vertex_count(), q.edge_count()))
+            Join::Lec(Box::new(IncrementalJoin::new(
+                q.vertex_count(),
+                q.edge_count(),
+            )))
         } else {
             Join::Basic(Vec::new())
         };
@@ -627,9 +629,7 @@ impl Engine {
             if pruning {
                 match replies.next() {
                     Some(ResponseBody::Features(features)) => {
-                        for feature in &features {
-                            check_feature(feature, q, site, sites)?;
-                        }
+                        check_features(&features, q, site, sites)?;
                         all_features.extend(features);
                     }
                     other => return Err(unexpected("Features", "ComputeLecFeatures", other)),
@@ -645,13 +645,13 @@ impl Engine {
         // own surviving features and drop the LPMs of the rest ---
         metrics.lec_features = all_features.len() as u64;
         let query_edges: Vec<(usize, usize)> = q.edges().iter().map(|e| (e.from, e.to)).collect();
-        let useful: FxHashSet<u32> = metrics
+        let useful: Vec<u32> = metrics
             .lec_optimization
-            .time(|| prune_features(&all_features, q.vertex_count(), &query_edges));
-        let mut useful: Vec<u32> = useful.into_iter().collect();
-        useful.sort_unstable();
+            .time(|| useful_ids(&all_features, q.vertex_count(), &query_edges));
         // Site s owns ids `lec_first_id(s)..lec_first_id(s + 1)`, and
-        // `check_feature` held every feature to its site's range.
+        // `check_features` held every site's features to consecutive ids
+        // from the start of its range, so the useful ids come out of
+        // Algorithm 2 ascending.
         let start = |site| useful.partition_point(|&id| id < lec_first_id(site, sites));
         let drop_pruned = (0..sites)
             .map(|site| {
@@ -713,7 +713,7 @@ enum StreamMode {
 #[derive(Debug)]
 enum Join {
     /// LA/LO/Full: Algorithm 3's LECSign delta join, fed as chunks land.
-    Lec(IncrementalJoin),
+    Lec(Box<IncrementalJoin>),
     /// Basic: the survivors received so far; the \[18\] partition join
     /// runs over them once the last site is drained.
     Basic(Vec<LocalPartialMatch>),
@@ -1201,43 +1201,50 @@ fn check_lpm(
     Ok(())
 }
 
-/// Reject a wire-supplied LEC feature before pruning uses it: one
-/// mapping a nonexistent query edge would index past the query-edge
-/// table, one whose source ids leave `site`'s pre-assigned range
-/// ([`lec_first_id`]) would collide with another site's features, and
-/// one claiming another fragment than `site`'s own would let condition 1
-/// of Definition 9 misjudge it.
-fn check_feature(
-    feature: &crate::lec::LecFeature,
+/// Reject a site's wire-supplied LEC features before pruning uses them.
+/// One mapping a nonexistent query edge would index past the query-edge
+/// table, and one claiming another fragment than `site`'s own would let
+/// condition 1 of Definition 9 misjudge it. The ids must keep Algorithm
+/// 1's numbering contract: feature *i* carries exactly one source id,
+/// `lec_first_id(site) + i`, inside the site's range. That keeps the
+/// sites' ids disjoint, and the fleet's ids ascending in reply order.
+fn check_features(
+    features: &[crate::lec::LecFeature],
     q: &EncodedQuery,
     site: usize,
     sites: usize,
 ) -> Result<(), EngineError> {
-    if feature.fragments != 1 << site {
-        return Err(EngineError::Protocol(format!(
-            "site {site} sent a LEC feature spanning fragments {:#x}",
-            feature.fragments
-        )));
-    }
-    for &(_, qe) in &feature.mapping {
-        if qe >= q.edge_count() {
-            return Err(EngineError::Protocol(format!(
-                "LEC feature maps query edge {qe} of {}",
-                q.edge_count()
-            )));
-        }
-    }
     let first = lec_first_id(site, sites);
     let width = u32::MAX / sites as u32;
-    if let Some(id) = feature
-        .sources
-        .iter()
-        .find(|&&id| id < first || id - first >= width)
-    {
+    if features.len() as u64 > u64::from(width) {
         return Err(EngineError::Protocol(format!(
-            "site {site} sent LEC feature id {id} outside its range {first}..{}",
-            first as u64 + width as u64
+            "site {site} sent {} LEC features, more than its id range holds",
+            features.len()
         )));
+    }
+    for (i, feature) in features.iter().enumerate() {
+        if feature.fragments != 1 << site {
+            return Err(EngineError::Protocol(format!(
+                "site {site} sent a LEC feature spanning fragments {:#x}",
+                feature.fragments
+            )));
+        }
+        for &(_, qe) in &feature.mapping {
+            if qe >= q.edge_count() {
+                return Err(EngineError::Protocol(format!(
+                    "LEC feature maps query edge {qe} of {}",
+                    q.edge_count()
+                )));
+            }
+        }
+        let expected = first + i as u32;
+        if feature.sources != [expected] {
+            return Err(EngineError::Protocol(format!(
+                "site {site}'s LEC feature {i} carries {} ids from {:?}, not exactly id {expected}",
+                feature.sources.len(),
+                feature.sources.first()
+            )));
+        }
     }
     Ok(())
 }
@@ -1645,21 +1652,63 @@ mod tests {
             sign: 1,
             sources: vec![0],
         };
-        assert!(check_feature(&feature, &q, 0, 3).is_err());
-        // Nor can one whose ids stray into another site's range.
+        assert!(check_features(&[feature.clone()], &q, 0, 3).is_err());
+        // Nor can one whose id strays into another site's range.
         feature.mapping[0].1 = 0;
-        assert!(check_feature(&feature, &q, 0, 3).is_ok());
+        assert!(check_features(&[feature.clone()], &q, 0, 3).is_ok());
         feature.fragments = 1 << 1;
-        assert!(check_feature(&feature, &q, 1, 3).is_err());
-        feature.sources = vec![lec_first_id(1, 3), lec_first_id(2, 3) - 1];
-        assert!(check_feature(&feature, &q, 1, 3).is_ok());
-        feature.sources.push(lec_first_id(2, 3));
-        assert!(check_feature(&feature, &q, 1, 3).is_err());
+        assert!(check_features(&[feature.clone()], &q, 1, 3).is_err());
+        feature.sources = vec![lec_first_id(1, 3)];
+        assert!(check_features(&[feature.clone()], &q, 1, 3).is_ok());
+        feature.sources = vec![lec_first_id(2, 3)];
+        assert!(check_features(&[feature.clone()], &q, 1, 3).is_err());
         // Nor one that claims a fragment other than its site's own.
-        feature.sources.pop();
+        feature.sources = vec![lec_first_id(1, 3)];
         for fragments in [1, 0b110, 0] {
             feature.fragments = fragments;
-            assert!(check_feature(&feature, &q, 1, 3).is_err());
+            assert!(check_features(&[feature.clone()], &q, 1, 3).is_err());
+        }
+    }
+
+    /// Algorithm 1's numbering contract at the prune barrier: feature *i*
+    /// of a site's reply carries exactly the one id `first_id + i`.
+    /// Out-of-order, duplicate, skipped and multi-source ids are protocol
+    /// errors, even inside the site's range.
+    #[test]
+    fn feature_numbering_violations_are_protocol_errors() {
+        use gstored_rdf::{EdgeRef, TermId};
+        let g = paper_graph();
+        let q = EncodedQuery::encode(&paper_query(), g.dict()).unwrap();
+        let edge = EdgeRef {
+            from: TermId(1),
+            label: TermId(2),
+            to: TermId(3),
+        };
+        let (site, sites) = (1, 3);
+        let first = lec_first_id(site, sites);
+        let reply = |ids: &[&[u32]]| -> Vec<crate::lec::LecFeature> {
+            ids.iter()
+                .map(|sources| crate::lec::LecFeature {
+                    fragments: 1 << site,
+                    mapping: vec![(edge, 0)],
+                    sign: 1,
+                    sources: sources.to_vec(),
+                })
+                .collect()
+        };
+        let check = |ids: &[&[u32]]| check_features(&reply(ids), &q, site, sites);
+        assert!(check(&[&[first], &[first + 1], &[first + 2]]).is_ok());
+        assert!(check(&[]).is_ok());
+        for bad in [
+            &[&[first + 1][..], &[first]][..], // out of order
+            &[&[first], &[first]],             // duplicate
+            &[&[first], &[first, first + 1]],  // multi-source
+            &[&[first], &[first + 2]],         // skipped id
+            &[&[first + 1]],                   // not from the range start
+            &[&[]],                            // no id at all
+        ] {
+            let err = check(bad).expect_err("numbering violation");
+            assert!(matches!(err, EngineError::Protocol(_)), "{err:?}");
         }
     }
 

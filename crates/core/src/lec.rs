@@ -14,130 +14,206 @@
 //! global ids of their source features, which is what lets Algorithm 2
 //! report exactly which original features contributed to an all-ones
 //! combination.
+//!
+//! The module also holds the flat interning that Algorithms 1–3 share
+//! instead of `Vec`-keyed hash maps: `ChainIndex`, a hash index with
+//! collision chains over items the caller keeps in its own arrays, and
+//! `SliceInterner`, which stores sorted `u32` slices (Algorithm 2's
+//! mappings as entry ids) once, back to back in one arena.
 
-use fxhash::FxHashMap;
+use std::hash::Hasher;
+
+use fxhash::FxHasher;
 use gstored_rdf::EdgeRef;
 use gstored_store::LocalPartialMatch;
 
-/// One crossing-edge mapping entry: a matched data edge plus the index of
-/// the query edge it matches (the function `g` of Definition 8).
-pub type MappingEntry = (EdgeRef, usize);
+/// "No item": the empty bucket head and the end of a collision chain.
+pub(crate) const NIL: u32 = u32::MAX;
 
-/// Interned form of a feature's structural key, `(fragments, mapping id,
-/// sign)`: three machine words, `Copy`, hash-and-compare in O(1). The
-/// mapping id resolves through the [`MappingInterner`] that issued it.
-pub type InternedFeatureKey = (u64, u32, u64);
-
-/// Per-query interner for crossing-edge mappings (Definition 8's `g`).
-///
-/// A mapping — the sorted `Vec<(EdgeRef, usize)>` a [`LecFeature`]
-/// carries — is interned to a dense `u32` id, so that everything keyed by
-/// mapping identity (feature dedup, join-result dedup, joinability
-/// probes) becomes integer-keyed instead of hashing and comparing vectors.
-/// On top of the identity map, [`MappingInterner::union`] computes (and
-/// interns) the merged mapping of a feature join once per unordered pair.
-///
-/// Ids are only meaningful within the interner that issued them; the
-/// engine builds one per pruning invocation.
-#[derive(Debug, Default)]
-pub struct MappingInterner {
-    ids: FxHashMap<Vec<MappingEntry>, u32>,
-    mappings: Vec<Vec<MappingEntry>>,
-    unions: FxHashMap<(u32, u32), u32>,
+/// Hash one sequence of machine words with [`FxHasher`].
+#[inline]
+pub(crate) fn hash_words(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = FxHasher::default();
+    for w in words {
+        h.write_u64(w);
+    }
+    h.finish()
 }
 
-impl MappingInterner {
-    /// An empty interner.
-    pub fn new() -> Self {
-        MappingInterner::default()
+/// A `u32` arena offset or id, refusing to wrap: release builds drop
+/// overflow checks, so every flat table that stores positions as `u32`
+/// converts through here.
+#[inline]
+pub(crate) fn to_u32(n: usize) -> u32 {
+    u32::try_from(n).expect("flat arena exceeds u32 offsets")
+}
+
+/// A hash index with collision chains over items stored elsewhere.
+///
+/// Items are numbered `0..len()` in insertion order; the caller keeps
+/// their data in its own flat arrays and answers equality by id. The
+/// index holds two `u32` words per bucket head and per item, grows by
+/// doubling, and [`ChainIndex::clear`] resets only the buckets it used,
+/// so one index reused across many small rounds costs nothing to empty.
+#[derive(Debug, Default)]
+pub(crate) struct ChainIndex {
+    /// Bucket heads (an item id or [`NIL`]); empty or a power of two long.
+    heads: Vec<u32>,
+    /// Per item: its folded hash and the next item of its bucket.
+    items: Vec<(u32, u32)>,
+}
+
+impl ChainIndex {
+    /// Number of items inserted since the last clear.
+    pub(crate) fn len(&self) -> usize {
+        self.items.len()
     }
 
-    /// Number of distinct mappings interned so far.
-    pub fn len(&self) -> usize {
-        self.mappings.len()
-    }
-
-    /// Whether no mapping has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.mappings.is_empty()
-    }
-
-    /// Intern a mapping, returning its dense id. The canonical form is
-    /// sorted by `(query edge, data edge)` — the order [`LecFeature`]
-    /// maintains — and unsorted input is canonicalized first, so mappings
-    /// equal as sets of entries always share an id.
-    pub fn intern(&mut self, mapping: &[MappingEntry]) -> u32 {
-        if mapping.windows(2).all(|w| key_of(w[0]) <= key_of(w[1])) {
-            if let Some(&id) = self.ids.get(mapping) {
-                return id;
+    /// The item with `hash` for which `eq` holds, if any.
+    #[inline]
+    pub(crate) fn find(&self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> Option<u32> {
+        if self.heads.is_empty() {
+            return None;
+        }
+        let h = fold(hash);
+        let mut at = self.heads[h as usize & (self.heads.len() - 1)];
+        while at != NIL {
+            let (ih, next) = self.items[at as usize];
+            if ih == h && eq(at) {
+                return Some(at);
             }
-            return self.insert(mapping.to_vec());
+            at = next;
         }
-        let mut sorted = mapping.to_vec();
-        sorted.sort_unstable_by_key(|&e| key_of(e));
-        if let Some(&id) = self.ids.get(&sorted) {
-            return id;
-        }
-        self.insert(sorted)
+        None
     }
 
-    fn insert(&mut self, mapping: Vec<MappingEntry>) -> u32 {
-        let id = self.mappings.len() as u32;
-        self.ids.insert(mapping.clone(), id);
-        self.mappings.push(mapping);
+    /// Add item number `len()` under `hash` and return its id. The caller
+    /// has checked with [`ChainIndex::find`] that it is new.
+    #[inline]
+    pub(crate) fn insert(&mut self, hash: u64) -> u32 {
+        if self.items.len() >= self.heads.len() {
+            self.grow();
+        }
+        let h = fold(hash);
+        let id = to_u32(self.items.len());
+        let bucket = h as usize & (self.heads.len() - 1);
+        self.items.push((h, self.heads[bucket]));
+        self.heads[bucket] = id;
         id
     }
 
-    /// The canonical (sorted) mapping behind an id.
-    pub fn resolve(&self, id: u32) -> &[MappingEntry] {
-        &self.mappings[id as usize]
+    fn grow(&mut self) {
+        let n = (self.heads.len() * 2).max(16);
+        self.heads.clear();
+        self.heads.resize(n, NIL);
+        for (id, item) in self.items.iter_mut().enumerate() {
+            let bucket = item.0 as usize & (n - 1);
+            item.1 = self.heads[bucket];
+            self.heads[bucket] = id as u32;
+        }
     }
 
-    /// Memoized union of two mappings (the merged `g` of a feature join,
-    /// Algorithm 2 line 6): a sorted merge of the two canonical forms,
-    /// interned, computed once per unordered pair.
-    pub fn union(&mut self, a: u32, b: u32) -> u32 {
+    /// Forget every item, keeping the capacity.
+    pub(crate) fn clear(&mut self) {
+        let mask = self.heads.len().wrapping_sub(1);
+        for &(h, _) in &self.items {
+            self.heads[h as usize & mask] = NIL;
+        }
+        self.items.clear();
+    }
+}
+
+/// The well-mixed high half of an Fx hash (its low bits follow only the
+/// input's low bits).
+#[inline]
+fn fold(hash: u64) -> u32 {
+    (hash >> 32) as u32
+}
+
+/// Sorted `u32` slices stored once, back to back in one arena, and
+/// interned by hash with a collision chain: equal slices share one id.
+///
+/// Algorithm 2 keeps every crossing-edge mapping here as the ascending
+/// ids of its `(query edge, data edge)` entries, and a joined mapping is
+/// merged straight into the arena's tail ([`SliceInterner::union`]) and
+/// kept only if it is new.
+#[derive(Debug)]
+pub(crate) struct SliceInterner {
+    arena: Vec<u32>,
+    /// `ends[id]` is slice `id`'s end in `arena`; `ends[0]` is 0.
+    ends: Vec<u32>,
+    index: ChainIndex,
+}
+
+impl SliceInterner {
+    /// An empty interner with room for `slices` slices of `words` ids.
+    pub(crate) fn with_capacity(slices: usize, words: usize) -> Self {
+        let mut ends = Vec::with_capacity(slices + 1);
+        ends.push(0);
+        SliceInterner {
+            arena: Vec::with_capacity(words),
+            ends,
+            index: ChainIndex::default(),
+        }
+    }
+
+    /// The slice behind an id.
+    #[inline]
+    pub(crate) fn get(&self, id: u32) -> &[u32] {
+        let id = id as usize;
+        &self.arena[self.ends[id] as usize..self.ends[id + 1] as usize]
+    }
+
+    /// Intern a slice, returning its id.
+    pub(crate) fn intern(&mut self, slice: &[u32]) -> u32 {
+        let start = self.arena.len();
+        self.arena.extend_from_slice(slice);
+        self.intern_tail(start)
+    }
+
+    /// The id of the sorted union of two interned slices (equal ids
+    /// merged once), interned.
+    pub(crate) fn union(&mut self, a: u32, b: u32) -> u32 {
         if a == b {
             return a;
         }
-        let key = (a.min(b), a.max(b));
-        if let Some(&hit) = self.unions.get(&key) {
-            return hit;
+        let start = self.arena.len();
+        let (mut i, i_end) = (
+            self.ends[a as usize] as usize,
+            self.ends[a as usize + 1] as usize,
+        );
+        let (mut j, j_end) = (
+            self.ends[b as usize] as usize,
+            self.ends[b as usize + 1] as usize,
+        );
+        while i < i_end && j < j_end {
+            let (x, y) = (self.arena[i], self.arena[j]);
+            self.arena.push(x.min(y));
+            i += usize::from(x <= y);
+            j += usize::from(y <= x);
         }
-        let merged = {
-            let (ma, mb) = (self.resolve(a), self.resolve(b));
-            let mut out: Vec<MappingEntry> = Vec::with_capacity(ma.len() + mb.len());
-            let (mut i, mut j) = (0, 0);
-            while i < ma.len() && j < mb.len() {
-                match key_of(ma[i]).cmp(&key_of(mb[j])) {
-                    std::cmp::Ordering::Less => {
-                        out.push(ma[i]);
-                        i += 1;
-                    }
-                    std::cmp::Ordering::Greater => {
-                        out.push(mb[j]);
-                        j += 1;
-                    }
-                    std::cmp::Ordering::Equal => {
-                        out.push(ma[i]);
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-            out.extend_from_slice(&ma[i..]);
-            out.extend_from_slice(&mb[j..]);
-            out
-        };
-        let id = self.intern(&merged);
-        self.unions.insert(key, id);
-        id
+        self.arena.extend_from_within(i..i_end);
+        self.arena.extend_from_within(j..j_end);
+        self.intern_tail(start)
     }
-}
 
-#[inline]
-fn key_of(e: MappingEntry) -> (usize, EdgeRef) {
-    (e.1, e.0)
+    /// Intern `arena[start..]`, just written: drop it again if an equal
+    /// slice is already interned.
+    fn intern_tail(&mut self, start: usize) -> u32 {
+        let tail = &self.arena[start..];
+        let hash = hash_words(tail.iter().map(|&x| u64::from(x)));
+        let (arena, ends) = (&self.arena, &self.ends);
+        let hit = self.index.find(hash, |id| {
+            let id = id as usize;
+            &arena[ends[id] as usize..ends[id + 1] as usize] == tail
+        });
+        if let Some(id) = hit {
+            self.arena.truncate(start);
+            return id;
+        }
+        self.ends.push(to_u32(self.arena.len()));
+        self.index.insert(hash)
+    }
 }
 
 /// The all-ones LECSign over `n` query vertices — the completion mask of
@@ -150,87 +226,6 @@ pub(crate) fn full_sign(n: usize) -> u64 {
     } else {
         (1u64 << n) - 1
     }
-}
-
-/// Definition 9 conditions 2/3/5 on two canonical (sorted-by-query-edge)
-/// mappings: a merge scan finds the query edges present on both sides —
-/// equal data edges establish condition 2, different ones violate
-/// condition 3 — and the endpoint bindings must agree.
-///
-/// Allocation-free (unlike [`LecFeature::joinable`], whose endpoint
-/// check builds a binding `Vec` per call): Algorithm 2 runs this on
-/// every candidate intermediate × group-member pair, where the mappings
-/// are short and a heap allocation per probe dominates the test itself.
-pub(crate) fn mappings_compatible(
-    a: &[MappingEntry],
-    b: &[MappingEntry],
-    query_edges: &[(usize, usize)],
-) -> bool {
-    let mut shared = false;
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].1.cmp(&b[j].1) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let qe = a[i].1;
-                let (ia, jb) = (i, j);
-                while i < a.len() && a[i].1 == qe {
-                    i += 1;
-                }
-                while j < b.len() && b[j].1 == qe {
-                    j += 1;
-                }
-                for &(ea, _) in &a[ia..i] {
-                    for &(eb, _) in &b[jb..j] {
-                        if ea == eb {
-                            shared = true;
-                        } else {
-                            return false; // condition 3
-                        }
-                    }
-                }
-            }
-        }
-    }
-    if !shared {
-        return false;
-    }
-    endpoint_bindings_agree_flat(a, b, query_edges)
-}
-
-/// Allocation-free endpoint agreement: the two mappings imply
-/// `2·(|a| + |b|)` (query vertex, data vertex) bindings; they agree iff
-/// no two bindings name the same query vertex with different data
-/// vertices. Pairwise comparison over the flat implied-binding list —
-/// the same `O(m²)` the incremental linear-scan version pays, without
-/// materializing the binding vector.
-fn endpoint_bindings_agree_flat(
-    a: &[MappingEntry],
-    b: &[MappingEntry],
-    query_edges: &[(usize, usize)],
-) -> bool {
-    let entry = |k: usize| if k < a.len() { a[k] } else { b[k - a.len()] };
-    let binding = |k: usize| {
-        let (e, qe) = entry(k / 2);
-        let (qf, qt) = query_edges[qe];
-        if k.is_multiple_of(2) {
-            (qf, e.from)
-        } else {
-            (qt, e.to)
-        }
-    };
-    let m = 2 * (a.len() + b.len());
-    for i in 0..m {
-        let (qi, di) = binding(i);
-        for j in (i + 1)..m {
-            let (qj, dj) = binding(j);
-            if qi == qj && di != dj {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// The most sites (fragments) one fleet may have. A [`LecFeature`]
@@ -365,31 +360,45 @@ fn endpoint_bindings_agree(
 /// indices once the features have shipped: a `DropPruned` verdict keeps
 /// LPM *j* iff `first_id + feature_of_lpm[j]` is among the useful ids.
 ///
-/// Each LPM's
-/// crossing list is interned through a [`MappingInterner`], so dedup is a
-/// probe of an integer-keyed [`InternedFeatureKey`] map — the mapping
-/// `Vec` is hashed once per *distinct* mapping, not once per LPM.
+/// Dedup is one probe of a `ChainIndex` over the features built so
+/// far, hashed on `(fragment, sign, canonical mapping)`: an LPM's
+/// crossing list is canonicalized in a reused scratch buffer, and only a
+/// *new* feature copies it.
 pub fn compute_lec_features(
     lpms: &[LocalPartialMatch],
     first_id: u32,
 ) -> (Vec<LecFeature>, Vec<usize>) {
-    let mut interner = MappingInterner::new();
     let mut features: Vec<LecFeature> = Vec::new();
-    let mut index: FxHashMap<InternedFeatureKey, usize> = FxHashMap::default();
+    let mut index = ChainIndex::default();
+    let mut mapping: Vec<(EdgeRef, usize)> = Vec::new();
     let mut feature_of_lpm = Vec::with_capacity(lpms.len());
     for lpm in lpms {
-        let mapping_id = interner.intern(&lpm.crossing);
-        let key = (1u64 << lpm.fragment, mapping_id, lpm.internal_mask);
-        let idx = match index.entry(key) {
-            std::collections::hash_map::Entry::Occupied(o) => *o.get(),
-            std::collections::hash_map::Entry::Vacant(v) => {
+        mapping.clear();
+        mapping.extend_from_slice(&lpm.crossing);
+        mapping.sort_unstable_by_key(|&(e, qe)| (qe, e));
+        let fragments = 1u64 << lpm.fragment;
+        let sign = lpm.internal_mask;
+        let hash = hash_words(
+            [fragments, sign].into_iter().chain(
+                mapping
+                    .iter()
+                    .flat_map(|&(e, qe)| [qe as u64, e.from.0, e.label.0, e.to.0]),
+            ),
+        );
+        let hit = index.find(hash, |id| {
+            let f = &features[id as usize];
+            f.fragments == fragments && f.sign == sign && f.mapping == mapping
+        });
+        let idx = match hit {
+            Some(id) => id as usize,
+            None => {
+                index.insert(hash);
                 features.push(LecFeature {
-                    fragments: key.0,
-                    mapping: interner.resolve(mapping_id).to_vec(),
-                    sign: lpm.internal_mask,
+                    fragments,
+                    mapping: mapping.clone(),
+                    sign,
                     sources: vec![first_id + features.len() as u32],
                 });
-                v.insert(features.len() - 1);
                 features.len() - 1
             }
         };

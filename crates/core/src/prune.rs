@@ -8,35 +8,40 @@
 //! before any LPM is shipped.
 //!
 //! This is the engine's Algorithm 2 hot path. It runs on the caller's
-//! thread over one index, built once per call:
+//! thread over one flat index, built once per call:
 //!
-//! * a per-query [`MappingInterner`] turns every feature's crossing-edge
-//!   mapping into a `u32` id, so the structural key `(fragments, mapping
-//!   id, sign)` is `Copy` and every dedup map is integer-keyed;
-//! * a per-group posting map sends each `(data edge, query edge)` entry
-//!   to the group's members whose mapping contains it. Condition 2 of
-//!   Definition 9 (a shared entry) is necessary, so a feature only ever
-//!   meets the members it shares an entry with, never a whole group;
-//! * pairwise mapping compatibility (Definition 9 conditions 2/3/5) is an
-//!   allocation-free merge scan, and mapping unions are computed and
-//!   interned once per pair.
+//! * every distinct `(query edge, data edge)` entry gets a dense `u32` id
+//!   in canonical order, so a mapping (the `g` of Definition 8) is an
+//!   ascending id slice. All mappings live back to back in one
+//!   `SliceInterner` arena, equal ones once, and a joined mapping is a
+//!   merge of two slices interned by hash with a collision chain;
+//! * the postings are one CSR over entry ids: entry `x`'s range lists the
+//!   `(group, feature)` pairs whose mapping contains `x`, sorted, so a
+//!   group's members on `x` are one binary-searched subrange. Condition 2
+//!   of Definition 9 (a shared entry) is necessary, so a feature only
+//!   ever meets the members it shares an entry with, never a whole group;
+//! * Definition 9 conditions 2/3 are a merge over two id slices, and
+//!   condition 5 compares only the two sides' bindings with each other:
+//!   each side is consistent on its own (an original is checked once per
+//!   call; a join result passed this test).
 //!
 //! [`build_join_graph`] probes each disjoint-sign group pair through
 //! those postings, from the smaller group's side, and stops at the first
 //! joinable feature pair. [`prune_features`]' recursive `ComLECFJoin`
-//! drives each join level off the same postings, tracks the visited group
-//! set as a `u64` bitmask, deduplicates join results through an
-//! interned-key hash map, records lineage as a join-derivation DAG of
-//! `(a, b)` back-pointers (one backward reachability pass at the end
-//! replaces per-join `sources` vector merging), and memoizes explored
-//! `(visited set, current features)` states so structurally identical
-//! subtrees — the same frontier reached through a different join order —
-//! expand exactly once.
+//! drives each join level off the same postings, keeps every level's
+//! features in one stack arena, tracks the visited group set as a `u64`
+//! bitmask, deduplicates join results by hash and chain, records lineage
+//! as flat derivation and alias edge lists that feed one CSR reachability
+//! pass at the end, and memoizes explored `(visited set, current
+//! features)` states so structurally identical subtrees — the same
+//! frontier reached through a different join order — expand exactly once.
+//! After the index is sized, a call's heap traffic is the amortized
+//! growth of a fixed set of arenas, not one allocation per feature.
 
 use fxhash::{FxHashMap, FxHashSet};
-use gstored_rdf::EdgeRef;
+use gstored_rdf::{EdgeRef, VertexId};
 
-use crate::lec::{mappings_compatible, InternedFeatureKey, LecFeature, MappingInterner};
+use crate::lec::{hash_words, to_u32, ChainIndex, LecFeature, SliceInterner};
 
 /// One LEC feature group (Definition 10): all features sharing a LECSign.
 /// Groups index into the shared feature slice they were built over
@@ -75,72 +80,146 @@ pub fn group_by_sign(features: &[LecFeature]) -> Vec<FeatureGroup> {
 /// Only group pairs with disjoint LECSigns are tested (Theorem 5). Each
 /// member of the smaller group looks its mapping entries up in the other
 /// group's postings, and the test stops at the first joinable pair, so a
-/// pair of groups that share no crossing edge costs hash lookups only.
+/// pair of groups that share no crossing edge costs posting lookups only.
 pub fn build_join_graph(
     features: &[LecFeature],
     groups: &[FeatureGroup],
     query_edges: &[(usize, usize)],
 ) -> Vec<Vec<usize>> {
-    let index = FeatureIndex::new(features, groups);
-    index.join_graph(groups, query_edges)
+    FeatureIndex::new(features, groups, query_edges).join_graph(groups)
 }
 
-/// One group's posting map: `(data edge, query edge)` entry → the
-/// group's member features whose mapping contains it.
-type Postings = FxHashMap<(EdgeRef, usize), Vec<u32>>;
+/// The two query-vertex bindings one entry implies: `(query vertex, data
+/// vertex)` for the query edge's source and target.
+type EntryEnds = [(u32, VertexId); 2];
 
-/// The one index Algorithm 2 runs on: interned mappings, the features as
-/// `Copy` seeds, and one posting map per group.
+/// The one index Algorithm 2 runs on, in flat arrays.
 struct FeatureIndex {
-    interner: MappingInterner,
-    /// Per-input-feature `Feat` seeds (node id = feature index).
+    /// Per entry id: the bindings it implies (condition 5's input).
+    ends: Vec<EntryEnds>,
+    /// Per entry id: its query edge (entry ids ascend with it).
+    entry_qe: Vec<u32>,
+    /// Every mapping as an ascending entry-id slice, interned.
+    mappings: SliceInterner,
+    /// Per input feature: its `Feat` seed (node id = feature index).
     seeds: Vec<Feat>,
-    /// `postings[g]` indexes the members of group `g`.
-    postings: Vec<Postings>,
+    /// Per group: its LECSign.
+    group_signs: Vec<u64>,
+    /// Per input feature: whether its own bindings agree. One that
+    /// conflicts joins nothing (condition 5 over its own pairs fails for
+    /// every partner), so it has no postings and probes nothing.
+    consistent: Vec<bool>,
+    /// CSR postings: entry `x`'s `(group, feature)` pairs are
+    /// `posting[posting_start[x]..posting_start[x + 1]]`, sorted.
+    posting_start: Vec<u32>,
+    posting: Vec<(u32, u32)>,
+    /// Per feature: the probe stamp it was last met under, so a member
+    /// sharing several entries with a feature is tested once.
+    met: Vec<u32>,
+    stamp: u32,
 }
 
 impl FeatureIndex {
-    fn new(features: &[LecFeature], groups: &[FeatureGroup]) -> Self {
-        let mut interner = MappingInterner::new();
-        let seeds = features
-            .iter()
-            .enumerate()
-            .map(|(i, f)| Feat {
+    fn new(
+        features: &[LecFeature],
+        groups: &[FeatureGroup],
+        query_edges: &[(usize, usize)],
+    ) -> Self {
+        // Entry ids in canonical `(query edge, data edge)` order: one sort
+        // of every mapping entry tagged with its arena slot.
+        let mut starts = Vec::with_capacity(features.len() + 1);
+        let mut tagged: Vec<(usize, EdgeRef, u32)> = Vec::new();
+        for f in features {
+            starts.push(to_u32(tagged.len()));
+            for &(e, qe) in &f.mapping {
+                tagged.push((qe, e, to_u32(tagged.len())));
+            }
+        }
+        starts.push(to_u32(tagged.len()));
+        tagged.sort_unstable_by_key(|&(qe, e, _)| (qe, e));
+        let mut ids = vec![0u32; tagged.len()];
+        let mut ends: Vec<EntryEnds> = Vec::new();
+        let mut entry_qe = Vec::new();
+        for (k, &(qe, e, slot)) in tagged.iter().enumerate() {
+            if k == 0 || (tagged[k - 1].0, tagged[k - 1].1) != (qe, e) {
+                let (qf, qt) = query_edges[qe];
+                ends.push([(to_u32(qf), e.from), (to_u32(qt), e.to)]);
+                entry_qe.push(to_u32(qe));
+            }
+            ids[slot as usize] = to_u32(ends.len() - 1);
+        }
+        drop(tagged);
+
+        // Seeds: each mapping as a sorted, deduplicated id slice.
+        let mut mappings = SliceInterner::with_capacity(features.len(), ids.len());
+        let mut consistent = Vec::with_capacity(features.len());
+        let mut seeds = Vec::with_capacity(features.len());
+        let mut slice: Vec<u32> = Vec::new();
+        for (i, f) in features.iter().enumerate() {
+            slice.clear();
+            slice.extend_from_slice(&ids[starts[i] as usize..starts[i + 1] as usize]);
+            slice.sort_unstable();
+            slice.dedup();
+            // Every pair of the feature's own bindings, an entry's two with
+            // each other included (a self-loop query edge binds one vertex
+            // twice).
+            consistent.push(
+                slice
+                    .iter()
+                    .enumerate()
+                    .all(|(k, &x)| slice[k..].iter().all(|&y| !conflict(&ends, x, y))),
+            );
+            seeds.push(Feat {
                 fragments: f.fragments,
-                mapping: interner.intern(&f.mapping),
+                mapping: mappings.intern(&slice),
                 sign: f.sign,
-                node: i as u32,
-            })
-            .collect();
-        let postings = groups
-            .iter()
-            .map(|g| {
-                let mut p = Postings::default();
-                for &fi in &g.members {
-                    for &entry in &features[fi as usize].mapping {
-                        let row = p.entry(entry).or_default();
-                        // Canonical mappings keep duplicates adjacent.
-                        if row.last() != Some(&fi) {
-                            row.push(fi);
-                        }
-                    }
+                node: to_u32(i),
+            });
+        }
+
+        // CSR postings, filled group by group and member by member, so each
+        // entry's range comes out sorted by `(group, feature)`.
+        let mut posting_start = vec![0u32; ends.len() + 1];
+        for (i, seed) in seeds.iter().enumerate() {
+            if consistent[i] {
+                for &x in mappings.get(seed.mapping) {
+                    posting_start[x as usize + 1] += 1;
                 }
-                p
-            })
-            .collect();
+            }
+        }
+        for x in 0..ends.len() {
+            posting_start[x + 1] += posting_start[x];
+        }
+        let mut fill: Vec<u32> = posting_start[..ends.len()].to_vec();
+        let mut posting = vec![(0u32, 0u32); posting_start[ends.len()] as usize];
+        for (g, group) in groups.iter().enumerate() {
+            for &fi in &group.members {
+                if !consistent[fi as usize] {
+                    continue;
+                }
+                for &x in mappings.get(seeds[fi as usize].mapping) {
+                    let at = &mut fill[x as usize];
+                    posting[*at as usize] = (g as u32, fi);
+                    *at += 1;
+                }
+            }
+        }
         FeatureIndex {
-            interner,
+            ends,
+            entry_qe,
+            mappings,
             seeds,
-            postings,
+            group_signs: groups.iter().map(|g| g.sign).collect(),
+            consistent,
+            posting_start,
+            posting,
+            met: vec![0; features.len()],
+            stamp: 0,
         }
     }
 
     /// [`build_join_graph`] over this index.
-    fn join_graph(
-        &self,
-        groups: &[FeatureGroup],
-        query_edges: &[(usize, usize)],
-    ) -> Vec<Vec<usize>> {
+    fn join_graph(&mut self, groups: &[FeatureGroup]) -> Vec<Vec<usize>> {
         let mut adj = vec![Vec::new(); groups.len()];
         let mut witness = Vec::new();
         for i in 0..groups.len() {
@@ -154,15 +233,8 @@ impl FeatureIndex {
                     (j, i)
                 };
                 let joinable = groups[small].members.iter().any(|&fa| {
-                    joinable_members(
-                        &self.seeds[fa as usize],
-                        &self.postings[other],
-                        &self.seeds,
-                        &self.interner,
-                        query_edges,
-                        true,
-                        &mut witness,
-                    );
+                    let a = self.seeds[fa as usize];
+                    self.joinable_members(a, other as u32, true, &mut witness);
                     !witness.is_empty()
                 });
                 witness.clear();
@@ -174,66 +246,112 @@ impl FeatureIndex {
         }
         adj
     }
-}
 
-/// Append to `out` the members of one group (given by its `postings`)
-/// that Definition 9 lets `a` join, each once, in posting order; with
-/// `first_only`, stop after the first.
-///
-/// Candidates come from the postings of `a`'s mapping entries, so
-/// condition 2 holds for each; a member sharing several entries with `a`
-/// is tested at the first one only. Then: disjoint signs (condition 4),
-/// not two originals of one fragment (condition 1), and conditions 2/3/5
-/// on the two mappings.
-fn joinable_members(
-    a: &Feat,
-    postings: &Postings,
-    seeds: &[Feat],
-    interner: &MappingInterner,
-    query_edges: &[(usize, usize)],
-    first_only: bool,
-    out: &mut Vec<u32>,
-) {
-    let a_map = interner.resolve(a.mapping);
-    for (ei, entry) in a_map.iter().enumerate() {
-        let Some(cands) = postings.get(entry) else {
-            continue;
-        };
-        for &bi in cands {
-            let b = &seeds[bi as usize];
-            if a.sign & b.sign != 0 {
-                continue;
-            }
-            if a.fragments == b.fragments && a.fragments.count_ones() == 1 {
-                continue;
-            }
-            let b_map = interner.resolve(b.mapping);
-            let shares_earlier = a_map[..ei].iter().any(|&(e, qe)| {
-                b_map
-                    .binary_search_by_key(&(qe, e), |&(be, bqe)| (bqe, be))
-                    .is_ok()
-            });
-            if shares_earlier || !mappings_compatible(a_map, b_map, query_edges) {
-                continue;
-            }
-            out.push(bi);
-            if first_only {
-                return;
+    /// Append to `out` the members of `group` that Definition 9 lets `a`
+    /// join, each once, in posting order; with `first_only`, stop after
+    /// the first.
+    ///
+    /// A group shares one sign, so condition 4 (disjoint signs) is tested
+    /// once for the whole group. Candidates come from the postings of
+    /// `a`'s mapping entries, so condition 2 holds for each; a member
+    /// sharing several entries with `a` is tested at the first one only.
+    /// Then: not two originals of one fragment (condition 1), and
+    /// conditions 2/3/5 on the two mappings.
+    fn joinable_members(&mut self, a: Feat, group: u32, first_only: bool, out: &mut Vec<u32>) {
+        if a.sign & self.group_signs[group as usize] != 0
+            || self.consistent.get(a.node as usize) == Some(&false)
+        {
+            return;
+        }
+        if self.stamp == u32::MAX {
+            self.met.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        let a_map = self.mappings.get(a.mapping);
+        for &x in a_map {
+            let range = &self.posting[self.posting_start[x as usize] as usize
+                ..self.posting_start[x as usize + 1] as usize];
+            let lo = range.partition_point(|&(g, _)| g < group);
+            let hi = lo + range[lo..].partition_point(|&(g, _)| g == group);
+            for &(_, bi) in &range[lo..hi] {
+                if std::mem::replace(&mut self.met[bi as usize], self.stamp) == self.stamp {
+                    continue;
+                }
+                let b = &self.seeds[bi as usize];
+                if a.fragments == b.fragments && a.fragments.count_ones() == 1 {
+                    continue;
+                }
+                if !self.compatible(a_map, self.mappings.get(b.mapping)) {
+                    continue;
+                }
+                out.push(bi);
+                if first_only {
+                    return;
+                }
             }
         }
     }
+
+    /// Definition 9 conditions 2/3/5 on two mappings, each consistent on
+    /// its own. A merge over query edges finds those on both sides: each
+    /// must carry one and the same entry on either side (condition 3), and
+    /// at least one must exist (condition 2). Then no binding of one side
+    /// may give a query vertex another data vertex than the other does.
+    fn compatible(&self, a: &[u32], b: &[u32]) -> bool {
+        let qe = |x: u32| self.entry_qe[x as usize];
+        let mut shared = false;
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            let (qa, qb) = (qe(a[i]), qe(b[j]));
+            if qa < qb {
+                i += 1;
+            } else if qa > qb {
+                j += 1;
+            } else {
+                let i_end = i + a[i..].iter().take_while(|&&x| qe(x) == qa).count();
+                let j_end = j + b[j..].iter().take_while(|&&y| qe(y) == qa).count();
+                if i_end - i != 1 || j_end - j != 1 || a[i] != b[j] {
+                    return false;
+                }
+                shared = true;
+                (i, j) = (i_end, j_end);
+            }
+        }
+        shared
+            && a.iter()
+                .all(|&x| b.iter().all(|&y| x == y || !conflict(&self.ends, x, y)))
+    }
+}
+
+/// Whether two entries bind one query vertex to different data vertices.
+#[inline]
+fn conflict(ends: &[EntryEnds], x: u32, y: u32) -> bool {
+    let (ex, ey) = (&ends[x as usize], &ends[y as usize]);
+    ex.iter()
+        .any(|&(qx, dx)| ey.iter().any(|&(qy, dy)| qx == qy && dx != dy))
 }
 
 /// A joined (or seed) feature during the Algorithm 2 DFS: three words of
 /// structural key plus its node id in the join-derivation DAG. `Copy`,
 /// so DFS levels pass features around without cloning any `Vec` —
-/// lineage is *recorded* as back-pointers, never carried.
+/// lineage is *recorded* as edges, never carried.
 #[derive(Debug, Clone, Copy)]
 struct Feat {
     fragments: u64,
     mapping: u32,
     sign: u64,
     node: u32,
+}
+
+impl Feat {
+    fn key(&self) -> (u64, u32, u64) {
+        (self.fragments, self.mapping, self.sign)
+    }
+
+    fn key_hash(&self) -> u64 {
+        hash_words([self.fragments, u64::from(self.mapping), self.sign])
+    }
 }
 
 /// The DFS stack of visited groups: push/pop order plus O(1) membership,
@@ -280,74 +398,130 @@ impl VisitedStack {
     }
 }
 
-/// Everything the recursive `ComLECFJoin` threads through unchanged.
+/// Explored `(visited mask, current features)` states of one outer
+/// iteration, flat: state `s` has mask `masks[s]` and features
+/// `feats[starts[s]..starts[s + 1]]`. A state is hashed as a multiset
+/// (the sum of its features' key hashes), so a probe that misses sorts
+/// nothing; the two sides are sorted only to confirm a hash match.
+#[derive(Default)]
+struct StateMemo {
+    index: ChainIndex,
+    masks: Vec<u64>,
+    starts: Vec<u32>,
+    feats: Vec<Feat>,
+    /// Scratch: the probed state's features, sorted.
+    probe: Vec<Feat>,
+}
+
+impl StateMemo {
+    fn clear(&mut self) {
+        self.index.clear();
+        self.masks.clear();
+        self.starts.clear();
+        self.starts.push(0);
+        self.feats.clear();
+    }
+}
+
+/// Everything the recursive `ComLECFJoin` threads through.
 ///
-/// Instead of carrying source lineages in-flight (the pre-PR4 code
-/// cloned, extended and re-sorted a `sources` vector on every join and
-/// merge), the DFS records a **join-derivation DAG**: every intermediate
-/// is a node whose `node_parents` entries are the `(a, b)` pairs that
-/// derived it (several, when structurally identical joins merge), every
-/// completing join lands in `complete_pairs`, and memo hits add `aliases`
-/// edges tying the skipped instance to the expanded one. One backward
-/// reachability pass at the end marks exactly the input features that
+/// Instead of carrying source lineages in-flight, the DFS records a
+/// **join-derivation DAG** as flat edge lists: every intermediate is a
+/// node, each derivation `(node, a, b)` of it (several, when structurally
+/// identical joins merge) lands in `derivations`, every completing join
+/// in `complete_pairs`, and memo hits add `aliases` edges tying the
+/// skipped instance to the expanded one. One backward reachability pass
+/// over their CSR at the end marks exactly the input features that
 /// participate in a complete combination.
 struct JoinCtx<'a> {
     adj: &'a [Vec<usize>],
-    query_edges: &'a [(usize, usize)],
-    /// The seeds and per-group postings every join level probes: an
-    /// intermediate only meets members sharing an entry with it, never
-    /// the full `current × members` cross product.
+    /// The seeds and postings every join level probes: an intermediate
+    /// only meets members sharing an entry with it, never the full
+    /// `current × members` cross product.
     index: FeatureIndex,
     /// All-ones LECSign for the query.
     full_sign: u64,
-    /// Derivation DAG: nodes `0..features.len()` are the input features
-    /// (no parents); intermediates append as created.
-    node_parents: Vec<Vec<(u32, u32)>>,
+    /// Derivation DAG nodes: `0..features.len()` are the input features;
+    /// intermediates are numbered on from there as created.
+    n_nodes: u32,
+    /// `(node, a, b)`: `node` was derived by joining nodes `a` and `b`.
+    derivations: Vec<(u32, u32, u32)>,
     /// `(a, b)` node pairs whose join reached the all-ones sign.
     complete_pairs: Vec<(u32, u32)>,
     /// `(from, to)` edges: `from` useful ⇒ `to` useful (memo-hit
     /// alignment between structurally identical current sets).
     aliases: Vec<(u32, u32)>,
-    /// Explored states of the *current* outer iteration (cleared when
-    /// `alive` changes): `(visited mask, sorted structural keys)` → the
-    /// node ids of the expanded instance, aligned with the key order.
-    explored: FxHashMap<(u64, Vec<InternedFeatureKey>), Vec<u32>>,
+    /// Every DFS level's features, as ranges of one stack arena.
+    feats: Vec<Feat>,
+    /// Every DFS level's frontier, as ranges of one stack arena.
+    frontier: Vec<usize>,
+    /// Join-result dedup of the level being built: item `k` is
+    /// `feats[level start + k]`.
+    slots: ChainIndex,
+    /// Scratch for [`FeatureIndex::joinable_members`].
+    joinable: Vec<u32>,
+    memo: StateMemo,
 }
 
 impl JoinCtx<'_> {
-    /// Memoize the `(visited, current)` state. Returns `true` when the
-    /// state was already expanded — in that case alias edges from the
-    /// expanded instance's nodes to this one's have been recorded, so the
-    /// skipped subtree's completions still reach this lineage.
+    /// Memoize the `(visited, current)` state, `current` being
+    /// `feats[lo..hi]`. Returns `true` when the state was already
+    /// expanded — in that case alias edges from the expanded instance's
+    /// nodes to this one's have been recorded, so the skipped subtree's
+    /// completions still reach this lineage.
     ///
     /// Alignment is by sorted structural key; features sharing a key
     /// behave identically downstream, so any bijection among them is
     /// sound.
-    fn memo_hit(&mut self, vmask: u64, current: &[Feat]) -> bool {
-        let mut order: Vec<u32> = (0..current.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| {
-            let f = &current[i as usize];
-            (f.fragments, f.mapping, f.sign, f.node)
-        });
-        let keys: Vec<InternedFeatureKey> = order
+    fn memo_hit(&mut self, vmask: u64, lo: usize, hi: usize) -> bool {
+        let feats = &self.feats[lo..hi];
+        let memo = &mut self.memo;
+        let hash = feats
             .iter()
-            .map(|&i| {
-                let f = &current[i as usize];
-                (f.fragments, f.mapping, f.sign)
-            })
-            .collect();
-        let nodes: Vec<u32> = order.iter().map(|&i| current[i as usize].node).collect();
-        match self.explored.entry((vmask, keys)) {
-            std::collections::hash_map::Entry::Occupied(o) => {
-                for (&expanded, &skipped) in o.get().iter().zip(&nodes) {
-                    if expanded != skipped {
-                        self.aliases.push((expanded, skipped));
+            .fold(hash_words([vmask, feats.len() as u64]), |h, f| {
+                h.wrapping_add(f.key_hash())
+            });
+        let sort_key = |f: &Feat| (f.fragments, f.mapping, f.sign, f.node);
+        let mut probe_sorted = false;
+        // A hash match is confirmed by sorting the stored state and (once)
+        // the probe, then comparing keys in order.
+        let hit = memo.index.find(hash, |s| {
+            let (start, end) = (
+                memo.starts[s as usize] as usize,
+                memo.starts[s as usize + 1] as usize,
+            );
+            if memo.masks[s as usize] != vmask || end - start != feats.len() {
+                return false;
+            }
+            if !probe_sorted {
+                memo.probe.clear();
+                memo.probe.extend_from_slice(feats);
+                memo.probe.sort_unstable_by_key(sort_key);
+                probe_sorted = true;
+            }
+            let stored = &mut memo.feats[start..end];
+            stored.sort_unstable_by_key(sort_key);
+            stored
+                .iter()
+                .zip(&memo.probe)
+                .all(|(x, y)| x.key() == y.key())
+        });
+        match hit {
+            Some(s) => {
+                let start = memo.starts[s as usize] as usize;
+                for (k, skipped) in memo.probe.iter().enumerate() {
+                    let expanded = memo.feats[start + k].node;
+                    if expanded != skipped.node {
+                        self.aliases.push((expanded, skipped.node));
                     }
                 }
                 true
             }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(nodes);
+            None => {
+                memo.index.insert(hash);
+                memo.masks.push(vmask);
+                memo.feats.extend_from_slice(feats);
+                memo.starts.push(to_u32(memo.feats.len()));
                 false
             }
         }
@@ -357,32 +531,50 @@ impl JoinCtx<'_> {
 /// Algorithm 2: returns the set of **original feature ids** (the `sources`
 /// ids assigned by Algorithm 1) that participate in at least one complete
 /// (all-ones LECSign) combination. LPMs whose feature id is not in the
-/// returned set can be pruned.
-#[allow(clippy::while_let_loop)] // the loop body mutates `alive`, not just the scrutinee
+/// returned set can be pruned. The set form of [`useful_ids`].
 pub fn prune_features(
     features: &[LecFeature],
     n_query_vertices: usize,
     query_edges: &[(usize, usize)],
 ) -> FxHashSet<u32> {
+    useful_ids(features, n_query_vertices, query_edges)
+        .into_iter()
+        .collect()
+}
+
+/// Algorithm 2, as a list: the `sources` ids of the useful features, in
+/// input order — ascending whenever the input's ids are, as the engine's
+/// reply checks guarantee for the features of a fleet.
+#[allow(clippy::while_let_loop)] // the loop body mutates `alive`, not just the scrutinee
+pub fn useful_ids(
+    features: &[LecFeature],
+    n_query_vertices: usize,
+    query_edges: &[(usize, usize)],
+) -> Vec<u32> {
     if features.is_empty() {
-        return FxHashSet::default();
+        return Vec::new();
     }
     let groups = group_by_sign(features);
-    let index = FeatureIndex::new(features, &groups);
-    let adj = index.join_graph(&groups, query_edges);
+    let mut index = FeatureIndex::new(features, &groups, query_edges);
+    let adj = index.join_graph(&groups);
     let mut ctx = JoinCtx {
         adj: &adj,
-        query_edges,
         index,
         full_sign: crate::lec::full_sign(n_query_vertices),
-        node_parents: vec![Vec::new(); features.len()],
+        n_nodes: to_u32(features.len()),
+        derivations: Vec::new(),
         complete_pairs: Vec::new(),
         aliases: Vec::new(),
-        explored: FxHashMap::default(),
+        feats: Vec::new(),
+        frontier: Vec::new(),
+        slots: ChainIndex::default(),
+        joinable: Vec::new(),
+        memo: StateMemo::default(),
     };
 
     // Work on a shrinking vertex set, per the algorithm's outer loop.
     let mut alive: Vec<bool> = vec![true; groups.len()];
+    let mut visited = VisitedStack::new(groups.len());
     loop {
         // Pick the smallest alive group.
         let Some(vmin) = (0..groups.len())
@@ -393,15 +585,15 @@ pub fn prune_features(
         };
         // The memo is only valid for a fixed `alive`; the outer loop
         // changes it, so each iteration explores afresh.
-        ctx.explored.clear();
-        let current: Vec<Feat> = groups[vmin]
-            .members
-            .iter()
-            .map(|&fi| ctx.index.seeds[fi as usize])
-            .collect();
-        let mut visited = VisitedStack::new(groups.len());
+        ctx.memo.clear();
+        ctx.feats.clear();
+        let seeds = &ctx.index.seeds;
+        ctx.feats
+            .extend(groups[vmin].members.iter().map(|&fi| seeds[fi as usize]));
         visited.push(vmin);
-        com_lecf_join(&mut ctx, &mut visited, current, &alive);
+        let hi = ctx.feats.len();
+        com_lecf_join(&mut ctx, &mut visited, 0, hi, &alive);
+        visited.pop();
         alive[vmin] = false;
         // Remove outliers: groups with no alive neighbor cannot join
         // anything anymore.
@@ -419,18 +611,37 @@ pub fn prune_features(
         }
     }
 
-    // Backward reachability over the derivation DAG: a node is useful
-    // iff it participates in some completing join chain. Completing
-    // pairs seed the worklist; usefulness propagates to every recorded
-    // derivation's parents and across alias edges. Input features that
-    // end up marked are exactly the sources the pre-PR4 code accumulated
-    // by carrying lineage vectors through every join.
-    let mut alias_of: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    for &(from, to) in &ctx.aliases {
-        alias_of.entry(from).or_default().push(to);
+    // Backward reachability: a node is useful iff it participates in
+    // some completing join chain. Completing pairs seed the worklist;
+    // usefulness flows from a node to the parents of each derivation of
+    // it and across alias edges, over one CSR of those edges.
+    let n = ctx.n_nodes as usize;
+    let mut start = vec![0u32; n + 1];
+    for &(node, _, _) in &ctx.derivations {
+        start[node as usize + 1] += 2;
     }
-    let mut useful = vec![false; ctx.node_parents.len()];
-    let mut work: Vec<u32> = Vec::new();
+    for &(from, _) in &ctx.aliases {
+        start[from as usize + 1] += 1;
+    }
+    for x in 0..n {
+        start[x + 1] += start[x];
+    }
+    let mut fill: Vec<u32> = start[..n].to_vec();
+    let mut to = vec![0u32; start[n] as usize];
+    let mut add = |from: u32, dst: u32| {
+        let at = &mut fill[from as usize];
+        to[*at as usize] = dst;
+        *at += 1;
+    };
+    for &(node, a, b) in &ctx.derivations {
+        add(node, a);
+        add(node, b);
+    }
+    for &(from, dst) in &ctx.aliases {
+        add(from, dst);
+    }
+    let mut useful = vec![false; n];
+    let mut work: Vec<u32> = Vec::with_capacity(2 * ctx.complete_pairs.len());
     for &(a, b) in &ctx.complete_pairs {
         work.push(a);
         work.push(b);
@@ -439,111 +650,116 @@ pub fn prune_features(
         if std::mem::replace(&mut useful[x as usize], true) {
             continue;
         }
-        for &(a, b) in &ctx.node_parents[x as usize] {
-            work.push(a);
-            work.push(b);
-        }
-        if let Some(dsts) = alias_of.get(&x) {
-            work.extend(dsts.iter().copied());
-        }
+        work.extend_from_slice(&to[start[x as usize] as usize..start[x as usize + 1] as usize]);
     }
-    let mut rs = FxHashSet::default();
-    for (f, &u) in features.iter().zip(&useful) {
-        if u {
-            rs.extend(f.sources.iter().copied());
-        }
-    }
-    rs
+    features
+        .iter()
+        .zip(&useful)
+        .filter(|(_, &u)| u)
+        .flat_map(|(f, _)| f.sources.iter().copied())
+        .collect()
 }
 
 /// The recursive `ComLECFJoin` of Algorithm 2. `visited` is the vertex
-/// set `V`; `current` the accumulated joined features for that set.
+/// set `V`; `feats[lo..hi]` the accumulated joined features for that set.
 ///
 /// Per-level work: frontier from the adjacency lists (bitmask/flag
 /// membership, no `Vec::contains`); per intermediate, the group members
-/// [`joinable_members`] finds through the group's postings; join results
-/// deduplicated through an integer-keyed map, recording every derivation
-/// as DAG back-pointers (no lineage vectors cloned or merged in-flight). The
-/// `(visited, current)` state memo skips subtrees that an earlier join
-/// order already expanded, wiring alias edges so the skipped instance
-/// inherits the expanded one's completions.
+/// [`FeatureIndex::joinable_members`] finds through the postings; join
+/// results appended to the feature arena and deduplicated by hash and
+/// chain, recording every derivation as a DAG edge (no lineage vectors
+/// cloned or merged in-flight). The `(visited, current)` state memo skips
+/// subtrees that an earlier join order already expanded, wiring alias
+/// edges so the skipped instance inherits the expanded one's completions.
 fn com_lecf_join(
     ctx: &mut JoinCtx<'_>,
     visited: &mut VisitedStack,
-    current: Vec<Feat>,
+    lo: usize,
+    hi: usize,
     alive: &[bool],
 ) {
-    if current.is_empty() {
+    if lo == hi {
         return;
     }
     if let Some(vmask) = visited.key() {
-        if ctx.memo_hit(vmask, &current) {
+        if ctx.memo_hit(vmask, lo, hi) {
             return; // an earlier join order already expanded this state
         }
     }
     // Neighbors of the visited set (alive, not already visited).
-    let mut frontier: Vec<usize> = visited
-        .order
-        .iter()
-        .flat_map(|&v| ctx.adj[v].iter().copied())
-        .filter(|&u| alive[u] && !visited.flags[u])
-        .collect();
-    frontier.sort_unstable();
-    frontier.dedup();
+    let fs = ctx.frontier.len();
+    for &v in &visited.order {
+        for &u in &ctx.adj[v] {
+            if alive[u] && !visited.flags[u] {
+                ctx.frontier.push(u);
+            }
+        }
+    }
+    ctx.frontier[fs..].sort_unstable();
+    let mut fe = fs;
+    for k in fs..ctx.frontier.len() {
+        if k == fs || ctx.frontier[k] != ctx.frontier[fe - 1] {
+            ctx.frontier[fe] = ctx.frontier[k];
+            fe += 1;
+        }
+    }
+    ctx.frontier.truncate(fe);
 
-    let mut joinable: Vec<u32> = Vec::new();
-    for v in frontier {
-        let mut next: Vec<Feat> = Vec::new();
+    let mut joinable = std::mem::take(&mut ctx.joinable);
+    for k in fs..fe {
+        let v = ctx.frontier[k];
+        let start = ctx.feats.len();
         // Dedup by interned structure; a hit records one more derivation
         // of the same node — two different lineages reaching the same
         // joined feature are both useful if the feature later completes.
-        let mut slot: FxHashMap<InternedFeatureKey, u32> = FxHashMap::default();
-        for a in &current {
+        ctx.slots.clear();
+        for ai in lo..hi {
+            let a = ctx.feats[ai];
             joinable.clear();
-            let index = &ctx.index;
-            joinable_members(
-                a,
-                &index.postings[v],
-                &index.seeds,
-                &index.interner,
-                ctx.query_edges,
-                false,
-                &mut joinable,
-            );
+            ctx.index
+                .joinable_members(a, v as u32, false, &mut joinable);
             for &bi in &joinable {
                 let b = ctx.index.seeds[bi as usize];
-                let joined_sign = a.sign | b.sign;
-                if joined_sign == ctx.full_sign {
+                let sign = a.sign | b.sign;
+                if sign == ctx.full_sign {
                     ctx.complete_pairs.push((a.node, b.node));
                     continue;
                 }
-                let joined_fragments = a.fragments | b.fragments;
-                let joined_mapping = ctx.index.interner.union(a.mapping, b.mapping);
-                match slot.entry((joined_fragments, joined_mapping, joined_sign)) {
-                    std::collections::hash_map::Entry::Occupied(o) => {
-                        let node = next[*o.get() as usize].node;
-                        ctx.node_parents[node as usize].push((a.node, b.node));
+                let joined = Feat {
+                    fragments: a.fragments | b.fragments,
+                    mapping: ctx.index.mappings.union(a.mapping, b.mapping),
+                    sign,
+                    node: ctx.n_nodes,
+                };
+                let hash = joined.key_hash();
+                let level = &ctx.feats[start..];
+                match ctx
+                    .slots
+                    .find(hash, |s| level[s as usize].key() == joined.key())
+                {
+                    Some(s) => {
+                        let node = level[s as usize].node;
+                        ctx.derivations.push((node, a.node, b.node));
                     }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        let node = ctx.node_parents.len() as u32;
-                        ctx.node_parents.push(vec![(a.node, b.node)]);
-                        slot.insert(next.len() as u32);
-                        next.push(Feat {
-                            fragments: joined_fragments,
-                            mapping: joined_mapping,
-                            sign: joined_sign,
-                            node,
-                        });
+                    None => {
+                        ctx.slots.insert(hash);
+                        ctx.derivations.push((joined.node, a.node, b.node));
+                        ctx.n_nodes = ctx.n_nodes.checked_add(1).expect("u32 node ids");
+                        ctx.feats.push(joined);
                     }
                 }
             }
         }
-        if !next.is_empty() {
+        if ctx.feats.len() > start {
             visited.push(v);
-            com_lecf_join(ctx, visited, next, alive);
+            let hi = ctx.feats.len();
+            com_lecf_join(ctx, visited, start, hi, alive);
             visited.pop();
         }
+        ctx.feats.truncate(start);
     }
+    ctx.joinable = joinable;
+    ctx.frontier.truncate(fs);
 }
 
 #[cfg(test)]
@@ -796,6 +1012,36 @@ mod tests {
         let mut got: Vec<u32> = rs.into_iter().collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3, 4], "a2 completes through b");
+    }
+
+    /// Condition 5 covers a feature's own bindings too: one whose entries
+    /// bind a query vertex to two data vertices joins nothing, even where
+    /// its partner binds none of the vertices in conflict. Query q0: v0→v1,
+    /// q1 and q2: v2→v3 (two predicates); `c` binds v2 to 30 through q1
+    /// and to 31 through q2, while `c_ok` binds it to 30 through both.
+    #[test]
+    fn a_self_conflicting_feature_joins_nothing() {
+        let qedges = vec![(0, 1), (2, 3), (2, 3)];
+        let shared = (edge(10, 1, 20), 0);
+        let a = feat(0, 0, vec![shared], 0b0001);
+        let c = feat(
+            1,
+            1,
+            vec![shared, (edge(30, 2, 50), 1), (edge(31, 3, 50), 2)],
+            0b1110,
+        );
+        let c_ok = feat(
+            2,
+            2,
+            vec![shared, (edge(30, 2, 50), 1), (edge(30, 3, 50), 2)],
+            0b1110,
+        );
+        assert!(!a.joinable(&c, &qedges), "Definition 9 premise");
+        assert!(a.joinable(&c_ok, &qedges), "Definition 9 premise");
+        let rs = prune_features(&[a, c, c_ok], 4, &qedges);
+        let mut got: Vec<u32> = rs.into_iter().collect();
+        got.sort_unstable();
+        assert_eq!(got, vec![0, 2]);
     }
 
     #[test]
