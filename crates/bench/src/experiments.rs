@@ -8,6 +8,7 @@ use gstored_baselines::s2rdf::S2rdfLike;
 use gstored_baselines::s2x::S2xLike;
 use gstored_baselines::Baseline;
 use gstored_core::engine::{Engine, EngineConfig, QueryOutput, Variant};
+use gstored_core::planner::plan_query;
 use gstored_core::prepared::PreparedPlan;
 use gstored_core::worker::with_in_process_workers;
 use gstored_datagen::BenchQuery;
@@ -125,15 +126,24 @@ pub fn table_partitioning_costs(datasets: &[&Dataset], sites: usize) -> Table {
 }
 
 /// Fig. 9: response time of the four engine variants on the non-star
-/// queries of a dataset.
+/// queries of a dataset, with the variant `Variant::Auto` picks for
+/// each query and the crossing share its rule read.
 pub fn fig_optimizations(dataset: &Dataset, sites: usize) -> Table {
     let dist = partition(dataset.graph.clone(), "hash", sites);
     let mut table = Table::new(
         format!("Optimization variants on {} (ms)", dataset.name),
-        &["Query", "Basic", "LA", "LO", "Full", "#Matches"],
+        &[
+            "Query",
+            "Basic",
+            "LA",
+            "LO",
+            "Full",
+            "#Matches",
+            "Auto picks",
+        ],
     );
     for q in dataset.queries.iter().filter(|q| !q.is_star()) {
-        // One prepared plan serves all four variants.
+        // One prepared plan serves all four variants and the planner.
         let plan = prepare(&dist, q);
         let mut cells = vec![q.id.to_string()];
         let mut matches = 0u64;
@@ -143,6 +153,12 @@ pub fn fig_optimizations(dataset: &Dataset, sites: usize) -> Table {
             matches = out.metrics.total_matches();
         }
         cells.push(matches.to_string());
+        let decision = plan_query(&dist, &plan);
+        cells.push(format!(
+            "{} (s={:.2})",
+            decision.chosen.label(),
+            decision.crossing_share
+        ));
         table.row(cells);
     }
     table

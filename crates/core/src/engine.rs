@@ -101,8 +101,8 @@ fn one_shot_query_id() -> QueryId {
 }
 
 /// The four engine variants compared in the paper's Fig. 9, plus
-/// [`Variant::Auto`], which defers the choice to the cost-based planner
-/// per query (see [`crate::planner`]).
+/// [`Variant::Auto`], which defers the choice to the planner per query
+/// (see [`crate::planner`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Variant {
     /// `gStoreD-Basic`: partial evaluation + the \[18\] partition join.
@@ -113,8 +113,8 @@ pub enum Variant {
     LecOptimization,
     /// `gStoreD`: + assembling variables' internal candidates (Alg. 4).
     Full,
-    /// Pick one of the four explicit variants per query via the
-    /// cost-based planner ([`crate::planner::plan_query`]). Resolved at
+    /// Pick `LA` or `Full` per query via the planner's rule
+    /// ([`crate::planner::plan_query`]). Resolved at
     /// the top of each execution; the pipeline itself always runs a
     /// concrete variant, and the decision is attached to the
     /// [`QueryOutput`].

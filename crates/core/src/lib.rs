@@ -37,9 +37,9 @@
 //! * [`prepared`] — the prepare-once / execute-many split:
 //!   [`PreparedPlan`] caches encoding and shape analysis so
 //!   [`engine::Engine::execute_on`] runs only per-execution work.
-//! * [`planner`] — the cost model behind [`Variant::Auto`]: estimate
-//!   each variant's pipeline cost from the cached per-fragment
-//!   statistics and the query shape, pick the cheapest per query.
+//! * [`planner`] — the rule behind [`Variant::Auto`]: run `Full` when
+//!   at least half the query's matching edges cross fragments and the
+//!   query is cyclic or selective, `LA` otherwise.
 
 pub mod assembly;
 pub mod candidates;

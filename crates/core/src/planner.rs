@@ -1,76 +1,76 @@
-//! The cost-based planner behind [`Variant::Auto`]: pick the engine
-//! variant per query instead of per session.
+//! The planner behind [`Variant::Auto`]: pick the stage set per query
+//! instead of per session.
 //!
-//! The paper's four variants (Fig. 9) have no single winner — the
-//! committed `BENCH_PR4.json` shows the best one flipping with the
-//! workload (`gStoreD-Basic` wins or ties on semantically partitioned
-//! LUBM, yet is ~20× worse than the LEC variants on crossing-heavy
-//! random graphs under hashing). What decides the race is how many
-//! local partial matches (LPMs, Definition 5) the crossing edges seed,
-//! because every downstream stage — feature computation (Definition 8),
-//! LEC grouping (Definition 10), pruning (Algorithm 2), assembly
-//! (Algorithm 3) — is work per LPM or per LPM *pair*.
+//! Auto chooses between two of the paper's four variants (Fig. 9) with
+//! one rule over facts every query already has:
 //!
-//! The planner therefore estimates exactly that quantity from the
-//! per-fragment statistics cached on the [`DistributedGraph`]
-//! ([`gstored_rdf::stats::PartitionStats`], computed lazily so explicit
-//! variants never pay for it) and the query shape in the
-//! [`PreparedPlan`], prices each variant's pipeline with a handful of
-//! per-unit coefficients, and picks the cheapest:
+//! * the **crossing share** *s* — of the edges matching the query's
+//!   predicates, the fraction that cross fragments:
+//!   `est_crossing_fanout / (est_crossing_fanout + est_internal_scan)`,
+//!   both summed over the query's edges from the per-fragment
+//!   statistics cached on the [`DistributedGraph`]
+//!   ([`gstored_rdf::stats::PartitionStats`], computed lazily so
+//!   explicit variants never pay for it);
+//! * the query **shape** from the [`PreparedPlan`]'s
+//!   [`gstored_sparql::ShapeReport`]: whether it is cyclic, and whether
+//!   it has a selective pattern (a constant subject or object, or a
+//!   class constraint).
 //!
-//! * **Partial evaluation** scans candidate edges on every variant —
-//!   a common term, charged per matching internal + crossing edge.
-//! * **`Basic`** joins LPMs pairwise without LEC grouping: quadratic in
-//!   the estimated LPM count. Unbeatable when almost nothing crosses,
-//!   catastrophic when the fan-out blows up.
-//! * **`LecAssembly`** pays a near-linear grouping/hash-join term
-//!   instead — the safe default once LPM counts clear a few hundred.
-//! * **`LecOptimization`** adds Algorithm 2's pruning: an extra
-//!   per-feature charge that only pays off by shrinking *shipment*, so
-//!   it wins only when the estimated survivor ratio is low (many
-//!   fragments per feature group that cannot complete).
-//! * **`Full`** adds Algorithm 4's candidate exchange: a fixed per-site
-//!   bit-vector shipment plus per-vertex marking, credited against the
-//!   partial-evaluation scan in proportion to the estimated candidate
-//!   selectivity of the query's constants and classes.
+//! Auto runs **`Full`** when *s* ≥ ½ and the query is cyclic or
+//! selective, and **`LecAssembly`** otherwise. Where most matching
+//! edges cross, local partial matches (Definition 5) dominate the work,
+//! and the two stages `Full` adds over `LA` shrink them: Algorithm 4's
+//! candidate exchange binds a selective query's variables before
+//! partial evaluation, and Algorithm 2's LEC pruning drops the many
+//! partial matches of a cycle that can never close. Where little
+//! crosses, or the query is an unselective acyclic path, both stages
+//! are messages and CPU that buy nothing back, and `LA` is faster.
+//! Measured *s* is 0.93–0.94 on hash-partitioned LUBM, 0.95 on hash
+//! RANDOM, 0.04–0.27 on METIS-like and 0–0.09 on semantic-hash LUBM, so
+//! the ½ threshold sits far from every measured cell (see
+//! `docs/planner.md` for the sweep).
 //!
-//! The estimates are deliberately coarse — counts and ratios, no
-//! per-bucket convolution — but they are **finite, deterministic and
-//! monotone in fragment size** (pinned by the planner-equivalence
-//! proptests), and they separate the committed workloads by an order of
-//! magnitude, which is all a variant picker needs.
+//! Auto never picks `Basic`, whose pairwise join is quadratic in the LPM
+//! count, nor `LecOptimization`, which pays for pruning without the
+//! exchange's filter; both stay explicit variants for the Fig. 9
+//! ladder.
+//!
+//! The decision also carries an LPM estimate for observability — the
+//! crossing fan-out grown by the mean adjacency degree per extra query
+//! edge and thinned by the query's constants and classes — which
+//! [`PlanExplain`] sets beside the measured count.
+//!
+//! `BENCH_PR10.json` is history: it measured the per-variant cost model
+//! this rule replaced, whose coefficients predate the cheap candidate
+//! exchange and pruning and had come to pick `LA` where `Full` was
+//! faster.
 
 use gstored_partition::DistributedGraph;
 use gstored_rdf::stats::PartitionStats;
+use gstored_sparql::QueryShape;
 use gstored_store::{EncodedLabel, EncodedQuery, EncodedVertex};
 
 use crate::engine::Variant;
 use crate::prepared::PreparedPlan;
 
-/// Per-unit cost coefficients (arbitrary units; only ratios matter).
-/// Calibrated against the committed `BENCH_PR4.json` sweep: the
-/// `Basic`/`LecAssembly` crossover sits at roughly 170 estimated LPMs,
-/// far below every committed workload cell (where the LEC variants
-/// measure up to 20× faster) yet far above the no-crossing regimes
-/// where `Basic` actually wins.
-const COST_SCAN: f64 = 1.0; // per candidate edge scanned during PE
-const COST_PAIR_JOIN: f64 = 0.05; // per LPM pair Basic's join may touch
-const COST_HASH_JOIN: f64 = 1.0; // per LPM through the LEC hash join
-const COST_PRUNE: f64 = 2.5; // per feature through Algorithm 2
-const COST_SHIP: f64 = 0.5; // per LPM shipped to the coordinator
-const COST_EXCHANGE_PER_SITE: f64 = 400.0; // per site², bit-vector shipment
-const COST_MARK: f64 = 0.05; // per internal vertex marked (Alg. 4)
+/// The crossing share from which a cyclic or selective query runs `Full`.
+const FULL_MIN_CROSSING_SHARE: f64 = 0.5;
 
 /// The planner's verdict for one (distributed graph, prepared plan)
-/// pair: the chosen variant plus every estimate that produced it, kept
-/// for [`PlanExplain`] reports and the server's `/status`.
+/// pair: the chosen variant, the rule's three inputs and the estimates,
+/// kept for [`PlanExplain`] reports and the server's `/status`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlannerDecision {
-    /// The cheapest explicit variant (never [`Variant::Auto`]).
+    /// [`Variant::Full`] or [`Variant::LecAssembly`].
     pub chosen: Variant,
-    /// Estimated pipeline cost per explicit variant, in
-    /// [`Variant::ALL`] order (abstract units; only ratios matter).
-    pub costs: Vec<(Variant, f64)>,
+    /// Fraction of the edges matching the query's predicates that cross
+    /// fragments (0 when none match).
+    pub crossing_share: f64,
+    /// Whether the query graph has a cycle.
+    pub cyclic: bool,
+    /// Whether the query has a constant subject or object or a class
+    /// constraint.
+    pub selective: bool,
     /// Estimated local-partial-match count across all sites.
     pub est_lpms: f64,
     /// Estimated crossing-edge incidences matching the query's edges —
@@ -84,21 +84,9 @@ pub struct PlannerDecision {
     pub est_candidate_selectivity: f64,
 }
 
-impl PlannerDecision {
-    /// The estimated cost of one explicit variant.
-    pub fn cost_of(&self, v: Variant) -> f64 {
-        self.costs
-            .iter()
-            .find(|&&(cv, _)| cv == v)
-            .map(|&(_, c)| c)
-            .expect("costs cover every explicit variant")
-    }
-}
-
-/// Estimate the cost of every explicit variant for `plan` over `dist`
-/// and pick the cheapest. Deterministic: same graph, same plan, same
-/// decision. Computes (and caches) the partition statistics on first
-/// use.
+/// Apply Auto's rule to `plan` over `dist`. Deterministic: same graph,
+/// same plan, same decision. Computes (and caches) the partition
+/// statistics on first use.
 pub fn plan_query(dist: &DistributedGraph, plan: &PreparedPlan) -> PlannerDecision {
     let stats = dist.stats();
     let q = plan.encoded();
@@ -126,8 +114,8 @@ pub fn plan_query(dist: &DistributedGraph, plan: &PreparedPlan) -> PlannerDecisi
     // --- Candidate selectivity: constants and class constraints bind
     // during local matching on EVERY variant (a constant vertex admits
     // exactly one data vertex regardless of pipeline), so it damps the
-    // LPM estimate itself, not any one variant's column. A free query
-    // (all variables, no classes) has selectivity 1.0.
+    // LPM estimate. A free query (all variables, no classes) has
+    // selectivity 1.0.
     let est_candidate_selectivity = candidate_selectivity(stats, q);
 
     // --- LPM blowup: every crossing incidence matching some query edge
@@ -140,52 +128,27 @@ pub fn plan_query(dist: &DistributedGraph, plan: &PreparedPlan) -> PlannerDecisi
     let est_lpms =
         (crossing_fanout * branch.powf(extra_edges.min(4.0))).min(1e12) * est_candidate_selectivity;
 
-    // --- Price each variant's pipeline ---
-    let pe = (internal_scan + crossing_fanout) * COST_SCAN;
-    let ship = est_lpms * COST_SHIP;
-    // Features dedup LPMs sharing (fragments, crossing mapping, sign);
-    // hubs compress heavily. A fixed dedup ratio keeps this monotone.
-    let est_features = est_lpms * 0.5;
-    // Pruning helps when LPM groups are unlikely to complete; more
-    // sites → more partial coverage → more prunable. Coarse proxy.
-    let sites = stats.sites.len().max(1) as f64;
-    let survivor_ratio = (2.0 / sites).clamp(0.25, 1.0);
-
-    let cost_basic = pe + ship + est_lpms * est_lpms * COST_PAIR_JOIN;
-    let lec_join = est_lpms * (1.0 + (est_lpms + 1.0).log2()) * COST_HASH_JOIN;
-    let cost_la = pe + ship + lec_join;
-    let cost_lo = pe + est_features * COST_PRUNE + ship * survivor_ratio + lec_join;
-    let exchange = sites * sites * COST_EXCHANGE_PER_SITE + stats.total_vertices as f64 * COST_MARK;
-    // Full's exchange only buys back scan work the LOCAL filters could
-    // not: its credit is confined to the partial-evaluation term. The
-    // LPM-proportional stages already run on the selectivity-damped
-    // estimate on every variant.
-    let cost_full = pe * est_candidate_selectivity
-        + exchange
-        + est_features * COST_PRUNE
-        + ship * survivor_ratio
-        + lec_join;
-
-    let costs = vec![
-        (Variant::Basic, cost_basic),
-        (Variant::LecAssembly, cost_la),
-        (Variant::LecOptimization, cost_lo),
-        (Variant::Full, cost_full),
-    ];
-    // Strict first-wins argmin: on exact cost ties (e.g. a single
-    // fragment, where every LEC stage prices to zero) prefer the
-    // *simplest* pipeline, which `Variant::ALL` lists first.
-    let mut chosen = costs[0];
-    for &c in &costs[1..] {
-        if c.1 < chosen.1 {
-            chosen = c;
-        }
-    }
-    let chosen = chosen.0;
+    // --- The rule ---
+    let scanned = crossing_fanout + internal_scan;
+    let crossing_share = if scanned > 0.0 {
+        crossing_fanout / scanned
+    } else {
+        0.0
+    };
+    let shape = plan.shape();
+    let cyclic = shape.shape == QueryShape::Cyclic;
+    let selective = shape.has_selective_pattern;
+    let chosen = if crossing_share >= FULL_MIN_CROSSING_SHARE && (cyclic || selective) {
+        Variant::Full
+    } else {
+        Variant::LecAssembly
+    };
 
     PlannerDecision {
         chosen,
-        costs,
+        crossing_share,
+        cyclic,
+        selective,
         est_lpms,
         est_crossing_fanout: crossing_fanout,
         est_internal_scan: internal_scan,
@@ -229,7 +192,7 @@ pub struct PlanExplain {
     pub configured: Variant,
     /// The variant that actually executed.
     pub chosen: Variant,
-    /// The full planner verdict (estimates and costs).
+    /// The full planner verdict (the rule's inputs and the estimates).
     pub decision: PlannerDecision,
     /// Measured local partial matches across all sites.
     pub actual_lpms: u64,
@@ -261,11 +224,10 @@ impl PlanExplain {
             "actual:    lpms {}, survivors {}, crossing matches {}, rows {}\n",
             self.actual_lpms, self.actual_survivors, self.actual_crossing_matches, self.rows,
         ));
-        out.push_str("costs:");
-        for &(v, c) in &self.decision.costs {
-            out.push_str(&format!(" {}={c:.0}", v.label()));
-        }
-        out.push('\n');
+        out.push_str(&format!(
+            "rule:      crossing share {:.2} (Full from {FULL_MIN_CROSSING_SHARE:.2} if cyclic or selective), cyclic {}, selective {}\n",
+            self.decision.crossing_share, self.decision.cyclic, self.decision.selective,
+        ));
         out
     }
 }
@@ -313,11 +275,9 @@ mod tests {
         let d1 = plan_query(&dist, &plan);
         let d2 = plan_query(&dist, &plan);
         assert_eq!(d1, d2, "same inputs, same decision");
-        for &(v, c) in &d1.costs {
-            assert!(c.is_finite() && c >= 0.0, "{}: cost {c}", v.label());
-        }
+        assert!((0.0..=1.0).contains(&d1.crossing_share), "{d1:?}");
         assert!(d1.est_lpms.is_finite());
-        assert_ne!(d1.chosen, Variant::Auto);
+        assert!(matches!(d1.chosen, Variant::LecAssembly | Variant::Full));
     }
 
     #[test]
@@ -340,16 +300,18 @@ mod tests {
     }
 
     #[test]
-    fn tiny_partitionings_pick_basic() {
-        // One fragment: nothing crosses, every LEC stage is pure overhead.
+    fn single_fragment_queries_run_la() {
+        // One fragment: nothing crosses, so even a cycle runs LA.
         let dist = DistributedGraph::build(crossing_heavy(10), &HashPartitioner::new(1));
         let plan = plan_for(
             &dist,
-            "SELECT * WHERE { ?a <http://p/0> ?b . ?b <http://p/0> ?c }",
+            "SELECT * WHERE { ?a <http://p/0> ?b . ?b <http://p/0> ?c . ?c <http://p/0> ?a }",
         );
         let d = plan_query(&dist, &plan);
         assert_eq!(d.est_crossing_fanout, 0.0);
-        assert_eq!(d.chosen, Variant::Basic, "{d:?}");
+        assert_eq!(d.crossing_share, 0.0);
+        assert!(d.cyclic);
+        assert_eq!(d.chosen, Variant::LecAssembly, "{d:?}");
     }
 
     /// Growing every fragment (more data, same shape) never shrinks the
@@ -363,9 +325,6 @@ mod tests {
         let dl = plan_query(&large, &plan_for(&large, text));
         assert!(dl.est_crossing_fanout >= ds.est_crossing_fanout);
         assert!(dl.est_lpms >= ds.est_lpms);
-        for (s, l) in ds.costs.iter().zip(&dl.costs) {
-            assert!(l.1 >= s.1, "{}: {} < {}", s.0.label(), l.1, s.1);
-        }
     }
 
     #[test]
@@ -386,6 +345,6 @@ mod tests {
         assert!(report.contains("configured: gStoreD-Auto"));
         assert!(report.contains("estimated:"));
         assert!(report.contains("actual:"));
-        assert!(report.contains("costs:"));
+        assert!(report.contains("rule:"));
     }
 }

@@ -9,8 +9,9 @@
 //!
 //! * [`ReactorTransport::send`] appends the frame to the site's outbox
 //!   and wakes the poller; the I/O thread drains the outbox whenever the
-//!   socket is writable, registering write interest only while bytes
-//!   remain queued.
+//!   socket is writable, each frame's length prefix and payload in one
+//!   vectored write, registering write interest only while bytes remain
+//!   queued.
 //! * [`ReactorTransport::recv`] blocks on a condvar until the I/O thread
 //!   has reassembled the site's next complete frame (or the site
 //!   failed).
@@ -41,7 +42,7 @@
 //! reusing it.
 
 use std::collections::VecDeque;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -50,22 +51,20 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use polling::{Event, Events, Poller};
 
-use crate::transport::{TransferCounters, Transport, TransportError, MAX_FRAME_LEN};
+use crate::transport::{
+    write_frame_from, TransferCounters, Transport, TransportError, MAX_FRAME_LEN,
+};
 
 /// Outbound side of one site connection: frames queued by `send`, plus
 /// the write cursor of the frame currently on the wire.
 #[derive(Debug, Default)]
 struct Outbox {
     /// Frames not yet fully written, oldest first. The front frame may
-    /// be partially written (see `header`/`pos`).
+    /// be partially written (see `pos`).
     queue: VecDeque<Bytes>,
-    /// Length prefix of the front frame, filled when it becomes front.
-    header: [u8; 4],
-    /// Bytes of header+payload already written for the front frame
-    /// (0..4 = inside the header, 4.. = inside the payload).
+    /// Bytes of length prefix + payload already written for the front
+    /// frame (0..4 = inside the prefix, 4.. = inside the payload).
     pos: usize,
-    /// Whether the front frame's header has been staged into `header`.
-    staged: bool,
     /// Whether write interest is currently registered with the poller.
     want_write: bool,
 }
@@ -268,7 +267,6 @@ impl Transport for ReactorTransport {
         {
             let mut tx = state.tx.lock().expect("reactor outbox poisoned");
             tx.queue.clear();
-            tx.staged = false;
             tx.pos = 0;
             tx.want_write = false;
         }
@@ -441,25 +439,12 @@ fn drain_write(shared: &Shared, site: usize) -> Result<(), TransportError> {
             }
             return Ok(());
         };
-        if !tx.staged {
-            tx.header = (front.len() as u32).to_le_bytes();
-            tx.pos = 0;
-            tx.staged = true;
-        }
-        let wrote = if tx.pos < 4 {
-            let pos = tx.pos;
-            stream.write(&tx.header[pos..])
-        } else {
-            let off = tx.pos - 4;
-            stream.write(&front[off..])
-        };
-        match wrote {
+        match write_frame_from(&mut stream, &front, tx.pos) {
             Ok(0) => return Err(TransportError::Io("socket write returned 0".into())),
             Ok(n) => {
                 tx.pos += n;
                 if tx.pos == 4 + front.len() {
                     tx.queue.pop_front();
-                    tx.staged = false;
                     tx.pos = 0;
                 }
             }
@@ -490,7 +475,6 @@ fn fail_site(shared: &Shared, site: usize, error: TransportError) {
     {
         let mut tx = state.tx.lock().expect("reactor outbox poisoned");
         tx.queue.clear();
-        tx.staged = false;
         tx.pos = 0;
         tx.want_write = false;
     }

@@ -18,7 +18,7 @@
 //! encodes typed request/response envelopes); this module only moves
 //! opaque bytes and counts them.
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, RwLock};
@@ -399,12 +399,31 @@ impl Drop for InProcessTransport {
 }
 
 /// Write one length-prefixed frame (`u32` little-endian length, then the
-/// payload) and flush.
+/// payload) and flush. Prefix and payload leave together in one vectored
+/// write, so on a `TCP_NODELAY` socket a small frame is one segment and
+/// wakes its reader once; partial writes resume where they stopped.
 pub fn write_frame<W: Write>(w: &mut W, frame: &[u8]) -> io::Result<()> {
     assert!(frame.len() <= MAX_FRAME_LEN, "frame exceeds MAX_FRAME_LEN");
-    w.write_all(&(frame.len() as u32).to_le_bytes())?;
-    w.write_all(frame)?;
+    let mut pos = 0;
+    while pos < 4 + frame.len() {
+        match write_frame_from(w, frame, pos) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => pos += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
+}
+
+/// One vectored write of what remains of a frame from byte `pos` of its
+/// length prefix + payload. Returns the bytes the writer took.
+pub(crate) fn write_frame_from<W: Write>(w: &mut W, frame: &[u8], pos: usize) -> io::Result<usize> {
+    let header = (frame.len() as u32).to_le_bytes();
+    w.write_vectored(&[
+        IoSlice::new(&header[pos.min(4)..]),
+        IoSlice::new(&frame[pos.saturating_sub(4)..]),
+    ])
 }
 
 /// Read one length-prefixed frame. Returns `None` on a clean end of
@@ -498,6 +517,72 @@ mod tests {
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap().as_ref(), b"hello");
         assert_eq!(read_frame(&mut cursor).unwrap().unwrap().as_ref(), b"");
         assert!(read_frame(&mut cursor).unwrap().is_none());
+    }
+
+    /// Records each write call; takes at most `limit` bytes per call.
+    struct Sink {
+        bytes: Vec<u8>,
+        calls: usize,
+        limit: usize,
+    }
+
+    impl Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.limit - taken);
+                self.bytes.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_call() {
+        let mut sink = Sink {
+            bytes: Vec::new(),
+            calls: 0,
+            limit: usize::MAX,
+        };
+        for (i, frame) in [&b"hello"[..], b"", &[7u8; 3000]].into_iter().enumerate() {
+            write_frame(&mut sink, frame).unwrap();
+            assert_eq!(sink.calls, i + 1, "frame {i} took more than one write");
+        }
+        let mut cursor = io::Cursor::new(sink.bytes);
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap().as_ref(), b"hello");
+        assert_eq!(read_frame(&mut cursor).unwrap().unwrap().as_ref(), b"");
+        assert_eq!(
+            read_frame(&mut cursor).unwrap().unwrap().as_ref(),
+            &[7u8; 3000]
+        );
+    }
+
+    /// A writer that takes one byte per call still receives exactly the
+    /// bytes of the two-write encoding: prefix, then payload.
+    #[test]
+    fn one_byte_writes_resume_byte_identically() {
+        let mut sink = Sink {
+            bytes: Vec::new(),
+            calls: 0,
+            limit: 1,
+        };
+        write_frame(&mut sink, b"hello").unwrap();
+        write_frame(&mut sink, b"").unwrap();
+        let mut expected = Vec::from(5u32.to_le_bytes());
+        expected.extend_from_slice(b"hello");
+        expected.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(sink.bytes, expected);
+        assert_eq!(sink.calls, expected.len());
     }
 
     #[test]

@@ -620,7 +620,7 @@ fn status_response(
         Err(e) => format!("\"fleet_error\":\"{}\"", json_escape(&e.to_string())),
     };
     // Planner observability: the configured variant, how many times the
-    // cost-based planner has resolved `Variant::Auto`, and the variant
+    // planner has resolved `Variant::Auto`, and the variant
     // it chose last (absent until the first Auto execution).
     let planner_field = match session.last_planner_decision() {
         Some(decision) => format!(

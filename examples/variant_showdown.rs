@@ -1,6 +1,7 @@
 //! Fig. 9 in miniature: run the four engine variants (Basic, LA, LO,
 //! Full) on one LPM-heavy query and print the per-stage breakdown, to
-//! show where each optimization pays off.
+//! show where each optimization pays off; then run `Variant::Auto` and
+//! print the variant its rule picked.
 //!
 //! One `GStoreD` session per variant (the variant is an engine-level
 //! knob); every session prepares the query once and executes it through
@@ -32,7 +33,7 @@ fn main() -> Result<(), Error> {
         "variant", "total ms", "LPMs", "kept", "ship KiB", "assembly", "matches"
     );
     let mut reference: Option<Vec<Vec<VertexId>>> = None;
-    for variant in Variant::ALL {
+    for variant in Variant::ALL.into_iter().chain([Variant::Auto]) {
         let db = GStoreD::builder()
             .graph(graph.clone())
             .partitioner(HashPartitioner::new(6))
@@ -50,6 +51,16 @@ fn main() -> Result<(), Error> {
             m.assembly.response_time().as_secs_f64() * 1e3,
             m.total_matches()
         );
+        if let Some(decision) = &results.output().planner {
+            println!(
+                "{:<14} picked {} (crossing share {:.2}, cyclic {}, selective {})",
+                "",
+                decision.chosen.label(),
+                decision.crossing_share,
+                decision.cyclic,
+                decision.selective
+            );
+        }
         // All variants must agree — the optimizations are result-neutral.
         let rows = results.vertex_rows().to_vec();
         match &reference {
@@ -57,6 +68,6 @@ fn main() -> Result<(), Error> {
             Some(r) => assert_eq!(r, &rows, "{} diverged", variant.label()),
         }
     }
-    println!("\nAll four variants returned identical results.");
+    println!("\nAll four variants and Auto returned identical results.");
     Ok(())
 }

@@ -46,7 +46,7 @@ use crate::error::Error;
 /// the two is the amortization the prepared path exists for — tests assert
 /// on it to prove that re-executing a [`PreparedQuery`] never re-parses,
 /// re-encodes or re-analyzes. `planner_decisions` moves once per
-/// cost-based variant resolution, which only [`Variant::Auto`] sessions
+/// planner variant resolution, which only [`Variant::Auto`] sessions
 /// perform — tests assert it stays zero for explicit variants, proving
 /// they never pay for planning or partition-statistics collection.
 #[derive(Debug, Default)]
@@ -63,7 +63,7 @@ pub struct SessionStats {
     pub queries_prepared: u64,
     /// Number of engine executions.
     pub executions: u64,
-    /// Number of cost-based planner resolutions (always zero unless the
+    /// Number of planner resolutions (always zero unless the
     /// session was built with [`Variant::Auto`]).
     pub planner_decisions: u64,
 }
@@ -887,7 +887,7 @@ impl<'s> PreparedQuery<'s> {
 
     /// Execute once and report the planner's estimates next to what the
     /// execution actually measured: estimated vs. actual cardinalities,
-    /// the chosen variant and every variant's estimated cost.
+    /// the chosen variant and the inputs of the rule that chose it.
     ///
     /// On a [`Variant::Auto`] session the decision is the one that
     /// picked the executed variant. On an explicit-variant session the
@@ -1447,10 +1447,9 @@ mod tests {
         assert_eq!(explain.configured, Variant::Auto);
         assert!(!explain.chosen.is_auto());
         assert_eq!(explain.rows, 1);
-        assert_eq!(explain.decision.costs.len(), 4);
         let report = explain.report();
         assert!(report.contains("configured: gStoreD-Auto"));
-        assert!(report.contains("costs:"));
+        assert!(report.contains("rule:"));
         // Explicit sessions get an advisory decision; `chosen` is what ran.
         let explicit = session();
         let exp = explicit

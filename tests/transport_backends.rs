@@ -187,10 +187,11 @@ fn tcp_workers_are_persistent_across_executions() {
     }
 }
 
-/// The TCP_NODELAY regression: `write_frame` issues two small writes per
-/// frame (length prefix, then payload), the classic write-write-read
-/// pattern where Nagle's algorithm holds the second write until the
-/// peer's delayed ACK — ~40ms per round trip on Linux. Every socket in
+/// The TCP_NODELAY regression: a frame whose length prefix and payload
+/// leave in separate writes is the classic write-write-read pattern,
+/// where Nagle's algorithm holds the second write until the peer's
+/// delayed ACK — ~40ms per round trip on Linux. Both ends now write a
+/// frame in one vectored call, but a partial write still splits it. Every socket in
 /// the stack (`ReactorTransport::connect` and `serve_tcp`'s accepted
 /// connections) sets NODELAY, so hundreds of sequential tiny
 /// request/reply frames must complete in interactive time. The budget is ~20× what a loopback run needs but far below the
