@@ -125,13 +125,24 @@ pub fn table_partitioning_costs(datasets: &[&Dataset], sites: usize) -> Table {
     table
 }
 
+/// Warm executions per Fig. 9 cell; the cell reports their median.
+const FIG9_RUNS: usize = 5;
+
 /// Fig. 9: response time of the four engine variants on the non-star
 /// queries of a dataset, with the variant `Variant::Auto` picks for
 /// each query and the crossing share its rule read.
+///
+/// Each variant runs on one in-process fleet of its own, started once:
+/// every cell is warmed with one execution and then reports the median
+/// of `FIG9_RUNS` more, so no column pays a cold start the others do
+/// not.
 pub fn fig_optimizations(dataset: &Dataset, sites: usize) -> Table {
     let dist = partition(dataset.graph.clone(), "hash", sites);
     let mut table = Table::new(
-        format!("Optimization variants on {} (ms)", dataset.name),
+        format!(
+            "Optimization variants on {} (ms, median of {FIG9_RUNS} warm runs)",
+            dataset.name
+        ),
         &[
             "Query",
             "Basic",
@@ -142,18 +153,32 @@ pub fn fig_optimizations(dataset: &Dataset, sites: usize) -> Table {
             "Auto picks",
         ],
     );
-    for q in dataset.queries.iter().filter(|q| !q.is_star()) {
-        // One prepared plan serves all four variants and the planner.
-        let plan = prepare(&dist, q);
-        let mut cells = vec![q.id.to_string()];
-        let mut matches = 0u64;
-        for variant in Variant::ALL {
-            let out = run(&Engine::with_variant(variant), &dist, &plan, q.id);
-            cells.push(ms(out.metrics.total_time()));
-            matches = out.metrics.total_matches();
-        }
+    let queries: Vec<&BenchQuery> = dataset.queries.iter().filter(|q| !q.is_star()).collect();
+    // One prepared plan serves all four variants and the planner.
+    let plans: Vec<PreparedPlan> = queries.iter().map(|q| prepare(&dist, q)).collect();
+    let mut rows: Vec<Vec<String>> = queries.iter().map(|q| vec![q.id.to_string()]).collect();
+    let mut matches = vec![0u64; queries.len()];
+    for variant in Variant::ALL {
+        let engine = Engine::with_variant(variant);
+        with_in_process_workers(&dist, |fleet| {
+            for (i, (q, plan)) in queries.iter().zip(&plans).enumerate() {
+                let mut execute = || {
+                    let out = engine
+                        .execute_on(fleet, &dist, plan)
+                        .unwrap_or_else(|e| panic!("{}: {e}", q.id));
+                    matches[i] = out.metrics.total_matches();
+                    out.metrics.total_time()
+                };
+                execute();
+                let mut times: Vec<_> = (0..FIG9_RUNS).map(|_| execute()).collect();
+                times.sort_unstable();
+                rows[i].push(ms(times[FIG9_RUNS / 2]));
+            }
+        });
+    }
+    for ((mut cells, plan), matches) in rows.into_iter().zip(&plans).zip(matches) {
         cells.push(matches.to_string());
-        let decision = plan_query(&dist, &plan);
+        let decision = plan_query(&dist, plan);
         cells.push(format!(
             "{} (s={:.2})",
             decision.chosen.label(),

@@ -216,28 +216,75 @@ pub fn many_group_features(members: usize) -> (Vec<LecFeature>, usize, Vec<(usiz
     (features, n, query_edges)
 }
 
+/// The benchmark's LUBM scale: LUBM at a 40 k-triple target under 8
+/// hash sites (`lubm_mix`, `lubm_bigresult`).
+pub fn lubm_40k_hash8() -> (crate::datasets::Dataset, DistributedGraph) {
+    let dataset = crate::datasets::lubm(40_000);
+    let dist = crate::experiments::partition(dataset.graph.clone(), "hash", 8);
+    (dataset, dist)
+}
+
+/// The benchmark's `random_crossing` scale: 12 000 uniform random edges
+/// over 4 000 vertices and 3 predicates under 12 hash sites, where
+/// nearly every edge crosses.
+pub fn random_12k_hash12() -> DistributedGraph {
+    let graph =
+        gstored_datagen::random::random_graph(&gstored_datagen::random::RandomGraphConfig {
+            vertices: 4_000,
+            edges: 12_000,
+            predicates: 3,
+            seed: 42,
+        });
+    crate::experiments::partition(graph, "hash", 12)
+}
+
+/// The text of one of the benchmark's own queries that the datagen query
+/// sets lack: `STUDENT_COURSES` and `MEMBER_PATH` on LUBM (the
+/// `lubm_bigresult` workload's), `RQ2` on the random graph
+/// (`random_crossing`'s three-edge path).
+pub fn benchmark_query(id: &str) -> String {
+    use gstored_datagen::random::predicate_iri as p;
+    use gstored_rdf::vocab::lubm;
+    match id {
+        "STUDENT_COURSES" => format!(
+            "SELECT * WHERE {{ ?x <{}> ?c . ?x <{}> ?n . }}",
+            lubm::TAKES_COURSE,
+            lubm::NAME
+        ),
+        "MEMBER_PATH" => format!(
+            "SELECT * WHERE {{ ?x <{}> ?d . ?d <{}> ?u . ?u <{}> ?n . }}",
+            lubm::MEMBER_OF,
+            lubm::SUB_ORGANIZATION_OF,
+            lubm::NAME
+        ),
+        "RQ2" => format!(
+            "SELECT * WHERE {{ ?a <{}> ?b . ?b <{}> ?c . ?c <{}> ?d }}",
+            p(0),
+            p(1),
+            p(2)
+        ),
+        other => panic!("no benchmark query {other}"),
+    }
+}
+
+/// Parse and encode `text` against `dist`'s dictionary.
+pub fn encode(dist: &DistributedGraph, text: &str) -> (gstored_sparql::QueryGraph, EncodedQuery) {
+    let query =
+        gstored_sparql::QueryGraph::from_query(&gstored_sparql::parse_query(text).expect("parses"))
+            .expect("connected");
+    let eq = EncodedQuery::encode(&query, dist.dict()).expect("encodable");
+    (query, eq)
+}
+
 /// `MEMBER_PATH`, the member → department → university → name path of
-/// the benchmark's `lubm_bigresult` workload, on LUBM at a 40 k-triple
-/// target under 8 hash sites. Algorithm 1 barely compresses it (about as
-/// many features as LPMs), so Algorithms 2 and 3 run at the size of the
-/// whole LPM set.
+/// the benchmark's `lubm_bigresult` workload, on [`lubm_40k_hash8`].
+/// Algorithm 1 barely compresses it (about as many features as LPMs),
+/// so Algorithms 2 and 3 run at the size of the whole LPM set.
 ///
 /// Returns the partitioned graph and the encoded query.
 pub fn lubm_member_path() -> (DistributedGraph, EncodedQuery) {
-    use gstored_rdf::vocab::lubm;
-    let dataset = crate::datasets::lubm(40_000);
-    let dist = crate::experiments::partition(dataset.graph, "hash", 8);
-    let text = format!(
-        "SELECT * WHERE {{ ?x <{}> ?d . ?d <{}> ?u . ?u <{}> ?n . }}",
-        lubm::MEMBER_OF,
-        lubm::SUB_ORGANIZATION_OF,
-        lubm::NAME
-    );
-    let query = gstored_sparql::QueryGraph::from_query(
-        &gstored_sparql::parse_query(&text).expect("parses"),
-    )
-    .expect("connected");
-    let eq = EncodedQuery::encode(&query, dist.dict()).expect("encodable");
+    let (_, dist) = lubm_40k_hash8();
+    let (_, eq) = encode(&dist, &benchmark_query("MEMBER_PATH"));
     (dist, eq)
 }
 

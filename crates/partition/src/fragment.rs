@@ -12,21 +12,47 @@
 //!   which is what makes star queries evaluable locally and what lets
 //!   LEC features join across fragments on shared crossing edges.
 //!
+//! # Storage
+//!
+//! Every site search reads a fragment through a handful of per-vertex
+//! accessors (`out_edges`, `in_edges`, `classes_of`, `is_internal`, …),
+//! so the layout serves them with one hash probe and one slice each:
+//!
+//! * **One local numbering.** The stored vertices get dense local ids:
+//!   the internal vertices `0..|V_i|` in their sorted order, then the
+//!   extended ones. A single global → local map, hashed with a
+//!   multiplicative hasher (vertex ids are dictionary indices, so one
+//!   multiply spreads them), translates a vertex id once per call;
+//!   `is_internal`, `is_extended` and `contains` are that probe plus a
+//!   compare against `|V_i|` (and `|V_i| + |Ve_i|`).
+//! * **CSR adjacency and classes.** Out-adjacency, in-adjacency and the
+//!   replicated classes are three compressed-sparse-row arrays indexed by
+//!   local id: one offsets array (`|V_i| + |Ve_i| + 1` entries of 4
+//!   bytes) and one flat item array each. Adjacency rows are sorted by
+//!   `(label, vertex)` — what `label_edge_range` slices — and class rows
+//!   keep their input order. Next to one heap vector per vertex per map,
+//!   this is three allocations per fragment in all.
+//!
+//! Both build paths — [`DistributedGraph::build`] at the coordinator and
+//! [`Fragment::from_parts`] at a worker that decoded an `InstallFragment`
+//! frame — fill the public vertex and edge lists and then run one shared
+//! `finalize`, which numbers the vertices and sorts each direction once.
+//! Only the public lists and the class entries travel on the wire.
+//!
 //! Besides the adjacency, every fragment keeps three **postings**: per
 //! edge label, the vertices with an out-edge (and, separately, an
 //! in-edge) carrying it, and per class, the stored vertices carrying it.
 //! They are how a site hands out a query vertex's candidates without
-//! walking its whole vertex set (see `gstored_store::candidates`). The
-//! postings are derived from the edges and classes whenever a fragment is
-//! built — by [`DistributedGraph::build`] at the coordinator and by
-//! [`Fragment::from_parts`] at a worker that decoded an `InstallFragment`
-//! frame — so they never travel on the wire. Each costs one vertex id per
-//! entry, packed in one buffer: the label postings at most half of the
-//! adjacency lists' memory (one id per distinct `(vertex, label)` pair
-//! against one `(label, vertex)` pair per edge, in each direction), the
-//! class postings as much as the class lists.
+//! walking its whole vertex set (see `gstored_store::candidates`). They
+//! are derived in the same `finalize`, so they never travel on the wire
+//! either. Each costs one vertex id per entry, packed in one buffer: the
+//! label postings at most a third of the adjacency's memory (one 8-byte
+//! id per distinct `(vertex, label)` pair against one 16-byte
+//! `(label, vertex)` pair per edge, in each direction), the class
+//! postings as much as the class rows.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -80,13 +106,22 @@ pub struct Fragment {
     pub internal_edges: Vec<EdgeRef>,
     /// Crossing edges `Ec_i` (each has exactly one endpoint in `V_i`).
     pub crossing_edges: Vec<EdgeRef>,
-    /// Outgoing adjacency over `E_i ∪ Ec_i`: vertex → sorted `(label, to)`.
-    out: HashMap<VertexId, Vec<(TermId, VertexId)>>,
-    /// Incoming adjacency over `E_i ∪ Ec_i`: vertex → sorted `(label, from)`.
-    inc: HashMap<VertexId, Vec<(TermId, VertexId)>>,
+    /// Global → local id: `internal[l]` for `l < n_internal`, then
+    /// `extended[l - n_internal]` below `n_stored`, then the edge
+    /// endpoints and classed vertices a malformed `from_parts` input lists
+    /// in neither (a vertex listed in both counts as internal).
+    local: IdMap<u32>,
+    /// `|V_i|` when built.
+    n_internal: u32,
+    /// `|V_i| + |Ve_i|` when built.
+    n_stored: u32,
+    /// Outgoing adjacency over `E_i ∪ Ec_i`: rows of sorted `(label, to)`.
+    out: Csr<(TermId, VertexId)>,
+    /// Incoming adjacency over `E_i ∪ Ec_i`: rows of sorted `(label, from)`.
+    inc: Csr<(TermId, VertexId)>,
     /// Classes of stored vertices (internal and extended), mirroring
-    /// gStore's replicated vertex signatures.
-    classes: HashMap<VertexId, Vec<TermId>>,
+    /// gStore's replicated vertex signatures, in input order.
+    classes: Csr<TermId>,
     /// Label → sorted vertices with an out-edge carrying it.
     out_postings: Postings,
     /// Label → sorted vertices with an in-edge carrying it.
@@ -107,24 +142,35 @@ pub enum PostingKey {
 }
 
 impl Fragment {
+    /// Local id of `v`, if the fragment knows it.
+    #[inline]
+    fn local(&self, v: VertexId) -> Option<u32> {
+        self.local.get(&v).copied()
+    }
+
     /// Whether `v` is an internal vertex of this fragment.
+    #[inline]
     pub fn is_internal(&self, v: VertexId) -> bool {
-        self.internal.binary_search(&v).is_ok()
+        self.local(v).is_some_and(|l| l < self.n_internal)
     }
 
     /// Whether `v` is an extended vertex of this fragment.
+    #[inline]
     pub fn is_extended(&self, v: VertexId) -> bool {
-        self.extended.binary_search(&v).is_ok()
+        self.local(v)
+            .is_some_and(|l| (self.n_internal..self.n_stored).contains(&l))
     }
 
     /// Whether `v` is stored here at all (internal or extended).
+    #[inline]
     pub fn contains(&self, v: VertexId) -> bool {
-        self.is_internal(v) || self.is_extended(v)
+        self.local(v).is_some_and(|l| l < self.n_stored)
     }
 
     /// Classes of a stored vertex.
+    #[inline]
     pub fn classes_of(&self, v: VertexId) -> &[TermId] {
-        self.classes.get(&v).map(Vec::as_slice).unwrap_or(&[])
+        self.local(v).map_or(&[], |l| self.classes.row(l))
     }
 
     /// Whether `v` carries every class in `required`.
@@ -152,13 +198,15 @@ impl Fragment {
     }
 
     /// Outgoing `(label, to)` pairs of `v` over `E_i ∪ Ec_i`.
+    #[inline]
     pub fn out_edges(&self, v: VertexId) -> &[(TermId, VertexId)] {
-        self.out.get(&v).map(Vec::as_slice).unwrap_or(&[])
+        self.local(v).map_or(&[], |l| self.out.row(l))
     }
 
     /// Incoming `(label, from)` pairs of `v` over `E_i ∪ Ec_i`.
+    #[inline]
     pub fn in_edges(&self, v: VertexId) -> &[(TermId, VertexId)] {
-        self.inc.get(&v).map(Vec::as_slice).unwrap_or(&[])
+        self.local(v).map_or(&[], |l| self.inc.row(l))
     }
 
     /// All edges stored in this fragment (`E_i` then `Ec_i`).
@@ -180,6 +228,7 @@ impl Fragment {
     /// reading the public fields plus [`Fragment::class_entries`]).
     /// Adjacency indexes are derived from the edge lists; used by the
     /// wire codec when shipping a fragment to a remote worker process.
+    /// A vertex listed twice in `classes` keeps its last list.
     pub fn from_parts(
         id: FragmentId,
         internal: Vec<VertexId>,
@@ -188,30 +237,31 @@ impl Fragment {
         crossing_edges: Vec<EdgeRef>,
         classes: Vec<(VertexId, Vec<TermId>)>,
     ) -> Self {
-        let mut fragment = Fragment {
+        let mut entry: IdMap<usize> = IdMap::default();
+        for (i, (v, _)) in classes.iter().enumerate() {
+            entry.insert(*v, i);
+        }
+        Fragment {
             id,
             internal,
             extended,
-            classes: classes.into_iter().collect(),
+            internal_edges,
+            crossing_edges,
             ..Fragment::default()
-        };
-        for e in internal_edges {
-            fragment.add_edge(e, false);
         }
-        for e in crossing_edges {
-            fragment.add_edge(e, true);
-        }
-        fragment.finalize();
-        fragment
+        .finalize(entry.keys().copied(), |v| {
+            entry.get(&v).map(|&i| classes[i].1.as_slice())
+        })
     }
 
     /// The replicated class signatures of stored vertices, sorted by
     /// vertex id (deterministic order for serialization).
     pub fn class_entries(&self) -> Vec<(VertexId, &[TermId])> {
         let mut entries: Vec<(VertexId, &[TermId])> = self
-            .classes
+            .local
             .iter()
-            .map(|(&v, cs)| (v, cs.as_slice()))
+            .map(|(&v, &l)| (v, self.classes.row(l)))
+            .filter(|(_, cs)| !cs.is_empty())
             .collect();
         entries.sort_unstable_by_key(|&(v, _)| v);
         entries
@@ -254,45 +304,206 @@ impl Fragment {
         }
     }
 
-    fn add_edge(&mut self, e: EdgeRef, crossing: bool) {
-        self.out.entry(e.from).or_default().push((e.label, e.to));
-        self.inc.entry(e.to).or_default().push((e.label, e.from));
-        if crossing {
-            self.crossing_edges.push(e);
-        } else {
-            self.internal_edges.push(e);
+    /// Sort and deduplicate the public lists, number the vertices and
+    /// derive the CSR rows and the postings. `class_vertices` are the
+    /// vertices `classes_of` may answer for beyond the stored ones.
+    fn finalize<'c>(
+        mut self,
+        class_vertices: impl Iterator<Item = VertexId>,
+        classes_of: impl Fn(VertexId) -> Option<&'c [TermId]>,
+    ) -> Self {
+        for list in [&mut self.internal, &mut self.extended] {
+            list.sort_unstable();
+            list.dedup();
+        }
+        for list in [&mut self.internal_edges, &mut self.crossing_edges] {
+            list.sort_unstable();
+            list.dedup();
+        }
+
+        let n_internal = self.internal.len();
+        let n_stored = n_internal + self.extended.len();
+        let mut local = IdMap::with_capacity_and_hasher(n_stored, Default::default());
+        for (l, &v) in self.internal.iter().enumerate() {
+            local.insert(v, l as u32);
+        }
+        for (l, &v) in (n_internal..).zip(&self.extended) {
+            local.entry(v).or_insert(l as u32);
+        }
+        let mut unlisted: Vec<VertexId> = self
+            .edges()
+            .flat_map(|e| [e.from, e.to])
+            .chain(class_vertices)
+            .filter(|v| !local.contains_key(v))
+            .collect();
+        unlisted.sort_unstable();
+        unlisted.dedup();
+        for (l, &v) in (n_stored..).zip(&unlisted) {
+            local.insert(v, l as u32);
+        }
+        let rows = n_stored + unlisted.len();
+        assert!(
+            u32::try_from(rows.max(self.edge_size())).is_ok(),
+            "a fragment numbers its vertices and adjacency entries in u32"
+        );
+        // The global id of every local id; an extended vertex already
+        // numbered as internal leaves its slot empty.
+        let global = |l: usize| -> Option<VertexId> {
+            let v = match l.checked_sub(n_stored) {
+                Some(u) => unlisted[u],
+                None if l < n_internal => self.internal[l],
+                None => self.extended[l - n_internal],
+            };
+            (local[&v] as usize == l).then_some(v)
+        };
+
+        let mut class_pairs = Vec::new();
+        let mut classes = Csr::with_rows(rows);
+        for l in 0..rows {
+            if let Some((v, cs)) = global(l).and_then(|v| Some((v, classes_of(v)?))) {
+                classes.items.extend_from_slice(cs);
+                class_pairs.extend(cs.iter().map(|&c| (c, v)));
+            }
+            classes.end_row();
+        }
+        let out = Csr::adjacency(rows, || {
+            self.edges().map(|e| (local[&e.from], (e.label, e.to)))
+        });
+        let inc = Csr::adjacency(rows, || {
+            self.edges().map(|e| (local[&e.to], (e.label, e.from)))
+        });
+        let out_postings = Postings::from_pairs(self.edges().map(|e| (e.label, e.from)).collect());
+        let in_postings = Postings::from_pairs(self.edges().map(|e| (e.label, e.to)).collect());
+        Fragment {
+            local,
+            n_internal: n_internal as u32,
+            n_stored: n_stored as u32,
+            out,
+            inc,
+            classes,
+            out_postings,
+            in_postings,
+            class_postings: Postings::from_pairs(class_pairs),
+            ..self
+        }
+    }
+}
+
+/// A map keyed by vertex or term id, hashed by one multiply-rotate step
+/// per word (the "Fx" hash of Firefox and rustc). The ids are indices
+/// the coordinator's dictionary assigns, not values a client picks, so
+/// this spreads them across buckets at a fraction of SipHash's cost.
+type IdMap<V> = HashMap<TermId, V, BuildHasherDefault<IdHasher>>;
+
+#[derive(Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
         }
     }
 
-    fn finalize(&mut self) {
-        self.internal.sort_unstable();
-        self.internal.dedup();
-        self.extended.sort_unstable();
-        self.extended.dedup();
-        for adj in self.out.values_mut() {
-            adj.sort_unstable();
-            adj.dedup();
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Compressed sparse rows indexed by local id: row `l` is
+/// `items[offsets[l]..offsets[l + 1]]`.
+#[derive(Debug, Clone)]
+struct Csr<T> {
+    offsets: Vec<u32>,
+    items: Vec<T>,
+}
+
+impl<T> Default for Csr<T> {
+    fn default() -> Self {
+        Csr {
+            offsets: Vec::new(),
+            items: Vec::new(),
         }
-        for adj in self.inc.values_mut() {
-            adj.sort_unstable();
-            adj.dedup();
+    }
+}
+
+impl<T: Copy> Csr<T> {
+    /// An empty array to be filled row by row with [`Csr::end_row`].
+    fn with_rows(rows: usize) -> Csr<T> {
+        let mut offsets = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        Csr {
+            offsets,
+            items: Vec::new(),
         }
-        self.internal_edges.sort_unstable();
-        self.internal_edges.dedup();
-        self.crossing_edges.sort_unstable();
-        self.crossing_edges.dedup();
-        let edges = || self.internal_edges.iter().chain(&self.crossing_edges);
-        let out_postings = Postings::from_pairs(edges().map(|e| (e.label, e.from)).collect());
-        let in_postings = Postings::from_pairs(edges().map(|e| (e.label, e.to)).collect());
-        let class_postings = Postings::from_pairs(
-            self.classes
-                .iter()
-                .flat_map(|(&v, cs)| cs.iter().map(move |&c| (c, v)))
-                .collect(),
-        );
-        self.out_postings = out_postings;
-        self.in_postings = in_postings;
-        self.class_postings = class_postings;
+    }
+
+    /// Close the current row after the items pushed since the last one.
+    fn end_row(&mut self) {
+        let end = u32::try_from(self.items.len()).expect("a fragment indexes its rows in u32");
+        self.offsets.push(end);
+    }
+
+    #[inline]
+    fn row(&self, l: u32) -> &[T] {
+        let l = l as usize;
+        &self.items[self.offsets[l] as usize..self.offsets[l + 1] as usize]
+    }
+}
+
+impl Csr<(TermId, VertexId)> {
+    /// Adjacency rows from `(row, (label, vertex))` entries (read twice:
+    /// once to size the rows, once to scatter), each row sorted and
+    /// deduplicated.
+    fn adjacency<I>(rows: usize, entries: impl Fn() -> I) -> Self
+    where
+        I: Iterator<Item = (u32, (TermId, VertexId))>,
+    {
+        let mut offsets = vec![0u32; rows + 1];
+        for (l, _) in entries() {
+            offsets[l as usize + 1] += 1;
+        }
+        for l in 0..rows {
+            offsets[l + 1] += offsets[l];
+        }
+        let mut cursor = offsets.clone();
+        let mut items = vec![(TermId(0), TermId(0)); offsets[rows] as usize];
+        for (l, item) in entries() {
+            let slot = &mut cursor[l as usize];
+            items[*slot as usize] = item;
+            *slot += 1;
+        }
+        // Sort each row and compact out repeats (an edge listed as both
+        // internal and crossing by a malformed input).
+        let mut write = 0usize;
+        for l in 0..rows {
+            let (start, end) = (offsets[l] as usize, offsets[l + 1] as usize);
+            items[start..end].sort_unstable();
+            offsets[l] = write as u32;
+            for i in start..end {
+                if write == offsets[l] as usize || items[write - 1] != items[i] {
+                    items[write] = items[i];
+                    write += 1;
+                }
+            }
+        }
+        offsets[rows] = write as u32;
+        items.truncate(write);
+        Csr { offsets, items }
     }
 }
 
@@ -300,7 +511,7 @@ impl Fragment {
 /// sized exactly, so an index costs one vertex id per entry.
 #[derive(Debug, Clone, Default)]
 struct Postings {
-    ranges: HashMap<TermId, Range<usize>>,
+    ranges: IdMap<Range<usize>>,
     vertices: Vec<VertexId>,
 }
 
@@ -309,7 +520,7 @@ impl Postings {
     fn from_pairs(mut pairs: Vec<(TermId, VertexId)>) -> Postings {
         pairs.sort_unstable();
         pairs.dedup();
-        let mut ranges = HashMap::new();
+        let mut ranges = IdMap::default();
         let mut start = 0;
         for run in pairs.chunk_by(|a, b| a.0 == b.0) {
             ranges.insert(run[0].0, start..start + run.len());
@@ -377,29 +588,24 @@ impl DistributedGraph {
             let fs = assignment.fragment_of(e.from);
             let ft = assignment.fragment_of(e.to);
             if fs == ft {
-                fragments[fs].add_edge(e, false);
+                fragments[fs].internal_edges.push(e);
             } else {
                 // Crossing edge: replicated in both fragments; the remote
                 // endpoint becomes an extended vertex on each side.
-                fragments[fs].add_edge(e, true);
+                fragments[fs].crossing_edges.push(e);
                 fragments[fs].extended.push(e.to);
-                fragments[ft].add_edge(e, true);
+                fragments[ft].crossing_edges.push(e);
                 fragments[ft].extended.push(e.from);
             }
         }
 
         // Replicate vertex classes (gStore-style signatures) for every
         // stored vertex, internal and extended alike.
-        for f in &mut fragments {
-            for v in f.internal.iter().chain(f.extended.iter()) {
-                if let Some(cs) = graph.class_map().get(v) {
-                    f.classes.insert(*v, cs.clone());
-                }
-            }
-        }
-        for f in &mut fragments {
-            f.finalize();
-        }
+        let classes = graph.class_map();
+        let fragments = fragments
+            .into_iter()
+            .map(|f| f.finalize(std::iter::empty(), |v| classes.get(&v).map(Vec::as_slice)))
+            .collect();
 
         let total_edges = graph.edge_count();
         let total_vertices = graph.vertex_count();

@@ -27,9 +27,9 @@
 use gstored_partition::Fragment;
 use gstored_rdf::{EdgeRef, TermId, VertexId};
 
-use crate::candidates::{internal_candidates, CandidateFilter};
+use crate::candidates::{internal_candidates, label_edge_range, CandidateFilter};
 use crate::encoded::{EncodedLabel, EncodedQuery, EncodedVertex};
-use crate::labels::{label_matches, labels_assignment};
+use crate::labels::labels_assignment;
 use crate::lpm::LocalPartialMatch;
 use crate::matcher::{for_each_anchored_candidate, pairs_consistent};
 
@@ -53,6 +53,10 @@ pub fn enumerate_local_partial_matches(
 /// candidates `internal_cands` (one sorted set per query vertex, as
 /// [`internal_candidates`] returns them), so a site that already computed
 /// them for Algorithm 4 or its local complete matches does not again.
+///
+/// Besides the output vector, an emitted match allocates only its own
+/// binding and crossing list; everything else is set up once per query
+/// or per core.
 pub fn partial_matches_from(
     fragment: &Fragment,
     q: &EncodedQuery,
@@ -67,6 +71,8 @@ pub fn partial_matches_from(
         return Vec::new();
     }
 
+    let neighbors: Vec<Vec<usize>> = (0..n).map(|v| q.neighbors(v)).collect();
+    let parallel = ParallelEdges::of(q);
     let mut out = Vec::new();
     'subsets: for core in q.proper_connected_subsets() {
         for &qv in &core {
@@ -74,40 +80,106 @@ pub fn partial_matches_from(
                 continue 'subsets;
             }
         }
-        enumerate_for_core(fragment, q, &core, internal_cands, filter, &mut out);
+        let search = CoreSearch::new(
+            fragment,
+            q,
+            &neighbors,
+            &parallel,
+            &core,
+            internal_cands,
+            filter,
+        );
+        let mut binding: Vec<Option<VertexId>> = vec![None; n];
+        let mut buffers = vec![Vec::new(); search.order.len() - search.core_len];
+        search.extend(0, &mut binding, &mut buffers, &mut out);
     }
     out
 }
 
-/// Backtracking over one core choice.
-fn enumerate_for_core(
-    fragment: &Fragment,
-    q: &EncodedQuery,
-    core: &[usize],
-    internal_cands: &[Vec<VertexId>],
-    filter: &CandidateFilter,
-    out: &mut Vec<LocalPartialMatch>,
-) {
-    let n = q.vertex_count();
-    let in_core = {
-        let mut m = vec![false; n];
-        for &v in core {
-            m[v] = true;
-        }
-        m
-    };
-    // Boundary: neighbors of the core outside it (forced by condition 5).
-    let mut boundary: Vec<usize> = core
-        .iter()
-        .flat_map(|&v| q.neighbors(v))
-        .filter(|&u| !in_core[u])
-        .collect();
-    boundary.sort_unstable();
-    boundary.dedup();
+/// The query's groups of two or more parallel edges (same ordered pair of
+/// query vertices) with a variable label among them: only there does a
+/// crossing edge's data label depend on its siblings, through
+/// [`labels_assignment`]. Elsewhere a constant label is the data label
+/// and a variable one takes the first (smallest) label between the bound
+/// endpoints, which is what the assignment picks for a lone edge.
+struct ParallelEdges {
+    /// Per query edge, its group's index in `groups`.
+    group_of: Vec<Option<usize>>,
+    /// Each group's query edges, ascending.
+    groups: Vec<Vec<usize>>,
+}
 
-    // Order: core in connected-expansion order (cheapest candidate set
-    // first), then boundary vertices.
-    let order = {
+impl ParallelEdges {
+    fn of(q: &EncodedQuery) -> Self {
+        let mut group_of = vec![None; q.edge_count()];
+        let mut groups = Vec::new();
+        for (i, e) in q.edges().iter().enumerate() {
+            if group_of[i].is_some() {
+                continue;
+            }
+            let group: Vec<usize> = (i..q.edge_count())
+                .filter(|&j| (q.edge(j).from, q.edge(j).to) == (e.from, e.to))
+                .collect();
+            let variable = group
+                .iter()
+                .any(|&j| matches!(q.edge(j).label, EncodedLabel::Any));
+            if group.len() > 1 && variable {
+                for &j in &group {
+                    group_of[j] = Some(groups.len());
+                }
+                groups.push(group);
+            }
+        }
+        ParallelEdges { group_of, groups }
+    }
+}
+
+/// One core's backtracking search: everything that stays fixed while
+/// its bindings vary.
+struct CoreSearch<'a> {
+    fragment: &'a Fragment,
+    q: &'a EncodedQuery,
+    parallel: &'a ParallelEdges,
+    internal_cands: &'a [Vec<VertexId>],
+    filter: &'a CandidateFilter,
+    in_core: Vec<bool>,
+    /// The LECSign of every match of this core.
+    internal_mask: u64,
+    /// Core vertices in connected-expansion order (cheapest candidate set
+    /// first), then the boundary vertices.
+    order: Vec<usize>,
+    core_len: usize,
+    /// The query edges between the core and its boundary, ascending: the
+    /// crossing edges every match of this core records.
+    crossing: Vec<usize>,
+}
+
+impl<'a> CoreSearch<'a> {
+    fn new(
+        fragment: &'a Fragment,
+        q: &'a EncodedQuery,
+        neighbors: &[Vec<usize>],
+        parallel: &'a ParallelEdges,
+        core: &[usize],
+        internal_cands: &'a [Vec<VertexId>],
+        filter: &'a CandidateFilter,
+    ) -> Self {
+        let n = q.vertex_count();
+        let mut in_core = vec![false; n];
+        let mut internal_mask = 0u64;
+        for &v in core {
+            in_core[v] = true;
+            internal_mask |= 1 << v;
+        }
+        // Boundary: neighbors of the core outside it (forced by condition 5).
+        let mut boundary: Vec<usize> = core
+            .iter()
+            .flat_map(|&v| neighbors[v].iter().copied())
+            .filter(|&u| !in_core[u])
+            .collect();
+        boundary.sort_unstable();
+        boundary.dedup();
+
         let mut order: Vec<usize> = Vec::with_capacity(core.len() + boundary.len());
         let mut placed = vec![false; n];
         let first = core
@@ -123,7 +195,7 @@ fn enumerate_for_core(
                 .copied()
                 .filter(|&v| !placed[v])
                 .min_by_key(|&v| {
-                    let connected = q.neighbors(v).iter().any(|&u| placed[u]);
+                    let connected = neighbors[v].iter().any(|&u| placed[u]);
                     (if connected { 0 } else { 1 }, internal_cands[v].len())
                 })
                 .expect("loop bounded by |core|");
@@ -131,253 +203,200 @@ fn enumerate_for_core(
             placed[next] = true;
         }
         order.extend(boundary.iter().copied());
-        order
-    };
 
-    let mut binding: Vec<Option<VertexId>> = vec![None; n];
-    extend(
-        fragment,
-        q,
-        &order,
-        core.len(),
-        0,
-        &in_core,
-        internal_cands,
-        filter,
-        &mut binding,
-        out,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn extend(
-    fragment: &Fragment,
-    q: &EncodedQuery,
-    order: &[usize],
-    core_len: usize,
-    depth: usize,
-    in_core: &[bool],
-    internal_cands: &[Vec<VertexId>],
-    filter: &CandidateFilter,
-    binding: &mut Vec<Option<VertexId>>,
-    out: &mut Vec<LocalPartialMatch>,
-) {
-    if depth == order.len() {
-        out.push(materialize(fragment, q, in_core, binding));
-        return;
-    }
-    let qv = order[depth];
-    if depth < core_len {
-        // Core vertex: internal candidates + edge consistency against
-        // already-bound core vertices. Enumeration is neighbor-driven:
-        // when a bound core neighbor's label-matching adjacency range is
-        // smaller than the internal candidate list, candidates are read
-        // off that range and filtered by candidate-set membership.
-        for_each_anchored_candidate(
+        let crossing = (0..q.edge_count())
+            .filter(|&i| {
+                let e = q.edge(i);
+                in_core[e.from] != in_core[e.to]
+            })
+            .collect();
+        CoreSearch {
             fragment,
             q,
-            qv,
-            binding,
-            &internal_cands[qv],
-            |binding, u| {
-                binding[qv] = Some(u);
-                if core_consistent(fragment, q, qv, binding, in_core) {
-                    extend(
-                        fragment,
-                        q,
-                        order,
-                        core_len,
-                        depth + 1,
-                        in_core,
-                        internal_cands,
-                        filter,
-                        binding,
-                        out,
-                    );
-                }
-            },
-        );
-        binding[qv] = None;
-    } else {
-        // Boundary vertex: candidates from crossing edges of bound core
-        // neighbors; all core neighbors are bound (core precedes boundary).
-        for u in boundary_candidates(fragment, q, qv, binding, in_core) {
-            if !filter.admits_extended(qv, u) {
-                continue;
+            parallel,
+            internal_cands,
+            filter,
+            in_core,
+            internal_mask,
+            order,
+            core_len: core.len(),
+            crossing,
+        }
+    }
+
+    /// Bind `order[depth..]`. `buffers` holds one reusable candidate
+    /// buffer per boundary vertex still to bind.
+    fn extend(
+        &self,
+        depth: usize,
+        binding: &mut Vec<Option<VertexId>>,
+        buffers: &mut [Vec<VertexId>],
+        out: &mut Vec<LocalPartialMatch>,
+    ) {
+        if depth == self.order.len() {
+            out.push(self.materialize(binding));
+            return;
+        }
+        let (fragment, q) = (self.fragment, self.q);
+        let qv = self.order[depth];
+        if depth < self.core_len {
+            // Core vertex: internal candidates + edge consistency against
+            // already-bound core vertices. Enumeration is neighbor-driven:
+            // when a bound core neighbor's label-matching adjacency range is
+            // smaller than the internal candidate list, candidates are read
+            // off that range and filtered by candidate-set membership.
+            for_each_anchored_candidate(
+                fragment,
+                q,
+                qv,
+                binding,
+                &self.internal_cands[qv],
+                |binding, u| {
+                    binding[qv] = Some(u);
+                    // Bound vertices at this stage are all core vertices,
+                    // so every edge to them must be matched.
+                    if pairs_consistent(fragment, q, qv, binding, |_| true) {
+                        self.extend(depth + 1, binding, buffers, out);
+                    }
+                },
+            );
+            binding[qv] = None;
+            return;
+        }
+
+        // Boundary vertex: an extended vertex across a crossing edge of a
+        // bound core neighbor (all core vertices precede the boundary).
+        // Edges to core vertices must match; edges to other boundary
+        // vertices are exempt (condition 3 — and a fragment stores no
+        // edges between two extended vertices anyway).
+        let (buffer, buffers) = buffers
+            .split_first_mut()
+            .expect("a buffer per boundary vertex");
+        let Some(required) = q.required_classes(qv).ids() else {
+            return;
+        };
+        let mut bind = |binding: &mut Vec<Option<VertexId>>, u: VertexId| {
+            if !fragment.is_extended(u)
+                || !fragment.has_classes(u, required)
+                || !self.filter.admits_extended(qv, u)
+            {
+                return;
             }
             binding[qv] = Some(u);
-            if boundary_consistent(fragment, q, qv, binding, in_core) {
-                extend(
-                    fragment,
-                    q,
-                    order,
-                    core_len,
-                    depth + 1,
-                    in_core,
-                    internal_cands,
-                    filter,
-                    binding,
-                    out,
-                );
+            if pairs_consistent(fragment, q, qv, binding, |other| self.in_core[other]) {
+                self.extend(depth + 1, binding, buffers, out);
+            }
+        };
+        if let EncodedVertex::Const(id) = q.vertex(qv) {
+            // Constants bind to themselves when stored as an extended vertex.
+            bind(binding, id);
+        } else {
+            // Read candidates off the bound neighbor's adjacency along one
+            // core-incident query edge; `pairs_consistent` checks the rest.
+            let (adjacency, label) = self.anchor(qv, binding);
+            match label {
+                // A constant label's range is sorted and duplicate-free.
+                EncodedLabel::Const(p) => {
+                    for &(_, u) in label_edge_range(adjacency, p) {
+                        bind(binding, u);
+                    }
+                }
+                EncodedLabel::Any => {
+                    buffer.clear();
+                    buffer.extend(adjacency.iter().map(|&(_, u)| u));
+                    buffer.sort_unstable();
+                    buffer.dedup();
+                    for &u in buffer.iter() {
+                        bind(binding, u);
+                    }
+                }
+                EncodedLabel::Unsatisfiable => {}
             }
         }
         binding[qv] = None;
     }
-}
 
-/// Candidate extended vertices for boundary vertex `qv`: extracted from
-/// the first core-neighbor edge, then fully validated by
-/// `boundary_consistent`.
-fn boundary_candidates(
-    fragment: &Fragment,
-    q: &EncodedQuery,
-    qv: usize,
-    binding: &[Option<VertexId>],
-    in_core: &[bool],
-) -> Vec<VertexId> {
-    let Some(required) = q.required_classes(qv).ids() else {
-        return Vec::new();
-    };
-    let class_ok = |u: VertexId| fragment.has_classes(u, required);
-    // Constants bind to themselves when stored as an extended vertex.
-    if let EncodedVertex::Const(id) = q.vertex(qv) {
-        return if fragment.is_extended(id) && class_ok(id) {
-            vec![id]
+    /// The adjacency row boundary vertex `qv` draws its candidates from:
+    /// along its first in-edge from the core, else its first out-edge to
+    /// it, the bound core endpoint's row in that direction.
+    fn anchor(
+        &self,
+        qv: usize,
+        binding: &[Option<VertexId>],
+    ) -> (&'a [(TermId, VertexId)], EncodedLabel) {
+        let q = self.q;
+        for &ei in q.in_edges(qv) {
+            let e = q.edge(ei);
+            if self.in_core[e.from] {
+                let fu = binding[e.from].expect("core bound first");
+                return (self.fragment.out_edges(fu), e.label);
+            }
+        }
+        for &ei in q.out_edges(qv) {
+            let e = q.edge(ei);
+            if self.in_core[e.to] {
+                let fu = binding[e.to].expect("core bound first");
+                return (self.fragment.in_edges(fu), e.label);
+            }
+        }
+        unreachable!("boundary vertex must touch the core");
+    }
+
+    /// Build the [`LocalPartialMatch`] for a complete core+boundary
+    /// binding: record each crossing edge with the query edge it matches
+    /// (the `g` of the LEC feature).
+    fn materialize(&self, binding: &[Option<VertexId>]) -> LocalPartialMatch {
+        let mut crossing = Vec::with_capacity(self.crossing.len());
+        for &i in &self.crossing {
+            let e = self.q.edge(i);
+            let from = binding[e.from].expect("bound");
+            let to = binding[e.to].expect("bound");
+            let label = match (e.label, self.parallel.group_of[i]) {
+                (EncodedLabel::Const(p), _) => p,
+                (_, Some(g)) => self.assigned_label(&self.parallel.groups[g], i, from, to),
+                (_, None) => self.first_label(from, to),
+            };
+            crossing.push((EdgeRef { from, label, to }, i));
+        }
+        LocalPartialMatch {
+            fragment: self.fragment.id,
+            binding: binding.to_vec(),
+            crossing,
+            internal_mask: self.internal_mask,
+        }
+    }
+
+    /// The smallest label of an edge `from → to`, read off the shorter of
+    /// the two adjacency rows (both are sorted by label first).
+    fn first_label(&self, from: VertexId, to: VertexId) -> TermId {
+        let out = self.fragment.out_edges(from);
+        let inc = self.fragment.in_edges(to);
+        let found = if out.len() <= inc.len() {
+            out.iter().find(|&&(_, t)| t == to)
         } else {
-            Vec::new()
+            inc.iter().find(|&&(_, s)| s == from)
         };
-    }
-    // Find one core-incident query edge and read candidates off the bound
-    // neighbor's crossing edges.
-    for &ei in q.in_edges(qv) {
-        let e = q.edge(ei);
-        if in_core[e.from] {
-            let fu = binding[e.from].expect("core bound first");
-            let mut c: Vec<VertexId> = fragment
-                .out_edges(fu)
-                .iter()
-                .filter(|&&(l, t)| {
-                    label_matches(e.label, l) && fragment.is_extended(t) && class_ok(t)
-                })
-                .map(|&(_, t)| t)
-                .collect();
-            c.sort_unstable();
-            c.dedup();
-            return c;
-        }
-    }
-    for &ei in q.out_edges(qv) {
-        let e = q.edge(ei);
-        if in_core[e.to] {
-            let fu = binding[e.to].expect("core bound first");
-            let mut c: Vec<VertexId> = fragment
-                .in_edges(fu)
-                .iter()
-                .filter(|&&(l, s)| {
-                    label_matches(e.label, l) && fragment.is_extended(s) && class_ok(s)
-                })
-                .map(|&(_, s)| s)
-                .collect();
-            c.sort_unstable();
-            c.dedup();
-            return c;
-        }
-    }
-    unreachable!("boundary vertex must touch the core");
-}
-
-/// Consistency for a freshly-bound core vertex: every query edge between
-/// `qv` and an already-bound vertex must be matchable. (Bound vertices at
-/// this stage are all core vertices, so every such edge must be matched.)
-fn core_consistent(
-    fragment: &Fragment,
-    q: &EncodedQuery,
-    qv: usize,
-    binding: &[Option<VertexId>],
-    _in_core: &[bool],
-) -> bool {
-    pairs_consistent(fragment, q, qv, binding, |_other| true)
-}
-
-/// Consistency for a freshly-bound boundary vertex: edges to core vertices
-/// must match; edges to other boundary vertices are exempt (condition 3 —
-/// and a fragment stores no edges between two extended vertices anyway).
-fn boundary_consistent(
-    fragment: &Fragment,
-    q: &EncodedQuery,
-    qv: usize,
-    binding: &[Option<VertexId>],
-    in_core: &[bool],
-) -> bool {
-    pairs_consistent(fragment, q, qv, binding, |other| in_core[other])
-}
-
-/// Build the [`LocalPartialMatch`] for a complete core+boundary binding:
-/// reconstruct the matched edge set and record the crossing edges with
-/// their query-edge mapping (the `g` of the LEC feature).
-fn materialize(
-    fragment: &Fragment,
-    q: &EncodedQuery,
-    in_core: &[bool],
-    binding: &[Option<VertexId>],
-) -> LocalPartialMatch {
-    let mut internal_mask = 0u64;
-    for (v, &c) in in_core.iter().enumerate() {
-        if c {
-            internal_mask |= 1 << v;
-        }
+        found.expect("consistency was verified during search").0
     }
 
-    // Group matched query edges by ordered bound pair where at least one
-    // endpoint is in the core, then compute the (deterministic) injective
-    // label assignment per group to identify concrete data edges.
-    let mut crossing: Vec<(EdgeRef, usize)> = Vec::new();
-    let mut groups: Vec<((usize, usize), Vec<usize>)> = Vec::new();
-    for (i, e) in q.edges().iter().enumerate() {
-        let matched = binding[e.from].is_some()
-            && binding[e.to].is_some()
-            && (in_core[e.from] || in_core[e.to]);
-        if !matched {
-            continue;
-        }
-        let key = (e.from, e.to);
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, v)) => v.push(i),
-            None => groups.push((key, vec![i])),
-        }
-    }
-    for ((src_q, dst_q), edge_idxs) in groups {
-        let src_u = binding[src_q].expect("bound");
-        let dst_u = binding[dst_q].expect("bound");
-        let q_labels: Vec<EncodedLabel> = edge_idxs.iter().map(|&i| q.edge(i).label).collect();
-        let d_labels: Vec<TermId> = fragment
-            .out_edges(src_u)
+    /// The data label query edge `edge` of parallel `group` maps to under
+    /// the group's deterministic injective assignment.
+    fn assigned_label(&self, group: &[usize], edge: usize, from: VertexId, to: VertexId) -> TermId {
+        let q_labels: Vec<EncodedLabel> = group.iter().map(|&i| self.q.edge(i).label).collect();
+        let d_labels: Vec<TermId> = self
+            .fragment
+            .out_edges(from)
             .iter()
-            .filter(|&&(_, t)| t == dst_u)
+            .filter(|&&(_, t)| t == to)
             .map(|&(l, _)| l)
             .collect();
         let assignment = labels_assignment(&q_labels, &d_labels)
             .expect("consistency was verified during search");
-        // Record only crossing edges (exactly one internal endpoint).
-        let is_crossing = in_core[src_q] != in_core[dst_q];
-        if is_crossing {
-            for (pos, &qe) in edge_idxs.iter().enumerate() {
-                let data_edge = EdgeRef {
-                    from: src_u,
-                    label: d_labels[assignment[pos]],
-                    to: dst_u,
-                };
-                crossing.push((data_edge, qe));
-            }
-        }
-    }
-    crossing.sort_unstable_by_key(|&(_, qe)| qe);
-
-    LocalPartialMatch {
-        fragment: fragment.id,
-        binding: binding.to_vec(),
-        crossing,
-        internal_mask,
+        let pos = group
+            .iter()
+            .position(|&i| i == edge)
+            .expect("edge in its group");
+        d_labels[assignment[pos]]
     }
 }
 
