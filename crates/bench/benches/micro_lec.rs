@@ -6,11 +6,16 @@
 //! case of [`gstored_bench::fixtures::dense_star_lpms`], and at the
 //! benchmark's scale on every LPM of `MEMBER_PATH` (LUBM at a 40 k-triple
 //! target, 8 hash sites; [`gstored_bench::fixtures::lubm_member_path`]).
+//!
+//! The `survivors_codec` group times the frame codec alone on the same
+//! query: encoding and decoding the busiest site's `Survivors` reply
+//! (every LPM it found) and its `Features` reply.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gstored_bench::{datasets, experiments, fixtures};
 use gstored_core::assembly::{assemble_basic, IncrementalJoin};
 use gstored_core::lec::compute_lec_features;
+use gstored_core::protocol::{decode_response, encode_response, QueryId, Response, ResponseBody};
 use gstored_core::prune::prune_features;
 use gstored_store::candidates::CandidateFilter;
 use gstored_store::{enumerate_local_partial_matches, EncodedQuery, LocalPartialMatch};
@@ -68,6 +73,38 @@ fn bench(c: &mut Criterion) {
             criterion::black_box(push_all(&path_lpms, path.vertex_count(), path.edge_count()))
         })
     });
+    group.finish();
+    codec(c, &path_dist, &path);
+}
+
+/// The `survivors_codec` group: one site's `MEMBER_PATH` survivor and
+/// feature frames, each encoded and decoded.
+fn codec(c: &mut Criterion, dist: &gstored_partition::DistributedGraph, q: &EncodedQuery) {
+    let filter = CandidateFilter::none(q.vertex_count());
+    let site_lpms = dist
+        .fragments
+        .iter()
+        .map(|f| enumerate_local_partial_matches(f, q, &filter))
+        .max_by_key(Vec::len)
+        .expect("a fleet has sites");
+    let (site_features, _) = compute_lec_features(&site_lpms, 0);
+    let reply = |body| Response::new(std::time::Duration::ZERO, QueryId(0), body);
+    let survivors = reply(ResponseBody::Survivors(site_lpms.into()));
+    let features = reply(ResponseBody::Features(site_features));
+    let mut group = c.benchmark_group("survivors_codec");
+    group.sample_size(20);
+    group.warm_up_time(std::time::Duration::from_millis(300));
+    group.measurement_time(std::time::Duration::from_millis(900));
+    for (name, response) in [("survivors", &survivors), ("features", &features)] {
+        let frame = encode_response(response);
+        println!("survivors_codec/{name}: {} bytes", frame.len());
+        group.bench_function(format!("{name}_encode"), |b| {
+            b.iter(|| criterion::black_box(encode_response(response).len()))
+        });
+        group.bench_function(format!("{name}_decode"), |b| {
+            b.iter(|| criterion::black_box(decode_response(frame.clone()).is_ok()))
+        });
+    }
     group.finish();
 }
 

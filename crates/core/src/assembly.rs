@@ -27,7 +27,7 @@
 
 use fxhash::{FxHashMap, FxHashSet};
 use gstored_rdf::{EdgeRef, TermId, VertexId};
-use gstored_store::LocalPartialMatch;
+use gstored_store::{LocalPartialMatch, LpmRow};
 
 use crate::lec::{hash_words, to_u32, ChainIndex, NIL};
 
@@ -229,10 +229,12 @@ impl IncrementalJoin {
         }
     }
 
-    /// Push one LPM and return the complete crossing-match bindings that
-    /// become derivable with it (each binding is emitted exactly once
-    /// across the joiner's lifetime).
-    pub fn push(&mut self, lpm: &LocalPartialMatch) -> Vec<MatchBinding> {
+    /// Push one LPM — a batch row or a `&LocalPartialMatch` — and return
+    /// the complete crossing-match bindings that become derivable with it
+    /// (each binding is emitted exactly once across the joiner's
+    /// lifetime).
+    pub fn push<'a>(&mut self, lpm: impl Into<LpmRow<'a>>) -> Vec<MatchBinding> {
+        let lpm = lpm.into();
         let (nv, ne) = (self.n_vertices, self.n_edges);
         assert_eq!(
             lpm.binding.len(),
@@ -250,7 +252,7 @@ impl IncrementalJoin {
             }
         }
         self.states.edges.resize(ne, NIL);
-        for &(e, qe) in &lpm.crossing {
+        for &(e, qe) in lpm.crossing {
             let next = to_u32(self.entry_ids.len());
             let id = *self.entry_ids.entry((qe, e)).or_insert(next);
             if id == next {

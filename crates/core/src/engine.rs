@@ -74,7 +74,7 @@ use bytes::Bytes;
 use gstored_net::{ChaosConfig, NetworkModel, QueryMetrics, ReactorTransport, Transport};
 use gstored_partition::DistributedGraph;
 use gstored_rdf::{Term, VertexId};
-use gstored_store::{EncodedQuery, LocalPartialMatch};
+use gstored_store::{EncodedQuery, LocalPartialMatch, LpmBatch};
 
 use crate::assembly::{assemble_basic, IncrementalJoin};
 use crate::candidates::{union_bit_vectors, var_vertices};
@@ -996,21 +996,19 @@ impl StreamState {
             self.pull(transport, router, site)?;
         }
         self.metrics.surviving_partial_matches += lpms.len() as u64;
-        for lpm in &lpms {
-            check_lpm(lpm, self.vertex_count, self.edge_count)?;
-        }
+        check_lpms(&lpms, self.vertex_count, self.edge_count)?;
         let StreamMode::General { join, .. } = &mut self.mode else {
             unreachable!("star replies returned above");
         };
         match join {
             Join::Lec(joiner) => {
-                for lpm in &lpms {
+                for lpm in lpms.rows() {
                     let emitted = self.metrics.assembly.time(|| joiner.push(lpm));
                     self.metrics.crossing_matches += emitted.len() as u64;
                     self.pending.extend(emitted);
                 }
             }
-            Join::Basic(survivors) => survivors.extend(lpms),
+            Join::Basic(survivors) => survivors.extend(lpms.rows().map(|row| row.to_lpm())),
         }
         Ok(())
     }
@@ -1177,25 +1175,23 @@ fn check_binding_row(row: &[VertexId], vertex_count: usize) -> Result<(), Engine
     Ok(())
 }
 
-/// Reject a wire-supplied LPM whose shape does not fit the query (short
-/// binding vector, or a crossing entry mapped to a nonexistent query
-/// edge) before assembly indexes into it.
-fn check_lpm(
-    lpm: &LocalPartialMatch,
-    vertex_count: usize,
-    edge_count: usize,
-) -> Result<(), EngineError> {
-    if lpm.binding.len() != vertex_count {
+/// Reject a wire-supplied LPM batch whose rows do not fit the query
+/// (short binding vectors, or a crossing entry mapped to a nonexistent
+/// query edge) before assembly indexes into them.
+fn check_lpms(lpms: &LpmBatch, vertex_count: usize, edge_count: usize) -> Result<(), EngineError> {
+    if !lpms.is_empty() && lpms.width() != vertex_count {
         return Err(EngineError::Protocol(format!(
             "LPM binds {} vertices of a {vertex_count}-vertex query",
-            lpm.binding.len(),
+            lpms.width(),
         )));
     }
-    for &(_, qe) in &lpm.crossing {
-        if qe >= edge_count {
-            return Err(EngineError::Protocol(format!(
-                "LPM crossing entry maps query edge {qe} of {edge_count}"
-            )));
+    for row in lpms.rows() {
+        for &(_, qe) in row.crossing {
+            if qe >= edge_count {
+                return Err(EngineError::Protocol(format!(
+                    "LPM crossing entry maps query edge {qe} of {edge_count}"
+                )));
+            }
         }
     }
     Ok(())
@@ -1640,11 +1636,12 @@ mod tests {
             crossing: vec![(edge, m)],
             internal_mask: 0,
         };
-        assert!(check_lpm(&lpm, n, m).is_err());
+        let check = |lpm: &LocalPartialMatch| check_lpms(&vec![lpm.clone()].into(), n, m);
+        assert!(check(&lpm).is_err());
         lpm.crossing[0].1 = m - 1;
-        assert!(check_lpm(&lpm, n, m).is_ok());
+        assert!(check(&lpm).is_ok());
         lpm.binding.pop();
-        assert!(check_lpm(&lpm, n, m).is_err());
+        assert!(check(&lpm).is_err());
         // A feature mapping a nonexistent query edge cannot reach pruning.
         let mut feature = crate::lec::LecFeature {
             fragments: 1,

@@ -6,6 +6,18 @@
 //! them. Only envelopes cross the wire, so only envelopes have public
 //! codecs.
 //!
+//! The two batches that dominate shipment carry only what the
+//! coordinator cannot derive from the rest of the frame, and each
+//! describes itself, so decoding needs neither the query nor the
+//! replying site. An LPM batch ships its fragment and binding width
+//! once and cuts its LPMs into runs of consecutive LPMs with one shape
+//! (masks, crossing query edges and the binding entries holding their
+//! endpoints): a run's header carries the shape and its shared labels,
+//! and each LPM ships only its bound ids. It decodes straight into one
+//! flat [`LpmBatch`]. A feature batch ships its `fragments` mask, its
+//! constant labels (as a `qe → label` table) and Algorithm 1's
+//! consecutive ids once per frame. `docs/protocol.md` has the bytes.
+//!
 //! Shipment numbers in the experiments are the byte lengths of the
 //! encoded frames that actually cross the [`gstored_net::Transport`] —
 //! real serialized sizes, matching how the paper measures "data
@@ -42,13 +54,15 @@
 //! }
 //! ```
 
+use std::collections::BTreeMap;
+
 use bytes::Bytes;
 use gstored_net::wire::{WireError, WireReader, WireWriter};
 use gstored_partition::Fragment;
 use gstored_rdf::{EdgeRef, TermId, VertexId};
 use gstored_store::candidates::BitVectorFilter;
 use gstored_store::{
-    EncodedEdge, EncodedLabel, EncodedQuery, EncodedVertex, LocalPartialMatch, RequiredClasses,
+    EncodedEdge, EncodedLabel, EncodedQuery, EncodedVertex, LpmBatch, LpmRow, RequiredClasses,
     MAX_QUERY_VERTICES,
 };
 
@@ -70,47 +84,228 @@ fn read_batch_len(r: &mut WireReader, min_bytes: usize) -> Result<usize, WireErr
     }
 }
 
-fn write_lpms(w: &mut WireWriter, lpms: &[LocalPartialMatch]) {
-    w.usize(lpms.len());
-    for m in lpms {
-        w.usize(m.fragment);
-        w.usize(m.binding.len());
-        for b in &m.binding {
-            w.opt_u64(b.map(|t| t.0));
+/// A run slot's endpoint reference: `0` means the LPM ships the id
+/// itself; `k ≥ 1` names binding entry `k − 1`, which must be bound.
+const EXPLICIT_ENDPOINT: usize = 0;
+
+/// Crossing entries an LPM batch may decode to, per byte of the frame
+/// left after its header. A run's slots are written once and repeat in
+/// every LPM of the run, so without this bound a small frame could claim
+/// a decoded size quadratic in its length. A real LPM's crossing entries
+/// each join two bound ids it ships, so it stays far below the bound.
+const CROSSING_PER_BYTE: usize = 16;
+
+/// The bound-vertex mask of a binding.
+fn bound_mask(binding: &[Option<VertexId>]) -> u64 {
+    binding
+        .iter()
+        .enumerate()
+        .filter(|(_, b)| b.is_some())
+        .fold(0, |mask, (v, _)| mask | 1 << v)
+}
+
+/// The reference a slot uses for endpoint `id`: the first binding entry
+/// holding it, or [`EXPLICIT_ENDPOINT`] when no entry does.
+fn endpoint_ref(binding: &[Option<VertexId>], id: VertexId) -> usize {
+    binding
+        .iter()
+        .position(|&b| b == Some(id))
+        .map_or(EXPLICIT_ENDPOINT, |v| v + 1)
+}
+
+/// A row's run shape beyond its masks: per crossing entry its query edge
+/// and endpoint references, written to `out`.
+fn slot_refs(row: LpmRow<'_>, out: &mut Vec<(usize, usize, usize)>) {
+    out.clear();
+    out.extend(row.crossing.iter().map(|&(e, qe)| {
+        (
+            qe,
+            endpoint_ref(row.binding, e.from),
+            endpoint_ref(row.binding, e.to),
+        )
+    }));
+}
+
+/// An LPM batch as runs of consecutive LPMs with one shape — internal
+/// mask, bound-vertex mask, and per crossing entry the query edge and
+/// the binding entries of its endpoints. A run's header carries the
+/// shape and each slot's label when the whole run shares it; each LPM
+/// then ships only its bound ids, plus the endpoints no binding entry
+/// holds and the labels that vary. An LPM that binds nothing and crosses
+/// nothing would ship no bytes, so it always runs alone. An empty batch
+/// is its run count alone, and decodes as `LpmBatch::default()`.
+fn write_lpms(w: &mut WireWriter, batch: &LpmBatch) {
+    let width = batch.width();
+    assert!(
+        width <= MAX_QUERY_VERTICES,
+        "an LPM binds at most MAX_QUERY_VERTICES vertices"
+    );
+    let mut runs = Vec::new();
+    let (mut head, mut refs) = (Vec::new(), Vec::new());
+    let mut head_masks = (0, 0);
+    for (i, row) in batch.rows().enumerate() {
+        slot_refs(row, &mut refs);
+        let masks = (row.internal_mask, bound_mask(row.binding));
+        let silent = masks.1 == 0 && refs.is_empty();
+        if i == 0 || masks != head_masks || refs != head || silent {
+            runs.push(i);
+            std::mem::swap(&mut head, &mut refs);
+            head_masks = masks;
         }
-        w.usize(m.crossing.len());
-        for (e, qe) in &m.crossing {
-            w.u64(e.from.0).u64(e.label.0).u64(e.to.0).usize(*qe);
+    }
+    runs.push(batch.len());
+    w.usize(runs.len() - 1);
+    if batch.is_empty() {
+        return;
+    }
+    w.usize(batch.fragment()).usize(width);
+    for run in runs.windows(2) {
+        let first = batch.row(run[0]);
+        slot_refs(first, &mut head);
+        let bound = bound_mask(first.binding);
+        let label = |j: usize| {
+            let l = first.crossing[j].0.label;
+            (run[0]..run[1])
+                .all(|i| batch.row(i).crossing[j].0.label == l)
+                .then_some(l)
+        };
+        let labels: Vec<Option<TermId>> = (0..head.len()).map(label).collect();
+        w.u64(first.internal_mask).u64(bound).usize(head.len());
+        for (&(qe, from, to), l) in head.iter().zip(&labels) {
+            w.usize(qe).usize(from).usize(to).opt_u64(l.map(|l| l.0));
         }
-        w.u64(m.internal_mask);
+        w.usize(run[1] - run[0]);
+        for i in run[0]..run[1] {
+            let row = batch.row(i);
+            for id in row.binding.iter().flatten() {
+                w.u64(id.0);
+            }
+            for (&(e, _), (&(_, from, to), l)) in row.crossing.iter().zip(head.iter().zip(&labels))
+            {
+                if from == EXPLICIT_ENDPOINT {
+                    w.u64(e.from.0);
+                }
+                if to == EXPLICIT_ENDPOINT {
+                    w.u64(e.to.0);
+                }
+                if l.is_none() {
+                    w.u64(e.label.0);
+                }
+            }
+        }
     }
 }
 
-fn read_lpms(r: &mut WireReader) -> Result<Vec<LocalPartialMatch>, WireError> {
-    let n = read_batch_len(r, 1)?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let fragment = r.usize()?;
-        let bn = read_batch_len(r, 1)?;
-        let mut binding = Vec::with_capacity(bn);
-        for _ in 0..bn {
-            binding.push(r.opt_u64()?.map(TermId));
-        }
-        let cn = read_batch_len(r, 4)?;
-        let mut crossing = Vec::with_capacity(cn);
-        for _ in 0..cn {
-            let e = read_edge(r)?;
-            crossing.push((e, r.usize()?));
-        }
-        let internal_mask = r.u64()?;
-        out.push(LocalPartialMatch {
-            fragment,
-            binding,
-            crossing,
-            internal_mask,
-        });
+/// One slot of a run header, decoded: endpoints as binding indices
+/// (`None` = shipped per LPM), the label when the run shares it.
+struct Slot {
+    qe: usize,
+    from: Option<usize>,
+    to: Option<usize>,
+    label: Option<TermId>,
+}
+
+/// A slot endpoint reference, checked against the run's binding width
+/// and bound-vertex mask.
+fn read_endpoint(r: &mut WireReader, width: usize, bound: u64) -> Result<Option<usize>, WireError> {
+    match r.usize()? {
+        EXPLICIT_ENDPOINT => Ok(None),
+        k if k > width => Err(WireError("slot endpoint beyond the binding")),
+        k if bound & 1 << (k - 1) == 0 => Err(WireError("slot endpoint names an unbound vertex")),
+        k => Ok(Some(k - 1)),
     }
-    Ok(out)
+}
+
+/// Decode [`write_lpms`]' runs straight into one [`LpmBatch`]'s arenas.
+fn read_lpms(r: &mut WireReader) -> Result<LpmBatch, WireError> {
+    // A run header is at least its two masks, slot count and length.
+    let runs = read_batch_len(r, 4)?;
+    if runs == 0 {
+        return Ok(LpmBatch::default());
+    }
+    let fragment = r.usize()?;
+    let width = r.usize()?;
+    if width > MAX_QUERY_VERTICES {
+        return Err(WireError("LPM binding wider than MAX_QUERY_VERTICES"));
+    }
+    let mut crossing_budget = r.remaining().saturating_mul(CROSSING_PER_BYTE);
+    let (mut bindings, mut crossing) = (Vec::new(), Vec::new());
+    let (mut ends, mut internal_masks) = (Vec::new(), Vec::new());
+    let mut slots = Vec::new();
+    for _ in 0..runs {
+        let internal_mask = r.u64()?;
+        let bound = r.u64()?;
+        if bound >> width != 0 {
+            return Err(WireError("bound vertex beyond the binding"));
+        }
+        let n_slots = read_batch_len(r, 4)?;
+        slots.clear();
+        let mut per_lpm = bound.count_ones() as usize;
+        for _ in 0..n_slots {
+            let slot = Slot {
+                qe: r.usize()?,
+                from: read_endpoint(r, width, bound)?,
+                to: read_endpoint(r, width, bound)?,
+                label: r.opt_u64()?.map(TermId),
+            };
+            per_lpm += [slot.from.is_none(), slot.to.is_none(), slot.label.is_none()]
+                .into_iter()
+                .filter(|&x| x)
+                .count();
+            slots.push(slot);
+        }
+        let len = if per_lpm == 0 {
+            match r.usize()? {
+                1 => 1,
+                _ => return Err(WireError("an LPM that ships no bytes runs alone")),
+            }
+        } else {
+            read_batch_len(r, per_lpm)?
+        };
+        if len == 0 {
+            return Err(WireError("empty LPM run"));
+        }
+        crossing_budget = len
+            .checked_mul(n_slots)
+            .and_then(|n| crossing_budget.checked_sub(n))
+            .ok_or(WireError(
+                "LPM runs decode to more crossing entries than the frame holds",
+            ))?;
+        bindings.reserve(len * width);
+        crossing.reserve(len * n_slots);
+        for _ in 0..len {
+            let base = bindings.len();
+            bindings.resize(base + width, None);
+            let mut bits = bound;
+            while bits != 0 {
+                bindings[base + bits.trailing_zeros() as usize] = Some(TermId(r.u64()?));
+                bits &= bits - 1;
+            }
+            let endpoint = |r: &mut WireReader, v: Option<usize>| match v {
+                Some(v) => Ok(bindings[base + v].expect("checked bound")),
+                None => r.u64().map(TermId),
+            };
+            for slot in &slots {
+                let from = endpoint(r, slot.from)?;
+                let to = endpoint(r, slot.to)?;
+                let label = match slot.label {
+                    Some(l) => l,
+                    None => TermId(r.u64()?),
+                };
+                crossing.push((EdgeRef { from, label, to }, slot.qe));
+            }
+            ends.push(crossing.len());
+            internal_masks.push(internal_mask);
+        }
+    }
+    Ok(LpmBatch::from_parts(
+        fragment,
+        width,
+        bindings,
+        crossing,
+        ends,
+        internal_masks,
+    ))
 }
 
 /// The running state of a feature-id list on the wire: each id is
@@ -142,41 +337,146 @@ impl IdDeltas {
     }
 }
 
+/// `feature-batch` flag: every feature has the frame's one `fragments`
+/// mask, which ships once.
+const FEATURES_SHARE_FRAGMENTS: u64 = 1;
+/// `feature-batch` flag: feature *i* has exactly the one source id
+/// `first + i` (Algorithm 1's numbering), and only `first` ships.
+const FEATURES_NUMBERED: u64 = 2;
+
+/// A feature batch: the count, then — unless it is 0 — a flags varint,
+/// the shared `fragments` mask and the first id when their flags say so,
+/// and a `qe → label` table of every query edge whose mapped edges all
+/// carry one label in this frame (a constant predicate, so those labels
+/// ship once). Then the features: their own `fragments` unless shared,
+/// the mapping entries as `qe, from, to` plus the label when the table
+/// lacks `qe`, the sign, and the id list unless numbered.
 fn write_features(w: &mut WireWriter, features: &[LecFeature]) {
-    let mut ids = IdDeltas::default();
     w.usize(features.len());
+    let Some(head) = features.first() else {
+        return;
+    };
+    let shared = features.iter().all(|f| f.fragments == head.fragments);
+    let first = head.sources.first().copied().filter(|&first| {
+        features.iter().enumerate().all(|(i, f)| {
+            f.sources.len() == 1 && u64::from(f.sources[0]) == u64::from(first) + i as u64
+        })
+    });
+    // `None` marks a query edge whose label varies.
+    let mut labels: BTreeMap<usize, Option<TermId>> = BTreeMap::new();
+    for &(e, qe) in features.iter().flat_map(|f| &f.mapping) {
+        labels
+            .entry(qe)
+            .and_modify(|l| *l = l.filter(|&l| l == e.label))
+            .or_insert(Some(e.label));
+    }
+    let mut flags = 0;
+    if shared {
+        flags |= FEATURES_SHARE_FRAGMENTS;
+    }
+    if first.is_some() {
+        flags |= FEATURES_NUMBERED;
+    }
+    w.u64(flags);
+    if shared {
+        w.u64(head.fragments);
+    }
+    if let Some(first) = first {
+        w.u64(u64::from(first));
+    }
+    w.usize(labels.values().flatten().count());
+    for (&qe, l) in &labels {
+        if let Some(l) = l {
+            w.usize(qe).u64(l.0);
+        }
+    }
+    let mut ids = IdDeltas::default();
     for f in features {
-        w.u64(f.fragments);
+        if !shared {
+            w.u64(f.fragments);
+        }
         w.usize(f.mapping.len());
-        for (e, qe) in &f.mapping {
-            w.u64(e.from.0).u64(e.label.0).u64(e.to.0).usize(*qe);
+        for &(e, qe) in &f.mapping {
+            w.usize(qe).u64(e.from.0).u64(e.to.0);
+            if labels[&qe].is_none() {
+                w.u64(e.label.0);
+            }
         }
         w.u64(f.sign);
-        w.usize(f.sources.len());
-        for &id in &f.sources {
-            ids.write(w, id);
+        if first.is_none() {
+            w.usize(f.sources.len());
+            for &id in &f.sources {
+                ids.write(w, id);
+            }
         }
     }
 }
 
 fn read_features(r: &mut WireReader) -> Result<Vec<LecFeature>, WireError> {
+    // A feature is at least its mapping count and sign.
+    let n = read_batch_len(r, 2)?;
+    if n == 0 {
+        return Ok(Vec::new());
+    }
+    let flags = r.u64()?;
+    if flags & !(FEATURES_SHARE_FRAGMENTS | FEATURES_NUMBERED) != 0 {
+        return Err(WireError("unknown feature-batch flags"));
+    }
+    let shared = match flags & FEATURES_SHARE_FRAGMENTS {
+        0 => None,
+        _ => Some(r.u64()?),
+    };
+    let first = match flags & FEATURES_NUMBERED {
+        0 => None,
+        _ => {
+            let first = r.u64()?;
+            let last = first.checked_add(n as u64 - 1);
+            if last.is_none_or(|last| last > u64::from(u32::MAX)) {
+                return Err(WireError("feature ids leave the u32 range"));
+            }
+            Some(first as u32)
+        }
+    };
+    let k = read_batch_len(r, 2)?;
+    let mut labels: Vec<(usize, TermId)> = Vec::with_capacity(k);
+    for _ in 0..k {
+        let qe = r.usize()?;
+        if labels.last().is_some_and(|&(prev, _)| prev >= qe) {
+            return Err(WireError("label table query edges must ascend"));
+        }
+        labels.push((qe, TermId(r.u64()?)));
+    }
     let mut ids = IdDeltas::default();
-    let n = read_batch_len(r, 1)?;
     let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        let fragments = r.u64()?;
-        let mn = read_batch_len(r, 4)?;
+    for i in 0..n {
+        let fragments = match shared {
+            Some(m) => m,
+            None => r.u64()?,
+        };
+        let mn = read_batch_len(r, 3)?;
         let mut mapping = Vec::with_capacity(mn);
         for _ in 0..mn {
-            let e = read_edge(r)?;
-            mapping.push((e, r.usize()?));
+            let qe = r.usize()?;
+            let from = TermId(r.u64()?);
+            let to = TermId(r.u64()?);
+            let label = match labels.binary_search_by_key(&qe, |&(qe, _)| qe) {
+                Ok(at) => labels[at].1,
+                Err(_) => TermId(r.u64()?),
+            };
+            mapping.push((EdgeRef { from, label, to }, qe));
         }
         let sign = r.u64()?;
-        let sn = read_batch_len(r, 1)?;
-        let mut sources = Vec::with_capacity(sn);
-        for _ in 0..sn {
-            sources.push(ids.read(r)?);
-        }
+        let sources = match first {
+            Some(first) => vec![first + i as u32],
+            None => {
+                let sn = read_batch_len(r, 1)?;
+                let mut sources = Vec::with_capacity(sn);
+                for _ in 0..sn {
+                    sources.push(ids.read(r)?);
+                }
+                sources
+            }
+        };
         out.push(LecFeature {
             fragments,
             mapping,
@@ -1003,7 +1303,7 @@ pub enum ResponseBody {
     /// The site's LEC features (Algorithm 1 output).
     Features(Vec<LecFeature>),
     /// The LPMs that survived pruning (all LPMs when nothing was pruned).
-    Survivors(Vec<LocalPartialMatch>),
+    Survivors(LpmBatch),
     /// One bounded batch of surviving LPMs from the site's ship cursor
     /// ([`Request::ShipSurvivorsChunk`]). `seq` echoes the request;
     /// `last` tells the coordinator the cursor is exhausted — and the
@@ -1011,7 +1311,7 @@ pub enum ResponseBody {
     /// this site.
     SurvivorsChunk {
         /// The batch (at most the request's `max` LPMs, possibly empty).
-        lpms: Vec<LocalPartialMatch>,
+        lpms: LpmBatch,
         /// Echo of the request's chunk sequence number.
         seq: u64,
         /// True when no survivors remain after this batch.
@@ -1192,6 +1492,7 @@ mod tests {
     use gstored_partition::{DistributedGraph, HashPartitioner, PostingKey};
     use gstored_rdf::{RdfGraph, Term, Triple};
     use gstored_sparql::{parse_query, QueryGraph};
+    use gstored_store::LocalPartialMatch;
     use std::time::Duration;
 
     fn sample_lpm() -> LocalPartialMatch {
@@ -1222,14 +1523,38 @@ mod tests {
 
     #[test]
     fn lpm_roundtrip() {
-        let lpms = ResponseBody::Survivors(vec![sample_lpm(), sample_lpm()]);
+        let lpms = ResponseBody::Survivors(vec![sample_lpm(), sample_lpm()].into());
         assert_eq!(reply_roundtrip(lpms.clone()), lpms);
+    }
+
+    /// The worked example of docs/protocol.md: two LPMs of one run ship
+    /// 16 bytes where one record per LPM shipped 27.
+    #[test]
+    fn lpm_batch_worked_example_bytes() {
+        let mut second = sample_lpm();
+        second.binding[0] = Some(TermId(9));
+        second.crossing[0].0.to = TermId(9);
+        let mut w = WireWriter::new();
+        write_lpms(&mut w, &vec![sample_lpm(), second].into());
+        #[rustfmt::skip]
+        let expected = [
+            1, 2, 3,                      // one run, fragment, width
+            5, 5, 1, 1, 3, 1, 1, 100, 2,  // masks, one slot (qe 1: v2 → v0, label 100), 2 LPMs
+            6, 1,                         // first LPM's bound ids
+            9, 1,                         // second LPM's
+        ];
+        assert_eq!(&w.finish()[..], &expected);
     }
 
     #[test]
     fn empty_lpm_batch_roundtrip() {
-        let empty = ResponseBody::Survivors(vec![]);
+        // An empty batch ships its run count alone.
+        let empty = ResponseBody::Survivors(LpmBatch::default());
         assert_eq!(reply_roundtrip(empty.clone()), empty);
+        assert_eq!(
+            reply_roundtrip(ResponseBody::Survivors(LpmBatch::new(2, 3))),
+            empty
+        );
     }
 
     #[test]
@@ -1318,7 +1643,7 @@ mod tests {
 
     #[test]
     fn truncated_payloads_error() {
-        let frame = reply_frame(ResponseBody::Survivors(vec![sample_lpm()]));
+        let frame = reply_frame(ResponseBody::Survivors(vec![sample_lpm()].into()));
         let cut = frame.slice(0..frame.len() - 2);
         assert!(decode_response(cut).is_err());
     }
@@ -1345,8 +1670,8 @@ mod tests {
             internal_mask: 1,
         };
         assert!(
-            reply_frame(ResponseBody::Survivors(vec![sparse])).len()
-                < reply_frame(ResponseBody::Survivors(vec![dense])).len()
+            reply_frame(ResponseBody::Survivors(vec![sparse].into())).len()
+                < reply_frame(ResponseBody::Survivors(vec![dense].into())).len()
         );
     }
 
@@ -1470,13 +1795,13 @@ mod tests {
             Response::new(
                 Duration::ZERO,
                 q,
-                ResponseBody::Survivors(vec![sample_lpm()]),
+                ResponseBody::Survivors(vec![sample_lpm()].into()),
             ),
             Response::new(
                 Duration::from_micros(9),
                 q,
                 ResponseBody::SurvivorsChunk {
-                    lpms: vec![sample_lpm(), sample_lpm()],
+                    lpms: vec![sample_lpm(), sample_lpm()].into(),
                     seq: 7,
                     last: false,
                 },
@@ -1485,7 +1810,7 @@ mod tests {
                 Duration::ZERO,
                 q,
                 ResponseBody::SurvivorsChunk {
-                    lpms: vec![],
+                    lpms: LpmBatch::default(),
                     seq: 0,
                     last: true,
                 },
@@ -1658,14 +1983,14 @@ mod tests {
             .usize(1)
             .usize(1 << 62);
         assert!(decode_response(w.finish()).is_err());
-        // A survivors reply with a colossal LPM count.
+        // A survivors reply with a colossal run count.
         let mut w = WireWriter::new();
         w.u64_fixed(0)
             .u32_fixed(0)
             .u64(RESP_SURVIVORS)
             .u64(u64::MAX >> 2);
         assert!(decode_response(w.finish()).is_err());
-        // A survivors *chunk* reply with a colossal LPM count.
+        // A survivors *chunk* reply with a colossal run count.
         let mut w = WireWriter::new();
         w.u64_fixed(0)
             .u32_fixed(0)

@@ -47,7 +47,7 @@ use gstored_rdf::VertexId;
 use gstored_store::candidates::{BitVectorFilter, CandidateFilter};
 use gstored_store::{
     find_star_matches, internal_candidates, matches_from, partial_matches_from, EncodedQuery,
-    LocalPartialMatch,
+    LocalPartialMatch, LpmBatch,
 };
 
 use crate::lec::compute_lec_features;
@@ -109,6 +109,31 @@ struct QueryState {
 }
 
 impl QueryState {
+    /// The kept LPMs from position `from` on, at most `max` of them, as
+    /// one reply batch of `fragment`, and the position after the last
+    /// LPM walked.
+    fn survivors(&self, fragment: usize, from: usize, max: usize) -> (LpmBatch, usize) {
+        let mut batch = LpmBatch::new(fragment, self.query.vertex_count());
+        let mut pos = from;
+        while pos < self.lpms.len() && batch.len() < max {
+            if self.keep[pos] {
+                let lpm = &self.lpms[pos];
+                // Definition 5: a crossing edge joins two vertices the LPM
+                // binds, so its endpoints ship as binding references and
+                // the wire's explicit-endpoint form stays unused.
+                debug_assert!(
+                    lpm.crossing.iter().all(|(e, _)| {
+                        lpm.binding.contains(&Some(e.from)) && lpm.binding.contains(&Some(e.to))
+                    }),
+                    "a crossing endpoint of an LPM is unbound: {lpm:?}"
+                );
+                batch.push(lpm);
+            }
+            pos += 1;
+        }
+        (batch, pos)
+    }
+
     fn new(query: EncodedQuery, touch: u64) -> QueryState {
         let filter = CandidateFilter::none(query.vertex_count());
         QueryState {
@@ -196,6 +221,12 @@ impl<'a> SiteWorker<'a> {
             query,
             body,
         )))
+    }
+
+    /// The installed fragment's id (0 before any is installed, when no
+    /// query can be resident either).
+    fn fragment_id(&self) -> usize {
+        self.fragment.get().map_or(0, |f| f.id)
     }
 
     /// Touch `query`'s slot and return it, or the typed `UnknownQuery`
@@ -347,21 +378,15 @@ impl<'a> SiteWorker<'a> {
                 ResponseBody::Ack
             }
             Request::ShipSurvivors { query } => {
+                let fragment = self.fragment_id();
                 let state = match self.state_mut(query) {
                     Ok(s) => s,
                     Err(e) => return e,
                 };
-                ResponseBody::Survivors(
-                    state
-                        .lpms
-                        .iter()
-                        .zip(&state.keep)
-                        .filter(|&(_, &keep)| keep)
-                        .map(|(lpm, _)| lpm.clone())
-                        .collect(),
-                )
+                ResponseBody::Survivors(state.survivors(fragment, 0, usize::MAX).0)
             }
             Request::ShipSurvivorsChunk { query, seq, max } => {
+                let fragment = self.fragment_id();
                 let state = match self.state_mut(query) {
                     Ok(s) => s,
                     Err(e) => return e,
@@ -373,17 +398,9 @@ impl<'a> SiteWorker<'a> {
                         state.ship_seq
                     ));
                 }
-                // Walk the cursor forward, collecting at most `max` kept
-                // LPMs; the cursor only ever advances, so each survivor
-                // ships exactly once across the chunk sequence.
-                let mut lpms = Vec::new();
-                let mut pos = state.ship_pos;
-                while pos < state.lpms.len() && lpms.len() < max {
-                    if state.keep[pos] {
-                        lpms.push(state.lpms[pos].clone());
-                    }
-                    pos += 1;
-                }
+                // The cursor only ever advances, so each survivor ships
+                // exactly once across the chunk sequence.
+                let (lpms, pos) = state.survivors(fragment, state.ship_pos, max);
                 let last = !state.keep[pos..].iter().any(|&k| k);
                 state.ship_pos = pos;
                 state.ship_seq += 1;
@@ -677,7 +694,7 @@ mod tests {
             let mut survivors = |useful: Vec<u32>| {
                 roundtrip(&mut w, &Request::DropPruned { query: Q0, useful });
                 match roundtrip(&mut w, &Request::ShipSurvivors { query: Q0 }) {
-                    ResponseBody::Survivors(lpms) => lpms,
+                    ResponseBody::Survivors(lpms) => lpms.to_lpms(),
                     other => panic!("wrong response: {other:?}"),
                 }
             };
@@ -787,7 +804,7 @@ mod tests {
             };
             assert_eq!(echo, seq, "chunk replies echo the request seq");
             assert!(lpms.len() <= max, "chunk respects the batch bound");
-            all.extend(lpms);
+            all.extend(lpms.to_lpms());
             seq += 1;
             let left = w.status().resident_queries;
             assert_eq!(left, resident - u64::from(last), "chunk {seq} of max {max}");
@@ -815,7 +832,7 @@ mod tests {
                 install(&mut w, id, &q);
                 roundtrip(&mut w, &Request::PartialEval { query: id });
                 let (chunked, chunks) = drain_chunks(&mut w, id, max);
-                assert_eq!(chunked, reference, "max {max}");
+                assert_eq!(chunked, reference.to_lpms(), "max {max}");
                 if max == usize::MAX {
                     assert_eq!(chunks, 1, "unbounded chunk drains in one frame");
                 }

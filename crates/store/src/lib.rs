@@ -31,7 +31,7 @@ pub use candidates::{internal_candidates, stored_candidates, vertex_candidates, 
 pub use encoded::{
     EncodedEdge, EncodedLabel, EncodedQuery, EncodedVertex, RequiredClasses, MAX_QUERY_VERTICES,
 };
-pub use lpm::{Binding, LocalPartialMatch};
+pub use lpm::{Binding, LocalPartialMatch, LpmBatch, LpmRow};
 pub use matcher::{
     find_matches, find_star_matches, local_complete_matches, matches_from, Adjacency,
 };

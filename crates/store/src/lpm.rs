@@ -131,6 +131,169 @@ impl LocalPartialMatch {
     }
 }
 
+/// A borrowed view of one LPM: a row of an [`LpmBatch`], or a whole
+/// [`LocalPartialMatch`] (`From<&LocalPartialMatch>`), so a consumer of
+/// LPMs takes either without copying.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LpmRow<'a> {
+    /// Fragment the match was found in.
+    pub fragment: FragmentId,
+    /// The serialization vector `[f(v1), ..., f(vn)]`.
+    pub binding: &'a [Option<VertexId>],
+    /// Matched crossing edges with their query edges, as in
+    /// [`LocalPartialMatch::crossing`].
+    pub crossing: &'a [(EdgeRef, usize)],
+    /// Bit `i` set iff `f(v_i)` is internal to `fragment`.
+    pub internal_mask: u64,
+}
+
+impl<'a> From<&'a LocalPartialMatch> for LpmRow<'a> {
+    fn from(m: &'a LocalPartialMatch) -> LpmRow<'a> {
+        LpmRow {
+            fragment: m.fragment,
+            binding: &m.binding,
+            crossing: &m.crossing,
+            internal_mask: m.internal_mask,
+        }
+    }
+}
+
+impl LpmRow<'_> {
+    /// The row as an owned [`LocalPartialMatch`].
+    pub fn to_lpm(&self) -> LocalPartialMatch {
+        LocalPartialMatch {
+            fragment: self.fragment,
+            binding: self.binding.to_vec(),
+            crossing: self.crossing.to_vec(),
+            internal_mask: self.internal_mask,
+        }
+    }
+}
+
+/// LPMs of one fragment stored flat: row `i` has binding
+/// `bindings[i·width..(i+1)·width]`, crossing entries
+/// `crossing[ends[i-1]..ends[i]]` (from 0 for the first row) and
+/// `internal_masks[i]`. What one survivor frame decodes into — a
+/// handful of allocations per batch instead of two per LPM.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct LpmBatch {
+    fragment: FragmentId,
+    width: usize,
+    bindings: Vec<Option<VertexId>>,
+    crossing: Vec<(EdgeRef, usize)>,
+    ends: Vec<usize>,
+    internal_masks: Vec<u64>,
+}
+
+impl LpmBatch {
+    /// An empty batch of `fragment`'s LPMs over a `width`-vertex query.
+    pub fn new(fragment: FragmentId, width: usize) -> LpmBatch {
+        LpmBatch {
+            fragment,
+            width,
+            ..LpmBatch::default()
+        }
+    }
+
+    /// The fragment every row was found in.
+    pub fn fragment(&self) -> FragmentId {
+        self.fragment
+    }
+
+    /// Binding width (query vertex count) of every row.
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.internal_masks.len()
+    }
+
+    /// Whether the batch has no rows.
+    pub fn is_empty(&self) -> bool {
+        self.internal_masks.is_empty()
+    }
+
+    /// Row `i`.
+    pub fn row(&self, i: usize) -> LpmRow<'_> {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        LpmRow {
+            fragment: self.fragment,
+            binding: &self.bindings[i * self.width..(i + 1) * self.width],
+            crossing: &self.crossing[start..self.ends[i]],
+            internal_mask: self.internal_masks[i],
+        }
+    }
+
+    /// Every row, in push order.
+    pub fn rows(&self) -> impl ExactSizeIterator<Item = LpmRow<'_>> + '_ {
+        (0..self.len()).map(|i| self.row(i))
+    }
+
+    /// Append a row. Panics if it comes from another fragment or has
+    /// another binding width than the batch.
+    pub fn push<'a>(&mut self, row: impl Into<LpmRow<'a>>) {
+        let row = row.into();
+        assert_eq!(row.fragment, self.fragment, "one batch, one fragment");
+        assert_eq!(row.binding.len(), self.width, "one batch, one width");
+        self.bindings.extend_from_slice(row.binding);
+        self.crossing.extend_from_slice(row.crossing);
+        self.ends.push(self.crossing.len());
+        self.internal_masks.push(row.internal_mask);
+    }
+
+    /// A batch from its flat parts, laid out as the type describes: the
+    /// decoder's path, which writes every LPM of a frame straight into
+    /// these arenas. Panics if the parts disagree on the row count or
+    /// `ends` does not ascend to `crossing.len()`.
+    pub fn from_parts(
+        fragment: FragmentId,
+        width: usize,
+        bindings: Vec<Option<VertexId>>,
+        crossing: Vec<(EdgeRef, usize)>,
+        ends: Vec<usize>,
+        internal_masks: Vec<u64>,
+    ) -> LpmBatch {
+        let rows = internal_masks.len();
+        assert_eq!(ends.len(), rows, "one crossing end per row");
+        assert_eq!(bindings.len(), rows * width, "one binding per row");
+        assert!(
+            ends.windows(2).all(|w| w[0] <= w[1])
+                && ends.last().map_or(0, |&e| e) == crossing.len(),
+            "crossing ends ascend to the arena's length"
+        );
+        LpmBatch {
+            fragment,
+            width,
+            bindings,
+            crossing,
+            ends,
+            internal_masks,
+        }
+    }
+
+    /// The rows as owned [`LocalPartialMatch`]es.
+    pub fn to_lpms(&self) -> Vec<LocalPartialMatch> {
+        self.rows().map(|row| row.to_lpm()).collect()
+    }
+}
+
+/// A batch of `lpms`, which must share one fragment and one binding
+/// width; empty, it is `LpmBatch::default()`.
+impl From<Vec<LocalPartialMatch>> for LpmBatch {
+    fn from(lpms: Vec<LocalPartialMatch>) -> LpmBatch {
+        let mut batch = match lpms.first() {
+            Some(m) => LpmBatch::new(m.fragment, m.binding.len()),
+            None => LpmBatch::default(),
+        };
+        for m in &lpms {
+            batch.push(m);
+        }
+        batch
+    }
+}
+
 /// Pretty-print the serialization vector like the paper's Fig. 3
 /// (`[006,NULL,001,NULL,003]`), using raw term ids.
 pub fn format_binding(b: &Binding) -> String {

@@ -185,3 +185,56 @@ fn distinct_and_limit_apply_end_to_end() {
     let set: std::collections::HashSet<_> = results.vertex_rows().iter().collect();
     assert_eq!(set.len(), 7, "DISTINCT respected");
 }
+
+/// A small LUBM on 4 hash sites under `Full`, every benchmark query, per
+/// stage: the candidate and partial-evaluation frames ship exactly the
+/// bytes they always did, the LEC and assembly stages strictly fewer than
+/// the one-record-per-entry LPM and feature layout (its totals are the
+/// bounds below), and every answer equals the centralized one.
+#[test]
+fn full_variant_stage_shipment_is_pinned_on_lubm() {
+    let mut g = RdfGraph::from_triples(lubm::generate(&LubmConfig {
+        universities: 1,
+        ..Default::default()
+    }));
+    g.finalize();
+    let dist = DistributedGraph::build(g.clone(), &HashPartitioner::new(4));
+    let db = GStoreD::builder()
+        .distributed(dist)
+        .variant(Variant::Full)
+        .build()
+        .unwrap();
+    let mut shipped = [0u64; 4];
+    for bq in queries::lubm_queries() {
+        let query = QueryGraph::from_query(&parse_query(&bq.text).unwrap()).unwrap();
+        let results = db.query(&bq.text).unwrap();
+        let mut got = results.bindings().to_vec();
+        got.sort_unstable();
+        assert_eq!(got, reference(&g, &query), "{}", bq.id);
+        let m = results.metrics();
+        for (total, stage) in shipped.iter_mut().zip([
+            &m.candidates,
+            &m.partial_evaluation,
+            &m.lec_optimization,
+            &m.assembly,
+        ]) {
+            *total += stage.bytes_shipped;
+        }
+    }
+    // The record-per-entry layout's totals: candidates, partial
+    // evaluation, LEC, assembly.
+    let before = [9702, 3550, 11658, 7934];
+    assert_eq!(shipped[..2], before[..2]);
+    assert!(
+        shipped[2] < before[2],
+        "LEC: {} vs {}",
+        shipped[2],
+        before[2]
+    );
+    assert!(
+        shipped[3] < before[3],
+        "assembly: {} vs {}",
+        shipped[3],
+        before[3]
+    );
+}

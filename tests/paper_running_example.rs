@@ -304,3 +304,45 @@ fn projected_rows_are_p2_l_pairs() {
         assert_eq!(&sol["l"], &sol[1]);
     }
 }
+
+/// Fig. 1 under `Full`, per stage: the bytes each stage's frames carry.
+/// The LPM and feature batches ship only what the coordinator cannot
+/// derive, so the LEC and assembly stages ship less than the
+/// one-record-per-entry layout did (its bytes are the bounds below), while
+/// the candidate and partial-evaluation frames are untouched.
+#[test]
+fn full_variant_stage_shipment_is_pinned() {
+    let g = paper_graph();
+    let partitioner = paper_partitioner(&g);
+    let db = GStoreD::builder()
+        .graph(g)
+        .partitioner(partitioner)
+        .variant(Variant::Full)
+        .build()
+        .unwrap();
+    let results = db.query(&paper_query_text()).unwrap();
+    let m = results.metrics();
+    let shipped = [
+        m.candidates.bytes_shipped,
+        m.partial_evaluation.bytes_shipped,
+        m.lec_optimization.bytes_shipped,
+        m.assembly.bytes_shipped,
+    ];
+    // The record-per-entry layout's bytes: candidates, partial
+    // evaluation, LEC, assembly.
+    let before = [744, 60, 277, 215];
+    assert_eq!(shipped[..2], before[..2]);
+    assert!(
+        shipped[2] < before[2],
+        "LEC: {} vs {}",
+        shipped[2],
+        before[2]
+    );
+    assert!(
+        shipped[3] < before[3],
+        "assembly: {} vs {}",
+        shipped[3],
+        before[3]
+    );
+    assert_eq!(results.len(), 4);
+}

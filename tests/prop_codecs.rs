@@ -10,7 +10,7 @@ use gstored::core::protocol::{self, QueryId, Request, Response, ResponseBody, Wo
 use gstored::net::{WireReader, WireWriter};
 use gstored::rdf::{EdgeRef, Literal, Term, TermId, Triple};
 use gstored::store::candidates::BitVectorFilter;
-use gstored::store::LocalPartialMatch;
+use gstored::store::{LocalPartialMatch, LpmBatch};
 
 /// `body` as the reply frame a worker sends.
 fn reply_frame(body: ResponseBody) -> bytes::Bytes {
@@ -103,7 +103,7 @@ proptest! {
                 .collect(),
             internal_mask: mask,
         };
-        let batch = ResponseBody::Survivors(vec![lpm.clone(), lpm]);
+        let batch = ResponseBody::Survivors(vec![lpm.clone(), lpm].into());
         prop_assert_eq!(reply_roundtrip(batch.clone()), batch);
     }
 
@@ -401,13 +401,13 @@ proptest! {
             ResponseBody::BitVectors(vec![BitVectorFilter::new(128)]),
             ResponseBody::PartialEval { locals, lpm_count },
             ResponseBody::Features(compute_lec_features(std::slice::from_ref(&lpm), 0).0),
-            ResponseBody::Survivors(vec![lpm.clone()]),
+            ResponseBody::Survivors(vec![lpm.clone()].into()),
             ResponseBody::SurvivorsChunk {
-                lpms: vec![lpm.clone(), lpm],
+                lpms: vec![lpm.clone(), lpm].into(),
                 seq: chunk_seq,
                 last: chunk_last,
             },
-            ResponseBody::SurvivorsChunk { lpms: vec![], seq: 0, last: true },
+            ResponseBody::SurvivorsChunk { lpms: LpmBatch::default(), seq: 0, last: true },
             ResponseBody::Status(WorkerStatus {
                 resident_queries: status[0],
                 resident_lpms: status[1],
@@ -482,7 +482,7 @@ proptest! {
     ) {
         // Envelope layout: elapsed u64 fixed, query u32 fixed, tag 10
         // (SurvivorsChunk), seq varint, last bool, then the LPM batch,
-        // which opens with its element count.
+        // which opens with its run count.
         let mut w = gstored::net::WireWriter::new();
         w.u64_fixed(0).u32_fixed(qid).u64(10).u64(seq).bool(true).u64(claimed);
         prop_assert!(protocol::decode_response(w.finish()).is_err());
@@ -505,7 +505,7 @@ proptest! {
             protocol::encode_response(&Response {
                 elapsed_nanos: 1,
                 query,
-                body: ResponseBody::SurvivorsChunk { lpms: vec![], seq, last: false },
+                body: ResponseBody::SurvivorsChunk { lpms: LpmBatch::default(), seq, last: false },
             }),
         ] {
             let cut = cut.min(frame.len().saturating_sub(1));
@@ -574,10 +574,13 @@ proptest! {
             let mut request = w.finish().to_vec();
             request.extend_from_slice(&list);
             prop_assert!(protocol::decode_request(request.into()).is_err());
-            // Features: header, tag 5, one feature (fragments, no
-            // mapping, sign), then its sources as the list.
+            // Features: header, tag 5, one feature, flags (shared
+            // fragments, explicit id lists), the fragments, an empty
+            // label table; then the feature (no mapping, sign) and its
+            // sources as the list.
             let mut w = WireWriter::new();
-            w.u64_fixed(0).u32_fixed(qid).u64(5).usize(1).u64(1).usize(0).u64(1);
+            w.u64_fixed(0).u32_fixed(qid).u64(5).usize(1).u64(1).u64(1).usize(0);
+            w.usize(0).u64(1);
             let mut reply = w.finish().to_vec();
             reply.extend_from_slice(&list);
             prop_assert!(protocol::decode_response(reply.into()).is_err());
@@ -652,5 +655,133 @@ proptest! {
         let frame = bytes::Bytes::from(soup.into_iter().map(|b| b as u8).collect::<Vec<u8>>());
         let _ = protocol::decode_request(frame.clone());
         let _ = protocol::decode_response(frame);
+    }
+
+    /// The size law of an LPM run: an LPM with its run's shape (masks,
+    /// crossing query edges and the binding entries of their endpoints)
+    /// and labels costs exactly the varints of its bound ids, whatever
+    /// the ids, masks and slots.
+    #[test]
+    fn lpms_in_a_run_cost_their_bound_ids(
+        fragment in 0usize..16,
+        bound in prop::collection::vec(any::<bool>(), 1..8),
+        slots in prop::collection::vec((0usize..8, 0usize..8, 0usize..8, 0u64..5000), 0..4),
+        rows in prop::collection::vec(prop::collection::vec(0u64..1 << 50, 8), 1..20),
+        mask in any::<u64>(),
+    ) {
+        let width = bound.len();
+        let bound_at: Vec<usize> = (0..width).filter(|&v| bound[v] || v == 0).collect();
+        let lpms: Vec<LocalPartialMatch> = rows
+            .iter()
+            .map(|raw| {
+                // Distinct within the row, so each endpoint has one
+                // binding entry.
+                let binding: Vec<Option<TermId>> = (0..width)
+                    .map(|v| bound_at.contains(&v).then_some(TermId(raw[v] << 3 | v as u64)))
+                    .collect();
+                let id = |k: usize| binding[bound_at[k % bound_at.len()]].unwrap();
+                let crossing = slots
+                    .iter()
+                    .map(|&(qe, a, b, label)| {
+                        (EdgeRef { from: id(a), label: TermId(label), to: id(b) }, qe)
+                    })
+                    .collect();
+                LocalPartialMatch { fragment, binding, crossing, internal_mask: mask }
+            })
+            .collect();
+        let frame = |k: usize| reply_frame(ResponseBody::Survivors(lpms[..k].to_vec().into()));
+        for (k, lpm) in lpms.iter().enumerate().skip(1) {
+            let mut ids = WireWriter::new();
+            for id in lpm.binding.iter().flatten() {
+                ids.u64(id.0);
+            }
+            prop_assert_eq!(frame(k + 1).len() - frame(k).len(), ids.len(), "LPM {}", k);
+        }
+        let batch = ResponseBody::Survivors(lpms.into());
+        prop_assert_eq!(reply_roundtrip(batch.clone()), batch);
+    }
+
+    /// Hostile LPM and feature batches are decode errors — no panic, no
+    /// allocation sized by a claim: a run longer than the frame, a slot
+    /// endpoint past the binding or on an unbound vertex, a bound-vertex
+    /// bit past the binding, a silent LPM in a longer run, slots that
+    /// would repeat into more crossing entries than the frame's bytes
+    /// allow, and a label table naming a query edge twice. Each starts from a valid frame
+    /// that decodes, so each error is the one named.
+    #[test]
+    fn hostile_lpm_and_feature_batches_are_decode_errors(
+        qid in any::<u32>(),
+        width in 2usize..20,
+        claimed in 1_000_000u64..u64::MAX / 2,
+        beyond in 0usize..64,
+        extra in 0u32..44,
+    ) {
+        // A `Survivors` reply (tag 6): one run, fragment 1, `width`
+        // vertices; the run — internal mask, bound mask, one slot (query
+        // edge 0 from binding entry `from − 1` to entry 1, label 7),
+        // `len` LPMs — then the LPMs' bound ids.
+        let lpms = |bound: u64, from: usize, len: u64, rows: &[&[u64]]| {
+            let mut w = WireWriter::new();
+            w.u64_fixed(0).u32_fixed(qid).u64(6).usize(1).usize(1).usize(width);
+            w.u64(1).u64(bound).usize(1).usize(0).usize(from).usize(2).opt_u64(Some(7));
+            w.u64(len);
+            for row in rows {
+                for &id in *row {
+                    w.u64(id);
+                }
+            }
+            protocol::decode_response(w.finish())
+        };
+        let rows: &[&[u64]] = &[&[10, 11], &[12, 13]];
+        prop_assert!(lpms(0b11, 1, 2, rows).is_ok());
+        prop_assert!(lpms(0b11, 1, claimed, rows).is_err());
+        prop_assert!(lpms(0b11, width + 1 + beyond, 2, rows).is_err());
+        prop_assert!(lpms(0b11, 3, 2, rows).is_err());
+        prop_assert!(lpms(0b11 | 1 << (width as u32 + extra), 1, 2, rows).is_err());
+        // A run whose LPMs ship nothing may hold one LPM only.
+        let silent = |len: u64| {
+            let mut w = WireWriter::new();
+            w.u64_fixed(0).u32_fixed(qid).u64(6).usize(1).usize(1).usize(width);
+            w.u64(0).u64(0).usize(0).u64(len);
+            protocol::decode_response(w.finish())
+        };
+        prop_assert!(silent(1).is_ok());
+        prop_assert!(silent(claimed).is_err());
+        // A run's slots repeat in each of its LPMs: 64 slots over LPMs of
+        // one bound id each decode to 64 crossing entries per LPM byte,
+        // past the 16 per frame byte a batch may decode to once the run
+        // is long enough to outweigh its header.
+        let repeated = |len: usize| {
+            let mut w = WireWriter::new();
+            w.u64_fixed(0).u32_fixed(qid).u64(6).usize(1).usize(1).usize(width);
+            w.u64(1).u64(1).usize(64);
+            for qe in 0..64 {
+                w.usize(qe).usize(1).usize(1).opt_u64(Some(7));
+            }
+            w.usize(len);
+            for id in 0..len {
+                w.u64(id as u64 % 100);
+            }
+            protocol::decode_response(w.finish())
+        };
+        prop_assert!(repeated(100).is_ok());
+        prop_assert!(repeated(1_000 + beyond).is_err());
+
+        // A `Features` reply (tag 5): one feature, flags (shared
+        // fragments, numbered ids), fragments 1, first id 0, the label
+        // table, then the feature (one entry: query edge 0, 1 → 2; sign).
+        let features = |table: &[(usize, u64)]| {
+            let mut w = WireWriter::new();
+            w.u64_fixed(0).u32_fixed(qid).u64(5).usize(1).u64(3).u64(1).u64(0);
+            w.usize(table.len());
+            for &(qe, label) in table {
+                w.usize(qe).u64(label);
+            }
+            w.usize(1).usize(0).u64(1).u64(2).u64(1);
+            protocol::decode_response(w.finish())
+        };
+        prop_assert!(features(&[(0, 5), (1, 6)]).is_ok());
+        prop_assert!(features(&[(0, 5), (0, 6)]).is_err());
+        prop_assert!(features(&[(1, 5), (0, 6)]).is_err());
     }
 }
