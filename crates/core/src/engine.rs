@@ -52,9 +52,10 @@
 //! ReleaseQuery]` per site and only the result bindings ship.
 //!
 //! The workers are reached through a pluggable [`Transport`]: the
-//! [`Backend::InProcess`] default runs them as scoped threads behind
-//! channels; [`Backend::Tcp`] speaks the same frames to remote
-//! `gstored-worker` processes. Both exchange byte-identical frames, so
+//! [`Backend::InProcess`] default runs every site as a step handler on
+//! one pool of `available_parallelism()` threads (the site executor of
+//! `gstored_net::executor`), answering over channels; [`Backend::Tcp`]
+//! speaks the same frames to remote `gstored-worker` processes. Both exchange byte-identical frames, so
 //! results *and* shipment metrics are independent of the backend.
 //!
 //! Every per-query frame carries a [`QueryId`], and a pipeline ends with
@@ -164,9 +165,10 @@ impl Variant {
 /// Which distributed runtime executes the sites.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum Backend {
-    /// Persistent worker threads behind in-process channels (the
-    /// default). Deterministic and dependency-free, yet every inter-site
-    /// payload is a real serialized frame.
+    /// Persistent in-process site workers, run as step handlers on one
+    /// pool of `available_parallelism()` threads and answering over
+    /// channels (the default). Deterministic and dependency-free, yet
+    /// every inter-site payload is a real serialized frame.
     #[default]
     InProcess,
     /// Remote `gstored-worker` processes over TCP, one address per

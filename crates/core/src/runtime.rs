@@ -513,9 +513,10 @@ impl<'t> WorkerPool<'t> {
     /// coordinator between steps, so a straggler delays only this
     /// phase's single collection point.
     ///
-    /// Charging: each step's request and reply bytes go to that step's
-    /// [`Stage`]; the chain envelopes' bytes and the two messages go to
-    /// the first step's. Each step's slowest site is added to its
+    /// Charging: each step's request and reply bytes, with the length
+    /// prefixes they travel under, go to that step's [`Stage`]; the rest
+    /// of the chain envelopes and the two messages go to the first
+    /// step's. Each step's slowest site is added to its
     /// stage's wall (sites overlap; a stage ends when its slowest site
     /// does). All chains of one phase must have the same step stages.
     ///
@@ -613,7 +614,7 @@ impl<'t> WorkerPool<'t> {
         let steps: Vec<(usize, Response)> = match response.body {
             ResponseBody::Chain(frames) if wave.steps.len() > 1 => frames
                 .into_iter()
-                .map(|frame| Ok((frame.len(), protocol::decode_response(frame)?)))
+                .map(|frame| Ok((prefixed(frame.len()), protocol::decode_response(frame)?)))
                 .collect::<Result<_, EngineError>>()
                 .unwrap_or_else(|e| {
                     undecodable = Some(e);
@@ -768,7 +769,8 @@ impl Stage {
 #[derive(Debug, Clone)]
 pub struct Chain {
     frame: Bytes,
-    /// Per step: its encoded length and the stage it is charged to.
+    /// Per step: its bytes on the wire (with its length prefix inside a
+    /// [`Request::Chain`]) and the stage they are charged to.
     steps: Vec<(usize, Stage)>,
 }
 
@@ -783,11 +785,22 @@ impl Chain {
                 protocol::encode_chain(query, &frames)
             }
         };
+        let chained = steps.len() > 1;
         Chain {
             frame,
-            steps: steps.iter().map(|(f, stage)| (f.len(), *stage)).collect(),
+            steps: steps
+                .iter()
+                .map(|(f, stage)| (if chained { prefixed(f.len()) } else { f.len() }, *stage))
+                .collect(),
         }
     }
+}
+
+/// What a chain step of `len` bytes takes on the wire: the step and the
+/// varint length prefix it travels under, both charged to its stage.
+fn prefixed(len: usize) -> usize {
+    let bits = usize::BITS - (len | 1).leading_zeros();
+    len + bits.div_ceil(7) as usize
 }
 
 /// The replies of one wave of same-shaped chains — a phase, or a
@@ -1214,6 +1227,64 @@ mod tests {
             assert_eq!(metrics.total_shipped(), transport.counters().bytes());
             pool.release_quietly(&mut metrics.assembly);
         });
+    }
+
+    /// Each step's length prefix is charged to that step's own stage, in
+    /// both directions: a later step past 127 bytes (a two-byte prefix)
+    /// moves only its own stage, and the stages still add up to the
+    /// frames on the transport.
+    #[test]
+    fn a_chain_step_carries_its_own_length_prefix() {
+        use gstored_net::InProcessTransport;
+        let (transport, endpoints) = InProcessTransport::pair(1);
+        let router = ReplyRouter::new(1);
+        let pool = WorkerPool::new(&transport, &router, NetworkModel::instant(), Q0);
+        let release = protocol::encode_request(&Request::ReleaseQuery { query: Q0 });
+        let bulky = protocol::encode_request(&Request::PartialEval { query: Q0 });
+        let mut bulky = bulky.to_vec();
+        bulky.resize(200, 0);
+        let bulky = Bytes::from(bulky);
+        let chain = Chain::new(
+            Q0,
+            &[
+                (release.clone(), Stage::Candidates),
+                (bulky.clone(), Stage::Assembly),
+            ],
+        );
+        let mut metrics = QueryMetrics::default();
+        pool.send(0, &chain, &mut metrics).unwrap();
+        assert_eq!(metrics.assembly.bytes_shipped, 200 + 2);
+        assert_eq!(
+            metrics.candidates.bytes_shipped,
+            chain.frame.len() as u64 - 202
+        );
+
+        let reply = |body: ResponseBody| {
+            protocol::encode_response(&Response {
+                elapsed_nanos: 0,
+                query: Q0,
+                body,
+            })
+        };
+        let ack = reply(ResponseBody::Ack);
+        let error = reply(ResponseBody::Error("x".repeat(300)));
+        assert!(endpoints[0].send(reply(ResponseBody::Chain(vec![ack.clone(), error.clone()]))));
+        let mut metrics = QueryMetrics::default();
+        let mut wave = Wave::new(&chain);
+        let got = pool.receive(0, &chain, &mut wave, &mut metrics);
+        assert!(matches!(got, Err(EngineError::Worker(_))), "{got:?}");
+        assert_eq!(
+            metrics.assembly.bytes_shipped,
+            error.len() as u64 + 2,
+            "the error step and its two-byte prefix"
+        );
+        assert_eq!(
+            metrics.total_shipped() + chain.frame.len() as u64,
+            transport.counters().bytes()
+        );
+        assert_eq!(prefixed(127), 128);
+        assert_eq!(prefixed(128), 130);
+        assert_eq!(prefixed(0), 1);
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! The site worker: one persistent process/thread per fragment.
+//! The site worker: one persistent state machine per fragment, run as a
+//! step handler on the in-process site executor's pool or on its own
+//! thread per TCP connection in a `gstored-worker` process.
 //!
 //! A [`SiteWorker`] owns its [`Fragment`] plus a **table of per-query
 //! state slots** keyed by [`QueryId`] (the installed query, its internal
@@ -40,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use fxhash::FxHashMap;
-use gstored_net::worker::{serve_endpoint, serve_stream, ServeOutcome};
+use gstored_net::worker::{serve_stream, ServeOutcome};
 use gstored_net::InProcessTransport;
 use gstored_partition::{DistributedGraph, Fragment};
 use gstored_rdf::VertexId;
@@ -60,12 +62,14 @@ use crate::protocol::{self, QueryId, Request, Response, ResponseBody, WorkerStat
 pub const DEFAULT_QUERY_CAPACITY: usize = 64;
 
 /// The fragment a worker evaluates over: borrowed from the coordinator's
-/// [`DistributedGraph`] (in-process backend) or owned after an
-/// `InstallFragment` message (remote backend).
+/// [`DistributedGraph`] (in-process backend: by reference for a one-shot
+/// fleet, through the session's shared graph for a persistent one) or
+/// owned after an `InstallFragment` message (remote backend).
 #[derive(Debug)]
 enum FragmentSlot<'a> {
     Empty,
     Borrowed(&'a Fragment),
+    Shared(Arc<DistributedGraph>, usize),
     Owned(Box<Fragment>),
 }
 
@@ -74,6 +78,7 @@ impl FragmentSlot<'_> {
         match self {
             FragmentSlot::Empty => None,
             FragmentSlot::Borrowed(f) => Some(f),
+            FragmentSlot::Shared(dist, site) => Some(&dist.fragments[*site]),
             FragmentSlot::Owned(f) => Some(f),
         }
     }
@@ -165,19 +170,25 @@ impl<'a> SiteWorker<'a> {
     /// A worker with no fragment yet; expects `InstallFragment` first
     /// (the remote deployment shape, used by `gstored-worker`).
     pub fn empty() -> SiteWorker<'static> {
-        SiteWorker {
-            fragment: FragmentSlot::Empty,
-            queries: FxHashMap::default(),
-            capacity: DEFAULT_QUERY_CAPACITY,
-            clock: 0,
-            evictions: 0,
-        }
+        SiteWorker::serving(FragmentSlot::Empty)
     }
 
     /// A worker serving a borrowed fragment (the in-process backend).
     pub fn for_fragment(fragment: &'a Fragment) -> SiteWorker<'a> {
+        SiteWorker::serving(FragmentSlot::Borrowed(fragment))
+    }
+
+    /// A worker serving fragment `site` of a shared graph: the
+    /// in-process backend of a session, whose handlers outlive any one
+    /// borrow.
+    pub fn for_site(dist: Arc<DistributedGraph>, site: usize) -> SiteWorker<'static> {
+        assert!(site < dist.fragment_count(), "no fragment {site}");
+        SiteWorker::serving(FragmentSlot::Shared(dist, site))
+    }
+
+    fn serving<'f>(fragment: FragmentSlot<'f>) -> SiteWorker<'f> {
         SiteWorker {
-            fragment: FragmentSlot::Borrowed(fragment),
+            fragment,
             queries: FxHashMap::default(),
             capacity: DEFAULT_QUERY_CAPACITY,
             clock: 0,
@@ -526,16 +537,19 @@ pub fn serve_tcp_with_options(listener: TcpListener, capacity: usize) -> std::io
         stream.set_nodelay(true)?;
         stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         let stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            let mut worker = SiteWorker::empty().with_capacity(capacity);
-            if let Ok(ServeOutcome::Stopped) =
-                serve_stream(&mut stream, |frame| worker.handle(frame))
-            {
-                stop.store(true, Ordering::SeqCst);
-                // Wake the accept loop so it observes the stop flag.
-                let _ = TcpStream::connect(wake_addr);
-            }
-        });
+        std::thread::Builder::new()
+            .name("gstored-conn".into())
+            .spawn(move || {
+                let mut worker = SiteWorker::empty().with_capacity(capacity);
+                if let Ok(ServeOutcome::Stopped) =
+                    serve_stream(&mut stream, |frame| worker.handle(frame))
+                {
+                    stop.store(true, Ordering::SeqCst);
+                    // Wake the accept loop so it observes the stop flag.
+                    let _ = TcpStream::connect(wake_addr);
+                }
+            })
+            .expect("spawn a worker connection thread");
     }
 }
 
@@ -545,35 +559,30 @@ pub fn send_shutdown<A: std::net::ToSocketAddrs>(addr: A) -> std::io::Result<()>
     gstored_net::transport::write_frame(&mut stream, &protocol::encode_request(&Request::Shutdown))
 }
 
-/// Stand up one in-process worker per fragment of `dist` (scoped threads
-/// behind an [`InProcessTransport`]), run `f` against the transport, then
-/// tear the workers down. The workers borrow their fragments; no
+/// Stand up one in-process worker per fragment of `dist` (step handlers
+/// on the site executor's pool, scoped to this call, behind an
+/// [`InProcessTransport`]), run `f` against the transport, then tear the
+/// workers down. The workers borrow their fragments; no
 /// `InstallFragment` setup frames are exchanged.
 ///
 /// The one-shot fleet for tests, experiments and harnesses that drive
 /// `Engine::execute_on` against a transport they can inspect (e.g. to
 /// compare shipment metrics with the transport's own frame counters).
-/// Long-lived sessions use the equivalent persistent fleet kept by
+/// Long-lived sessions keep the equivalent persistent fleet in
 /// `gstored::GStoreD` instead, so concurrent queries share one set of
-/// workers.
+/// workers; both run on the same executor.
 pub fn with_in_process_workers<T>(
     dist: &DistributedGraph,
     f: impl FnOnce(&InProcessTransport) -> T,
 ) -> T {
-    let (transport, endpoints) = InProcessTransport::pair(dist.fragment_count());
     std::thread::scope(|scope| {
-        for (site, endpoint) in endpoints.into_iter().enumerate() {
-            let fragment = &dist.fragments[site];
-            scope.spawn(move || {
-                let mut worker = SiteWorker::for_fragment(fragment);
-                serve_endpoint(endpoint, |frame| worker.handle(frame))
-            });
-        }
-        let out = f(&transport);
-        // Dropping the transport closes the channels; the worker loops
-        // end and the scope joins them.
-        drop(transport);
-        out
+        let transport = InProcessTransport::pooled_in(scope, dist.fragment_count(), |site| {
+            let mut worker = SiteWorker::for_fragment(&dist.fragments[site]);
+            move |frame| worker.handle(frame)
+        });
+        // Dropping the transport (here, or while unwinding out of `f`)
+        // stops the pool; the scope joins its threads.
+        f(&transport)
     })
 }
 

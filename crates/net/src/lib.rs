@@ -12,8 +12,10 @@
 //!   engine ships is encoded through it, so shipment numbers are real
 //!   serialized sizes, not estimates.
 //! * [`transport`] — the [`Transport`] trait, the in-process backend
-//!   [`InProcessTransport`] (threads + channels, deterministic) and the
+//!   [`InProcessTransport`] (channels, deterministic) and the
 //!   length-prefixed TCP frame codec.
+//! * [`executor`] — the pool of `available_parallelism()` threads that
+//!   runs every in-process site as a step handler.
 //! * [`reactor`] — [`ReactorTransport`], the TCP backend: one epoll
 //!   I/O thread services every site socket through per-connection
 //!   partial-frame state machines (Linux only).
@@ -29,6 +31,7 @@
 
 pub mod chaos;
 pub mod cluster;
+pub mod executor;
 pub mod metrics;
 pub mod reactor;
 pub mod transport;

@@ -5,7 +5,9 @@
 //! module holds the trait, the in-process backend and the TCP frame
 //! codec:
 //!
-//! * [`InProcessTransport`] — worker threads connected by channels. The
+//! * [`InProcessTransport`] — sites in the coordinator's process, run as
+//!   step handlers on one pool of `available_parallelism()` threads (the
+//!   [`executor`]) and answering over channels. The
 //!   default backend: deterministic, no sockets, but every frame is still
 //!   a real serialized byte buffer, so shipment accounting is identical
 //!   to a networked deployment.
@@ -21,11 +23,13 @@
 use std::io::{self, IoSlice, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, RwLock};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
+use std::thread::{JoinHandle, Scope};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+
+use crate::executor::{self, Mailboxes};
 
 /// Upper bound on a single frame's payload length (1 GiB). A length
 /// prefix above this is treated as a corrupt stream rather than an
@@ -211,42 +215,38 @@ impl InProcessEndpoint {
     }
 }
 
-/// What serves one site of an [`InProcessTransport::spawn`]ed fleet:
-/// called on a fresh thread with the site index and its endpoint, it
-/// runs that site's worker loop until the endpoint hangs up.
-type ServeSite = dyn Fn(usize, InProcessEndpoint) + Send + Sync;
-
-/// Channel-backed transport: `k` worker endpoints.
-/// [`InProcessTransport::pair`] hands the endpoints to the caller,
-/// typically served by scoped threads for the duration of one query;
-/// [`InProcessTransport::spawn`] serves them on threads the transport
-/// owns, respawns a site's worker on [`Transport::reconnect`], and joins
-/// them all on drop. Dropping the transport closes every channel, which
-/// ends the worker loops.
-pub struct InProcessTransport {
-    /// Behind a lock per site only so `reconnect` can swap a site's
-    /// channel pair; sends share the read side and never wait on each
-    /// other.
-    to_workers: Vec<RwLock<Sender<Bytes>>>,
-    from_workers: Vec<Mutex<Receiver<Bytes>>>,
-    counters: TransferCounters,
-    /// `Some` for a spawned fleet: what (re)starts a site's worker.
-    serve: Option<Arc<ServeSite>>,
-    /// The spawned fleet's worker threads, one per site (empty for
-    /// [`InProcessTransport::pair`]).
-    threads: Mutex<Vec<JoinHandle<()>>>,
+/// Where an [`InProcessTransport`]'s request frames go.
+#[derive(Debug)]
+enum Requests {
+    /// One channel per site, served by the caller through the
+    /// [`InProcessEndpoint`]s of [`InProcessTransport::pair`].
+    Endpoints(Vec<Sender<Bytes>>),
+    /// The site mailboxes of the transport's [`executor`].
+    Pool(Arc<Mailboxes>),
 }
 
-/// One site's fresh channel pair: the coordinator's request sender and
-/// reply receiver, and the worker's endpoint.
-fn site_channel() -> (Sender<Bytes>, Receiver<Bytes>, InProcessEndpoint) {
-    let (req_tx, req_rx) = channel();
-    let (resp_tx, resp_rx) = channel();
-    let endpoint = InProcessEndpoint {
-        rx: req_rx,
-        tx: resp_tx,
-    };
-    (req_tx, resp_rx, endpoint)
+/// Channel-backed transport to `k` in-process sites.
+///
+/// [`InProcessTransport::pooled`] (and its scoped twin
+/// [`InProcessTransport::pooled_in`]) runs every site as a step handler
+/// on one pool of `available_parallelism()` threads — the
+/// [`executor`] — and can
+/// [reconnect](Transport::reconnect) a site by giving it a fresh
+/// handler. [`InProcessTransport::pair`] hands per-site endpoints to the
+/// caller instead, to be served by threads of the caller's own.
+/// Replies come back over one channel per site either way. Dropping the
+/// transport stops the pool (joining the threads it owns) or hangs up
+/// the endpoints.
+#[derive(Debug)]
+pub struct InProcessTransport {
+    requests: Requests,
+    /// Behind a lock per site so one reader at a time receives, and so
+    /// `reconnect` can swap a site's reply channel.
+    from_workers: Vec<Mutex<Receiver<Bytes>>>,
+    counters: TransferCounters,
+    /// The pool threads of a [`InProcessTransport::pooled`] fleet (a
+    /// scoped fleet's are joined by its scope).
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl InProcessTransport {
@@ -260,45 +260,61 @@ impl InProcessTransport {
         let mut from_workers = Vec::with_capacity(sites);
         let mut endpoints = Vec::with_capacity(sites);
         for _ in 0..sites {
-            let (tx, rx, endpoint) = site_channel();
-            to_workers.push(RwLock::new(tx));
-            from_workers.push(Mutex::new(rx));
-            endpoints.push(endpoint);
+            let (req_tx, req_rx) = channel();
+            let (resp_tx, resp_rx) = channel();
+            to_workers.push(req_tx);
+            from_workers.push(resp_rx);
+            endpoints.push(InProcessEndpoint {
+                rx: req_rx,
+                tx: resp_tx,
+            });
         }
-        (
-            InProcessTransport {
-                to_workers,
-                from_workers,
-                counters: TransferCounters::default(),
-                serve: None,
-                threads: Mutex::new(Vec::new()),
-            },
-            endpoints,
-        )
+        let transport = InProcessTransport::new(Requests::Endpoints(to_workers), from_workers);
+        (transport, endpoints)
     }
 
-    /// A fleet of `sites` workers on threads the transport owns: `serve`
-    /// runs on its own thread per site with that site's endpoint, and
-    /// runs again on a fresh thread and channel when the site is
-    /// [reconnected](Transport::reconnect). Dropping the transport hangs
-    /// up every channel and joins the threads.
-    pub fn spawn(
+    /// A fleet of `sites` step handlers on a pool of
+    /// `available_parallelism()` threads the transport owns, named
+    /// `gstored-site-{i}`. `make(site)` builds a site's handler, at start
+    /// and after each [reconnect](Transport::reconnect). Dropping the
+    /// transport stops and joins the pool.
+    pub fn pooled<H>(
         sites: usize,
-        serve: impl Fn(usize, InProcessEndpoint) + Send + Sync + 'static,
-    ) -> InProcessTransport {
-        let (mut transport, endpoints) = Self::pair(sites);
-        let serve: Arc<ServeSite> = Arc::new(serve);
-        let threads = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(site, endpoint)| {
-                let serve = Arc::clone(&serve);
-                std::thread::spawn(move || serve(site, endpoint))
-            })
-            .collect();
-        transport.threads = Mutex::new(threads);
-        transport.serve = Some(serve);
+        make: impl Fn(usize) -> H + Send + Sync + 'static,
+    ) -> InProcessTransport
+    where
+        H: FnMut(Bytes) -> Option<Bytes> + Send + 'static,
+    {
+        let (mailboxes, receivers, pool) = executor::start(sites, make);
+        let mut transport = InProcessTransport::new(Requests::Pool(mailboxes), receivers);
+        transport.threads = executor::spawn(pool);
         transport
+    }
+
+    /// [`InProcessTransport::pooled`] on threads of `scope`, so the
+    /// handlers may borrow what outlives the scope. Drop the transport
+    /// before the scope ends: that stops the pool, and the scope joins
+    /// its threads.
+    pub fn pooled_in<'scope, 'env, H>(
+        scope: &'scope Scope<'scope, 'env>,
+        sites: usize,
+        make: impl Fn(usize) -> H + Send + Sync + 'env,
+    ) -> InProcessTransport
+    where
+        H: FnMut(Bytes) -> Option<Bytes> + Send + 'env,
+    {
+        let (mailboxes, receivers, pool) = executor::start(sites, make);
+        executor::spawn_in(scope, pool);
+        InProcessTransport::new(Requests::Pool(mailboxes), receivers)
+    }
+
+    fn new(requests: Requests, from_workers: Vec<Receiver<Bytes>>) -> InProcessTransport {
+        InProcessTransport {
+            requests,
+            from_workers: from_workers.into_iter().map(Mutex::new).collect(),
+            counters: TransferCounters::default(),
+            threads: Vec::new(),
+        }
     }
 
     /// Frame/byte totals moved through this transport so far.
@@ -307,31 +323,22 @@ impl InProcessTransport {
     }
 }
 
-impl std::fmt::Debug for InProcessTransport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("InProcessTransport")
-            .field("sites", &self.to_workers.len())
-            .field("owns_workers", &self.serve.is_some())
-            .field("counters", &self.counters)
-            .finish()
-    }
-}
-
 impl Transport for InProcessTransport {
     fn sites(&self) -> usize {
-        self.to_workers.len()
+        self.from_workers.len()
     }
 
     fn send(&self, site: usize, frame: Bytes) -> Result<(), TransportError> {
-        let tx = self
-            .to_workers
-            .get(site)
-            .ok_or(TransportError::UnknownSite { site })?;
+        if site >= self.sites() {
+            return Err(TransportError::UnknownSite { site });
+        }
         self.counters.record(frame.len());
-        tx.read()
-            .expect("transport sender poisoned")
-            .send(frame)
-            .map_err(|_| TransportError::Closed { site })
+        match &self.requests {
+            Requests::Endpoints(to_workers) => to_workers[site]
+                .send(frame)
+                .map_err(|_| TransportError::Closed { site }),
+            Requests::Pool(mailboxes) => mailboxes.post(site, frame),
+        }
     }
 
     fn recv_deadline(&self, site: usize, deadline: Instant) -> Result<Bytes, TransportError> {
@@ -349,50 +356,32 @@ impl Transport for InProcessTransport {
         Ok(frame)
     }
 
-    /// Give `site` a fresh channel pair and a fresh worker thread. The
-    /// old request channel hangs up first, so the old worker's loop ends
-    /// after the frame it is on, and a receive still blocked on its
-    /// reply channel returns before that channel is replaced. Frames
-    /// queued on the old channels are dropped with them.
+    /// Start `site` over with a fresh handler: frames still queued for
+    /// it are dropped, and so is any reply its old handler has yet to
+    /// emit. The old reply channel hangs up first, so a receive still
+    /// blocked on it returns before it is replaced.
     fn reconnect(&self, site: usize) -> Result<(), TransportError> {
-        let tx_slot = self
-            .to_workers
+        let slot = self
+            .from_workers
             .get(site)
             .ok_or(TransportError::UnknownSite { site })?;
-        let Some(serve) = &self.serve else {
+        let Requests::Pool(mailboxes) = &self.requests else {
             return Err(TransportError::Io(format!(
                 "site {site}'s worker is not owned by this transport, so it cannot be restarted"
             )));
         };
-        let (tx, rx, endpoint) = site_channel();
-        *tx_slot.write().expect("transport sender poisoned") = tx;
-        *self.from_workers[site]
-            .lock()
-            .expect("transport receiver poisoned") = rx;
-        let serve = Arc::clone(serve);
-        let worker = std::thread::spawn(move || serve(site, endpoint));
-        let old = std::mem::replace(
-            &mut self.threads.lock().expect("transport threads poisoned")[site],
-            worker,
-        );
-        // The old loop has lost its channel, so this waits at most for
-        // the frame it was serving. A panic there is the failure this
-        // reconnect repairs; the fresh worker is already serving.
-        let _ = old.join();
+        let rx = mailboxes.reset(site);
+        *slot.lock().expect("transport receiver poisoned") = rx;
         Ok(())
     }
 }
 
 impl Drop for InProcessTransport {
     fn drop(&mut self) {
-        // Hanging up the request channels ends every owned serve loop;
-        // then the threads can be joined.
-        self.to_workers.clear();
-        let threads = self
-            .threads
-            .get_mut()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for handle in threads.drain(..) {
+        if let Requests::Pool(mailboxes) = &self.requests {
+            mailboxes.stop();
+        }
+        for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
     }

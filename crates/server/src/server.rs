@@ -127,17 +127,24 @@ impl SparqlServer {
 
         let pool = session.engine().config().max_concurrent_queries.max(1);
         let mut workers = Vec::with_capacity(pool);
-        for _ in 0..pool {
+        for i in 0..pool {
             let queue = Arc::clone(&queue);
             let session = Arc::clone(&session);
             let counters = Arc::clone(&counters);
             let config = Arc::clone(&config);
             let shutdown = Arc::clone(&shutdown);
-            workers.push(std::thread::spawn(move || {
-                while let Some(stream) = queue.pop() {
-                    serve_connection(&session, &config, &counters, &queue, &shutdown, stream);
-                }
-            }));
+            workers.push(
+                std::thread::Builder::new()
+                    .name(format!("gstored-http-{i}"))
+                    .spawn(move || {
+                        while let Some(stream) = queue.pop() {
+                            serve_connection(
+                                &session, &config, &counters, &queue, &shutdown, stream,
+                            );
+                        }
+                    })
+                    .expect("spawn an HTTP worker thread"),
+            );
         }
 
         let accept = {
@@ -145,33 +152,36 @@ impl SparqlServer {
             let counters = Arc::clone(&counters);
             let config = Arc::clone(&config);
             let shutdown = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                while !shutdown.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            let _ = stream.set_read_timeout(Some(config.read_timeout));
-                            let _ = stream.set_nodelay(true);
-                            match queue.push(stream) {
-                                Ok(()) => {
-                                    counters.admitted.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(mut stream) => {
-                                    counters.rejected.fetch_add(1, Ordering::Relaxed);
-                                    let _ = reject_overload(&config, &mut stream);
+            std::thread::Builder::new()
+                .name("gstored-accept".into())
+                .spawn(move || {
+                    while !shutdown.load(Ordering::SeqCst) {
+                        match listener.accept() {
+                            Ok((stream, _)) => {
+                                let _ = stream.set_read_timeout(Some(config.read_timeout));
+                                let _ = stream.set_nodelay(true);
+                                match queue.push(stream) {
+                                    Ok(()) => {
+                                        counters.admitted.fetch_add(1, Ordering::Relaxed);
+                                    }
+                                    Err(mut stream) => {
+                                        counters.rejected.fetch_add(1, Ordering::Relaxed);
+                                        let _ = reject_overload(&config, &mut stream);
+                                    }
                                 }
                             }
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(_) => {
-                            // Transient accept failures (e.g. a peer that
-                            // reset mid-handshake) are not fatal.
-                            std::thread::sleep(Duration::from_millis(5));
+                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                                std::thread::sleep(Duration::from_millis(5));
+                            }
+                            Err(_) => {
+                                // Transient accept failures (e.g. a peer that
+                                // reset mid-handshake) are not fatal.
+                                std::thread::sleep(Duration::from_millis(5));
+                            }
                         }
                     }
-                }
-            })
+                })
+                .expect("spawn the HTTP accept thread")
         };
 
         Ok(ServerHandle {

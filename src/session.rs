@@ -29,7 +29,6 @@ use gstored_core::protocol::QueryId;
 use gstored_core::runtime::{QueryExecutor, QueryTicket, ReplyRouter, WorkerPool};
 use gstored_core::worker::SiteWorker;
 use gstored_core::{EngineError, WorkerStatus, MAX_SITES};
-use gstored_net::worker::serve_endpoint;
 use gstored_net::{
     ChaosConfig, ChaosTransport, InProcessTransport, NetworkModel, QueryMetrics, Transport,
 };
@@ -138,7 +137,7 @@ const HEALTH_PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 /// query, and the owner of its recovery: the transport (in-process
 /// channels or TCP sockets), the reply router demultiplexing
 /// interleaved replies, what a repair needs, and the counters it moves.
-/// In-process worker threads belong to the transport.
+/// In-process site handlers run on the transport's executor pool.
 ///
 /// Established on first execution and kept for the session's lifetime:
 /// a broken site is repaired in place, so the fleet is never replaced.
@@ -292,8 +291,9 @@ impl Fleet {
     }
 }
 
-/// Persistent in-process workers, one thread per fragment, borrowing the
-/// fragments through the session's shared graph. The state-table
+/// Persistent in-process workers: one step handler per fragment on the
+/// site executor's pool of `available_parallelism()` threads, borrowing
+/// the fragments through the session's shared graph. The state-table
 /// capacity must exceed the session's admission bound, or legitimate
 /// concurrent load would LRU-evict in-flight queries; remote
 /// `gstored-worker` processes need the same headroom via `--capacity`.
@@ -301,9 +301,9 @@ fn in_process_workers(dist: &Arc<DistributedGraph>, max_concurrent: usize) -> In
     let capacity =
         gstored_core::worker::DEFAULT_QUERY_CAPACITY.max(max_concurrent.saturating_mul(2));
     let dist = Arc::clone(dist);
-    InProcessTransport::spawn(dist.fragment_count(), move |site, endpoint| {
-        let mut worker = SiteWorker::for_fragment(&dist.fragments[site]).with_capacity(capacity);
-        serve_endpoint(endpoint, |frame| worker.handle(frame));
+    InProcessTransport::pooled(dist.fragment_count(), move |site| {
+        let mut worker = SiteWorker::for_site(Arc::clone(&dist), site).with_capacity(capacity);
+        move |frame| worker.handle(frame)
     })
 }
 
