@@ -102,6 +102,10 @@ pub(crate) fn spawn_in<'scope, 'env>(scope: &'scope Scope<'scope, 'env>, pool: A
 pub(crate) struct Mailboxes {
     state: Mutex<Ready>,
     wake: Condvar,
+    /// Per site: the generation its reply channel belongs to, and the
+    /// channel (`None` once closed). Apart from `state` so a reply is
+    /// sent without holding the queue's lock.
+    replies: Vec<Mutex<(u64, Option<Sender<Bytes>>)>>,
 }
 
 #[derive(Debug)]
@@ -109,8 +113,11 @@ struct Ready {
     /// Sites with a frame to run, oldest first.
     queue: VecDeque<usize>,
     sites: Vec<Mailbox>,
-    /// Pool threads waiting on `wake`: a post notifies only when one is.
+    /// Pool threads waiting on `wake` and not yet woken: a post wakes
+    /// one only when there is one.
     idle: usize,
+    /// Wake-ups posted and not yet taken by a waiting thread.
+    wakeups: usize,
     stopped: bool,
 }
 
@@ -120,34 +127,38 @@ struct Mailbox {
     /// On the ready queue or being run: at most one job per site.
     busy: bool,
     generation: u64,
-    /// Where the site's replies go; `None` once the site is closed (its
-    /// handler stopped or panicked) until a reconnect reopens it.
-    replies: Option<Sender<Bytes>>,
+    /// `false` once the site is closed (its handler stopped or
+    /// panicked) until a reconnect reopens it.
+    open: bool,
 }
 
 impl Mailboxes {
     /// Mailboxes for `sites` sites, and each site's reply receiver.
     fn new(sites: usize) -> (Arc<Mailboxes>, Vec<Receiver<Bytes>>) {
-        let (sites, receivers) = (0..sites)
+        let (replies, receivers) = (0..sites)
             .map(|_| {
                 let (tx, rx) = channel();
-                let mailbox = Mailbox {
-                    frames: VecDeque::new(),
-                    busy: false,
-                    generation: 0,
-                    replies: Some(tx),
-                };
-                (mailbox, rx)
+                (Mutex::new((0, Some(tx))), rx)
             })
             .unzip();
+        let sites = (0..sites)
+            .map(|_| Mailbox {
+                frames: VecDeque::new(),
+                busy: false,
+                generation: 0,
+                open: true,
+            })
+            .collect();
         let mailboxes = Mailboxes {
             state: Mutex::new(Ready {
                 queue: VecDeque::new(),
                 sites,
                 idle: 0,
+                wakeups: 0,
                 stopped: false,
             }),
             wake: Condvar::new(),
+            replies,
         };
         (Arc::new(mailboxes), receivers)
     }
@@ -166,7 +177,7 @@ impl Mailboxes {
     pub(crate) fn post(&self, site: usize, frame: Bytes) -> Result<(), TransportError> {
         let mut ready = self.lock();
         let mailbox = &mut ready.sites[site];
-        if mailbox.replies.is_none() {
+        if !mailbox.open {
             return Err(TransportError::Closed { site });
         }
         mailbox.frames.push_back(frame);
@@ -174,6 +185,8 @@ impl Mailboxes {
             mailbox.busy = true;
             ready.queue.push_back(site);
             if ready.idle > 0 {
+                ready.idle -= 1;
+                ready.wakeups += 1;
                 self.wake.notify_one();
             }
         }
@@ -189,8 +202,17 @@ impl Mailboxes {
         let mailbox = &mut ready.sites[site];
         mailbox.generation += 1;
         mailbox.frames.clear();
-        mailbox.replies = Some(tx);
+        mailbox.open = true;
+        // Still under the queue's lock, so no job of the old generation
+        // can pass the generation check and send on the old channel.
+        *self.reply_slot(site) = (mailbox.generation, Some(tx));
         rx
+    }
+
+    fn reply_slot(&self, site: usize) -> MutexGuard<'_, (u64, Option<Sender<Bytes>>)> {
+        self.replies[site]
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Stop the pool: every thread returns once its current job ends.
@@ -230,12 +252,22 @@ impl<'h> Sites<'h> {
                     return;
                 }
                 ready.idle += 1;
-                ready = self
-                    .mailboxes
-                    .wake
-                    .wait(ready)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                ready.idle -= 1;
+                loop {
+                    ready = self
+                        .mailboxes
+                        .wake
+                        .wait(ready)
+                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                    if ready.wakeups > 0 {
+                        // The post that left it counted this thread out
+                        // of `idle`.
+                        ready.wakeups -= 1;
+                        break;
+                    }
+                    if ready.stopped {
+                        return;
+                    }
+                }
                 continue;
             };
             if ready.stopped {
@@ -250,21 +282,28 @@ impl<'h> Sites<'h> {
             let generation = mailbox.generation;
             drop(ready);
             let outcome = self.run(site, generation, frame);
-            ready = self.mailboxes.lock();
-            let mailbox = &mut ready.sites[site];
-            if mailbox.generation == generation {
+            let closed = {
+                let mut slot = self.mailboxes.reply_slot(site);
                 match outcome {
+                    _ if slot.0 != generation => false,
                     Some(reply) => {
-                        if let Some(replies) = &mailbox.replies {
+                        if let Some(tx) = &slot.1 {
                             // The transport may be gone; nobody reads then.
-                            let _ = replies.send(reply);
+                            let _ = tx.send(reply);
                         }
+                        false
                     }
                     None => {
-                        mailbox.replies = None;
-                        mailbox.frames.clear();
+                        slot.1 = None;
+                        true
                     }
                 }
+            };
+            ready = self.mailboxes.lock();
+            let mailbox = &mut ready.sites[site];
+            if closed && mailbox.generation == generation {
+                mailbox.open = false;
+                mailbox.frames.clear();
             }
             if mailbox.frames.is_empty() {
                 mailbox.busy = false;
