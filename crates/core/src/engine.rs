@@ -53,7 +53,7 @@
 //!
 //! The workers are reached through a pluggable [`Transport`]: the
 //! [`Backend::InProcess`] default runs every site as a step handler on
-//! one pool of `available_parallelism()` threads (the site executor of
+//! one pool of `min(available_parallelism(), sites)` threads (the site executor of
 //! `gstored_net::executor`), answering over channels; [`Backend::Tcp`]
 //! speaks the same frames to remote `gstored-worker` processes. Both exchange byte-identical frames, so
 //! results *and* shipment metrics are independent of the backend.
@@ -166,7 +166,7 @@ impl Variant {
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum Backend {
     /// Persistent in-process site workers, run as step handlers on one
-    /// pool of `available_parallelism()` threads and answering over
+    /// pool of `min(available_parallelism(), sites)` threads and answering over
     /// channels (the default). Deterministic and dependency-free, yet
     /// every inter-site payload is a real serialized frame.
     #[default]

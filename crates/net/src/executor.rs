@@ -1,6 +1,6 @@
 //! The in-process site executor: every site of an in-process fleet runs
 //! on one pool of [`available_parallelism`](std::thread::available_parallelism)
-//! threads, not on a thread of its own.
+//! threads (fewer if there are fewer sites), not on a thread of its own.
 //!
 //! A site is a step handler — a request frame in, `Some(reply)` out, or
 //! `None` to stop serving — the same shape the serve loops of
@@ -44,10 +44,14 @@ type Handler<'h> = Box<dyn FnMut(Bytes) -> Option<Bytes> + Send + 'h>;
 /// What builds a site's handler: at start, and again after a reconnect.
 type MakeHandler<'h> = Box<dyn Fn(usize) -> Handler<'h> + Send + Sync + 'h>;
 
-/// How many pool threads an executor runs: the machine's available
-/// parallelism, whatever the number of sites.
-fn pool_size() -> usize {
-    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+/// How many pool threads an executor over `sites` sites runs: the
+/// machine's available parallelism, or fewer when there are fewer sites
+/// (at most one job per site runs at a time, so a further thread would
+/// only sleep).
+fn pool_size(sites: usize) -> usize {
+    std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(sites)
 }
 
 /// A pool thread, named after its index.
@@ -75,7 +79,7 @@ where
 /// Run `pool` on threads of its own; the caller joins them after
 /// [`Mailboxes::stop`].
 pub(crate) fn spawn(pool: Arc<Sites<'static>>) -> Vec<JoinHandle<()>> {
-    (0..pool_size())
+    (0..pool_size(pool.handlers.len()))
         .map(|i| {
             let pool = Arc::clone(&pool);
             pool_thread(i)
@@ -88,7 +92,7 @@ pub(crate) fn spawn(pool: Arc<Sites<'static>>) -> Vec<JoinHandle<()>> {
 /// Run `pool` on threads of `scope`, which joins them after
 /// [`Mailboxes::stop`].
 pub(crate) fn spawn_in<'scope, 'env>(scope: &'scope Scope<'scope, 'env>, pool: Arc<Sites<'env>>) {
-    for i in 0..pool_size() {
+    for i in 0..pool_size(pool.handlers.len()) {
         let pool = Arc::clone(&pool);
         pool_thread(i)
             .spawn_scoped(scope, move || pool.work())
@@ -113,11 +117,6 @@ struct Ready {
     /// Sites with a frame to run, oldest first.
     queue: VecDeque<usize>,
     sites: Vec<Mailbox>,
-    /// Pool threads waiting on `wake` and not yet woken: a post wakes
-    /// one only when there is one.
-    idle: usize,
-    /// Wake-ups posted and not yet taken by a waiting thread.
-    wakeups: usize,
     stopped: bool,
 }
 
@@ -153,8 +152,6 @@ impl Mailboxes {
             state: Mutex::new(Ready {
                 queue: VecDeque::new(),
                 sites,
-                idle: 0,
-                wakeups: 0,
                 stopped: false,
             }),
             wake: Condvar::new(),
@@ -184,11 +181,7 @@ impl Mailboxes {
         if !mailbox.busy {
             mailbox.busy = true;
             ready.queue.push_back(site);
-            if ready.idle > 0 {
-                ready.idle -= 1;
-                ready.wakeups += 1;
-                self.wake.notify_one();
-            }
+            self.wake.notify_one();
         }
         Ok(())
     }
@@ -247,32 +240,17 @@ impl<'h> Sites<'h> {
     fn work(&self) {
         let mut ready = self.mailboxes.lock();
         loop {
-            let Some(site) = ready.queue.pop_front() else {
-                if ready.stopped {
-                    return;
-                }
-                ready.idle += 1;
-                loop {
-                    ready = self
-                        .mailboxes
-                        .wake
-                        .wait(ready)
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if ready.wakeups > 0 {
-                        // The post that left it counted this thread out
-                        // of `idle`.
-                        ready.wakeups -= 1;
-                        break;
-                    }
-                    if ready.stopped {
-                        return;
-                    }
-                }
-                continue;
-            };
             if ready.stopped {
                 return;
             }
+            let Some(site) = ready.queue.pop_front() else {
+                ready = self
+                    .mailboxes
+                    .wake
+                    .wait(ready)
+                    .unwrap_or_else(std::sync::PoisonError::into_inner);
+                continue;
+            };
             let mailbox = &mut ready.sites[site];
             let Some(frame) = mailbox.frames.pop_front() else {
                 // A reconnect emptied the mailbox after the site queued.
@@ -436,10 +414,10 @@ mod tests {
         }
         let threads = threads.lock().unwrap();
         assert!(
-            !threads.is_empty() && threads.len() <= pool_size(),
+            !threads.is_empty() && threads.len() <= pool_size(SITES),
             "{} threads served 64 sites on {} cores",
             threads.len(),
-            pool_size()
+            pool_size(SITES)
         );
         for (_, name) in threads.iter() {
             assert!(name.starts_with("gstored-site-"), "{name}");

@@ -14,7 +14,7 @@
 //! * [`transport`] — the [`Transport`] trait, the in-process backend
 //!   [`InProcessTransport`] (channels, deterministic) and the
 //!   length-prefixed TCP frame codec.
-//! * [`executor`] — the pool of `available_parallelism()` threads that
+//! * [`executor`] — the pool of `min(available_parallelism(), sites)` threads that
 //!   runs every in-process site as a step handler.
 //! * [`reactor`] — [`ReactorTransport`], the TCP backend: one epoll
 //!   I/O thread services every site socket through per-connection

@@ -6,7 +6,7 @@
 //! codec:
 //!
 //! * [`InProcessTransport`] — sites in the coordinator's process, run as
-//!   step handlers on one pool of `available_parallelism()` threads (the
+//!   step handlers on one pool of `min(available_parallelism(), sites)` threads (the
 //!   [`executor`]) and answering over channels. The
 //!   default backend: deterministic, no sockets, but every frame is still
 //!   a real serialized byte buffer, so shipment accounting is identical
@@ -229,7 +229,7 @@ enum Requests {
 ///
 /// [`InProcessTransport::pooled`] (and its scoped twin
 /// [`InProcessTransport::pooled_in`]) runs every site as a step handler
-/// on one pool of `available_parallelism()` threads — the
+/// on one pool of `min(available_parallelism(), sites)` threads — the
 /// [`executor`] — and can
 /// [reconnect](Transport::reconnect) a site by giving it a fresh
 /// handler. [`InProcessTransport::pair`] hands per-site endpoints to the
@@ -274,7 +274,7 @@ impl InProcessTransport {
     }
 
     /// A fleet of `sites` step handlers on a pool of
-    /// `available_parallelism()` threads the transport owns, named
+    /// `min(available_parallelism(), sites)` threads the transport owns, named
     /// `gstored-site-{i}`. `make(site)` builds a site's handler, at start
     /// and after each [reconnect](Transport::reconnect). Dropping the
     /// transport stops and joins the pool.

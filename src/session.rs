@@ -292,7 +292,7 @@ impl Fleet {
 }
 
 /// Persistent in-process workers: one step handler per fragment on the
-/// site executor's pool of `available_parallelism()` threads, borrowing
+/// site executor's pool of `min(available_parallelism(), sites)` threads, borrowing
 /// the fragments through the session's shared graph. The state-table
 /// capacity must exceed the session's admission bound, or legitimate
 /// concurrent load would LRU-evict in-flight queries; remote

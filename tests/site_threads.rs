@@ -1,6 +1,6 @@
 //! The in-process fleet's thread model: every site of a session runs on
-//! one pool of `available_parallelism()` threads named `gstored-site-{i}`,
-//! whatever the fragment count, and the pool goes with the session.
+//! one pool of `min(available_parallelism(), fragments)` threads named
+//! `gstored-site-{i}`, and the pool goes with the session.
 //!
 //! The only test in its binary, so the thread census sees no other
 //! test's fleet. Reads `/proc/self/task`, so Linux only.
@@ -10,18 +10,19 @@ use gstored::partition::HashPartitioner;
 use gstored::prelude::*;
 use gstored::rdf::Triple;
 
-/// Names of this process's threads that run site handlers.
-fn site_threads() -> Vec<String> {
+/// How many of this process's threads run site handlers. Counted by
+/// name prefix: the kernel cuts a thread's name to 15 bytes, so
+/// `gstored-site-100` reads back as `gstored-site-10`.
+fn site_threads() -> usize {
     std::fs::read_dir("/proc/self/task")
         .expect("list this process's threads")
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
-        .map(|comm| comm.trim_end().to_owned())
         .filter(|name| name.starts_with("gstored-site-"))
-        .collect()
+        .count()
 }
 
 #[test]
-fn a_session_runs_its_sites_on_available_parallelism_threads() {
+fn a_session_runs_its_sites_on_at_most_one_thread_per_core_and_fragment() {
     let cores = std::thread::available_parallelism().unwrap().get();
     let triples: Vec<Triple> = (0..40)
         .map(|i| {
@@ -42,16 +43,12 @@ fn a_session_runs_its_sites_on_available_parallelism_threads() {
             .query("SELECT * WHERE { ?x <http://x/p> ?y . ?y <http://x/p> ?z }")
             .unwrap();
         assert_eq!(rows.len(), 39);
-        let mut names = site_threads();
-        names.sort();
-        let mut expected: Vec<String> = (0..cores).map(|i| format!("gstored-site-{i}")).collect();
-        expected.sort();
-        assert_eq!(names, expected, "{sites} fragments");
-        drop(db);
         assert_eq!(
             site_threads(),
-            Vec::<String>::new(),
-            "the pool outlived its session"
+            cores.min(sites),
+            "{sites} fragments on {cores} cores"
         );
+        drop(db);
+        assert_eq!(site_threads(), 0, "the pool outlived its session");
     }
 }

@@ -16,12 +16,10 @@ benchmark run that is in its measured window::
 
     python3 tools/threadstat.py "$(pgrep -n benchmark)" --delay 4 --seconds 4
 
-``--json`` prints one JSON object instead of the table. Read-only: it
-reads the target's /proc entries and nothing else.
+Read-only: it reads the target's /proc entries and nothing else.
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -63,8 +61,6 @@ def main():
                         help="time between the two samples (default 4)")
     parser.add_argument("--delay", type=float, default=0.0,
                         help="wait this long before the first sample")
-    parser.add_argument("--json", action="store_true",
-                        help="print one JSON object instead of a table")
     args = parser.parse_args()
 
     if args.delay > 0:
@@ -78,17 +74,6 @@ def main():
     rows = delta(before, after)
     total = [sum(r[i] for r in rows.values()) for i in range(3)]
 
-    if args.json:
-        print(json.dumps({
-            "pid": args.pid,
-            "seconds": args.seconds,
-            "threads": {name: {"threads": n, "cpu_ms": round(cpu, 3),
-                               "runq_ms": round(runq, 3)}
-                        for name, (n, cpu, runq) in sorted(rows.items())},
-            "total": {"threads": total[0], "cpu_ms": round(total[1], 3),
-                      "runq_ms": round(total[2], 3)},
-        }))
-        return
     print("%-20s %7s %10s %10s" % ("thread", "threads", "cpu_ms", "runq_ms"))
     for name, (n, cpu, runq) in sorted(rows.items(), key=lambda kv: -kv[1][1]):
         print("%-20s %7d %10.1f %10.1f" % (name, n, cpu, runq))
