@@ -24,7 +24,7 @@ use gstored_store::candidates::{BitVectorFilter, CandidateFilter};
 use gstored_store::EncodedQuery;
 
 use crate::error::EngineError;
-use crate::protocol::{Request, ResponseBody};
+use crate::protocol::{self, Request, ResponseBody};
 use crate::runtime::{expect_acks, WorkerPool};
 
 /// The query's variable vertices, in vertex order — the ones that get
@@ -92,13 +92,11 @@ pub fn exchange_candidates(
     let vars = var_vertices(q);
 
     // Site side: find C(Q, v) and hash into B'_v (lines 10–15).
-    let bodies = pool.broadcast(
-        &Request::ComputeCandidates {
-            query,
-            bits: bits_per_variable,
-        },
-        &mut stage,
-    )?;
+    let compute = Request::ComputeCandidates {
+        query,
+        bits: bits_per_variable,
+    };
+    let bodies = pool.broadcast_frame(protocol::encode_request(&compute), &mut stage)?;
 
     // Coordinator: union per variable (lines 2–6).
     let unioned: Vec<BitVectorFilter> =
@@ -107,7 +105,8 @@ pub fn exchange_candidates(
     // Broadcast the result to every site (lines 7–8); sites adopt it.
     let vectors: Vec<(usize, BitVectorFilter)> =
         vars.iter().copied().zip(unioned.iter().cloned()).collect();
-    expect_acks(pool.broadcast(&Request::SetCandidateFilter { query, vectors }, &mut stage)?)?;
+    let filter_frame = protocol::encode_request(&Request::SetCandidateFilter { query, vectors });
+    expect_acks(pool.broadcast_frame(filter_frame, &mut stage)?)?;
 
     let mut filter = CandidateFilter::none(n);
     for (i, &v) in vars.iter().enumerate() {

@@ -215,8 +215,8 @@ pub struct EngineConfig {
     /// When set, the session wraps its fleet transport in a
     /// [`gstored_net::ChaosTransport`] injecting this deterministic,
     /// seed-driven fault schedule — the hook behind the chaos test
-    /// batteries and the availability benchmark. `None` (default) means
-    /// no wrapper at all: zero overhead on the fault-free path.
+    /// batteries. `None` (default) means no wrapper at all: zero
+    /// overhead on the fault-free path.
     pub chaos: Option<ChaosConfig>,
 }
 
@@ -1200,47 +1200,48 @@ fn check_lpms(lpms: &LpmBatch, vertex_count: usize, edge_count: usize) -> Result
 }
 
 /// Reject a site's wire-supplied LEC features before pruning uses them.
-/// One mapping a nonexistent query edge would index past the query-edge
-/// table, and one claiming another fragment than `site`'s own would let
-/// condition 1 of Definition 9 misjudge it. The ids must keep Algorithm
-/// 1's numbering contract: feature *i* carries exactly one source id,
-/// `lec_first_id(site) + i`, inside the site's range. That keeps the
-/// sites' ids disjoint, and the fleet's ids ascending in reply order.
+/// A feature batch ships one `fragments` mask and its first id, and the
+/// decoder gives feature *i* the one id `first + i` (Algorithm 1's
+/// numbering), so the header is checked once, on the first feature: the
+/// mask must be `site`'s own fragment, or condition 1 of Definition 9
+/// would misjudge the features; the ids must start at
+/// `lec_first_id(site)` and fit the site's range. That keeps the sites'
+/// ids disjoint, and the fleet's ids ascending in reply order. Every
+/// mapping entry must name a query edge, or pruning would index past the
+/// query-edge table.
 fn check_features(
     features: &[crate::lec::LecFeature],
     q: &EncodedQuery,
     site: usize,
     sites: usize,
 ) -> Result<(), EngineError> {
+    let Some(head) = features.first() else {
+        return Ok(());
+    };
+    if head.fragments != 1 << site {
+        return Err(EngineError::Protocol(format!(
+            "site {site} sent LEC features spanning fragments {:#x}",
+            head.fragments
+        )));
+    }
     let first = lec_first_id(site, sites);
-    let width = u32::MAX / sites as u32;
-    if features.len() as u64 > u64::from(width) {
+    if head.sources != [first] {
+        return Err(EngineError::Protocol(format!(
+            "site {site}'s LEC features start at id {:?}, not {first}",
+            head.sources
+        )));
+    }
+    if features.len() as u64 > u64::from(u32::MAX / sites as u32) {
         return Err(EngineError::Protocol(format!(
             "site {site} sent {} LEC features, more than its id range holds",
             features.len()
         )));
     }
-    for (i, feature) in features.iter().enumerate() {
-        if feature.fragments != 1 << site {
+    for &(_, qe) in features.iter().flat_map(|f| &f.mapping) {
+        if qe >= q.edge_count() {
             return Err(EngineError::Protocol(format!(
-                "site {site} sent a LEC feature spanning fragments {:#x}",
-                feature.fragments
-            )));
-        }
-        for &(_, qe) in &feature.mapping {
-            if qe >= q.edge_count() {
-                return Err(EngineError::Protocol(format!(
-                    "LEC feature maps query edge {qe} of {}",
-                    q.edge_count()
-                )));
-            }
-        }
-        let expected = first + i as u32;
-        if feature.sources != [expected] {
-            return Err(EngineError::Protocol(format!(
-                "site {site}'s LEC feature {i} carries {} ids from {:?}, not exactly id {expected}",
-                feature.sources.len(),
-                feature.sources.first()
+                "LEC feature maps query edge {qe} of {}",
+                q.edge_count()
             )));
         }
     }
@@ -1669,12 +1670,15 @@ mod tests {
         }
     }
 
-    /// Algorithm 1's numbering contract at the prune barrier: feature *i*
-    /// of a site's reply carries exactly the one id `first_id + i`.
-    /// Out-of-order, duplicate, skipped and multi-source ids are protocol
-    /// errors, even inside the site's range.
+    /// Algorithm 1's numbering contract at the prune barrier: a site's
+    /// feature batch numbers its features from `lec_first_id(site)`. A
+    /// batch ships only its first id, so out-of-order, duplicate, skipped
+    /// and multi-source ids cannot be written at all; a batch that starts
+    /// anywhere else, inside the site's range or in another's, is a
+    /// protocol error.
     #[test]
     fn feature_numbering_violations_are_protocol_errors() {
+        use crate::protocol::{decode_response, encode_response, Response, ResponseBody};
         use gstored_rdf::{EdgeRef, TermId};
         let g = paper_graph();
         let q = EncodedQuery::encode(&paper_query(), g.dict()).unwrap();
@@ -1685,26 +1689,32 @@ mod tests {
         };
         let (site, sites) = (1, 3);
         let first = lec_first_id(site, sites);
-        let reply = |ids: &[&[u32]]| -> Vec<crate::lec::LecFeature> {
-            ids.iter()
-                .map(|sources| crate::lec::LecFeature {
+        // Three features numbered from `start`, through a reply frame.
+        let check = |start: u32| {
+            let features = (start..start + 3)
+                .map(|id| crate::lec::LecFeature {
                     fragments: 1 << site,
                     mapping: vec![(edge, 0)],
                     sign: 1,
-                    sources: sources.to_vec(),
+                    sources: vec![id],
                 })
-                .collect()
+                .collect();
+            let frame = encode_response(&Response::new(
+                Duration::ZERO,
+                QueryId(0),
+                ResponseBody::Features(features),
+            ));
+            let ResponseBody::Features(features) = decode_response(frame).unwrap().body else {
+                panic!("Features decodes as Features");
+            };
+            check_features(&features, &q, site, sites)
         };
-        let check = |ids: &[&[u32]]| check_features(&reply(ids), &q, site, sites);
-        assert!(check(&[&[first], &[first + 1], &[first + 2]]).is_ok());
-        assert!(check(&[]).is_ok());
+        assert!(check(first).is_ok());
+        assert!(check_features(&[], &q, site, sites).is_ok());
         for bad in [
-            &[&[first + 1][..], &[first]][..], // out of order
-            &[&[first], &[first]],             // duplicate
-            &[&[first], &[first, first + 1]],  // multi-source
-            &[&[first], &[first + 2]],         // skipped id
-            &[&[first + 1]],                   // not from the range start
-            &[&[]],                            // no id at all
+            first + 1,              // not from the range start
+            first - 1,              // from the previous site's range
+            lec_first_id(2, sites), // from the next site's range
         ] {
             let err = check(bad).expect_err("numbering violation");
             assert!(matches!(err, EngineError::Protocol(_)), "{err:?}");

@@ -6,6 +6,13 @@
 //! them. Only envelopes cross the wire, so only envelopes have public
 //! codecs.
 //!
+//! Every message has exactly one wire form: the shape its source
+//! produces. An LPM binds both endpoints of every crossing edge
+//! (Definition 5), a feature batch is one site's Algorithm 1 output (one
+//! fragment, ids `first..first + n`), and a `DropPruned` verdict lists
+//! its ids ascending. The encoders assert these contracts; the decoders
+//! answer any other form with a typed error, never a panic.
+//!
 //! The two batches that dominate shipment carry only what the
 //! coordinator cannot derive from the rest of the frame, and each
 //! describes itself, so decoding needs neither the query nor the
@@ -15,8 +22,10 @@
 //! endpoints): a run's header carries the shape and its shared labels,
 //! and each LPM ships only its bound ids. It decodes straight into one
 //! flat [`LpmBatch`]. A feature batch ships its `fragments` mask, its
-//! constant labels (as a `qe → label` table) and Algorithm 1's
-//! consecutive ids once per frame. `docs/protocol.md` has the bytes.
+//! first id and its constant labels (as a `qe → label` table) once per
+//! frame. An `InstallQuery` ships what a site evaluates — vertices,
+//! edges, class requirements and the projection — and no variable
+//! names. `docs/protocol.md` has the bytes.
 //!
 //! Shipment numbers in the experiments are the byte lengths of the
 //! encoded frames that actually cross the [`gstored_net::Transport`] —
@@ -84,10 +93,6 @@ fn read_batch_len(r: &mut WireReader, min_bytes: usize) -> Result<usize, WireErr
     }
 }
 
-/// A run slot's endpoint reference: `0` means the LPM ships the id
-/// itself; `k ≥ 1` names binding entry `k − 1`, which must be bound.
-const EXPLICIT_ENDPOINT: usize = 0;
-
 /// Crossing entries an LPM batch may decode to, per byte of the frame
 /// left after its header. A run's slots are written once and repeat in
 /// every LPM of the run, so without this bound a small frame could claim
@@ -104,24 +109,24 @@ fn bound_mask(binding: &[Option<VertexId>]) -> u64 {
         .fold(0, |mask, (v, _)| mask | 1 << v)
 }
 
-/// The reference a slot uses for endpoint `id`: the first binding entry
-/// holding it, or [`EXPLICIT_ENDPOINT`] when no entry does.
-fn endpoint_ref(binding: &[Option<VertexId>], id: VertexId) -> usize {
+/// The binding entry a slot names for endpoint `id`: the first one
+/// holding it.
+fn endpoint_entry(binding: &[Option<VertexId>], id: VertexId) -> usize {
     binding
         .iter()
         .position(|&b| b == Some(id))
-        .map_or(EXPLICIT_ENDPOINT, |v| v + 1)
+        .expect("Definition 5: an LPM binds both endpoints of every crossing edge")
 }
 
 /// A row's run shape beyond its masks: per crossing entry its query edge
-/// and endpoint references, written to `out`.
+/// and the binding entries of its endpoints, written to `out`.
 fn slot_refs(row: LpmRow<'_>, out: &mut Vec<(usize, usize, usize)>) {
     out.clear();
     out.extend(row.crossing.iter().map(|&(e, qe)| {
         (
             qe,
-            endpoint_ref(row.binding, e.from),
-            endpoint_ref(row.binding, e.to),
+            endpoint_entry(row.binding, e.from),
+            endpoint_entry(row.binding, e.to),
         )
     }));
 }
@@ -130,10 +135,8 @@ fn slot_refs(row: LpmRow<'_>, out: &mut Vec<(usize, usize, usize)>) {
 /// mask, bound-vertex mask, and per crossing entry the query edge and
 /// the binding entries of its endpoints. A run's header carries the
 /// shape and each slot's label when the whole run shares it; each LPM
-/// then ships only its bound ids, plus the endpoints no binding entry
-/// holds and the labels that vary. An LPM that binds nothing and crosses
-/// nothing would ship no bytes, so it always runs alone. An empty batch
-/// is its run count alone, and decodes as `LpmBatch::default()`.
+/// then ships only its bound ids and the labels that vary. An empty
+/// batch is its run count alone, and decodes as `LpmBatch::default()`.
 fn write_lpms(w: &mut WireWriter, batch: &LpmBatch) {
     let width = batch.width();
     assert!(
@@ -146,8 +149,8 @@ fn write_lpms(w: &mut WireWriter, batch: &LpmBatch) {
     for (i, row) in batch.rows().enumerate() {
         slot_refs(row, &mut refs);
         let masks = (row.internal_mask, bound_mask(row.binding));
-        let silent = masks.1 == 0 && refs.is_empty();
-        if i == 0 || masks != head_masks || refs != head || silent {
+        assert!(masks.1 != 0, "Definition 5: an LPM binds a vertex");
+        if i == 0 || masks != head_masks || refs != head {
             runs.push(i);
             std::mem::swap(&mut head, &mut refs);
             head_masks = masks;
@@ -180,14 +183,7 @@ fn write_lpms(w: &mut WireWriter, batch: &LpmBatch) {
             for id in row.binding.iter().flatten() {
                 w.u64(id.0);
             }
-            for (&(e, _), (&(_, from, to), l)) in row.crossing.iter().zip(head.iter().zip(&labels))
-            {
-                if from == EXPLICIT_ENDPOINT {
-                    w.u64(e.from.0);
-                }
-                if to == EXPLICIT_ENDPOINT {
-                    w.u64(e.to.0);
-                }
+            for (&(e, _), l) in row.crossing.iter().zip(&labels) {
                 if l.is_none() {
                     w.u64(e.label.0);
                 }
@@ -196,23 +192,20 @@ fn write_lpms(w: &mut WireWriter, batch: &LpmBatch) {
     }
 }
 
-/// One slot of a run header, decoded: endpoints as binding indices
-/// (`None` = shipped per LPM), the label when the run shares it.
+/// One slot of a run header, decoded: endpoints as binding indices, the
+/// label when the run shares it.
 struct Slot {
     qe: usize,
-    from: Option<usize>,
-    to: Option<usize>,
+    from: usize,
+    to: usize,
     label: Option<TermId>,
 }
 
-/// A slot endpoint reference, checked against the run's binding width
-/// and bound-vertex mask.
-fn read_endpoint(r: &mut WireReader, width: usize, bound: u64) -> Result<Option<usize>, WireError> {
+/// A slot endpoint: a binding entry the run's bound-vertex mask holds.
+fn read_endpoint(r: &mut WireReader, bound: u64) -> Result<usize, WireError> {
     match r.usize()? {
-        EXPLICIT_ENDPOINT => Ok(None),
-        k if k > width => Err(WireError("slot endpoint beyond the binding")),
-        k if bound & 1 << (k - 1) == 0 => Err(WireError("slot endpoint names an unbound vertex")),
-        k => Ok(Some(k - 1)),
+        k if k < 64 && bound & 1 << k != 0 => Ok(k),
+        _ => Err(WireError("slot endpoint names an unbound vertex")),
     }
 }
 
@@ -235,6 +228,9 @@ fn read_lpms(r: &mut WireReader) -> Result<LpmBatch, WireError> {
     for _ in 0..runs {
         let internal_mask = r.u64()?;
         let bound = r.u64()?;
+        if bound == 0 {
+            return Err(WireError("an LPM binds no vertex"));
+        }
         if bound >> width != 0 {
             return Err(WireError("bound vertex beyond the binding"));
         }
@@ -244,24 +240,14 @@ fn read_lpms(r: &mut WireReader) -> Result<LpmBatch, WireError> {
         for _ in 0..n_slots {
             let slot = Slot {
                 qe: r.usize()?,
-                from: read_endpoint(r, width, bound)?,
-                to: read_endpoint(r, width, bound)?,
+                from: read_endpoint(r, bound)?,
+                to: read_endpoint(r, bound)?,
                 label: r.opt_u64()?.map(TermId),
             };
-            per_lpm += [slot.from.is_none(), slot.to.is_none(), slot.label.is_none()]
-                .into_iter()
-                .filter(|&x| x)
-                .count();
+            per_lpm += usize::from(slot.label.is_none());
             slots.push(slot);
         }
-        let len = if per_lpm == 0 {
-            match r.usize()? {
-                1 => 1,
-                _ => return Err(WireError("an LPM that ships no bytes runs alone")),
-            }
-        } else {
-            read_batch_len(r, per_lpm)?
-        };
+        let len = read_batch_len(r, per_lpm)?;
         if len == 0 {
             return Err(WireError("empty LPM run"));
         }
@@ -281,18 +267,18 @@ fn read_lpms(r: &mut WireReader) -> Result<LpmBatch, WireError> {
                 bindings[base + bits.trailing_zeros() as usize] = Some(TermId(r.u64()?));
                 bits &= bits - 1;
             }
-            let endpoint = |r: &mut WireReader, v: Option<usize>| match v {
-                Some(v) => Ok(bindings[base + v].expect("checked bound")),
-                None => r.u64().map(TermId),
-            };
+            let endpoint = |v: usize| bindings[base + v].expect("checked bound");
             for slot in &slots {
-                let from = endpoint(r, slot.from)?;
-                let to = endpoint(r, slot.to)?;
                 let label = match slot.label {
                     Some(l) => l,
                     None => TermId(r.u64()?),
                 };
-                crossing.push((EdgeRef { from, label, to }, slot.qe));
+                let edge = EdgeRef {
+                    from: endpoint(slot.from),
+                    label,
+                    to: endpoint(slot.to),
+                };
+                crossing.push((edge, slot.qe));
             }
             ends.push(crossing.len());
             internal_masks.push(internal_mask);
@@ -308,60 +294,29 @@ fn read_lpms(r: &mut WireReader) -> Result<LpmBatch, WireError> {
     ))
 }
 
-/// The running state of a feature-id list on the wire: each id is
-/// written as the zigzag-coded signed difference from the one before it
-/// (the first from 0), so the ascending, mostly consecutive ids one site
-/// owns cost a byte each rather than the five their size needs. Any
-/// order still round-trips, duplicates included; a difference that
-/// would leave the `u32` range is a decode error, never a wrap.
-#[derive(Default)]
-struct IdDeltas {
-    prev: u32,
-}
-
-impl IdDeltas {
-    fn write(&mut self, w: &mut WireWriter, id: u32) {
-        let delta = i64::from(id) - i64::from(self.prev);
-        w.u64(((delta << 1) ^ (delta >> 63)) as u64);
-        self.prev = id;
-    }
-
-    fn read(&mut self, r: &mut WireReader) -> Result<u32, WireError> {
-        let zigzag = r.u64()?;
-        let delta = (zigzag >> 1) as i64 ^ -((zigzag & 1) as i64);
-        self.prev = i64::from(self.prev)
-            .checked_add(delta)
-            .and_then(|id| u32::try_from(id).ok())
-            .ok_or(WireError("feature id delta leaves the u32 range"))?;
-        Ok(self.prev)
-    }
-}
-
-/// `feature-batch` flag: every feature has the frame's one `fragments`
-/// mask, which ships once.
-const FEATURES_SHARE_FRAGMENTS: u64 = 1;
-/// `feature-batch` flag: feature *i* has exactly the one source id
-/// `first + i` (Algorithm 1's numbering), and only `first` ships.
-const FEATURES_NUMBERED: u64 = 2;
-
-/// A feature batch: the count, then — unless it is 0 — a flags varint,
-/// the shared `fragments` mask and the first id when their flags say so,
-/// and a `qe → label` table of every query edge whose mapped edges all
-/// carry one label in this frame (a constant predicate, so those labels
-/// ship once). Then the features: their own `fragments` unless shared,
-/// the mapping entries as `qe, from, to` plus the label when the table
-/// lacks `qe`, the sign, and the id list unless numbered.
+/// A feature batch — one site's Algorithm 1 output: the count, then —
+/// unless it is 0 — the `fragments` mask every feature shares, the first
+/// feature's id (feature *i* has the one id `first + i`), and a
+/// `qe → label` table of every query edge whose mapped edges all carry
+/// one label in this frame (a constant predicate, so those labels ship
+/// once). Then per feature its mapping entries as `qe, from, to`, plus
+/// the label when the table lacks `qe`, and its sign.
 fn write_features(w: &mut WireWriter, features: &[LecFeature]) {
     w.usize(features.len());
     let Some(head) = features.first() else {
         return;
     };
-    let shared = features.iter().all(|f| f.fragments == head.fragments);
-    let first = head.sources.first().copied().filter(|&first| {
-        features.iter().enumerate().all(|(i, f)| {
-            f.sources.len() == 1 && u64::from(f.sources[0]) == u64::from(first) + i as u64
-        })
-    });
+    let first = u64::from(head.sources.first().copied().unwrap_or_default());
+    for (i, f) in features.iter().enumerate() {
+        assert_eq!(
+            f.fragments, head.fragments,
+            "Algorithm 1: one site's features come from one fragment"
+        );
+        assert!(
+            f.sources.len() == 1 && u64::from(f.sources[0]) == first + i as u64,
+            "Algorithm 1 numbers a site's features first_id + i"
+        );
+    }
     // `None` marks a query edge whose label varies.
     let mut labels: BTreeMap<usize, Option<TermId>> = BTreeMap::new();
     for &(e, qe) in features.iter().flat_map(|f| &f.mapping) {
@@ -370,31 +325,14 @@ fn write_features(w: &mut WireWriter, features: &[LecFeature]) {
             .and_modify(|l| *l = l.filter(|&l| l == e.label))
             .or_insert(Some(e.label));
     }
-    let mut flags = 0;
-    if shared {
-        flags |= FEATURES_SHARE_FRAGMENTS;
-    }
-    if first.is_some() {
-        flags |= FEATURES_NUMBERED;
-    }
-    w.u64(flags);
-    if shared {
-        w.u64(head.fragments);
-    }
-    if let Some(first) = first {
-        w.u64(u64::from(first));
-    }
+    w.u64(head.fragments).u64(first);
     w.usize(labels.values().flatten().count());
     for (&qe, l) in &labels {
         if let Some(l) = l {
             w.usize(qe).u64(l.0);
         }
     }
-    let mut ids = IdDeltas::default();
     for f in features {
-        if !shared {
-            w.u64(f.fragments);
-        }
         w.usize(f.mapping.len());
         for &(e, qe) in &f.mapping {
             w.usize(qe).u64(e.from.0).u64(e.to.0);
@@ -403,12 +341,6 @@ fn write_features(w: &mut WireWriter, features: &[LecFeature]) {
             }
         }
         w.u64(f.sign);
-        if first.is_none() {
-            w.usize(f.sources.len());
-            for &id in &f.sources {
-                ids.write(w, id);
-            }
-        }
     }
 }
 
@@ -418,25 +350,12 @@ fn read_features(r: &mut WireReader) -> Result<Vec<LecFeature>, WireError> {
     if n == 0 {
         return Ok(Vec::new());
     }
-    let flags = r.u64()?;
-    if flags & !(FEATURES_SHARE_FRAGMENTS | FEATURES_NUMBERED) != 0 {
-        return Err(WireError("unknown feature-batch flags"));
+    let fragments = r.u64()?;
+    let first = r.u64()?;
+    let last = first.checked_add(n as u64 - 1);
+    if last.is_none_or(|last| last > u64::from(u32::MAX)) {
+        return Err(WireError("feature ids leave the u32 range"));
     }
-    let shared = match flags & FEATURES_SHARE_FRAGMENTS {
-        0 => None,
-        _ => Some(r.u64()?),
-    };
-    let first = match flags & FEATURES_NUMBERED {
-        0 => None,
-        _ => {
-            let first = r.u64()?;
-            let last = first.checked_add(n as u64 - 1);
-            if last.is_none_or(|last| last > u64::from(u32::MAX)) {
-                return Err(WireError("feature ids leave the u32 range"));
-            }
-            Some(first as u32)
-        }
-    };
     let k = read_batch_len(r, 2)?;
     let mut labels: Vec<(usize, TermId)> = Vec::with_capacity(k);
     for _ in 0..k {
@@ -446,13 +365,8 @@ fn read_features(r: &mut WireReader) -> Result<Vec<LecFeature>, WireError> {
         }
         labels.push((qe, TermId(r.u64()?)));
     }
-    let mut ids = IdDeltas::default();
     let mut out = Vec::with_capacity(n);
-    for i in 0..n {
-        let fragments = match shared {
-            Some(m) => m,
-            None => r.u64()?,
-        };
+    for id in first..first + n as u64 {
         let mn = read_batch_len(r, 3)?;
         let mut mapping = Vec::with_capacity(mn);
         for _ in 0..mn {
@@ -465,23 +379,11 @@ fn read_features(r: &mut WireReader) -> Result<Vec<LecFeature>, WireError> {
             };
             mapping.push((EdgeRef { from, label, to }, qe));
         }
-        let sign = r.u64()?;
-        let sources = match first {
-            Some(first) => vec![first + i as u32],
-            None => {
-                let sn = read_batch_len(r, 1)?;
-                let mut sources = Vec::with_capacity(sn);
-                for _ in 0..sn {
-                    sources.push(ids.read(r)?);
-                }
-                sources
-            }
-        };
         out.push(LecFeature {
             fragments,
             mapping,
-            sign,
-            sources,
+            sign: r.u64()?,
+            sources: vec![id as u32],
         });
     }
     Ok(out)
@@ -730,7 +632,7 @@ fn write_query(w: &mut WireWriter, q: &EncodedQuery) {
     }
     w.usize(q.edge_count());
     for e in q.edges() {
-        w.usize(e.index).usize(e.from).usize(e.to);
+        w.usize(e.from).usize(e.to);
         match e.label {
             EncodedLabel::Any => {
                 w.u64(VERTEX_VAR);
@@ -761,16 +663,6 @@ fn write_query(w: &mut WireWriter, q: &EncodedQuery) {
     for &p in q.projection() {
         w.usize(p);
     }
-    for v in 0..q.vertex_count() {
-        match q.var_name(v) {
-            Some(name) => {
-                w.bool(true).str(name);
-            }
-            None => {
-                w.bool(false);
-            }
-        }
-    }
 }
 
 fn read_query(r: &mut WireReader) -> Result<EncodedQuery, WireError> {
@@ -787,10 +679,9 @@ fn read_query(r: &mut WireReader) -> Result<EncodedQuery, WireError> {
             _ => return Err(WireError("invalid vertex tag")),
         });
     }
-    let m = read_batch_len(r, 4)?;
+    let m = read_batch_len(r, 3)?;
     let mut edges = Vec::with_capacity(m);
     for _ in 0..m {
-        let index = r.usize()?;
         let from = r.usize()?;
         let to = r.usize()?;
         if from >= n || to >= n {
@@ -802,12 +693,7 @@ fn read_query(r: &mut WireReader) -> Result<EncodedQuery, WireError> {
             VERTEX_UNSAT => EncodedLabel::Unsatisfiable,
             _ => return Err(WireError("invalid label tag")),
         };
-        edges.push(EncodedEdge {
-            index,
-            from,
-            to,
-            label,
-        });
+        edges.push(EncodedEdge { from, to, label });
     }
     let mut required = Vec::with_capacity(n);
     for _ in 0..n {
@@ -831,16 +717,8 @@ fn read_query(r: &mut WireReader) -> Result<EncodedQuery, WireError> {
         }
         projection.push(p);
     }
-    let mut var_names = Vec::with_capacity(n);
-    for _ in 0..n {
-        if r.bool()? {
-            var_names.push(Some(r.str()?));
-        } else {
-            var_names.push(None);
-        }
-    }
     Ok(EncodedQuery::from_parts(
-        vertices, edges, required, projection, var_names,
+        vertices, edges, required, projection,
     ))
 }
 
@@ -970,9 +848,10 @@ pub enum Request {
     DropPruned {
         /// The query being evaluated.
         query: QueryId,
-        /// Global ids of the surviving original features, sorted. The
-        /// engine sends each site only the ids in its own range
-        /// (`first_id` onwards); a worker ignores ids it does not own.
+        /// Global ids of the surviving original features, strictly
+        /// ascending. The engine sends each site only the ids in its own
+        /// range (`first_id` onwards); a worker ignores ids it does not
+        /// own.
         useful: Vec<u32>,
     },
     /// Ship every surviving LPM in one `Survivors` reply, leaving the
@@ -1100,9 +979,16 @@ pub fn encode_request(req: &Request) -> Bytes {
             w.u64(REQ_DROP_PRUNED)
                 .u32_fixed(query.0)
                 .usize(useful.len());
-            let mut ids = IdDeltas::default();
-            for &id in useful {
-                ids.write(&mut w, id);
+            // Each id ships as its step from the one before (the first
+            // from 0), so consecutive ids cost a byte each.
+            let mut prev = 0;
+            for (i, &id) in useful.iter().enumerate() {
+                assert!(
+                    i == 0 || id > prev,
+                    "a DropPruned verdict lists its ids ascending, each once"
+                );
+                w.u64(u64::from(id - prev));
+                prev = id;
             }
             w.finish()
         }
@@ -1236,9 +1122,17 @@ fn decode_request_in(
         REQ_DROP_PRUNED => {
             let n = read_batch_len(&mut r, 1)?;
             let mut useful = Vec::with_capacity(n);
-            let mut ids = IdDeltas::default();
-            for _ in 0..n {
-                useful.push(ids.read(&mut r)?);
+            let mut prev = 0u64;
+            for i in 0..n {
+                let step = r.u64()?;
+                if i > 0 && step == 0 {
+                    return Err(WireError("feature ids must ascend"));
+                }
+                prev = prev
+                    .checked_add(step)
+                    .filter(|&id| id <= u64::from(u32::MAX))
+                    .ok_or(WireError("feature id beyond the u32 range"))?;
+                useful.push(prev as u32);
             }
             Request::DropPruned { query: qid, useful }
         }
@@ -1539,7 +1433,7 @@ mod tests {
         #[rustfmt::skip]
         let expected = [
             1, 2, 3,                      // one run, fragment, width
-            5, 5, 1, 1, 3, 1, 1, 100, 2,  // masks, one slot (qe 1: v2 → v0, label 100), 2 LPMs
+            5, 5, 1, 1, 2, 0, 1, 100, 2,  // masks, one slot (qe 1: v2 → v0, label 100), 2 LPMs
             6, 1,                         // first LPM's bound ids
             9, 1,                         // second LPM's
         ];
@@ -1557,10 +1451,56 @@ mod tests {
         );
     }
 
+    /// The forms the codec no longer writes fail to decode, each from a
+    /// valid frame with one field changed: an LPM run binding no vertex,
+    /// a slot endpoint on an unbound binding entry, and a `DropPruned`
+    /// list repeating an id or stepping past `u32::MAX` (the only way an
+    /// unsigned step could reach a smaller id).
+    #[test]
+    fn deleted_forms_are_decode_errors() {
+        // The worked example's reply: header, tag, run count, fragment,
+        // width, then the run's internal mask, bound mask, slot count and
+        // the slot (qe, from, to, label).
+        let mut second = sample_lpm();
+        second.binding[0] = Some(TermId(9));
+        second.crossing[0].0.to = TermId(9);
+        let lpms = reply_frame(ResponseBody::Survivors(vec![sample_lpm(), second].into()));
+        let run = 12 + 1 + 3;
+        assert_eq!(&lpms[run..run + 7], &[5, 5, 1, 1, 2, 0, 1]);
+        assert!(decode_response(lpms.clone()).is_ok());
+        let patched = |at: usize, byte: u8| {
+            let mut frame = lpms.to_vec();
+            frame[at] = byte;
+            decode_response(frame.into())
+        };
+        assert!(patched(run + 1, 0).is_err(), "bound mask 0");
+        assert!(patched(run + 4, 1).is_err(), "from names unbound v1");
+        assert!(patched(run + 5, 1).is_err(), "to names unbound v1");
+        assert!(patched(run + 5, 2).is_ok(), "to names bound v2");
+
+        // `DropPruned [3, 7, 42]` ships the steps 3, 4, 35.
+        let drop = encode_request(&Request::DropPruned {
+            query: QueryId(3),
+            useful: vec![3, 7, 42],
+        });
+        let steps = drop.len() - 3;
+        assert_eq!(&drop[steps..], &[3, 4, 35]);
+        let mut repeated = drop.to_vec();
+        repeated[steps + 1] = 0;
+        assert!(decode_request(repeated.into()).is_err());
+        let mut w = WireWriter::new();
+        w.u64(REQ_DROP_PRUNED)
+            .u32_fixed(3)
+            .usize(2)
+            .u64(7)
+            .u64(u64::from(u32::MAX) - 3);
+        assert!(decode_request(w.finish()).is_err());
+    }
+
     #[test]
     fn feature_roundtrip() {
         let f = LecFeature {
-            fragments: 0b101,
+            fragments: 0b100,
             mapping: vec![
                 (
                     EdgeRef {
@@ -1580,9 +1520,14 @@ mod tests {
                 ),
             ],
             sign: 0b11010,
-            sources: vec![3, 7],
+            sources: vec![3],
         };
-        let features = ResponseBody::Features(vec![f]);
+        let g = LecFeature {
+            sign: 0b101,
+            sources: vec![4],
+            ..f.clone()
+        };
+        let features = ResponseBody::Features(vec![f, g]);
         assert_eq!(reply_roundtrip(features.clone()), features);
     }
 
@@ -1620,8 +1565,8 @@ mod tests {
 
     #[test]
     fn feature_ids_roundtrip() {
-        // Ascending, then backwards, repeated and at both ends of `u32`.
-        let ids = vec![0u32, 5, 1000, u32::MAX, 7, 7, 0, u32::MAX];
+        // Ascending, from one end of `u32` to the other.
+        let ids = vec![0u32, 1, 5, 1000, u32::MAX - 1, u32::MAX];
         let frame = encode_request(&Request::DropPruned {
             query: QueryId(3),
             useful: ids.clone(),
@@ -1963,9 +1908,20 @@ mod tests {
         assert_eq!(encoded.vertex_count(), q.vertex_count());
         assert_eq!(encoded.edges(), q.edges());
         assert_eq!(encoded.projection(), q.projection());
-        assert_eq!(encoded.var_name(0), q.var_name(0));
         assert_eq!(encoded.has_unsatisfiable(), q.has_unsatisfiable());
         assert_eq!(encode_install_query(query, &encoded), frame);
+        // Variable names stay at the coordinator: renaming them changes
+        // no byte.
+        let renamed = QueryGraph::from_query(
+            &parse_query(
+                "SELECT ?student WHERE { ?student <http://p> <http://b> . \
+                 ?student <http://missing> ?advisor }",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        let renamed = EncodedQuery::encode(&renamed, g.dict()).unwrap();
+        assert_eq!(encode_install_query(QueryId(5), &renamed), frame);
     }
 
     #[test]

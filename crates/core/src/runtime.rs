@@ -461,19 +461,10 @@ impl<'t> WorkerPool<'t> {
         self.query
     }
 
-    /// Send the same request to every site and gather the replies in
-    /// site order: a one-step phase whose frames are all charged to
-    /// `stage`, which also gets the slowest site's compute time.
-    pub fn broadcast(
-        &self,
-        req: &Request,
-        stage: &mut StageMetrics,
-    ) -> Result<Vec<ResponseBody>, EngineError> {
-        self.broadcast_frame(protocol::encode_request(req), stage)
-    }
-
-    /// Broadcast an already-encoded request frame (avoids cloning bulky
-    /// payloads into a [`Request`] value just to encode them again).
+    /// Send the same encoded request frame to every site and gather the
+    /// replies in site order: a one-step phase whose frames are all
+    /// charged to `stage`, which also gets the slowest site's compute
+    /// time.
     pub fn broadcast_frame(
         &self,
         frame: Bytes,
@@ -894,7 +885,10 @@ mod tests {
             )
             .unwrap();
             let bodies = pool
-                .broadcast(&Request::PartialEval { query: Q0 }, &mut stage)
+                .broadcast_frame(
+                    protocol::encode_request(&Request::PartialEval { query: Q0 }),
+                    &mut stage,
+                )
                 .unwrap();
             assert_eq!(bodies.len(), 2);
             // 2 installs + 2 acks + 2 partial-eval requests + 2 replies.
@@ -917,7 +911,10 @@ mod tests {
             let mut stage = StageMetrics::default();
             // PartialEval without an installed query is the typed
             // unknown-query error, with the offending site.
-            let err = pool.broadcast(&Request::PartialEval { query: Q0 }, &mut stage);
+            let err = pool.broadcast_frame(
+                protocol::encode_request(&Request::PartialEval { query: Q0 }),
+                &mut stage,
+            );
             assert!(matches!(
                 err,
                 Err(EngineError::UnknownQuery { site: 0, query: 0 })
@@ -934,7 +931,10 @@ mod tests {
             let mut stage = StageMetrics::default();
             // Every site errors (no query installed yet)...
             assert!(matches!(
-                pool.broadcast(&Request::PartialEval { query: Q0 }, &mut stage),
+                pool.broadcast_frame(
+                    protocol::encode_request(&Request::PartialEval { query: Q0 }),
+                    &mut stage
+                ),
                 Err(EngineError::UnknownQuery { .. })
             ));
             // ...but every reply was drained, so the same transport
@@ -945,7 +945,10 @@ mod tests {
             )
             .unwrap();
             let bodies = pool
-                .broadcast(&Request::PartialEval { query: Q0 }, &mut stage)
+                .broadcast_frame(
+                    protocol::encode_request(&Request::PartialEval { query: Q0 }),
+                    &mut stage,
+                )
                 .unwrap();
             assert_eq!(bodies.len(), 2);
         });
@@ -978,10 +981,16 @@ mod tests {
             expect_acks(recv_each_site(&router, transport, qa)).unwrap();
             // Both proceed independently to partial evaluation.
             let a = pool_a
-                .broadcast(&Request::PartialEval { query: qa }, &mut sa)
+                .broadcast_frame(
+                    protocol::encode_request(&Request::PartialEval { query: qa }),
+                    &mut sa,
+                )
                 .unwrap();
             let b = pool_b
-                .broadcast(&Request::PartialEval { query: qb }, &mut sb)
+                .broadcast_frame(
+                    protocol::encode_request(&Request::PartialEval { query: qb }),
+                    &mut sb,
+                )
                 .unwrap();
             assert_eq!(a, b, "same query text, same answers");
             pool_a.release_quietly(&mut sa);

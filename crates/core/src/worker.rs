@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use fxhash::FxHashMap;
-use gstored_net::worker::{serve_stream, ServeOutcome};
+use gstored_net::worker::{serve_stream, wake_addr, ServeOutcome};
 use gstored_net::InProcessTransport;
 use gstored_partition::{DistributedGraph, Fragment};
 use gstored_rdf::VertexId;
@@ -360,6 +360,14 @@ impl<'a> SiteWorker<'a> {
                     Ok(s) => s,
                     Err(e) => return e,
                 };
+                // Feature i gets id `first_id + i`, and there are at most
+                // as many features as LPMs.
+                let last = u32::try_from(state.lpms.len().saturating_sub(1))
+                    .ok()
+                    .and_then(|n| first_id.checked_add(n));
+                if last.is_none() {
+                    return ResponseBody::Error("LEC feature ids would leave the u32 range".into());
+                }
                 let (features, feature_of_lpm) = compute_lec_features(&state.lpms, first_id);
                 state.first_id = first_id;
                 state.feature_of_lpm = feature_of_lpm;
@@ -514,20 +522,8 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
 /// [`serve_tcp`] with an explicit state-table capacity per connection.
 pub fn serve_tcp_with_options(listener: TcpListener, capacity: usize) -> std::io::Result<()> {
     let stop = Arc::new(AtomicBool::new(false));
-    // The address a handler thread self-connects to so the accept loop
-    // wakes up and observes the stop flag. A wildcard bind (0.0.0.0 /
-    // [::]) is not connectable on every platform; loopback at the bound
-    // port is.
-    let wake_addr = {
-        let mut addr = listener.local_addr()?;
-        if addr.ip().is_unspecified() {
-            match addr {
-                std::net::SocketAddr::V4(_) => addr.set_ip(std::net::Ipv4Addr::LOCALHOST.into()),
-                std::net::SocketAddr::V6(_) => addr.set_ip(std::net::Ipv6Addr::LOCALHOST.into()),
-            }
-        }
-        addr
-    };
+    // The handler thread that serves `Shutdown` connects here.
+    let wake = wake_addr(&listener)?;
     loop {
         let (mut stream, _) = listener.accept()?;
         if stop.load(Ordering::SeqCst) {
@@ -546,7 +542,7 @@ pub fn serve_tcp_with_options(listener: TcpListener, capacity: usize) -> std::io
                 {
                     stop.store(true, Ordering::SeqCst);
                     // Wake the accept loop so it observes the stop flag.
-                    let _ = TcpStream::connect(wake_addr);
+                    let _ = TcpStream::connect(wake);
                 }
             })
             .expect("spawn a worker connection thread");
@@ -700,7 +696,8 @@ mod tests {
                 panic!("wrong response");
             };
             let own = 100..100 + features.len() as u32;
-            let mut survivors = |useful: Vec<u32>| {
+            let mut survivors = |mut useful: Vec<u32>| {
+                useful.sort_unstable();
                 roundtrip(&mut w, &Request::DropPruned { query: Q0, useful });
                 match roundtrip(&mut w, &Request::ShipSurvivors { query: Q0 }) {
                     ResponseBody::Survivors(lpms) => lpms.to_lpms(),
@@ -737,6 +734,39 @@ mod tests {
             return;
         }
         panic!("no site produced LPMs");
+    }
+
+    /// A `first_id` whose feature ids would run past `u32::MAX` is
+    /// answered with an `Error`, never with wrapped ids or a panic.
+    #[test]
+    fn feature_ids_past_u32_are_an_error() {
+        let (dist, q) = setup();
+        for fragment in &dist.fragments {
+            let mut w = SiteWorker::for_fragment(fragment);
+            install(&mut w, Q0, &q);
+            let ResponseBody::PartialEval { lpm_count, .. } =
+                roundtrip(&mut w, &Request::PartialEval { query: Q0 })
+            else {
+                panic!("wrong response");
+            };
+            if lpm_count < 2 {
+                continue;
+            }
+            let mut features = |first_id| {
+                roundtrip(
+                    &mut w,
+                    &Request::ComputeLecFeatures {
+                        query: Q0,
+                        first_id,
+                    },
+                )
+            };
+            assert!(matches!(features(u32::MAX), ResponseBody::Error(_)));
+            let fits = u32::MAX - (lpm_count as u32 - 1);
+            assert!(matches!(features(fits), ResponseBody::Features(_)));
+            return;
+        }
+        panic!("no site produced two LPMs");
     }
 
     #[test]
@@ -1117,7 +1147,6 @@ mod tests {
             vec![EncodedVertex::Var; n],
             (0..n - 1)
                 .map(|i| EncodedEdge {
-                    index: i,
                     from: i,
                     to: i + 1,
                     label: EncodedLabel::Any,
@@ -1125,7 +1154,6 @@ mod tests {
                 .collect(),
             vec![RequiredClasses::Resolved(Vec::new()); n],
             (0..n).collect(),
-            (0..n).map(|i| Some(format!("v{i}"))).collect(),
         );
         let mut w = SiteWorker::for_fragment(&dist.fragments[0]);
         let reply = w.handle(protocol::encode_install_query(Q0, &path)).unwrap();

@@ -255,11 +255,6 @@ impl ChaosTransport {
         &self.stats
     }
 
-    /// The wrapped transport.
-    pub fn inner(&self) -> &dyn Transport {
-        &*self.inner
-    }
-
     /// Deterministic fault draw for frame `seq` in direction `dir`
     /// (0 = send, 1 = recv) to/from `site`.
     fn draw(&self, site: usize, dir: u64, seq: u64) -> Fault {

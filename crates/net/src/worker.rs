@@ -8,6 +8,7 @@
 //! crate free of engine types.
 
 use std::io::{self, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener};
 
 use bytes::Bytes;
 
@@ -21,6 +22,21 @@ pub enum ServeOutcome {
     Disconnected,
     /// The handler returned `None` (shutdown was requested).
     Stopped,
+}
+
+/// The address a thread connects to so that a loop blocked in
+/// `listener.accept()` wakes up and can see it should stop. A wildcard
+/// bind (`0.0.0.0` / `[::]`) is not connectable on every platform; loopback
+/// at the bound port is.
+pub fn wake_addr(listener: &TcpListener) -> io::Result<SocketAddr> {
+    let mut addr = listener.local_addr()?;
+    if addr.ip().is_unspecified() {
+        match addr {
+            SocketAddr::V4(_) => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+            SocketAddr::V6(_) => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        }
+    }
+    Ok(addr)
 }
 
 /// Serve frames over a byte stream (e.g. a `TcpStream`) until the peer

@@ -25,16 +25,18 @@ use crate::fragment::{FragmentId, PartitionAssignment};
 use crate::hash::mix64;
 use crate::Partitioner;
 
+/// Refinement passes per level.
+const REFINE_PASSES: usize = 4;
+
+/// Allowed vertex-weight imbalance factor (1.05 = 5%).
+const BALANCE_FACTOR: f64 = 1.05;
+
 /// Multilevel heavy-edge-matching partitioner.
 #[derive(Debug, Clone)]
 pub struct MetisLikePartitioner {
     k: usize,
     /// Stop coarsening below this vertex count.
     coarsen_target: usize,
-    /// Refinement passes per level.
-    refine_passes: usize,
-    /// Allowed vertex-weight imbalance factor (1.05 = 5%).
-    balance_factor: f64,
     seed: u64,
 }
 
@@ -45,23 +47,8 @@ impl MetisLikePartitioner {
         MetisLikePartitioner {
             k,
             coarsen_target: 20 * k.max(8),
-            refine_passes: 4,
-            balance_factor: 1.05,
             seed: 0xc0a6_5e11,
         }
-    }
-
-    /// Override the coarsening stop threshold.
-    pub fn with_coarsen_target(mut self, target: usize) -> Self {
-        self.coarsen_target = target.max(self.k);
-        self
-    }
-
-    /// Override the allowed imbalance factor.
-    pub fn with_balance_factor(mut self, f: f64) -> Self {
-        assert!(f >= 1.0);
-        self.balance_factor = f;
-        self
     }
 }
 
@@ -136,13 +123,7 @@ impl Partitioner for MetisLikePartitioner {
         let mut part = initial_partition(coarsest, self.k, self.seed);
 
         // --- Uncoarsen + refine ---
-        refine(
-            coarsest,
-            &mut part,
-            self.k,
-            self.refine_passes,
-            self.balance_factor,
-        );
+        refine(coarsest, &mut part, self.k);
         for li in (0..levels.len() - 1).rev() {
             let finer = &levels[li];
             let mut finer_part = vec![0usize; finer.n()];
@@ -150,13 +131,7 @@ impl Partitioner for MetisLikePartitioner {
                 finer_part[v] = part[finer.coarse_of[v]];
             }
             part = finer_part;
-            refine(
-                finer,
-                &mut part,
-                self.k,
-                self.refine_passes,
-                self.balance_factor,
-            );
+            refine(finer, &mut part, self.k);
         }
 
         let of_vertex = verts
@@ -331,10 +306,10 @@ fn initial_partition(level: &Level, k: usize, seed: u64) -> Vec<usize> {
 /// Boundary FM-style refinement: move vertices whose dominant neighbor
 /// part differs, when the move improves the cut and keeps balance.
 #[allow(clippy::needless_range_loop)] // indexing two parallel arrays
-fn refine(level: &Level, part: &mut [usize], k: usize, passes: usize, balance: f64) {
+fn refine(level: &Level, part: &mut [usize], k: usize) {
     let n = level.n();
     let total: u64 = level.vwgt.iter().sum();
-    let max_load = ((total as f64 / k as f64) * balance).ceil() as u64 + 1;
+    let max_load = ((total as f64 / k as f64) * BALANCE_FACTOR).ceil() as u64 + 1;
     let mut loads = vec![0u64; k];
     for v in 0..n {
         loads[part[v]] += level.vwgt[v];
@@ -342,7 +317,7 @@ fn refine(level: &Level, part: &mut [usize], k: usize, passes: usize, balance: f
 
     // Connection weight from the current vertex to each part.
     let mut conn = vec![0u64; k];
-    for _ in 0..passes {
+    for _ in 0..REFINE_PASSES {
         let mut moved = 0usize;
         for v in 0..n {
             let cur = part[v];

@@ -99,11 +99,6 @@ impl Dictionary {
         id
     }
 
-    /// Intern an IRI given as a string slice.
-    pub fn intern_iri(&mut self, iri: &str) -> TermId {
-        self.intern(Term::iri(iri))
-    }
-
     /// Look up the id of a term without interning it.
     pub fn id_of(&self, term: &Term) -> Option<TermId> {
         self.by_term.get(term).copied()

@@ -22,13 +22,6 @@ pub struct EdgeRef {
     pub to: VertexId,
 }
 
-impl EdgeRef {
-    /// View as an encoded triple.
-    pub fn as_triple(&self) -> EncodedTriple {
-        EncodedTriple::new(self.from, self.label, self.to)
-    }
-}
-
 impl From<EncodedTriple> for EdgeRef {
     fn from(t: EncodedTriple) -> Self {
         EdgeRef {
@@ -80,11 +73,6 @@ impl RdfGraph {
     /// Access the dictionary (read-only).
     pub fn dict(&self) -> &Dictionary {
         &self.dict
-    }
-
-    /// Access the dictionary mutably (e.g. to intern query constants).
-    pub fn dict_mut(&mut self) -> &mut Dictionary {
-        &mut self.dict
     }
 
     /// Insert a decoded triple, interning its terms. Duplicate edges

@@ -38,6 +38,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gstored::core::EngineError;
+use gstored::net::worker::wake_addr;
 use gstored::rdf::Term;
 use gstored::{Error, GStoreD};
 
@@ -57,8 +58,6 @@ pub struct ServerConfig {
     /// Accepted connections allowed to wait for a worker; beyond this,
     /// `429`.
     pub queue_depth: usize,
-    /// The `Retry-After` hint (seconds) on `429` responses.
-    pub retry_after_secs: u32,
     /// Per-connection socket read timeout. Bounds how long an idle
     /// keep-alive connection can hold a worker (and therefore how long
     /// graceful shutdown can take).
@@ -71,7 +70,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             queue_depth: 16,
-            retry_after_secs: 1,
             read_timeout: Duration::from_secs(30),
             limits: Limits::default(),
         }
@@ -116,9 +114,8 @@ impl SparqlServer {
     /// the running server's handle.
     pub fn start(self, listener: TcpListener) -> std::io::Result<ServerHandle> {
         let addr = listener.local_addr()?;
-        // Poll accept so the loop also notices the shutdown flag; the
-        // interval only bounds shutdown latency, not request latency.
-        listener.set_nonblocking(true)?;
+        // The accept loop blocks; shutdown wakes it with a connection here.
+        let wake = wake_addr(&listener)?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let queue = Arc::new(BoundedQueue::new(self.config.queue_depth.max(1)));
         let counters = Arc::new(ServerCounters::default());
@@ -154,30 +151,30 @@ impl SparqlServer {
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("gstored-accept".into())
-                .spawn(move || {
-                    while !shutdown.load(Ordering::SeqCst) {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                let _ = stream.set_read_timeout(Some(config.read_timeout));
-                                let _ = stream.set_nodelay(true);
-                                match queue.push(stream) {
-                                    Ok(()) => {
-                                        counters.admitted.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    Err(mut stream) => {
-                                        counters.rejected.fetch_add(1, Ordering::Relaxed);
-                                        let _ = reject_overload(&config, &mut stream);
-                                    }
+                .spawn(move || loop {
+                    let accepted = listener.accept();
+                    if shutdown.load(Ordering::SeqCst) {
+                        // Woken by `shutdown_inner`.
+                        return;
+                    }
+                    match accepted {
+                        Ok((stream, _)) => {
+                            let _ = stream.set_read_timeout(Some(config.read_timeout));
+                            let _ = stream.set_nodelay(true);
+                            match queue.push(stream) {
+                                Ok(()) => {
+                                    counters.admitted.fetch_add(1, Ordering::Relaxed);
+                                }
+                                Err(mut stream) => {
+                                    counters.rejected.fetch_add(1, Ordering::Relaxed);
+                                    let _ = reject_overload(&mut stream);
                                 }
                             }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(_) => {
-                                // Transient accept failures (e.g. a peer that
-                                // reset mid-handshake) are not fatal.
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
+                        }
+                        Err(_) => {
+                            // Transient accept failures (e.g. a peer that
+                            // reset mid-handshake) are not fatal.
+                            std::thread::sleep(Duration::from_millis(5));
                         }
                     }
                 })
@@ -186,6 +183,7 @@ impl SparqlServer {
 
         Ok(ServerHandle {
             addr,
+            wake,
             shutdown,
             queue,
             counters,
@@ -197,15 +195,14 @@ impl SparqlServer {
 
 /// The fast-path refusal the accept loop writes when the pool and queue
 /// are both full.
-fn reject_overload(config: &ServerConfig, stream: &mut TcpStream) -> std::io::Result<()> {
+fn reject_overload(stream: &mut TcpStream) -> std::io::Result<()> {
     HttpResponse::new(429)
-        .header("Retry-After", config.retry_after_secs.to_string())
+        .header("Retry-After", OVERLOAD_RETRY_AFTER_SECS.to_string())
         .body(
             "application/json",
             format!(
                 "{{\"error\":\"overloaded\",\"message\":\"request queue is full; retry after \
-                 {}s\"}}",
-                config.retry_after_secs
+                 {OVERLOAD_RETRY_AFTER_SECS}s\"}}"
             ),
         )
         .write_to(stream, true)
@@ -214,6 +211,8 @@ fn reject_overload(config: &ServerConfig, stream: &mut TcpStream) -> std::io::Re
 /// A running server: its bound address and the shutdown control.
 pub struct ServerHandle {
     addr: SocketAddr,
+    /// Where `shutdown_inner` connects to wake the blocked accept loop.
+    wake: SocketAddr,
     shutdown: Arc<AtomicBool>,
     queue: Arc<BoundedQueue<TcpStream>>,
     counters: Arc<ServerCounters>,
@@ -245,6 +244,7 @@ impl ServerHandle {
     fn shutdown_inner(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(accept) = self.accept.take() {
+            let _ = TcpStream::connect(self.wake);
             let _ = accept.join();
         }
         // After the accept loop exits nothing new can be pushed; close
@@ -526,6 +526,9 @@ fn buffered_query(
         Err(QueryFailure::Io(e)) => error_response(500, "io", &e.to_string()),
     }
 }
+
+/// The `Retry-After` hint (seconds) on `429` responses.
+const OVERLOAD_RETRY_AFTER_SECS: u32 = 1;
 
 /// The `Retry-After` hint (seconds) on degradation `503`s: long enough
 /// for the session's capped-backoff repair sequence to complete.

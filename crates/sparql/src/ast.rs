@@ -35,14 +35,6 @@ impl TermPattern {
             _ => None,
         }
     }
-
-    /// The constant term, if any.
-    pub fn as_const(&self) -> Option<&Term> {
-        match self {
-            TermPattern::Const(t) => Some(t),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for TermPattern {

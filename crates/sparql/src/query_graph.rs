@@ -295,11 +295,6 @@ impl QueryGraph {
         &self.class_constraints[v]
     }
 
-    /// Whether any vertex carries a class constraint.
-    pub fn has_class_constraints(&self) -> bool {
-        self.class_constraints.iter().any(|c| !c.is_empty())
-    }
-
     /// Whether the query graph is weakly connected.
     pub fn is_connected(&self) -> bool {
         if self.vertices.is_empty() {

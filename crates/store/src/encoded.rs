@@ -5,6 +5,11 @@
 //! against the dictionary once, at the coordinator, and is then shared
 //! with all sites. A constant that is absent from the dictionary can never
 //! match ([`EncodedVertex::Unsatisfiable`]).
+//!
+//! It holds only what a site evaluates and the coordinator projects:
+//! vertices, edges (an edge's identity is its position in the list),
+//! class requirements and the projection. Variable names stay in the
+//! coordinator's [`QueryGraph`], so they never cross the wire.
 
 use gstored_rdf::{Dictionary, TermId};
 use gstored_sparql::{EdgeLabel, QVertex, QueryGraph};
@@ -64,11 +69,10 @@ pub enum EncodedLabel {
     Unsatisfiable,
 }
 
-/// An encoded query edge.
+/// An encoded query edge. Its identity is its position in
+/// [`EncodedQuery::edges`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EncodedEdge {
-    /// Position in the original pattern list (edge identity).
-    pub index: usize,
     pub from: usize,
     pub to: usize,
     pub label: EncodedLabel,
@@ -81,7 +85,8 @@ pub struct EncodedEdge {
 /// this bound at prepare time and when a site decodes `InstallQuery`.
 pub const MAX_QUERY_VERTICES: usize = 20;
 
-/// A query graph with all constants resolved to term ids.
+/// A query graph with all constants resolved to term ids, and without
+/// its variable names.
 #[derive(Debug, Clone)]
 pub struct EncodedQuery {
     vertices: Vec<EncodedVertex>,
@@ -92,8 +97,6 @@ pub struct EncodedQuery {
     required_classes: Vec<RequiredClasses>,
     /// Query-vertex ids of projected variables (in projection order).
     projection: Vec<usize>,
-    /// Variable names per vertex (None for constants), for decoding output.
-    var_names: Vec<Option<String>>,
 }
 
 impl EncodedQuery {
@@ -115,16 +118,10 @@ impl EncodedQuery {
                 },
             })
             .collect();
-        let var_names: Vec<Option<String>> = q
-            .vertices()
-            .iter()
-            .map(|v| v.as_var().map(str::to_owned))
-            .collect();
         let edges: Vec<EncodedEdge> = q
             .edges()
             .iter()
             .map(|e| EncodedEdge {
-                index: e.index,
                 from: e.from,
                 to: e.to,
                 label: match &e.label {
@@ -166,7 +163,6 @@ impl EncodedQuery {
             inc,
             required_classes,
             projection,
-            var_names,
         })
     }
 
@@ -175,19 +171,17 @@ impl EncodedQuery {
     /// from the edge list; used by the wire codec when shipping a query
     /// to a remote worker process.
     ///
-    /// All vectors must be consistent: `required_classes` and `var_names`
-    /// have one entry per vertex, edge endpoints and projection entries
-    /// index into `vertices`.
+    /// All vectors must be consistent: `required_classes` has one entry
+    /// per vertex, edge endpoints and projection entries index into
+    /// `vertices`.
     pub fn from_parts(
         vertices: Vec<EncodedVertex>,
         edges: Vec<EncodedEdge>,
         required_classes: Vec<RequiredClasses>,
         projection: Vec<usize>,
-        var_names: Vec<Option<String>>,
     ) -> Self {
         let n = vertices.len();
         assert_eq!(required_classes.len(), n, "one class entry per vertex");
-        assert_eq!(var_names.len(), n, "one name entry per vertex");
         let mut out = vec![Vec::new(); n];
         let mut inc = vec![Vec::new(); n];
         for (i, e) in edges.iter().enumerate() {
@@ -201,7 +195,6 @@ impl EncodedQuery {
             inc,
             required_classes,
             projection,
-            var_names,
         }
     }
 
@@ -266,11 +259,6 @@ impl EncodedQuery {
     /// Query-vertex ids of the projection, in order.
     pub fn projection(&self) -> &[usize] {
         &self.projection
-    }
-
-    /// Variable name of a vertex (None for constants).
-    pub fn var_name(&self, v: usize) -> Option<&str> {
-        self.var_names[v].as_deref()
     }
 
     /// Class requirements of a vertex.
@@ -409,8 +397,6 @@ mod tests {
         let (g, q) = setup();
         let e = EncodedQuery::encode(&q, g.dict()).unwrap();
         assert_eq!(e.projection(), &[0]);
-        assert_eq!(e.var_name(0), Some("x"));
-        assert_eq!(e.var_name(1), None);
     }
 
     #[test]

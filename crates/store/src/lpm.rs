@@ -30,11 +30,6 @@ pub struct LocalPartialMatch {
 }
 
 impl LocalPartialMatch {
-    /// Whether query vertex `v` is bound (non-NULL).
-    pub fn is_bound(&self, v: usize) -> bool {
-        self.binding[v].is_some()
-    }
-
     /// Whether query vertex `v` is bound to an internal vertex.
     pub fn is_internal(&self, v: usize) -> bool {
         self.internal_mask & (1 << v) != 0

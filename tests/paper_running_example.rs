@@ -327,9 +327,9 @@ fn full_variant_stage_shipment_is_pinned() {
         m.assembly.bytes_shipped,
     ];
     // Candidates, partial evaluation, LEC, assembly.
-    assert_eq!(shipped, [732, 66, 274, 182]);
+    assert_eq!(shipped, [675, 66, 271, 182]);
     // The query's total, the same whichever stage a prefix is booked to.
-    assert_eq!(shipped.iter().sum::<u64>(), 1254);
-    assert_eq!(m.total_shipped(), 1254);
+    assert_eq!(shipped.iter().sum::<u64>(), 1194);
+    assert_eq!(m.total_shipped(), 1194);
     assert_eq!(results.len(), 4);
 }

@@ -22,30 +22,80 @@ fn reply_roundtrip(body: ResponseBody) -> ResponseBody {
     protocol::decode_response(reply_frame(body)).unwrap().body
 }
 
-fn arbitrary_lpm(
+/// `ids` as a verdict lists them: ascending, each once.
+fn ascending(mut ids: Vec<u32>) -> Vec<u32> {
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
+/// An LPM as Definition 5 shapes it: it binds a vertex (entry 0 always),
+/// and each crossing edge joins two bound ids, picked by `from` and `to`
+/// among the bound entries.
+fn definition5_lpm(
     fragment: usize,
     bindings: &[Option<u64>],
-    crossings: &[(u64, u64, u64, usize)],
+    crossings: &[(usize, u64, usize, usize)],
     mask: u64,
 ) -> LocalPartialMatch {
+    let mut binding: Vec<Option<TermId>> = bindings.iter().map(|o| o.map(TermId)).collect();
+    binding[0] = binding[0].or(Some(TermId(0)));
+    let bound: Vec<TermId> = binding.iter().flatten().copied().collect();
+    let crossing = crossings
+        .iter()
+        .map(|&(from, label, to, qe)| {
+            let from = bound[from % bound.len()];
+            let to = bound[to % bound.len()];
+            (
+                EdgeRef {
+                    from,
+                    label: TermId(label),
+                    to,
+                },
+                qe,
+            )
+        })
+        .collect();
     LocalPartialMatch {
         fragment,
-        binding: bindings.iter().map(|o| o.map(TermId)).collect(),
-        crossing: crossings
-            .iter()
-            .map(|&(f, l, t, qe)| {
-                (
-                    EdgeRef {
-                        from: TermId(f),
-                        label: TermId(l),
-                        to: TermId(t),
-                    },
-                    qe,
-                )
-            })
-            .collect(),
+        binding,
+        crossing,
         internal_mask: mask,
     }
+}
+
+/// Algorithm 1's output shape: one feature per sign, all of one
+/// fragment, numbered from `first`; feature *i* maps the first *i*
+/// entries of `mapping`.
+fn numbered_features(
+    fragments: u64,
+    first: u32,
+    mapping: &[(u64, u64, u64, usize)],
+    signs: &[u64],
+) -> Vec<LecFeature> {
+    signs
+        .iter()
+        .zip(first..=u32::MAX)
+        .enumerate()
+        .map(|(i, (&sign, id))| LecFeature {
+            fragments,
+            mapping: mapping[..i.min(mapping.len())]
+                .iter()
+                .map(|&(a, l, b, qe)| {
+                    (
+                        EdgeRef {
+                            from: TermId(a),
+                            label: TermId(l),
+                            to: TermId(b),
+                        },
+                        qe,
+                    )
+                })
+                .collect(),
+            sign,
+            sources: vec![id],
+        })
+        .collect()
 }
 
 proptest! {
@@ -89,43 +139,23 @@ proptest! {
     fn lpm_protocol_roundtrip(
         fragment in 0usize..16,
         bindings in prop::collection::vec(prop::option::of(0u64..10_000), 1..8),
-        crossings in prop::collection::vec((0u64..1000, 0u64..50, 0u64..1000, 0usize..8), 0..4),
+        crossings in prop::collection::vec((0usize..8, 0u64..50, 0usize..8, 0usize..8), 0..4),
         mask in any::<u64>(),
     ) {
-        let lpm = LocalPartialMatch {
-            fragment,
-            binding: bindings.iter().map(|o| o.map(TermId)).collect(),
-            crossing: crossings
-                .iter()
-                .map(|&(f, l, t, qe)| {
-                    (EdgeRef { from: TermId(f), label: TermId(l), to: TermId(t) }, qe)
-                })
-                .collect(),
-            internal_mask: mask,
-        };
+        let lpm = definition5_lpm(fragment, &bindings, &crossings, mask);
         let batch = ResponseBody::Survivors(vec![lpm.clone(), lpm].into());
         prop_assert_eq!(reply_roundtrip(batch.clone()), batch);
     }
 
     #[test]
     fn feature_protocol_roundtrip(
-        fragments in 1u64..256,
+        site in 0u32..64,
+        first in any::<u32>(),
         mapping in prop::collection::vec((0u64..1000, 0u64..50, 0u64..1000, 0usize..8), 0..5),
-        sign in any::<u64>(),
-        sources in prop::collection::vec(any::<u32>(), 0..6),
+        signs in prop::collection::vec(any::<u64>(), 0..6),
     ) {
-        let f = LecFeature {
-            fragments,
-            mapping: mapping
-                .iter()
-                .map(|&(a, l, b, qe)| {
-                    (EdgeRef { from: TermId(a), label: TermId(l), to: TermId(b) }, qe)
-                })
-                .collect(),
-            sign,
-            sources,
-        };
-        let features = ResponseBody::Features(vec![f]);
+        let features = numbered_features(1 << site, first, &mapping, &signs);
+        let features = ResponseBody::Features(features);
         prop_assert_eq!(reply_roundtrip(features.clone()), features);
     }
 
@@ -192,7 +222,7 @@ proptest! {
             },
             Request::PartialEval { query },
             Request::ComputeLecFeatures { query, first_id },
-            Request::DropPruned { query, useful: useful.clone() },
+            Request::DropPruned { query, useful: ascending(useful) },
             Request::ShipSurvivors { query },
             Request::ShipSurvivorsChunk { query, seq, max },
             Request::ShipSurvivorsChunk { query, seq: 0, max: usize::MAX },
@@ -383,7 +413,7 @@ proptest! {
         lpm_count in any::<u64>(),
         fragment in 0usize..16,
         bindings in prop::collection::vec(prop::option::of(0u64..10_000), 1..6),
-        crossings in prop::collection::vec((0u64..1000, 0u64..50, 0u64..1000, 0usize..8), 0..3),
+        crossings in prop::collection::vec((0usize..8, 0u64..50, 0usize..8, 0usize..8), 0..3),
         mask in any::<u64>(),
         message in "[ -~]{0,40}",
         status in prop::collection::vec(any::<u64>(), 4),
@@ -394,7 +424,7 @@ proptest! {
             .iter()
             .map(|r| r.iter().map(|&v| TermId(v)).collect())
             .collect();
-        let lpm = arbitrary_lpm(fragment, &bindings, &crossings, mask);
+        let lpm = definition5_lpm(fragment, &bindings, &crossings, mask);
         let bodies = vec![
             ResponseBody::Ack,
             ResponseBody::Bindings(locals.clone()),
@@ -536,72 +566,62 @@ proptest! {
         prop_assert!(protocol::decode_request(chain).is_err());
     }
 
-    /// Feature ids ship as zigzag deltas from the previous id, so a
-    /// hostile list can point outside `u32`: above `u32::MAX`, or below
-    /// 0. Either is a typed decode error, never an id wrapped back into
-    /// range, in a `DropPruned` request and in a `Features` reply alike.
-    /// Every proper prefix of a valid list — cut mid-varint, too — is an
-    /// error as well.
+    /// Feature ids ship as unsigned steps: a `DropPruned` list as the
+    /// steps between its ascending ids (the first from 0), a `Features`
+    /// batch as its first id. A step of 0 after the first (a repeated
+    /// id), a step past `u32::MAX` (the only way an unsigned step could
+    /// land on a smaller id) and a batch numbered past `u32::MAX` are
+    /// typed decode errors, never ids wrapped back into range. Every
+    /// proper prefix of a valid frame — cut mid-varint, too — is an error
+    /// as well.
     #[test]
     fn hostile_feature_id_lists_are_decode_errors(
         qid in any::<u32>(),
         ids in prop::collection::vec(any::<u32>(), 1..8),
         over in 1u64..u64::from(u32::MAX),
     ) {
-        let zigzag = |delta: i64| ((delta << 1) ^ (delta >> 63)) as u64;
-        let last = i64::from(*ids.last().unwrap());
-        let over = over as i64;
-        // A valid list, then one delta past either end of `u32`, and the
-        // largest varints a delta can be.
-        for bad in [
-            zigzag(i64::from(u32::MAX) - last + over),
-            zigzag(-last - over),
-            u64::MAX,
-            u64::MAX - 1,
-        ] {
-            let mut list = WireWriter::new();
-            list.usize(ids.len() + 1);
-            let mut prev = 0i64;
+        let ids = ascending(ids);
+        let last = u64::from(*ids.last().unwrap());
+        // DropPruned: tag 8, query id, the count, the steps of `ids`,
+        // then maybe one more step.
+        let list = |extra: Option<u64>| {
+            let mut w = WireWriter::new();
+            w.u64(8).u32_fixed(qid).usize(ids.len() + usize::from(extra.is_some()));
+            let mut prev = 0;
             for &id in &ids {
-                list.u64(zigzag(i64::from(id) - prev));
-                prev = i64::from(id);
+                w.u64(u64::from(id) - prev);
+                prev = u64::from(id);
             }
-            list.u64(bad);
-            let list = list.finish();
-            // DropPruned: tag 8, query id, the list.
-            let mut w = WireWriter::new();
-            w.u64(8).u32_fixed(qid);
-            let mut request = w.finish().to_vec();
-            request.extend_from_slice(&list);
-            prop_assert!(protocol::decode_request(request.into()).is_err());
-            // Features: header, tag 5, one feature, flags (shared
-            // fragments, explicit id lists), the fragments, an empty
-            // label table; then the feature (no mapping, sign) and its
-            // sources as the list.
-            let mut w = WireWriter::new();
-            w.u64_fixed(0).u32_fixed(qid).u64(5).usize(1).u64(1).u64(1).usize(0);
-            w.usize(0).u64(1);
-            let mut reply = w.finish().to_vec();
-            reply.extend_from_slice(&list);
-            prop_assert!(protocol::decode_response(reply.into()).is_err());
+            if let Some(step) = extra {
+                w.u64(step);
+            }
+            protocol::decode_request(w.finish())
+        };
+        prop_assert!(list(None).is_ok());
+        for bad in [0, u64::from(u32::MAX) - last + over, u64::MAX, u64::MAX - 1] {
+            prop_assert!(list(Some(bad)).is_err(), "step {}", bad);
         }
+        // Features: header, tag 5, `n` features, fragments 1, the first
+        // id, an empty label table; then each feature (no mapping, sign).
+        let n = ids.len() as u64;
+        let features = |first: u64| {
+            let mut w = WireWriter::new();
+            w.u64_fixed(0).u32_fixed(qid).u64(5).u64(n).u64(1).u64(first).usize(0);
+            for _ in 0..n {
+                w.usize(0).u64(1);
+            }
+            protocol::decode_response(w.finish())
+        };
+        prop_assert!(features(u64::from(u32::MAX) + 1 - n).is_ok());
+        prop_assert!(features(u64::from(u32::MAX) + 1 - n + over).is_err());
+        prop_assert!(features(u64::MAX - over).is_err());
 
-        // The same ids, valid, round-trip — spread over several features
-        // of one batch, whose deltas run on from feature to feature — and
-        // no proper prefix of either frame decodes.
+        // The same ids, valid, round-trip, and no proper prefix of either
+        // frame decodes.
         let query = QueryId(qid);
-        let drop_pruned = Request::DropPruned { query, useful: ids.clone() };
-        let request = protocol::encode_request(&drop_pruned);
-        let features = ResponseBody::Features(
-            ids.chunks(3)
-                .map(|sources| LecFeature {
-                    fragments: 1,
-                    mapping: vec![],
-                    sign: 1,
-                    sources: sources.to_vec(),
-                })
-                .collect(),
-        );
+        let request = protocol::encode_request(&Request::DropPruned { query, useful: ids.clone() });
+        let features =
+            ResponseBody::Features(numbered_features(1, ids[0], &[], &vec![1; ids.len()]));
         prop_assert_eq!(reply_roundtrip(features.clone()), features.clone());
         let reply = reply_frame(features);
         let Request::DropPruned { useful, .. } = protocol::decode_request(request.clone()).unwrap()
@@ -615,6 +635,33 @@ proptest! {
         for cut in 0..reply.len() {
             prop_assert!(protocol::decode_response(reply.slice(0..cut)).is_err());
         }
+    }
+
+    /// Variable names stay at the coordinator: an `InstallQuery` frame
+    /// is the same bytes whatever its variables are called.
+    #[test]
+    fn install_query_frame_ignores_variable_names(
+        qid in any::<u32>(),
+        a in "[a-z0-9_]{0,24}",
+        b in "[a-z0-9_]{0,24}",
+    ) {
+        // Distinct first letters keep the two variables apart.
+        let (a, b) = (format!("a{a}"), format!("b{b}"));
+        let graph = gstored::rdf::RdfGraph::from_triples(vec![Triple::new(
+            Term::iri("http://a"),
+            Term::iri("http://p"),
+            Term::iri("http://b"),
+        )]);
+        let frame = |x: &str, y: &str| {
+            let text = format!(
+                "SELECT ?{x} WHERE {{ ?{x} <http://p> ?{y} . ?{y} <http://q> <http://b> }}"
+            );
+            let query = gstored::sparql::parse_query(&text).unwrap();
+            let query = gstored::sparql::QueryGraph::from_query(&query).unwrap();
+            let encoded = gstored::store::EncodedQuery::encode(&query, graph.dict()).unwrap();
+            protocol::encode_install_query(QueryId(qid), &encoded)
+        };
+        prop_assert_eq!(frame(&a, &b), frame("x", "y"));
     }
 
     /// The size law of a site's verdict: `n` ascending consecutive ids
@@ -704,10 +751,10 @@ proptest! {
     /// Hostile LPM and feature batches are decode errors — no panic, no
     /// allocation sized by a claim: a run longer than the frame, a slot
     /// endpoint past the binding or on an unbound vertex, a bound-vertex
-    /// bit past the binding, a silent LPM in a longer run, slots that
-    /// would repeat into more crossing entries than the frame's bytes
-    /// allow, and a label table naming a query edge twice. Each starts from a valid frame
-    /// that decodes, so each error is the one named.
+    /// bit past the binding, a run that binds no vertex, slots that would
+    /// repeat into more crossing entries than the frame's bytes allow,
+    /// and a label table naming a query edge twice. Each starts from a
+    /// valid frame that decodes, so each error is the one named.
     #[test]
     fn hostile_lpm_and_feature_batches_are_decode_errors(
         qid in any::<u32>(),
@@ -718,12 +765,12 @@ proptest! {
     ) {
         // A `Survivors` reply (tag 6): one run, fragment 1, `width`
         // vertices; the run — internal mask, bound mask, one slot (query
-        // edge 0 from binding entry `from − 1` to entry 1, label 7),
-        // `len` LPMs — then the LPMs' bound ids.
+        // edge 0 from binding entry `from` to entry 1, label 7), `len`
+        // LPMs — then the LPMs' bound ids.
         let lpms = |bound: u64, from: usize, len: u64, rows: &[&[u64]]| {
             let mut w = WireWriter::new();
             w.u64_fixed(0).u32_fixed(qid).u64(6).usize(1).usize(1).usize(width);
-            w.u64(1).u64(bound).usize(1).usize(0).usize(from).usize(2).opt_u64(Some(7));
+            w.u64(1).u64(bound).usize(1).usize(0).usize(from).usize(1).opt_u64(Some(7));
             w.u64(len);
             for row in rows {
                 for &id in *row {
@@ -733,20 +780,26 @@ proptest! {
             protocol::decode_response(w.finish())
         };
         let rows: &[&[u64]] = &[&[10, 11], &[12, 13]];
-        prop_assert!(lpms(0b11, 1, 2, rows).is_ok());
-        prop_assert!(lpms(0b11, 1, claimed, rows).is_err());
-        prop_assert!(lpms(0b11, width + 1 + beyond, 2, rows).is_err());
-        prop_assert!(lpms(0b11, 3, 2, rows).is_err());
-        prop_assert!(lpms(0b11 | 1 << (width as u32 + extra), 1, 2, rows).is_err());
-        // A run whose LPMs ship nothing may hold one LPM only.
-        let silent = |len: u64| {
+        prop_assert!(lpms(0b11, 0, 2, rows).is_ok());
+        prop_assert!(lpms(0b11, 0, claimed, rows).is_err());
+        prop_assert!(lpms(0b11, width + beyond, 2, rows).is_err());
+        prop_assert!(lpms(0b11, 2, 2, rows).is_err());
+        prop_assert!(lpms(0b11 | 1 << (width as u32 + extra), 0, 2, rows).is_err());
+        // Definition 5: an LPM binds a vertex. A slotless run of LPMs
+        // binding vertex 0 decodes; the same run binding nothing does not.
+        let slotless = |bound: u64, len: u64| {
             let mut w = WireWriter::new();
             w.u64_fixed(0).u32_fixed(qid).u64(6).usize(1).usize(1).usize(width);
-            w.u64(0).u64(0).usize(0).u64(len);
+            w.u64(bound).u64(bound).usize(0).u64(len);
+            for id in 0..len.min(4) * u64::from(bound.count_ones()) {
+                w.u64(id);
+            }
             protocol::decode_response(w.finish())
         };
-        prop_assert!(silent(1).is_ok());
-        prop_assert!(silent(claimed).is_err());
+        prop_assert!(slotless(1, 1).is_ok());
+        prop_assert!(slotless(1, 4).is_ok());
+        prop_assert!(slotless(0, 1).is_err());
+        prop_assert!(slotless(0, claimed).is_err());
         // A run's slots repeat in each of its LPMs: 64 slots over LPMs of
         // one bound id each decode to 64 crossing entries per LPM byte,
         // past the 16 per frame byte a batch may decode to once the run
@@ -756,7 +809,7 @@ proptest! {
             w.u64_fixed(0).u32_fixed(qid).u64(6).usize(1).usize(1).usize(width);
             w.u64(1).u64(1).usize(64);
             for qe in 0..64 {
-                w.usize(qe).usize(1).usize(1).opt_u64(Some(7));
+                w.usize(qe).usize(0).usize(0).opt_u64(Some(7));
             }
             w.usize(len);
             for id in 0..len {
@@ -767,12 +820,12 @@ proptest! {
         prop_assert!(repeated(100).is_ok());
         prop_assert!(repeated(1_000 + beyond).is_err());
 
-        // A `Features` reply (tag 5): one feature, flags (shared
-        // fragments, numbered ids), fragments 1, first id 0, the label
-        // table, then the feature (one entry: query edge 0, 1 → 2; sign).
+        // A `Features` reply (tag 5): one feature, fragments 1, first id
+        // 0, the label table, then the feature (one entry: query edge 0,
+        // 1 → 2; sign).
         let features = |table: &[(usize, u64)]| {
             let mut w = WireWriter::new();
-            w.u64_fixed(0).u32_fixed(qid).u64(5).usize(1).u64(3).u64(1).u64(0);
+            w.u64_fixed(0).u32_fixed(qid).u64(5).usize(1).u64(1).u64(0);
             w.usize(table.len());
             for &(qe, label) in table {
                 w.usize(qe).u64(label);
