@@ -14,10 +14,16 @@
 //!
 //! 1. coordinator → sites: [`Request::ComputeCandidates`],
 //! 2. sites → coordinator: `BitVectors` replies (`B'_v` per variable),
-//! 3. coordinator unions per variable (Algorithm 4 lines 2–6),
+//! 3. coordinator unions per variable (Algorithm 4 lines 2–6). If some
+//!    variable's union has no bit set, no site holds an internal
+//!    candidate for it and the query has no match: the coordinator sends
+//!    every site a `ReleaseQuery` instead, and the query ends here,
 //! 4. coordinator → sites: [`Request::SetCandidateFilter`] with the
 //!    unioned vectors; sites keep them for LPM enumeration,
 //! 5. sites → coordinator: `Ack`s.
+//!
+//! [`exchange_candidates`] is the step-by-step form of steps 1–5 that
+//! harnesses time; it does not stop at an empty union.
 
 use gstored_net::StageMetrics;
 use gstored_store::candidates::{BitVectorFilter, CandidateFilter};
@@ -81,6 +87,11 @@ pub(crate) fn union_bit_vectors(
 /// exchanged frame. The engine folds these steps into its per-phase
 /// chains instead; this standalone form serves harnesses that measure
 /// the exchange on its own.
+///
+/// Unlike the engine, it goes on after a variable's union came out
+/// empty: the engine ends such a query at the union with one
+/// `ReleaseQuery` broadcast, so whatever a harness runs after this form
+/// is work the engine skips.
 pub fn exchange_candidates(
     pool: &WorkerPool<'_>,
     q: &EncodedQuery,

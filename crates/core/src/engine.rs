@@ -32,6 +32,11 @@
 //! C  [DropPruned, ShipSurvivorsChunk], then bare ShipSurvivorsChunk pulls
 //! ```
 //!
+//! An empty union ends after A plus a release: a variable whose unioned
+//! vector has no bit set has no internal candidate on any site, so the
+//! query has no match, and one acked `ReleaseQuery` broadcast replaces
+//! phases B and C.
+//!
 //! A site runs its chain without waiting for the coordinator, so a
 //! straggler delays a phase's one collection point, not every step.
 //!
@@ -75,6 +80,7 @@ use bytes::Bytes;
 use gstored_net::{ChaosConfig, NetworkModel, QueryMetrics, ReactorTransport, Transport};
 use gstored_partition::DistributedGraph;
 use gstored_rdf::{Term, VertexId};
+use gstored_store::candidates::BitVectorFilter;
 use gstored_store::{EncodedQuery, LocalPartialMatch, LpmBatch};
 
 use crate::assembly::{assemble_basic, IncrementalJoin};
@@ -85,7 +91,7 @@ use crate::planner::{plan_query, PlannerDecision};
 use crate::prepared::PreparedPlan;
 use crate::protocol::{self, QueryId, Request, ResponseBody};
 use crate::prune::useful_ids;
-use crate::runtime::{Chain, ReplyRouter, Stage, Wave, WorkerPool};
+use crate::runtime::{expect_acks, Chain, ReplyRouter, Stage, Wave, WorkerPool};
 
 /// Query ids for executions that bypass a session's `QueryExecutor`
 /// ([`Engine::execute_on`] used directly). Process-wide
@@ -462,7 +468,7 @@ impl Engine {
         };
         let mut metrics = QueryMetrics::default();
         let mut pending = VecDeque::new();
-        let born_drained = q.has_unsatisfiable();
+        let mut born_drained = q.has_unsatisfiable();
         let mode = if born_drained {
             // Nothing was installed anywhere; no site is ever pulled.
             StreamMode::General {
@@ -488,9 +494,17 @@ impl Engine {
                 .with_pacing(self.config.pace_network)
                 .with_deadline(self.config.query_deadline.map(|d| Instant::now() + d));
             match self.prepare_survivors(&pool, plan, variant, &mut metrics) {
-                Ok((complete, drop_pruned)) => {
+                Ok(Some((complete, drop_pruned))) => {
                     pending.extend(complete);
                     StreamMode::General { drop_pruned, join }
+                }
+                Ok(None) => {
+                    // Ended at the union barrier; every site is released.
+                    born_drained = true;
+                    StreamMode::General {
+                        drop_pruned: Vec::new(),
+                        join,
+                    }
                 }
                 Err(e) => {
                     // Best-effort and uncharged: a failed query has no
@@ -526,7 +540,11 @@ impl Engine {
     ///
     /// 1. **Phase A** (Full): `[InstallQuery, ComputeCandidates]`.
     /// 2. **Union barrier**: the candidate filter is the OR over *all*
-    ///    sites' vectors (Algorithm 4 lines 2–6).
+    ///    sites' vectors (Algorithm 4 lines 2–6). A variable whose union
+    ///    is empty has no internal candidate on any site; candidates are
+    ///    exact for internal vertices and every vertex is internal
+    ///    somewhere, so the query has no match: one acked `ReleaseQuery`
+    ///    broadcast ends it here.
     /// 3. **Phase B**: `[SetCandidateFilter | InstallQuery, PartialEval,
     ///    ComputeLecFeatures]` — feature ids are assigned statically
     ///    ([`lec_first_id`]), so the feature request waits on no other
@@ -535,7 +553,8 @@ impl Engine {
     ///    the whole fleet.
     ///
     /// `variant` is the explicit variant to run (`Auto` already
-    /// resolved). Returns the local complete matches and, when pruning
+    /// resolved). Returns `None` when the query ended at the union
+    /// barrier; otherwise the local complete matches and, when pruning
     /// ran, one encoded `DropPruned` verdict per site holding only the
     /// surviving ids in that site's range — *not yet sent*: each heads
     /// the stream's first pull of its site, so every surviving id
@@ -546,7 +565,7 @@ impl Engine {
         plan: &PreparedPlan,
         variant: Variant,
         metrics: &mut QueryMetrics,
-    ) -> Result<(Vec<Vec<VertexId>>, Vec<Bytes>), EngineError> {
+    ) -> Result<Option<Survivors>, EngineError> {
         let q = plan.encoded();
         let query = pool.query();
         let sites = pool.sites();
@@ -579,6 +598,11 @@ impl Engine {
             let unioned = metrics
                 .candidates
                 .time(|| union_bit_vectors(&vector_bodies, vars.len(), bits))?;
+            if unioned.iter().any(BitVectorFilter::is_empty) {
+                let release = protocol::encode_request(&Request::ReleaseQuery { query });
+                expect_acks(pool.broadcast_frame(release, &mut metrics.candidates)?)?;
+                return Ok(None);
+            }
             let vectors: Vec<_> = vars.iter().copied().zip(unioned).collect();
             Some(protocol::encode_request(&Request::SetCandidateFilter {
                 query,
@@ -639,7 +663,7 @@ impl Engine {
             }
         }
         if !pruning {
-            return Ok((complete, Vec::new()));
+            return Ok(Some((complete, Vec::new())));
         }
 
         // --- Prune barrier: the coordinator ranks the features of the
@@ -661,9 +685,14 @@ impl Engine {
                 protocol::encode_request(&Request::DropPruned { query, useful })
             })
             .collect();
-        Ok((complete, drop_pruned))
+        Ok(Some((complete, drop_pruned)))
     }
 }
+
+/// What phases A and B leave for a stream's pulls: the local complete
+/// matches and, when pruning ran, each site's unsent `DropPruned`
+/// verdict.
+type Survivors = (Vec<Vec<VertexId>>, Vec<Bytes>);
 
 /// Apply projection / DISTINCT / LIMIT to a drained stream's bindings and
 /// package them with its metrics and planner verdict.

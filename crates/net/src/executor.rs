@@ -77,26 +77,48 @@ where
 }
 
 /// Run `pool` on threads of its own; the caller joins them after
-/// [`Mailboxes::stop`].
+/// [`Mailboxes::stop`]. Returns once every thread runs, so each already
+/// carries its name.
 pub(crate) fn spawn(pool: Arc<Sites<'static>>) -> Vec<JoinHandle<()>> {
-    (0..pool_size(pool.handlers.len()))
+    let (started, running) = channel();
+    let threads: Vec<_> = (0..pool_size(pool.handlers.len()))
         .map(|i| {
-            let pool = Arc::clone(&pool);
             pool_thread(i)
-                .spawn(move || pool.work())
+                .spawn(body(Arc::clone(&pool), started.clone()))
                 .expect("spawn a site pool thread")
         })
-        .collect()
+        .collect();
+    await_started(&running, threads.len());
+    threads
 }
 
 /// Run `pool` on threads of `scope`, which joins them after
-/// [`Mailboxes::stop`].
+/// [`Mailboxes::stop`]. Returns once every thread runs.
 pub(crate) fn spawn_in<'scope, 'env>(scope: &'scope Scope<'scope, 'env>, pool: Arc<Sites<'env>>) {
-    for i in 0..pool_size(pool.handlers.len()) {
-        let pool = Arc::clone(&pool);
+    let (started, running) = channel();
+    let threads = pool_size(pool.handlers.len());
+    for i in 0..threads {
         pool_thread(i)
-            .spawn_scoped(scope, move || pool.work())
+            .spawn_scoped(scope, body(Arc::clone(&pool), started.clone()))
             .expect("spawn a site pool thread");
+    }
+    await_started(&running, threads);
+}
+
+/// A pool thread's body: say that it runs — a thread takes its name
+/// before its body starts, so a census taken after [`await_started`]
+/// sees every pool thread — then serve the pool.
+fn body<'h>(pool: Arc<Sites<'h>>, started: Sender<()>) -> impl FnOnce() + Send + 'h {
+    move || {
+        let _ = started.send(());
+        pool.work()
+    }
+}
+
+/// Wait until `threads` pool bodies have started.
+fn await_started(running: &Receiver<()>, threads: usize) {
+    for _ in 0..threads {
+        running.recv().expect("a started pool thread reports in");
     }
 }
 
@@ -259,29 +281,27 @@ impl<'h> Sites<'h> {
             };
             let generation = mailbox.generation;
             drop(ready);
-            let outcome = self.run(site, generation, frame);
-            let closed = {
-                let mut slot = self.mailboxes.reply_slot(site);
-                match outcome {
-                    _ if slot.0 != generation => false,
-                    Some(reply) => {
-                        if let Some(tx) = &slot.1 {
-                            // The transport may be gone; nobody reads then.
-                            let _ = tx.send(reply);
-                        }
-                        false
+            let closed = match self.run(site, generation, frame) {
+                Some(reply) => {
+                    let slot = self.mailboxes.reply_slot(site);
+                    if let (true, Some(tx)) = (slot.0 == generation, &slot.1) {
+                        // The transport may be gone; nobody reads then.
+                        let _ = tx.send(reply);
                     }
-                    None => {
-                        slot.1 = None;
-                        true
-                    }
+                    false
                 }
+                None => true,
             };
             ready = self.mailboxes.lock();
             let mailbox = &mut ready.sites[site];
             if closed && mailbox.generation == generation {
+                // The mailbox closes before the reply channel, both under
+                // the queue's lock (the order `reset` takes them in): a
+                // reader that finds the channel closed finds the mailbox
+                // closed too.
                 mailbox.open = false;
                 mailbox.frames.clear();
+                self.mailboxes.reply_slot(site).1 = None;
             }
             if mailbox.frames.is_empty() {
                 mailbox.busy = false;

@@ -113,6 +113,11 @@ impl BitVectorFilter {
         }
     }
 
+    /// Whether no bit is set: nothing passes the filter.
+    pub fn is_empty(&self) -> bool {
+        self.bits.iter().all(|&w| w == 0)
+    }
+
     /// Size in bytes when shipped (fixed-length — the point of Section VI).
     pub fn wire_size(&self) -> usize {
         self.bits.len() * 8

@@ -9,8 +9,9 @@
 //!     get one by one, and ends in the same state, however the step
 //!     sequence is cut into chains;
 //! (b) `execute` and `stream` return the centralized oracle's rows, in
-//!     the promised number of frames — two per site per phase, with an
-//!     unbounded stream costing exactly what `execute` does;
+//!     the promised number of frames — two per site per phase (a `Full`
+//!     query with an empty candidate union: phase A and one release),
+//!     with an unbounded stream costing exactly what `execute` does;
 //! (c) a chain whose k-th step fails returns k replies and runs nothing
 //!     after it, and the engine turns that into the same typed error as
 //!     ever, leaving no query resident on any site.
@@ -30,7 +31,7 @@ use gstored::partition::{
 };
 use gstored::prelude::*;
 use gstored::rdf::VertexId;
-use gstored::store::{find_matches, EncodedQuery};
+use gstored::store::{find_matches, internal_candidates, EncodedQuery};
 
 const SITES: usize = 3;
 const Q: QueryId = QueryId(5);
@@ -147,6 +148,19 @@ fn step_by_step(
     (requests, bodies)
 }
 
+/// Whether some variable of `q` has no internal candidate on any site:
+/// the case in which Algorithm 4's union is empty.
+fn empty_candidate_union(dist: &DistributedGraph, q: &EncodedQuery) -> bool {
+    let per_site: Vec<_> = dist
+        .fragments
+        .iter()
+        .map(|f| internal_candidates(f, q))
+        .collect();
+    (0..q.vertex_count())
+        .filter(|&v| q.vertex(v).is_var())
+        .any(|v| per_site.iter().all(|cands| cands[v].is_empty()))
+}
+
 fn sorted(mut rows: Vec<Vec<VertexId>>) -> Vec<Vec<VertexId>> {
     rows.sort_unstable();
     rows
@@ -214,11 +228,19 @@ proptest! {
                 prop_assert_eq!(chained.status(), single.status());
             }
 
-            // (b) rows and frame counts, batch and stream.
+            // (b) rows and frame counts, batch and stream. `Full` ends a
+            // query whose candidate union is empty for some variable after
+            // phase A, with one release broadcast in place of phases B
+            // and C.
             let star = plan.shape().is_star();
+            let empty_union = empty_candidate_union(&dist, q);
             for variant in Variant::ALL {
                 let engine = Engine::with_variant(variant);
-                let front = if star { 0 } else if variant == Variant::Full { 2 } else { 1 };
+                let front = match variant {
+                    _ if star => 0,
+                    Variant::Full if !empty_union => 2,
+                    _ => 1,
+                };
                 let context = format!("{} / {} on {}", p.name(), variant.label(), text);
                 with_in_process_workers(&dist, |transport| {
                     let out = engine.execute_on(transport, &dist, &plan).expect("executes");
